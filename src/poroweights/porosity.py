@@ -12,16 +12,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from math import fsum
 from typing import Optional, Sequence
 
 from .intervals import Interval
 from .scaling import LadderReport, octave_of, rising_prefix_maxima
 from .sets import (
     SetDescription,
-    component_lengths,
     max_component_length,
     min_component_length,
+    window_summary,
 )
 
 SIDES = ("right", "left", "two_sided")
@@ -64,11 +63,7 @@ def rho(e: SetDescription, i: Interval) -> float:
 
 
 def _qualifying_fraction(e: SetDescription, region: Interval, threshold: float) -> float:
-    qual = fsum(
-        length * count
-        for length, count in component_lengths(e, region)
-        if length >= threshold
-    )
+    qual, = window_summary(e, region).qualifying_lengths(region.lo, region.hi, (threshold,))
     return qual / region.length
 
 
@@ -412,12 +407,11 @@ def sweep_parameters(
             region, reference = i.right_half, i.left_half
         else:
             region, reference = i, i
-        summary = list(component_lengths(e, region))
         rho_ref = rho(e, reference)
+        thresholds = [2.0 * g * rho_ref for g in gammas]
+        quals = window_summary(e, region).qualifying_lengths(region.lo, region.hi, thresholds)
         denom = region.length
-        for g in gammas:
-            threshold = 2.0 * g * rho_ref
-            qual = fsum(length * count for length, count in summary if length >= threshold)
+        for g, qual in zip(gammas, quals):
             s = qual / denom
             if s < worst[g]:
                 worst[g] = s

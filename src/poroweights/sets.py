@@ -6,19 +6,30 @@ arithmetic progressions of points), so hole radii and integrals stay cheap
 on windows whose raw point count would be enormous.  Materialising points
 (``points_in``, ``gaps``) is capped at ``DEFAULT_POINT_CAP``.
 
-All operations are pure functions of immutable values; concurrent use needs
-no locking.
+Hole radii, porosity fractions, weight integrals and distance peaks all read
+one :class:`WindowSummary` per window: the components of I \\ E strictly
+between the first and last interior set points, reduced to O(1) numbers
+plus grouped lengths.  Queries add the two edge components of their own
+interval.  Finite point sets (:class:`SortedPoints`) memoise summaries per
+index window; other variants build one from ``runs_in`` on every call.
+
+All set values are immutable.  The per-instance summary memo is a benign
+cache: it is left out of equality, hashing, ``repr``, ``to_dict`` and
+pickling, every entry is a pure function of its key, and a lost race only
+builds an equal entry twice, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
-from typing import Iterator, Optional, Union as TUnion
+from typing import Callable, Iterator, Optional
 
 from .intervals import GapList, Interval
 
@@ -47,7 +58,7 @@ class SetFormatError(ValueError):
     """Raised by the JSON parser on a malformed set description."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Run:
     """Arithmetic progression of points: start + i*step for i in [0, count)."""
 
@@ -155,8 +166,98 @@ class SetDescription:
 # ---------------------------------------------------------------------------
 
 
+class SortedPoints(SetDescription):
+    """A finite set held as one sorted tuple of distinct points.
+
+    Window summaries are memoised per index window ``(a, b)`` (the slice of
+    points in the closed window) together with the two endpoint comparisons
+    that decide which interior points the open window keeps: whether the
+    first point equals ``lo`` and whether the computed end of the final run
+    equals ``hi``.  The memo holds O(1)-size summaries, never points, and
+    stores a window's run ends only when they differ from its last point.
+    """
+
+    def _pts(self) -> tuple[float, ...]:
+        raise NotImplementedError
+
+    def runs_in(self, lo: float, hi: float) -> list[Run]:
+        pts = self._pts()
+        return _compress(list(pts[bisect_left(pts, lo):bisect_right(pts, hi)]))
+
+    def nearest_leq(self, x: float) -> Optional[float]:
+        pts = self._pts()
+        i = bisect_right(pts, x)
+        return pts[i - 1] if i > 0 else None
+
+    def nearest_geq(self, x: float) -> Optional[float]:
+        pts = self._pts()
+        i = bisect_left(pts, x)
+        return pts[i] if i < len(pts) else None
+
+    def is_empty(self) -> bool:
+        return False
+
+    def summary(self, lo: float, hi: float) -> "WindowSummary":
+        """Memoised :class:`WindowSummary` of the open window (lo, hi)."""
+        pts = self._pts()
+        a = bisect_left(pts, lo)
+        b = bisect_right(pts, hi)
+        if a == b:
+            return EMPTY_SUMMARY
+        memo = self.__dict__.get("_windows")
+        if memo is None:
+            memo = ({}, {})
+            object.__setattr__(self, "_windows", memo)
+        summaries, odd_ends = memo
+        window = a * (len(pts) + 1) + b  # one int per index window
+        ends = odd_ends.get(window)
+        if ends is _NO_MEMO:
+            return WindowSummary.of(_interior(self.runs_in(lo, hi), lo, hi))
+        first_dropped = pts[a] == lo
+        end = pts[b - 1] if ends is None else ends[first_dropped]
+        key = 4 * window + 2 * first_dropped + (end == hi)
+        s = summaries.get(key)
+        if s is None:
+            runs = self.runs_in(lo, hi)
+            ends = _final_ends(runs, pts[b - 1])
+            if ends is _NO_MEMO:
+                odd_ends[window] = ends
+                return WindowSummary.of(_interior(runs, lo, hi))
+            if ends != (pts[b - 1], pts[b - 1]):
+                odd_ends[window] = ends
+                key = 4 * window + 2 * first_dropped + (ends[first_dropped] == hi)
+            s = summaries[key] = WindowSummary.of(_interior(runs, lo, hi), weakref.ref(self))
+        return s
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_windows"}
+
+
+# ends of a window whose summary is rebuilt on every query (see _final_ends)
+_NO_MEMO = object()
+
+
+def _final_ends(runs: list[Run], last_point: float):
+    """(end kept, end dropped) of a window's runs, or ``_NO_MEMO``.
+
+    These are the computed end of the final interior run when the first
+    point stays or is dropped (``None`` when nothing is left); a query
+    compares it with its ``hi`` to decide the last-point drop.  Usually both
+    equal the window's last point, and the memo stores nothing for them.
+    The comparison alone decides the drop only when every other run ends
+    before the last point, which rounding in a run's computed end can break;
+    such windows get ``_NO_MEMO``.
+    """
+    head = _interior(runs[:1], runs[0].start, math.inf)
+    if len(runs) == 1:
+        return runs[0].end, (head[0].end if head else None)
+    if (head and head[0].end >= last_point) or any(r.end >= last_point for r in runs[:-1]):
+        return _NO_MEMO
+    return runs[-1].end, runs[-1].end
+
+
 @dataclass(frozen=True)
-class FinitePoints(SetDescription):
+class FinitePoints(SortedPoints):
     points: tuple[float, ...]
 
     def __init__(self, points):
@@ -167,21 +268,8 @@ class FinitePoints(SetDescription):
             raise ValueError("FinitePoints requires finite coordinates")
         object.__setattr__(self, "points", tuple(pts))
 
-    def runs_in(self, lo: float, hi: float) -> list[Run]:
-        i = bisect_left(self.points, lo)
-        j = bisect_right(self.points, hi)
-        return _compress(list(self.points[i:j]))
-
-    def nearest_leq(self, x: float) -> Optional[float]:
-        i = bisect_right(self.points, x)
-        return self.points[i - 1] if i > 0 else None
-
-    def nearest_geq(self, x: float) -> Optional[float]:
-        i = bisect_left(self.points, x)
-        return self.points[i] if i < len(self.points) else None
-
-    def is_empty(self) -> bool:
-        return False
+    def _pts(self) -> tuple[float, ...]:
+        return self.points
 
 
 EXTENTS = ("two_sided", "right", "left")
@@ -324,7 +412,7 @@ def _cantor_endpoints(lo: float, hi: float, middle: float, depth: int) -> tuple[
 
 
 @dataclass(frozen=True)
-class CantorIterate(SetDescription):
+class CantorIterate(SortedPoints):
     """Endpoint set of the n-th step of the middle-fraction removal scheme.
 
     This is a finite set (the limit set is out of scope); all queries stay exact.
@@ -345,25 +433,6 @@ class CantorIterate(SetDescription):
 
     def _pts(self) -> tuple[float, ...]:
         return _cantor_endpoints(self.lo, self.hi, self.middle, self.depth)
-
-    def runs_in(self, lo: float, hi: float) -> list[Run]:
-        pts = self._pts()
-        i = bisect_left(pts, lo)
-        j = bisect_right(pts, hi)
-        return _compress(list(pts[i:j]))
-
-    def nearest_leq(self, x: float) -> Optional[float]:
-        pts = self._pts()
-        i = bisect_right(pts, x)
-        return pts[i - 1] if i > 0 else None
-
-    def nearest_geq(self, x: float) -> Optional[float]:
-        pts = self._pts()
-        i = bisect_left(pts, x)
-        return pts[i] if i < len(pts) else None
-
-    def is_empty(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -488,6 +557,8 @@ def _merge_run_lists(lists: list[list[Run]], lo: float, hi: float) -> list[Run]:
     Interleaved members fall back to a capped point merge.
     """
     runs = [r for lst in lists for r in lst]
+    if all(runs[i].end < runs[i + 1].start for i in range(len(runs) - 1)):
+        return runs  # already in order: sorting would not move a run
     runs.sort(key=lambda r: (r.start, r.end))
     disjoint = all(runs[i].end < runs[i + 1].start for i in range(len(runs) - 1))
     if disjoint:
@@ -556,77 +627,289 @@ def set_distance(e: SetDescription, i: Interval) -> float:
     return best
 
 
-def _interior_runs(e: SetDescription, i: Interval) -> list[Run]:
-    """Runs of set points strictly inside the open interval."""
+def _interior(runs: list[Run], lo: float, hi: float) -> list[Run]:
+    """The runs of [lo, hi] trimmed to the points strictly inside (lo, hi)."""
     out = []
-    for r in e.runs_in(i.lo, i.hi):
+    for r in runs:
         start, step, count = r.start, r.step, r.count
-        if start == i.lo:
+        if start == lo:
             start += step
             count -= 1
         if count > 0:
             last = start + (count - 1) * step if count > 1 else start
-            if last == i.hi:
+            if last == hi:
                 count -= 1
-        if count > 0:
+        if count == r.count:
+            out.append(r)
+        elif count > 0:
             out.append(Run(start, step, count))
     return out
 
 
-def iter_components(e: SetDescription, i: Interval) -> Iterator[tuple]:
-    """Yield the components of I \\ E without materialising points.
+def _middle(runs: list[Run]) -> Iterator[tuple]:
+    """Components of the window between the first and last interior points.
 
-    Items are ``("span", a, b)`` for an explicit component or
-    ``("cells", start, step, m)`` for m consecutive components of equal
-    length ``step`` between the points of an arithmetic run.
+    Items are ``("span", a, b)`` for the component between two runs or
+    ``("cells", start, step, m)`` for the m components of length ``step``
+    inside an arithmetic run.
     """
-    prev = i.lo
-    for r in _interior_runs(e, i):
-        if r.start > prev:
+    prev = None
+    for r in runs:
+        if prev is not None and r.start > prev:
             yield ("span", prev, r.start)
         if r.count >= 2:
             yield ("cells", r.start, r.step, r.count - 1)
         prev = r.end
-    if i.hi > prev:
-        yield ("span", prev, i.hi)
 
 
-def component_lengths(e: SetDescription, i: Interval) -> Iterator[tuple[float, int]]:
-    """(length, multiplicity) pairs over the components of I \\ E."""
-    for item in iter_components(e, i):
-        if item[0] == "span":
-            yield (item[2] - item[1], 1)
-        else:
-            yield (item[2], item[3])
+def _span_peak(a: float, b: float) -> float:
+    """Max over [a, b] of the distance to {a, b}."""
+    m = min(max(0.5 * (a + b), a), b)
+    return min(m - a, b - m)
+
+
+def _msum_add(partials: list[float], x: float) -> None:
+    """Add finite x to Shewchuk's non-overlapping partials, in place.
+
+    The exact sum of the partials stays the exact running total, so
+    ``fsum(partials + more)`` equals ``fsum(all terms + more)`` bit for bit.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def _middle_terms(runs: list[Run]) -> list[tuple[float, float]]:
+    """(length, length * multiplicity) per middle item: one per span, one per cell run."""
+    return [(item[2] - item[1],) * 2 if item[0] == "span" else (item[2], item[2] * item[3])
+            for item in _middle(runs)]
+
+
+def _pack_groups(items: list[tuple[float, float]]) -> array:
+    """Distinct lengths with cumulative exact partials, packed as ``[stride, *neg, *parts]``.
+
+    ``neg`` holds the distinct lengths negated, so it ascends.  Row k of
+    ``parts`` (``stride`` floats, zero-padded) holds partials whose exact sum
+    is the total of the terms in the k longest groups; row 0 is all zeros.
+    """
+    items = sorted(items, reverse=True)
+    neg: list[float] = []
+    rows: list[list[float]] = [[]]
+    partials: list[float] = []
+    for k, (length, term) in enumerate(items, 1):
+        _msum_add(partials, term)
+        if k == len(items) or items[k][0] != length:
+            neg.append(-length)
+            rows.append(partials[:])
+    stride = max(map(len, rows)) or 1
+    return array("d", [stride, *neg, *(x for r in rows for x in r + [0.0] * (stride - len(r)))])
+
+
+def _peak(runs: list[Run]) -> float:
+    """Largest distance to the set over the middle components (0 if none)."""
+    peak = 0.0
+    prev = None
+    for r in runs:  # the traversal of _middle, inlined: this runs on every lattice query
+        start = r.start
+        if prev is not None and start > prev:
+            p = _span_peak(prev, start)
+            if p > peak:
+                peak = p
+        if r.count >= 2 and 0.5 * r.step > peak:
+            peak = 0.5 * r.step
+        prev = start if r.count == 1 else start + (r.count - 1) * r.step
+    return peak
+
+
+def _widest(runs: list[Run]) -> Optional[tuple[float, float]]:
+    """Leftmost middle component of maximal length, as an (lo, hi) pair."""
+    best = None
+    for item in _middle(runs):
+        a, b = (item[1], item[2]) if item[0] == "span" else (item[1], item[1] + item[2])
+        if best is None or b - a > best[1] - best[0]:
+            best = (a, b)
+    return best
+
+
+class WindowSummary:
+    """The components of I \\ E strictly between the first and last interior points.
+
+    ``first`` is the first interior point (``None`` when no set point lies
+    inside the window), ``last`` the computed end of the last interior run,
+    and ``longest`` and ``shortest`` the longest and the shortest positive
+    middle length (0 and inf if there is none).  A query adds its own edge
+    components (lo, first) and (last, hi), or the whole window when
+    ``first`` is ``None``.
+
+    Everything else is derived from the interior runs on first use: the
+    distance peak (:meth:`peak`), grouped lengths (:meth:`qualifying_lengths`)
+    and per-exponent integral terms (:meth:`integral_terms`).  A summary
+    built for one query keeps its runs; a memoised one keeps the derived
+    values instead, packed in float arrays, and rebuilds the runs from the
+    querying window when it needs them.
+    """
+
+    __slots__ = ("first", "last", "longest", "shortest", "_source", "_peak", "_groups", "_integrals")
+
+    def __init__(self, first, last, longest, shortest, source):
+        self.first: Optional[float] = first
+        self.last: Optional[float] = last
+        self.longest: float = longest
+        self.shortest: float = shortest
+        # the interior runs, or for a memoised summary a weak reference to the
+        # set they are rebuilt from (a strong one would make the memo a cycle)
+        self._source = source
+        self._peak: Optional[float] = None
+        self._groups: Optional[array] = None
+        self._integrals: array | tuple = ()
+
+    @classmethod
+    def of(cls, interior: list[Run], source: Optional[weakref.ref] = None) -> "WindowSummary":
+        """Summary of the given interior runs; a memoised one rebuilds them from ``source()``."""
+        if not interior:
+            return EMPTY_SUMMARY
+        longest, shortest = 0.0, math.inf
+        prev = None
+        for r in interior:  # the lengths of _middle, inlined: this runs on every lattice query
+            start = r.start
+            if prev is not None and start > prev:
+                length = start - prev
+                if length > longest:
+                    longest = length
+                if length < shortest:
+                    shortest = length
+            if r.count >= 2:
+                length = r.step
+                if length > longest:
+                    longest = length
+                if 0.0 < length < shortest:
+                    shortest = length
+            prev = start if r.count == 1 else start + (r.count - 1) * r.step
+        return cls(interior[0].start, prev, longest, shortest, interior if source is None else source)
+
+    def peak(self, lo: float, hi: float) -> float:
+        """Largest distance to the set over the middle components (0 if none)."""
+        if self._peak is None:
+            self._peak = _peak(self.interior(lo, hi))
+        return self._peak
+
+    def edges(self, lo: float, hi: float) -> list[float]:
+        """Lengths of the components of (lo, hi) outside the middle."""
+        first = self.first
+        if first is None:
+            return [hi - lo] if hi > lo else []
+        out = []
+        if first > lo:
+            out.append(first - lo)
+        if hi > self.last:
+            out.append(hi - self.last)
+        return out
+
+    def interior(self, lo: float, hi: float) -> list[Run]:
+        """Runs of set points strictly inside (lo, hi), a window this summary describes."""
+        src = self._source
+        if isinstance(src, list):
+            return src
+        return _interior(src().runs_in(lo, hi), lo, hi)
+
+    def _kept(self) -> bool:
+        return not isinstance(self._source, list)
+
+    def qualifying_lengths(self, lo: float, hi: float, thresholds) -> list[float]:
+        """Per threshold t, fsum of length * multiplicity over the components of (lo, hi) at least t long."""
+        edges = self.edges(lo, hi)
+        groups = self._groups
+        if groups is None:
+            items = _middle_terms(self.interior(lo, hi))
+            if not self._kept():  # one pass per threshold beats packing for a single query
+                items += [(x, x) for x in edges]
+                return [fsum([x for length, x in items if length >= t]) for t in thresholds]
+            groups = self._groups = _pack_groups(items)
+        stride = int(groups[0])
+        k = (len(groups) - 1 - stride) // (1 + stride)
+        out = []
+        for t in thresholds:
+            row = 1 + k + (bisect_right(groups, -t, 1, 1 + k) - 1) * stride
+            out.append(fsum([*groups[row:row + stride], *[x for x in edges if x >= t]]))
+        return out
+
+    def integral_terms(self, lo: float, hi: float, alpha: float,
+                       build: Callable[[list[Run], float], list[float]]) -> list[float]:
+        """``build(self.interior(lo, hi), alpha)``, the terms of the middle components.
+
+        A memoised summary keeps them per exponent as exact partials, packed
+        as ``[alpha, n, *partials]``; their fsum with any further terms is
+        the fsum of all the terms.
+        """
+        cache = self._integrals
+        k = 0
+        while k < len(cache):
+            n = int(cache[k + 1])
+            if cache[k] == alpha:
+                return list(cache[k + 2:k + 2 + n])
+            k += 2 + n
+        terms = build(self.interior(lo, hi), alpha)
+        if self._kept():
+            partials: list[float] = []
+            if math.inf in terms:
+                partials.append(math.inf)
+            else:
+                for t in terms:
+                    _msum_add(partials, t)
+            self._integrals = array("d", [*cache, alpha, len(partials), *partials])
+        return terms
+
+
+EMPTY_SUMMARY = WindowSummary(None, None, 0.0, math.inf, [])
+
+
+def window_summary(e: SetDescription, i: Interval) -> WindowSummary:
+    """Summary of the components of I \\ E; memoised for finite point sets."""
+    if isinstance(e, SortedPoints):
+        return e.summary(i.lo, i.hi)
+    return WindowSummary.of(_interior(e.runs_in(i.lo, i.hi), i.lo, i.hi))
 
 
 def max_component_length(e: SetDescription, i: Interval) -> float:
-    best = 0.0
-    for length, _ in component_lengths(e, i):
-        if length > best:
-            best = length
-    return best
+    s = window_summary(e, i)
+    if s.first is None:
+        return i.hi - i.lo
+    # the edge lengths folded in unconditionally: one that is no component is
+    # not positive, and longest >= 0 outweighs it
+    return max(s.longest, s.first - i.lo, i.hi - s.last)
 
 
 def largest_component(e: SetDescription, i: Interval) -> Optional[Interval]:
     """Leftmost component of I \\ E of maximal length, or None if I is covered."""
-    best: Optional[Interval] = None
-    for item in iter_components(e, i):
-        if item[0] == "span":
-            cand = Interval(item[1], item[2])
-        else:
-            cand = Interval(item[1], item[1] + item[2])
-        if best is None or cand.length > best.length:
-            best = cand
-    return best
+    s = window_summary(e, i)
+    if s.first is None:
+        cands = [(i.lo, i.hi)] if i.hi > i.lo else []
+    else:
+        cands = [(i.lo, s.first)] if s.first > i.lo else []
+        widest = _widest(s.interior(i.lo, i.hi))
+        if widest is not None:
+            cands.append(widest)
+        if i.hi > s.last:
+            cands.append((s.last, i.hi))
+    best = None
+    for a, b in cands:
+        if best is None or b - a > best[1] - best[0]:
+            best = (a, b)
+    return None if best is None else Interval(*best)
 
 
 def min_component_length(e: SetDescription, i: Interval) -> float:
-    best = math.inf
-    for length, _ in component_lengths(e, i):
-        if 0 < length < best:
-            best = length
-    return best if best is not math.inf else i.length
+    s = window_summary(e, i)
+    best = min([s.shortest, *(x for x in s.edges(i.lo, i.hi) if x > 0.0)])
+    return best if best < math.inf else i.length
 
 
 def gaps(e: SetDescription, i: Interval, cap: int = DEFAULT_POINT_CAP) -> GapList:
@@ -708,28 +991,59 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
-def _num(d: dict, key: str, path: str) -> float:
-    v = _need(d, key, path)
+MAX_NESTING = 64  # levels of inner/members/lattice objects in one description
+
+
+def _finite(v, where: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise SetFormatError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+        raise SetFormatError(f"{where}: expected a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SetFormatError(f"{where}: expected a finite number, got {v!r}")
+    return x
+
+
+def _num(d: dict, key: str, path: str) -> float:
+    return _finite(_need(d, key, path), f"{path}.{key}")
+
+
+def _int(d: dict, key: str, path: str) -> int:
+    v = _need(d, key, path)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise SetFormatError(f"{path}.{key}: expected an integer, got {v!r}")
+    return v
 
 
 def from_dict(d: dict, path: str = "$") -> SetDescription:
+    return _from_dict(d, path, 0)
+
+
+def _from_dict(d: dict, path: str, level: int) -> SetDescription:
     if not isinstance(d, dict):
         raise SetFormatError(f"{path}: expected an object, got {type(d).__name__}")
+    if level > MAX_NESTING:
+        raise SetFormatError(f"{path}: set descriptions nest at most {MAX_NESTING} levels deep")
     kind = _need(d, "kind", path)
+
+    def inner(key: str) -> SetDescription:
+        return _from_dict(_need(d, key, path), f"{path}.{key}", level + 1)
+
     try:
         if kind == "finite":
             pts = _need(d, "points", path)
             if not isinstance(pts, list) or not pts:
                 raise SetFormatError(f"{path}.points: expected a non-empty list")
-            return FinitePoints(pts)
+            return FinitePoints([_finite(p, f"{path}.points[{i}]") for i, p in enumerate(pts)])
         if kind == "lattice":
             extent = d.get("extent", "two_sided")
             return Lattice(_num(d, "origin", path), _num(d, "step", path), extent)
         if kind == "geometric_lattice":
-            latt = from_dict(_need(d, "lattice", path), path + ".lattice")
+            latt = inner("lattice")
             if not isinstance(latt, Lattice):
                 raise SetFormatError(f"{path}.lattice: must be a lattice description")
             return GeometricPlusLattice(_num(d, "ratio", path), latt)
@@ -738,26 +1052,22 @@ def from_dict(d: dict, path: str = "$") -> SetDescription:
                 _num(d, "lo", path),
                 _num(d, "hi", path),
                 _num(d, "middle", path),
-                int(_num(d, "depth", path)),
+                _int(d, "depth", path),
             )
         if kind == "union":
             members = _need(d, "members", path)
             if not isinstance(members, list) or not members:
                 raise SetFormatError(f"{path}.members: expected a non-empty list")
             return UnionSet(
-                [from_dict(m, f"{path}.members[{i}]") for i, m in enumerate(members)]
+                [_from_dict(m, f"{path}.members[{i}]", level + 1) for i, m in enumerate(members)]
             )
         if kind == "translate":
-            return Translate(from_dict(_need(d, "inner", path), path + ".inner"), _num(d, "shift", path))
+            return Translate(inner("inner"), _num(d, "shift", path))
         if kind == "reflect":
-            return Reflect(from_dict(_need(d, "inner", path), path + ".inner"))
+            return Reflect(inner("inner"))
         if kind == "cutoff":
             side = _need(d, "side", path)
-            return Cutoff(
-                from_dict(_need(d, "inner", path), path + ".inner"),
-                _num(d, "point", path),
-                side,
-            )
+            return Cutoff(inner("inner"), _num(d, "point", path), side)
     except SetFormatError:
         raise
     except ValueError as exc:
@@ -769,9 +1079,15 @@ def to_json(e: SetDescription, indent: int = 2) -> str:
     return json.dumps(to_dict(e), indent=indent)
 
 
+def _reject_constant(name: str):
+    raise SetFormatError(f"invalid JSON: {name} is not a finite number")
+
+
 def from_json(text: str) -> SetDescription:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
+    except RecursionError as exc:
+        raise SetFormatError("invalid JSON: nested too deeply") from exc
     except json.JSONDecodeError as exc:
         raise SetFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     return from_dict(data)

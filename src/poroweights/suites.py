@@ -33,12 +33,12 @@ from .porosity import (
 from .sets import (
     CantorIterate,
     SetDescription,
-    _interior_runs,
     largest_component,
     min_component_length,
     neighborhood_measure,
     set_distance,
     to_dict,
+    window_summary,
 )
 from .weights import WeightSpec, max_distance_on
 
@@ -247,7 +247,7 @@ def suite_decay(
     Needs set points inside the left half; the window is trimmed at the middle
     of the widest right-half hole so shrinking neighborhoods keep clear of it.
     """
-    if not _interior_runs(e, i.left_half):
+    if window_summary(e, i.left_half).first is None:
         raise ValueError("left half of the interval must contain set points")
     pore = largest_component(e, i.right_half)
     if pore is None:

@@ -5,7 +5,11 @@ breaking at set points and at midpoints between consecutive points.  Every
 integral over a bounded interval therefore reduces to power-function pieces
 (x - e)^(1-alpha)/(1-alpha), which this module evaluates piece by piece and
 sums with `fsum`.  Arithmetic runs of points contribute one aggregated term,
-so windows spanning millions of lattice points stay O(#runs).
+so windows spanning millions of lattice points stay O(#runs).  On finite
+point sets the terms of the components between a window's first and last
+interior points are memoised per exponent as exact partial sums; a query
+adds its two edge terms and rounds once, so the result equals the `fsum` of
+all the terms bit for bit.
 
 Weights with alpha >= 1 are representable; any window whose closure meets the
 set then integrates to infinity and is reported as non-locally-integrable.
@@ -22,10 +26,11 @@ from .intervals import Interval
 from .sets import (
     DEFAULT_POINT_CAP,
     EmptySetError,
+    Run,
     SetDescription,
-    _interior_runs,
     distance,
     set_distance,
+    window_summary,
 )
 
 
@@ -84,27 +89,36 @@ def _segment_integral(a: float, b: float, p_left: Optional[float], p_right: Opti
     return _power_piece(a - p_left, m - p_left, alpha) + _power_piece(p_right - b, p_right - m, alpha)
 
 
+def _middle_integrals(runs: list[Run], alpha: float) -> list[float]:
+    """Integral terms of the middle components, one per span and one per cell run."""
+    terms = []
+    prev = None
+    for r in runs:  # the traversal of sets._middle, inlined: this runs on every lattice query
+        start = r.start
+        if prev is not None and start > prev:
+            terms.append(_segment_integral(prev, start, prev, start, alpha))
+        if r.count >= 2:
+            terms.append((r.count - 1) * (2.0 * _power_piece(0.0, 0.5 * r.step, alpha)))
+        prev = r.end
+    return terms
+
+
 def integrate(w: WeightSpec, j: Interval) -> float:
     """Exact integral of the weight over the bounded interval J.
 
     Returns math.inf when alpha >= 1 and the closure of J meets the set.
     """
     e, alpha = w.e, w.alpha
-    terms: list[float] = []
-    p_prev = e.nearest_leq(j.lo)
-    pos = j.lo
-    for r in _interior_runs(e, j):
-        if r.start > pos:
-            terms.append(_segment_integral(pos, r.start, p_prev, r.start, alpha))
-        if r.count >= 2:
-            cell = 2.0 * _power_piece(0.0, 0.5 * r.step, alpha)
-            terms.append((r.count - 1) * cell)
-        p_prev = r.end
-        pos = r.end
-    p_next = e.nearest_geq(j.hi)
-    if j.hi > pos:
-        terms.append(_segment_integral(pos, j.hi, p_prev, p_next, alpha))
-    if any(t == math.inf for t in terms):
+    s = window_summary(e, j)
+    if s.first is None:
+        terms = [_segment_integral(j.lo, j.hi, e.nearest_leq(j.lo), e.nearest_geq(j.hi), alpha)]
+    else:
+        terms = s.integral_terms(j.lo, j.hi, alpha, _middle_integrals)
+        if s.first > j.lo:
+            terms.append(_segment_integral(j.lo, s.first, e.nearest_leq(j.lo), s.first, alpha))
+        if j.hi > s.last:
+            terms.append(_segment_integral(s.last, j.hi, s.last, e.nearest_geq(j.hi), alpha))
+    if math.inf in terms:
         return math.inf
     return fsum(terms)
 
@@ -132,19 +146,14 @@ def _segment_peak(a: float, b: float, p_left: Optional[float], p_right: Optional
 
 def max_distance_on(e: SetDescription, j: Interval) -> float:
     """Max over the closure of J of d(., E); attained at an endpoint or a gap midpoint."""
-    best = 0.0
-    p_prev = e.nearest_leq(j.lo)
-    pos = j.lo
-    for r in _interior_runs(e, j):
-        if r.start > pos:
-            best = max(best, _segment_peak(pos, r.start, p_prev, r.start))
-        if r.count >= 2:
-            best = max(best, 0.5 * r.step)
-        p_prev = r.end
-        pos = r.end
-    p_next = e.nearest_geq(j.hi)
-    if j.hi > pos:
-        best = max(best, _segment_peak(pos, j.hi, p_prev, p_next))
+    s = window_summary(e, j)
+    if s.first is None:
+        return max(0.0, _segment_peak(j.lo, j.hi, e.nearest_leq(j.lo), e.nearest_geq(j.hi)))
+    best = s.peak(j.lo, j.hi)
+    if s.first > j.lo:
+        best = max(best, _segment_peak(j.lo, s.first, e.nearest_leq(j.lo), s.first))
+    if j.hi > s.last:
+        best = max(best, _segment_peak(s.last, j.hi, s.last, e.nearest_geq(j.hi)))
     return best
 
 

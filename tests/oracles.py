@@ -2,13 +2,19 @@
 
 These deliberately avoid the package's closed-form paths: integrals come from
 adaptive quadrature of the pointwise distance, hole radii from a grid search,
-dimensions from literal box counting.
+dimensions from literal box counting.  The component walk at the end is the
+slow path the window summaries replaced, kept to check them bit for bit.
 """
 
 import math
+from math import fsum
 
 import mpmath as mp
 import numpy as np
+
+from poroweights.intervals import Interval
+from poroweights.sets import Run
+from poroweights.weights import _power_piece, _segment_integral, _segment_peak
 
 mp.mp.dps = 40
 
@@ -91,3 +97,152 @@ def box_count_dimension(e, window, deltas):
             xs.append(math.log(1.0 / delta))
             ys.append(math.log(len(occupied)))
     return float(np.polyfit(xs, ys, 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# generator walk over the components of I \ E
+#
+# The query path before window summaries: every query re-derives the interior
+# runs from `runs_in` and walks its components one by one.  The summary
+# engine must agree with it bit for bit.
+# ---------------------------------------------------------------------------
+
+def _interior_runs(e, i):
+    """Runs of set points strictly inside the open interval."""
+    out = []
+    for r in e.runs_in(i.lo, i.hi):
+        start, step, count = r.start, r.step, r.count
+        if start == i.lo:
+            start += step
+            count -= 1
+        if count > 0:
+            last = start + (count - 1) * step if count > 1 else start
+            if last == i.hi:
+                count -= 1
+        if count > 0:
+            out.append(Run(start, step, count))
+    return out
+
+
+def iter_components(e, i):
+    """("span", a, b) and ("cells", start, step, m) items covering I \\ E."""
+    prev = i.lo
+    for r in _interior_runs(e, i):
+        if r.start > prev:
+            yield ("span", prev, r.start)
+        if r.count >= 2:
+            yield ("cells", r.start, r.step, r.count - 1)
+        prev = r.end
+    if i.hi > prev:
+        yield ("span", prev, i.hi)
+
+
+def component_lengths(e, i):
+    """(length, multiplicity) pairs over the components of I \\ E."""
+    for item in iter_components(e, i):
+        if item[0] == "span":
+            yield (item[2] - item[1], 1)
+        else:
+            yield (item[2], item[3])
+
+
+def max_component_walk(e, i):
+    best = 0.0
+    for length, _ in component_lengths(e, i):
+        if length > best:
+            best = length
+    return best
+
+
+def rho_walk(e, i):
+    return 0.5 * max_component_walk(e, i)
+
+
+def min_component_walk(e, i):
+    best = math.inf
+    for length, _ in component_lengths(e, i):
+        if 0 < length < best:
+            best = length
+    return best if best is not math.inf else i.length
+
+
+def largest_component_walk(e, i):
+    best = None
+    for item in iter_components(e, i):
+        if item[0] == "span":
+            cand = Interval(item[1], item[2])
+        else:
+            cand = Interval(item[1], item[1] + item[2])
+        if best is None or cand.length > best.length:
+            best = cand
+    return best
+
+
+def _qualifying_fraction_walk(e, region, threshold):
+    qual = fsum(length * count for length, count in component_lengths(e, region) if length >= threshold)
+    return qual / region.length
+
+
+def _region_and_reference(i, side):
+    if side == "right":
+        return i.left_half, i.right_half
+    if side == "left":
+        return i.right_half, i.left_half
+    return i, i
+
+
+def sigma_at_walk(e, i, gamma, side):
+    region, reference = _region_and_reference(i, side)
+    return _qualifying_fraction_walk(e, region, 2.0 * gamma * rho_walk(e, reference))
+
+
+def sweep_table_walk(e, intervals, side, gammas):
+    worst = {g: math.inf for g in gammas}
+    for i in intervals:
+        region, reference = _region_and_reference(i, side)
+        summary = list(component_lengths(e, region))
+        rho_ref = rho_walk(e, reference)
+        for g in gammas:
+            threshold = 2.0 * g * rho_ref
+            s = fsum(length * count for length, count in summary if length >= threshold) / region.length
+            if s < worst[g]:
+                worst[g] = s
+    return tuple((g, worst[g]) for g in gammas)
+
+
+def integrate_walk(w, j):
+    e, alpha = w.e, w.alpha
+    terms = []
+    p_prev = e.nearest_leq(j.lo)
+    pos = j.lo
+    for r in _interior_runs(e, j):
+        if r.start > pos:
+            terms.append(_segment_integral(pos, r.start, p_prev, r.start, alpha))
+        if r.count >= 2:
+            cell = 2.0 * _power_piece(0.0, 0.5 * r.step, alpha)
+            terms.append((r.count - 1) * cell)
+        p_prev = r.end
+        pos = r.end
+    p_next = e.nearest_geq(j.hi)
+    if j.hi > pos:
+        terms.append(_segment_integral(pos, j.hi, p_prev, p_next, alpha))
+    if any(t == math.inf for t in terms):
+        return math.inf
+    return fsum(terms)
+
+
+def max_distance_walk(e, j):
+    best = 0.0
+    p_prev = e.nearest_leq(j.lo)
+    pos = j.lo
+    for r in _interior_runs(e, j):
+        if r.start > pos:
+            best = max(best, _segment_peak(pos, r.start, p_prev, r.start))
+        if r.count >= 2:
+            best = max(best, 0.5 * r.step)
+        p_prev = r.end
+        pos = r.end
+    p_next = e.nearest_geq(j.hi)
+    if j.hi > pos:
+        best = max(best, _segment_peak(pos, j.hi, p_prev, p_next))
+    return best
