@@ -2,8 +2,11 @@
 
 Each job runs ``poroweights.cli.main`` in-process with ``--no-timestamp`` and
 writes into a fresh directory; the SHA-256 of every report file is compared
-with the digest recorded before the window-summary query engine landed.  A
-change that moves any reported figure by one ulp fails here.
+with a digest recorded on the tree before the source change it gates: the
+first nine jobs before the window-summary query engine, the rest before
+the porosity/sampler/maximal-average consolidation.  Together the jobs run
+every subcommand that writes a report and every ``verify`` suite.  A change
+that moves any reported figure by one ulp fails here.
 
 To print the digests of the current tree (e.g. after an intended output
 change), run ``PYTHONPATH=src python -m tests.test_golden``.
@@ -25,6 +28,9 @@ from poroweights.cli import main
 CAPS = ("--anchor-cap", "8", "--random-probes", "40", "--octaves", "6", "--seed", "3")
 CANTOR6 = ("--preset", "cantor", "--cantor-depth", "6")
 RANDOM = ("--preset", "random_finite", "--random-count", "24")
+INTEGERS = ("--preset", "integers")
+GEOMETRIC = ("--preset", "geometric_naturals")
+W = ("--window", "-8", "8")
 
 JOBS = {
     "analyze-cantor6": ("analyze", *CANTOR6, *CAPS),
@@ -36,6 +42,23 @@ JOBS = {
     "critical-alpha-random": ("critical-alpha", *RANDOM, *CAPS, "--tol", "0.125"),
     "verify-distance-envelope-cantor6": ("verify", *CANTOR6, *CAPS, "--suite", "distance-envelope"),
     "verify-decay-cantor6": ("verify", *CANTOR6, *CAPS, "--suite", "decay", "--gamma", "0.25"),
+    "analyze-integers": ("analyze", *INTEGERS, *CAPS),
+    "analyze-sweep-geometric": ("analyze", *GEOMETRIC, *CAPS, "--sweep", "--side", "right"),
+    "analyze-left-reflected-geometric": (
+        "analyze", "--preset", "reflected_geometric_naturals", *CAPS, "--side", "left"),
+    "a1-minus-geometric": (
+        "a1", *GEOMETRIC, *CAPS, "--side", "minus", "--alpha", "0.5", "--table-points", "16"),
+    "critical-alpha-naturals": ("critical-alpha", "--preset", "naturals", *CAPS, *W, "--tol", "0.125"),
+    "verify-sided-transport-geometric": ("verify", *GEOMETRIC, *CAPS, *W, "--suite", "sided-transport"),
+    "verify-sided-transport-cantor6": ("verify", *CANTOR6, *CAPS, "--suite", "sided-transport"),
+    "verify-left-propagation-cantor6": (
+        "verify", *CANTOR6, *CAPS, "--suite", "left-propagation", "--gamma", "0.25"),
+    "verify-hole-control-geometric": ("verify", *GEOMETRIC, *CAPS, *W, "--suite", "hole-control"),
+    "verify-pore-transport-geometric": ("verify", *GEOMETRIC, *CAPS, *W, "--suite", "pore-transport"),
+    "verify-dimension-cantor6": ("verify", *CANTOR6, *CAPS, "--suite", "dimension"),
+    "dimension-random": ("dimension", *RANDOM, *CAPS),
+    "verify-equivalence-integers": (
+        "verify", *INTEGERS, *CAPS, "--window", "-2", "2", "--suite", "equivalence"),
 }
 
 # (exit code, {report file: sha256}) per job
@@ -43,6 +66,11 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     'a1-cantor6': (0, {
         'a1_report.csv': '5c4241cc82036515b9b318ca3e32e483f04a190aa0e7ce3023fd8802885526b3',
         'a1_report.json': 'c132ce0a28c99198f5fc83c205451227cbef12161283a00356b425c2f7e54e4d',
+    }),
+    'a1-minus-geometric': (0, {
+        'a1_report.csv': 'b19b3d498cced7be7e28f10644e877ff97325c49a382eaf448687adba0820dc6',
+        'a1_report.json': '0838529be9e751e1af21368b15e9418830d88795bd5e73015ee75089cde991b8',
+        'weight_table.csv': 'ff723c75e0b75c578768e175fcb147f1758b4792047c86d77802302ff38ec6c8',
     }),
     'a1-random': (0, {
         'a1_report.csv': 'b456802847727add6d214fd15a5ab3f87a6020e80806703eb0bdeb2990c3b5c4',
@@ -52,6 +80,14 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'porosity_report.csv': '3e2a30741b81c189ae8be8e83b4291dbcc96068e8a919162b768db681f6baa0e',
         'porosity_report.json': '01c210512658a0f8735041b975beb09b5c2a40c78fe4a345074fd625326ac6b6',
     }),
+    'analyze-integers': (0, {
+        'porosity_report.csv': '5ac5726160b007deb433badcb7428e1f3588ea37e05700934038904b884778e9',
+        'porosity_report.json': '6e3b9efe9aa29e087deb8eab532dc828527f9f5fec3b1bca9f4dde14d6b200a5',
+    }),
+    'analyze-left-reflected-geometric': (0, {
+        'porosity_report.csv': '1035b8d22adae2aa606392bb614b91ef048086ab1ce26b2c5690ab2991248e55',
+        'porosity_report.json': '87c3066f39d1a25554b5bae2259e69eec22c53f1e706d2d9bf96996a1a38df33',
+    }),
     'analyze-random': (1, {
         'porosity_report.csv': '6c1d19e86313a52d045a39bae236fe517b8f827a093b42cc126bf0387509453c',
         'porosity_report.json': '959a7165c88f5d075eeea4772d71715cc02745cdca4e7168e532910fb97d8024',
@@ -59,18 +95,50 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     'analyze-sweep-cantor6': (0, {
         'porosity_sweep.json': 'e10832eb275c514b1cc46e946225ccd38855fb59887a63c3cca551b583f0b62e',
     }),
+    'analyze-sweep-geometric': (0, {
+        'porosity_sweep.json': 'acc447716e9881648688a700cafc742bbb1c9b0f5623b96d8443fe8da8b34f9a',
+    }),
     'critical-alpha-cantor6': (0, {
         'critical_alpha.json': 'fe7d04bdfb42b92cfbd1a457df8777ae5323e68093b2abf8cc8deb4a2f46be69',
     }),
+    'critical-alpha-naturals': (0, {
+        'critical_alpha.json': '182ce2e35afa17f7b7252eb77079501e50346bb2eac398ac5b186f80e72d5e22',
+    }),
     'critical-alpha-random': (0, {
         'critical_alpha.json': '614c5da44f3823ecba5d033c4c145dca795341176e9f482956fd0670ce3d7709',
+    }),
+    'dimension-random': (0, {
+        'dimension_report.csv': 'e6c454cb0476436cb6fb74ad46eda3d21ef14c650bbcd7f08e418067a9f3c84f',
+        'dimension_report.json': 'f4ae53dac1ed6e6582b8269a540320e83b1844fa21c9f04049ff1c6ea7bb74bb',
     }),
     'verify-decay-cantor6': (0, {
         'decay_measures.csv': 'f1819dfd27e9a8d883a5286dbb1f290c4bbbc36d5945b1cf8c21fc67c974141b',
         'verify_decay.json': 'ba0ad48c6ed4ddadc5d9f64498110c4fc133d289d2bafdc56417b589694cfa0c',
     }),
+    'verify-dimension-cantor6': (0, {
+        'verify_dimension.json': 'cab6dfb4d4d566ce60b264310fcb7fc47ced3a55437d610d0ce1aa4ea5104889',
+    }),
     'verify-distance-envelope-cantor6': (0, {
         'verify_distance_envelope.json': 'f3a4d145061b6ebc813ab4f00c1f9f8dbb963529fa35bd6378cedeb9c759f436',
+    }),
+    'verify-equivalence-integers': (0, {
+        'summary_matrix.csv': 'c45188d373961cac61dc94c467b76df22aca05c4a21cb997087b69b5b2fddf7b',
+        'verify_equivalence.json': '8ac825531bb1378d1ec26bab9cfd5dd07fcdea3567b78970e43b6a10b6dc4cb2',
+    }),
+    'verify-hole-control-geometric': (0, {
+        'verify_hole_control.json': '4526f682c6e9250c374437a77a699fbab3b7a11c6fb2dd6852a4761f5a3dbd2b',
+    }),
+    'verify-left-propagation-cantor6': (0, {
+        'verify_left_propagation.json': '4c838aa0c7e5622ecb6a66a96e42d8e4604494140ba5a07f775ef2d6ca293efc',
+    }),
+    'verify-pore-transport-geometric': (0, {
+        'verify_pore_transport.json': '16ac22e082160f4d0de820ba29ee2bbd99a3e43cb7cdf7e1b93f1b8aa2f7ca7f',
+    }),
+    'verify-sided-transport-cantor6': (0, {
+        'verify_sided_transport.json': 'ddb92c5d8f2d4dbda9b66458524ba1580dc98b55dff1b7ba6f37982c3cf49998',
+    }),
+    'verify-sided-transport-geometric': (0, {
+        'verify_sided_transport.json': 'de269e22a0d5079e8d2e4fdb7ad99c6682102ca3dbf1f985ba2326c3d6942223',
     }),
 }
 
