@@ -8,7 +8,6 @@ are in the written reports), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys

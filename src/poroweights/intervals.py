@@ -57,14 +57,8 @@ class Interval:
         """
         return Interval(self.center, self.hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def shifted(self, t: float) -> "Interval":
-        return Interval(self.lo + t, self.hi + t)
 
     def reflected(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
@@ -75,21 +69,11 @@ class Interval:
 
 @dataclass(frozen=True)
 class GapList:
-    """Ordered connected components of I \\ E for a bounded interval I.
-
-    ``left_touches`` / ``right_touches`` record whether the window endpoint
-    itself is off the set (distance > 0), i.e. whether the first/last
-    component could extend past the window.
-    """
+    """Ordered connected components of I \\ E for a bounded interval I."""
 
     interval: Interval
     components: tuple[Interval, ...]
-    left_touches: bool
-    right_touches: bool
     total_length: float = field(default=0.0)
 
     def __len__(self) -> int:
         return len(self.components)
-
-    def largest(self) -> Interval:
-        return max(self.components, key=lambda c: c.length)

@@ -20,6 +20,7 @@ from .sets import (
     SetDescription,
     max_component_length,
     min_component_length,
+    sample_points,
     window_summary,
 )
 
@@ -33,7 +34,9 @@ DEFAULT_RANDOM_PROBES = 1000
 MIN_OCTAVES = 12
 MAX_OCTAVES = 40
 
-REL_SLACK = 1e-12  # float slack for non-dyadic inputs; dyadic data is exact
+# Float slack for non-dyadic inputs (dyadic data is exact): relative on hole
+# radii and measures, absolute on porosity fractions sigma in [0, 1].
+REL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,15 @@ def rho(e: SetDescription, i: Interval) -> float:
     return 0.5 * max_component_length(e, i)
 
 
-def _qualifying_fraction(e: SetDescription, region: Interval, threshold: float) -> float:
-    qual, = window_summary(e, region).qualifying_lengths(region.lo, region.hi, (threshold,))
-    return qual / region.length
+def _split(i: Interval, side: str) -> tuple[Interval, Interval]:
+    """(region, reference) of I for a side: the part whose holes count, the part whose hole radius sets the threshold."""
+    if side == "right":
+        return i.left_half, i.right_half
+    if side == "left":
+        return i.right_half, i.left_half
+    if side == "two_sided":
+        return i, i
+    raise ValueError(f"side must be one of {SIDES}")
 
 
 def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
@@ -73,16 +82,10 @@ def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
     Only components at least as long as twice gamma times the reference hole
     radius count; the optimum collection is exactly those components.
     """
-    if side == "right":
-        threshold = 2.0 * gamma * rho(e, i.right_half)
-        return _qualifying_fraction(e, i.left_half, threshold)
-    if side == "left":
-        threshold = 2.0 * gamma * rho(e, i.left_half)
-        return _qualifying_fraction(e, i.right_half, threshold)
-    if side == "two_sided":
-        threshold = 2.0 * gamma * rho(e, i)
-        return _qualifying_fraction(e, i, threshold)
-    raise ValueError(f"side must be one of {SIDES}")
+    region, reference = _split(i, side)
+    threshold = 2.0 * gamma * rho(e, reference)
+    qual, = window_summary(e, region).qualifying_lengths(region.lo, region.hi, (threshold,))
+    return qual / region.length
 
 
 # ---------------------------------------------------------------------------
@@ -90,32 +93,9 @@ def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sample_run_points(e: SetDescription, window: Interval, cap: int) -> list[float]:
-    """Up to `cap` set points in the window, evenly strided, without materialising."""
-    runs = e.runs_in(window.lo, window.hi)
-    total = sum(r.count for r in runs)
-    if total == 0:
-        return []
-    take = min(total, cap)
-    picks: list[float] = []
-    stride = total / take
-    pos = 0.0
-    offset = 0
-    run_iter = iter(runs)
-    run = next(run_iter)
-    for _ in range(take):
-        idx = int(pos)
-        while idx >= offset + run.count:
-            offset += run.count
-            run = next(run_iter)
-        picks.append(run.point(idx - offset))
-        pos += stride
-    return picks
-
-
 def anchor_candidates(e: SetDescription, window: Interval, cap: int = DEFAULT_ANCHOR_CAP) -> list[float]:
     """Set points and gap midpoints in the window, capped by even striding."""
-    pts = _sample_run_points(e, window, cap)
+    pts = sample_points(e, window.lo, window.hi, cap)
     mids: list[float] = []
     bounds = [window.lo] + pts + [window.hi]
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -198,16 +178,6 @@ class ProbeFamily:
                 half = 0.5 * 2.0 ** rng.uniform(lg_lo, lg_hi)
                 out.append(Interval(c - half, c + half))
         return out
-
-    def reflected(self) -> "ProbeFamily":
-        return ProbeFamily(
-            anchors=tuple(sorted(-a for a in self.anchors)),
-            scales=self.scales,
-            alignments=self.alignments,
-            random_count=0,
-            seed=self.seed,
-            window=self.window.reflected() if self.window else None,
-        )
 
 
 CERT_HEADROOM = 12  # octaves of probe scale above the window span
@@ -401,12 +371,7 @@ def sweep_parameters(
         raise ValueError("probe family is empty")
     worst = {g: math.inf for g in gammas}
     for i in intervals:
-        if side == "right":
-            region, reference = i.left_half, i.right_half
-        elif side == "left":
-            region, reference = i.right_half, i.left_half
-        else:
-            region, reference = i, i
+        region, reference = _split(i, side)
         rho_ref = rho(e, reference)
         thresholds = [2.0 * g * rho_ref for g in gammas]
         quals = window_summary(e, region).qualifying_lengths(region.lo, region.hi, thresholds)

@@ -82,23 +82,19 @@ class Run:
 
 
 def _compress(points: list[float]) -> list[Run]:
-    """Greedy compression of a sorted, deduplicated point list into runs."""
+    """Greedy compression of a sorted list of distinct points into runs."""
     runs: list[Run] = []
     i, n = 0, len(points)
     while i < n:
         if i + 1 == n:
             runs.append(Run(points[i], 0.0, 1))
             break
-        step = points[i + 1] - points[i]
+        step = points[i + 1] - points[i]  # positive: the points are distinct
         j = i + 1
         while j + 1 < n and points[j + 1] - points[j] == step:
             j += 1
-        if j - i >= 1 and step > 0.0:
-            runs.append(Run(points[i], step, j - i + 1))
-            i = j + 1
-        else:
-            runs.append(Run(points[i], 0.0, 1))
-            i += 1
+        runs.append(Run(points[i], step, j - i + 1))
+        i = j + 1
     return runs
 
 
@@ -159,6 +155,29 @@ class SetDescription:
     def __contains__(self, x: float) -> bool:
         p = self.nearest_leq(x)
         return p is not None and p == x
+
+
+def sample_points(e: SetDescription, lo: float, hi: float, cap: int) -> list[float]:
+    """Up to ``cap`` points of the set in [lo, hi], evenly strided, without materialising the rest."""
+    runs = e.runs_in(lo, hi)
+    total = sum(r.count for r in runs)
+    if total == 0:
+        return []
+    take = min(total, cap)
+    picks: list[float] = []
+    stride = total / take
+    pos = 0.0
+    offset = 0
+    run_iter = iter(runs)
+    run = next(run_iter)
+    for _ in range(take):
+        idx = int(pos)
+        while idx >= offset + run.count:
+            offset += run.count
+            run = next(run_iter)
+        picks.append(run.point(idx - offset))
+        pos += stride
+    return picks
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +606,6 @@ def cutoff(e: SetDescription, point: float, side: str) -> SetDescription:
     return Cutoff(e, point, side)
 
 
-def union(*members: SetDescription) -> SetDescription:
-    return UnionSet(members)
-
-
 # ---------------------------------------------------------------------------
 # window queries
 # ---------------------------------------------------------------------------
@@ -921,14 +936,7 @@ def gaps(e: SetDescription, i: Interval, cap: int = DEFAULT_POINT_CAP) -> GapLis
     comps = tuple(
         Interval(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
     )
-    total = fsum(c.length for c in comps)
-    return GapList(
-        interval=i,
-        components=comps,
-        left_touches=distance(e, i.lo) > 0.0,
-        right_touches=distance(e, i.hi) > 0.0,
-        total_length=total,
-    )
+    return GapList(interval=i, components=comps, total_length=fsum(c.length for c in comps))
 
 
 def neighborhood_measure(e: SetDescription, i: Interval, eps: float, cap: int = DEFAULT_POINT_CAP) -> float:

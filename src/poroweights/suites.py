@@ -15,19 +15,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .intervals import Interval
-from .muckenhoupt import A1Report, TripleFamily, a1_constant
+from .muckenhoupt import TripleFamily, a1_constant
 from .porosity import (
+    REL_SLACK,
     ProbeFamily,
-    SweepResult,
     admissible_alpha,
     certification_probes,
     decay_constants,
     dimension_bound,
     doubling_witness,
-    certify,
     left_propagation_check,
     pore_transport_check,
     rho,
+    sigma_at,
     sweep_parameters,
 )
 from .sets import (
@@ -42,7 +42,6 @@ from .sets import (
 )
 from .weights import WeightSpec, max_distance_on
 
-REL_SLACK = 1e-12
 MAX_FAILURES = 32
 
 
@@ -378,9 +377,6 @@ def suite_dimension(
 # ---------------------------------------------------------------------------
 
 
-TRANSPORT_SLACK = 1e-12
-
-
 def suite_sided_transport(
     e: SetDescription,
     window: Interval,
@@ -403,8 +399,6 @@ def suite_sided_transport(
     one-sided passes at (sigma, gamma/Phi), and conversely into a two-sided
     pass at half the one-sided constants.
     """
-    from .porosity import sigma_at
-
     fam = probes or certification_probes(e, window, seed=seed)
     intervals = fam.intervals()
     phi = doubling_witness(e, intervals).phi_estimate
@@ -415,16 +409,16 @@ def suite_sided_transport(
         checks += 1
         fwd_r = sigma_at(e, i, gamma_t, "right")
         need_r = sigma_at(e, i.left_half, gamma, "two_sided")
-        if fwd_r < need_r - TRANSPORT_SLACK:
+        if fwd_r < need_r - REL_SLACK:
             _fail(failures, {"direction": "forward-right", "interval": i.as_pair(), "got": fwd_r, "need": need_r})
         fwd_l = sigma_at(e, i, gamma_t, "left")
         need_l = sigma_at(e, i.right_half, gamma, "two_sided")
-        if fwd_l < need_l - TRANSPORT_SLACK:
+        if fwd_l < need_l - REL_SLACK:
             _fail(failures, {"direction": "forward-left", "interval": i.as_pair(), "got": fwd_l, "need": need_l})
         side = "right" if rho(e, i.right_half) >= rho(e, i.left_half) else "left"
         conv = sigma_at(e, i, 0.5 * gamma0, "two_sided")
         need_c = 0.5 * sigma_at(e, i, gamma0, side)
-        if conv < need_c - TRANSPORT_SLACK:
+        if conv < need_c - REL_SLACK:
             _fail(failures, {"direction": "converse", "interval": i.as_pair(), "got": conv, "need": need_c})
     right = sweep_parameters(e, intervals, "right")
     left = sweep_parameters(e, intervals, "left")

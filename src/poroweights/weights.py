@@ -24,11 +24,11 @@ from typing import Optional, Sequence
 
 from .intervals import Interval
 from .sets import (
-    DEFAULT_POINT_CAP,
     EmptySetError,
     Run,
     SetDescription,
     distance,
+    sample_points,
     set_distance,
     window_summary,
 )
@@ -174,90 +174,6 @@ def ess_sup(w: WeightSpec, j: Interval) -> float:
 
 
 # ---------------------------------------------------------------------------
-# support profile
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SupportProfile:
-    """Vanishing/blow-up structure of a one-sided weight.
-
-    Distance powers with alpha < 1 are positive and finite almost everywhere,
-    so both cut points sit at infinity.  For alpha >= 1 the weight stays a.e.
-    finite but loses local integrability exactly on the set; that locus is
-    reported instead of abusing the cut-point convention.
-    """
-
-    x0: float
-    x1: float
-    locally_integrable: bool
-    detail: str
-
-
-def support_profile(w: WeightSpec) -> SupportProfile:
-    if w.alpha < 1.0:
-        return SupportProfile(
-            x0=-math.inf,
-            x1=math.inf,
-            locally_integrable=True,
-            detail="positive and finite a.e.; integrable on every bounded interval",
-        )
-    return SupportProfile(
-        x0=-math.inf,
-        x1=math.inf,
-        locally_integrable=False,
-        detail="integrability fails exactly on the underlying set (window closures meeting it integrate to infinity)",
-    )
-
-
-# ---------------------------------------------------------------------------
-# piecewise distance profile (materialised; capped)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PiecewiseDistance:
-    """Breakpoint table of d(., E) on a window: set points and gap midpoints.
-
-    Between consecutive breakpoints the profile is affine with slope +-1, so
-    extrema over the window are attained on this table.
-    """
-
-    window: Interval
-    breakpoints: tuple[float, ...]
-    e: SetDescription
-
-    def value(self, x: float) -> float:
-        return distance(self.e, x)
-
-    def max_value(self) -> float:
-        return max(self.value(x) for x in self.breakpoints)
-
-    def min_value(self) -> float:
-        return min(self.value(x) for x in self.breakpoints)
-
-
-def distance_profile(e: SetDescription, window: Interval, cap: int = DEFAULT_POINT_CAP) -> PiecewiseDistance:
-    pts = e.points_in(window.lo, window.hi, cap=cap)
-    neighbors = []
-    p = e.nearest_leq(window.lo)
-    if p is not None:
-        neighbors.append(p)
-    q = e.nearest_geq(window.hi)
-    if q is not None:
-        neighbors.append(q)
-    chain = sorted(set(pts + neighbors))
-    bps = {window.lo, window.hi}
-    for a, b in zip(chain[:-1], chain[1:]):
-        m = 0.5 * (a + b)
-        if window.lo <= m <= window.hi:
-            bps.add(m)
-    for p in pts:
-        bps.add(p)
-    return PiecewiseDistance(window=window, breakpoints=tuple(sorted(bps)), e=e)
-
-
-# ---------------------------------------------------------------------------
 # one-sided maximal averages (certified lower bounds)
 # ---------------------------------------------------------------------------
 
@@ -268,63 +184,35 @@ BREAKPOINT_SAMPLES = 256
 
 def _candidate_offsets(e: SetDescription, x: float, side: str, span: float, per_octave: int) -> list[float]:
     lo, hi = (x - span, x) if side == "minus" else (x, x + span)
-    offs: set[float] = set()
-    runs = e.runs_in(lo, hi)
-    total = sum(r.count for r in runs)
-    if total:
-        take = min(total, BREAKPOINT_SAMPLES)
-        stride = total / take
-        pos, offset = 0.0, 0
-        it = iter(runs)
-        run = next(it)
-        for _ in range(take):
-            idx = int(pos)
-            while idx >= offset + run.count:
-                offset += run.count
-                run = next(it)
-            p = run.point(idx - offset)
-            offs.add(abs(x - p))
-            pos += stride
+    offs = {abs(x - p) for p in sample_points(e, lo, hi, BREAKPOINT_SAMPLES)}
     octaves = max(1, int(math.log2(span)) + 20)
     for j in range(octaves * per_octave + 1):
         offs.add(span * 2.0 ** (-j / per_octave))
     return sorted(h for h in offs if h > 0.0)
 
 
-def maximal_minus(
+def maximal_average(
     w: WeightSpec,
     x: float,
+    side: str,
     h_candidates: Optional[Sequence[float]] = None,
     span: float = DEFAULT_SPAN,
     per_octave: int = FILL_PER_OCTAVE,
 ) -> float:
-    """Certified lower bound of the backward maximal average sup_h (1/h) int_{x-h}^{x} w.
+    """Certified lower bound of a one-sided maximal average of the weight at x.
 
-    Candidates are breakpoint-aligned offsets plus a geometric fill-in grid;
-    the supremum of the piecewise-smooth average sits near breakpoints, but
-    only a lower bound is ever claimed.
+    Side ``"plus"`` is the forward average sup_h (1/h) int_x^{x+h} w, side
+    ``"minus"`` the backward one over (x - h, x).  Candidates are
+    breakpoint-aligned offsets plus a geometric fill-in grid; the supremum of
+    the piecewise-smooth average sits near breakpoints, but only a lower bound
+    is ever claimed.
     """
-    hs = list(h_candidates) if h_candidates is not None else _candidate_offsets(w.e, x, "minus", span, per_octave)
+    if side not in ("plus", "minus"):
+        raise ValueError("side must be 'plus' or 'minus'")
+    hs = list(h_candidates) if h_candidates is not None else _candidate_offsets(w.e, x, side, span, per_octave)
     best = 0.0
     for h in hs:
-        v = integrate(w, Interval(x - h, x)) / h
-        if v > best:
-            best = v
-    return best
-
-
-def maximal_plus(
-    w: WeightSpec,
-    x: float,
-    h_candidates: Optional[Sequence[float]] = None,
-    span: float = DEFAULT_SPAN,
-    per_octave: int = FILL_PER_OCTAVE,
-) -> float:
-    """Forward analog of :func:`maximal_minus`."""
-    hs = list(h_candidates) if h_candidates is not None else _candidate_offsets(w.e, x, "plus", span, per_octave)
-    best = 0.0
-    for h in hs:
-        v = integrate(w, Interval(x, x + h)) / h
+        v = integrate(w, Interval(x, x + h) if side == "plus" else Interval(x - h, x)) / h
         if v > best:
             best = v
     return best

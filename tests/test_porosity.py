@@ -219,6 +219,16 @@ class TestSweep:
         sigmas = [s for _, s in sorted(sw.table, key=lambda t: -t[0])]
         assert all(a <= b + 1e-15 for a, b in zip(sigmas, sigmas[1:]))
 
+    @pytest.mark.parametrize("side", ["plus", "minus", "both", ""])
+    def test_unknown_side_rejected(self, integers, window, side):
+        # the sweep and sigma_at share one region/reference split, so an
+        # unknown side fails in both instead of running the two-sided sweep
+        probes = certification_probes(integers, window, anchor_cap=4, random_count=0)
+        with pytest.raises(ValueError, match="side must be one of"):
+            sweep_parameters(integers, probes, side)
+        with pytest.raises(ValueError, match="side must be one of"):
+            sigma_at(integers, Interval(0.0, 1.0), 0.5, side)
+
 
 class TestTransportInvariants:
     def test_reflection_duality_bitwise(self, geometric_naturals, window):

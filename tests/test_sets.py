@@ -52,10 +52,6 @@ class TestGaps:
         gl = gaps(integers, Interval(-3.3, 4.2))
         assert gl.total_length == pytest.approx(7.5, rel=1e-12)
 
-    def test_touch_flags(self, integers):
-        gl = gaps(integers, Interval(0.0, 2.5))
-        assert not gl.left_touches and gl.right_touches
-
     def test_cap_is_enforced(self, integers):
         with pytest.raises(PointCapExceeded):
             gaps(integers, Interval(0.0, 2.0 ** 21), cap=10_000)

@@ -17,12 +17,10 @@ from poroweights import (
     ess_inf,
     ess_sup,
     integrate,
-    maximal_minus,
-    maximal_plus,
-    support_profile,
+    maximal_average,
     weight_value,
 )
-from poroweights.weights import distance_profile, evaluation_table, max_distance_on
+from poroweights.weights import evaluation_table, max_distance_on
 
 from .oracles import quad_oracle
 
@@ -100,15 +98,10 @@ class TestEssentialBounds:
 
 
 class TestSupportProfile:
-    def test_integrable_weight(self, integers):
-        p = support_profile(WeightSpec(integers, 0.5))
-        assert (p.x0, p.x1) == (-math.inf, math.inf)
-        assert p.locally_integrable
-
     def test_non_integrable(self, singleton):
-        p = support_profile(WeightSpec(singleton, 2.0))
-        assert not p.locally_integrable
-        assert integrate(WeightSpec(singleton, 2.0), Interval(-1.0, 1.0)) == math.inf
+        w = WeightSpec(singleton, 2.0)
+        assert not w.locally_integrable
+        assert integrate(w, Interval(-1.0, 1.0)) == math.inf
 
     def test_alpha_validation(self, singleton):
         with pytest.raises(ValueError):
@@ -117,25 +110,25 @@ class TestSupportProfile:
 
 class TestMaximalAverages:
     def test_lower_bound_at_unit_distance(self, singleton):
-        assert maximal_minus(WeightSpec(singleton, 0.5), 1.0) >= 2.0
+        assert maximal_average(WeightSpec(singleton, 0.5), 1.0, "minus") >= 2.0
 
     def test_near_constant_weight(self, singleton):
         w = WeightSpec(singleton, 0.5)
         x = 1000.0
-        est = maximal_minus(w, x, span=8.0)
+        est = maximal_average(w, x, "minus", span=8.0)
         assert est == pytest.approx(weight_value(w, x), rel=5e-3)
 
     def test_forward_version(self, singleton):
-        assert maximal_plus(WeightSpec(singleton, 0.5), -1.0) >= 2.0
+        assert maximal_average(WeightSpec(singleton, 0.5), -1.0, "plus") >= 2.0
 
     def test_naturals_left_of_origin(self, naturals):
-        v = maximal_minus(WeightSpec(naturals, 0.5), -1.0, span=64.0)
+        v = maximal_average(WeightSpec(naturals, 0.5), -1.0, "minus", span=64.0)
         assert math.isfinite(v) and v > 0.0
 
     def test_explicit_candidates_are_lower_bounds(self, singleton):
         w = WeightSpec(singleton, 0.5)
-        sparse = maximal_minus(w, 1.0, h_candidates=[1.0])
-        dense = maximal_minus(w, 1.0)
+        sparse = maximal_average(w, 1.0, "minus", h_candidates=[1.0])
+        dense = maximal_average(w, 1.0, "minus")
         assert sparse == 2.0
         assert dense >= sparse
 
@@ -168,12 +161,6 @@ class TestCovariance:
 
 
 class TestProfileAndTable:
-    def test_profile_breakpoints(self, integers):
-        p = distance_profile(integers, Interval(0.25, 2.25))
-        assert p.breakpoints == (0.25, 0.5, 1.0, 1.5, 2.0, 2.25)
-        assert p.max_value() == 0.5
-        assert p.min_value() == 0.0
-
     def test_evaluation_table(self, singleton):
         rows = evaluation_table(WeightSpec(singleton, 0.5), [0.0, 0.25, 4.0])
         assert rows[0] == (0.0, 0.0, math.inf)
