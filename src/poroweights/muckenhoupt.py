@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .intervals import Interval
 from .porosity import (
@@ -27,7 +27,7 @@ from .porosity import (
 )
 from .scaling import LadderReport, rising_prefix_maxima
 from .sets import SetDescription, min_component_length
-from .weights import WeightSpec, ess_inf, integrate
+from .weights import IntegralWindow, WeightSpec, distance_power, max_distance_on
 
 SIDES = ("plus", "minus", "two_sided")
 POROSITY_SIDE = {"plus": "right", "minus": "left", "two_sided": "two_sided"}
@@ -37,25 +37,32 @@ DEFAULT_TRIPLE_OCTAVES = 24
 TRIPLE_ANCHOR_CAP = 32
 
 
+def _triple_row(e: SetDescription, a: float, b: float, c: float, side: str) -> tuple[IntegralWindow, float]:
+    """The alpha-free part of a triple: the averaged window and the max distance over the other."""
+    if not a < b < c:
+        raise ValueError("need a < b < c")
+    if side == "plus":
+        return IntegralWindow.of(e, Interval(a, b)), max_distance_on(e, Interval(b, c))
+    if side == "minus":
+        return IntegralWindow.of(e, Interval(b, c)), max_distance_on(e, Interval(a, b))
+    raise ValueError("side must be 'plus' or 'minus'")
+
+
+def _row_value(row: tuple[IntegralWindow, float], alpha: float, a: float, c: float) -> float:
+    averaged, peak = row
+    num = averaged.integral(alpha)
+    if num == math.inf:
+        return math.inf
+    return num / (c - a) / distance_power(peak, alpha)
+
+
 def triple_value(w: WeightSpec, a: float, b: float, c: float, side: str = "plus") -> float:
     """Exact triple ratio; infinite when the averaged window is non-integrable.
 
     Exact means closed form, not quadrature: the value is correct up to
     floating-point rounding.
     """
-    if not a < b < c:
-        raise ValueError("need a < b < c")
-    if side == "plus":
-        num = integrate(w, Interval(a, b))
-        den = ess_inf(w, Interval(b, c))
-    elif side == "minus":
-        num = integrate(w, Interval(b, c))
-        den = ess_inf(w, Interval(a, b))
-    else:
-        raise ValueError("side must be 'plus' or 'minus'")
-    if num == math.inf:
-        return math.inf
-    return num / (c - a) / den
+    return _row_value(_triple_row(w.e, a, b, c, side), w.alpha, a, c)
 
 
 @dataclass(frozen=True)
@@ -137,12 +144,21 @@ class A1Report:
         return not self.divergence_flag and self.nonintegrable_count == 0
 
 
-def _scan_side(w: WeightSpec, side: str, family: TripleFamily) -> A1Report:
+# (a, b, c, scale) of a triple with its alpha-free row
+TripleRow = tuple[tuple[float, float, float, float], tuple[IntegralWindow, float]]
+
+
+def _triple_rows(e: SetDescription, side: str, family: TripleFamily) -> Iterator[TripleRow]:
+    for t in family.triples(side):
+        yield t, _triple_row(e, t[0], t[1], t[2], side)
+
+
+def _scan_side(alpha: float, side: str, rows: Iterable[TripleRow]) -> A1Report:
     samples: list[TripleSample] = []
     nonint = 0
     best: Optional[TripleSample] = None
-    for a, b, c, s in family.triples(side):
-        v = triple_value(w, a, b, c, side)
+    for (a, b, c, s), row in rows:
+        v = _row_value(row, alpha, a, c)
         t = TripleSample(a, b, c, v, s)
         samples.append(t)
         if v == math.inf:
@@ -162,7 +178,7 @@ def _scan_side(w: WeightSpec, side: str, family: TripleFamily) -> A1Report:
         witnesses = tuple(r[1] for r in rising_prefix_maxima(rows))[-16:]
     return A1Report(
         side=side,
-        alpha=w.alpha,
+        alpha=alpha,
         triple_count=len(samples),
         constant_lower_bound=best.value if best else 0.0,
         best=best,
@@ -175,23 +191,17 @@ def _scan_side(w: WeightSpec, side: str, family: TripleFamily) -> A1Report:
     )
 
 
-def a1_constant(w: WeightSpec, side: str, probes: TripleFamily) -> A1Report:
-    """Sampled lower bound (and divergence verdict) for the requested side.
-
-    The two-sided constant is the max of the two one-sided scans, mirroring
-    the split of the two-sided class into its one-sided halves.
-    """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
+def _a1_report(alpha: float, side: str, rows: Callable[[str], Iterable[TripleRow]]) -> A1Report:
+    """The report of a side at alpha, scanning the triple rows ``rows(s)`` of each one-sided side s."""
     if side in ("plus", "minus"):
-        return _scan_side(w, side, probes)
-    plus = _scan_side(w, "plus", probes)
-    minus = _scan_side(w, "minus", probes)
+        return _scan_side(alpha, side, rows(side))
+    plus = _scan_side(alpha, "plus", rows("plus"))
+    minus = _scan_side(alpha, "minus", rows("minus"))
     dominant = plus if plus.constant_lower_bound >= minus.constant_lower_bound else minus
     merged_ladder = LadderReport.from_samples(list(plus.ladder) + list(minus.ladder))
     return A1Report(
         side="two_sided",
-        alpha=w.alpha,
+        alpha=alpha,
         triple_count=plus.triple_count + minus.triple_count,
         constant_lower_bound=dominant.constant_lower_bound,
         best=dominant.best,
@@ -202,6 +212,18 @@ def a1_constant(w: WeightSpec, side: str, probes: TripleFamily) -> A1Report:
         nonintegrable_count=plus.nonintegrable_count + minus.nonintegrable_count,
         samples=plus.samples + minus.samples,
     )
+
+
+def a1_constant(w: WeightSpec, side: str, probes: TripleFamily) -> A1Report:
+    """Sampled lower bound (and divergence verdict) for the requested side.
+
+    The two-sided constant is the max of the two one-sided scans, mirroring
+    the split of the two-sided class into its one-sided halves.  At a single
+    exponent the triple rows stream: each is built, read once and dropped.
+    """
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}")
+    return _a1_report(w.alpha, side, lambda s: _triple_rows(w.e, s, probes))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +272,14 @@ def critical_alpha(
             evidence=evidence,
             note="no alpha found up to grid floor: porosity refuted on probes",
         )
+    # the alpha-free rows of every triple, built once for all bisection steps
+    tables = {s: list(_triple_rows(e, s, family)) for s in (("plus", "minus") if side == "two_sided" else (side,))}
     grid: list[tuple[float, bool]] = []
     lo, hi = 0.0, 1.0
     best_report: Optional[A1Report] = None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        report = a1_constant(WeightSpec(e, mid), side, family)
+        report = _a1_report(mid, side, tables.__getitem__)
         ok = report.bounded_evidence
         grid.append((mid, ok))
         if ok:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .intervals import Interval
 from .scaling import LadderReport, octave_of, rising_prefix_maxima
 from .sets import (
     SetDescription,
+    WindowSummary,
     max_component_length,
     min_component_length,
     sample_points,
@@ -65,15 +67,43 @@ def rho(e: SetDescription, i: Interval) -> float:
     return 0.5 * max_component_length(e, i)
 
 
-def _split(i: Interval, side: str) -> tuple[Interval, Interval]:
-    """(region, reference) of I for a side: the part whose holes count, the part whose hole radius sets the threshold."""
-    if side == "right":
-        return i.left_half, i.right_half
-    if side == "left":
-        return i.right_half, i.left_half
-    if side == "two_sided":
-        return i, i
-    raise ValueError(f"side must be one of {SIDES}")
+# A summarised window: (window, its summary, its hole radius rho).
+Rated = tuple[Interval, WindowSummary, float]
+
+
+def _rated(e: SetDescription, j: Interval) -> Rated:
+    s = window_summary(e, j)
+    return j, s, 0.5 * s.max_length(j.lo, j.hi)
+
+
+def probe_windows(e: SetDescription, i: Interval, whole: bool = True, halves: bool = True) -> tuple:
+    """(I, I-, I+) of a probe, each summarised once; None for a part not asked for."""
+    left, right = (_rated(e, i.left_half), _rated(e, i.right_half)) if halves else (None, None)
+    return (_rated(e, i) if whole else None), left, right
+
+
+# (region, reference) of a side, as indices into (I, I-, I+): the part whose
+# holes count, the part whose hole radius sets the threshold
+_SPLIT = {"right": (1, 2), "left": (2, 1), "two_sided": (0, 0)}
+
+
+def _check_side(side: str) -> None:
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}")
+
+
+def porosity_fractions(region: Rated, thresholds: Sequence[float]) -> list[float]:
+    """Per threshold, the share of the region covered by components at least that long."""
+    j, s, _ = region
+    length = j.length
+    return [qual / length for qual in s.qualifying_lengths(j.lo, j.hi, thresholds)]
+
+
+def _side_fractions(windows: tuple, side: str, gammas: Sequence[float]) -> list[float]:
+    """sigma of the probe on a side at each gamma: thresholds 2 gamma rho(reference) on the region."""
+    k_region, k_reference = _SPLIT[side]
+    rho_ref = windows[k_reference][2]
+    return porosity_fractions(windows[k_region], [2.0 * g * rho_ref for g in gammas])
 
 
 def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
@@ -82,10 +112,9 @@ def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
     Only components at least as long as twice gamma times the reference hole
     radius count; the optimum collection is exactly those components.
     """
-    region, reference = _split(i, side)
-    threshold = 2.0 * gamma * rho(e, reference)
-    qual, = window_summary(e, region).qualifying_lengths(region.lo, region.hi, (threshold,))
-    return qual / region.length
+    _check_side(side)
+    windows = probe_windows(e, i, whole=side == "two_sided", halves=side != "two_sided")
+    return _side_fractions(windows, side, (gamma,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,44 +283,66 @@ class PorosityReport:
 MAX_WITNESSES = 64
 
 
+def _centred_half(i: Interval) -> Interval:
+    quarter = 0.25 * i.length
+    return Interval(i.center - quarter, i.center + quarter)
+
+
+_INNER = (None, lambda i: i.left_half, lambda i: i.right_half, _centred_half)
+
+
+def _pair_ratios(radii: array) -> Iterator[tuple[int, int, float]]:
+    """(probe index, inner index, rho(I)/rho(J)) over the pairs with rho(J) > 0, in probe order."""
+    for n in range(0, len(radii), 4):
+        outer = radii[n]
+        for k in (1, 2, 3):
+            inner = radii[n + k]
+            if inner > 0.0:
+                yield n // 4, k, outer / inner
+
+
+def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingReport:
+    """Reduce the radius columns: per probe rho(I), then rho of I-, I+ and the centred half."""
+
+    def pair(t: tuple[int, int, float]) -> DoublingPair:
+        i = intervals[t[0]]
+        return DoublingPair(i, _INNER[t[1]](i), t[2])
+
+    best = max(_pair_ratios(radii), key=lambda t: t[2], default=None)
+    report = LadderReport.from_samples(
+        (octave_of(intervals[n].length), ratio) for n, _, ratio in _pair_ratios(radii)
+    )
+    witnesses: tuple[DoublingPair, ...] = ()
+    if report.divergent:
+        rows = sorted(_pair_ratios(radii), key=lambda t: intervals[t[0]].length)
+        witnesses = tuple(map(pair, rising_prefix_maxima(rows)[-16:]))
+    return DoublingReport(
+        phi_estimate=best[2] if best else 0.0,
+        worst_pair=pair(best) if best else None,
+        ladder=report.ladder,
+        divergent=report.divergent,
+        witnesses=witnesses,
+    )
+
+
 def doubling_witness(e: SetDescription, probes: Sequence[Interval]) -> DoublingReport:
     """Max ratio rho(I)/rho(J) over nested pairs with |I| = 2|J|.
 
     Pairs use J = left half, right half, and the centered half of each probe.
     Unbounded growth of the ratio across scales refutes two-sided porosity.
     """
-    best: Optional[DoublingPair] = None
-    samples: list[tuple[int, float]] = []
-    rows: list[tuple[float, DoublingPair]] = []
-    for i in probes:
-        quarter = 0.25 * i.length
-        halves = (
-            i.left_half,
-            i.right_half,
-            Interval(i.center - quarter, i.center + quarter),
-        )
-        rho_outer = rho(e, i)
-        for j in halves:
-            rho_inner = rho(e, j)
-            if rho_inner <= 0.0:
-                continue
-            pair = DoublingPair(i, j, rho_outer / rho_inner)
-            samples.append((octave_of(i.length), pair.ratio))
-            rows.append((i.length, pair))
-            if best is None or pair.ratio > best.ratio:
-                best = pair
-    report = LadderReport.from_samples(samples)
-    witnesses: tuple[DoublingPair, ...] = ()
-    if report.divergent:
-        rows.sort(key=lambda t: t[0])
-        witnesses = tuple(t[1] for t in rising_prefix_maxima([(s, p, p.ratio) for s, p in rows]))[-16:]
-    return DoublingReport(
-        phi_estimate=best.ratio if best else 0.0,
-        worst_pair=best,
-        ladder=report.ladder,
-        divergent=report.divergent,
-        witnesses=witnesses,
-    )
+    intervals = list(probes)
+    radii = array("d")
+    for i in intervals:
+        radii.extend(rho(e, j) for j in (i, i.left_half, i.right_half, _centred_half(i)))
+    return _doubling_report(intervals, radii)
+
+
+def _intervals(probes: ProbeFamily | Sequence[Interval]) -> list[Interval]:
+    intervals = probes.intervals() if isinstance(probes, ProbeFamily) else list(probes)
+    if not intervals:
+        raise ValueError("probe family is empty")
+    return intervals
 
 
 def certify(
@@ -299,25 +350,29 @@ def certify(
     params: PorosityParams,
     probes: ProbeFamily | Sequence[Interval],
 ) -> PorosityReport:
-    """Evaluate the porosity inequality on every probe; pass iff none dips below sigma."""
-    intervals = probes.intervals() if isinstance(probes, ProbeFamily) else list(probes)
-    if not intervals:
-        raise ValueError("probe family is empty")
+    """Evaluate the porosity inequality on every probe; pass iff none dips below sigma.
+
+    Each probe summarises four windows once: I, its halves and its centred
+    half; sigma, the row radii and the doubling ratios all read them.
+    """
+    intervals = _intervals(probes)
     rows: list[ProbeRow] = []
     witnesses: list[tuple[Interval, float]] = []
     worst: Optional[Interval] = None
     worst_sigma = math.inf
+    radii = array("d")
     for i in intervals:
-        s = sigma_at(e, i, params.gamma, params.side)
-        rows.append(
-            ProbeRow(i.lo, i.hi, rho(e, i.left_half), rho(e, i.right_half), s)
-        )
+        windows = probe_windows(e, i)
+        s, = _side_fractions(windows, params.side, (params.gamma,))
+        whole, left, right = windows
+        rows.append(ProbeRow(i.lo, i.hi, left[2], right[2], s))
+        radii.extend((whole[2], left[2], right[2], rho(e, _centred_half(i))))
         if s < worst_sigma:
             worst_sigma = s
             worst = i
         if s < params.sigma and len(witnesses) < MAX_WITNESSES:
             witnesses.append((i, s))
-    doubling = doubling_witness(e, intervals)
+    doubling = _doubling_report(intervals, radii)
     return PorosityReport(
         params=params,
         probe_count=len(intervals),
@@ -355,6 +410,44 @@ class SweepResult:
         return PorosityParams(sigma=sigma, gamma=self.best_gamma, side=self.side)
 
 
+def lower_into(worst: list[float], values: Sequence[float]) -> None:
+    """Running minimum: worst[k] = min(worst[k], values[k])."""
+    for k, v in enumerate(values):
+        if v < worst[k]:
+            worst[k] = v
+
+
+def sweep_result(side: str, gammas: Sequence[float], worst: Sequence[float]) -> SweepResult:
+    """The sweep of a side from sigma*(gamma), the per-gamma minimum over the probes."""
+    table = tuple(zip(gammas, worst))
+    best_gamma, best_sigma = max(table, key=lambda t: (t[1], t[0]))
+    return SweepResult(side=side, table=table, best_gamma=best_gamma, best_sigma=best_sigma)
+
+
+def sweep_sides(
+    e: SetDescription,
+    probes: ProbeFamily | Sequence[Interval],
+    sides: Sequence[str],
+    gammas: Sequence[float] = GAMMA_GRID,
+) -> dict[str, SweepResult]:
+    """:func:`sweep_parameters` for several sides in one pass over the probes.
+
+    Each probe window is summarised once: the right and left sides share
+    the summaries of I- and I+.
+    """
+    intervals = _intervals(probes)
+    for side in sides:
+        _check_side(side)
+    worst = {side: [math.inf] * len(gammas) for side in sides}
+    whole = "two_sided" in worst
+    halves = "right" in worst or "left" in worst
+    for i in intervals:
+        windows = probe_windows(e, i, whole, halves)
+        for side, low in worst.items():
+            lower_into(low, _side_fractions(windows, side, gammas))
+    return {side: sweep_result(side, gammas, low) for side, low in worst.items()}
+
+
 def sweep_parameters(
     e: SetDescription,
     probes: ProbeFamily | Sequence[Interval],
@@ -366,23 +459,7 @@ def sweep_parameters(
     sigma_at is nonincreasing in gamma, so the best pair maximises sigma*
     (ties resolved toward the larger gamma).
     """
-    intervals = probes.intervals() if isinstance(probes, ProbeFamily) else list(probes)
-    if not intervals:
-        raise ValueError("probe family is empty")
-    worst = {g: math.inf for g in gammas}
-    for i in intervals:
-        region, reference = _split(i, side)
-        rho_ref = rho(e, reference)
-        thresholds = [2.0 * g * rho_ref for g in gammas]
-        quals = window_summary(e, region).qualifying_lengths(region.lo, region.hi, thresholds)
-        denom = region.length
-        for g, qual in zip(gammas, quals):
-            s = qual / denom
-            if s < worst[g]:
-                worst[g] = s
-    table = tuple((g, worst[g]) for g in gammas)
-    best_gamma, best_sigma = max(table, key=lambda t: (t[1], t[0]))
-    return SweepResult(side=side, table=table, best_gamma=best_gamma, best_sigma=best_sigma)
+    return sweep_sides(e, probes, (side,), gammas)[side]
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,38 @@ def _compress(points: list[float]) -> list[Run]:
     return runs
 
 
+def _increasing(runs: list[Run]) -> bool:
+    """Whether the computed points of the runs strictly increase.
+
+    Within a run, ``start + i*step`` carries at most about 3 ulps of rounding
+    at the run's magnitude, so a step above 4 ulps keeps its points apart.
+    """
+    prev = -math.inf
+    for r in runs:
+        if not r.start > prev:
+            return False
+        prev = r.end
+        if r.count >= 2 and not r.step > 4.0 * math.ulp(max(abs(r.start), abs(prev), prev - r.start)):
+            return False
+    return True
+
+
+def _clip(runs: list[Run], lo: float, hi: float) -> list[Run]:
+    """The runs cut to their points in [lo, hi]; only a few points may lie outside."""
+    out = []
+    for r in runs:
+        start, step, count = r.start, r.step, r.count
+        while count and start < lo:
+            start, count = start + step, count - 1
+        while count and start + (count - 1) * step > hi:
+            count -= 1
+        if count == r.count:
+            out.append(r)
+        elif count:
+            out.append(Run(start, step, count))
+    return out
+
+
 def _index_floor(t: float, step: float) -> int:
     """Largest integer k with k*step <= t, robust to float rounding."""
     k = math.floor(t / step)
@@ -481,21 +513,41 @@ class UnionSet(SetDescription):
 
 @dataclass(frozen=True)
 class Translate(SetDescription):
+    """Image of the inner set under x -> x + shift, each point rounded to a float.
+
+    Inner queries are padded by a few ulps and their answers filtered, since
+    rounding can carry a point across a query's end; points the shift rounds
+    onto one float merge into one.
+    """
+
     inner: SetDescription
     shift: float
 
+    def _pad(self, *xs: float) -> float:
+        return 4.0 * math.ulp(max(abs(self.shift), *map(abs, xs)))
+
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        return [
-            Run(r.start + self.shift, r.step, r.count)
-            for r in self.inner.runs_in(lo - self.shift, hi - self.shift)
-        ]
+        pad = self._pad(lo, hi)
+        inner = self.inner.runs_in(lo - self.shift - pad, hi - self.shift + pad)
+        runs = [Run(r.start + self.shift, r.step, r.count) for r in inner]
+        if not _increasing(runs):
+            # shift each point on its own and keep one run per distinct float
+            total = sum(r.count for r in inner)
+            if total > DEFAULT_POINT_CAP:
+                raise PointCapExceeded(total, DEFAULT_POINT_CAP, (lo, hi))
+            runs = [Run(p, 0.0, 1) for p in sorted({p + self.shift for r in inner for p in r.points()})]
+        return _clip(runs, lo, hi)
 
     def nearest_leq(self, x: float) -> Optional[float]:
-        p = self.inner.nearest_leq(x - self.shift)
+        p = self.inner.nearest_leq(x - self.shift + self._pad(x))
+        while p is not None and p + self.shift > x:
+            p = self.inner.nearest_leq(math.nextafter(p, -math.inf))
         return None if p is None else p + self.shift
 
     def nearest_geq(self, x: float) -> Optional[float]:
-        p = self.inner.nearest_geq(x - self.shift)
+        p = self.inner.nearest_geq(x - self.shift - self._pad(x))
+        while p is not None and p + self.shift < x:
+            p = self.inner.nearest_geq(math.nextafter(p, math.inf))
         return None if p is None else p + self.shift
 
     def is_empty(self) -> bool:
@@ -810,6 +862,15 @@ class WindowSummary:
             prev = start if r.count == 1 else start + (r.count - 1) * r.step
         return cls(interior[0].start, prev, longest, shortest, interior if source is None else source)
 
+    def max_length(self, lo: float, hi: float) -> float:
+        """Length of the longest component of (lo, hi) minus the set."""
+        first = self.first
+        if first is None:
+            return hi - lo
+        # the edge lengths folded in unconditionally: one that is no component is
+        # not positive, and longest >= 0 outweighs it
+        return max(self.longest, first - lo, hi - self.last)
+
     def peak(self, lo: float, hi: float) -> float:
         """Largest distance to the set over the middle components (0 if none)."""
         if self._peak is None:
@@ -894,12 +955,7 @@ def window_summary(e: SetDescription, i: Interval) -> WindowSummary:
 
 
 def max_component_length(e: SetDescription, i: Interval) -> float:
-    s = window_summary(e, i)
-    if s.first is None:
-        return i.hi - i.lo
-    # the edge lengths folded in unconditionally: one that is no component is
-    # not positive, and longest >= 0 outweighs it
-    return max(s.longest, s.first - i.lo, i.hi - s.last)
+    return window_summary(e, i).max_length(i.lo, i.hi)
 
 
 def largest_component(e: SetDescription, i: Interval) -> Optional[Interval]:

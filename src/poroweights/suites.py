@@ -17,6 +17,7 @@ import numpy as np
 from .intervals import Interval
 from .muckenhoupt import TripleFamily, a1_constant
 from .porosity import (
+    GAMMA_GRID,
     REL_SLACK,
     ProbeFamily,
     admissible_alpha,
@@ -25,10 +26,13 @@ from .porosity import (
     dimension_bound,
     doubling_witness,
     left_propagation_check,
+    lower_into,
     pore_transport_check,
+    porosity_fractions,
+    probe_windows,
     rho,
-    sigma_at,
-    sweep_parameters,
+    sweep_result,
+    sweep_sides,
 )
 from .sets import (
     CantorIterate,
@@ -401,28 +405,39 @@ def suite_sided_transport(
     """
     fam = probes or certification_probes(e, window, seed=seed)
     intervals = fam.intervals()
+    # pass 1: Phi needs the whole family before any check can run
     phi = doubling_witness(e, intervals).phi_estimate
     gamma_t = gamma / phi
+    gamma_c = 0.5 * gamma0
+    # pass 2: I, I- and I+ summarised once each; per window one call carries
+    # the sweep grid, then the thresholds of the checks that count its holes
+    grid = len(GAMMA_GRID)
+    worst = {side: [math.inf] * grid for side in ("right", "left", "two_sided")}
     failures: list[dict] = []
     checks = 0
     for i in intervals:
         checks += 1
-        fwd_r = sigma_at(e, i, gamma_t, "right")
-        need_r = sigma_at(e, i.left_half, gamma, "two_sided")
+        whole, left, right = probe_windows(e, i)
+        rho_i, rho_l, rho_r = whole[2], left[2], right[2]
+        on_left = porosity_fractions(left, [
+            *(2.0 * g * rho_r for g in GAMMA_GRID), 2.0 * gamma_t * rho_r, 2.0 * gamma * rho_l, 2.0 * gamma0 * rho_r])
+        on_right = porosity_fractions(right, [
+            *(2.0 * g * rho_l for g in GAMMA_GRID), 2.0 * gamma_t * rho_l, 2.0 * gamma * rho_r, 2.0 * gamma0 * rho_l])
+        on_whole = porosity_fractions(whole, [*(2.0 * g * rho_i for g in GAMMA_GRID), 2.0 * gamma_c * rho_i])
+        lower_into(worst["right"], on_left[:grid])
+        lower_into(worst["left"], on_right[:grid])
+        lower_into(worst["two_sided"], on_whole[:grid])
+        fwd_r, need_r, conv_r = on_left[grid:]
+        fwd_l, need_l, conv_l = on_right[grid:]
         if fwd_r < need_r - REL_SLACK:
             _fail(failures, {"direction": "forward-right", "interval": i.as_pair(), "got": fwd_r, "need": need_r})
-        fwd_l = sigma_at(e, i, gamma_t, "left")
-        need_l = sigma_at(e, i.right_half, gamma, "two_sided")
         if fwd_l < need_l - REL_SLACK:
             _fail(failures, {"direction": "forward-left", "interval": i.as_pair(), "got": fwd_l, "need": need_l})
-        side = "right" if rho(e, i.right_half) >= rho(e, i.left_half) else "left"
-        conv = sigma_at(e, i, 0.5 * gamma0, "two_sided")
-        need_c = 0.5 * sigma_at(e, i, gamma0, side)
+        conv = on_whole[grid]
+        need_c = 0.5 * (conv_r if rho_r >= rho_l else conv_l)
         if conv < need_c - REL_SLACK:
             _fail(failures, {"direction": "converse", "interval": i.as_pair(), "got": conv, "need": need_c})
-    right = sweep_parameters(e, intervals, "right")
-    left = sweep_parameters(e, intervals, "left")
-    two = sweep_parameters(e, intervals, "two_sided")
+    right, left, two = (sweep_result(side, GAMMA_GRID, low) for side, low in worst.items())
     return SuiteResult(
         suite="sided-transport",
         params={"window": window.as_pair(), "seed": seed, "gamma": gamma, "gamma0": gamma0},
@@ -489,9 +504,8 @@ def suite_equivalence_matrix(
     rows: list[MatrixRow] = []
     reports: dict = {}
     for name, e in named_sets:
-        probes = certification_probes(e, window, seed=seed)
-        sweep_r = sweep_parameters(e, probes, "right")
-        sweep_l = sweep_parameters(e, probes, "left")
+        sweeps = sweep_sides(e, certification_probes(e, window, seed=seed), ("right", "left"))
+        sweep_r, sweep_l = sweeps["right"], sweeps["left"]
         fam = TripleFamily.default(e, window, octaves=octaves)
         if sweep_r.certified:
             params = sweep_r.params()

@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .intervals import Interval
 from .sets import (
     EmptySetError,
     Run,
     SetDescription,
+    WindowSummary,
     distance,
     sample_points,
     set_distance,
@@ -50,11 +51,15 @@ class WeightSpec:
         return self.alpha < 1.0
 
 
-def weight_value(w: WeightSpec, x: float) -> float:
-    d = distance(w.e, x)
+def distance_power(d: float, alpha: float) -> float:
+    """d^(-alpha), infinite at d = 0."""
     if d == 0.0:
         return math.inf
-    return d ** -w.alpha
+    return d ** -alpha
+
+
+def weight_value(w: WeightSpec, x: float) -> float:
+    return distance_power(distance(w.e, x), w.alpha)
 
 
 def _power_piece(u1: float, u2: float, alpha: float) -> float:
@@ -103,24 +108,54 @@ def _middle_integrals(runs: list[Run], alpha: float) -> list[float]:
     return terms
 
 
+class IntegralWindow(NamedTuple):
+    """What an integral over J needs that does not depend on alpha.
+
+    The summary of J and the set points bracketing its edge components:
+    ``left`` below ``lo`` when (lo, first interior point) is a component,
+    ``right`` above ``hi`` when (last, hi) is (both when J holds no point);
+    ``None`` where unused or absent.
+    """
+
+    interval: Interval
+    summary: WindowSummary
+    left: Optional[float]
+    right: Optional[float]
+
+    @classmethod
+    def of(cls, e: SetDescription, j: Interval) -> "IntegralWindow":
+        s = window_summary(e, j)
+        if s.first is None:
+            return cls(j, s, e.nearest_leq(j.lo), e.nearest_geq(j.hi))
+        return cls(
+            j,
+            s,
+            e.nearest_leq(j.lo) if s.first > j.lo else None,
+            e.nearest_geq(j.hi) if j.hi > s.last else None,
+        )
+
+    def integral(self, alpha: float) -> float:
+        """Integral of d(., E)^(-alpha) over the window; math.inf when not integrable."""
+        j, s, left, right = self
+        if s.first is None:
+            terms = [_segment_integral(j.lo, j.hi, left, right, alpha)]
+        else:
+            terms = s.integral_terms(j.lo, j.hi, alpha, _middle_integrals)
+            if s.first > j.lo:
+                terms.append(_segment_integral(j.lo, s.first, left, s.first, alpha))
+            if j.hi > s.last:
+                terms.append(_segment_integral(s.last, j.hi, s.last, right, alpha))
+        if math.inf in terms:
+            return math.inf
+        return fsum(terms)
+
+
 def integrate(w: WeightSpec, j: Interval) -> float:
     """Exact integral of the weight over the bounded interval J.
 
     Returns math.inf when alpha >= 1 and the closure of J meets the set.
     """
-    e, alpha = w.e, w.alpha
-    s = window_summary(e, j)
-    if s.first is None:
-        terms = [_segment_integral(j.lo, j.hi, e.nearest_leq(j.lo), e.nearest_geq(j.hi), alpha)]
-    else:
-        terms = s.integral_terms(j.lo, j.hi, alpha, _middle_integrals)
-        if s.first > j.lo:
-            terms.append(_segment_integral(j.lo, s.first, e.nearest_leq(j.lo), s.first, alpha))
-        if j.hi > s.last:
-            terms.append(_segment_integral(s.last, j.hi, s.last, e.nearest_geq(j.hi), alpha))
-    if math.inf in terms:
-        return math.inf
-    return fsum(terms)
+    return IntegralWindow.of(w.e, j).integral(w.alpha)
 
 
 def average(w: WeightSpec, j: Interval) -> float:
@@ -159,18 +194,12 @@ def max_distance_on(e: SetDescription, j: Interval) -> float:
 
 def ess_inf(w: WeightSpec, j: Interval) -> float:
     """Essential infimum of the weight over J: (max distance over closure)^(-alpha)."""
-    d = max_distance_on(w.e, j)
-    if d == 0.0:
-        return math.inf
-    return d ** -w.alpha
+    return distance_power(max_distance_on(w.e, j), w.alpha)
 
 
 def ess_sup(w: WeightSpec, j: Interval) -> float:
     """Essential supremum over J; infinite as soon as the closure meets the set."""
-    d = set_distance(w.e, j)
-    if d == 0.0:
-        return math.inf
-    return d ** -w.alpha
+    return distance_power(set_distance(w.e, j), w.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -223,5 +252,5 @@ def evaluation_table(w: WeightSpec, xs: Sequence[float]) -> list[tuple[float, fl
     rows = []
     for x in xs:
         d = distance(w.e, x)
-        rows.append((x, d, math.inf if d == 0.0 else d ** -w.alpha))
+        rows.append((x, d, distance_power(d, w.alpha)))
     return rows

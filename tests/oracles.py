@@ -2,8 +2,10 @@
 
 These deliberately avoid the package's closed-form paths: integrals come from
 adaptive quadrature of the pointwise distance, hole radii from a grid search,
-dimensions from literal box counting.  The component walk at the end is the
-slow path the window summaries replaced, kept to check them bit for bit.
+dimensions from literal box counting.  The component walk is the slow path
+the window summaries replaced, and the per-function loops at the end are
+the ones the probe and triple tables replaced; both are kept to check the
+fast paths bit for bit.
 """
 
 import math
@@ -13,8 +15,22 @@ import mpmath as mp
 import numpy as np
 
 from poroweights.intervals import Interval
+from poroweights.muckenhoupt import POROSITY_SIDE, TripleFamily, TripleSample
+from poroweights.porosity import (
+    GAMMA_GRID,
+    MAX_WITNESSES,
+    REL_SLACK,
+    DoublingPair,
+    DoublingReport,
+    PorosityReport,
+    ProbeRow,
+    SweepResult,
+    certification_probes,
+)
+from poroweights.scaling import LadderReport, octave_of, rising_prefix_maxima
 from poroweights.sets import Run
-from poroweights.weights import _power_piece, _segment_integral, _segment_peak
+from poroweights.suites import MAX_FAILURES, SuiteResult
+from poroweights.weights import WeightSpec, _power_piece, _segment_integral, _segment_peak
 
 mp.mp.dps = 40
 
@@ -246,3 +262,165 @@ def max_distance_walk(e, j):
     if j.hi > pos:
         best = max(best, _segment_peak(pos, j.hi, p_prev, p_next))
     return best
+
+
+# ---------------------------------------------------------------------------
+# per-function loops the probe and triple tables replaced
+#
+# Each probe query below re-derives its windows through the walk above, and
+# each triple value is recomputed at every exponent; the tables must agree
+# with them bit for bit.
+# ---------------------------------------------------------------------------
+
+def doubling_witness_walk(e, probes):
+    best = None
+    samples = []
+    rows = []
+    for i in probes:
+        quarter = 0.25 * i.length
+        halves = (i.left_half, i.right_half, Interval(i.center - quarter, i.center + quarter))
+        rho_outer = rho_walk(e, i)
+        for j in halves:
+            rho_inner = rho_walk(e, j)
+            if rho_inner <= 0.0:
+                continue
+            pair = DoublingPair(i, j, rho_outer / rho_inner)
+            samples.append((octave_of(i.length), pair.ratio))
+            rows.append((i.length, pair))
+            if best is None or pair.ratio > best.ratio:
+                best = pair
+    report = LadderReport.from_samples(samples)
+    witnesses = ()
+    if report.divergent:
+        rows.sort(key=lambda t: t[0])
+        witnesses = tuple(t[1] for t in rising_prefix_maxima([(s, p, p.ratio) for s, p in rows]))[-16:]
+    return DoublingReport(
+        phi_estimate=best.ratio if best else 0.0,
+        worst_pair=best,
+        ladder=report.ladder,
+        divergent=report.divergent,
+        witnesses=witnesses,
+    )
+
+
+def certify_walk(e, params, intervals):
+    rows = []
+    witnesses = []
+    worst = None
+    worst_sigma = math.inf
+    for i in intervals:
+        s = sigma_at_walk(e, i, params.gamma, params.side)
+        rows.append(ProbeRow(i.lo, i.hi, rho_walk(e, i.left_half), rho_walk(e, i.right_half), s))
+        if s < worst_sigma:
+            worst_sigma = s
+            worst = i
+        if s < params.sigma and len(witnesses) < MAX_WITNESSES:
+            witnesses.append((i, s))
+    doubling = doubling_witness_walk(e, intervals)
+    return PorosityReport(
+        params=params,
+        probe_count=len(intervals),
+        worst_interval=worst,
+        worst_sigma=worst_sigma,
+        phi_estimate=doubling.phi_estimate,
+        passed=worst_sigma >= params.sigma,
+        witnesses=tuple(witnesses),
+        rows=tuple(rows),
+        doubling=doubling,
+    )
+
+
+def sweep_walk(e, intervals, side, gammas=GAMMA_GRID):
+    table = sweep_table_walk(e, intervals, side, gammas)
+    best_gamma, best_sigma = max(table, key=lambda t: (t[1], t[0]))
+    return SweepResult(side=side, table=table, best_gamma=best_gamma, best_sigma=best_sigma)
+
+
+def sided_transport_walk(e, window, seed, fam, gamma=0.5, gamma0=0.5):
+    intervals = fam.intervals()
+    phi = doubling_witness_walk(e, intervals).phi_estimate
+    gamma_t = gamma / phi
+    failures = []
+    checks = 0
+
+    def fail(record):
+        if len(failures) < MAX_FAILURES:
+            failures.append(record)
+
+    for i in intervals:
+        checks += 1
+        fwd_r = sigma_at_walk(e, i, gamma_t, "right")
+        need_r = sigma_at_walk(e, i.left_half, gamma, "two_sided")
+        if fwd_r < need_r - REL_SLACK:
+            fail({"direction": "forward-right", "interval": i.as_pair(), "got": fwd_r, "need": need_r})
+        fwd_l = sigma_at_walk(e, i, gamma_t, "left")
+        need_l = sigma_at_walk(e, i.right_half, gamma, "two_sided")
+        if fwd_l < need_l - REL_SLACK:
+            fail({"direction": "forward-left", "interval": i.as_pair(), "got": fwd_l, "need": need_l})
+        side = "right" if rho_walk(e, i.right_half) >= rho_walk(e, i.left_half) else "left"
+        conv = sigma_at_walk(e, i, 0.5 * gamma0, "two_sided")
+        need_c = 0.5 * sigma_at_walk(e, i, gamma0, side)
+        if conv < need_c - REL_SLACK:
+            fail({"direction": "converse", "interval": i.as_pair(), "got": conv, "need": need_c})
+    right, left, two = (sweep_walk(e, intervals, s) for s in ("right", "left", "two_sided"))
+    return SuiteResult(
+        suite="sided-transport",
+        params={"window": window.as_pair(), "seed": seed, "gamma": gamma, "gamma0": gamma0},
+        checks=checks,
+        failures=tuple(failures),
+        constants={"phi": phi, "gamma_transported": gamma_t},
+        details={
+            "two_sided_certified": two.certified,
+            "right_certified": right.certified,
+            "left_certified": left.certified,
+            "two_sided_best": (two.best_gamma, two.best_sigma),
+            "right_best": (right.best_gamma, right.best_sigma),
+            "left_best": (left.best_gamma, left.best_sigma),
+        },
+    )
+
+
+def triple_value_walk(w, a, b, c, side):
+    if side == "plus":
+        num, d = integrate_walk(w, Interval(a, b)), max_distance_walk(w.e, Interval(b, c))
+    else:
+        num, d = integrate_walk(w, Interval(b, c)), max_distance_walk(w.e, Interval(a, b))
+    if num == math.inf:
+        return math.inf
+    den = math.inf if d == 0.0 else d ** -w.alpha
+    return num / (c - a) / den
+
+
+def a1_samples_walk(w, side, family):
+    """TripleSample per triple of each one-sided scan, plus before minus."""
+    sides = ("plus", "minus") if side == "two_sided" else (side,)
+    return tuple(
+        TripleSample(a, b, c, triple_value_walk(w, a, b, c, s), scale)
+        for s in sides
+        for a, b, c, scale in family.triples(s)
+    )
+
+
+def critical_alpha_grid_walk(e, side, window, tol, octaves, probe_seed=0):
+    """The (alpha, bounded) bisection grid, every scan recomputed from scratch."""
+    probes = certification_probes(e, window, seed=probe_seed).intervals()
+    if not sweep_walk(e, probes, POROSITY_SIDE[side]).certified:
+        return ()
+    family = TripleFamily.default(e, window, octaves=octaves)
+    sides = ("plus", "minus") if side == "two_sided" else (side,)
+    grid = []
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        ok = True
+        for s in sides:
+            samples = a1_samples_walk(WeightSpec(e, mid), s, family)
+            finite = [(round(math.log2(t.scale)), t.value) for t in samples if math.isfinite(t.value)]
+            if len(finite) < len(samples) or LadderReport.from_samples(finite).divergent:
+                ok = False
+        grid.append((mid, ok))
+        if ok:
+            lo = mid
+        else:
+            hi = mid
+    return tuple(grid)

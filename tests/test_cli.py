@@ -1,14 +1,23 @@
-"""The command-line front end: exit codes, configuration errors and the process pool."""
+"""The command-line front end: exit codes, configuration errors, report files and the process pool."""
 
 import contextlib
+import csv
 import io
 
 import pytest
 
 from poroweights.cli import main
 from poroweights.presets import PRESET_NAMES
+from poroweights.reporting import (
+    DECAY_COLUMNS,
+    DIMENSION_COLUMNS,
+    MATRIX_COLUMNS,
+    POROSITY_COLUMNS,
+    TRIPLE_COLUMNS,
+    WEIGHT_TABLE_COLUMNS,
+)
 
-from .test_golden import CANTOR6, CAPS
+from .test_golden import CANTOR6, CAPS, JOBS
 
 
 def _reports(argv, out) -> tuple[int, dict[str, bytes]]:
@@ -54,3 +63,42 @@ def test_presets_lists_the_catalog(capsys):
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert listed == list(PRESET_NAMES)
     assert len(listed) == 8
+
+
+def test_analyze_exits_1_when_porosity_fails(tmp_path):
+    # at these caps a probe of the depth-6 Cantor iterate keeps sigma below
+    # the default 1/2, so the certification fails and says so in its exit code
+    argv = ("analyze", *CANTOR6, "--anchor-cap", "4", "--random-probes", "10", "--seed", "3", "--workers", "1")
+    code, reports = _reports(argv, tmp_path)
+    assert code == 1
+    assert b'"passed": false' in reports["porosity_report.json"]
+
+
+CSV_HEADERS = {
+    "porosity_report.csv": POROSITY_COLUMNS,
+    "a1_report.csv": TRIPLE_COLUMNS,
+    "weight_table.csv": WEIGHT_TABLE_COLUMNS,
+    "dimension_report.csv": DIMENSION_COLUMNS,
+    "summary_matrix.csv": MATRIX_COLUMNS,
+    "decay_measures.csv": DECAY_COLUMNS,
+}
+CSV_JOBS = ("analyze-integers", "a1-minus-geometric", "dimension-random",
+            "verify-equivalence-integers", "verify-decay-cantor6")
+
+
+def test_csv_headers_are_the_documented_columns(tmp_path):
+    seen = {}
+    for job in CSV_JOBS:
+        _, reports = _reports([*JOBS[job], "--workers", "1"], tmp_path / job)
+        seen.update({name: body for name, body in reports.items() if name.endswith(".csv")})
+    assert sorted(seen) == sorted(CSV_HEADERS)
+    for name, body in seen.items():
+        assert next(csv.reader(io.StringIO(body.decode()))) == CSV_HEADERS[name], name
+
+
+@pytest.mark.parametrize("job", ["analyze-random", "critical-alpha-two-sided-random", "a1-cantor6"])
+def test_identical_runs_write_identical_bytes(job, tmp_path):
+    argv = [*JOBS[job], "--workers", "1"]
+    first = _reports(argv, tmp_path / "first")
+    assert first[1]
+    assert _reports(argv, tmp_path / "second") == first

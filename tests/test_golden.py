@@ -3,8 +3,10 @@
 Each job runs ``poroweights.cli.main`` in-process with ``--no-timestamp`` and
 writes into a fresh directory; the SHA-256 of every report file is compared
 with a digest recorded on the tree before the source change it gates: the
-first nine jobs before the window-summary query engine, the rest before
-the porosity/sampler/maximal-average consolidation.  Together the jobs run
+first nine jobs before the window-summary query engine, the next thirteen
+before the porosity/sampler/maximal-average consolidation, and the last
+three (right-side ``analyze``, ``critical-alpha`` on the minus and two-sided
+branches) before the probe and triple tables.  Together the jobs run
 every subcommand that writes a report and every ``verify`` suite.  A change
 that moves any reported figure by one ulp fails here.
 
@@ -59,6 +61,11 @@ JOBS = {
     "dimension-random": ("dimension", *RANDOM, *CAPS),
     "verify-equivalence-integers": (
         "verify", *INTEGERS, *CAPS, "--window", "-2", "2", "--suite", "equivalence"),
+    "analyze-right-geometric": ("analyze", *GEOMETRIC, *CAPS, *W, "--side", "right"),
+    "critical-alpha-minus-reflected-naturals": (
+        "critical-alpha", "--preset", "reflected_naturals", *CAPS, *W, "--side", "minus", "--tol", "0.125"),
+    "critical-alpha-two-sided-random": (
+        "critical-alpha", *RANDOM, *CAPS, "--side", "two_sided", "--tol", "0.125"),
 }
 
 # (exit code, {report file: sha256}) per job
@@ -92,6 +99,10 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'porosity_report.csv': '6c1d19e86313a52d045a39bae236fe517b8f827a093b42cc126bf0387509453c',
         'porosity_report.json': '959a7165c88f5d075eeea4772d71715cc02745cdca4e7168e532910fb97d8024',
     }),
+    'analyze-right-geometric': (0, {
+        'porosity_report.csv': '948569a2fb9dbc9ed9f1f614634cc61c7d8da5096750afa73f98eed1e6de8f5b',
+        'porosity_report.json': 'f1783f93042b501527cb593b5a18fd212c89b3334593c6907b5c1562d8482354',
+    }),
     'analyze-sweep-cantor6': (0, {
         'porosity_sweep.json': 'e10832eb275c514b1cc46e946225ccd38855fb59887a63c3cca551b583f0b62e',
     }),
@@ -101,11 +112,17 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     'critical-alpha-cantor6': (0, {
         'critical_alpha.json': 'fe7d04bdfb42b92cfbd1a457df8777ae5323e68093b2abf8cc8deb4a2f46be69',
     }),
+    'critical-alpha-minus-reflected-naturals': (0, {
+        'critical_alpha.json': '05b8b27ed99993f0b14151f1401c8f0f386c98ee6ea7b10c55f80f93d1344387',
+    }),
     'critical-alpha-naturals': (0, {
         'critical_alpha.json': '182ce2e35afa17f7b7252eb77079501e50346bb2eac398ac5b186f80e72d5e22',
     }),
     'critical-alpha-random': (0, {
         'critical_alpha.json': '614c5da44f3823ecba5d033c4c145dca795341176e9f482956fd0670ce3d7709',
+    }),
+    'critical-alpha-two-sided-random': (0, {
+        'critical_alpha.json': '1501f31489b61b634a09fccf80f565b027c6ea75f191994887c377b49cd09611',
     }),
     'dimension-random': (0, {
         'dimension_report.csv': 'e6c454cb0476436cb6fb74ad46eda3d21ef14c650bbcd7f08e418067a9f3c84f',

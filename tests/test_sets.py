@@ -142,6 +142,20 @@ class TestTransforms:
     def test_translate_point(self, singleton):
         assert translate(singleton, 3.0).points_in(0.0, 5.0) == [3.0]
 
+    def test_translate_merges_points_the_shift_rounds_together(self):
+        # 0.375 + 3.9e-26 rounds to 0.375: the translate holds one point, not
+        # two at one coordinate with a phantom 3.9e-26 gap between them
+        e = Translate(FinitePoints([0.0, 3.882581462295065e-26]), 0.375)
+        assert e.count_in(0.0, 1.0) == 1
+        assert e.points_in(0.0, 1.0) == [0.375]
+        assert min_component_length(e, Interval(0.0, 1.0)) == 0.375
+
+    def test_translate_keeps_lattice_runs(self):
+        # a step far above the rounding of the shift keeps the run compressed
+        e = Translate(Lattice(0.0, 1.0, "two_sided"), 0.375)
+        runs = e.runs_in(-2.0 ** 30, 2.0 ** 30)
+        assert len(runs) == 1 and runs[0].step == 1.0 and runs[0].count == 2 ** 31
+
     def test_reflect_gaps_mirror(self, geometric_naturals):
         i = Interval(-9.5, 3.25)
         left = gaps(geometric_naturals, i)
