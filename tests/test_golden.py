@@ -6,7 +6,10 @@ with a digest recorded on the tree before the source change it gates: the
 first nine jobs before the window-summary query engine, the next thirteen
 before the porosity/sampler/maximal-average consolidation, and the last
 three (right-side ``analyze``, ``critical-alpha`` on the minus and two-sided
-branches) before the probe and triple tables.  Together the jobs run
+branches) before the probe and triple tables, and the last two (a two-sided
+``a1`` whose plus side diverges with witnesses while its minus side stays
+bounded, and a two-sided ``critical-alpha`` on geometric_naturals) before
+the shared triple-window table.  Together the jobs run
 every subcommand that writes a report and every ``verify`` suite.  A change
 that moves any reported figure by one ulp fails here.
 
@@ -66,6 +69,12 @@ JOBS = {
         "critical-alpha", "--preset", "reflected_naturals", *CAPS, *W, "--side", "minus", "--tol", "0.125"),
     "critical-alpha-two-sided-random": (
         "critical-alpha", *RANDOM, *CAPS, "--side", "two_sided", "--tol", "0.125"),
+    # 24 octaves: the 6 of CAPS are too few rungs for the plus ladder to diverge
+    "a1-two-sided-reflected-geometric": (
+        "a1", "--preset", "reflected_geometric_naturals", *CAPS, "--octaves", "24",
+        "--side", "two_sided", "--alpha", "0.5", *W),
+    "critical-alpha-two-sided-geometric": (
+        "critical-alpha", *GEOMETRIC, *CAPS, *W, "--side", "two_sided", "--tol", "0.125"),
 }
 
 # (exit code, {report file: sha256}) per job
@@ -82,6 +91,10 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     'a1-random': (0, {
         'a1_report.csv': 'b456802847727add6d214fd15a5ab3f87a6020e80806703eb0bdeb2990c3b5c4',
         'a1_report.json': '7ef7deff9526232ef62ce107fc1a0f17084bbd037534b6e3a1916a18b2b938cd',
+    }),
+    'a1-two-sided-reflected-geometric': (1, {
+        'a1_report.csv': '48c4c514b17125542e357ccb5c08aa1261e4d5689dbceb47f031e3feff05d168',
+        'a1_report.json': '63840d3870994dc4723214ad8cfe9eba96efbdb01368769b2aa18710a1fc4352',
     }),
     'analyze-cantor6': (0, {
         'porosity_report.csv': '3e2a30741b81c189ae8be8e83b4291dbcc96068e8a919162b768db681f6baa0e',
@@ -120,6 +133,9 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'critical-alpha-random': (0, {
         'critical_alpha.json': '614c5da44f3823ecba5d033c4c145dca795341176e9f482956fd0670ce3d7709',
+    }),
+    'critical-alpha-two-sided-geometric': (0, {
+        'critical_alpha.json': '70ace8c987ec833809bcff7671acb06bb6dba653d19b0e2140d3f359ffde476c',
     }),
     'critical-alpha-two-sided-random': (0, {
         'critical_alpha.json': '1501f31489b61b634a09fccf80f565b027c6ea75f191994887c377b49cd09611',
