@@ -403,6 +403,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: a value left the float range: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

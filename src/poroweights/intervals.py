@@ -40,13 +40,25 @@ class Interval:
         return 0.5 * (self.lo + self.hi)
 
     @property
+    def split_point(self) -> float:
+        """:attr:`center`, checked to lie strictly inside.
+
+        Raises ``ValueError`` when the interval is too short to halve: its
+        midpoint rounds onto an endpoint, e.g. on (0, 5e-324).
+        """
+        c = self.center
+        if not self.lo < c < self.hi:
+            raise ValueError(f"cannot halve ({self.lo!r}, {self.hi!r}): its midpoint rounds onto an endpoint")
+        return c
+
+    @property
     def left_half(self) -> "Interval":
-        """Open left split (lo, center).
+        """Open left split (lo, center); see :attr:`split_point`.
 
         Its length is exactly ``length / 2`` only when the midpoint is
         representable; see :attr:`center`.
         """
-        return Interval(self.lo, self.center)
+        return Interval(self.lo, self.split_point)
 
     @property
     def right_half(self) -> "Interval":
@@ -55,7 +67,7 @@ class Interval:
         Its length is exactly ``length / 2`` only when the midpoint is
         representable; see :attr:`center`.
         """
-        return Interval(self.center, self.hi)
+        return Interval(self.split_point, self.hi)
 
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi

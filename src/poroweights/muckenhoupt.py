@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import NamedTuple, Optional
 
 from .intervals import Interval
 from .porosity import (
@@ -27,7 +27,7 @@ from .porosity import (
 )
 from .scaling import LadderReport, rising_prefix_maxima
 from .sets import SetDescription, min_component_length
-from .weights import IntegralWindow, WeightSpec, distance_power, max_distance_on
+from .weights import IntegralWindow, WeightSpec, distance_power
 
 SIDES = ("plus", "minus", "two_sided")
 POROSITY_SIDE = {"plus": "right", "minus": "left", "two_sided": "two_sided"}
@@ -37,23 +37,22 @@ DEFAULT_TRIPLE_OCTAVES = 24
 TRIPLE_ANCHOR_CAP = 32
 
 
-def _triple_row(e: SetDescription, a: float, b: float, c: float, side: str) -> tuple[IntegralWindow, float]:
-    """The alpha-free part of a triple: the averaged window and the max distance over the other."""
+def _triple_windows(a: float, b: float, c: float, side: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(averaged, peak) bounds of a triple: the side averages over one outer interval, takes the ess-inf over the other."""
     if not a < b < c:
         raise ValueError("need a < b < c")
     if side == "plus":
-        return IntegralWindow.of(e, Interval(a, b)), max_distance_on(e, Interval(b, c))
+        return (a, b), (b, c)
     if side == "minus":
-        return IntegralWindow.of(e, Interval(b, c)), max_distance_on(e, Interval(a, b))
+        return (b, c), (a, b)
     raise ValueError("side must be 'plus' or 'minus'")
 
 
-def _row_value(row: tuple[IntegralWindow, float], alpha: float, a: float, c: float) -> float:
-    averaged, peak = row
-    num = averaged.integral(alpha)
+def _ratio(num: float, width: float, power: float) -> float:
+    """The triple value from the averaged integral, c - a and the peak's distance power."""
     if num == math.inf:
         return math.inf
-    return num / (c - a) / distance_power(peak, alpha)
+    return num / width / power
 
 
 def triple_value(w: WeightSpec, a: float, b: float, c: float, side: str = "plus") -> float:
@@ -62,7 +61,8 @@ def triple_value(w: WeightSpec, a: float, b: float, c: float, side: str = "plus"
     Exact means closed form, not quadrature: the value is correct up to
     floating-point rounding.
     """
-    return _row_value(_triple_row(w.e, a, b, c, side), w.alpha, a, c)
+    averaged, peak = (IntegralWindow.of(w.e, Interval(*j)) for j in _triple_windows(a, b, c, side))
+    return _ratio(averaged.integral(w.alpha), c - a, distance_power(peak.peak(), w.alpha))
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,12 @@ class TripleFamily:
     The '-' side mirrors to (anchor - s, anchor, anchor + s*u).  Extremal
     configurations place the middle point near the set and the comparison
     interval inside a large hole, which this layout covers as u varies.
+
+    The windows recur: with dyadic ratios, (anchor - 2^j, anchor) is the
+    averaged window of every '+' triple with s*u = 2^j and the ess-inf
+    window of the '-' triple with s = 2^j.  A :class:`TripleTable` summarises
+    each distinct window once and shares it across ratios, octaves, sides
+    and exponents.
     """
 
     anchors: tuple[float, ...]
@@ -95,12 +101,14 @@ class TripleFamily:
         octaves: int = DEFAULT_TRIPLE_OCTAVES,
         anchor_cap: int = TRIPLE_ANCHOR_CAP,
     ) -> "TripleFamily":
+        """The ladder starts 4 octaves below the finest gap, but no lower than
+        the anchors resolve: s * min(ratios) is at least the largest anchor
+        ulp, so every triple has a < b < c."""
+        anchors = tuple(anchor_candidates(e, window, anchor_cap))
         finest = min_component_length(e, window)
-        k_lo = math.floor(math.log2(finest)) - 4
-        return cls(
-            anchors=tuple(anchor_candidates(e, window, anchor_cap)),
-            octaves=tuple(range(k_lo, k_lo + octaves)),
-        )
+        resolved = max(map(math.ulp, anchors)) / min(TRIPLE_RATIOS)
+        k_lo = max(math.floor(math.log2(finest)) - 4, math.ceil(math.log2(resolved)))
+        return cls(anchors=anchors, octaves=tuple(range(k_lo, k_lo + octaves)))
 
     def triples(self, side: str) -> list[tuple[float, float, float, float]]:
         """(a, b, c, scale) tuples for the requested side."""
@@ -144,21 +152,86 @@ class A1Report:
         return not self.divergence_flag and self.nonintegrable_count == 0
 
 
-# (a, b, c, scale) of a triple with its alpha-free row
-TripleRow = tuple[tuple[float, float, float, float], tuple[IntegralWindow, float]]
+class _SideRows(NamedTuple):
+    """The rows of one side: per triple (a, b, c, scale) and c - a, and where its two windows sit.
+
+    ``averaged`` holds the distinct windows the side integrates and
+    ``peaks`` the distinct distance peaks it raises to -alpha; ``cells``
+    gives per triple the index of each.
+    """
+
+    triples: list[tuple[float, float, float, float]]
+    widths: list[float]
+    averaged: list[IntegralWindow]
+    peaks: list[float]
+    cells: list[tuple[int, int]]
 
 
-def _triple_rows(e: SetDescription, side: str, family: TripleFamily) -> Iterator[TripleRow]:
-    for t in family.triples(side):
-        yield t, _triple_row(e, t[0], t[1], t[2], side)
+class TripleTable:
+    """The alpha-free part of a :class:`TripleFamily` on one set.
+
+    Every distinct window (m - s*u, m) or (m, m + s) of the family is
+    summarised once, as an :class:`IntegralWindow`, however many ratios,
+    octaves and sides ask for it: the side that averages over a window
+    integrates it, the side that takes the ess-inf over it reads its
+    distance peak.  The rows of a side are built on first use and point into
+    that shared list.  :meth:`values` integrates each distinct averaged window
+    once and raises each distinct peak to -alpha once.
+    """
+
+    def __init__(self, e: SetDescription, family: TripleFamily):
+        self.e = e
+        self.family = family
+        self._windows: dict[tuple[float, float], IntegralWindow] = {}
+        self._peaks: dict[tuple[float, float], float] = {}
+        self._sides: dict[str, _SideRows] = {}
+
+    def _window(self, bounds: tuple[float, float]) -> IntegralWindow:
+        w = self._windows.get(bounds)
+        if w is None:
+            w = self._windows[bounds] = IntegralWindow.of(self.e, Interval(*bounds))
+        return w
+
+    def _peak(self, bounds: tuple[float, float]) -> float:
+        p = self._peaks.get(bounds)
+        if p is None:
+            p = self._peaks[bounds] = self._window(bounds).peak()
+        return p
+
+    def rows(self, side: str) -> _SideRows:
+        rows = self._sides.get(side)
+        if rows is not None:
+            return rows
+        triples = self.family.triples(side)
+        averaged: dict[tuple[float, float], int] = {}
+        peaks: dict[float, int] = {}
+        cells = []
+        for a, b, c, _ in triples:
+            avg, peak = _triple_windows(a, b, c, side)
+            p = self._peak(peak)
+            cells.append((averaged.setdefault(avg, len(averaged)), peaks.setdefault(p, len(peaks))))
+        rows = self._sides[side] = _SideRows(
+            triples=triples,
+            widths=[c - a for a, _, c, _ in triples],
+            averaged=[self._window(j) for j in averaged],
+            peaks=list(peaks),
+            cells=cells,
+        )
+        return rows
+
+    def values(self, side: str, alpha: float) -> list[float]:
+        """The triple values of a one-sided side at alpha, in :meth:`TripleFamily.triples` order."""
+        rows = self.rows(side)
+        nums = [w.integral(alpha) for w in rows.averaged]
+        powers = [distance_power(p, alpha) for p in rows.peaks]
+        return [_ratio(nums[i], width, powers[k]) for (i, k), width in zip(rows.cells, rows.widths)]
 
 
-def _scan_side(alpha: float, side: str, rows: Iterable[TripleRow]) -> A1Report:
+def _scan_side(alpha: float, side: str, table: TripleTable) -> A1Report:
     samples: list[TripleSample] = []
     nonint = 0
     best: Optional[TripleSample] = None
-    for (a, b, c, s), row in rows:
-        v = _row_value(row, alpha, a, c)
+    for (a, b, c, s), v in zip(table.rows(side).triples, table.values(side, alpha)):
         t = TripleSample(a, b, c, v, s)
         samples.append(t)
         if v == math.inf:
@@ -191,12 +264,12 @@ def _scan_side(alpha: float, side: str, rows: Iterable[TripleRow]) -> A1Report:
     )
 
 
-def _a1_report(alpha: float, side: str, rows: Callable[[str], Iterable[TripleRow]]) -> A1Report:
-    """The report of a side at alpha, scanning the triple rows ``rows(s)`` of each one-sided side s."""
+def _a1_report(alpha: float, side: str, table: TripleTable) -> A1Report:
+    """The report of a side at alpha; the two-sided one merges the scans of both one-sided sides."""
     if side in ("plus", "minus"):
-        return _scan_side(alpha, side, rows(side))
-    plus = _scan_side(alpha, "plus", rows("plus"))
-    minus = _scan_side(alpha, "minus", rows("minus"))
+        return _scan_side(alpha, side, table)
+    plus = _scan_side(alpha, "plus", table)
+    minus = _scan_side(alpha, "minus", table)
     dominant = plus if plus.constant_lower_bound >= minus.constant_lower_bound else minus
     merged_ladder = LadderReport.from_samples(list(plus.ladder) + list(minus.ladder))
     return A1Report(
@@ -214,16 +287,22 @@ def _a1_report(alpha: float, side: str, rows: Callable[[str], Iterable[TripleRow
     )
 
 
-def a1_constant(w: WeightSpec, side: str, probes: TripleFamily) -> A1Report:
+def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable) -> A1Report:
     """Sampled lower bound (and divergence verdict) for the requested side.
 
     The two-sided constant is the max of the two one-sided scans, mirroring
-    the split of the two-sided class into its one-sided halves.  At a single
-    exponent the triple rows stream: each is built, read once and dropped.
+    the split of the two-sided class into its one-sided halves.  ``probes``
+    is a family, or a :class:`TripleTable` of it on ``w.e`` built earlier:
+    calls that pass the same table (other exponents, the other side) share
+    its window summaries, and each distinct window is summarised once.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
-    return _a1_report(w.alpha, side, lambda s: _triple_rows(w.e, s, probes))
+    if isinstance(probes, TripleFamily):
+        probes = TripleTable(w.e, probes)
+    elif probes.e is not w.e:
+        raise ValueError("the triple table was built on another set")
+    return _a1_report(w.alpha, side, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +340,10 @@ def critical_alpha(
         raise ValueError(f"side must be one of {SIDES}")
     porosity_probes = certification_probes(e, window, seed=probe_seed)
     sweep = sweep_parameters(e, porosity_probes, POROSITY_SIDE[side])
-    family = TripleFamily.default(e, window, octaves=octaves)
+    # the alpha-free rows of every triple, built once for all bisection steps
+    table = TripleTable(e, TripleFamily.default(e, window, octaves=octaves))
     if not sweep.certified:
-        evidence = a1_constant(WeightSpec(e, 0.5), side, family)
+        evidence = a1_constant(WeightSpec(e, 0.5), side, table)
         return CriticalAlphaResult(
             alpha=None,
             grid=(),
@@ -272,14 +352,12 @@ def critical_alpha(
             evidence=evidence,
             note="no alpha found up to grid floor: porosity refuted on probes",
         )
-    # the alpha-free rows of every triple, built once for all bisection steps
-    tables = {s: list(_triple_rows(e, s, family)) for s in (("plus", "minus") if side == "two_sided" else (side,))}
     grid: list[tuple[float, bool]] = []
     lo, hi = 0.0, 1.0
     best_report: Optional[A1Report] = None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        report = _a1_report(mid, side, tables.__getitem__)
+        report = _a1_report(mid, side, table)
         ok = report.bounded_evidence
         grid.append((mid, ok))
         if ok:

@@ -71,15 +71,30 @@ def rho(e: SetDescription, i: Interval) -> float:
 Rated = tuple[Interval, WindowSummary, float]
 
 
-def _rated(e: SetDescription, j: Interval) -> Rated:
-    s = window_summary(e, j)
-    return j, s, 0.5 * s.max_length(j.lo, j.hi)
+def _rated(e: SetDescription, memo: dict, lo: float, hi: float, j: Optional[Interval] = None) -> Rated:
+    """The window (lo, hi), or ``j`` when given, rated; read from ``memo`` when an earlier probe summarised it."""
+    r = memo.get((lo, hi))
+    if r is None:
+        j = Interval(lo, hi) if j is None else j
+        s = window_summary(e, j)
+        r = memo[lo, hi] = (j, s, 0.5 * s.max_length(lo, hi))
+    return r
 
 
-def probe_windows(e: SetDescription, i: Interval, whole: bool = True, halves: bool = True) -> tuple:
-    """(I, I-, I+) of a probe, each summarised once; None for a part not asked for."""
-    left, right = (_rated(e, i.left_half), _rated(e, i.right_half)) if halves else (None, None)
-    return (_rated(e, i) if whole else None), left, right
+def probe_windows(
+    e: SetDescription, i: Interval, whole: bool = True, halves: bool = True, memo: Optional[dict] = None
+) -> tuple:
+    """(I, I-, I+) of a probe, each summarised once; None for a part not asked for.
+
+    Probes of one pass that pass the same ``memo`` share the summary of
+    every window they have in common.
+    """
+    memo = {} if memo is None else memo
+    left = right = None
+    if halves:
+        c = i.split_point
+        left, right = _rated(e, memo, i.lo, c), _rated(e, memo, c, i.hi)
+    return (_rated(e, memo, i.lo, i.hi, i) if whole else None), left, right
 
 
 # (region, reference) of a side, as indices into (I, I-, I+): the part whose
@@ -149,7 +164,8 @@ def default_scales(
         finest = min_component_length(e, window)
         k_min = math.floor(math.log2(finest)) - 2
         octaves = min(max(k_max - k_min + 1, MIN_OCTAVES), MAX_OCTAVES)
-    return [2.0 ** k for k in range(k_max, k_max - octaves, -1)]
+    # 2.0 ** -1074 is the smallest positive float
+    return [2.0 ** k for k in range(k_max, max(k_max - octaves, -1075), -1)]
 
 
 @dataclass(frozen=True)
@@ -188,16 +204,17 @@ class ProbeFamily:
         )
 
     def intervals(self) -> list[Interval]:
-        out: list[Interval] = []
+        """The probes, less those too short to split at their position (see :func:`_splittable`)."""
+        bounds: list[tuple[float, float]] = []
         for a in self.anchors:
             for s in self.scales:
                 for al in self.alignments:
                     if al == "left":
-                        out.append(Interval(a, a + s))
+                        bounds.append((a, a + s))
                     elif al == "center":
-                        out.append(Interval(a - 0.5 * s, a + 0.5 * s))
+                        bounds.append((a - 0.5 * s, a + 0.5 * s))
                     else:
-                        out.append(Interval(a - s, a))
+                        bounds.append((a - s, a))
         if self.random_count and self.window is not None:
             rng = random.Random(self.seed)
             lg_lo = math.log2(min(self.scales)) if self.scales else 0.0
@@ -205,8 +222,8 @@ class ProbeFamily:
             for _ in range(self.random_count):
                 c = rng.uniform(self.window.lo, self.window.hi)
                 half = 0.5 * 2.0 ** rng.uniform(lg_lo, lg_hi)
-                out.append(Interval(c - half, c + half))
-        return out
+                bounds.append((c - half, c + half))
+        return [Interval(lo, hi) for lo, hi in bounds if _splittable(lo, hi)]
 
 
 CERT_HEADROOM = 12  # octaves of probe scale above the window span
@@ -288,6 +305,17 @@ def _centred_half(i: Interval) -> Interval:
     return Interval(i.center - quarter, i.center + quarter)
 
 
+def _splittable(lo: float, hi: float) -> bool:
+    """Whether (lo, hi) is an interval whose halves and centred half are intervals too.
+
+    A probe a few ulps long fails: its rounded midpoint or quarter points
+    land on an endpoint or on each other.
+    """
+    c = 0.5 * (lo + hi)
+    quarter = 0.25 * (hi - lo)
+    return lo < c < hi and c - quarter < c + quarter
+
+
 _INNER = (None, lambda i: i.left_half, lambda i: i.right_half, _centred_half)
 
 
@@ -341,7 +369,7 @@ def doubling_witness(e: SetDescription, probes: Sequence[Interval]) -> DoublingR
 def _intervals(probes: ProbeFamily | Sequence[Interval]) -> list[Interval]:
     intervals = probes.intervals() if isinstance(probes, ProbeFamily) else list(probes)
     if not intervals:
-        raise ValueError("probe family is empty")
+        raise ValueError("probe family is empty (probes too short to halve are left out)")
     return intervals
 
 
@@ -432,8 +460,10 @@ def sweep_sides(
 ) -> dict[str, SweepResult]:
     """:func:`sweep_parameters` for several sides in one pass over the probes.
 
-    Each probe window is summarised once: the right and left sides share
-    the summaries of I- and I+.
+    Each distinct window is summarised once per call: the right and left
+    sides share the summaries of I- and I+, and a half that recurs across
+    anchors, scales and alignments (the right half of (a - s, a + s) is the
+    left half of (a, a + 2s)) is summarised for its first probe only.
     """
     intervals = _intervals(probes)
     for side in sides:
@@ -441,8 +471,9 @@ def sweep_sides(
     worst = {side: [math.inf] * len(gammas) for side in sides}
     whole = "two_sided" in worst
     halves = "right" in worst or "left" in worst
+    memo: dict = {}
     for i in intervals:
-        windows = probe_windows(e, i, whole, halves)
+        windows = probe_windows(e, i, whole, halves, memo)
         for side, low in worst.items():
             lower_into(low, _side_fractions(windows, side, gammas))
     return {side: sweep_result(side, gammas, low) for side, low in worst.items()}

@@ -363,6 +363,8 @@ class Lattice(SetDescription):
         if not math.isfinite(x):
             return None
         k = _index_floor(x - self.origin, self.step)
+        while self.origin + k * self.step > x:  # the point, not its index, may round past x
+            k -= 1
         if self.extent == "right" and k < 0:
             return None
         if self.extent == "left" and k > 0:
@@ -375,6 +377,8 @@ class Lattice(SetDescription):
         if not math.isfinite(x):
             return None
         k = _index_ceil(x - self.origin, self.step)
+        while self.origin + k * self.step < x:  # the point, not its index, may round past x
+            k += 1
         if self.extent == "left" and k > 0:
             return None
         if self.extent == "right" and k < 0:

@@ -9,13 +9,13 @@ admissible weight exponent) are recorded alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .intervals import Interval
-from .muckenhoupt import TripleFamily, a1_constant
+from .muckenhoupt import TripleFamily, TripleTable, a1_constant
 from .porosity import (
     GAMMA_GRID,
     REL_SLACK,
@@ -506,17 +506,18 @@ def suite_equivalence_matrix(
     for name, e in named_sets:
         sweeps = sweep_sides(e, certification_probes(e, window, seed=seed), ("right", "left"))
         sweep_r, sweep_l = sweeps["right"], sweeps["left"]
-        fam = TripleFamily.default(e, window, octaves=octaves)
+        # one table feeds both sides: each triple window is summarised once
+        table = TripleTable(e, TripleFamily.default(e, window, octaves=octaves))
         if sweep_r.certified:
             params = sweep_r.params()
             alpha = admissible_alpha(params.sigma, params.gamma)
-            rep = a1_constant(WeightSpec(e, alpha), "plus", fam)
+            rep = a1_constant(WeightSpec(e, alpha), "plus", table)
             agreement = rep.bounded_evidence
         else:
             alpha = DIVERGENCE_PROBE_ALPHA
-            rep = a1_constant(WeightSpec(e, alpha), "plus", fam)
+            rep = a1_constant(WeightSpec(e, alpha), "plus", table)
             agreement = rep.divergence_flag
-        rep_minus = a1_constant(WeightSpec(e, DIVERGENCE_PROBE_ALPHA), "minus", fam)
+        rep_minus = a1_constant(WeightSpec(e, DIVERGENCE_PROBE_ALPHA), "minus", table)
         rows.append(
             MatrixRow(
                 name=name,
@@ -531,5 +532,11 @@ def suite_equivalence_matrix(
                 agreement=agreement,
             )
         )
-        reports[name] = {"plus": rep, "minus": rep_minus, "sweep_right": sweep_r, "sweep_left": sweep_l}
+        # no report writes the per-triple samples; kept, they would hold every triple of every set
+        reports[name] = {
+            "plus": replace(rep, samples=()),
+            "minus": replace(rep_minus, samples=()),
+            "sweep_right": sweep_r,
+            "sweep_left": sweep_l,
+        }
     return MatrixResult(rows=tuple(rows), reports=reports, window=window, seed=seed)

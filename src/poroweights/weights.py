@@ -109,7 +109,7 @@ def _middle_integrals(runs: list[Run], alpha: float) -> list[float]:
 
 
 class IntegralWindow(NamedTuple):
-    """What an integral over J needs that does not depend on alpha.
+    """What an integral over J and its distance peak need that does not depend on alpha.
 
     The summary of J and the set points bracketing its edge components:
     ``left`` below ``lo`` when (lo, first interior point) is a component,
@@ -149,6 +149,18 @@ class IntegralWindow(NamedTuple):
             return math.inf
         return fsum(terms)
 
+    def peak(self) -> float:
+        """Max over the closure of J of d(., E); attained at an endpoint or a gap midpoint."""
+        j, s, left, right = self
+        if s.first is None:
+            return max(0.0, _segment_peak(j.lo, j.hi, left, right))
+        best = s.peak(j.lo, j.hi)
+        if s.first > j.lo:
+            best = max(best, _segment_peak(j.lo, s.first, left, s.first))
+        if j.hi > s.last:
+            best = max(best, _segment_peak(s.last, j.hi, s.last, right))
+        return best
+
 
 def integrate(w: WeightSpec, j: Interval) -> float:
     """Exact integral of the weight over the bounded interval J.
@@ -181,15 +193,7 @@ def _segment_peak(a: float, b: float, p_left: Optional[float], p_right: Optional
 
 def max_distance_on(e: SetDescription, j: Interval) -> float:
     """Max over the closure of J of d(., E); attained at an endpoint or a gap midpoint."""
-    s = window_summary(e, j)
-    if s.first is None:
-        return max(0.0, _segment_peak(j.lo, j.hi, e.nearest_leq(j.lo), e.nearest_geq(j.hi)))
-    best = s.peak(j.lo, j.hi)
-    if s.first > j.lo:
-        best = max(best, _segment_peak(j.lo, s.first, e.nearest_leq(j.lo), s.first))
-    if j.hi > s.last:
-        best = max(best, _segment_peak(s.last, j.hi, s.last, e.nearest_geq(j.hi)))
-    return best
+    return IntegralWindow.of(e, j).peak()
 
 
 def ess_inf(w: WeightSpec, j: Interval) -> float:

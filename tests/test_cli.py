@@ -58,6 +58,29 @@ def test_configuration_errors_exit_2(argv, message, tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--window", "0", "5e-324"],
+         "error: probe family is empty (probes too short to halve are left out)"),
+        (["critical-alpha", "--window", "0", "1e-300"], "error: a value left the float range"),
+    ],
+    ids=["probes-too-short-to-halve", "weight-beyond-float-range"],
+)
+def test_sub_ulp_windows_exit_2(argv, message, tmp_path, capsys, monkeypatch):
+    # gaps of 5e-324: no probe in (0, 5e-324) can be halved, and d^-alpha on
+    # a 1e-300 window exceeds the largest float
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "set.json").write_text('{"kind": "finite", "points": [0.0, 5e-324, -1.0]}')
+    code = main([*argv, "--set-file", "set.json", "--anchor-cap", "8", "--random-probes", "20",
+                 "--workers", "1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_presets_lists_the_catalog(capsys):
     assert main(["presets"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]

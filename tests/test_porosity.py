@@ -230,6 +230,28 @@ class TestSweep:
             sigma_at(integers, Interval(0.0, 1.0), 0.5, side)
 
 
+class TestProbesTooShortToHalve:
+    def test_the_family_leaves_them_out(self):
+        # at anchor 1 a scale of 2**-60 is below the ulp, and no anchor splits
+        # a 5e-324 scale: only the nine probes that can be halved remain
+        fam = ProbeFamily(anchors=(0.0, 1.0), scales=(1.0, 2.0 ** -60, 5e-324))
+        intervals = fam.intervals()
+        assert len(intervals) == 9
+        assert all(i.lo < i.center < i.hi for i in intervals)
+        for side in ("right", "left", "two_sided"):
+            sweep_parameters(FinitePoints([0.0, 5e-324, -1.0]), intervals, side)
+
+    def test_a_given_one_is_rejected_by_name(self):
+        i = Interval(0.0, 5e-324)
+        with pytest.raises(ValueError, match=r"cannot halve \(0.0, 5e-324\)"):
+            i.left_half
+        e = FinitePoints([0.0, 5e-324, -1.0])
+        with pytest.raises(ValueError, match="cannot halve"):
+            sweep_parameters(e, [Interval(-1.0, 1.0), i], "right")
+        with pytest.raises(ValueError, match="cannot halve"):
+            certify(e, PorosityParams(0.5, 0.5, "two_sided"), [i])
+
+
 class TestTransportInvariants:
     def test_reflection_duality_bitwise(self, geometric_naturals, window):
         fam = ProbeFamily.default(geometric_naturals, window, random_count=0, seed=0)

@@ -150,6 +150,35 @@ class TestTransforms:
         assert e.points_in(0.0, 1.0) == [0.375]
         assert min_component_length(e, Interval(0.0, 1.0)) == 0.375
 
+    def test_translate_of_a_lattice_finds_its_nearest_points(self):
+        # the inner lattice answered nearest_geq(nextafter(p)) with p itself,
+        # since 0.25 + k/3 rounds below the query its index k was bounded
+        # for, so the translate's search stepped on the spot forever
+        e = Translate(Lattice(0.25, 1.0 / 3.0, "left"), -1.9)
+        x = -1.983333333333333
+        assert e.nearest_geq(x) == 0.25 - 1.9
+        assert e.nearest_leq(x) == -0.08333333333333331 - 1.9 < x
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        origin=st.floats(-3.0, 3.0),
+        step=st.sampled_from([1.0 / 3.0, 0.1, 0.7, 1.0]),
+        extent=st.sampled_from(["two_sided", "left", "right"]),
+        x=st.floats(-50.0, 50.0),
+    )
+    def test_lattice_nearest_points_bracket_the_query(self, origin, step, extent, x):
+        e = Lattice(origin, step, extent)
+        below, above = e.nearest_leq(x), e.nearest_geq(x)
+        assert below is None or below <= x
+        assert above is None or above >= x
+        # a search past a point moves on, as Translate's search needs
+        if below is not None:
+            nxt = e.nearest_geq(math.nextafter(below, math.inf))
+            assert nxt is None or nxt > below
+        if above is not None:
+            prev = e.nearest_leq(math.nextafter(above, -math.inf))
+            assert prev is None or prev < above
+
     def test_translate_keeps_lattice_runs(self):
         # a step far above the rounding of the shift keeps the run compressed
         e = Translate(Lattice(0.0, 1.0, "two_sided"), 0.375)

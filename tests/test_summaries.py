@@ -14,6 +14,7 @@ import sys
 import threading
 import weakref
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from poroweights import (
@@ -55,10 +56,14 @@ def windows(draw, pts):
     out = []
     for _ in range(WINDOWS_PER_SET):
         x, y = sorted((draw(endpoint), draw(endpoint)))
-        if not x < 0.5 * (x + y) < y:  # the halves must be proper intervals
+        if not x < y:
             y = x + 0.5
         out.append(Interval(x, y))
     return out
+
+
+def halvable(i):
+    return i.lo < i.center < i.hi
 
 
 def check_window(e, i):
@@ -72,7 +77,11 @@ def check_window(e, i):
         assert integrate(w, i) == oracles.integrate_walk(w, i)
     for side in SIDES:
         for g in GAMMA_GRID:
-            assert sigma_at(e, i, g, side) == oracles.sigma_at_walk(e, i, g, side)
+            if side == "two_sided" or halvable(i):
+                assert sigma_at(e, i, g, side) == oracles.sigma_at_walk(e, i, g, side)
+            else:  # the one-sided items need both halves
+                with pytest.raises(ValueError, match="cannot halve"):
+                    sigma_at(e, i, g, side)
 
 
 def check_set(e, ws):
@@ -80,8 +89,13 @@ def check_set(e, ws):
         for i in ws:
             check_window(e, i)
         for side in SIDES:
-            table = sweep_parameters(e, ws, side).table
-            assert table == oracles.sweep_table_walk(e, ws, side, GAMMA_GRID)
+            probes = ws if side == "two_sided" else [i for i in ws if halvable(i)]
+            if probes:
+                table = sweep_parameters(e, probes, side).table
+                assert table == oracles.sweep_table_walk(e, probes, side, GAMMA_GRID)
+            if len(probes) < len(ws):
+                with pytest.raises(ValueError, match="cannot halve"):
+                    sweep_parameters(e, ws, side)
 
 
 class TestAgainstWalk:
@@ -128,6 +142,12 @@ class TestAgainstWalk:
         }[wrap]
         pts = e.points_in(-25.0, 25.0) or [0.0]
         check_set(e, data.draw(windows(pts)))
+
+    def test_windows_too_short_to_halve(self):
+        # the midpoint of (0, 5e-324) rounds onto an endpoint; the one-sided
+        # items reject such a window by name, everything else answers it
+        e = FinitePoints([0.0, 5e-324, -1.0])
+        check_set(e, [Interval(0.0, 5e-324), Interval(-1.0, 5e-324), Interval(-1.0, 0.0)])
 
     def test_run_end_rounding_onto_the_next_point(self):
         # the first run's computed end, start + 3 * 0.1, rounds onto the next

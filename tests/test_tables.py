@@ -3,7 +3,9 @@
 Every report is compared with ``==`` against the per-function loops kept in
 ``tests/oracles.py``, which re-derive each window through the component walk
 and recompute each triple at every exponent.  A second group counts window
-summaries, so the work the tables save cannot quietly come back.
+summaries, so the work the tables save cannot quietly come back: each
+distinct probe window is summarised once per sweep, and each distinct triple
+window once per table, whatever ratios, octaves, sides and exponents read it.
 """
 
 import math
@@ -24,8 +26,11 @@ from poroweights import (
     Reflect,
     Translate,
     TripleFamily,
+    TripleTable,
     WeightSpec,
     a1_constant,
+    catalog,
+    certification_probes,
     certify,
     critical_alpha,
     doubling_witness,
@@ -34,7 +39,7 @@ from poroweights import (
 )
 from poroweights.muckenhoupt import SIDES as A1_SIDES
 from poroweights.porosity import SIDES
-from poroweights.suites import suite_sided_transport
+from poroweights.suites import suite_equivalence_matrix, suite_sided_transport
 
 from . import oracles
 
@@ -55,8 +60,7 @@ def point_sets(draw):
     """Catalog-like sets, random finite sets, and reflects and translates of either."""
     e = draw(st.one_of(
         st.sampled_from(sorted(BASES)).map(BASES.__getitem__),
-        # gaps stay well above the anchors' ulp, so every triple has a < b < c
-        st.lists(st.integers(-6000, 6000).map(lambda k: k / 1000), min_size=1, max_size=12).map(FinitePoints),
+        st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12).map(FinitePoints),
     ))
     wrap = draw(st.sampled_from(["none", "reflect", "translate"]))
     if wrap == "reflect":
@@ -123,11 +127,42 @@ class TestTripleTable:
         w = WeightSpec(e, alpha)
         assert a1_constant(w, side, fam).samples == oracles.a1_samples_walk(w, side, fam)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        e=point_sets(),
+        alphas=st.lists(st.sampled_from([0.25, 0.5, 0.9, 1.0, 1.5]), min_size=2, max_size=2, unique=True),
+    )
+    def test_a_table_rescanned_matches_fresh_scans(self, e, alphas):
+        # alpha1, alpha2, then alpha1 again, on every side: nothing one scan
+        # leaves behind may change what a later one reads
+        fam = TripleFamily.default(e, WINDOW, octaves=6, anchor_cap=4)
+        table = TripleTable(e, fam)
+        for alpha in (*alphas, alphas[0]):
+            w = WeightSpec(e, alpha)
+            for side in A1_SIDES:
+                got = a1_constant(w, side, table)
+                assert got == a1_constant(WeightSpec(e, alpha), side, fam)
+                assert got.samples == oracles.a1_samples_walk(w, side, fam)
+
+    def test_default_ladder_stops_where_the_anchors_resolve(self):
+        # a gap far below the anchors' ulp: a ladder 4 octaves below it would
+        # give anchor - s*u == anchor
+        e = FinitePoints([0.0, 5.585252151639012e-55])
+        fam = TripleFamily.default(e, Interval(-4.0, 4.0), octaves=6, anchor_cap=4)
+        assert all(a < b < c for side in ("plus", "minus") for a, b, c, _ in fam.triples(side))
+        w = WeightSpec(e, 0.5)
+        assert a1_constant(w, "two_sided", fam).samples == oracles.a1_samples_walk(w, "two_sided", fam)
+
+    def test_a_table_answers_only_for_its_own_set(self):
+        table = TripleTable(NATURALS, TripleFamily.default(NATURALS, WINDOW, octaves=6, anchor_cap=4))
+        with pytest.raises(ValueError, match="another set"):
+            a1_constant(WeightSpec(BASES["integers"], 0.5), "plus", table)
+
     @settings(max_examples=12, deadline=None)
     @given(
         e=st.one_of(
             st.sampled_from(["integers", "naturals", "geometric_naturals"]).map(BASES.__getitem__),
-            st.lists(st.integers(-3000, 3000).map(lambda k: k / 1000), min_size=1, max_size=6).map(FinitePoints),
+            st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6).map(FinitePoints),
         ),
         reflect=st.booleans(),
         side=st.sampled_from(A1_SIDES),
@@ -137,6 +172,12 @@ class TestTripleTable:
         window = Interval(-2.0, 2.0)
         got = critical_alpha(e, side, window, tol=0.125, octaves=8)
         assert got.grid == oracles.critical_alpha_grid_walk(e, side, window, tol=0.125, octaves=8)
+
+
+def triple_windows(family, side):
+    """The distinct (lo, hi) windows the triples of a side read: (a, b) and (b, c) of each."""
+    sides = ("plus", "minus") if side == "two_sided" else (side,)
+    return {w for s in sides for a, b, c, _ in family.triples(s) for w in ((a, b), (b, c))}
 
 
 @pytest.fixture
@@ -171,6 +212,36 @@ class TestWorkCounts:
         intervals = small_family(e, 1).intervals()
         sweep_sides(e, intervals, ("right", "left"))
         assert 0 < summaries[0] <= 2 * len(intervals)
+
+    @pytest.mark.parametrize("e", SETS, ids=["integers", "geometric_naturals", "cantor6"])
+    def test_sweeps_summarise_each_distinct_window_once(self, e, summaries):
+        intervals = certification_probes(e, WINDOW, anchor_cap=8, random_count=20).intervals()
+        distinct = {w for i in intervals for w in ((i.lo, i.hi), (i.lo, i.center), (i.center, i.hi))}
+        summaries[0] = 0
+        sweep_sides(e, intervals, SIDES)
+        assert 0 < summaries[0] <= len(distinct)
+
+    @pytest.mark.parametrize("side", A1_SIDES)
+    @pytest.mark.parametrize("e", SETS, ids=["integers", "geometric_naturals", "cantor6"])
+    def test_a1_summarises_each_triple_window_once(self, e, side, summaries):
+        fam = TripleFamily.default(e, WINDOW, octaves=8, anchor_cap=8)
+        summaries[0] = 0
+        a1_constant(WeightSpec(e, 0.5), side, fam)
+        assert 0 < summaries[0] <= len(triple_windows(fam, side))
+
+    def test_equivalence_summarises_each_triple_window_once_across_both_sides(self, summaries):
+        named = [(name, e) for name, e in catalog() if name in ("integers", "reflected_geometric_naturals")]
+        window = Interval(-2.0, 2.0)
+        # per set: the sweep's distinct probe halves, the table's distinct
+        # triple windows, and one call each for the two default ladders
+        budget = 0
+        for _, e in named:
+            probes = certification_probes(e, window).intervals()
+            budget += len({w for i in probes for w in ((i.lo, i.center), (i.center, i.hi))})
+            budget += len(triple_windows(TripleFamily.default(e, window, octaves=8), "two_sided")) + 2
+        summaries[0] = 0
+        suite_equivalence_matrix(named, window, octaves=8)
+        assert 0 < summaries[0] <= budget
 
     @pytest.mark.parametrize(
         "side, e",
