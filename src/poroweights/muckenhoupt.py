@@ -155,9 +155,9 @@ class A1Report:
 class _SideRows(NamedTuple):
     """The rows of one side: per triple (a, b, c, scale) and c - a, and where its two windows sit.
 
-    ``averaged`` holds the distinct windows the side integrates and
-    ``peaks`` the distinct distance peaks it raises to -alpha; ``cells``
-    gives per triple the index of each.
+    ``averaged`` holds the distinct windows the side integrates, ``peaks``
+    the distance peaks of the distinct windows it takes the ess-inf over,
+    and ``cells`` per triple the index of each.
     """
 
     triples: list[tuple[float, float, float, float]]
@@ -175,7 +175,7 @@ class TripleTable:
     octaves and sides ask for it: the side that averages over a window
     integrates it, the side that takes the ess-inf over it reads its
     distance peak.  The rows of a side are built on first use and point into
-    that shared list.  :meth:`values` integrates each distinct averaged window
+    that shared set.  :meth:`values` integrates each distinct averaged window
     once and raises each distinct peak to -alpha once.
     """
 
@@ -183,7 +183,6 @@ class TripleTable:
         self.e = e
         self.family = family
         self._windows: dict[tuple[float, float], IntegralWindow] = {}
-        self._peaks: dict[tuple[float, float], float] = {}
         self._sides: dict[str, _SideRows] = {}
 
     def _window(self, bounds: tuple[float, float]) -> IntegralWindow:
@@ -192,31 +191,23 @@ class TripleTable:
             w = self._windows[bounds] = IntegralWindow.of(self.e, Interval(*bounds))
         return w
 
-    def _peak(self, bounds: tuple[float, float]) -> float:
-        p = self._peaks.get(bounds)
-        if p is None:
-            p = self._peaks[bounds] = self._window(bounds).peak()
-        return p
-
     def rows(self, side: str) -> _SideRows:
         rows = self._sides.get(side)
-        if rows is not None:
-            return rows
-        triples = self.family.triples(side)
-        averaged: dict[tuple[float, float], int] = {}
-        peaks: dict[float, int] = {}
-        cells = []
-        for a, b, c, _ in triples:
-            avg, peak = _triple_windows(a, b, c, side)
-            p = self._peak(peak)
-            cells.append((averaged.setdefault(avg, len(averaged)), peaks.setdefault(p, len(peaks))))
-        rows = self._sides[side] = _SideRows(
-            triples=triples,
-            widths=[c - a for a, _, c, _ in triples],
-            averaged=[self._window(j) for j in averaged],
-            peaks=list(peaks),
-            cells=cells,
-        )
+        if rows is None:
+            triples = self.family.triples(side)
+            averaged: dict[tuple[float, float], int] = {}
+            peaks: dict[tuple[float, float], int] = {}
+            cells = []
+            for a, b, c, _ in triples:
+                avg, peak = _triple_windows(a, b, c, side)
+                cells.append((averaged.setdefault(avg, len(averaged)), peaks.setdefault(peak, len(peaks))))
+            rows = self._sides[side] = _SideRows(
+                triples=triples,
+                widths=[c - a for a, _, c, _ in triples],
+                averaged=[self._window(j) for j in averaged],
+                peaks=[self._window(j).peak() for j in peaks],
+                cells=cells,
+            )
         return rows
 
     def values(self, side: str, alpha: float) -> list[float]:
