@@ -141,7 +141,7 @@ class TestTripleTable:
             w = WeightSpec(e, alpha)
             for side in A1_SIDES:
                 got = a1_constant(w, side, table)
-                assert got == a1_constant(WeightSpec(e, alpha), side, fam)
+                assert got == a1_constant(w, side, fam)
                 assert got.samples == oracles.a1_samples_walk(w, side, fam)
 
     def test_default_ladder_stops_where_the_anchors_resolve(self):
