@@ -329,6 +329,16 @@ def _pair_ratios(radii: array) -> Iterator[tuple[int, int, float]]:
                 yield n // 4, k, outer / inner
 
 
+def _probe_radii(e: SetDescription, i: Interval, windows: Optional[tuple] = None) -> tuple[float, ...]:
+    """rho of a probe I, of its halves I- and I+ and of its centred half.
+
+    The first three are read from the probe's ``probe_windows``, summarised
+    here unless given.
+    """
+    whole, left, right = probe_windows(e, i) if windows is None else windows
+    return whole[2], left[2], right[2], rho(e, _centred_half(i))
+
+
 def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingReport:
     """Reduce the radius columns: per probe rho(I), then rho of I-, I+ and the centred half."""
 
@@ -362,7 +372,7 @@ def doubling_witness(e: SetDescription, probes: Sequence[Interval]) -> DoublingR
     intervals = list(probes)
     radii = array("d")
     for i in intervals:
-        radii.extend(rho(e, j) for j in (i, i.left_half, i.right_half, _centred_half(i)))
+        radii.extend(_probe_radii(e, i))
     return _doubling_report(intervals, radii)
 
 
@@ -394,7 +404,7 @@ def certify(
         s, = _side_fractions(windows, params.side, (params.gamma,))
         whole, left, right = windows
         rows.append(ProbeRow(i.lo, i.hi, left[2], right[2], s))
-        radii.extend((whole[2], left[2], right[2], rho(e, _centred_half(i))))
+        radii.extend(_probe_radii(e, i, windows))
         if s < worst_sigma:
             worst_sigma = s
             worst = i

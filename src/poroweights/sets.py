@@ -82,19 +82,28 @@ class Run:
 
 
 def _compress(points: list[float]) -> list[Run]:
-    """Greedy compression of a sorted list of distinct points into runs."""
+    """Greedy compression of sorted distinct points into exact runs.
+
+    A run takes the next point only while both of its spellings give that
+    point exactly: ``start + k*step`` and, from its second point,
+    ``(start + step) + (k-1)*step``, the spelling :func:`_interior` leaves
+    when a window edge drops the first point.  Every point a run spells is
+    then a set point, and so is every run end after either drop.
+    """
     runs: list[Run] = []
     i, n = 0, len(points)
     while i < n:
-        if i + 1 == n:
-            runs.append(Run(points[i], 0.0, 1))
-            break
-        step = points[i + 1] - points[i]  # positive: the points are distinct
-        j = i + 1
-        while j + 1 < n and points[j + 1] - points[j] == step:
-            j += 1
-        runs.append(Run(points[i], step, j - i + 1))
-        i = j + 1
+        start = points[i]
+        k = 1
+        if i + 1 < n:
+            step = points[i + 1] - start
+            second = start + step
+            if second == points[i + 1]:
+                k = 2
+                while i + k < n and start + k * step == points[i + k] == second + (k - 1) * step:
+                    k += 1
+        runs.append(Run(start, step, k) if k > 1 else Run(start, 0.0, 1))
+        i += k
     return runs
 
 
@@ -223,9 +232,9 @@ class SortedPoints(SetDescription):
     Window summaries are memoised per index window ``(a, b)`` (the slice of
     points in the closed window) together with the two endpoint comparisons
     that decide which interior points the open window keeps: whether the
-    first point equals ``lo`` and whether the computed end of the final run
-    equals ``hi``.  The memo holds O(1)-size summaries, never points, and
-    stores a window's run ends only when they differ from its last point.
+    first point equals ``lo`` and whether the last point equals ``hi``.
+    Runs are exact (see :func:`_compress`), so these two bits fix the
+    interior runs, and the memo holds O(1)-size summaries, never points.
     """
 
     def _pts(self) -> tuple[float, ...]:
@@ -257,54 +266,16 @@ class SortedPoints(SetDescription):
             return EMPTY_SUMMARY
         memo = self.__dict__.get("_windows")
         if memo is None:
-            memo = ({}, {})
+            memo = {}
             object.__setattr__(self, "_windows", memo)
-        summaries, odd_ends = memo
-        window = a * (len(pts) + 1) + b  # one int per index window
-        ends = odd_ends.get(window)
-        if ends is _NO_MEMO:
-            return WindowSummary.of(_interior(self.runs_in(lo, hi), lo, hi))
-        first_dropped = pts[a] == lo
-        end = pts[b - 1] if ends is None else ends[first_dropped]
-        key = 4 * window + 2 * first_dropped + (end == hi)
-        s = summaries.get(key)
+        key = 4 * (a * (len(pts) + 1) + b) + 2 * (pts[a] == lo) + (pts[b - 1] == hi)
+        s = memo.get(key)
         if s is None:
-            runs = self.runs_in(lo, hi)
-            ends = _final_ends(runs, pts[b - 1])
-            if ends is _NO_MEMO:
-                odd_ends[window] = ends
-                return WindowSummary.of(_interior(runs, lo, hi))
-            if ends != (pts[b - 1], pts[b - 1]):
-                odd_ends[window] = ends
-                key = 4 * window + 2 * first_dropped + (ends[first_dropped] == hi)
-            s = summaries[key] = WindowSummary.of(_interior(runs, lo, hi), weakref.ref(self))
+            s = memo[key] = WindowSummary.of(_interior(self.runs_in(lo, hi), lo, hi), weakref.ref(self))
         return s
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "_windows"}
-
-
-# ends of a window whose summary is rebuilt on every query (see _final_ends)
-_NO_MEMO = object()
-
-
-def _final_ends(runs: list[Run], last_point: float):
-    """(end kept, end dropped) of a window's runs, or ``_NO_MEMO``.
-
-    These are the computed end of the final interior run when the first
-    point stays or is dropped (``None`` when nothing is left); a query
-    compares it with its ``hi`` to decide the last-point drop.  Usually both
-    equal the window's last point, and the memo stores nothing for them.
-    The comparison alone decides the drop only when every other run ends
-    before the last point, which rounding in a run's computed end can break;
-    such windows get ``_NO_MEMO``.
-    """
-    head = _interior(runs[:1], runs[0].start, math.inf)
-    if len(runs) == 1:
-        return runs[0].end, (head[0].end if head else None)
-    if (head and head[0].end >= last_point) or any(r.end >= last_point for r in runs[:-1]):
-        return _NO_MEMO
-    return runs[-1].end, runs[-1].end
 
 
 @dataclass(frozen=True)
@@ -814,11 +785,11 @@ class WindowSummary:
     """The components of I \\ E strictly between the first and last interior points.
 
     ``first`` is the first interior point (``None`` when no set point lies
-    inside the window), ``last`` the computed end of the last interior run,
-    and ``longest`` and ``shortest`` the longest and the shortest positive
-    middle length (0 and inf if there is none).  A query adds its own edge
-    components (lo, first) and (last, hi), or the whole window when
-    ``first`` is ``None``.
+    inside the window), ``last`` the last interior point, and ``longest``
+    and ``shortest`` the longest and the shortest positive middle length (0
+    and inf if there is none).  A query adds its own edge components
+    (lo, first) and (last, hi), or the whole window when ``first`` is
+    ``None``.
 
     Everything else is derived from the interior runs on first use: the
     distance peak (:meth:`peak`), grouped lengths (:meth:`qualifying_lengths`)

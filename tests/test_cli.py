@@ -3,10 +3,11 @@
 import contextlib
 import csv
 import io
+import json
 
 import pytest
 
-from poroweights.cli import main
+from poroweights.cli import SUITE_IDS, main
 from poroweights.presets import PRESET_NAMES
 from poroweights.reporting import (
     DECAY_COLUMNS,
@@ -17,7 +18,7 @@ from poroweights.reporting import (
     WEIGHT_TABLE_COLUMNS,
 )
 
-from .test_golden import CANTOR6, CAPS, JOBS
+from .test_golden import CANTOR6, CAPS, JOBS, W
 
 
 def _reports(argv, out) -> tuple[int, dict[str, bytes]]:
@@ -125,3 +126,16 @@ def test_identical_runs_write_identical_bytes(job, tmp_path):
     first = _reports(argv, tmp_path / "first")
     assert first[1]
     assert _reports(argv, tmp_path / "second") == first
+
+
+@pytest.mark.parametrize("suite", [s for s in SUITE_IDS if s != "equivalence"])
+@pytest.mark.parametrize("preset", ["integers", "naturals"])
+def test_verify_exit_code_agrees_with_the_report(preset, suite, tmp_path):
+    argv = ("verify", "--preset", preset, *CAPS, *W, "--suite", suite, "--workers", "1")
+    code, reports = _reports(argv, tmp_path)
+    body = json.loads(reports.pop(f"verify_{suite.replace('-', '_')}.json"))["body"]
+    passed = body["passed"] if "passed" in body else not body["failures"]
+    assert code == (0 if passed else 1)
+    for name, raw in reports.items():  # the decay suite's measures
+        rows = list(csv.reader(io.StringIO(raw.decode())))
+        assert rows[0] == CSV_HEADERS[name] and all(len(r) == len(rows[0]) for r in rows), name

@@ -15,6 +15,11 @@ that moves any reported figure by one ulp fails here.
 
 To print the digests of the current tree (e.g. after an intended output
 change), run ``PYTHONPATH=src python -m tests.test_golden``.
+
+``PYTHONPATH=src python -m tests.test_golden --wide`` instead prints one
+digest per job of ``WIDE``: 50 runs at the default caps and window (seed 7),
+too slow for the test suite.  To compare two trees beyond the gate, run it
+with ``PYTHONPATH`` set to each tree's ``src`` and diff the outputs.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from poroweights.cli import main
+from poroweights.presets import PRESET_NAMES
 
 CAPS = ("--anchor-cap", "8", "--random-probes", "40", "--octaves", "6", "--seed", "3")
 CANTOR6 = ("--preset", "cantor", "--cantor-depth", "6")
@@ -76,6 +82,26 @@ JOBS = {
     "critical-alpha-two-sided-geometric": (
         "critical-alpha", *GEOMETRIC, *CAPS, *W, "--side", "two_sided", "--tol", "0.125"),
 }
+
+
+def _wide_jobs() -> dict[str, tuple[str, ...]]:
+    """Default caps and window, seed 7: per preset ``a1`` (two-sided at 0.5,
+    minus at 0.9), ``critical-alpha`` on each side and the right-sided sweep;
+    plus the two widest ``verify`` runs."""
+    jobs = {}
+    for p in PRESET_NAMES:
+        preset = ("--preset", p, "--seed", "7")
+        jobs[f"a1-two-sided-{p}"] = ("a1", *preset, "--side", "two_sided", "--alpha", "0.5")
+        jobs[f"a1-minus-{p}"] = ("a1", *preset, "--side", "minus", "--alpha", "0.9")
+        for side in ("plus", "minus", "two_sided"):
+            jobs[f"critical-alpha-{side}-{p}"] = ("critical-alpha", *preset, "--side", side)
+        jobs[f"analyze-sweep-right-{p}"] = ("analyze", *preset, "--sweep", "--side", "right")
+    jobs["verify-equivalence-integers"] = ("verify", *INTEGERS, "--seed", "7", "--suite", "equivalence")
+    jobs["verify-all-geometric_naturals"] = ("verify", *GEOMETRIC, "--seed", "7", "--suite", "all")
+    return jobs
+
+
+WIDE = _wide_jobs()
 
 # (exit code, {report file: sha256}) per job
 GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
@@ -193,6 +219,12 @@ def test_report_bytes_match_golden(job):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--wide"]:
+        for name, argv in WIDE.items():
+            code, digests = run_job(argv)
+            joined = "".join(f"{fname} {h}\n" for fname, h in digests.items())
+            print(name, code, hashlib.sha256(joined.encode()).hexdigest(), flush=True)
+        sys.exit(0)
     for name in sorted(JOBS):
         code, digests = run_job(JOBS[name])
         print(f"    {name!r}: ({code}, {{")

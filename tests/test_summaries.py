@@ -7,6 +7,7 @@ component) is compared with ``==`` against the generator walk kept in
 answers from the memo of a finite point set.
 """
 
+import bisect
 import copy
 import math
 import pickle
@@ -33,7 +34,7 @@ from poroweights import (
     to_dict,
 )
 from poroweights.porosity import GAMMA_GRID, SIDES
-from poroweights.sets import largest_component, min_component_length, window_summary
+from poroweights.sets import _interior, largest_component, min_component_length, window_summary
 from poroweights.weights import max_distance_on
 
 from . import oracles
@@ -150,15 +151,63 @@ class TestAgainstWalk:
         check_set(e, [Interval(0.0, 5e-324), Interval(-1.0, 5e-324), Interval(-1.0, 0.0)])
 
     def test_run_end_rounding_onto_the_next_point(self):
-        # the first run's computed end, start + 3 * 0.1, rounds onto the next
-        # point, so a run other than the final one can end at hi; the memo key
-        # compares only the final run's end with hi, so such windows bypass it
+        # the first three differences are all 0.1, yet start + 0.1 misses the
+        # second point and start + 3 * 0.1 lands on the fifth: the first point
+        # is a run of its own, and every window's walk must agree with the memo
         pts = [-0.0426891024500626, 0.0573108975499374, 0.1573108975499374,
                0.2573108975499374, 0.25731089754993747, 0.2573108975499375]
         e = FinitePoints(pts)
-        assert e.runs_in(pts[0], pts[-2])[0].end == pts[-2]
         ws = [Interval(-0.1, p) for p in pts[1:]] + [Interval(p, 0.3) for p in pts[:-1]]
         check_set(e, ws + [Interval(pts[0], pts[-2]), Interval(pts[1], pts[-2])])
+
+
+def spelled(runs):
+    return [p for r in runs for p in r.points()]
+
+
+class TestExactRuns:
+    """Every point a run spells is a set point, also after a window edge drops its first point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        points=st.one_of(
+            st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40),
+            st.builds(lambda ks, h: [k * h for k in ks],
+                      st.lists(st.integers(-40, 40), min_size=1, max_size=60), st.sampled_from(GRID_STEPS)),
+            # arithmetic progressions as rounded floats spell them: start + k * step
+            st.builds(lambda s, h, n: [s + k * h for k in range(n)],
+                      st.floats(-20.0, 20.0), st.floats(1e-3, 2.0), st.integers(1, 40)),
+        ),
+        data=st.data(),
+    )
+    def test_runs_spell_the_set_points(self, points, data):
+        e = FinitePoints(points)
+        pts = e.points
+        for i in data.draw(windows(list(pts))):
+            a, b = bisect.bisect_left(pts, i.lo), bisect.bisect_right(pts, i.hi)
+            runs = e.runs_in(i.lo, i.hi)
+            assert spelled(runs) == list(pts[a:b])
+            inside = [p for p in pts if i.lo < p < i.hi]
+            assert spelled(_interior(runs, i.lo, i.hi)) == inside
+
+    def test_a_rounded_step_invents_no_point(self):
+        e = FinitePoints([5.231952716165237e-185, -1.0])
+        assert e.points_in(-60, 60) == [-1.0, 5.231952716165237e-185]
+
+    def test_the_shifted_spelling_is_exact_too(self):
+        # start + k * step spells all eight points, but (start + step) + (k-1) * step,
+        # the spelling left when a window edge drops the first point, misses
+        # the 4th and the 7th: the last interior point of (pts[0], pts[7])
+        pts = [-1.048 + k * 0.549 for k in range(8)]
+        start, step = pts[0], pts[1] - pts[0]
+        assert [start + k * step for k in range(8)] == pts
+        assert [k for k in range(1, 8) if (start + step) + (k - 1) * step != pts[k]] == [3, 6]
+        e = FinitePoints(pts)
+        runs = e.runs_in(pts[0], pts[7])
+        assert spelled(runs) == pts
+        assert spelled(_interior(runs, pts[0], pts[7])) == pts[1:7]
+        assert window_summary(e, Interval(pts[0], pts[7])).last == pts[6]
+        check_set(e, [Interval(pts[0], pts[7]), Interval(pts[0], pts[4]), Interval(pts[0], 3.0)])
 
 
 class TestMemoHygiene:
@@ -217,6 +266,18 @@ class TestMemoHygiene:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * len(threads)
+
+    def test_memo_key_is_the_index_window_and_two_edge_bits(self):
+        e = FinitePoints([0.0, 1.0, 2.0, 3.0, 5.0])
+        base = window_summary(e, Interval(-0.5, 5.5))
+        # same points (0..5), neither edge on a point: one entry
+        assert window_summary(e, Interval(-0.25, 5.25)) is base
+        # one part of the key differs: first point on lo, last point on hi, the index window
+        for i in (Interval(0.0, 5.5), Interval(-0.5, 5.0), Interval(0.5, 5.5)):
+            assert window_summary(e, i) is not base
+        both = window_summary(e, Interval(0.0, 5.0))
+        assert window_summary(e, Interval(0.0, 5.0)) is both and both is not base
+        assert (both.first, both.last) == (1.0, 3.0) and (base.first, base.last) == (0.0, 5.0)
 
     def test_empty_windows_share_no_state(self):
         e = FinitePoints([0.0])
