@@ -37,7 +37,7 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .sets import SetDescription, SetFormatError, distance, from_json
+from .sets import PointCapExceeded, SetDescription, SetFormatError, distance, from_json
 from .suites import (
     suite_decay,
     suite_dimension,
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
     except SetFormatError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, PointCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -4,7 +4,9 @@ Every supported set variant is locally finite: any bounded window contains
 finitely many points.  Queries answer from a run-compressed form (maximal
 arithmetic progressions of points), so hole radii and integrals stay cheap
 on windows whose raw point count would be enormous.  Materialising points
-(``points_in``, ``gaps``) is capped at ``DEFAULT_POINT_CAP``.
+(``points_in``, ``gaps``) is capped at ``DEFAULT_POINT_CAP``.  Only
+:class:`Run` spells a point as a float, so every variant lists exactly the
+floats its ``nearest_leq`` and ``nearest_geq`` return, and reflection is exact.
 
 Hole radii, porosity fractions, weight integrals and distance peaks all read
 one :class:`WindowSummary` per window: the components of I \\ E strictly
@@ -27,6 +29,7 @@ import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import fsum
 from typing import Callable, Iterator, Optional
@@ -46,116 +49,119 @@ class PointCapExceeded(RuntimeError):
     """Raised when a window would materialise more points than the cap allows."""
 
     def __init__(self, count: int, cap: int, window: tuple[float, float]):
+        super().__init__(count, cap, window)  # as args, so it unpickles where a worker raised it
         self.count = count
         self.cap = cap
         self.window = window
-        super().__init__(
-            f"window {window} holds {count} points, above the cap of {cap}"
-        )
+
+    def __str__(self) -> str:
+        return f"window {self.window} holds {self.count} points, above the cap of {self.cap}"
 
 
 class SetFormatError(ValueError):
     """Raised by the JSON parser on a malformed set description."""
 
 
-@dataclass(frozen=True, slots=True)
 class Run:
-    """Arithmetic progression of points: start + i*step for i in [0, count)."""
+    """Arithmetic progression of points ``(base + k*step) + shift`` for k in [first, first + count).
 
-    start: float
-    step: float
-    count: int
+    The one place that spells a point as a float.  Everything else reads
+    ``start``, ``end``, :meth:`at` or :meth:`points` and trims a run by
+    index, so a window edge never re-spells the points it keeps.  A zero
+    ``shift`` is not added.  Negating ``base``, the indices and ``shift``
+    negates every point exactly, since rounding is symmetric.
+    """
 
-    @property
-    def end(self) -> float:
-        if self.count == 1:
-            return self.start
-        return self.start + (self.count - 1) * self.step
+    __slots__ = ("base", "step", "first", "count", "shift", "start", "end")
 
-    def point(self, i: int) -> float:
-        return self.start + i * self.step
+    def __init__(self, base: float, step: float, first: int, count: int, shift: float = 0.0):
+        self.base = base
+        self.step = step
+        self.first = first
+        self.count = count
+        self.shift = shift
+        self.start = self.at(first)
+        self.end = self.start if count == 1 else self.at(first + count - 1)
+
+    def at(self, k: int) -> float:
+        """The point of index k."""
+        p = self.base + k * self.step
+        return p + self.shift if self.shift else p
 
     def points(self) -> list[float]:
         if self.count == 1:
             return [self.start]
-        return [self.start + i * self.step for i in range(self.count)]
+        base, step, shift, k = self.base, self.step, self.shift, self.first
+        if shift:
+            return [(base + j * step) + shift for j in range(k, k + self.count)]
+        return [base + j * step for j in range(k, k + self.count)]
 
+    def __repr__(self) -> str:
+        return f"Run({self.base!r}, {self.step!r}, {self.first!r}, {self.count!r}, {self.shift!r})"
 
-def _compress(points: list[float]) -> list[Run]:
-    """Greedy compression of sorted distinct points into exact runs.
-
-    A run takes the next point only while both of its spellings give that
-    point exactly: ``start + k*step`` and, from its second point,
-    ``(start + step) + (k-1)*step``, the spelling :func:`_interior` leaves
-    when a window edge drops the first point.  Every point a run spells is
-    then a set point, and so is every run end after either drop.
-    """
-    runs: list[Run] = []
-    i, n = 0, len(points)
-    while i < n:
-        start = points[i]
-        k = 1
-        if i + 1 < n:
-            step = points[i + 1] - start
-            second = start + step
-            if second == points[i + 1]:
-                k = 2
-                while i + k < n and start + k * step == points[i + k] == second + (k - 1) * step:
+    @staticmethod
+    def compress(points: list[float]) -> list[Run]:
+        """Sorted distinct points as exact runs, greedily: a run takes the next
+        point only while ``start + k*step`` spells it exactly."""
+        runs: list[Run] = []
+        i, n = 0, len(points)
+        while i < n:
+            start = points[i]
+            k = 1
+            if i + 1 < n:
+                step = points[i + 1] - start
+                while i + k < n and start + k * step == points[i + k]:
                     k += 1
-        runs.append(Run(start, step, k) if k > 1 else Run(start, 0.0, 1))
-        i += k
-    return runs
+            runs.append(Run(start, step, 0, k) if k > 1 else Run(start, 0.0, 0, 1))
+            i += k
+        return runs
+
+    # the unbounded progression base + k*step, which is what a lattice is
+
+    @staticmethod
+    def spell(base: float, step: float, k: int) -> float:
+        return base + k * step
+
+    @staticmethod
+    def index_leq(base: float, step: float, x: float) -> int:
+        """Largest k whose point ``base + k*step`` is <= x.
+
+        A point near x carries two roundings of at most an ulp of
+        ``|x| + |base|``.  Where the step is not above four such ulps the
+        points are not distinct and the search would not end, so this raises
+        ValueError, as it does for an infinite or NaN x.
+        """
+        if not step > 4.0 * math.ulp(abs(x) + abs(base)):
+            raise ValueError(f"lattice step {step!r} is below the float resolution at |x| = {abs(x)!r}")
+        k = math.floor((x - base) / step)
+        while base + k * step > x:
+            k -= 1
+        while base + (k + 1) * step <= x:
+            k += 1
+        return k
+
+    @staticmethod
+    def index_geq(base: float, step: float, x: float) -> int:
+        """Smallest k whose point is >= x: the search on the mirror, exact as rounding is symmetric."""
+        return -Run.index_leq(-base, step, -x)
 
 
 def _increasing(runs: list[Run]) -> bool:
-    """Whether the computed points of the runs strictly increase.
+    """Whether the points the runs spell strictly increase.
 
-    Within a run, ``start + i*step`` carries at most about 3 ulps of rounding
-    at the run's magnitude, so a step above 4 ulps keeps its points apart.
+    A point of a run carries at most three roundings (``k*step``, ``+ base``
+    and ``+ shift``), each of at most an ulp of ``m``, which bounds every
+    magnitude involved, so a step above 8 such ulps keeps the points apart.
     """
     prev = -math.inf
     for r in runs:
         if not r.start > prev:
             return False
         prev = r.end
-        if r.count >= 2 and not r.step > 4.0 * math.ulp(max(abs(r.start), abs(prev), prev - r.start)):
+        m = abs(r.base) + abs(r.shift) + max(abs(r.start), abs(prev))
+        if r.count >= 2 and not r.step > 8.0 * math.ulp(m):
             return False
     return True
-
-
-def _clip(runs: list[Run], lo: float, hi: float) -> list[Run]:
-    """The runs cut to their points in [lo, hi]; only a few points may lie outside."""
-    out = []
-    for r in runs:
-        start, step, count = r.start, r.step, r.count
-        while count and start < lo:
-            start, count = start + step, count - 1
-        while count and start + (count - 1) * step > hi:
-            count -= 1
-        if count == r.count:
-            out.append(r)
-        elif count:
-            out.append(Run(start, step, count))
-    return out
-
-
-def _index_floor(t: float, step: float) -> int:
-    """Largest integer k with k*step <= t, robust to float rounding."""
-    k = math.floor(t / step)
-    while k * step > t:
-        k -= 1
-    while (k + 1) * step <= t:
-        k += 1
-    return k
-
-
-def _index_ceil(t: float, step: float) -> int:
-    k = math.ceil(t / step)
-    while k * step < t:
-        k += 1
-    while (k - 1) * step >= t:
-        k -= 1
-    return k
 
 
 class SetDescription:
@@ -216,7 +222,7 @@ def sample_points(e: SetDescription, lo: float, hi: float, cap: int) -> list[flo
         while idx >= offset + run.count:
             offset += run.count
             run = next(run_iter)
-        picks.append(run.point(idx - offset))
+        picks.append(run.at(run.first + idx - offset))
         pos += stride
     return picks
 
@@ -233,7 +239,7 @@ class SortedPoints(SetDescription):
     points in the closed window) together with the two endpoint comparisons
     that decide which interior points the open window keeps: whether the
     first point equals ``lo`` and whether the last point equals ``hi``.
-    Runs are exact (see :func:`_compress`), so these two bits fix the
+    Runs are exact (see :meth:`Run.compress`), so these two bits fix the
     interior runs, and the memo holds O(1)-size summaries, never points.
     """
 
@@ -242,7 +248,7 @@ class SortedPoints(SetDescription):
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
         pts = self._pts()
-        return _compress(list(pts[bisect_left(pts, lo):bisect_right(pts, hi)]))
+        return Run.compress(list(pts[bisect_left(pts, lo):bisect_right(pts, hi)]))
 
     def nearest_leq(self, x: float) -> Optional[float]:
         pts = self._pts()
@@ -299,7 +305,12 @@ EXTENTS = ("two_sided", "right", "left")
 
 @dataclass(frozen=True)
 class Lattice(SetDescription):
-    """origin + k*step for integer k; extent restricts k >= 0 ('right') or k <= 0 ('left')."""
+    """origin + k*step for integer k; extent restricts k >= 0 ('right') or k <= 0 ('left').
+
+    Windows and nearest points come from one pair of searches over the
+    points as :class:`Run` spells them, which raise ValueError where the
+    step is below the float resolution at the query.
+    """
 
     origin: float
     step: float
@@ -311,50 +322,29 @@ class Lattice(SetDescription):
         if self.extent not in EXTENTS:
             raise ValueError(f"extent must be one of {EXTENTS}")
 
-    def _k_bounds(self, lo: float, hi: float) -> tuple[int, int]:
-        k_lo = _index_ceil(lo - self.origin, self.step)
-        k_hi = _index_floor(hi - self.origin, self.step)
-        if self.extent == "right":
-            k_lo = max(k_lo, 0)
-        elif self.extent == "left":
-            k_hi = min(k_hi, 0)
-        return k_lo, k_hi
-
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        k_lo, k_hi = self._k_bounds(lo, hi)
-        if k_lo > k_hi:
+        o, h, extent = self.origin, self.step, self.extent
+        if (extent == "right" and hi < o) or (extent == "left" and lo > o):
             return []
-        count = k_hi - k_lo + 1
-        return [Run(self.origin + k_lo * self.step, self.step, count)]
+        k_lo = 0 if extent == "right" and lo <= o else Run.index_geq(o, h, lo)
+        k_hi = 0 if extent == "left" and hi >= o else Run.index_leq(o, h, hi)
+        return [Run(o, h, k_lo, k_hi - k_lo + 1)] if k_lo <= k_hi else []
 
     def nearest_leq(self, x: float) -> Optional[float]:
-        if x == math.inf:
-            # only a left-bounded-above lattice has a largest point
-            return self.origin if self.extent == "left" else None
-        if not math.isfinite(x):
+        o, h = self.origin, self.step
+        if self.extent == "left" and x >= o:
+            return Run.spell(o, h, 0)
+        if not math.isfinite(x) or (self.extent == "right" and x < o):
             return None
-        k = _index_floor(x - self.origin, self.step)
-        while self.origin + k * self.step > x:  # the point, not its index, may round past x
-            k -= 1
-        if self.extent == "right" and k < 0:
-            return None
-        if self.extent == "left" and k > 0:
-            k = 0
-        return self.origin + k * self.step
+        return Run.spell(o, h, Run.index_leq(o, h, x))
 
     def nearest_geq(self, x: float) -> Optional[float]:
-        if x == -math.inf:
-            return self.origin if self.extent == "right" else None
-        if not math.isfinite(x):
+        o, h = self.origin, self.step
+        if self.extent == "right" and x <= o:
+            return Run.spell(o, h, 0)
+        if not math.isfinite(x) or (self.extent == "left" and x > o):
             return None
-        k = _index_ceil(x - self.origin, self.step)
-        while self.origin + k * self.step < x:  # the point, not its index, may round past x
-            k += 1
-        if self.extent == "left" and k > 0:
-            return None
-        if self.extent == "right" and k < 0:
-            k = 0
-        return self.origin + k * self.step
+        return Run.spell(o, h, Run.index_geq(o, h, x))
 
     def is_empty(self) -> bool:
         return False
@@ -404,7 +394,7 @@ class GeometricPlusLattice(SetDescription):
         return -v
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        geom = _compress(self._geom_in(lo, hi))
+        geom = Run.compress(self._geom_in(lo, hi))
         latt = self.lattice.runs_in(lo, hi)
         return _merge_run_lists([geom, latt], lo, hi)
 
@@ -490,56 +480,68 @@ class UnionSet(SetDescription):
 class Translate(SetDescription):
     """Image of the inner set under x -> x + shift, each point rounded to a float.
 
-    Inner queries are padded by a few ulps and their answers filtered, since
-    rounding can carry a point across a query's end; points the shift rounds
-    onto one float merge into one.
+    A point p becomes the float ``p + shift``; points the shift rounds onto
+    one float merge into one.  A query maps its ends back to the exact range
+    of inner points whose images it keeps (:func:`_preimage`, mirrored for a
+    lower end), so nothing is padded or filtered.  An inner run becomes the
+    same run with ``shift`` set, which spells exactly these images.  Runs
+    that are shifted already, or whose images may collide, are replaced by
+    their images, compressed.
     """
 
     inner: SetDescription
     shift: float
 
-    def _pad(self, *xs: float) -> float:
-        return 4.0 * math.ulp(max(abs(self.shift), *map(abs, xs)))
-
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        pad = self._pad(lo, hi)
-        inner = self.inner.runs_in(lo - self.shift - pad, hi - self.shift + pad)
-        runs = [Run(r.start + self.shift, r.step, r.count) for r in inner]
-        if not _increasing(runs):
-            # shift each point on its own and keep one run per distinct float
+        t = self.shift
+        inner = self.inner.runs_in(-_preimage(-lo, -t), _preimage(hi, t))
+        runs = [Run(r.base, r.step, r.first, r.count, t) for r in inner]
+        if any(r.shift for r in inner) or not _increasing(runs):
             total = sum(r.count for r in inner)
             if total > DEFAULT_POINT_CAP:
                 raise PointCapExceeded(total, DEFAULT_POINT_CAP, (lo, hi))
-            runs = [Run(p, 0.0, 1) for p in sorted({p + self.shift for r in inner for p in r.points()})]
-        return _clip(runs, lo, hi)
+            runs = Run.compress(sorted({p + t for r in inner for p in r.points()}))
+        return runs
 
     def nearest_leq(self, x: float) -> Optional[float]:
-        p = self.inner.nearest_leq(x - self.shift + self._pad(x))
-        while p is not None and p + self.shift > x:
-            p = self.inner.nearest_leq(math.nextafter(p, -math.inf))
+        p = self.inner.nearest_leq(_preimage(x, self.shift))
         return None if p is None else p + self.shift
 
     def nearest_geq(self, x: float) -> Optional[float]:
-        p = self.inner.nearest_geq(x - self.shift - self._pad(x))
-        while p is not None and p + self.shift < x:
-            p = self.inner.nearest_geq(math.nextafter(p, math.inf))
+        p = self.inner.nearest_geq(-_preimage(-x, -self.shift))
         return None if p is None else p + self.shift
 
     def is_empty(self) -> bool:
         return self.inner.is_empty()
 
 
+def _preimage(x: float, t: float) -> float:
+    """The largest float y with ``y + t <= x``, the sum rounded as a translated point is.
+
+    ``y + t`` rounds past x once y passes the midpoint between x and the
+    next float, less t.  That bound is computed in rationals, so only a
+    float or two next to it are tried, however far apart the magnitudes of
+    x, t and y are.
+    """
+    if not math.isfinite(x):
+        return x - t
+    y = float((Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2 - Fraction(t))
+    while y + t > x:
+        y = math.nextafter(y, -math.inf)
+    while math.nextafter(y, math.inf) + t <= x:
+        y = math.nextafter(y, math.inf)
+    return y
+
+
 @dataclass(frozen=True)
 class Reflect(SetDescription):
-    """Image of the inner set under x -> -x."""
+    """Image of the inner set under x -> -x, exact on floats."""
 
     inner: SetDescription
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        out = []
-        for r in reversed(self.inner.runs_in(-hi, -lo)):
-            out.append(Run(-r.end, r.step, r.count))
-        return out
+        return [Run(-r.base, r.step, -(r.first + r.count - 1), r.count, -r.shift)
+                for r in reversed(self.inner.runs_in(-hi, -lo))]
 
     def nearest_leq(self, x: float) -> Optional[float]:
         p = self.inner.nearest_geq(-x)
@@ -613,7 +615,7 @@ def _merge_run_lists(lists: list[list[Run]], lo: float, hi: float) -> list[Run]:
     if total > DEFAULT_POINT_CAP:
         raise PointCapExceeded(total, DEFAULT_POINT_CAP, (lo, hi))
     pts = sorted({p for r in runs for p in r.points()})
-    return _compress(pts)
+    return Run.compress(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -670,21 +672,16 @@ def set_distance(e: SetDescription, i: Interval) -> float:
 
 
 def _interior(runs: list[Run], lo: float, hi: float) -> list[Run]:
-    """The runs of [lo, hi] trimmed to the points strictly inside (lo, hi)."""
+    """The runs of [lo, hi] trimmed by index to the points strictly inside (lo, hi)."""
     out = []
     for r in runs:
-        start, step, count = r.start, r.step, r.count
-        if start == lo:
-            start += step
+        first, count = (r.first + 1, r.count - 1) if r.start == lo else (r.first, r.count)
+        if count > 0 and r.end == hi:
             count -= 1
-        if count > 0:
-            last = start + (count - 1) * step if count > 1 else start
-            if last == hi:
-                count -= 1
         if count == r.count:
             out.append(r)
         elif count > 0:
-            out.append(Run(start, step, count))
+            out.append(Run(r.base, r.step, first, count, r.shift))
     return out
 
 
@@ -767,7 +764,7 @@ def _peak(runs: list[Run]) -> float:
                 peak = p
         if r.count >= 2 and 0.5 * r.step > peak:
             peak = 0.5 * r.step
-        prev = start if r.count == 1 else start + (r.count - 1) * r.step
+        prev = r.end
     return peak
 
 
@@ -834,7 +831,7 @@ class WindowSummary:
                     longest = length
                 if 0.0 < length < shortest:
                     shortest = length
-            prev = start if r.count == 1 else start + (r.count - 1) * r.step
+            prev = r.end
         return cls(interior[0].start, prev, longest, shortest, interior if source is None else source)
 
     def max_length(self, lo: float, hi: float) -> float:

@@ -124,19 +124,16 @@ def box_count_dimension(e, window, deltas):
 # ---------------------------------------------------------------------------
 
 def _interior_runs(e, i):
-    """Runs of set points strictly inside the open interval."""
+    """Runs of set points strictly inside the open interval, trimmed by index."""
     out = []
     for r in e.runs_in(i.lo, i.hi):
-        start, step, count = r.start, r.step, r.count
-        if start == i.lo:
-            start += step
+        first, count = r.first, r.count
+        if r.start == i.lo:
+            first, count = first + 1, count - 1
+        if count > 0 and r.end == i.hi:
             count -= 1
         if count > 0:
-            last = start + (count - 1) * step if count > 1 else start
-            if last == i.hi:
-                count -= 1
-        if count > 0:
-            out.append(Run(start, step, count))
+            out.append(Run(r.base, r.step, first, count, r.shift))
     return out
 
 

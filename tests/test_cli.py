@@ -82,6 +82,31 @@ def test_sub_ulp_windows_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--window", "0", "1e300"],
+         "error: lattice step 1.0 is below the float resolution at |x| = 1e+300"),
+        (["analyze", "--window", "1e17", "1.0000000000001e17"],
+         "error: lattice step 1.0 is below the float resolution at |x| = 1e+17"),
+        (["dimension", "--window", "-68719476736", "68719476736"],
+         "error: window (-68719476736.5, 68719476736.5) holds 137438953473 points, above the cap of 1000000"),
+    ],
+    ids=["window-beyond-resolution", "unit-step-below-an-ulp", "point-cap"],
+)
+def test_hostile_lattice_windows_exit_2(argv, message, tmp_path, capsys):
+    # the first window hung in the index search, the second certified a
+    # sigma above 1 from points that were not distinct, the third escaped
+    # as a traceback with the exit code of a failed property
+    code = main([*argv, "--preset", "integers", "--anchor-cap", "8", "--random-probes", "20",
+                 "--workers", "1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_presets_lists_the_catalog(capsys):
     assert main(["presets"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]

@@ -18,8 +18,10 @@ change), run ``PYTHONPATH=src python -m tests.test_golden``.
 
 ``PYTHONPATH=src python -m tests.test_golden --wide`` instead prints one
 digest per job of ``WIDE``: 50 runs at the default caps and window (seed 7),
-too slow for the test suite.  To compare two trees beyond the gate, run it
-with ``PYTHONPATH`` set to each tree's ``src`` and diff the outputs.
+too slow for the test suite.  To compare two trees beyond the gate, save
+that output on one tree and pass the file on the other:
+``python -m tests.test_golden --wide before.txt`` names every job whose
+line differs from the file's and then exits 1.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -218,13 +221,27 @@ def test_report_bytes_match_golden(job):
     assert run_job(JOBS[job]) == GOLDEN[job]
 
 
+def wide(earlier: Optional[Path]) -> int:
+    """Print one line per ``WIDE`` job; 1 if an earlier run's file is given and a line differs."""
+    before = {}
+    if earlier is not None:
+        before = {line.split(" ", 1)[0]: line for line in earlier.read_text().splitlines() if line}
+    differ = []
+    for name, argv in WIDE.items():
+        code, digests = run_job(argv)
+        joined = "".join(f"{fname} {h}\n" for fname, h in digests.items())
+        line = f"{name} {code} {hashlib.sha256(joined.encode()).hexdigest()}"
+        print(line, flush=True)
+        if earlier is not None and before.get(name) != line:
+            differ.append(name)
+    for name in differ:
+        print(f"differs from {earlier}: {name}", file=sys.stderr)
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--wide"]:
-        for name, argv in WIDE.items():
-            code, digests = run_job(argv)
-            joined = "".join(f"{fname} {h}\n" for fname, h in digests.items())
-            print(name, code, hashlib.sha256(joined.encode()).hexdigest(), flush=True)
-        sys.exit(0)
+    if sys.argv[1:2] == ["--wide"] and len(sys.argv) <= 3:
+        sys.exit(wide(Path(sys.argv[2]) if len(sys.argv) == 3 else None))
     for name in sorted(JOBS):
         code, digests = run_job(JOBS[name])
         print(f"    {name!r}: ({code}, {{")

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -55,6 +56,13 @@ class TestGaps:
     def test_cap_is_enforced(self, integers):
         with pytest.raises(PointCapExceeded):
             gaps(integers, Interval(0.0, 2.0 ** 21), cap=10_000)
+
+    def test_cap_error_survives_pickling(self):
+        # a CLI worker's exception comes back pickled; one that did not
+        # unpickle left the process pool waiting for ever
+        exc = pickle.loads(pickle.dumps(PointCapExceeded(12, 10, (0.0, 1.5))))
+        assert (exc.count, exc.cap, exc.window) == (12, 10, (0.0, 1.5))
+        assert str(exc) == "window (0.0, 1.5) holds 12 points, above the cap of 10"
 
 
 class TestDistance:
@@ -171,13 +179,39 @@ class TestTransforms:
         below, above = e.nearest_leq(x), e.nearest_geq(x)
         assert below is None or below <= x
         assert above is None or above >= x
-        # a search past a point moves on, as Translate's search needs
+        # a search just past a point moves on to the next one
         if below is not None:
             nxt = e.nearest_geq(math.nextafter(below, math.inf))
             assert nxt is None or nxt > below
         if above is not None:
             prev = e.nearest_leq(math.nextafter(above, -math.inf))
             assert prev is None or prev < above
+
+    @settings(max_examples=200, deadline=200)
+    @given(
+        origin=st.one_of(st.floats(-4.0, 4.0), st.floats(-(2.0 ** 51), 2.0 ** 51)),
+        step=st.one_of(st.floats(2.0 ** -42, 2.0 ** -38), st.sampled_from([1.0 / 3.0, 1.0])),
+        extent=st.sampled_from(["two_sided", "left", "right"]),
+        shift=st.one_of(st.just(0.0), st.floats(-(2.0 ** 51), 2.0 ** 51)),
+        offset=st.one_of(st.floats(-4.0, 4.0), st.floats(-(2.0 ** 51), 2.0 ** 51)),
+    )
+    def test_extreme_magnitudes_raise_or_bracket(self, origin, step, extent, shift, offset):
+        # |x| up to 2^51 against steps near 2^-40: a query either brackets x
+        # or says the step is below the float resolution, and never loops
+        lattice = Lattice(origin, step, extent)
+        for e, x in ((lattice, origin + offset), (Translate(lattice, shift), origin + shift + offset)):
+            try:
+                below, above = e.nearest_leq(x), e.nearest_geq(x)
+            except ValueError as exc:
+                assert "below the float resolution" in str(exc)
+                continue
+            assert below is None or below <= x
+            assert above is None or above >= x
+            assert below is not None or above is not None
+
+    def test_a_step_below_resolution_raises(self):
+        with pytest.raises(ValueError, match="below the float resolution"):
+            Lattice(2.0 ** 50, 2.0 ** -40).nearest_leq(2.0 ** 50)
 
     def test_translate_keeps_lattice_runs(self):
         # a step far above the rounding of the shift keeps the run compressed

@@ -20,12 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 from poroweights import (
     CantorIterate,
+    Cutoff,
     FinitePoints,
     GeometricPlusLattice,
     Interval,
     Lattice,
     Reflect,
     Translate,
+    UnionSet,
     WeightSpec,
     integrate,
     rho,
@@ -34,7 +36,7 @@ from poroweights import (
     to_dict,
 )
 from poroweights.porosity import GAMMA_GRID, SIDES
-from poroweights.sets import _interior, largest_component, min_component_length, window_summary
+from poroweights.sets import EXTENTS, _interior, largest_component, min_component_length, window_summary
 from poroweights.weights import max_distance_on
 
 from . import oracles
@@ -42,6 +44,8 @@ from . import oracles
 ALPHAS = (0.1, 0.5, 0.9, 1.0, 1.5)
 MIDDLES = (1.0 / 3.0, 0.5, 0.2)
 GRID_STEPS = (1.0, 0.25, 0.1, 1.0 / 3.0)
+LATTICE_STEPS = (1.0 / 3.0, 0.1, 0.7, 1.0)
+LATTICE_THIRD = Lattice(0.25, 1.0 / 3.0, "left")
 WINDOWS_PER_SET = 6
 
 
@@ -165,8 +169,86 @@ def spelled(runs):
     return [p for r in runs for p in r.points()]
 
 
+def progression(s, h, n):
+    """An arithmetic progression as rounded floats spell it: s + k * h."""
+    return [s + k * h for k in range(n)]
+
+
+def check_one_spelling(e, i):
+    """The runs of [lo, hi] list exactly the points that nearest_leq and nearest_geq return."""
+    pts = spelled(e.runs_in(i.lo, i.hi))
+    assert all(p < q for p, q in zip(pts, pts[1:]))
+    for p in pts:
+        assert e.nearest_leq(p) == p == e.nearest_geq(p)
+    # nothing is left out: from the window's ends and from each point, the
+    # next point the queries find is the next point listed
+    ends = [math.nextafter(p, math.inf) for p in pts]
+    for x, q in zip([i.lo, *ends], [*pts, None]):
+        nxt = e.nearest_geq(x)
+        assert nxt == q if q is not None else (nxt is None or nxt > i.hi)
+    assert spelled(_interior(e.runs_in(i.lo, i.hi), i.lo, i.hi)) == [p for p in pts if i.lo < p < i.hi]
+
+
+@st.composite
+def spelled_sets(draw):
+    """Every set variant, with float origins, steps and shifts that round."""
+    floats = st.floats(-3.0, 3.0)
+    lattice = st.builds(Lattice, floats, st.sampled_from(LATTICE_STEPS), st.sampled_from(EXTENTS))
+    prog = st.builds(progression, st.floats(-20.0, 20.0), st.floats(1e-3, 2.0), st.integers(1, 40)).map(FinitePoints)
+    base = draw(st.one_of(lattice, prog, st.just(LATTICE_THIRD)))
+    kind = draw(st.sampled_from(["plain", "reflect", "translate", "union", "cutoff", "geometric"]))
+    if kind == "reflect":
+        return Reflect(base)
+    if kind == "translate":
+        return Translate(base, draw(st.one_of(floats, st.sampled_from([0.1, -1.9]))))
+    if kind == "union":
+        return UnionSet([base, draw(st.one_of(lattice, prog))])
+    if kind == "cutoff":
+        return Cutoff(base, draw(floats), draw(st.sampled_from(["right", "left"])))
+    if kind == "geometric":
+        return GeometricPlusLattice(draw(st.sampled_from([2.0, 1.5, 3.0])), draw(lattice))
+    return base
+
+
 class TestExactRuns:
     """Every point a run spells is a set point, also after a window edge drops its first point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(e=spelled_sets(), data=st.data())
+    def test_every_variant_spells_its_points_one_way(self, e, data):
+        pts = e.points_in(-10.0, 10.0) or [0.0]
+        for i in data.draw(windows(pts)):
+            check_one_spelling(e, i)
+
+    def test_a_lattice_lists_its_second_point(self):
+        # 0.25 + 1/3 was no member: (0.25 + 1/3) - 0.25 rounds below 1/3, so
+        # the search in index space settled on k = 0
+        e = Lattice(0.25, 1.0 / 3.0)
+        assert 0.25 + 1.0 / 3.0 in e
+        check_one_spelling(e, Interval(0.0, 1.0))
+
+    def test_a_reflected_progression_ends_on_its_point(self):
+        # the reflected run was spelled from -end, and its last point came out
+        # as -1.3779999999999997 where the set has -1.378
+        e = FinitePoints(progression(1.378, 0.76, 8))
+        assert Reflect(e).points_in(-10.0, 0.0)[-1] == -1.378
+        check_one_spelling(Reflect(e), Interval(-10.0, 0.0))
+
+    def test_a_translated_progression_lists_its_members(self):
+        # the translated run was spelled from start + 0.1, and three of the
+        # floats it listed were no members
+        e = Translate(FinitePoints(progression(1.378, 0.76, 8)), 0.1)
+        assert all(p in e for p in e.points_in(-20.0, 20.0))
+        check_one_spelling(e, Interval(-20.0, 20.0))
+
+    def test_a_translated_lattice_names_each_point_once(self):
+        # points_in listed -1.9833333333333334 and -1.6500000000000001, the
+        # nearest-point queries -1.9833333333333332 and -1.65
+        e = Translate(LATTICE_THIRD, -1.9)
+        pts = e.points_in(-3.0, 0.0)
+        assert pts == [(0.25 + k * (1.0 / 3.0)) - 1.9 for k in range(-4, 1)]
+        assert e.nearest_leq(-1.983333333333333) == pts[3] == -1.9833333333333332
+        check_one_spelling(e, Interval(-3.0, 0.0))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -175,8 +257,7 @@ class TestExactRuns:
             st.builds(lambda ks, h: [k * h for k in ks],
                       st.lists(st.integers(-40, 40), min_size=1, max_size=60), st.sampled_from(GRID_STEPS)),
             # arithmetic progressions as rounded floats spell them: start + k * step
-            st.builds(lambda s, h, n: [s + k * h for k in range(n)],
-                      st.floats(-20.0, 20.0), st.floats(1e-3, 2.0), st.integers(1, 40)),
+            st.builds(progression, st.floats(-20.0, 20.0), st.floats(1e-3, 2.0), st.integers(1, 40)),
         ),
         data=st.data(),
     )
@@ -196,8 +277,9 @@ class TestExactRuns:
 
     def test_the_shifted_spelling_is_exact_too(self):
         # start + k * step spells all eight points, but (start + step) + (k-1) * step,
-        # the spelling left when a window edge drops the first point, misses
-        # the 4th and the 7th: the last interior point of (pts[0], pts[7])
+        # what a window edge that dropped the first point and re-spelled the
+        # run from its second would leave, misses the 4th and the 7th; runs
+        # are trimmed by index, so the interior of (pts[0], pts[7]) keeps k = 1..6
         pts = [-1.048 + k * 0.549 for k in range(8)]
         start, step = pts[0], pts[1] - pts[0]
         assert [start + k * step for k in range(8)] == pts

@@ -174,6 +174,31 @@ class TestTripleTable:
         assert got.grid == oracles.critical_alpha_grid_walk(e, side, window, tol=0.125, octaves=8)
 
 
+DUALITY_SETS = [
+    *catalog(seed=3, cantor_depth=6),
+    ("lattice-third", BASES["lattice-third"]),
+    ("progression", FinitePoints([1.378 + k * 0.76 for k in range(8)])),
+]
+
+
+@pytest.mark.parametrize("e", [e for _, e in DUALITY_SETS], ids=[name for name, _ in DUALITY_SETS])
+class TestReflectionDuality:
+    """Negation is exact on floats: the mirror's right side is the set's left side, bit for bit."""
+
+    def test_the_right_sweep_of_the_mirror_is_the_left_sweep(self, e):
+        probes = certification_probes(e, WINDOW, anchor_cap=8, random_count=20, seed=3).intervals()
+        mirrored = sweep_sides(Reflect(e), [i.reflected() for i in probes], ("right",))
+        assert mirrored["right"].table == sweep_sides(e, probes, ("left",))["left"].table
+
+    def test_the_plus_triples_of_the_mirror_are_the_minus_triples(self, e):
+        # the 24 octaves of the CLI's ladder: at 6, Cantor depth 6 agreed even
+        # while reflected runs were spelled from their other end
+        fam = TripleFamily.default(e, WINDOW, octaves=24, anchor_cap=8)
+        mirrored, table = TripleTable(Reflect(e), fam.reflected()), TripleTable(e, fam)
+        for alpha in (0.5, 0.9):
+            assert sorted(mirrored.values("plus", alpha)) == sorted(table.values("minus", alpha))
+
+
 def triple_windows(family, side):
     """The distinct (lo, hi) windows the triples of a side read: (a, b) and (b, c) of each."""
     sides = ("plus", "minus") if side == "two_sided" else (side,)
