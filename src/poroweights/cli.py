@@ -241,6 +241,10 @@ SUITE_IDS = (
 )
 
 
+# the suites that read the default probe family; the others build their own probes or none
+FAMILY_SUITES = {"distance-envelope", "hole-control", "left-propagation", "pore-transport"}
+
+
 def _decay_interval(e: SetDescription, window: Interval) -> Interval:
     """Interval whose open left half contains set points, anchored near the window center."""
     c = window.center
@@ -280,8 +284,7 @@ def _run_one_suite(task) -> tuple[str, object]:
 def cmd_verify(args) -> int:
     cfg = _config(args)
     suite_ids = list(SUITE_IDS) if args.suite == "all" else [args.suite]
-    fam = _probe_family(cfg)
-    intervals = fam.intervals()
+    intervals = _probe_family(cfg).intervals() if FAMILY_SUITES & set(suite_ids) else None
     gated: list[str] = []
     porosity_dependent = {"left-propagation", "pore-transport", "decay"}
     if porosity_dependent & set(suite_ids):

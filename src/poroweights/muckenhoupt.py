@@ -35,6 +35,11 @@ POROSITY_SIDE = {"plus": "right", "minus": "left", "two_sided": "two_sided"}
 TRIPLE_RATIOS = (0.25, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_TRIPLE_OCTAVES = 24
 TRIPLE_ANCHOR_CAP = 32
+# Lowest ladder octave.  A peak window is s long.  On a set whose gaps sit
+# at the float floor, a ladder down to subnormal s gave subnormal peaks,
+# and d^-alpha of them overflowed for alpha near 1; from s = 2^-1021 such
+# peaks stay normal, and d^-alpha stays finite for alpha <= 1.
+MIN_OCTAVE = -1021
 
 
 def _triple_windows(a: float, b: float, c: float, side: str) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -102,12 +107,12 @@ class TripleFamily:
         anchor_cap: int = TRIPLE_ANCHOR_CAP,
     ) -> "TripleFamily":
         """The ladder starts 4 octaves below the finest gap, but no lower than
-        the anchors resolve: s * min(ratios) is at least the largest anchor
-        ulp, so every triple has a < b < c."""
+        the anchors resolve (s * min(ratios) is at least the largest anchor
+        ulp, so every triple has a < b < c) and no lower than ``MIN_OCTAVE``."""
         anchors = tuple(anchor_candidates(e, window, anchor_cap))
         finest = min_component_length(e, window)
         resolved = max(map(math.ulp, anchors)) / min(TRIPLE_RATIOS)
-        k_lo = max(math.floor(math.log2(finest)) - 4, math.ceil(math.log2(resolved)))
+        k_lo = max(math.floor(math.log2(finest)) - 4, math.ceil(math.log2(resolved)), MIN_OCTAVE)
         return cls(anchors=anchors, octaves=tuple(range(k_lo, k_lo + octaves)))
 
     def triples(self, side: str) -> list[tuple[float, float, float, float]]:

@@ -70,31 +70,66 @@ def rho(e: SetDescription, i: Interval) -> float:
 # A summarised window: (window, its summary, its hole radius rho).
 Rated = tuple[Interval, WindowSummary, float]
 
-
-def _rated(e: SetDescription, memo: dict, lo: float, hi: float, j: Optional[Interval] = None) -> Rated:
-    """The window (lo, hi), or ``j`` when given, rated; read from ``memo`` when an earlier probe summarised it."""
-    r = memo.get((lo, hi))
-    if r is None:
-        j = Interval(lo, hi) if j is None else j
-        s = window_summary(e, j)
-        r = memo[lo, hi] = (j, s, 0.5 * s.max_length(lo, hi))
-    return r
+# Windows per generation of a WindowStore: a pass holds at most twice as many.
+STORE_CAP = 1024
 
 
-def probe_windows(
-    e: SetDescription, i: Interval, whole: bool = True, halves: bool = True, memo: Optional[dict] = None
-) -> tuple:
-    """(I, I-, I+) of a probe, each summarised once; None for a part not asked for.
+class WindowStore:
+    """The rated windows of one probe pass, keyed by ``(lo, hi)``, in two generations.
 
-    Probes of one pass that pass the same ``memo`` share the summary of
-    every window they have in common.
+    A pass over anchors x dyadic scales x alignments meets most windows more
+    than once: the halves of (a, a + 2s) are whole probes at scale s, and the
+    centred half of (a - s, a + s) is the centred probe at scale s.  A window
+    is summarised on its first query and read back while it is recent.  When
+    the newer generation holds ``STORE_CAP`` windows the older one is dropped
+    and the newer takes its place; a window read from the older generation
+    moves to the newer.  So a pass holds at most ``2 * STORE_CAP`` windows,
+    and summarises a window once while its recent windows fit the store.
     """
-    memo = {} if memo is None else memo
+
+    __slots__ = ("e", "_new", "_old")
+
+    def __init__(self, e: SetDescription):
+        self.e = e
+        self._new: dict = {}
+        self._old: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._new) + len(self._old)
+
+    def rated(self, lo: float, hi: float, j: Optional[Interval] = None) -> Rated:
+        """The window (lo, hi), or ``j`` when given, with its summary and hole radius."""
+        key = (lo, hi)
+        r = self._new.get(key)
+        if r is None:
+            r = self._old.get(key)
+            if r is None:
+                j = Interval(lo, hi) if j is None else j
+                s = window_summary(self.e, j)
+                r = (j, s, 0.5 * s.max_length(lo, hi))
+            if len(self._new) >= STORE_CAP:
+                self._old, self._new = self._new, {}
+            self._new[key] = r
+        return r
+
+    def rho(self, i: Interval) -> float:
+        """:func:`rho` of I, read from the store."""
+        return self.rated(i.lo, i.hi, i)[2]
+
+
+def probe_windows(store: WindowStore, i: Interval, whole: bool = True, halves: bool = True) -> tuple:
+    """(I, I-, I+) of a probe, rated; None for a part not asked for.
+
+    Every probe of a pass reads its windows from the pass's one ``store``,
+    so a window the probes share (a half that is a whole probe at the next
+    scale down, or the half of a neighbouring probe) is summarised once
+    while the pass's recent windows fit the store.
+    """
     left = right = None
     if halves:
         c = i.split_point
-        left, right = _rated(e, memo, i.lo, c), _rated(e, memo, c, i.hi)
-    return (_rated(e, memo, i.lo, i.hi, i) if whole else None), left, right
+        left, right = store.rated(i.lo, c), store.rated(c, i.hi)
+    return (store.rated(i.lo, i.hi, i) if whole else None), left, right
 
 
 # (region, reference) of a side, as indices into (I, I-, I+): the part whose
@@ -128,7 +163,7 @@ def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
     radius count; the optimum collection is exactly those components.
     """
     _check_side(side)
-    windows = probe_windows(e, i, whole=side == "two_sided", halves=side != "two_sided")
+    windows = probe_windows(WindowStore(e), i, whole=side == "two_sided", halves=side != "two_sided")
     return _side_fractions(windows, side, (gamma,))[0]
 
 
@@ -329,14 +364,13 @@ def _pair_ratios(radii: array) -> Iterator[tuple[int, int, float]]:
                 yield n // 4, k, outer / inner
 
 
-def _probe_radii(e: SetDescription, i: Interval, windows: Optional[tuple] = None) -> tuple[float, ...]:
-    """rho of a probe I, of its halves I- and I+ and of its centred half.
+def _probe_radii(store: WindowStore, i: Interval, windows: Optional[tuple] = None) -> tuple[float, ...]:
+    """rho of a probe I, of its halves I- and I+ and of its centred half, all read from ``store``.
 
-    The first three are read from the probe's ``probe_windows``, summarised
-    here unless given.
+    The first three come from the probe's ``probe_windows``, read here unless given.
     """
-    whole, left, right = probe_windows(e, i) if windows is None else windows
-    return whole[2], left[2], right[2], rho(e, _centred_half(i))
+    whole, left, right = probe_windows(store, i) if windows is None else windows
+    return whole[2], left[2], right[2], store.rho(_centred_half(i))
 
 
 def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingReport:
@@ -363,16 +397,23 @@ def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingRep
     )
 
 
-def doubling_witness(e: SetDescription, probes: Sequence[Interval]) -> DoublingReport:
+def doubling_witness(
+    e: SetDescription, probes: Sequence[Interval], store: Optional[WindowStore] = None
+) -> DoublingReport:
     """Max ratio rho(I)/rho(J) over nested pairs with |I| = 2|J|.
 
     Pairs use J = left half, right half, and the centered half of each probe.
     Unbounded growth of the ratio across scales refutes two-sided porosity.
+    The probes read their windows from one :class:`WindowStore` (``store``,
+    or a new one), so the centred half of (a - s, a + s), which is the
+    centred probe at scale s, is summarised once while the pass's recent
+    windows fit the store.
     """
+    store = WindowStore(e) if store is None else store
     intervals = list(probes)
     radii = array("d")
     for i in intervals:
-        radii.extend(_probe_radii(e, i))
+        radii.extend(_probe_radii(store, i))
     return _doubling_report(intervals, radii)
 
 
@@ -390,21 +431,25 @@ def certify(
 ) -> PorosityReport:
     """Evaluate the porosity inequality on every probe; pass iff none dips below sigma.
 
-    Each probe summarises four windows once: I, its halves and its centred
-    half; sigma, the row radii and the doubling ratios all read them.
+    Each probe reads four windows, I, its halves and its centred half, from
+    one :class:`WindowStore` for the pass; sigma, the row radii and the
+    doubling ratios all read them.  A window shared between probes (a half
+    that is a whole probe one scale down) is summarised once while the
+    pass's recent windows fit the store.
     """
     intervals = _intervals(probes)
+    store = WindowStore(e)
     rows: list[ProbeRow] = []
     witnesses: list[tuple[Interval, float]] = []
     worst: Optional[Interval] = None
     worst_sigma = math.inf
     radii = array("d")
     for i in intervals:
-        windows = probe_windows(e, i)
+        windows = probe_windows(store, i)
         s, = _side_fractions(windows, params.side, (params.gamma,))
         whole, left, right = windows
         rows.append(ProbeRow(i.lo, i.hi, left[2], right[2], s))
-        radii.extend(_probe_radii(e, i, windows))
+        radii.extend(_probe_radii(store, i, windows))
         if s < worst_sigma:
             worst_sigma = s
             worst = i
@@ -470,10 +515,12 @@ def sweep_sides(
 ) -> dict[str, SweepResult]:
     """:func:`sweep_parameters` for several sides in one pass over the probes.
 
-    Each distinct window is summarised once per call: the right and left
-    sides share the summaries of I- and I+, and a half that recurs across
-    anchors, scales and alignments (the right half of (a - s, a + s) is the
-    left half of (a, a + 2s)) is summarised for its first probe only.
+    The probes read their windows from one :class:`WindowStore`: the right
+    and left sides share the summaries of I- and I+, and a window that
+    recurs across anchors, scales and alignments (the right half of
+    (a - s, a + s) is the left half of (a, a + 2s)) is summarised once while
+    the pass's recent windows fit the store.  The pass never holds more than
+    ``2 * STORE_CAP`` windows, however large the family.
     """
     intervals = _intervals(probes)
     for side in sides:
@@ -481,9 +528,9 @@ def sweep_sides(
     worst = {side: [math.inf] * len(gammas) for side in sides}
     whole = "two_sided" in worst
     halves = "right" in worst or "left" in worst
-    memo: dict = {}
+    store = WindowStore(e)
     for i in intervals:
-        windows = probe_windows(e, i, whole, halves, memo)
+        windows = probe_windows(store, i, whole, halves)
         for side, low in worst.items():
             lower_into(low, _side_fractions(windows, side, gammas))
     return {side: sweep_result(side, gammas, low) for side, low in worst.items()}
@@ -558,8 +605,13 @@ class PropagationCheck:
 
 def left_propagation_check(e: SetDescription, i: Interval, gamma: float) -> PropagationCheck:
     """Check rho(I) <= ((gamma+1)/gamma) * rho(left half of I)."""
-    rho_full = rho(e, i)
-    rho_left = rho(e, i.left_half)
+    return left_propagation_on(WindowStore(e), i, gamma)
+
+
+def left_propagation_on(store: WindowStore, i: Interval, gamma: float) -> PropagationCheck:
+    """:func:`left_propagation_check` with its hole radii read from ``store``."""
+    rho_full = store.rho(i)
+    rho_left = store.rho(i.left_half)
     bound = (gamma + 1.0) / gamma * rho_left
     return PropagationCheck(
         interval=i,
@@ -599,14 +651,25 @@ def pore_transport_check(
     the bound genuinely fails without the center condition, so violating it
     raises unless explicitly disabled for counterexample reproduction.
     """
+    return pore_transport_on(WindowStore(e), outer, inner, gamma, enforce_center_order)
+
+
+def pore_transport_on(
+    store: WindowStore,
+    outer: Interval,
+    inner: Interval,
+    gamma: float,
+    enforce_center_order: bool = True,
+) -> TransportCheck:
+    """:func:`pore_transport_check` with its hole radii read from ``store``."""
     if not outer.contains_interval(inner):
         raise ValueError("inner interval must be contained in the outer interval")
     if enforce_center_order and inner.center > outer.center:
         raise ValueError("precondition violated: inner center must not exceed outer center")
     theta1 = ((gamma + 1.0) / gamma) ** 2
     theta2 = math.log2((gamma + 1.0) / gamma)
-    lhs = rho(e, outer.right_half)
-    rhs = theta1 * (outer.length / inner.length) ** theta2 * rho(e, inner.right_half)
+    lhs = store.rho(outer.right_half)
+    rhs = theta1 * (outer.length / inner.length) ** theta2 * store.rho(inner.right_half)
     return TransportCheck(
         outer=outer,
         inner=inner,

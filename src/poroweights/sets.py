@@ -63,18 +63,20 @@ class SetFormatError(ValueError):
 
 
 class Run:
-    """Arithmetic progression of points ``(base + k*step) + shift`` for k in [first, first + count).
+    """Arithmetic progression of points ``base + k*step`` for k in [first, first + count),
+    each then moved by the floats of ``shift`` in order: ``((base + k*step) + t1) + t2``.
 
     The one place that spells a point as a float.  Everything else reads
     ``start``, ``end``, :meth:`at` or :meth:`points` and trims a run by
-    index, so a window edge never re-spells the points it keeps.  A zero
-    ``shift`` is not added.  Negating ``base``, the indices and ``shift``
-    negates every point exactly, since rounding is symmetric.
+    index, so a window edge never re-spells the points it keeps.  A
+    translate appends its shift, so nested translates keep a run compressed.
+    Negating ``base``, the indices and every shift negates every point
+    exactly, since rounding is symmetric.
     """
 
     __slots__ = ("base", "step", "first", "count", "shift", "start", "end")
 
-    def __init__(self, base: float, step: float, first: int, count: int, shift: float = 0.0):
+    def __init__(self, base: float, step: float, first: int, count: int, shift: tuple[float, ...] = ()):
         self.base = base
         self.step = step
         self.first = first
@@ -86,14 +88,17 @@ class Run:
     def at(self, k: int) -> float:
         """The point of index k."""
         p = self.base + k * self.step
-        return p + self.shift if self.shift else p
+        for t in self.shift:
+            p += t
+        return p
 
     def points(self) -> list[float]:
         if self.count == 1:
             return [self.start]
-        base, step, shift, k = self.base, self.step, self.shift, self.first
-        if shift:
-            return [(base + j * step) + shift for j in range(k, k + self.count)]
+        k = self.first
+        if self.shift:
+            return [self.at(j) for j in range(k, k + self.count)]
+        base, step = self.base, self.step
         return [base + j * step for j in range(k, k + self.count)]
 
     def __repr__(self) -> str:
@@ -149,17 +154,19 @@ class Run:
 def _increasing(runs: list[Run]) -> bool:
     """Whether the points the runs spell strictly increase.
 
-    A point of a run carries at most three roundings (``k*step``, ``+ base``
-    and ``+ shift``), each of at most an ulp of ``m``, which bounds every
-    magnitude involved, so a step above 8 such ulps keeps the points apart.
+    A point of a run with n shifts carries at most n + 2 roundings
+    (``k*step``, ``+ base`` and one per shift), each of at most an ulp of
+    ``m``, which bounds every magnitude involved.  So a step above
+    2 (n + 3) such ulps (the errors of two points, and an ulp to spare on
+    each) keeps the points apart.
     """
     prev = -math.inf
     for r in runs:
         if not r.start > prev:
             return False
         prev = r.end
-        m = abs(r.base) + abs(r.shift) + max(abs(r.start), abs(prev))
-        if r.count >= 2 and not r.step > 8.0 * math.ulp(m):
+        m = abs(r.base) + sum(map(abs, r.shift)) + max(abs(r.start), abs(prev))
+        if r.count >= 2 and not r.step > 2.0 * (len(r.shift) + 3) * math.ulp(m):
             return False
     return True
 
@@ -484,9 +491,9 @@ class Translate(SetDescription):
     one float merge into one.  A query maps its ends back to the exact range
     of inner points whose images it keeps (:func:`_preimage`, mirrored for a
     lower end), so nothing is padded or filtered.  An inner run becomes the
-    same run with ``shift`` set, which spells exactly these images.  Runs
-    that are shifted already, or whose images may collide, are replaced by
-    their images, compressed.
+    same run with ``shift`` appended to its shifts, which spells exactly
+    these images, also under nested translates.  When the images may
+    collide, the runs are replaced by their images, compressed.
     """
 
     inner: SetDescription
@@ -495,8 +502,8 @@ class Translate(SetDescription):
     def runs_in(self, lo: float, hi: float) -> list[Run]:
         t = self.shift
         inner = self.inner.runs_in(-_preimage(-lo, -t), _preimage(hi, t))
-        runs = [Run(r.base, r.step, r.first, r.count, t) for r in inner]
-        if any(r.shift for r in inner) or not _increasing(runs):
+        runs = [Run(r.base, r.step, r.first, r.count, (*r.shift, t)) for r in inner]
+        if not _increasing(runs):
             total = sum(r.count for r in inner)
             if total > DEFAULT_POINT_CAP:
                 raise PointCapExceeded(total, DEFAULT_POINT_CAP, (lo, hi))
@@ -540,7 +547,7 @@ class Reflect(SetDescription):
     inner: SetDescription
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        return [Run(-r.base, r.step, -(r.first + r.count - 1), r.count, -r.shift)
+        return [Run(-r.base, r.step, -(r.first + r.count - 1), r.count, tuple(-t for t in r.shift))
                 for r in reversed(self.inner.runs_in(-hi, -lo))]
 
     def nearest_leq(self, x: float) -> Optional[float]:

@@ -20,17 +20,17 @@ from .porosity import (
     GAMMA_GRID,
     REL_SLACK,
     ProbeFamily,
+    WindowStore,
     admissible_alpha,
     certification_probes,
     decay_constants,
     dimension_bound,
     doubling_witness,
-    left_propagation_check,
+    left_propagation_on,
     lower_into,
-    pore_transport_check,
+    pore_transport_on,
     porosity_fractions,
     probe_windows,
-    rho,
     sweep_result,
     sweep_sides,
 )
@@ -79,12 +79,13 @@ def suite_distance_envelope(e: SetDescription, probes: Sequence[Interval]) -> Su
     When the interval meets the set the separation term vanishes and the bound
     reduces to twice the hole radius.
     """
+    store = WindowStore(e)
     failures: list[dict] = []
     checks = 0
     for i in probes:
         checks += 1
         worst = max_distance_on(e, i)
-        bound = 2.0 * (1.0 + set_distance(e, i) / i.length) * rho(e, i)
+        bound = 2.0 * (1.0 + set_distance(e, i) / i.length) * store.rho(i)
         if worst > bound * (1.0 + REL_SLACK):
             _fail(failures, {"interval": i.as_pair(), "max_distance": worst, "bound": bound})
     return SuiteResult(
@@ -101,6 +102,7 @@ def suite_hole_control(e: SetDescription, probes: Sequence[Interval], eta: float
     if not eta > 0:
         raise ValueError("eta must be positive")
     c0 = 1.0 / (6.0 + 4.0 * eta)
+    store = WindowStore(e)
     failures: list[dict] = []
     checks = skipped = 0
     for i in probes:
@@ -109,7 +111,7 @@ def suite_hole_control(e: SetDescription, probes: Sequence[Interval], eta: float
             continue
         checks += 1
         right = i.right_half
-        lhs = rho(e, right)
+        lhs = store.rho(right)
         worst = max_distance_on(e, right)
         if lhs < c0 * worst * (1.0 - REL_SLACK):
             _fail(failures, {"interval": i.as_pair(), "rho_plus": lhs, "max_distance": worst, "c0": c0})
@@ -134,11 +136,12 @@ def suite_left_propagation(
     probes: Sequence[Interval],
 ) -> SuiteResult:
     """rho(I) <= ((gamma+1)/gamma) rho(left half) across the probe family."""
+    store = WindowStore(e)
     failures: list[dict] = []
     checks = 0
     for i in probes:
         checks += 1
-        chk = left_propagation_check(e, i, gamma)
+        chk = left_propagation_on(store, i, gamma)
         if not chk.ok:
             _fail(
                 failures,
@@ -169,6 +172,7 @@ def suite_pore_transport(
     """
     theta1 = ((gamma + 1.0) / gamma) ** 2
     theta2 = math.log2((gamma + 1.0) / gamma)
+    store = WindowStore(e)
     failures: list[dict] = []
     checks = 0
     for i in probes:
@@ -183,7 +187,7 @@ def suite_pore_transport(
         )
         for j in inners:
             checks += 1
-            chk = pore_transport_check(e, i, j, gamma)
+            chk = pore_transport_on(store, i, j, gamma)
             if not chk.ok:
                 _fail(
                     failures,
@@ -197,11 +201,11 @@ def suite_pore_transport(
         outer = Interval(-2.0 * n * (1.0 + t), 2.0 * n * (1.0 - t))
         inner = Interval(float(-n), float(n))
         try:
-            pore_transport_check(e, outer, inner, gamma)
+            pore_transport_on(store, outer, inner, gamma)
             guard_ok = False
         except ValueError:
             pass
-        raw = pore_transport_check(e, outer, inner, gamma, enforce_center_order=False)
+        raw = pore_transport_on(store, outer, inner, gamma, enforce_center_order=False)
         raw_rows.append({"n": n, "lhs": raw.lhs, "rhs": raw.rhs, "ok": raw.ok})
     raw_breaks = any(not r["ok"] for r in raw_rows)
     if not guard_ok:
@@ -405,11 +409,13 @@ def suite_sided_transport(
     """
     fam = probes or certification_probes(e, window, seed=seed)
     intervals = fam.intervals()
+    # both passes read one window store
+    store = WindowStore(e)
     # pass 1: Phi needs the whole family before any check can run
-    phi = doubling_witness(e, intervals).phi_estimate
+    phi = doubling_witness(e, intervals, store).phi_estimate
     gamma_t = gamma / phi
     gamma_c = 0.5 * gamma0
-    # pass 2: I, I- and I+ summarised once each; per window one call carries
+    # pass 2: I, I- and I+ read from the store; per window one call carries
     # the sweep grid, then the thresholds of the checks that count its holes
     grid = len(GAMMA_GRID)
     worst = {side: [math.inf] * grid for side in ("right", "left", "two_sided")}
@@ -417,7 +423,7 @@ def suite_sided_transport(
     checks = 0
     for i in intervals:
         checks += 1
-        whole, left, right = probe_windows(e, i)
+        whole, left, right = probe_windows(store, i)
         rho_i, rho_l, rho_r = whole[2], left[2], right[2]
         on_left = porosity_fractions(left, [
             *(2.0 * g * rho_r for g in GAMMA_GRID), 2.0 * gamma_t * rho_r, 2.0 * gamma * rho_l, 2.0 * gamma0 * rho_r])

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from poroweights import cli
 from poroweights.cli import SUITE_IDS, main
 from poroweights.presets import PRESET_NAMES
 from poroweights.reporting import (
@@ -19,6 +20,9 @@ from poroweights.reporting import (
 )
 
 from .test_golden import CANTOR6, CAPS, JOBS, W
+
+
+FLOAT_FLOOR_SET = '{"kind": "finite", "points": [0.0, 5e-324, -1.0]}'
 
 
 def _reports(argv, out) -> tuple[int, dict[str, bytes]]:
@@ -64,15 +68,15 @@ def test_configuration_errors_exit_2(argv, message, tmp_path, capsys, monkeypatc
     [
         (["analyze", "--window", "0", "5e-324"],
          "error: probe family is empty (probes too short to halve are left out)"),
-        (["critical-alpha", "--window", "0", "1e-300"], "error: a value left the float range"),
+        (["a1", "--alpha", "2", "--window", "0", "1e-300"], "error: a value left the float range"),
     ],
     ids=["probes-too-short-to-halve", "weight-beyond-float-range"],
 )
 def test_sub_ulp_windows_exit_2(argv, message, tmp_path, capsys, monkeypatch):
-    # gaps of 5e-324: no probe in (0, 5e-324) can be halved, and d^-alpha on
-    # a 1e-300 window exceeds the largest float
+    # gaps of 5e-324: no probe in (0, 5e-324) can be halved, and d^-2 at the
+    # peaks of a 1e-300 window, near 2^-1022, exceeds the largest float
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "set.json").write_text('{"kind": "finite", "points": [0.0, 5e-324, -1.0]}')
+    (tmp_path / "set.json").write_text(FLOAT_FLOOR_SET)
     code = main([*argv, "--set-file", "set.json", "--anchor-cap", "8", "--random-probes", "20",
                  "--workers", "1", "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
@@ -80,6 +84,20 @@ def test_sub_ulp_windows_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     assert captured.err.startswith(message)
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("hi", ["1e-300", "5e-324"])
+def test_critical_alpha_near_the_float_floor(hi, tmp_path, monkeypatch):
+    # the triple ladder reached subnormal peaks, where d^-alpha overflowed
+    # for alpha near 1; floored at 2^-1021 it reports an alpha for this
+    # finite, hence porous, set
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "set.json").write_text(FLOAT_FLOOR_SET)
+    code, reports = _reports(["critical-alpha", "--set-file", "set.json", "--window", "0", hi,
+                              "--workers", "1"], tmp_path / "out")
+    assert code == 0
+    alpha = json.loads(reports["critical_alpha.json"])["body"]["alpha"]
+    assert 0.0 < alpha < 1.0
 
 
 @pytest.mark.parametrize(
@@ -164,3 +182,14 @@ def test_verify_exit_code_agrees_with_the_report(preset, suite, tmp_path):
     for name, raw in reports.items():  # the decay suite's measures
         rows = list(csv.reader(io.StringIO(raw.decode())))
         assert rows[0] == CSV_HEADERS[name] and all(len(r) == len(rows[0]) for r in rows), name
+
+
+@pytest.mark.parametrize("suite, builds", [("decay", 0), ("dimension", 0), ("hole-control", 1)])
+def test_verify_builds_the_default_family_only_for_suites_that_read_it(suite, builds, tmp_path, monkeypatch):
+    calls = []
+    original = cli._probe_family
+    monkeypatch.setattr(cli, "_probe_family", lambda cfg: calls.append(cfg) or original(cfg))
+    argv = ("verify", "--preset", "integers", *CAPS, *W, "--suite", suite, "--workers", "1")
+    code, _ = _reports(argv, tmp_path)
+    assert code == 0
+    assert len(calls) == builds

@@ -219,6 +219,14 @@ class TestTransforms:
         runs = e.runs_in(-2.0 ** 30, 2.0 ** 30)
         assert len(runs) == 1 and runs[0].step == 1.0 and runs[0].count == 2 ** 31
 
+    def test_nested_translates_keep_lattice_runs(self):
+        # a run carries every shift in order; one that could take a single
+        # shift only was materialised, over the point cap on this window
+        e = Translate(Translate(Lattice(0.0, 1.0, "two_sided"), 0.5), 0.25)
+        runs = e.runs_in(-2.0 ** 30, 2.0 ** 30)
+        assert len(runs) == 1 and runs[0].shift == (0.5, 0.25) and runs[0].count == 2 ** 31
+        assert e.points_in(-2.0, 1.0) == [-1.25, -0.25, 0.75]
+
     def test_reflect_gaps_mirror(self, geometric_naturals):
         i = Interval(-9.5, 3.25)
         left = gaps(geometric_naturals, i)

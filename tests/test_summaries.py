@@ -191,16 +191,20 @@ def check_one_spelling(e, i):
 
 @st.composite
 def spelled_sets(draw):
-    """Every set variant, with float origins, steps and shifts that round."""
+    """Every set variant, with float origins, steps and shifts that round, and nested translates."""
     floats = st.floats(-3.0, 3.0)
     lattice = st.builds(Lattice, floats, st.sampled_from(LATTICE_STEPS), st.sampled_from(EXTENTS))
     prog = st.builds(progression, st.floats(-20.0, 20.0), st.floats(1e-3, 2.0), st.integers(1, 40)).map(FinitePoints)
     base = draw(st.one_of(lattice, prog, st.just(LATTICE_THIRD)))
-    kind = draw(st.sampled_from(["plain", "reflect", "translate", "union", "cutoff", "geometric"]))
+    kind = draw(st.sampled_from(["plain", "reflect", "translate", "nested", "union", "cutoff", "geometric"]))
+    shifts = st.one_of(floats, st.sampled_from([0.1, -1.9]))
     if kind == "reflect":
         return Reflect(base)
     if kind == "translate":
-        return Translate(base, draw(st.one_of(floats, st.sampled_from([0.1, -1.9]))))
+        return Translate(base, draw(shifts))
+    if kind == "nested":
+        e = Translate(Translate(base, draw(shifts)), draw(shifts))
+        return Reflect(e) if draw(st.booleans()) else e
     if kind == "union":
         return UnionSet([base, draw(st.one_of(lattice, prog))])
     if kind == "cutoff":

@@ -4,17 +4,22 @@ Every report is compared with ``==`` against the per-function loops kept in
 ``tests/oracles.py``, which re-derive each window through the component walk
 and recompute each triple at every exponent.  A second group counts window
 summaries, so the work the tables save cannot quietly come back: each
-distinct probe window is summarised once per sweep, and each distinct triple
-window once per table, whatever ratios, octaves, sides and exponents read it.
+distinct probe window is summarised once per sweep while the sweep's recent
+windows fit its window store, and each distinct triple window once per
+table, whatever ratios, octaves, sides and exponents read it.  A third group
+shrinks the store until it evicts, and bounds what a pass holds.
 """
 
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import poroweights.porosity as porosity_module
 import poroweights.sets as sets_module
+import poroweights.suites as suites_module
 from poroweights import (
     CantorIterate,
     FinitePoints,
@@ -281,3 +286,71 @@ class TestWorkCounts:
             assert len(result.grid) == -math.log2(tol)  # every step ran
             counts.append(summaries[0])
         assert counts[0] == counts[1] > 0
+
+
+class TestWindowStore:
+    """A pass reads its windows from one bounded store; eviction changes no figure."""
+
+    SETS = {name: BASES[name] for name in ("integers", "lattice-third", "geometric_naturals", "cantor")}
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("name", sorted(SETS))
+    def test_a_tiny_store_matches_the_loops(self, name, seed, monkeypatch):
+        # four windows a generation: nearly every shared window is evicted
+        # before it recurs, so each pass re-summarises what it dropped
+        monkeypatch.setattr(porosity_module, "STORE_CAP", 4)
+        e = self.SETS[name]
+        fam = small_family(e, seed)
+        intervals = fam.intervals()
+        params = PorosityParams(0.25, 0.25, "right")
+        assert certify(e, params, intervals) == oracles.certify_walk(e, params, intervals)
+        assert doubling_witness(e, intervals) == oracles.doubling_witness_walk(e, intervals)
+        together = sweep_sides(e, intervals, SIDES)
+        for side in SIDES:
+            assert together[side] == oracles.sweep_walk(e, intervals, side)
+        assert suite_sided_transport(e, WINDOW, seed=seed, probes=fam) == \
+            oracles.sided_transport_walk(e, WINDOW, seed, fam)
+
+    def test_no_pass_holds_more_than_two_generations(self, monkeypatch):
+        cap = 16
+        monkeypatch.setattr(porosity_module, "STORE_CAP", cap)
+        held = []
+
+        class Recording(porosity_module.WindowStore):
+            def rated(self, lo, hi, j=None):
+                r = super().rated(lo, hi, j)
+                held.append(len(self))
+                return r
+
+        monkeypatch.setattr(porosity_module, "WindowStore", Recording)
+        monkeypatch.setattr(suites_module, "WindowStore", Recording)
+        e = BASES["integers"]
+        fam = certification_probes(e, WINDOW, anchor_cap=8, random_count=20)
+        intervals = fam.intervals()
+        distinct = {w for i in intervals for w in ((i.lo, i.hi), (i.lo, i.center), (i.center, i.hi))}
+        assert len(distinct) > 10 * cap
+        passes = (
+            lambda: certify(e, PorosityParams(0.25, 0.25, "two_sided"), intervals),
+            lambda: doubling_witness(e, intervals),
+            lambda: sweep_sides(e, intervals, SIDES),
+            lambda: suite_sided_transport(e, WINDOW, probes=fam),
+        )
+        for run in passes:
+            held.clear()
+            run()
+            assert cap < max(held) <= 2 * cap
+
+    def test_a_sweep_over_a_large_family_stays_small(self):
+        # every window of the pass kept alive traced 6.5 MiB here; the store
+        # keeps at most 2 * STORE_CAP of them
+        e = BASES["integers"]
+        intervals = certification_probes(e, Interval(-64.0, 64.0)).intervals()
+        assert len(intervals) > 2 * porosity_module.STORE_CAP
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sweep_sides(e, intervals, SIDES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2 * 2 ** 20
