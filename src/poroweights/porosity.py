@@ -18,6 +18,7 @@ from typing import Iterator, Optional, Sequence
 from .intervals import Interval
 from .scaling import LadderReport, octave_of, rising_prefix_maxima
 from .sets import (
+    LengthProfile,
     SetDescription,
     WindowSummary,
     max_component_length,
@@ -142,18 +143,27 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be one of {SIDES}")
 
 
-def porosity_fractions(region: Rated, thresholds: Sequence[float]) -> list[float]:
-    """Per threshold, the share of the region covered by components at least that long."""
-    j, s, _ = region
-    length = j.length
-    return [qual / length for qual in s.qualifying_lengths(j.lo, j.hi, thresholds)]
+def _check_gammas(gammas: Sequence[float]) -> tuple[float, ...]:
+    gammas = tuple(gammas)
+    if not gammas:
+        raise ValueError("the gamma grid is empty")
+    for g in gammas:
+        if not 0.0 < g < 1.0:
+            raise ValueError(f"every gamma must lie in (0, 1), got {g!r}")
+    return gammas
 
 
-def _side_fractions(windows: tuple, side: str, gammas: Sequence[float]) -> list[float]:
-    """sigma of the probe on a side at each gamma: thresholds 2 gamma rho(reference) on the region."""
+def _side_sigma(windows: tuple, side: str, gamma: float) -> float:
+    """sigma of the probe on a side: the threshold 2 gamma rho(reference) on the region."""
     k_region, k_reference = _SPLIT[side]
-    rho_ref = windows[k_reference][2]
-    return porosity_fractions(windows[k_region], [2.0 * g * rho_ref for g in gammas])
+    j, s, _ = windows[k_region]
+    return s.share(j.lo, j.hi, 2.0 * gamma * windows[k_reference][2])
+
+
+def profile_of(region: Rated) -> LengthProfile:
+    """The :class:`LengthProfile` of a rated window."""
+    j, s, _ = region
+    return s.profile(j.lo, j.hi)
 
 
 def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
@@ -164,7 +174,7 @@ def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
     """
     _check_side(side)
     windows = probe_windows(WindowStore(e), i, whole=side == "two_sided", halves=side != "two_sided")
-    return _side_fractions(windows, side, (gamma,))[0]
+    return _side_sigma(windows, side, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +456,7 @@ def certify(
     radii = array("d")
     for i in intervals:
         windows = probe_windows(store, i)
-        s, = _side_fractions(windows, params.side, (params.gamma,))
+        s = _side_sigma(windows, params.side, params.gamma)
         whole, left, right = windows
         rows.append(ProbeRow(i.lo, i.hi, left[2], right[2], s))
         radii.extend(_probe_radii(store, i, windows))
@@ -493,13 +503,6 @@ class SweepResult:
         return PorosityParams(sigma=sigma, gamma=self.best_gamma, side=self.side)
 
 
-def lower_into(worst: list[float], values: Sequence[float]) -> None:
-    """Running minimum: worst[k] = min(worst[k], values[k])."""
-    for k, v in enumerate(values):
-        if v < worst[k]:
-            worst[k] = v
-
-
 def sweep_result(side: str, gammas: Sequence[float], worst: Sequence[float]) -> SweepResult:
     """The sweep of a side from sigma*(gamma), the per-gamma minimum over the probes."""
     table = tuple(zip(gammas, worst))
@@ -520,19 +523,26 @@ def sweep_sides(
     recurs across anchors, scales and alignments (the right half of
     (a - s, a + s) is the left half of (a, a + 2s)) is summarised once while
     the pass's recent windows fit the store.  The pass never holds more than
-    ``2 * STORE_CAP`` windows, however large the family.
+    ``2 * STORE_CAP`` windows, however large the family.  Per probe and side
+    one :class:`LengthProfile` of the region answers the whole grid: the
+    components at least 2 gamma rho(reference) long are a prefix of it, and
+    each prefix is summed once.  ``gammas`` may come in any order; an empty
+    grid, or a gamma outside (0, 1), raises ``ValueError``.
     """
     intervals = _intervals(probes)
     for side in sides:
         _check_side(side)
+    gammas = _check_gammas(gammas)
+    doubled = [2.0 * g for g in gammas]
     worst = {side: [math.inf] * len(gammas) for side in sides}
+    reads = [(low, *_SPLIT[side]) for side, low in worst.items()]
     whole = "two_sided" in worst
     halves = "right" in worst or "left" in worst
     store = WindowStore(e)
     for i in intervals:
         windows = probe_windows(store, i, whole, halves)
-        for side, low in worst.items():
-            lower_into(low, _side_fractions(windows, side, gammas))
+        for low, k_region, k_reference in reads:
+            profile_of(windows[k_region]).lower_along(low, doubled, windows[k_reference][2])
     return {side: sweep_result(side, gammas, low) for side, low in worst.items()}
 
 

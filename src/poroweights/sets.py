@@ -27,12 +27,12 @@ import json
 import math
 import weakref
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .intervals import GapList, Interval
 
@@ -785,6 +785,51 @@ def _widest(runs: list[Run]) -> Optional[tuple[float, float]]:
     return best
 
 
+class LengthProfile:
+    """The components of one window, longest first, and the share of the window each prefix covers.
+
+    ``neg`` holds the component lengths negated, so it ascends: one entry
+    per edge component and per middle item, or for a memoised summary per
+    group of equal middle lengths (see :class:`WindowSummary`).  ``row(c)``
+    gives floats whose exact sum is the total length * multiplicity of the
+    first c entries.  The components at least t long are those of the first
+    c = ``bisect_right(neg, -t)`` entries, so the share of the window they
+    cover is ``fsum(row(c)) / length``: fsum is correctly rounded in any
+    order, so the share of c is the same whichever t picked it.  It is
+    summed once, on first use, and the empty prefix is 0.0 without a sum.
+    """
+
+    __slots__ = ("_neg", "_row", "_length", "_shares")
+
+    def __init__(self, neg: Sequence[float], row: Callable[[int], list[float]], length: float):
+        self._neg = neg
+        self._row = row
+        self._length = length
+        self._shares: list[Optional[float]] = [None] * (len(neg) + 1)
+        self._shares[0] = 0.0
+
+    def _sum(self, c: int) -> float:
+        share = self._shares[c] = fsum(self._row(c)) / self._length
+        return share
+
+    def share(self, t: float) -> float:
+        """Share of the window covered by its components at least t long."""
+        c = bisect_right(self._neg, -t)
+        share = self._shares[c]
+        return self._sum(c) if share is None else share
+
+    def lower_along(self, worst: list[float], doubled: Sequence[float], rho_ref: float) -> None:
+        """worst[k] = min(worst[k], share at threshold doubled[k] * rho_ref), for every k."""
+        neg, shares = self._neg, self._shares
+        for k, d in enumerate(doubled):
+            c = bisect_right(neg, -(d * rho_ref))
+            share = shares[c]
+            if share is None:
+                share = self._sum(c)
+            if share < worst[k]:
+                worst[k] = share
+
+
 class WindowSummary:
     """The components of I \\ E strictly between the first and last interior points.
 
@@ -796,9 +841,11 @@ class WindowSummary:
     ``None``.
 
     Everything else is derived from the interior runs on first use: the
-    distance peak (:meth:`peak`), grouped lengths (:meth:`qualifying_lengths`)
-    and per-exponent integral terms (:meth:`integral_terms`).  A summary
-    built for one query keeps its runs; a memoised one keeps the derived
+    distance peak (:meth:`peak`), the middle lengths grouped longest first
+    (read by :meth:`share` at one threshold and by :meth:`profile`, which
+    adds the edges and answers a whole grid) and per-exponent integral terms
+    (:meth:`integral_terms`).  A summary built for one query keeps its runs
+    and sorts its lengths per profile; a memoised one keeps the derived
     values instead, packed in float arrays, and rebuilds the runs from the
     querying window when it needs them.
     """
@@ -878,23 +925,48 @@ class WindowSummary:
     def _kept(self) -> bool:
         return not isinstance(self._source, list)
 
-    def qualifying_lengths(self, lo: float, hi: float, thresholds) -> list[float]:
-        """Per threshold t, fsum of length * multiplicity over the components of (lo, hi) at least t long."""
+    def share(self, lo: float, hi: float, t: float) -> float:
+        """Share of (lo, hi) covered by its components at least t long.
+
+        The covered length is the fsum of length * multiplicity over those
+        components.
+        """
         edges = self.edges(lo, hi)
+        if self._kept():
+            return fsum(self._at_least(self._packed(lo, hi), edges, -t)) / (hi - lo)
+        # one pass for one threshold beats sorting the lengths
+        return fsum([*(x for length, x in _middle_terms(self.interior(lo, hi)) if length >= t),
+                     *(x for x in edges if x >= t)]) / (hi - lo)
+
+    def profile(self, lo: float, hi: float) -> LengthProfile:
+        """The :class:`LengthProfile` of (lo, hi), a window this summary describes."""
+        edges = self.edges(lo, hi)
+        if not self._kept():
+            items = _middle_terms(self.interior(lo, hi)) + [(x, x) for x in edges]
+            items.sort(reverse=True)
+            terms = [x for _, x in items]
+            return LengthProfile([-length for length, _ in items], lambda c: terms[:c], hi - lo)
+        packed = self._packed(lo, hi)
+        groups, _, start = packed
+        neg = groups[1:start].tolist()
+        for x in edges:
+            insort(neg, -x)
+        return LengthProfile(neg, lambda c: self._at_least(packed, edges, neg[c - 1]), hi - lo)
+
+    def _packed(self, lo: float, hi: float) -> tuple[array, int, int]:
+        """The packed middle groups (see :func:`_pack_groups`), their stride, and where their rows start."""
         groups = self._groups
         if groups is None:
-            items = _middle_terms(self.interior(lo, hi))
-            if not self._kept():  # one pass per threshold beats packing for a single query
-                items += [(x, x) for x in edges]
-                return [fsum([x for length, x in items if length >= t]) for t in thresholds]
-            groups = self._groups = _pack_groups(items)
+            groups = self._groups = _pack_groups(_middle_terms(self.interior(lo, hi)))
         stride = int(groups[0])
-        k = (len(groups) - 1 - stride) // (1 + stride)
-        out = []
-        for t in thresholds:
-            row = 1 + k + (bisect_right(groups, -t, 1, 1 + k) - 1) * stride
-            out.append(fsum([*groups[row:row + stride], *[x for x in edges if x >= t]]))
-        return out
+        return groups, stride, (len(groups) - 1 - stride) // (1 + stride) + 1
+
+    @staticmethod
+    def _at_least(packed: tuple[array, int, int], edges: list[float], neg_t: float) -> list[float]:
+        """Floats whose exact sum is the total of the components at least -neg_t long."""
+        groups, stride, start = packed
+        row = start + (bisect_right(groups, neg_t, 1, start) - 1) * stride
+        return [*groups[row:row + stride], *(x for x in edges if -x <= neg_t)]
 
     def integral_terms(self, lo: float, hi: float, alpha: float,
                        build: Callable[[list[Run], float], list[float]]) -> list[float]:

@@ -27,10 +27,9 @@ from .porosity import (
     dimension_bound,
     doubling_witness,
     left_propagation_on,
-    lower_into,
     pore_transport_on,
-    porosity_fractions,
     probe_windows,
+    profile_of,
     sweep_result,
     sweep_sides,
 )
@@ -415,32 +414,31 @@ def suite_sided_transport(
     phi = doubling_witness(e, intervals, store).phi_estimate
     gamma_t = gamma / phi
     gamma_c = 0.5 * gamma0
-    # pass 2: I, I- and I+ read from the store; per window one call carries
-    # the sweep grid, then the thresholds of the checks that count its holes
-    grid = len(GAMMA_GRID)
-    worst = {side: [math.inf] * grid for side in ("right", "left", "two_sided")}
+    # pass 2: I, I- and I+ read from the store; per window one length profile
+    # answers the sweep grid and the thresholds of the checks that count its holes
+    doubled = [2.0 * g for g in GAMMA_GRID]
+    worst = {side: [math.inf] * len(GAMMA_GRID) for side in ("right", "left", "two_sided")}
     failures: list[dict] = []
     checks = 0
     for i in intervals:
         checks += 1
         whole, left, right = probe_windows(store, i)
         rho_i, rho_l, rho_r = whole[2], left[2], right[2]
-        on_left = porosity_fractions(left, [
-            *(2.0 * g * rho_r for g in GAMMA_GRID), 2.0 * gamma_t * rho_r, 2.0 * gamma * rho_l, 2.0 * gamma0 * rho_r])
-        on_right = porosity_fractions(right, [
-            *(2.0 * g * rho_l for g in GAMMA_GRID), 2.0 * gamma_t * rho_l, 2.0 * gamma * rho_r, 2.0 * gamma0 * rho_l])
-        on_whole = porosity_fractions(whole, [*(2.0 * g * rho_i for g in GAMMA_GRID), 2.0 * gamma_c * rho_i])
-        lower_into(worst["right"], on_left[:grid])
-        lower_into(worst["left"], on_right[:grid])
-        lower_into(worst["two_sided"], on_whole[:grid])
-        fwd_r, need_r, conv_r = on_left[grid:]
-        fwd_l, need_l, conv_l = on_right[grid:]
+        on_left, on_right, on_whole = profile_of(left), profile_of(right), profile_of(whole)
+        on_left.lower_along(worst["right"], doubled, rho_r)
+        on_right.lower_along(worst["left"], doubled, rho_l)
+        on_whole.lower_along(worst["two_sided"], doubled, rho_i)
+        fwd_r, need_r = on_left.share(2.0 * gamma_t * rho_r), on_left.share(2.0 * gamma * rho_l)
+        fwd_l, need_l = on_right.share(2.0 * gamma_t * rho_l), on_right.share(2.0 * gamma * rho_r)
         if fwd_r < need_r - REL_SLACK:
             _fail(failures, {"direction": "forward-right", "interval": i.as_pair(), "got": fwd_r, "need": need_r})
         if fwd_l < need_l - REL_SLACK:
             _fail(failures, {"direction": "forward-left", "interval": i.as_pair(), "got": fwd_l, "need": need_l})
-        conv = on_whole[grid]
-        need_c = 0.5 * (conv_r if rho_r >= rho_l else conv_l)
+        conv = on_whole.share(2.0 * gamma_c * rho_i)
+        if rho_r >= rho_l:
+            need_c = 0.5 * on_left.share(2.0 * gamma0 * rho_r)
+        else:
+            need_c = 0.5 * on_right.share(2.0 * gamma0 * rho_l)
         if conv < need_c - REL_SLACK:
             _fail(failures, {"direction": "converse", "interval": i.as_pair(), "got": conv, "need": need_c})
     right, left, two = (sweep_result(side, GAMMA_GRID, low) for side, low in worst.items())

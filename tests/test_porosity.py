@@ -19,6 +19,7 @@ from poroweights import (
     rho,
     sigma_at,
     sweep_parameters,
+    sweep_sides,
 )
 from poroweights.porosity import (
     admissible_alpha,
@@ -228,6 +229,22 @@ class TestSweep:
             sweep_parameters(integers, probes, side)
         with pytest.raises(ValueError, match="side must be one of"):
             sigma_at(integers, Interval(0.0, 1.0), 0.5, side)
+
+    def test_empty_grid_rejected(self, integers, window):
+        probes = certification_probes(integers, window, anchor_cap=4, random_count=0)
+        with pytest.raises(ValueError, match="the gamma grid is empty"):
+            sweep_parameters(integers, probes, "right", gammas=[])
+        with pytest.raises(ValueError, match="the gamma grid is empty"):
+            sweep_sides(integers, probes, ("right", "left"), gammas=())
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.25, 2.0, math.inf, math.nan])
+    def test_gamma_outside_the_unit_interval_rejected(self, integers, window, bad):
+        # a sweep at such a gamma would give a table whose params() fails later
+        probes = certification_probes(integers, window, anchor_cap=4, random_count=0)
+        with pytest.raises(ValueError, match=r"every gamma must lie in \(0, 1\)"):
+            sweep_parameters(integers, probes, "two_sided", gammas=[0.5, bad])
+        with pytest.raises(ValueError, match=r"every gamma must lie in \(0, 1\)"):
+            sweep_sides(integers, probes, ("right", "left"), gammas=[bad])
 
 
 class TestProbesTooShortToHalve:

@@ -43,7 +43,8 @@ from poroweights import (
     sweep_sides,
 )
 from poroweights.muckenhoupt import SIDES as A1_SIDES
-from poroweights.porosity import SIDES
+from poroweights.porosity import GAMMA_GRID, SIDES
+from poroweights.sets import EMPTY_SUMMARY, window_summary
 from poroweights.suites import suite_equivalence_matrix, suite_sided_transport
 
 from . import oracles
@@ -122,6 +123,87 @@ class TestProbeTable:
         fam = small_family(e, seed)
         got = suite_sided_transport(e, WINDOW, seed=seed, probes=fam, gamma=gamma)
         assert got == oracles.sided_transport_walk(e, WINDOW, seed, fam, gamma=gamma)
+
+
+# A finite set whose components are 1 and 2 long, and the same points as a
+# mirrored reflect, whose windows are summarised afresh on every query
+TIE_POINTS = (-2.0, 0.0, 1.0, 2.0, 4.0)
+TIE_SETS = [FinitePoints(TIE_POINTS), Reflect(FinitePoints([-p for p in TIE_POINTS]))]
+# points 1e-310 apart: 2 gamma rho(reference) is subnormal and rounds
+SUBNORMAL_POINTS = (0.0, 1e-310, 3e-310, 7e-310, 1.0)
+SUBNORMAL_SETS = [FinitePoints(SUBNORMAL_POINTS), Reflect(FinitePoints([-p for p in SUBNORMAL_POINTS]))]
+# no probe window of EMPTY_FAMILY holds a point of these sets
+EMPTY_SETS = [FinitePoints([0.0]), NATURALS]
+EMPTY_FAMILY = ProbeFamily(anchors=(-20.0, -12.0), scales=(8.0, 4.0, 1.0, 0.125))
+
+
+class TestLengthProfile:
+    """One length profile per region window answers any grid, bit for bit with the per-threshold loop."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        e=point_sets(),
+        seed=st.integers(0, 3),
+        gammas=st.lists(st.sampled_from([*GAMMA_GRID, 0.375, 1.0 / 3.0, 0.75]), min_size=1, max_size=14),
+    )
+    def test_any_grid_matches_the_loop(self, e, seed, gammas):
+        intervals = small_family(e, seed).intervals()
+        got = sweep_sides(e, intervals, SIDES, gammas)
+        for side in SIDES:
+            assert got[side] == oracles.sweep_walk(e, intervals, side, gammas)
+
+    @pytest.mark.parametrize("grid", ["ascending", "shuffled", "duplicated"])
+    @pytest.mark.parametrize("e", [BASES["integers"], BASES["cantor"], *TIE_SETS], ids=["integers", "cantor", "ties", "ties-reflected"])
+    def test_grids_in_any_order(self, e, grid):
+        gammas = {
+            "ascending": GAMMA_GRID[::-1],
+            "shuffled": tuple(sorted(GAMMA_GRID, key=lambda g: (g * 2.0 ** 20) % 7)),
+            "duplicated": (0.25, 0.5, 0.25, 2.0 ** -9, 0.5, 0.5),
+        }[grid]
+        intervals = small_family(e, 2).intervals()
+        got = sweep_sides(e, intervals, SIDES, gammas)
+        for side in SIDES:
+            assert got[side] == oracles.sweep_walk(e, intervals, side, gammas)
+
+    @pytest.mark.parametrize("e", TIE_SETS, ids=["memoised", "reflected"])
+    def test_thresholds_equal_to_a_component_length(self, e):
+        # on (-4, 12) the right side counts the holes of (-4, 4), 2 and 1
+        # long, against rho(4, 12) = 4: gamma 1/4 and 1/8 land on them
+        intervals = [Interval(-4.0, 12.0), Interval(-6.0, 10.0), Interval(-2.0, 6.0), Interval(0.0, 4.0)]
+        gammas = (0.5, 0.25, 0.125, 2.0 ** -4)
+        i = intervals[0]
+        lengths = {length for length, _ in oracles.component_lengths(e, i.left_half)}
+        thresholds = {2.0 * g * oracles.rho_walk(e, i.right_half) for g in gammas}
+        assert {1.0, 2.0} <= lengths & thresholds
+        got = sweep_sides(e, intervals, SIDES, gammas)
+        for side in SIDES:
+            assert got[side] == oracles.sweep_walk(e, intervals, side, gammas)
+        fam = ProbeFamily(anchors=(0.0, 2.0, 4.0), scales=(16.0, 8.0, 4.0, 2.0))
+        for gamma in (0.5, 0.25):
+            assert suite_sided_transport(e, WINDOW, probes=fam, gamma=gamma) == \
+                oracles.sided_transport_walk(e, WINDOW, 0, fam, gamma=gamma)
+
+    @pytest.mark.parametrize("e", EMPTY_SETS, ids=["memoised", "naturals"])
+    def test_windows_without_set_points(self, e):
+        intervals = EMPTY_FAMILY.intervals()
+        if isinstance(e, FinitePoints):
+            assert all(window_summary(e, j) is EMPTY_SUMMARY
+                       for i in intervals for j in (i, i.left_half, i.right_half))
+        got = sweep_sides(e, intervals, SIDES)
+        for side in SIDES:
+            assert got[side] == oracles.sweep_walk(e, intervals, side)
+        assert suite_sided_transport(e, WINDOW, probes=EMPTY_FAMILY) == \
+            oracles.sided_transport_walk(e, WINDOW, 0, EMPTY_FAMILY)
+
+    @pytest.mark.parametrize("e", SUBNORMAL_SETS, ids=["memoised", "reflected"])
+    def test_subnormal_gaps(self, e):
+        fam = ProbeFamily(anchors=(0.0, 1e-310, 3e-310, 7e-310), scales=tuple(2.0 ** -k for k in range(1024, 1034)))
+        intervals = fam.intervals()
+        gammas = (*GAMMA_GRID, 1.0 / 3.0, 0.375)
+        got = sweep_sides(e, intervals, SIDES, gammas)
+        for side in SIDES:
+            assert got[side] == oracles.sweep_walk(e, intervals, side, gammas)
+        assert suite_sided_transport(e, WINDOW, probes=fam) == oracles.sided_transport_walk(e, WINDOW, 0, fam)
 
 
 class TestTripleTable:
@@ -204,6 +286,18 @@ class TestReflectionDuality:
             assert sorted(mirrored.values("plus", alpha)) == sorted(table.values("minus", alpha))
 
 
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12), seed=st.integers(0, 3))
+def test_reflection_duality_over_random_finite_sets(points, seed):
+    # the mirror as a reflect, summarised afresh, and as a finite set, memoised
+    e = FinitePoints(points)
+    probes = small_family(e, seed).intervals()
+    mirrored = [i.reflected() for i in probes]
+    left = sweep_sides(e, probes, ("left",))["left"].table
+    for mirror in (Reflect(e), FinitePoints([-p for p in e.points])):
+        assert sweep_sides(mirror, mirrored, ("right",))["right"].table == left
+
+
 def triple_windows(family, side):
     """The distinct (lo, hi) windows the triples of a side read: (a, b) and (b, c) of each."""
     sides = ("plus", "minus") if side == "two_sided" else (side,)
@@ -223,6 +317,22 @@ def summaries(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("poroweights") and getattr(module, "window_summary", None) is original:
             monkeypatch.setattr(module, "window_summary", counted)
+    return count
+
+
+@pytest.fixture
+def fsums(monkeypatch):
+    """Counter of ``fsum`` calls from every module that sums lengths."""
+    count = [0]
+    original = math.fsum
+
+    def counted(terms):
+        count[0] += 1
+        return original(terms)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("poroweights") and getattr(module, "fsum", None) is original:
+            monkeypatch.setattr(module, "fsum", counted)
     return count
 
 
@@ -250,6 +360,19 @@ class TestWorkCounts:
         summaries[0] = 0
         sweep_sides(e, intervals, SIDES)
         assert 0 < summaries[0] <= len(distinct)
+
+    def test_a_sweep_sums_each_prefix_once_per_region_window(self, fsums):
+        # a per-threshold sum would take 12 per probe side; the profile takes at
+        # most one per distinct component length of the region window, and an
+        # integer window has at most three: the unit cells and its two edges
+        e = BASES["integers"]
+        intervals = certification_probes(e, WINDOW, anchor_cap=8, random_count=20).intervals()
+        distinct = [len({length for length, _ in oracles.component_lengths(e, region)})
+                    for i in intervals for region in (i.left_half, i.right_half)]
+        assert max(distinct) <= 3
+        fsums[0] = 0
+        sweep_sides(e, intervals, ("right", "left"))
+        assert 0 < fsums[0] <= sum(distinct)
 
     @pytest.mark.parametrize("side", A1_SIDES)
     @pytest.mark.parametrize("e", SETS, ids=["integers", "geometric_naturals", "cantor6"])
