@@ -24,6 +24,7 @@ from .porosity import (
     ProbeFamily,
     certification_probes,
     certify,
+    check_gamma,
     sweep_parameters,
 )
 from .reporting import (
@@ -282,6 +283,7 @@ def _run_one_suite(task) -> tuple[str, object]:
 
 
 def cmd_verify(args) -> int:
+    check_gamma(args.gamma)
     cfg = _config(args)
     suite_ids = list(SUITE_IDS) if args.suite == "all" else [args.suite]
     intervals = _probe_family(cfg).intervals() if FAMILY_SUITES & set(suite_ids) else None

@@ -143,21 +143,25 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be one of {SIDES}")
 
 
+def check_gamma(gamma: float, name: str = "gamma") -> None:
+    """Reject a gamma outside (0, 1), NaN included."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {gamma!r}")
+
+
 def _check_gammas(gammas: Sequence[float]) -> tuple[float, ...]:
     gammas = tuple(gammas)
     if not gammas:
         raise ValueError("the gamma grid is empty")
     for g in gammas:
-        if not 0.0 < g < 1.0:
-            raise ValueError(f"every gamma must lie in (0, 1), got {g!r}")
+        check_gamma(g, "every gamma")
     return gammas
 
 
 def _side_sigma(windows: tuple, side: str, gamma: float) -> float:
     """sigma of the probe on a side: the threshold 2 gamma rho(reference) on the region."""
     k_region, k_reference = _SPLIT[side]
-    j, s, _ = windows[k_region]
-    return s.share(j.lo, j.hi, 2.0 * gamma * windows[k_reference][2])
+    return profile_of(windows[k_region]).share(2.0 * gamma * windows[k_reference][2])
 
 
 def profile_of(region: Rated) -> LengthProfile:
@@ -173,6 +177,7 @@ def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
     radius count; the optimum collection is exactly those components.
     """
     _check_side(side)
+    check_gamma(gamma)
     windows = probe_windows(WindowStore(e), i, whole=side == "two_sided", halves=side != "two_sided")
     return _side_sigma(windows, side, gamma)
 

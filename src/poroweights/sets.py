@@ -842,8 +842,8 @@ class WindowSummary:
 
     Everything else is derived from the interior runs on first use: the
     distance peak (:meth:`peak`), the middle lengths grouped longest first
-    (read by :meth:`share` at one threshold and by :meth:`profile`, which
-    adds the edges and answers a whole grid) and per-exponent integral terms
+    (read by :meth:`profile`, which adds the edges and answers any
+    threshold) and per-exponent integral terms
     (:meth:`integral_terms`).  A summary built for one query keeps its runs
     and sorts its lengths per profile; a memoised one keeps the derived
     values instead, packed in float arrays, and rebuilds the runs from the
@@ -925,19 +925,6 @@ class WindowSummary:
     def _kept(self) -> bool:
         return not isinstance(self._source, list)
 
-    def share(self, lo: float, hi: float, t: float) -> float:
-        """Share of (lo, hi) covered by its components at least t long.
-
-        The covered length is the fsum of length * multiplicity over those
-        components.
-        """
-        edges = self.edges(lo, hi)
-        if self._kept():
-            return fsum(self._at_least(self._packed(lo, hi), edges, -t)) / (hi - lo)
-        # one pass for one threshold beats sorting the lengths
-        return fsum([*(x for length, x in _middle_terms(self.interior(lo, hi)) if length >= t),
-                     *(x for x in edges if x >= t)]) / (hi - lo)
-
     def profile(self, lo: float, hi: float) -> LengthProfile:
         """The :class:`LengthProfile` of (lo, hi), a window this summary describes."""
         edges = self.edges(lo, hi)
@@ -946,27 +933,23 @@ class WindowSummary:
             items.sort(reverse=True)
             terms = [x for _, x in items]
             return LengthProfile([-length for length, _ in items], lambda c: terms[:c], hi - lo)
-        packed = self._packed(lo, hi)
-        groups, _, start = packed
-        neg = groups[1:start].tolist()
-        for x in edges:
-            insort(neg, -x)
-        return LengthProfile(neg, lambda c: self._at_least(packed, edges, neg[c - 1]), hi - lo)
-
-    def _packed(self, lo: float, hi: float) -> tuple[array, int, int]:
-        """The packed middle groups (see :func:`_pack_groups`), their stride, and where their rows start."""
         groups = self._groups
         if groups is None:
             groups = self._groups = _pack_groups(_middle_terms(self.interior(lo, hi)))
+        # see _pack_groups: the stride, then the negated lengths, then the rows
         stride = int(groups[0])
-        return groups, stride, (len(groups) - 1 - stride) // (1 + stride) + 1
+        start = (len(groups) - 1 - stride) // (1 + stride) + 1
+        neg = groups[1:start].tolist()
+        for x in edges:
+            insort(neg, -x)
 
-    @staticmethod
-    def _at_least(packed: tuple[array, int, int], edges: list[float], neg_t: float) -> list[float]:
-        """Floats whose exact sum is the total of the components at least -neg_t long."""
-        groups, stride, start = packed
-        row = start + (bisect_right(groups, neg_t, 1, start) - 1) * stride
-        return [*groups[row:row + stride], *(x for x in edges if -x <= neg_t)]
+        def row(c: int) -> list[float]:
+            # the middle groups and the edges at least -neg[c - 1] long
+            neg_t = neg[c - 1]
+            k = start + (bisect_right(groups, neg_t, 1, start) - 1) * stride
+            return [*groups[k:k + stride], *(x for x in edges if -x <= neg_t)]
+
+        return LengthProfile(neg, row, hi - lo)
 
     def integral_terms(self, lo: float, hi: float, alpha: float,
                        build: Callable[[list[Run], float], list[float]]) -> list[float]:

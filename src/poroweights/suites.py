@@ -23,6 +23,7 @@ from .porosity import (
     WindowStore,
     admissible_alpha,
     certification_probes,
+    check_gamma,
     decay_constants,
     dimension_bound,
     doubling_witness,
@@ -406,6 +407,8 @@ def suite_sided_transport(
     one-sided passes at (sigma, gamma/Phi), and conversely into a two-sided
     pass at half the one-sided constants.
     """
+    check_gamma(gamma)
+    check_gamma(gamma0, "gamma0")
     fam = probes or certification_probes(e, window, seed=seed)
     intervals = fam.intervals()
     # both passes read one window store

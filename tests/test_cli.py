@@ -63,6 +63,17 @@ def test_configuration_errors_exit_2(argv, message, tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("gamma", ["nan", "1.5", "0"])
+def test_verify_rejects_a_gamma_outside_the_unit_interval(gamma, tmp_path, capsys):
+    # as analyze does through PorosityParams, before any suite runs
+    argv = ("verify", "--preset", "integers", *CAPS, "--suite", "left-propagation", "--gamma", gamma)
+    code = main([*argv, "--workers", "1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: gamma must lie in (0, 1)")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -97,6 +97,14 @@ class TestSigmaAt:
         right = sigma_at(reflect(naturals), i.reflected(), 0.5, "left")
         assert left == right
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.25, math.inf, math.nan])
+    def test_gamma_outside_the_unit_interval_rejected(self, bad):
+        # as in the sweep: a NaN threshold would count every component
+        points = [0.0, 1.0, 2.0, 3.0]
+        for e in (FinitePoints(points), reflect(FinitePoints([-p for p in points]))):
+            with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\)"):
+                sigma_at(e, Interval(-0.5, 3.5), bad, "two_sided")
+
 
 class TestCertify:
     def test_integers_two_sided(self, integers, window):

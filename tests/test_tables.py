@@ -39,6 +39,7 @@ from poroweights import (
     certify,
     critical_alpha,
     doubling_witness,
+    sigma_at,
     sweep_parameters,
     sweep_sides,
 )
@@ -182,6 +183,27 @@ class TestLengthProfile:
         for gamma in (0.5, 0.25):
             assert suite_sided_transport(e, WINDOW, probes=fam, gamma=gamma) == \
                 oracles.sided_transport_walk(e, WINDOW, 0, fam, gamma=gamma)
+
+    @pytest.mark.parametrize("e", TIE_SETS, ids=["memoised", "reflected"])
+    def test_single_thresholds_equal_to_a_component_length(self, e):
+        # sigma_at and certify read one threshold from the same profile
+        intervals = [Interval(-4.0, 12.0), Interval(-6.0, 10.0), Interval(-2.0, 6.0), Interval(0.0, 4.0)]
+        for gamma in (0.5, 0.25, 0.125, 2.0 ** -4):
+            for side in SIDES:
+                for i in intervals:
+                    assert sigma_at(e, i, gamma, side) == oracles.sigma_at_walk(e, i, gamma, side)
+                params = PorosityParams(0.5, gamma, side)
+                assert certify(e, params, intervals) == oracles.certify_walk(e, params, intervals)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"gamma": math.nan}, "gamma"), ({"gamma": 1.0}, "gamma"),
+         ({"gamma0": math.nan}, "gamma0"), ({"gamma0": 0.0}, "gamma0")],
+        ids=["gamma-nan", "gamma-one", "gamma0-nan", "gamma0-zero"],
+    )
+    def test_sided_transport_rejects_a_gamma_outside_the_unit_interval(self, kwargs, name):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\)"):
+            suite_sided_transport(TIE_SETS[0], WINDOW, probes=EMPTY_FAMILY, **kwargs)
 
     @pytest.mark.parametrize("e", EMPTY_SETS, ids=["memoised", "naturals"])
     def test_windows_without_set_points(self, e):
