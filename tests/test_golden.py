@@ -9,7 +9,10 @@ three (right-side ``analyze``, ``critical-alpha`` on the minus and two-sided
 branches) before the probe and triple tables, and the last two (a two-sided
 ``a1`` whose plus side diverges with witnesses while its minus side stays
 bounded, and a two-sided ``critical-alpha`` on geometric_naturals) before
-the shared triple-window table.  Together the jobs run
+the shared triple-window table, and the last two (a right ``analyze --sweep``
+and a two-sided ``a1`` on the near-arithmetic finite set of
+``data/near_arithmetic.json``) before the run index of finite point sets.
+Together the jobs run
 every subcommand that writes a report and every ``verify`` suite.  A change
 that moves any reported figure by one ulp fails here.
 
@@ -45,6 +48,11 @@ RANDOM = ("--preset", "random_finite", "--random-count", "24")
 INTEGERS = ("--preset", "integers")
 GEOMETRIC = ("--preset", "geometric_naturals")
 W = ("--window", "-8", "8")
+# a finite set read with --set-file: a 40-point progression that a run
+# re-spelled from its second point would miss, a dyadic run, a decimal
+# progression that rounds into short runs, and isolated points
+NEAR_ARITHMETIC = ("--set-file", str(Path(__file__).parent / "data" / "near_arithmetic.json"),
+                   "--window", "-4", "32")
 
 JOBS = {
     "analyze-cantor6": ("analyze", *CANTOR6, *CAPS),
@@ -84,6 +92,8 @@ JOBS = {
         "--side", "two_sided", "--alpha", "0.5", *W),
     "critical-alpha-two-sided-geometric": (
         "critical-alpha", *GEOMETRIC, *CAPS, *W, "--side", "two_sided", "--tol", "0.125"),
+    "analyze-sweep-near-arithmetic": ("analyze", *NEAR_ARITHMETIC, *CAPS, "--sweep", "--side", "right"),
+    "a1-near-arithmetic": ("a1", *NEAR_ARITHMETIC, *CAPS, "--alpha", "0.5", "--side", "two_sided"),
 }
 
 
@@ -116,6 +126,10 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'a1_report.csv': 'b19b3d498cced7be7e28f10644e877ff97325c49a382eaf448687adba0820dc6',
         'a1_report.json': '0838529be9e751e1af21368b15e9418830d88795bd5e73015ee75089cde991b8',
         'weight_table.csv': 'ff723c75e0b75c578768e175fcb147f1758b4792047c86d77802302ff38ec6c8',
+    }),
+    'a1-near-arithmetic': (0, {
+        'a1_report.csv': 'd955f11b2b8382588deb7bf63fdb7266ad5d9480d4b92d65eb9a607eb1df185f',
+        'a1_report.json': '7a559b412a735f9918cce9e1424f82887ee9520f36915a88aa67b160704b4f34',
     }),
     'a1-random': (0, {
         'a1_report.csv': 'b456802847727add6d214fd15a5ab3f87a6020e80806703eb0bdeb2990c3b5c4',
@@ -150,6 +164,9 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'analyze-sweep-geometric': (0, {
         'porosity_sweep.json': 'acc447716e9881648688a700cafc742bbb1c9b0f5623b96d8443fe8da8b34f9a',
+    }),
+    'analyze-sweep-near-arithmetic': (0, {
+        'porosity_sweep.json': '36c94f30d5b4e8b77909073ae41233b86bffb02d5817139ca8a8283ad39796ef',
     }),
     'critical-alpha-cantor6': (0, {
         'critical_alpha.json': 'fe7d04bdfb42b92cfbd1a457df8777ae5323e68093b2abf8cc8deb4a2f46be69',
