@@ -11,7 +11,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
@@ -259,6 +259,30 @@ def _decay_interval(e: SetDescription, window: Interval) -> Interval:
     return Interval(p - width, p + 3.0 * width)
 
 
+# the suites whose bounds presuppose right porosity: they run at one certified (sigma, gamma)
+POROSITY_SUITES = {"left-propagation", "pore-transport", "decay"}
+
+SWEEP_RULE = "the right sweep's certified pair with the largest admissible alpha, ties to the larger gamma"
+REQUESTED_RULE = "--sigma and --gamma as given, certified on the right sweep's probes"
+
+
+def _porosity_constants(args, cfg: RunConfig) -> Optional[dict]:
+    """The certified (sigma, gamma) the porosity suites run at, with the rule that chose it; None if refuted."""
+    probes = certification_probes(cfg.e, cfg.window, seed=cfg.seed)
+    if args.sigma is not None and args.gamma is not None:
+        params = PorosityParams(args.sigma, args.gamma, "right")
+        if sweep_parameters(cfg.e, probes, "right", (params.gamma,)).best_sigma < params.sigma:
+            return None
+        return {"sigma": params.sigma, "gamma": params.gamma, "constants_rule": REQUESTED_RULE}
+    if args.sigma is not None or args.gamma is not None:
+        print("a lone --sigma or --gamma is ignored: the porosity suites run at a certified pair")
+    sweep = sweep_parameters(cfg.e, probes, "right")
+    if not sweep.certified:
+        return None
+    params = sweep.admissible_params()
+    return {"sigma": params.sigma, "gamma": params.gamma, "constants_rule": SWEEP_RULE}
+
+
 def _run_one_suite(task) -> tuple[str, object]:
     sid, cfg, fam_intervals, gamma, eta, sigma = task
     e = cfg.e
@@ -283,19 +307,23 @@ def _run_one_suite(task) -> tuple[str, object]:
 
 
 def cmd_verify(args) -> int:
-    check_gamma(args.gamma)
+    if args.gamma is not None:
+        check_gamma(args.gamma)
     cfg = _config(args)
     suite_ids = list(SUITE_IDS) if args.suite == "all" else [args.suite]
     intervals = _probe_family(cfg).intervals() if FAMILY_SUITES & set(suite_ids) else None
-    gated: list[str] = []
-    porosity_dependent = {"left-propagation", "pore-transport", "decay"}
-    if porosity_dependent & set(suite_ids):
-        sweep = sweep_parameters(cfg.e, certification_probes(cfg.e, cfg.window, seed=cfg.seed), "right")
-        if not sweep.certified:
-            gated = [s for s in suite_ids if s in porosity_dependent]
-            suite_ids = [s for s in suite_ids if s not in porosity_dependent]
-            print(f"skipping {gated}: right-sided porosity refuted on probes (their bounds presuppose it)")
-    tasks = [(sid, cfg, intervals, args.gamma, args.eta, args.sigma) for sid in suite_ids]
+    constants = {"sigma": None, "gamma": None}
+    if POROSITY_SUITES & set(suite_ids):
+        found = _porosity_constants(args, cfg)
+        if found is None:
+            gated = [s for s in suite_ids if s in POROSITY_SUITES]
+            suite_ids = [s for s in suite_ids if s not in POROSITY_SUITES]
+            pair = f" at sigma={args.sigma} gamma={args.gamma}" if args.sigma is not None and args.gamma is not None else ""
+            print(f"skipping {gated}: right-sided porosity{pair} refuted on probes (their bounds presuppose it)")
+        else:
+            constants = found
+            print(f"porosity constants: sigma={found['sigma']:.6g} gamma={found['gamma']} ({found['constants_rule']})")
+    tasks = [(sid, cfg, intervals, constants["gamma"], args.eta, constants["sigma"]) for sid in suite_ids]
     if cfg.workers > 1 and len(tasks) > 1:
         with Pool(processes=min(cfg.workers, len(tasks))) as pool:
             results = pool.map(_run_one_suite, tasks)
@@ -303,6 +331,8 @@ def cmd_verify(args) -> int:
         results = [_run_one_suite(t) for t in tasks]
     failed = []
     for sid, res in results:
+        if sid in POROSITY_SUITES:
+            res = replace(res, params={**res.params, **constants})
         _emit(cfg, f"verify_{sid.replace('-', '_')}", f"suite-{sid}", res)
         passed = res.passed
         marker = "PASS" if passed else "FAIL"
@@ -387,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run property suites")
     _add_common(p)
     p.add_argument("--suite", choices=SUITE_IDS + ("all",), default="all")
-    p.add_argument("--sigma", type=parse_number, default=0.5)
-    p.add_argument("--gamma", type=parse_number, default=0.5)
+    p.add_argument("--sigma", type=parse_number, default=None,
+                   help="with --gamma: run the porosity suites at this pair (default: a certified pair)")
+    p.add_argument("--gamma", type=parse_number, default=None)
     p.add_argument("--eta", type=parse_number, default=2.0)
     p.set_defaults(fn=cmd_verify)
 

@@ -504,8 +504,22 @@ class SweepResult:
         """Certifiable parameter pair; sigma is clipped into (0, 1)."""
         if not self.certified:
             raise ValueError("no certifiable parameters found")
-        sigma = min(self.best_sigma, 1.0 - 2.0 ** -40)
-        return PorosityParams(sigma=sigma, gamma=self.best_gamma, side=self.side)
+        return self._pair(self.best_gamma, self.best_sigma)
+
+    def admissible_params(self) -> PorosityParams:
+        """The certified pair with the largest :func:`admissible_alpha`, ties toward the larger gamma.
+
+        ``params`` lands near the grid floor, where sigma* is largest but
+        the proof's exponent log beta2 / log(gamma/4) is smallest; the
+        lemmas that presuppose porosity run at this pair instead.
+        """
+        pairs = [self._pair(g, s) for g, s in self.table if s > 0.0]
+        if not pairs:
+            raise ValueError("no certifiable parameters found")
+        return max(pairs, key=lambda p: (admissible_alpha(p.sigma, p.gamma), p.gamma))
+
+    def _pair(self, gamma: float, sigma: float) -> PorosityParams:
+        return PorosityParams(sigma=min(sigma, 1.0 - 2.0 ** -40), gamma=gamma, side=self.side)
 
 
 def sweep_result(side: str, gammas: Sequence[float], worst: Sequence[float]) -> SweepResult:

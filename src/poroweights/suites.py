@@ -239,6 +239,7 @@ class DecayReport:
     fitted_rate: float
     bounds: tuple[float, ...]  # beta2**k * first measure
     passed: bool
+    params: dict = field(default_factory=dict)
 
 
 def suite_decay(
@@ -291,6 +292,7 @@ def suite_decay(
         fitted_rate=fitted,
         bounds=bounds,
         passed=passed,
+        params={"sigma": sigma, "gamma": gamma},
     )
 
 

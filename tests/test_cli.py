@@ -204,3 +204,29 @@ def test_verify_builds_the_default_family_only_for_suites_that_read_it(suite, bu
     code, _ = _reports(argv, tmp_path)
     assert code == 0
     assert len(calls) == builds
+
+
+POROSITY_SUITES = ("left-propagation", "pore-transport", "decay")
+
+
+@pytest.mark.parametrize("suite", POROSITY_SUITES)
+def test_verify_runs_the_porosity_suites_at_a_certified_pair(suite, tmp_path):
+    # the depth-6 Cantor iterate has sigma*(1/2) = 0, so the lemmas at gamma 1/2
+    # failed; the sweep's pair with the largest admissible alpha is gamma 1/32
+    argv = ("verify", *CANTOR6, "--seed", "101", "--suite", suite, "--workers", "1")
+    code, reports = _reports(argv, tmp_path)
+    params = json.loads(reports[f"verify_{suite.replace('-', '_')}.json"])["body"]["params"]
+    assert code == 0
+    assert params["gamma"] == 0.03125 and params["sigma"] == pytest.approx(0.7037, abs=1e-4)
+    assert params["constants_rule"] == cli.SWEEP_RULE
+
+
+def test_verify_gates_on_a_requested_pair(tmp_path):
+    base = ("verify", *CANTOR6, *CAPS, "--suite", "left-propagation", "--workers", "1")
+    (tmp_path / "refuted").mkdir()
+    refuted = _reports([*base, "--sigma", "0.5", "--gamma", "0.5"], tmp_path / "refuted")
+    assert refuted == (0, {})  # skipped: the set has no such pair
+    code, reports = _reports([*base, "--sigma", "0.25", "--gamma", "0.0625"], tmp_path / "requested")
+    params = json.loads(reports["verify_left_propagation.json"])["body"]["params"]
+    assert code == 0
+    assert params == {"gamma": 0.0625, "sigma": 0.25, "constants_rule": cli.REQUESTED_RULE}

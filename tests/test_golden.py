@@ -191,8 +191,8 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'dimension_report.json': 'f4ae53dac1ed6e6582b8269a540320e83b1844fa21c9f04049ff1c6ea7bb74bb',
     }),
     'verify-decay-cantor6': (0, {
-        'decay_measures.csv': 'f1819dfd27e9a8d883a5286dbb1f290c4bbbc36d5945b1cf8c21fc67c974141b',
-        'verify_decay.json': 'ba0ad48c6ed4ddadc5d9f64498110c4fc133d289d2bafdc56417b589694cfa0c',
+        'decay_measures.csv': 'ef3006603440e32e6e39cb6b8623b473dab6d92b088fc095b97526e8f9be76d3',
+        'verify_decay.json': '9e12e7ace23d0364df41e2751e887b21226cde7d6807647b6cbc859a5d24c93d',
     }),
     'verify-dimension-cantor6': (0, {
         'verify_dimension.json': 'cab6dfb4d4d566ce60b264310fcb7fc47ced3a55437d610d0ce1aa4ea5104889',
@@ -208,10 +208,10 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'verify_hole_control.json': '4526f682c6e9250c374437a77a699fbab3b7a11c6fb2dd6852a4761f5a3dbd2b',
     }),
     'verify-left-propagation-cantor6': (0, {
-        'verify_left_propagation.json': '4c838aa0c7e5622ecb6a66a96e42d8e4604494140ba5a07f775ef2d6ca293efc',
+        'verify_left_propagation.json': '3b0e37508cf1a444e569a5369f0d1ae0c9d68a2b70da8f4eeed1a5197033785c',
     }),
     'verify-pore-transport-geometric': (0, {
-        'verify_pore_transport.json': '16ac22e082160f4d0de820ba29ee2bbd99a3e43cb7cdf7e1b93f1b8aa2f7ca7f',
+        'verify_pore_transport.json': 'bf50c81bc8ef78e20e998c60d762ce6db4e622f3c02b15cb52ed3c881747d0f2',
     }),
     'verify-sided-transport-cantor6': (0, {
         'verify_sided_transport.json': 'ddb92c5d8f2d4dbda9b66458524ba1580dc98b55dff1b7ba6f37982c3cf49998',

@@ -22,6 +22,7 @@ from poroweights import (
     sweep_sides,
 )
 from poroweights.porosity import (
+    SweepResult,
     admissible_alpha,
     decay_constants,
     decay_exponent,
@@ -312,6 +313,20 @@ class TestDerivedConstants:
     def test_admissible_alpha_below_exponent(self):
         for sigma, gamma in ((0.5, 0.5), (0.9, 0.01), (0.1, 0.9)):
             assert 0 < admissible_alpha(sigma, gamma) < decay_exponent(sigma, gamma)
+
+    def test_admissible_params_take_the_largest_alpha(self):
+        # sigma* = 1 at the floor maximises params(), but the small gamma
+        # there gives the smallest exponent; sigma >= 3/4 all give the same
+        # beta2, so among those the larger gamma gives the larger alpha
+        table = ((0.5, 0.0), (0.25, 0.3), (0.125, 0.8), (0.0625, 0.9), (2.0 ** -12, 1.0))
+        sweep = SweepResult("right", table, 2.0 ** -12, 1.0)
+        assert sweep.params() == PorosityParams(1.0 - 2.0 ** -40, 2.0 ** -12, "right")
+        best = sweep.admissible_params()
+        assert best == PorosityParams(0.8, 0.125, "right")
+        alphas = {g: admissible_alpha(min(s, 1.0 - 2.0 ** -40), g) for g, s in table if s > 0.0}
+        assert admissible_alpha(best.sigma, best.gamma) == max(alphas.values()) == alphas[0.125]
+        with pytest.raises(ValueError, match="no certifiable parameters"):
+            SweepResult("right", ((0.5, 0.0),), 0.5, 0.0).admissible_params()
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
