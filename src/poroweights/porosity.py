@@ -545,8 +545,18 @@ def sweep_sides(
     ``2 * STORE_CAP`` windows, however large the family.  Per probe and side
     one :class:`LengthProfile` of the region answers the whole grid: the
     components at least 2 gamma rho(reference) long are a prefix of it, and
-    each prefix is summed once.  ``gammas`` may come in any order; an empty
-    grid, or a gamma outside (0, 1), raises ``ValueError``.
+    each prefix is summed once.
+
+    The profile is built only where some gamma could still lower its
+    sigma*.  With L the region's longest component and |R| its length, a
+    threshold above L leaves no component, so that share is exactly 0.0;
+    any other threshold keeps the component of length L, so its share is at
+    least ``L / |R|`` (fsum and the division round monotonically).  A probe
+    whose ``L / |R|`` is not below sigma* at any gamma with a threshold up
+    to L changes nothing, so it is skipped; the minimum does not depend on
+    the order, and the table is the one every profile would give.
+    ``gammas`` may come in any order; an empty grid, or a gamma outside
+    (0, 1), raises ``ValueError``.
     """
     intervals = _intervals(probes)
     for side in sides:
@@ -561,7 +571,20 @@ def sweep_sides(
     for i in intervals:
         windows = probe_windows(store, i, whole, halves)
         for low, k_region, k_reference in reads:
-            profile_of(windows[k_region]).lower_along(low, doubled, windows[k_reference][2])
+            region = windows[k_region]
+            rho_ref = windows[k_reference][2]
+            j, s, _ = region
+            # the longest component, as the summary holds it: 2 * rho would round where it is subnormal
+            longest = s.max_length(j.lo, j.hi)
+            floor = longest / (j.hi - j.lo)
+            lower = False
+            for k, d in enumerate(doubled):
+                if d * rho_ref > longest:
+                    low[k] = 0.0
+                elif floor < low[k]:
+                    lower = True
+            if lower:
+                profile_of(region).lower_along(low, doubled, rho_ref)
     return {side: sweep_result(side, gammas, low) for side, low in worst.items()}
 
 

@@ -228,6 +228,38 @@ class TestLengthProfile:
         assert suite_sided_transport(e, WINDOW, probes=fam) == oracles.sided_transport_walk(e, WINDOW, 0, fam)
 
 
+# one subnormal unit u apart on (0, 4u), two on (4u, 8u): the probe (0, 8u)
+# counts holes u long on its left half, where rho = u / 2 rounds to 0.0,
+# against rho = u of its right half
+TINY = 5e-324
+UNIT_GAPS = FinitePoints([k * TINY for k in (0, 1, 2, 3, 4, 6, 8)])
+
+
+class TestBoundedSweep:
+    """A sweep builds a profile only where some gamma could still lower sigma*, bit for bit with the walk."""
+
+    @pytest.mark.parametrize("name, e", catalog(cantor_depth=5), ids=[name for name, _ in catalog()])
+    def test_the_catalog_matches_the_walk(self, name, e):
+        intervals = certification_probes(e, WINDOW, anchor_cap=8, random_count=20).intervals()
+        got = sweep_sides(e, intervals, SIDES)
+        for side in SIDES:
+            assert got[side] == oracles.sweep_walk(e, intervals, side)
+
+    @pytest.mark.parametrize("e", [UNIT_GAPS, Reflect(Reflect(UNIT_GAPS))], ids=["memoised", "reflected-twice"])
+    def test_the_longest_component_is_read_not_doubled_from_rho(self, e):
+        i = Interval(0.0, 8 * TINY)
+        assert oracles.max_component_walk(e, i.left_half) == TINY and oracles.rho_walk(e, i.left_half) == 0.0
+        assert oracles.rho_walk(e, i.right_half) == TINY
+        # at gamma 1/2 the threshold TINY keeps every hole of the left half;
+        # 2 * rho of that half would put it above them all and report 0.0
+        assert sigma_at(e, i, 0.5, "right") == 1.0
+        intervals = [i, Interval(0.0, 4 * TINY), Interval(2 * TINY, 8 * TINY)]
+        got = sweep_sides(e, intervals, SIDES)
+        for side in SIDES:
+            assert got[side] == oracles.sweep_walk(e, intervals, side)
+        assert got["right"].table[0] == (0.5, 1.0)
+
+
 class TestTripleTable:
     @settings(max_examples=30, deadline=None)
     @given(e=point_sets(), side=st.sampled_from(A1_SIDES), alpha=st.sampled_from([0.25, 0.5, 0.9, 1.0, 1.5]))
