@@ -12,13 +12,19 @@ Hole radii, porosity fractions, weight integrals and distance peaks all read
 one :class:`WindowSummary` per window: the components of I \\ E strictly
 between the first and last interior set points, reduced to O(1) numbers
 plus grouped lengths.  Queries add the two edge components of their own
-interval.  Finite point sets (:class:`SortedPoints`) memoise summaries per
-index window; other variants build one from ``runs_in`` on every call.
+interval.  Other variants build one from ``runs_in`` on every call.  Finite
+point sets (:class:`SortedPoints`) keep a run index over their sorted points
+instead: the greedy run length from each start index, found on first use.
+A window's runs are a chain through it, trimmed by index, and the memoised
+summary of an index window reads its lengths, peak and integral runs from
+that chain, so no window re-compresses its points; the index spells what
+:class:`Run` would, since a run only holds points its spelling hits.
 
-All set values are immutable.  The per-instance summary memo is a benign
-cache: it is left out of equality, hashing, ``repr``, ``to_dict`` and
-pickling, every entry is a pure function of its key, and a lost race only
-builds an equal entry twice, so concurrent use needs no locking.
+All set values are immutable.  The per-instance summary memo and run index
+are benign caches: they are left out of equality, hashing, ``repr``,
+``to_dict`` and pickling, every entry is a pure function of its key or a
+true fact about the points, and a lost race only stores an entry twice, so
+concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import fsum
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .intervals import GapList, Interval
@@ -105,21 +113,21 @@ class Run:
         return f"Run({self.base!r}, {self.step!r}, {self.first!r}, {self.count!r}, {self.shift!r})"
 
     @staticmethod
-    def compress(points: list[float]) -> list[Run]:
-        """Sorted distinct points as exact runs, greedily: a run takes the next
-        point only while ``start + k*step`` spells it exactly."""
+    def compress(points: Sequence[float]) -> list[Run]:
+        """Sorted distinct points as exact runs, greedily (see :func:`_greedy`)."""
         runs: list[Run] = []
         i, n = 0, len(points)
         while i < n:
-            start = points[i]
-            k = 1
-            if i + 1 < n:
-                step = points[i + 1] - start
-                while i + k < n and start + k * step == points[i + k]:
-                    k += 1
-            runs.append(Run(start, step, 0, k) if k > 1 else Run(start, 0.0, 0, 1))
+            k = _greedy(points, i, n)
+            runs.append(Run.of(points, i, k))
             i += k
         return runs
+
+    @staticmethod
+    def of(points: Sequence[float], i: int, k: int) -> Run:
+        """The run of the k points from ``points[i]``, which :func:`_greedy` found to spell them."""
+        start = points[i]
+        return Run(start, points[i + 1] - start, 0, k) if k > 1 else Run(start, 0.0, 0, 1)
 
     # the unbounded progression base + k*step, which is what a lattice is
 
@@ -149,6 +157,21 @@ class Run:
     def index_geq(base: float, step: float, x: float) -> int:
         """Smallest k whose point is >= x: the search on the mirror, exact as rounding is symmetric."""
         return -Run.index_leq(-base, step, -x)
+
+
+def _greedy(points: Sequence[float], i: int, stop: int, k: int = 1) -> int:
+    """How many of ``points[i:stop]`` the run from ``points[i]`` takes: the one decomposition rule.
+
+    A run takes the next point only while ``start + k*step`` spells it
+    exactly, ``step`` being the first difference.  ``k`` points already
+    known to belong to the run are not checked again.
+    """
+    start = points[i]
+    if i + k < stop:
+        step = points[i + 1] - start
+        while i + k < stop and start + k * step == points[i + k]:
+            k += 1
+    return k
 
 
 def _increasing(runs: list[Run]) -> bool:
@@ -242,20 +265,29 @@ def sample_points(e: SetDescription, lo: float, hi: float, cap: int) -> list[flo
 class SortedPoints(SetDescription):
     """A finite set held as one sorted tuple of distinct points.
 
-    Window summaries are memoised per index window ``(a, b)`` (the slice of
-    points in the closed window) together with the two endpoint comparisons
-    that decide which interior points the open window keeps: whether the
-    first point equals ``lo`` and whether the last point equals ``hi``.
-    Runs are exact (see :meth:`Run.compress`), so these two bits fix the
-    interior runs, and the memo holds O(1)-size summaries, never points.
+    Runs come from a :class:`_RunIndex` built once per set: the runs of a
+    window are a chain of greedy run lengths from its first point, so no
+    query re-compresses the points of its window.  Window summaries are
+    memoised per index window ``(a, b)`` (the slice of points in the closed
+    window) together with the two endpoint comparisons that decide which
+    interior points the open window keeps: whether the first point equals
+    ``lo`` and whether the last point equals ``hi``.  These fix the interior
+    runs, and the memo holds O(1)-size summaries, never points.
     """
 
     def _pts(self) -> tuple[float, ...]:
         raise NotImplementedError
 
+    def _index(self) -> "_RunIndex":
+        index = self.__dict__.get("_runs")
+        if index is None:
+            index = _RunIndex(self._pts())
+            object.__setattr__(self, "_runs", index)
+        return index
+
     def runs_in(self, lo: float, hi: float) -> list[Run]:
         pts = self._pts()
-        return Run.compress(list(pts[bisect_left(pts, lo):bisect_right(pts, hi)]))
+        return self._index().runs(bisect_left(pts, lo), bisect_right(pts, hi))
 
     def nearest_leq(self, x: float) -> Optional[float]:
         pts = self._pts()
@@ -281,14 +313,118 @@ class SortedPoints(SetDescription):
         if memo is None:
             memo = {}
             object.__setattr__(self, "_windows", memo)
-        key = 4 * (a * (len(pts) + 1) + b) + 2 * (pts[a] == lo) + (pts[b - 1] == hi)
+        first_on_lo, last_on_hi = pts[a] == lo, pts[b - 1] == hi
+        key = 4 * (a * (len(pts) + 1) + b) + 2 * first_on_lo + last_on_hi
         s = memo.get(key)
         if s is None:
-            s = memo[key] = WindowSummary.of(_interior(self.runs_in(lo, hi), lo, hi), weakref.ref(self))
+            s = memo[key] = self._index().summary(a, b, a + first_on_lo, b - last_on_hi, weakref.ref(self))
         return s
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_windows"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_windows", "_runs")}
+
+
+class _RunIndex:
+    """The greedy runs of a sorted point tuple, by the index they start at.
+
+    The run that starts at ``pts[s]`` takes ``_greedy(pts, s, b)`` of the
+    points ``pts[s:b]``, which is what :meth:`Run.compress` of that slice
+    puts in its first run.  So the runs of the closed window ``pts[a:b]``
+    are the chain a -> a + length(a) -> ... up to b, every run keeping the
+    start and step of its first point in the window, and an open window
+    trims the chain by index, as :func:`_interior` trims runs.
+
+    A run length is found on first use and kept: exact (positive) where the
+    run ended inside the window that asked, at least ``-n`` (stored negated)
+    where the window cut it, extended by a later, wider window.  Every entry
+    is a fact about the points, so racing threads can only store true ones.
+    """
+
+    __slots__ = ("pts", "gaps", "_lengths")
+
+    def __init__(self, pts: tuple[float, ...]):
+        self.pts = pts
+        self.gaps = [q - p for p, q in zip(pts, pts[1:])]
+        self._lengths = [0] * len(pts)
+
+    def chain(self, a: int, b: int) -> list[int]:
+        """The indices the runs of ``pts[a:b]`` start at, then b."""
+        lengths, pts = self._lengths, self.pts
+        out = []
+        s = a
+        while s < b:
+            out.append(s)
+            k = lengths[s]
+            if k <= 0:
+                if s - k < b:  # not known up to b
+                    k = _greedy(pts, s, b, max(-k, 1))
+                    lengths[s] = k if s + k < b or b == len(pts) else -k
+                else:
+                    k = -k
+            s += k  # past b only where b cuts the run
+        out.append(b)
+        return out
+
+    def runs(self, a: int, b: int) -> list[Run]:
+        """The runs of ``pts[a:b]``, equal to ``Run.compress(pts[a:b])``."""
+        starts = self.chain(a, b)
+        pts = self.pts
+        return [Run.of(pts, s, e - s) for s, e in zip(starts, starts[1:])]
+
+    def trimmed(self, a: int, b: int, i: int, j: int) -> tuple[list[int], list[int], list[int]]:
+        """The runs of ``pts[a:b]`` trimmed by index to the interior ``pts[i:j]``
+        (i is a or a + 1, j is b or b - 1): per run its start s, from which it
+        keeps its step, and the points ``pts[u:v]`` it keeps, as lists s, u, v.
+        Only the first and the last run lose a point; either may lose its only one."""
+        starts = self.chain(a, b)
+        us, vs = starts[:-1], starts[1:]
+        us[0], vs[-1] = i, j
+        return starts[:-1], us, vs
+
+    # The components between the interior points, as _middle reads them from
+    # the interior runs: the cells of each run that keeps two or more points,
+    # of its step, and one span before each run start strictly inside (i, j).
+
+    def summary(self, a: int, b: int, i: int, j: int, source: weakref.ref) -> "WindowSummary":
+        """The summary of the interior points ``pts[i:j]`` of the closed window ``pts[a:b]``."""
+        if i >= j:
+            return EMPTY_SUMMARY
+        gaps = self.gaps
+        ss, us, vs = self.trimmed(a, b, i, j)
+        lengths = [gaps[s] for s, u, v in zip(ss, us, vs) if v - u >= 2]
+        lengths += [gaps[s - 1] for s in ss[1:] if i < s < j]
+        # + 0.0 as a run spells its points: a point -0.0 is spelled 0.0
+        return WindowSummary(self.pts[i] + 0.0, self.pts[j - 1] + 0.0, max(lengths, default=0.0),
+                             min(lengths, default=math.inf), (source, a, b, i, j))
+
+    def middle_terms(self, a: int, b: int, i: int, j: int) -> list[tuple[float, float]]:
+        """:func:`_middle_terms` of the interior runs, in another order."""
+        gaps = self.gaps
+        ss, us, vs = self.trimmed(a, b, i, j)
+        out = [(gaps[s], gaps[s] * (v - u - 1)) for s, u, v in zip(ss, us, vs) if v - u >= 2]
+        out += [(gaps[s - 1],) * 2 for s in ss[1:] if i < s < j]
+        return out
+
+    def peak(self, a: int, b: int, i: int, j: int) -> float:
+        """:func:`_peak` of the interior runs."""
+        pts, gaps = self.pts, self.gaps
+        ss, us, vs = self.trimmed(a, b, i, j)
+        cells = [0.5 * gaps[s] for s, u, v in zip(ss, us, vs) if v - u >= 2]
+        spans = [_span_peak(pts[s - 1], pts[s]) for s in ss[1:] if i < s < j]
+        return max(cells + spans, default=0.0)
+
+    def interior(self, a: int, b: int, i: int, j: int) -> list[Run]:
+        """The interior runs: the runs of ``pts[a:b]`` trimmed by index to ``pts[i:j]``, as by :func:`_interior`."""
+        pts, gaps = self.pts, self.gaps
+        starts = self.chain(a, b)
+        out = []
+        for s, e in zip(starts, starts[1:]):
+            u, v = max(s, i), min(e, j)
+            if (u, v) == (s, e):
+                out.append(Run.of(pts, s, e - s))
+            elif u < v:
+                out.append(Run(pts[s], gaps[s], u - s, v - u))
+        return out
 
 
 @dataclass(frozen=True)
@@ -714,23 +850,21 @@ def _span_peak(a: float, b: float) -> float:
     return min(m - a, b - m)
 
 
-def _msum_add(partials: list[float], x: float) -> None:
-    """Add finite x to Shewchuk's non-overlapping partials, in place.
+def _exact_sum(terms: list[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of the finite ``terms``, which it extends.
 
-    The exact sum of the partials stays the exact running total, so
-    ``fsum(partials + more)`` equals ``fsum(all terms + more)`` bit for bit.
+    fsum rounds correctly, so each pass takes the float nearest to what is
+    left, and appends its negation.  What is left is a multiple of the least
+    subnormal, so it reaches zero, and only then does fsum return 0.0.
+    ``fsum(partials + more)`` therefore equals ``fsum(terms + more)`` bit for bit.
     """
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+    partials = []
+    h = fsum(terms)
+    while h:
+        partials.append(h)
+        terms.append(-h)
+        h = fsum(terms)
+    return partials
 
 
 def _middle_terms(runs: list[Run]) -> list[tuple[float, float]]:
@@ -746,15 +880,11 @@ def _pack_groups(items: list[tuple[float, float]]) -> array:
     ``parts`` (``stride`` floats, zero-padded) holds partials whose exact sum
     is the total of the terms in the k longest groups; row 0 is all zeros.
     """
-    items = sorted(items, reverse=True)
     neg: list[float] = []
     rows: list[list[float]] = [[]]
-    partials: list[float] = []
-    for k, (length, term) in enumerate(items, 1):
-        _msum_add(partials, term)
-        if k == len(items) or items[k][0] != length:
-            neg.append(-length)
-            rows.append(partials[:])
+    for length, group in groupby(sorted(items, reverse=True), key=itemgetter(0)):
+        neg.append(-length)
+        rows.append(_exact_sum([*rows[-1], *(term for _, term in group)]))
     stride = max(map(len, rows)) or 1
     return array("d", [stride, *neg, *(x for r in rows for x in r + [0.0] * (stride - len(r)))])
 
@@ -845,9 +975,9 @@ class WindowSummary:
     (read by :meth:`profile`, which adds the edges and answers any
     threshold) and per-exponent integral terms
     (:meth:`integral_terms`).  A summary built for one query keeps its runs
-    and sorts its lengths per profile; a memoised one keeps the derived
-    values instead, packed in float arrays, and rebuilds the runs from the
-    querying window when it needs them.
+    and sorts its lengths per profile.  A memoised one keeps the derived
+    values instead, packed in float arrays, and reads the runs from its
+    set's :class:`_RunIndex` by index window when it needs them.
     """
 
     __slots__ = ("first", "last", "longest", "shortest", "_source", "_peak", "_groups", "_integrals")
@@ -857,16 +987,17 @@ class WindowSummary:
         self.last: Optional[float] = last
         self.longest: float = longest
         self.shortest: float = shortest
-        # the interior runs, or for a memoised summary a weak reference to the
-        # set they are rebuilt from (a strong one would make the memo a cycle)
+        # the interior runs, or for a memoised summary (a weak reference to the
+        # set, a, b, i, j): the index window pts[a:b] and its interior pts[i:j]
+        # (a strong reference would make the memo a cycle)
         self._source = source
         self._peak: Optional[float] = None
         self._groups: Optional[array] = None
         self._integrals: array | tuple = ()
 
     @classmethod
-    def of(cls, interior: list[Run], source: Optional[weakref.ref] = None) -> "WindowSummary":
-        """Summary of the given interior runs; a memoised one rebuilds them from ``source()``."""
+    def of(cls, interior: list[Run]) -> "WindowSummary":
+        """Summary of the given interior runs, kept for its derived values."""
         if not interior:
             return EMPTY_SUMMARY
         longest, shortest = 0.0, math.inf
@@ -886,7 +1017,7 @@ class WindowSummary:
                 if 0.0 < length < shortest:
                     shortest = length
             prev = r.end
-        return cls(interior[0].start, prev, longest, shortest, interior if source is None else source)
+        return cls(interior[0].start, prev, longest, shortest, interior)
 
     def max_length(self, lo: float, hi: float) -> float:
         """Length of the longest component of (lo, hi) minus the set."""
@@ -900,7 +1031,7 @@ class WindowSummary:
     def peak(self, lo: float, hi: float) -> float:
         """Largest distance to the set over the middle components (0 if none)."""
         if self._peak is None:
-            self._peak = _peak(self.interior(lo, hi))
+            self._peak = self._indexed(_RunIndex.peak) if self._kept() else _peak(self._source)
         return self._peak
 
     def edges(self, lo: float, hi: float) -> list[float]:
@@ -917,13 +1048,15 @@ class WindowSummary:
 
     def interior(self, lo: float, hi: float) -> list[Run]:
         """Runs of set points strictly inside (lo, hi), a window this summary describes."""
-        src = self._source
-        if isinstance(src, list):
-            return src
-        return _interior(src().runs_in(lo, hi), lo, hi)
+        return self._indexed(_RunIndex.interior) if self._kept() else self._source
 
     def _kept(self) -> bool:
-        return not isinstance(self._source, list)
+        return isinstance(self._source, tuple)
+
+    def _indexed(self, method: Callable):
+        """``method`` of the set's :class:`_RunIndex`, on this memoised summary's index window."""
+        ref, *window = self._source
+        return method(ref()._index(), *window)
 
     def profile(self, lo: float, hi: float) -> LengthProfile:
         """The :class:`LengthProfile` of (lo, hi), a window this summary describes."""
@@ -935,7 +1068,7 @@ class WindowSummary:
             return LengthProfile([-length for length, _ in items], lambda c: terms[:c], hi - lo)
         groups = self._groups
         if groups is None:
-            groups = self._groups = _pack_groups(_middle_terms(self.interior(lo, hi)))
+            groups = self._groups = _pack_groups(self._indexed(_RunIndex.middle_terms))
         # see _pack_groups: the stride, then the negated lengths, then the rows
         stride = int(groups[0])
         start = (len(groups) - 1 - stride) // (1 + stride) + 1
@@ -968,12 +1101,7 @@ class WindowSummary:
             k += 2 + n
         terms = build(self.interior(lo, hi), alpha)
         if self._kept():
-            partials: list[float] = []
-            if math.inf in terms:
-                partials.append(math.inf)
-            else:
-                for t in terms:
-                    _msum_add(partials, t)
+            partials = [math.inf] if math.inf in terms else _exact_sum(terms[:])
             self._integrals = array("d", [*cache, alpha, len(partials), *partials])
         return terms
 

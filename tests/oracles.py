@@ -3,12 +3,14 @@
 These deliberately avoid the package's closed-form paths: integrals come from
 adaptive quadrature of the pointwise distance, hole radii from a grid search,
 dimensions from literal box counting.  The component walk is the slow path
-the window summaries replaced, and the per-function loops at the end are
-the ones the probe and triple tables replaced; both are kept to check the
+the window summaries replaced, the slice compression the one the run index
+of finite point sets replaced, and the per-function loops at the end are
+the ones the probe and triple tables replaced; all are kept to check the
 fast paths bit for bit.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from math import fsum
 
 import mpmath as mp
@@ -28,7 +30,7 @@ from poroweights.porosity import (
     certification_probes,
 )
 from poroweights.scaling import LadderReport, octave_of, rising_prefix_maxima
-from poroweights.sets import Run
+from poroweights.sets import Run, WindowSummary
 from poroweights.suites import MAX_FAILURES, SuiteResult
 from poroweights.weights import WeightSpec, _power_piece, _segment_integral, _segment_peak
 
@@ -125,8 +127,13 @@ def box_count_dimension(e, window, deltas):
 
 def _interior_runs(e, i):
     """Runs of set points strictly inside the open interval, trimmed by index."""
+    return _trimmed(e.runs_in(i.lo, i.hi), i)
+
+
+def _trimmed(runs, i):
+    """The runs of the closed interval less the points on its ends, trimmed by index."""
     out = []
-    for r in e.runs_in(i.lo, i.hi):
+    for r in runs:
         first, count = r.first, r.count
         if r.start == i.lo:
             first, count = first + 1, count - 1
@@ -135,6 +142,25 @@ def _interior_runs(e, i):
         if count > 0:
             out.append(Run(r.base, r.step, first, count, r.shift))
     return out
+
+
+# ---------------------------------------------------------------------------
+# slice compression of a finite point set
+#
+# The path before the run index: the runs of a window compress the slice of
+# points it holds, and its summary is built from them afresh.  The run index
+# and the summaries memoised on it must agree with it bit for bit.
+# ---------------------------------------------------------------------------
+
+def compressed_runs(e, lo, hi):
+    """``Run.compress`` of the points of a finite point set in [lo, hi]."""
+    pts = e._pts()
+    return Run.compress(list(pts[bisect_left(pts, lo):bisect_right(pts, hi)]))
+
+
+def compressed_summary(e, i):
+    """A fresh :class:`WindowSummary` of the compressed runs inside I."""
+    return WindowSummary.of(_trimmed(compressed_runs(e, i.lo, i.hi), i))
 
 
 def iter_components(e, i):

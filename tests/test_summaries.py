@@ -3,8 +3,9 @@
 Every query that reads a summary (hole radius, porosity fraction, sweep
 table, shortest component, weight integral, distance peak, widest
 component) is compared with ``==`` against the generator walk kept in
-``tests/oracles.py``.  Each window is queried twice, so the second pass
-answers from the memo of a finite point set.
+``tests/oracles.py``, and everything the run index of a finite point set
+answers against the slice compression kept there.  Each window is queried
+twice, so the second pass answers from the memo of a finite point set.
 """
 
 import bisect
@@ -37,7 +38,7 @@ from poroweights import (
 )
 from poroweights.porosity import GAMMA_GRID, SIDES
 from poroweights.sets import EXTENTS, _interior, largest_component, min_component_length, window_summary
-from poroweights.weights import max_distance_on
+from poroweights.weights import IntegralWindow, max_distance_on
 
 from . import oracles
 
@@ -294,6 +295,89 @@ class TestExactRuns:
         assert spelled(_interior(runs, pts[0], pts[7])) == pts[1:7]
         assert window_summary(e, Interval(pts[0], pts[7])).last == pts[6]
         check_set(e, [Interval(pts[0], pts[7]), Interval(pts[0], pts[4]), Interval(pts[0], 3.0)])
+
+
+def run_fields(runs):
+    """The fields of each run, as a string: repr tells -0.0 from 0.0."""
+    return repr([(r.base, r.step, r.first, r.count, r.shift) for r in runs])
+
+
+def check_indexed(e, i):
+    """Runs, summary, interior runs, peak, profile and integrals against the slice compression."""
+    lo, hi = i.lo, i.hi
+    assert run_fields(e.runs_in(lo, hi)) == run_fields(oracles.compressed_runs(e, lo, hi))
+    got, want = window_summary(e, i), oracles.compressed_summary(e, i)
+    assert repr((got.first, got.last, got.longest, got.shortest)) == \
+        repr((want.first, want.last, want.longest, want.shortest))
+    assert run_fields(got.interior(lo, hi)) == run_fields(want.interior(lo, hi))
+    assert got.peak(lo, hi) == want.peak(lo, hi)
+    mine, theirs = got.profile(lo, hi), want.profile(lo, hi)
+    lengths = [-x for x in theirs._neg]
+    for t in [0.0, math.inf, *lengths, *(math.nextafter(t, math.inf) for t in lengths)]:
+        assert mine.share(t) == theirs.share(t)
+    window = IntegralWindow.of(e, i)
+    fresh = window._replace(summary=want)
+    assert window.peak() == fresh.peak()
+    for alpha in ALPHAS:
+        for _ in range(2):  # the second reads the memoised partials
+            assert window.integral(alpha) == fresh.integral(alpha)
+
+
+@st.composite
+def indexed_sets(draw):
+    """Finite point sets whose runs are long, rounded, dyadic or short."""
+    kind = draw(st.sampled_from(["near", "dyadic", "cantor", "random"]))
+    if kind == "cantor":
+        span = draw(st.sampled_from([(0.0, 1.0), (-1.5, 2.0)]))
+        return CantorIterate(*span, draw(st.sampled_from([1.0 / 3.0, 0.5])), draw(st.integers(0, 10)))
+    extra = draw(st.lists(st.floats(-30.0, 30.0), max_size=6))
+    if kind == "near":
+        # start + k * step spells these, but not (start + step) + (k - 1) * step
+        n = draw(st.integers(3, 60))
+        pts = draw(st.one_of(
+            st.just(progression(-1.048, 0.549, n)),
+            st.builds(progression, st.floats(-20.0, 20.0), st.floats(1e-3, 2.0), st.just(n)),
+            st.just([-1.0, -0.0, 1.0, 2.0, 3.0]),
+        ))
+    elif kind == "dyadic":
+        runs = st.tuples(st.integers(-64, 64), st.integers(0, 6), st.integers(3, 12))
+        pts = [c / 8.0 + k * 2.0 ** -e for c, e, n in draw(st.lists(runs, min_size=1, max_size=4))
+               for k in range(n)]
+    else:
+        pts = []
+    return FinitePoints(pts + extra) if pts or extra else FinitePoints([0.0])
+
+
+@st.composite
+def point_windows(draw, pts):
+    """The windows of :func:`windows`, and windows whose two ends are set points."""
+    out = draw(windows(pts))
+    for _ in range(3):
+        a, b = sorted(draw(st.integers(0, len(pts) - 1)) for _ in range(2))
+        out.append(Interval(pts[a], pts[b]) if a < b else Interval(pts[a], pts[a] + 0.5))
+    return out
+
+
+class TestRunIndex:
+    """The run index of a finite point set agrees bit for bit with compressing each window's slice."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(e=indexed_sets(), data=st.data())
+    def test_indexed_windows_match_the_slice_compression(self, e, data):
+        ws = data.draw(point_windows(list(e._pts())))
+        for _ in range(2):
+            for i in ws:
+                check_indexed(e, i)
+
+    def test_a_wider_window_extends_a_run_a_narrower_one_cut(self):
+        # the first window cuts the 40-point run after 5 points; the second
+        # must go on from there, not stop where the first window did
+        pts = progression(-1.048, 0.549, 40)
+        e = FinitePoints(pts)
+        for hi in (pts[4], pts[20], pts[39], pts[9]):
+            check_indexed(e, Interval(pts[0], hi))
+            check_indexed(e, Interval(-2.0, hi))
+        assert [r.count for r in e.runs_in(-2.0, 30.0)] == [40]
 
 
 class TestMemoHygiene:

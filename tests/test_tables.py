@@ -259,6 +259,28 @@ class TestBoundedSweep:
             assert got[side] == oracles.sweep_walk(e, intervals, side)
         assert got["right"].table[0] == (0.5, 1.0)
 
+    def test_a_cantor_sweep_builds_few_profiles_and_compresses_nothing(self, monkeypatch):
+        # the depth-8 catalog iterate at the default window: a profile per
+        # probe and side would be 27,280; most cannot lower any entry
+        e = dict(catalog(seed=101, cantor_depth=8))["cantor"]
+        intervals = certification_probes(e, Interval(-64.0, 64.0), seed=101).intervals()
+        assert 2 * len(intervals) == 27_280
+        counts = {"profile": 0, "compress": 0}
+
+        def counted(name, original):
+            def call(*args):
+                counts[name] += 1
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(sets_module.WindowSummary, "profile",
+                            counted("profile", sets_module.WindowSummary.profile))
+        monkeypatch.setattr(sets_module.Run, "compress", staticmethod(counted("compress", sets_module.Run.compress)))
+        sweeps = sweep_sides(e, intervals, ("right", "left"))
+        assert all(sweep.certified for sweep in sweeps.values())
+        assert 0 < counts["profile"] <= 8_000
+        assert counts["compress"] == 0
+
 
 class TestTripleTable:
     @settings(max_examples=30, deadline=None)
