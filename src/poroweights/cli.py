@@ -271,16 +271,20 @@ def _porosity_constants(args, cfg: RunConfig) -> Optional[dict]:
     probes = certification_probes(cfg.e, cfg.window, seed=cfg.seed)
     if args.sigma is not None and args.gamma is not None:
         params = PorosityParams(args.sigma, args.gamma, "right")
+        rule = REQUESTED_RULE
         if sweep_parameters(cfg.e, probes, "right", (params.gamma,)).best_sigma < params.sigma:
+            print(f"sigma={params.sigma} gamma={params.gamma} is not certified on the right sweep's probes")
             return None
-        return {"sigma": params.sigma, "gamma": params.gamma, "constants_rule": REQUESTED_RULE}
-    if args.sigma is not None or args.gamma is not None:
-        print("a lone --sigma or --gamma is ignored: the porosity suites run at a certified pair")
-    sweep = sweep_parameters(cfg.e, probes, "right")
-    if not sweep.certified:
-        return None
-    params = sweep.admissible_params()
-    return {"sigma": params.sigma, "gamma": params.gamma, "constants_rule": SWEEP_RULE}
+    else:
+        if args.sigma is not None or args.gamma is not None:
+            print("a lone --sigma or --gamma is ignored: the porosity suites run at a certified pair")
+        sweep = sweep_parameters(cfg.e, probes, "right")
+        if not sweep.certified:
+            return None
+        params = sweep.admissible_params()
+        rule = SWEEP_RULE
+    print(f"porosity constants: sigma={params.sigma:.6g} gamma={params.gamma} ({rule})")
+    return {"sigma": params.sigma, "gamma": params.gamma, "constants_rule": rule}
 
 
 def _run_one_suite(task) -> tuple[str, object]:
@@ -318,11 +322,9 @@ def cmd_verify(args) -> int:
         if found is None:
             gated = [s for s in suite_ids if s in POROSITY_SUITES]
             suite_ids = [s for s in suite_ids if s not in POROSITY_SUITES]
-            pair = f" at sigma={args.sigma} gamma={args.gamma}" if args.sigma is not None and args.gamma is not None else ""
-            print(f"skipping {gated}: right-sided porosity{pair} refuted on probes (their bounds presuppose it)")
+            print(f"skipping {gated}: right-sided porosity refuted on probes (their bounds presuppose it)")
         else:
             constants = found
-            print(f"porosity constants: sigma={found['sigma']:.6g} gamma={found['gamma']} ({found['constants_rule']})")
     tasks = [(sid, cfg, intervals, constants["gamma"], args.eta, constants["sigma"]) for sid in suite_ids]
     if cfg.workers > 1 and len(tasks) > 1:
         with Pool(processes=min(cfg.workers, len(tasks))) as pool:
