@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import groupby
 from math import fsum
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .intervals import GapList, Interval
 
@@ -414,7 +414,7 @@ class _RunIndex:
         return max(cells + spans, default=0.0)
 
     def interior(self, a: int, b: int, i: int, j: int) -> list[Run]:
-        """The interior runs: the runs of ``pts[a:b]`` trimmed by index to ``pts[i:j]``, as by :func:`_interior`."""
+        """The runs of ``pts[a:b]`` trimmed by index to ``pts[i:j]``, as :func:`_interior` trims them."""
         pts, gaps = self.pts, self.gaps
         starts = self.chain(a, b)
         out = []
@@ -850,14 +850,16 @@ def _span_peak(a: float, b: float) -> float:
     return min(m - a, b - m)
 
 
-def _exact_sum(terms: list[float]) -> list[float]:
-    """Floats whose exact sum is the exact sum of the finite ``terms``, which it extends.
+def _exact_sum(terms: Iterable[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of the finite ``terms``.
 
     fsum rounds correctly, so each pass takes the float nearest to what is
-    left, and appends its negation.  What is left is a multiple of the least
-    subnormal, so it reaches zero, and only then does fsum return 0.0.
-    ``fsum(partials + more)`` therefore equals ``fsum(terms + more)`` bit for bit.
+    left and appends its negation.  What is left is a multiple of the least
+    subnormal and shrinks to at most half an ulp of itself, so it reaches
+    zero, and only then does fsum return 0.0.  ``fsum(partials + more)``
+    therefore equals ``fsum(terms + more)`` bit for bit.
     """
+    terms = list(terms)
     partials = []
     h = fsum(terms)
     while h:
@@ -1101,7 +1103,7 @@ class WindowSummary:
             k += 2 + n
         terms = build(self.interior(lo, hi), alpha)
         if self._kept():
-            partials = [math.inf] if math.inf in terms else _exact_sum(terms[:])
+            partials = [math.inf] if math.inf in terms else _exact_sum(terms)
             self._integrals = array("d", [*cache, alpha, len(partials), *partials])
         return terms
 
