@@ -386,7 +386,7 @@ class TestMemoHygiene:
             rho(e, i)
             sigma_at(e, i, 0.25, "right")
             integrate(WeightSpec(e, 0.5), i)
-        assert e.__dict__.get("_windows"), "queries should have filled the memo"
+        assert e.__dict__.get("_windows") and e.__dict__.get("_runs"), "queries should have filled the memo"
         return e
 
     def test_cantor_pickles_like_a_fresh_instance(self):
@@ -394,7 +394,7 @@ class TestMemoHygiene:
         used = self._queried(CantorIterate(0.0, 1.0, 1.0 / 3.0, 6))
         assert pickle.dumps(used) == pickle.dumps(fresh)
         clone = pickle.loads(pickle.dumps(used))
-        assert clone == used and "_windows" not in clone.__dict__
+        assert clone == used and not {"_windows", "_runs"} & clone.__dict__.keys()
         assert rho(clone, Interval(0.0, 1.0)) == rho(fresh, Interval(0.0, 1.0))
 
     def test_value_semantics_ignore_the_memo(self):
@@ -405,7 +405,7 @@ class TestMemoHygiene:
             assert repr(used) == repr(fresh)
             assert to_dict(used) == to_dict(fresh)
             assert pickle.dumps(used) == pickle.dumps(fresh)
-            assert "_windows" not in copy.deepcopy(used).__dict__
+            assert not {"_windows", "_runs"} & copy.deepcopy(used).__dict__.keys()
 
     def test_memo_is_freed_with_its_set(self):
         e = self._queried(CantorIterate(0.0, 1.0, 1.0 / 3.0, 6))
