@@ -11,7 +11,11 @@ branches) before the probe and triple tables, and the last two (a two-sided
 bounded, and a two-sided ``critical-alpha`` on geometric_naturals) before
 the shared triple-window table, and the last two (a right ``analyze --sweep``
 and a two-sided ``a1`` on the near-arithmetic finite set of
-``data/near_arithmetic.json``) before the run index of finite point sets.
+``data/near_arithmetic.json``) before the run index of finite point sets,
+and the last four (a right ``analyze`` and a minus ``a1`` on a reflected
+non-dyadic left lattice, a right ``analyze --sweep`` on the reflected
+near-arithmetic set, and ``verify --suite left-propagation`` at a requested
+``--sigma``/``--gamma`` pair) before the closed-form lattice summaries.
 Together the jobs run
 every subcommand that writes a report and every ``verify`` suite.  A change
 that moves any reported figure by one ulp fails here.
@@ -48,11 +52,16 @@ RANDOM = ("--preset", "random_finite", "--random-count", "24")
 INTEGERS = ("--preset", "integers")
 GEOMETRIC = ("--preset", "geometric_naturals")
 W = ("--window", "-8", "8")
+DATA = Path(__file__).parent / "data"
 # a finite set read with --set-file: a 40-point progression that a run
 # re-spelled from its second point would miss, a dyadic run, a decimal
 # progression that rounds into short runs, and isolated points
-NEAR_ARITHMETIC = ("--set-file", str(Path(__file__).parent / "data" / "near_arithmetic.json"),
+NEAR_ARITHMETIC = ("--set-file", str(DATA / "near_arithmetic.json"),
                    "--window", "-4", "32")
+# its mirror image, and the mirror of a left lattice whose step is no dyadic
+REFLECTED_NEAR_ARITHMETIC = ("--set-file", str(DATA / "reflected_near_arithmetic.json"),
+                             "--window", "-32", "4")
+REFLECTED_LEFT_LATTICE = ("--set-file", str(DATA / "reflected_left_lattice.json"))
 
 JOBS = {
     "analyze-cantor6": ("analyze", *CANTOR6, *CAPS),
@@ -63,7 +72,7 @@ JOBS = {
     "critical-alpha-cantor6": ("critical-alpha", *CANTOR6, *CAPS, "--tol", "0.125"),
     "critical-alpha-random": ("critical-alpha", *RANDOM, *CAPS, "--tol", "0.125"),
     "verify-distance-envelope-cantor6": ("verify", *CANTOR6, *CAPS, "--suite", "distance-envelope"),
-    "verify-decay-cantor6": ("verify", *CANTOR6, *CAPS, "--suite", "decay", "--gamma", "0.25"),
+    "verify-decay-cantor6": ("verify", *CANTOR6, *CAPS, "--suite", "decay"),
     "analyze-integers": ("analyze", *INTEGERS, *CAPS),
     "analyze-sweep-geometric": ("analyze", *GEOMETRIC, *CAPS, "--sweep", "--side", "right"),
     "analyze-left-reflected-geometric": (
@@ -74,7 +83,7 @@ JOBS = {
     "verify-sided-transport-geometric": ("verify", *GEOMETRIC, *CAPS, *W, "--suite", "sided-transport"),
     "verify-sided-transport-cantor6": ("verify", *CANTOR6, *CAPS, "--suite", "sided-transport"),
     "verify-left-propagation-cantor6": (
-        "verify", *CANTOR6, *CAPS, "--suite", "left-propagation", "--gamma", "0.25"),
+        "verify", *CANTOR6, *CAPS, "--suite", "left-propagation"),
     "verify-hole-control-geometric": ("verify", *GEOMETRIC, *CAPS, *W, "--suite", "hole-control"),
     "verify-pore-transport-geometric": ("verify", *GEOMETRIC, *CAPS, *W, "--suite", "pore-transport"),
     "verify-dimension-cantor6": ("verify", *CANTOR6, *CAPS, "--suite", "dimension"),
@@ -94,6 +103,14 @@ JOBS = {
         "critical-alpha", *GEOMETRIC, *CAPS, *W, "--side", "two_sided", "--tol", "0.125"),
     "analyze-sweep-near-arithmetic": ("analyze", *NEAR_ARITHMETIC, *CAPS, "--sweep", "--side", "right"),
     "a1-near-arithmetic": ("a1", *NEAR_ARITHMETIC, *CAPS, "--alpha", "0.5", "--side", "two_sided"),
+    "analyze-right-reflected-left-lattice": ("analyze", *REFLECTED_LEFT_LATTICE, *CAPS, "--side", "right"),
+    "a1-minus-reflected-left-lattice": (
+        "a1", *REFLECTED_LEFT_LATTICE, *CAPS, "--side", "minus", "--alpha", "0.5"),
+    "analyze-sweep-reflected-near-arithmetic": (
+        "analyze", *REFLECTED_NEAR_ARITHMETIC, *CAPS, "--sweep", "--side", "right"),
+    # a pair the CAPS sweep certifies, not the one verify would choose (0.703704, 0.03125)
+    "verify-left-propagation-requested-cantor6": (
+        "verify", *CANTOR6, *CAPS, "--suite", "left-propagation", "--sigma", "0.5", "--gamma", "0.0625"),
 }
 
 
@@ -127,6 +144,10 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'a1_report.json': '0838529be9e751e1af21368b15e9418830d88795bd5e73015ee75089cde991b8',
         'weight_table.csv': 'ff723c75e0b75c578768e175fcb147f1758b4792047c86d77802302ff38ec6c8',
     }),
+    'a1-minus-reflected-left-lattice': (0, {
+        'a1_report.csv': '5e6ec122b1fef66d76c72faa3ee04f61e8c0f758e4879b3a74ae734e415d960c',
+        'a1_report.json': '410234acb0eb5cdf47ca0468b8c77347ef2087a3fa9611bbdb3f2a08e8cfdf79',
+    }),
     'a1-near-arithmetic': (0, {
         'a1_report.csv': 'd955f11b2b8382588deb7bf63fdb7266ad5d9480d4b92d65eb9a607eb1df185f',
         'a1_report.json': '7a559b412a735f9918cce9e1424f82887ee9520f36915a88aa67b160704b4f34',
@@ -159,6 +180,10 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'porosity_report.csv': '948569a2fb9dbc9ed9f1f614634cc61c7d8da5096750afa73f98eed1e6de8f5b',
         'porosity_report.json': 'f1783f93042b501527cb593b5a18fd212c89b3334593c6907b5c1562d8482354',
     }),
+    'analyze-right-reflected-left-lattice': (0, {
+        'porosity_report.csv': 'd5ca445526fc02256021aae813d3bd19fb300005098fbbc2470f9c9708802a0f',
+        'porosity_report.json': 'ddace4f9516527ce7ac1d50934463c4804cdda24c526a55482e9207d149f499c',
+    }),
     'analyze-sweep-cantor6': (0, {
         'porosity_sweep.json': 'e10832eb275c514b1cc46e946225ccd38855fb59887a63c3cca551b583f0b62e',
     }),
@@ -167,6 +192,9 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'analyze-sweep-near-arithmetic': (0, {
         'porosity_sweep.json': '36c94f30d5b4e8b77909073ae41233b86bffb02d5817139ca8a8283ad39796ef',
+    }),
+    'analyze-sweep-reflected-near-arithmetic': (0, {
+        'porosity_sweep.json': '02584c6182bcc01a874b434babe8900faa521ac2ecd82ee6fa2b9d575699d2b2',
     }),
     'critical-alpha-cantor6': (0, {
         'critical_alpha.json': 'fe7d04bdfb42b92cfbd1a457df8777ae5323e68093b2abf8cc8deb4a2f46be69',
@@ -209,6 +237,9 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'verify-left-propagation-cantor6': (0, {
         'verify_left_propagation.json': '3b0e37508cf1a444e569a5369f0d1ae0c9d68a2b70da8f4eeed1a5197033785c',
+    }),
+    'verify-left-propagation-requested-cantor6': (0, {
+        'verify_left_propagation.json': 'd69e85785aaa6e13e2eca488248d58a200a695f08493d91f098575614e783f86',
     }),
     'verify-pore-transport-geometric': (0, {
         'verify_pore_transport.json': 'bf50c81bc8ef78e20e998c60d762ce6db4e622f3c02b15cb52ed3c881747d0f2',
