@@ -25,7 +25,7 @@ from .porosity import (
     certification_probes,
     sweep_parameters,
 )
-from .scaling import LadderReport, rising_prefix_maxima
+from .scaling import LadderReport, octave_of, rising_prefix_maxima
 from .sets import SetDescription, min_component_length
 from .weights import IntegralWindow, WeightSpec, distance_power
 
@@ -150,6 +150,8 @@ class A1Report:
     growth_per_octave: float
     witnesses: tuple[TripleSample, ...]
     nonintegrable_count: int
+    # every triple in TripleFamily.triples order, plus before minus; empty
+    # unless the scan was asked to keep them (a1_constant's default)
     samples: tuple[TripleSample, ...] = field(repr=False, default=())
 
     @property
@@ -158,7 +160,7 @@ class A1Report:
 
 
 class _SideRows(NamedTuple):
-    """The rows of one side: per triple (a, b, c, scale) and c - a, and where its two windows sit.
+    """The rows of one side: per triple (a, b, c, scale), c - a and the octave of the scale, and where its two windows sit.
 
     ``averaged`` holds the distinct windows the side integrates, ``peaks``
     the distance peaks of the distinct windows it takes the ess-inf over,
@@ -167,6 +169,7 @@ class _SideRows(NamedTuple):
 
     triples: list[tuple[float, float, float, float]]
     widths: list[float]
+    octaves: list[int]
     averaged: list[IntegralWindow]
     peaks: list[float]
     cells: list[tuple[int, int]]
@@ -209,6 +212,7 @@ class TripleTable:
             rows = self._sides[side] = _SideRows(
                 triples=triples,
                 widths=[c - a for a, _, c, _ in triples],
+                octaves=[octave_of(s) for *_, s in triples],
                 averaged=[self._window(j) for j in averaged],
                 peaks=[self._window(j).peak() for j in peaks],
                 cells=cells,
@@ -223,49 +227,61 @@ class TripleTable:
         return [_ratio(nums[i], width, powers[k]) for (i, k), width in zip(rows.cells, rows.widths)]
 
 
-def _scan_side(alpha: float, side: str, table: TripleTable) -> A1Report:
-    samples: list[TripleSample] = []
+def _scan_side(alpha: float, side: str, table: TripleTable, samples: bool) -> A1Report:
+    """One pass over the values finds the first maximum, the non-integrable
+    count and the finite per-octave maxima.  A :class:`TripleSample` is
+    built for the best triple, for the witnesses, and for every triple only
+    when ``samples`` asks for them."""
+    rows = table.rows(side)
+    values = table.values(side, alpha)
+    isfinite = math.isfinite
     nonint = 0
-    best: Optional[TripleSample] = None
-    for (a, b, c, s), v in zip(table.rows(side).triples, table.values(side, alpha)):
-        t = TripleSample(a, b, c, v, s)
-        samples.append(t)
+    best = -1
+    best_value = 0.0
+    top: dict[int, float] = {}
+    for n, (k, v) in enumerate(zip(rows.octaves, values)):
         if v == math.inf:
             nonint += 1
             continue
-        if best is None or v > best.value:
-            best = t
-    ladder = LadderReport.from_samples(
-        (round(math.log2(t.scale)), t.value) for t in samples if math.isfinite(t.value)
-    )
+        if best < 0 or v > best_value:
+            best, best_value = n, v
+        if isfinite(v):
+            t = top.get(k)
+            if t is None or v > t:
+                top[k] = v
+    triples = rows.triples
+
+    def sample(n: int) -> TripleSample:
+        a, b, c, s = triples[n]
+        return TripleSample(a, b, c, values[n], s)
+
+    ladder = LadderReport.from_maxima(top)
     witnesses: tuple[TripleSample, ...] = ()
     if ladder.divergent:
-        rows = sorted(
-            ((t.scale, t, t.value) for t in samples if math.isfinite(t.value)),
-            key=lambda r: (r[0], r[2]),
-        )
-        witnesses = tuple(r[1] for r in rising_prefix_maxima(rows))[-16:]
+        order = sorted((n for n, v in enumerate(values) if isfinite(v)), key=lambda n: (triples[n][3], values[n]))
+        rising = rising_prefix_maxima([(n, values[n]) for n in order])
+        witnesses = tuple(sample(n) for n, _ in rising[-16:])
     return A1Report(
         side=side,
         alpha=alpha,
-        triple_count=len(samples),
-        constant_lower_bound=best.value if best else 0.0,
-        best=best,
+        triple_count=len(values),
+        constant_lower_bound=best_value,
+        best=sample(best) if best >= 0 else None,
         divergence_flag=ladder.divergent,
         ladder=ladder.ladder,
         growth_per_octave=ladder.growth_per_octave,
         witnesses=witnesses,
         nonintegrable_count=nonint,
-        samples=tuple(samples),
+        samples=tuple(map(sample, range(len(values)))) if samples else (),
     )
 
 
-def _a1_report(alpha: float, side: str, table: TripleTable) -> A1Report:
+def _a1_report(alpha: float, side: str, table: TripleTable, samples: bool) -> A1Report:
     """The report of a side at alpha; the two-sided one merges the scans of both one-sided sides."""
     if side in ("plus", "minus"):
-        return _scan_side(alpha, side, table)
-    plus = _scan_side(alpha, "plus", table)
-    minus = _scan_side(alpha, "minus", table)
+        return _scan_side(alpha, side, table, samples)
+    plus = _scan_side(alpha, "plus", table, samples)
+    minus = _scan_side(alpha, "minus", table, samples)
     dominant = plus if plus.constant_lower_bound >= minus.constant_lower_bound else minus
     merged_ladder = LadderReport.from_samples(list(plus.ladder) + list(minus.ladder))
     return A1Report(
@@ -283,7 +299,7 @@ def _a1_report(alpha: float, side: str, table: TripleTable) -> A1Report:
     )
 
 
-def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable) -> A1Report:
+def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable, samples: bool = True) -> A1Report:
     """Sampled lower bound (and divergence verdict) for the requested side.
 
     The two-sided constant is the max of the two one-sided scans, mirroring
@@ -291,6 +307,8 @@ def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable) ->
     is a family, or a :class:`TripleTable` of it on ``w.e`` built earlier:
     calls that pass the same table (other exponents, the other side) share
     its window summaries, and each distinct window is summarised once.
+    ``samples=False`` leaves :attr:`A1Report.samples` empty, for callers
+    that read only the reduced figures.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
@@ -298,7 +316,7 @@ def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable) ->
         probes = TripleTable(w.e, probes)
     elif probes.e is not w.e:
         raise ValueError("the triple table was built on another set")
-    return _a1_report(w.alpha, side, probes)
+    return _a1_report(w.alpha, side, probes, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +326,10 @@ def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable) ->
 
 @dataclass(frozen=True)
 class CriticalAlphaResult:
+    """The bisection's verdict.  ``evidence`` is the scan at the reported
+    alpha (at 1/2 when porosity is refuted, None when no step was bounded),
+    kept without its per-triple samples."""
+
     alpha: Optional[float]
     grid: tuple[tuple[float, bool], ...]  # (alpha, bounded evidence)
     monotone: bool
@@ -339,7 +361,7 @@ def critical_alpha(
     # the alpha-free rows of every triple, built once for all bisection steps
     table = TripleTable(e, TripleFamily.default(e, window, octaves=octaves))
     if not sweep.certified:
-        evidence = a1_constant(WeightSpec(e, 0.5), side, table)
+        evidence = a1_constant(WeightSpec(e, 0.5), side, table, samples=False)
         return CriticalAlphaResult(
             alpha=None,
             grid=(),
@@ -353,7 +375,7 @@ def critical_alpha(
     best_report: Optional[A1Report] = None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        report = _a1_report(mid, side, table)
+        report = _a1_report(mid, side, table, samples=False)
         ok = report.bounded_evidence
         grid.append((mid, ok))
         if ok:

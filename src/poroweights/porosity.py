@@ -389,22 +389,43 @@ def _probe_radii(store: WindowStore, i: Interval, windows: Optional[tuple] = Non
 
 
 def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingReport:
-    """Reduce the radius columns: per probe rho(I), then rho of I-, I+ and the centred half."""
+    """Reduce the radius columns: per probe rho(I), then rho of I-, I+ and the centred half.
+
+    One pass finds the first largest ratio and the finite per-octave
+    maxima, with the octave of each probe computed once, on its first pair.
+    The pairs are walked again, in length order, only for the witnesses of
+    a divergent ladder.
+    """
 
     def pair(t: tuple[int, int, float]) -> DoublingPair:
         i = intervals[t[0]]
         return DoublingPair(i, _INNER[t[1]](i), t[2])
 
-    best = max(_pair_ratios(radii), key=lambda t: t[2], default=None)
-    report = LadderReport.from_samples(
-        (octave_of(intervals[n].length), ratio) for n, _, ratio in _pair_ratios(radii)
-    )
+    best: Optional[tuple[int, int, float]] = None
+    best_ratio = 0.0
+    top: dict[int, float] = {}
+    for n, i in enumerate(intervals):
+        outer = radii[4 * n]
+        octave = None
+        for k in (1, 2, 3):
+            inner = radii[4 * n + k]
+            if inner > 0.0:
+                ratio = outer / inner
+                if best is None or ratio > best_ratio:
+                    best, best_ratio = (n, k, ratio), ratio
+                if octave is None:
+                    octave = octave_of(i.length)
+                if math.isfinite(ratio):
+                    t = top.get(octave)
+                    if t is None or ratio > t:
+                        top[octave] = ratio
+    report = LadderReport.from_maxima(top)
     witnesses: tuple[DoublingPair, ...] = ()
     if report.divergent:
         rows = sorted(_pair_ratios(radii), key=lambda t: intervals[t[0]].length)
         witnesses = tuple(map(pair, rising_prefix_maxima(rows)[-16:]))
     return DoublingReport(
-        phi_estimate=best[2] if best else 0.0,
+        phi_estimate=best_ratio,
         worst_pair=pair(best) if best else None,
         ladder=report.ladder,
         divergent=report.divergent,

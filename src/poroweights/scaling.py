@@ -21,15 +21,15 @@ def octave_of(scale: float) -> int:
     return round(math.log2(scale))
 
 
-def per_octave_max(samples: Iterable[tuple[int, float]]) -> list[tuple[int, float]]:
-    """Collapse (octave, value) samples to the max value per octave, sorted."""
+def per_octave_max(samples: Iterable[tuple[int, float]]) -> dict[int, float]:
+    """Collapse (octave, value) samples to the max finite value per octave."""
     table: dict[int, float] = {}
     for k, v in samples:
         if not math.isfinite(v):
             continue
         if k not in table or v > table[k]:
             table[k] = v
-    return sorted(table.items())
+    return table
 
 
 def is_divergent(
@@ -75,7 +75,12 @@ class LadderReport:
 
     @classmethod
     def from_samples(cls, samples: Iterable[tuple[int, float]]) -> "LadderReport":
-        ladder = per_octave_max(samples)
+        return cls.from_maxima(per_octave_max(samples))
+
+    @classmethod
+    def from_maxima(cls, top: dict[int, float]) -> "LadderReport":
+        """The report of the finite per-octave maxima, as :func:`per_octave_max` gives them."""
+        ladder = sorted(top.items())
         return cls(
             ladder=tuple(ladder),
             divergent=is_divergent(ladder),

@@ -9,16 +9,20 @@ on windows whose raw point count would be enormous.  Materialising points
 floats its ``nearest_leq`` and ``nearest_geq`` return, and reflection is exact.
 
 Hole radii, porosity fractions, weight integrals and distance peaks all read
-one :class:`WindowSummary` per window: the components of I \\ E strictly
-between the first and last interior set points, reduced to O(1) numbers
-plus grouped lengths.  Queries add the two edge components of their own
-interval.  Other variants build one from ``runs_in`` on every call.  Finite
-point sets (:class:`SortedPoints`) keep a run index over their sorted points
-instead: the greedy run length from each start index, found on first use.
-A window's runs are a chain through it, trimmed by index, and the memoised
-summary of an index window reads its lengths, peak and integral runs from
-that chain, so no window re-compresses its points; the index spells what
-:class:`Run` would, since a run only holds points its spelling hits.
+one :class:`WindowSummary` per window, from the variant's ``summary(lo, hi)``:
+the components of I \\ E strictly between the first and last interior set
+points, reduced to O(1) numbers plus grouped lengths.  Queries add the two
+edge components of their own interval.  By default a variant builds the
+summary from ``runs_in``.  A lattice answers in closed form: two index
+searches give its interior points, one run.  A reflection mirrors its inner
+set's summary, and a geometric-plus-lattice set hands a window right of its
+geometric points to its lattice.  Finite point sets (:class:`SortedPoints`)
+keep a run index over their sorted points: the greedy run length from each
+start index, found on first use.  A window's runs are a chain through it,
+trimmed by index, and the memoised summary of an index window reads its
+lengths, peak and integral runs from that chain, so no window re-compresses
+its points; the index spells what :class:`Run` would, since a run only holds
+points its spelling hits.
 
 All set values are immutable.  The per-instance summary memo and run index
 are benign caches: they are left out of equality, hashing, ``repr``,
@@ -196,13 +200,25 @@ def _increasing(runs: list[Run]) -> bool:
 
 
 class SetDescription:
-    """Base for all set variants.  Subclasses implement the window primitives."""
+    """Base for all set variants.  Subclasses implement the window primitives.
+
+    ``summary(lo, hi)`` is the primitive every hole, share, integral and
+    peak query reads.  The default here builds it from ``runs_in``; a
+    variant that knows its interior points more directly overrides it with
+    a summary equal to this one: the same ``first``, ``last``, ``longest``,
+    ``shortest`` and interior runs, and a ``ValueError`` exactly where
+    ``runs_in`` raises one.
+    """
 
     # -- primitives ---------------------------------------------------------
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
         """Runs covering exactly the points of the set in the closed [lo, hi]."""
         raise NotImplementedError
+
+    def summary(self, lo: float, hi: float) -> "WindowSummary":
+        """The :class:`WindowSummary` of the open window (lo, hi)."""
+        return WindowSummary.of(_interior(self.runs_in(lo, hi), lo, hi))
 
     def nearest_leq(self, x: float) -> Optional[float]:
         """Largest point <= x, or None."""
@@ -490,6 +506,24 @@ class Lattice(SetDescription):
             return None
         return Run.spell(o, h, Run.index_geq(o, h, x))
 
+    def summary(self, lo: float, hi: float) -> "WindowSummary":
+        """The summary in closed form: the interior points are the indices from
+        the first point above lo to the last below hi, one run.
+
+        It searches at the ends ``runs_in`` searches at, and skips the
+        searches it skips, so it raises where ``runs_in`` raises.
+        """
+        o, h, extent = self.origin, self.step, self.extent
+        if (extent == "right" and hi < o) or (extent == "left" and lo > o):
+            return EMPTY_SUMMARY
+        i = int(lo == o) if extent == "right" and lo <= o else Run.index_leq(o, h, lo) + 1
+        j = -int(hi == o) if extent == "left" and hi >= o else Run.index_geq(o, h, hi) - 1
+        if i > j:
+            return EMPTY_SUMMARY
+        r = Run(o, h, i, j - i + 1)
+        longest, shortest = (h, h) if j > i else (0.0, math.inf)
+        return WindowSummary(r.start, r.end, longest, shortest, [r])
+
     def is_empty(self) -> bool:
         return False
 
@@ -541,6 +575,12 @@ class GeometricPlusLattice(SetDescription):
         geom = Run.compress(self._geom_in(lo, hi))
         latt = self.lattice.runs_in(lo, hi)
         return _merge_run_lists([geom, latt], lo, hi)
+
+    def summary(self, lo: float, hi: float) -> "WindowSummary":
+        """A window right of every geometric point is its lattice's window."""
+        if lo > -self.ratio:
+            return self.lattice.summary(lo, hi)
+        return super().summary(lo, hi)
 
     def nearest_leq(self, x: float) -> Optional[float]:
         cands = [p for p in (self._geom_leq(x), self.lattice.nearest_leq(x)) if p is not None]
@@ -684,8 +724,19 @@ class Reflect(SetDescription):
     inner: SetDescription
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        return [Run(-r.base, r.step, -(r.first + r.count - 1), r.count, tuple(-t for t in r.shift))
-                for r in reversed(self.inner.runs_in(-hi, -lo))]
+        return [_mirrored(r) for r in reversed(self.inner.runs_in(-hi, -lo))]
+
+    def summary(self, lo: float, hi: float) -> "WindowSummary":
+        """The inner set's summary of (-hi, -lo), mirrored.
+
+        Its middle lengths are the inner ones.  Its ends are read from the
+        mirrored runs, which spell a point 0.0 where ``-last`` would give -0.0.
+        """
+        s = self.inner.summary(-hi, -lo)
+        if s.first is None:
+            return EMPTY_SUMMARY
+        runs = [_mirrored(r) for r in reversed(s.interior(-hi, -lo))]
+        return WindowSummary(runs[0].start, runs[-1].end, s.longest, s.shortest, runs)
 
     def nearest_leq(self, x: float) -> Optional[float]:
         p = self.inner.nearest_geq(-x)
@@ -697,6 +748,11 @@ class Reflect(SetDescription):
 
     def is_empty(self) -> bool:
         return self.inner.is_empty()
+
+
+def _mirrored(r: Run) -> Run:
+    """The run of the negated points, which it spells exactly."""
+    return Run(-r.base, r.step, -(r.first + r.count - 1), r.count, tuple(-t for t in r.shift))
 
 
 @dataclass(frozen=True)
@@ -1113,10 +1169,8 @@ EMPTY_SUMMARY = WindowSummary(None, None, 0.0, math.inf, [])
 
 
 def window_summary(e: SetDescription, i: Interval) -> WindowSummary:
-    """Summary of the components of I \\ E; memoised for finite point sets."""
-    if isinstance(e, SortedPoints):
-        return e.summary(i.lo, i.hi)
-    return WindowSummary.of(_interior(e.runs_in(i.lo, i.hi), i.lo, i.hi))
+    """Summary of the components of I \\ E: the set's own ``summary`` of (i.lo, i.hi)."""
+    return e.summary(i.lo, i.hi)
 
 
 def max_component_length(e: SetDescription, i: Interval) -> float:

@@ -9,7 +9,7 @@ admissible weight exponent) are recorded alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -520,13 +520,14 @@ def suite_equivalence_matrix(
         if sweep_r.certified:
             params = sweep_r.params()
             alpha = admissible_alpha(params.sigma, params.gamma)
-            rep = a1_constant(WeightSpec(e, alpha), "plus", table)
+            rep = a1_constant(WeightSpec(e, alpha), "plus", table, samples=False)
             agreement = rep.bounded_evidence
         else:
             alpha = DIVERGENCE_PROBE_ALPHA
-            rep = a1_constant(WeightSpec(e, alpha), "plus", table)
+            rep = a1_constant(WeightSpec(e, alpha), "plus", table, samples=False)
             agreement = rep.divergence_flag
-        rep_minus = a1_constant(WeightSpec(e, DIVERGENCE_PROBE_ALPHA), "minus", table)
+        # no report writes the per-triple samples; kept, they would hold every triple of every set
+        rep_minus = a1_constant(WeightSpec(e, DIVERGENCE_PROBE_ALPHA), "minus", table, samples=False)
         rows.append(
             MatrixRow(
                 name=name,
@@ -541,10 +542,9 @@ def suite_equivalence_matrix(
                 agreement=agreement,
             )
         )
-        # no report writes the per-triple samples; kept, they would hold every triple of every set
         reports[name] = {
-            "plus": replace(rep, samples=()),
-            "minus": replace(rep_minus, samples=()),
+            "plus": rep,
+            "minus": rep_minus,
             "sweep_right": sweep_r,
             "sweep_left": sweep_l,
         }

@@ -6,7 +6,10 @@ dimensions from literal box counting.  The component walk is the slow path
 the window summaries replaced, the slice compression the one the run index
 of finite point sets replaced, and the per-function loops at the end are
 the ones the probe and triple tables replaced; all are kept to check the
-fast paths bit for bit.
+fast paths bit for bit.  So are the summary every variant built from its
+runs before lattices, reflections and geometric-plus-lattice sets answered
+in closed form, and the per-sample reductions the one-pass A1 scan and
+doubling report replaced.
 """
 
 import math
@@ -17,7 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from poroweights.intervals import Interval
-from poroweights.muckenhoupt import POROSITY_SIDE, TripleFamily, TripleSample
+from poroweights.muckenhoupt import POROSITY_SIDE, A1Report, TripleFamily, TripleSample
 from poroweights.porosity import (
     GAMMA_GRID,
     MAX_WITNESSES,
@@ -127,17 +130,17 @@ def box_count_dimension(e, window, deltas):
 
 def _interior_runs(e, i):
     """Runs of set points strictly inside the open interval, trimmed by index."""
-    return _trimmed(e.runs_in(i.lo, i.hi), i)
+    return _trimmed(e.runs_in(i.lo, i.hi), i.lo, i.hi)
 
 
-def _trimmed(runs, i):
-    """The runs of the closed interval less the points on its ends, trimmed by index."""
+def _trimmed(runs, lo, hi):
+    """The runs of the closed window [lo, hi] less the points on its ends, trimmed by index."""
     out = []
     for r in runs:
         first, count = r.first, r.count
-        if r.start == i.lo:
+        if r.start == lo:
             first, count = first + 1, count - 1
-        if count > 0 and r.end == i.hi:
+        if count > 0 and r.end == hi:
             count -= 1
         if count > 0:
             out.append(Run(r.base, r.step, first, count, r.shift))
@@ -160,7 +163,21 @@ def compressed_runs(e, lo, hi):
 
 def compressed_summary(e, i):
     """A fresh :class:`WindowSummary` of the compressed runs inside I."""
-    return WindowSummary.of(_trimmed(compressed_runs(e, i.lo, i.hi), i))
+    return WindowSummary.of(_trimmed(compressed_runs(e, i.lo, i.hi), i.lo, i.hi))
+
+
+# ---------------------------------------------------------------------------
+# the summary built from runs
+#
+# Every variant's summary before lattices answered in closed form,
+# reflections mirrored their inner summary and geometric-plus-lattice sets
+# handed windows right of their geometric points to their lattice: the runs
+# of the closed window, trimmed by index.  Each variant's ``summary`` must
+# agree with it, and raise where it raises.
+# ---------------------------------------------------------------------------
+
+def summary_from_runs(e, lo, hi):
+    return WindowSummary.of(_trimmed(e.runs_in(lo, hi), lo, hi))
 
 
 def iter_components(e, i):
@@ -447,3 +464,84 @@ def critical_alpha_grid_walk(e, side, window, tol, octaves, probe_seed=0):
         else:
             hi = mid
     return tuple(grid)
+
+
+# ---------------------------------------------------------------------------
+# per-sample reductions
+#
+# The A1 scan and the doubling report before their one-pass reductions: a
+# sample per triple or per nested pair, then one generator pass each for the
+# best value, the octave ladder and the witnesses.
+# ---------------------------------------------------------------------------
+
+def scan_side_walk(alpha, side, table):
+    """The report of one one-sided scan, every triple kept as a sample."""
+    samples = []
+    nonint = 0
+    best = None
+    for (a, b, c, s), v in zip(table.rows(side).triples, table.values(side, alpha)):
+        t = TripleSample(a, b, c, v, s)
+        samples.append(t)
+        if v == math.inf:
+            nonint += 1
+            continue
+        if best is None or v > best.value:
+            best = t
+    ladder = LadderReport.from_samples(
+        (round(math.log2(t.scale)), t.value) for t in samples if math.isfinite(t.value)
+    )
+    witnesses = ()
+    if ladder.divergent:
+        rows = sorted(
+            ((t.scale, t, t.value) for t in samples if math.isfinite(t.value)),
+            key=lambda r: (r[0], r[2]),
+        )
+        witnesses = tuple(r[1] for r in rising_prefix_maxima(rows))[-16:]
+    return A1Report(
+        side=side,
+        alpha=alpha,
+        triple_count=len(samples),
+        constant_lower_bound=best.value if best else 0.0,
+        best=best,
+        divergence_flag=ladder.divergent,
+        ladder=ladder.ladder,
+        growth_per_octave=ladder.growth_per_octave,
+        witnesses=witnesses,
+        nonintegrable_count=nonint,
+        samples=tuple(samples),
+    )
+
+
+def _pair_ratios_walk(radii):
+    for n in range(0, len(radii), 4):
+        outer = radii[n]
+        for k in (1, 2, 3):
+            inner = radii[n + k]
+            if inner > 0.0:
+                yield n // 4, k, outer / inner
+
+
+def doubling_report_walk(intervals, radii):
+    """The doubling report of radius columns (rho of I, I-, I+ and the centred half per probe)."""
+    inner_of = (None, lambda i: i.left_half, lambda i: i.right_half,
+                lambda i: Interval(i.center - 0.25 * i.length, i.center + 0.25 * i.length))
+
+    def pair(t):
+        i = intervals[t[0]]
+        return DoublingPair(i, inner_of[t[1]](i), t[2])
+
+    best = max(_pair_ratios_walk(radii), key=lambda t: t[2], default=None)
+    report = LadderReport.from_samples(
+        (octave_of(intervals[n].length), ratio) for n, _, ratio in _pair_ratios_walk(radii)
+    )
+    witnesses = ()
+    if report.divergent:
+        rows = sorted(_pair_ratios_walk(radii), key=lambda t: intervals[t[0]].length)
+        witnesses = tuple(map(pair, rising_prefix_maxima(rows)[-16:]))
+    return DoublingReport(
+        phi_estimate=best[2] if best else 0.0,
+        worst_pair=pair(best) if best else None,
+        ladder=report.ladder,
+        divergent=report.divergent,
+        witnesses=witnesses,
+    )

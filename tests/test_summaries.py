@@ -6,6 +6,8 @@ component) is compared with ``==`` against the generator walk kept in
 ``tests/oracles.py``, and everything the run index of a finite point set
 answers against the slice compression kept there.  Each window is queried
 twice, so the second pass answers from the memo of a finite point set.
+Every variant's own ``summary`` is compared with the summary built from
+its runs, kept there too.
 """
 
 import bisect
@@ -37,7 +39,15 @@ from poroweights import (
     to_dict,
 )
 from poroweights.porosity import GAMMA_GRID, SIDES
-from poroweights.sets import EXTENTS, _interior, largest_component, min_component_length, window_summary
+from poroweights.sets import (
+    EXTENTS,
+    PointCapExceeded,
+    Run,
+    _interior,
+    largest_component,
+    min_component_length,
+    window_summary,
+)
 from poroweights.weights import IntegralWindow, max_distance_on
 
 from . import oracles
@@ -456,3 +466,144 @@ class TestMemoHygiene:
         for alpha in ALPHAS:
             integrate(WeightSpec(e, alpha), Interval(1.0, 2.0))
         assert s._groups is None and not s._integrals
+
+
+# ---------------------------------------------------------------------------
+# each variant's summary against the summary built from its runs
+# ---------------------------------------------------------------------------
+
+SUMMARY_ORIGINS = (0.0, 0.3, -1.7, 1.0 / 3.0, 0.25)
+SUMMARY_STEPS = (1.0, 0.1, 1.0 / 3.0, 0.7)
+# magnitudes where a unit or decimal step is below the float resolution
+HUGE = (2.0 ** 53, 1e17, 2.0 ** 60, 1e300)
+SUMMARY_ALPHAS = (0.25, 0.5, 0.9)
+
+
+def outcome(query):
+    """What a summary query returns, or the type of the error it raises."""
+    try:
+        return query()
+    except (ValueError, PointCapExceeded) as exc:
+        return type(exc)
+
+
+def check_variant_summary(e, lo, hi):
+    """``e.summary`` against ``oracles.summary_from_runs``: the same error, or
+    the same ends, lengths, interior runs, peak, shares and integrals."""
+    want = outcome(lambda: oracles.summary_from_runs(e, lo, hi))
+    got = outcome(lambda: e.summary(lo, hi))
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert repr((got.first, got.last, got.longest, got.shortest)) == \
+        repr((want.first, want.last, want.longest, want.shortest))
+    assert run_fields(got.interior(lo, hi)) == run_fields(want.interior(lo, hi))
+    assert repr(got.peak(lo, hi)) == repr(want.peak(lo, hi))
+    mine, theirs = got.profile(lo, hi), want.profile(lo, hi)
+    lengths = [-x for x in theirs._neg]
+    for t in [0.0, math.inf, *lengths, *(math.nextafter(t, math.inf) for t in lengths)]:
+        assert repr(mine.share(t)) == repr(theirs.share(t))
+    window = outcome(lambda: IntegralWindow.of(e, Interval(lo, hi)))
+    if isinstance(window, type):  # a nearest-point search out of resolution
+        return
+    fresh = window._replace(summary=want)
+    assert repr(window.peak()) == repr(fresh.peak())
+    for alpha in SUMMARY_ALPHAS:
+        assert repr(window.integral(alpha)) == repr(fresh.integral(alpha))
+
+
+@st.composite
+def summary_windows(draw, e, marks):
+    """Windows whose ends are set points, the given marks, floats or huge magnitudes."""
+    pts = e.points_in(-40.0, 40.0) or [0.0]
+    end = st.one_of(
+        st.sampled_from(pts),
+        st.sampled_from(marks),
+        st.floats(-45.0, 45.0),
+        st.builds(lambda x, sign: sign * x, st.sampled_from(HUGE), st.sampled_from((-1.0, 1.0))),
+    )
+    out = []
+    for _ in range(WINDOWS_PER_SET):
+        x, y = sorted((draw(end), draw(end)))
+        if not x < y:
+            y = math.nextafter(x, math.inf)
+        out.append((x, y))
+    return out
+
+
+lattices = st.builds(Lattice, st.sampled_from(SUMMARY_ORIGINS), st.sampled_from(SUMMARY_STEPS),
+                     st.sampled_from(EXTENTS))
+
+
+@st.composite
+def summary_variants(draw):
+    """A set with a summary of its own, and the marks its windows should end on."""
+    kind = draw(st.sampled_from(["lattice", "reflect-lattice", "reflect-finite", "reflect-cantor",
+                                 "geometric", "translate", "cutoff", "union"]))
+    if kind in ("lattice", "reflect-lattice"):
+        latt = draw(lattices)
+        if kind == "lattice":
+            return latt, [latt.origin, *(Run.spell(latt.origin, latt.step, k) for k in (-2, -1, 1, 2))]
+        return Reflect(latt), [-latt.origin, -Run.spell(latt.origin, latt.step, 1)]
+    if kind == "reflect-finite":
+        raw = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20))
+        return Reflect(FinitePoints(raw)), [-x for x in raw]
+    if kind == "reflect-cantor":
+        # both iterates hold 0.0; mirrored, it is the first or the last interior point
+        span = draw(st.sampled_from([(0.0, 1.0), (-1.0, 0.0)]))
+        return Reflect(CantorIterate(*span, 1.0 / 3.0, draw(st.integers(0, 4)))), [0.0, -0.0]
+    if kind == "geometric":
+        ratio = draw(st.sampled_from([2.0, 3.0, 1.5]))
+        latt = draw(st.one_of(
+            st.builds(Lattice, st.sampled_from(SUMMARY_ORIGINS), st.sampled_from(SUMMARY_STEPS),
+                      st.sampled_from(["right", "two_sided"])),
+            # points that coincide with the geometric points -2, -4, -8, ...
+            st.just(Lattice(0.0, 2.0, "two_sided")),
+            st.just(Lattice(-8.0, 2.0, "right")),
+        ))
+        return GeometricPlusLattice(ratio, latt), [-ratio, -ratio * ratio, latt.origin]
+    latt = draw(lattices)
+    if kind == "translate":
+        return Translate(latt, draw(st.sampled_from([0.375, -1.9, 0.1]))), [latt.origin]
+    if kind == "cutoff":
+        point = draw(st.sampled_from([0.0, 0.3, -2.5]))
+        return Cutoff(latt, point, draw(st.sampled_from(["right", "left"]))), [point]
+    return UnionSet([latt, FinitePoints([-5.5, 0.05, 7.25])]), [-5.5, 0.05, 7.25]
+
+
+class TestVariantSummaries:
+    """Each variant's ``summary`` equals the summary of its trimmed runs, and raises where it raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_variant_matches_its_runs(self, data):
+        e, marks = data.draw(summary_variants())
+        for lo, hi in data.draw(summary_windows(e, marks)):
+            check_variant_summary(e, lo, hi)
+
+    @pytest.mark.parametrize("extent", EXTENTS)
+    @pytest.mark.parametrize("step", SUMMARY_STEPS)
+    def test_lattice_windows_on_points_and_the_origin(self, extent, step):
+        e = Lattice(0.3, step, extent)
+        marks = [0.3, *(Run.spell(0.3, step, k) for k in (-3, -1, 1, 3)), -0.5, 2.0, 1e17, -1e17]
+        for lo in marks:
+            for hi in marks:
+                if lo < hi:
+                    check_variant_summary(e, lo, hi)
+                    check_variant_summary(Reflect(e), -hi, -lo)
+
+    def test_a_mirrored_zero_is_spelled_as_the_runs_spell_it(self):
+        e = Reflect(CantorIterate(0.0, 1.0, 1.0 / 3.0, 2))
+        got = e.summary(-2.0, 0.5)
+        assert repr(got.last) == "0.0" == repr(oracles.summary_from_runs(e, -2.0, 0.5).last)
+        check_variant_summary(e, -2.0, 0.5)
+
+    def test_a_resolution_error_where_the_runs_raise_it(self):
+        for e in (Lattice(0.0, 1.0, "two_sided"), Reflect(Lattice(0.0, 0.1, "left")),
+                  GeometricPlusLattice(2.0, Lattice(0.0, 1.0, "right"))):
+            with pytest.raises(ValueError):
+                oracles.summary_from_runs(e, 0.0, 1e17)
+            with pytest.raises(ValueError):
+                e.summary(0.0, 1e17)
+        # a right lattice searches no lower end left of its origin, so it answers
+        check_variant_summary(Lattice(0.0, 1.0, "right"), -1e300, 5.5)

@@ -7,16 +7,21 @@ summaries, so the work the tables save cannot quietly come back: each
 distinct probe window is summarised once per sweep while the sweep's recent
 windows fit its window store, and each distinct triple window once per
 table, whatever ratios, octaves, sides and exponents read it.  A third group
-shrinks the store until it evicts, and bounds what a pass holds.
+shrinks the store until it evicts, and bounds what a pass holds.  A fourth
+compares the one-pass A1 scan and doubling report with the per-sample
+reductions they replaced.
 """
 
 import math
 import sys
 import tracemalloc
+from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import poroweights.muckenhoupt as muckenhoupt_module
 import poroweights.porosity as porosity_module
 import poroweights.sets as sets_module
 import poroweights.suites as suites_module
@@ -43,8 +48,8 @@ from poroweights import (
     sweep_parameters,
     sweep_sides,
 )
-from poroweights.muckenhoupt import SIDES as A1_SIDES
-from poroweights.porosity import GAMMA_GRID, SIDES
+from poroweights.muckenhoupt import SIDES as A1_SIDES, _scan_side
+from poroweights.porosity import GAMMA_GRID, SIDES, WindowStore, _doubling_report, _probe_radii
 from poroweights.sets import EMPTY_SUMMARY, window_summary
 from poroweights.suites import suite_equivalence_matrix, suite_sided_transport
 
@@ -337,6 +342,68 @@ class TestTripleTable:
         assert got.grid == oracles.critical_alpha_grid_walk(e, side, window, tol=0.125, octaves=8)
 
 
+# (set, sides, alpha, octaves): the plus side of reflected naturals and the
+# minus side of naturals and its ladder diverge with 16 witnesses at 24
+# octaves; integers tie their values across anchors, and at alpha >= 1 every
+# triple whose averaged window meets the set is not integrable
+REDUCTION_CASES = {
+    "reflected_naturals": (Reflect(NATURALS), ("plus", "minus"), 0.5, 24),
+    "naturals": (NATURALS, ("plus", "minus"), 0.5, 24),
+    "reflected_geometric_naturals": (Reflect(BASES["geometric_naturals"]), ("plus", "minus"), 0.5, 24),
+    "integers-ties": (BASES["integers"], ("plus", "minus"), 0.5, 8),
+    "integers-alpha-1": (BASES["integers"], ("plus", "minus"), 1.0, 8),
+    "integers-alpha-1.25": (BASES["integers"], ("plus",), 1.25, 8),
+    "cantor-alpha-1.5": (BASES["cantor"], ("minus",), 1.5, 8),
+}
+
+
+def check_scan(table, side, alpha):
+    """Both ways of the one-pass scan against the per-sample oracle; the oracle's report."""
+    want = oracles.scan_side_walk(alpha, side, table)
+    assert _scan_side(alpha, side, table, True) == want
+    assert _scan_side(alpha, side, table, False) == replace(want, samples=())
+    return want
+
+
+class TestReductions:
+    """The one-pass reductions equal the per-sample ones, field for field."""
+
+    @pytest.mark.parametrize("case", sorted(REDUCTION_CASES))
+    def test_the_scan_matches_the_per_sample_scan(self, case):
+        e, sides, alpha, octaves = REDUCTION_CASES[case]
+        table = TripleTable(e, TripleFamily.default(e, WINDOW, octaves=octaves, anchor_cap=8))
+        reports = [check_scan(table, side, alpha) for side in sides]
+        if case in ("reflected_naturals", "naturals", "reflected_geometric_naturals"):
+            assert any(len(r.witnesses) == 16 for r in reports)
+        if case.startswith("integers-ties"):
+            best = reports[0].best.value
+            assert sum(t.value == best for t in reports[0].samples) > 1  # the first maximum is kept
+        if "alpha" in case:
+            assert all(r.nonintegrable_count > 0 for r in reports)
+
+    @settings(max_examples=30, deadline=None)
+    @given(e=point_sets(), side=st.sampled_from(["plus", "minus"]), alpha=st.sampled_from([0.25, 0.5, 0.9, 1.0, 1.5]))
+    def test_scans_of_any_set(self, e, side, alpha):
+        check_scan(TripleTable(e, TripleFamily.default(e, WINDOW, octaves=6, anchor_cap=4)), side, alpha)
+
+    @pytest.mark.parametrize("e, diverges", [
+        (NATURALS, True), (Reflect(NATURALS), True), (Translate(NATURALS, 0.375), True),
+        (BASES["integers"], False), (BASES["cantor"], False),
+    ], ids=["naturals", "reflected_naturals", "translated_naturals", "integers", "cantor"])
+    def test_the_doubling_report_matches_the_per_pair_report(self, e, diverges):
+        # nested probes around a lattice end diverge; integer probes tie
+        nested = [Interval(0.125 - 2.0 ** n, 0.125 + 2.0 ** n) for n in range(1, 20)]
+        for intervals in (nested, small_family(e, 1).intervals()):
+            store = WindowStore(e)
+            radii = array("d")
+            for i in intervals:
+                radii.extend(_probe_radii(store, i))
+            report = _doubling_report(intervals, radii)
+            assert report == oracles.doubling_report_walk(intervals, radii)
+            if intervals is nested:
+                assert bool(report.witnesses) == report.divergent == diverges
+
+
 DUALITY_SETS = [
     *catalog(seed=3, cantor_depth=6),
     ("lattice-third", BASES["lattice-third"]),
@@ -412,10 +479,40 @@ def fsums(monkeypatch):
     return count
 
 
-class TestWorkCounts:
-    SETS = [BASES["integers"], BASES["geometric_naturals"], CantorIterate(0.0, 1.0, 1.0 / 3.0, 6)]
+@pytest.fixture
+def lattice_runs(monkeypatch):
+    """Counter of ``Lattice.runs_in`` calls."""
+    count = [0]
+    original = Lattice.runs_in
 
-    @pytest.mark.parametrize("e", SETS, ids=["integers", "geometric_naturals", "cantor6"])
+    def counted(self, lo, hi):
+        count[0] += 1
+        return original(self, lo, hi)
+
+    monkeypatch.setattr(Lattice, "runs_in", counted)
+    return count
+
+
+@pytest.fixture
+def triple_samples(monkeypatch):
+    """Counter of the ``TripleSample`` objects the A1 scan builds."""
+    count = [0]
+    original = muckenhoupt_module.TripleSample
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(muckenhoupt_module, "TripleSample", counted)
+    return count
+
+
+class TestWorkCounts:
+    SETS = [BASES["integers"], BASES["geometric_naturals"], CantorIterate(0.0, 1.0, 1.0 / 3.0, 6),
+            Reflect(BASES["geometric_naturals"])]
+    IDS = ["integers", "geometric_naturals", "cantor6", "reflected_geometric_naturals"]
+
+    @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_certify_summarises_four_windows_per_probe(self, e, summaries):
         intervals = small_family(e, 1).intervals()
         for side in SIDES:
@@ -423,13 +520,13 @@ class TestWorkCounts:
             certify(e, PorosityParams(0.25, 0.25, side), intervals)
             assert 0 < summaries[0] <= 4 * len(intervals)
 
-    @pytest.mark.parametrize("e", SETS, ids=["integers", "geometric_naturals", "cantor6"])
+    @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_right_and_left_sweeps_share_the_halves(self, e, summaries):
         intervals = small_family(e, 1).intervals()
         sweep_sides(e, intervals, ("right", "left"))
         assert 0 < summaries[0] <= 2 * len(intervals)
 
-    @pytest.mark.parametrize("e", SETS, ids=["integers", "geometric_naturals", "cantor6"])
+    @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_sweeps_summarise_each_distinct_window_once(self, e, summaries):
         intervals = certification_probes(e, WINDOW, anchor_cap=8, random_count=20).intervals()
         distinct = {w for i in intervals for w in ((i.lo, i.hi), (i.lo, i.center), (i.center, i.hi))}
@@ -451,7 +548,7 @@ class TestWorkCounts:
         assert 0 < fsums[0] <= sum(distinct)
 
     @pytest.mark.parametrize("side", A1_SIDES)
-    @pytest.mark.parametrize("e", SETS, ids=["integers", "geometric_naturals", "cantor6"])
+    @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_a1_summarises_each_triple_window_once(self, e, side, summaries):
         fam = TripleFamily.default(e, WINDOW, octaves=8, anchor_cap=8)
         summaries[0] = 0
@@ -471,6 +568,25 @@ class TestWorkCounts:
         summaries[0] = 0
         suite_equivalence_matrix(named, window, octaves=8)
         assert 0 < summaries[0] <= budget
+
+    @pytest.mark.parametrize("e", [BASES["integers"], NATURALS, Reflect(NATURALS)],
+                             ids=["integers", "naturals", "reflected_naturals"])
+    def test_lattice_sweeps_build_no_runs(self, e, lattice_runs):
+        intervals = certification_probes(e, WINDOW, anchor_cap=8, random_count=20).intervals()
+        lattice_runs[0] = 0
+        sweep_sides(e, intervals, SIDES)
+        assert lattice_runs[0] == 0
+
+    @pytest.mark.parametrize("e, side", [(NATURALS, "minus"), (Reflect(NATURALS), "plus"), (BASES["integers"], "plus")],
+                             ids=["naturals-minus", "reflected_naturals-plus", "integers-plus"])
+    def test_a_scan_without_samples_builds_the_best_and_the_witnesses_only(self, e, side, triple_samples):
+        fam = TripleFamily.default(e, WINDOW, octaves=24, anchor_cap=8)
+        table = TripleTable(e, fam)
+        triple_samples[0] = 0
+        report = a1_constant(WeightSpec(e, 0.5), side, table, samples=False)
+        assert report.samples == ()
+        assert triple_samples[0] == 1 + len(report.witnesses) <= 17
+        assert a1_constant(WeightSpec(e, 0.5), side, table).samples  # kept on request
 
     @pytest.mark.parametrize(
         "side, e",
