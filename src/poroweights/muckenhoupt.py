@@ -138,7 +138,14 @@ class TripleFamily:
 
 @dataclass(frozen=True)
 class A1Report:
-    """Sampled evidence about one one-sided constant of a fixed weight."""
+    """Sampled evidence about one one-sided constant of a fixed weight.
+
+    ``samples`` holds every triple in :meth:`TripleFamily.triples` order,
+    plus before minus for the two-sided report.  It is empty when the scan
+    was asked not to keep them (``a1_constant(..., samples=False)``, as
+    ``critical_alpha`` and the equivalence matrix ask); ``best`` and
+    ``witnesses`` are there either way.
+    """
 
     side: str
     alpha: float
@@ -150,8 +157,6 @@ class A1Report:
     growth_per_octave: float
     witnesses: tuple[TripleSample, ...]
     nonintegrable_count: int
-    # every triple in TripleFamily.triples order, plus before minus; empty
-    # unless the scan was asked to keep them (a1_constant's default)
     samples: tuple[TripleSample, ...] = field(repr=False, default=())
 
     @property
