@@ -190,7 +190,8 @@ def cmd_analyze(args) -> int:
 def cmd_a1(args) -> int:
     cfg = _config(args)
     w = WeightSpec(cfg.e, args.alpha)
-    fam = TripleFamily.default(cfg.e, cfg.window, octaves=args.octaves or 24, anchor_cap=min(cfg.anchor_cap, 32))
+    octaves = 24 if args.octaves is None else args.octaves
+    fam = TripleFamily.default(cfg.e, cfg.window, octaves=octaves, anchor_cap=min(cfg.anchor_cap, 32))
     report = a1_constant(w, args.side, fam)
     rows = [(t.a, t.b, t.c, t.value, t.scale) for t in report.samples]
     _emit(cfg, "a1_report", "a1-constant", report, (TRIPLE_COLUMNS, rows))
@@ -219,6 +220,8 @@ def cmd_dimension(args) -> int:
     grid = None
     if args.eps_hi is not None and args.eps_lo is not None:
         n = args.eps_points
+        if n < 2:
+            raise ValueError(f"--eps-points must be at least 2 to fit a slope, got {n}")
         ratio = (args.eps_lo / args.eps_hi) ** (1.0 / (n - 1))
         grid = [args.eps_hi * ratio ** k for k in range(n)]
     report = suite_dimension(cfg.e, cfg.window, eps_grid=grid, regime=args.regime,

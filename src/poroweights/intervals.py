@@ -1,15 +1,14 @@
-"""Open intervals on the real line and gap decompositions.
+"""Open intervals on the real line.
 
 Everything downstream treats intervals as open; the sets under study have
 Lebesgue measure zero, so endpoint membership never changes a measure or an
-integral.  Ties at component boundaries are resolved by half-open bookkeeping
-in :class:`GapList`.
+integral.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -78,14 +77,3 @@ class Interval:
     def as_pair(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-
-@dataclass(frozen=True)
-class GapList:
-    """Ordered connected components of I \\ E for a bounded interval I."""
-
-    interval: Interval
-    components: tuple[Interval, ...]
-    total_length: float = field(default=0.0)
-
-    def __len__(self) -> int:
-        return len(self.components)

@@ -109,6 +109,8 @@ class TripleFamily:
         """The ladder starts 4 octaves below the finest gap, but no lower than
         the anchors resolve (s * min(ratios) is at least the largest anchor
         ulp, so every triple has a < b < c) and no lower than ``MIN_OCTAVE``."""
+        if octaves < 1:
+            raise ValueError(f"octaves must be at least 1, got {octaves}")
         anchors = tuple(anchor_candidates(e, window, anchor_cap))
         finest = min_component_length(e, window)
         resolved = max(map(math.ulp, anchors)) / min(TRIPLE_RATIOS)
@@ -361,6 +363,8 @@ def critical_alpha(
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     porosity_probes = certification_probes(e, window, seed=probe_seed)
     sweep = sweep_parameters(e, porosity_probes, POROSITY_SIDE[side])
     # the alpha-free rows of every triple, built once for all bisection steps
@@ -380,6 +384,8 @@ def critical_alpha(
     best_report: Optional[A1Report] = None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the midpoint rounds onto an end: the grid is as fine as floats allow
         report = _a1_report(mid, side, table, samples=False)
         ok = report.bounded_evidence
         grid.append((mid, ok))

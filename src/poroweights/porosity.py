@@ -189,6 +189,8 @@ def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
 
 def anchor_candidates(e: SetDescription, window: Interval, cap: int = DEFAULT_ANCHOR_CAP) -> list[float]:
     """Set points and gap midpoints in the window, capped by even striding."""
+    if cap < 1:
+        raise ValueError(f"anchor cap must be at least 1, got {cap}")
     pts = sample_points(e, window.lo, window.hi, cap)
     mids: list[float] = []
     bounds = [window.lo] + pts + [window.hi]
@@ -214,6 +216,8 @@ def default_scales(
         finest = min_component_length(e, window)
         k_min = math.floor(math.log2(finest)) - 2
         octaves = min(max(k_max - k_min + 1, MIN_OCTAVES), MAX_OCTAVES)
+    elif octaves < 1:
+        raise ValueError(f"octaves must be at least 1, got {octaves}")
     # 2.0 ** -1074 is the smallest positive float
     return [2.0 ** k for k in range(k_max, max(k_max - octaves, -1075), -1)]
 
@@ -245,6 +249,8 @@ class ProbeFamily:
         seed: int = 0,
         headroom: int = 0,
     ) -> "ProbeFamily":
+        if random_count < 0:
+            raise ValueError(f"random probe count must not be negative, got {random_count}")
         return cls(
             anchors=tuple(anchor_candidates(e, window, anchor_cap)),
             scales=tuple(default_scales(e, window, octaves, headroom)),
@@ -648,15 +654,16 @@ def dimension_bound(sigma: float, gamma: float) -> float:
     return 1.0 - decay_exponent(sigma, gamma)
 
 
-def admissible_alpha(sigma: float, gamma: float, fraction: float = 0.5) -> float:
+ALPHA_FRACTION = 0.5  # share of the decay exponent an admissible alpha takes
+
+
+def admissible_alpha(sigma: float, gamma: float) -> float:
     """Weight exponent safely below the decay exponent alpha0.
 
     Any alpha < alpha0 makes the geometric series in the one-sided average
-    bound converge; `fraction` keeps clear of the edge.
+    bound converge; `ALPHA_FRACTION` keeps clear of the edge.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1)")
-    return min(fraction * decay_exponent(sigma, gamma), 0.95)
+    return min(ALPHA_FRACTION * decay_exponent(sigma, gamma), 0.95)
 
 
 # ---------------------------------------------------------------------------
@@ -676,13 +683,8 @@ class PropagationCheck:
     ok: bool
 
 
-def left_propagation_check(e: SetDescription, i: Interval, gamma: float) -> PropagationCheck:
-    """Check rho(I) <= ((gamma+1)/gamma) * rho(left half of I)."""
-    return left_propagation_on(WindowStore(e), i, gamma)
-
-
 def left_propagation_on(store: WindowStore, i: Interval, gamma: float) -> PropagationCheck:
-    """:func:`left_propagation_check` with its hole radii read from ``store``."""
+    """Check rho(I) <= ((gamma+1)/gamma) * rho(left half of I), with hole radii read from ``store``."""
     rho_full = store.rho(i)
     rho_left = store.rho(i.left_half)
     bound = (gamma + 1.0) / gamma * rho_left
@@ -711,22 +713,6 @@ class TransportCheck:
     ok: bool
 
 
-def pore_transport_check(
-    e: SetDescription,
-    outer: Interval,
-    inner: Interval,
-    gamma: float,
-    enforce_center_order: bool = True,
-) -> TransportCheck:
-    """Check rho(outer right half) <= theta1 * (|outer|/|inner|)**theta2 * rho(inner right half).
-
-    Requires inner contained in outer with center(inner) <= center(outer);
-    the bound genuinely fails without the center condition, so violating it
-    raises unless explicitly disabled for counterexample reproduction.
-    """
-    return pore_transport_on(WindowStore(e), outer, inner, gamma, enforce_center_order)
-
-
 def pore_transport_on(
     store: WindowStore,
     outer: Interval,
@@ -734,7 +720,13 @@ def pore_transport_on(
     gamma: float,
     enforce_center_order: bool = True,
 ) -> TransportCheck:
-    """:func:`pore_transport_check` with its hole radii read from ``store``."""
+    """Check rho(outer right half) <= theta1 * (|outer|/|inner|)**theta2 * rho(inner right half).
+
+    Hole radii are read from ``store``.  Requires inner contained in outer
+    with center(inner) <= center(outer); the bound genuinely fails without
+    the center condition, so violating it raises unless explicitly disabled
+    for counterexample reproduction.
+    """
     if not outer.contains_interval(inner):
         raise ValueError("inner interval must be contained in the outer interval")
     if enforce_center_order and inner.center > outer.center:

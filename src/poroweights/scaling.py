@@ -32,20 +32,16 @@ def per_octave_max(samples: Iterable[tuple[int, float]]) -> dict[int, float]:
     return table
 
 
-def is_divergent(
-    ladder: Sequence[tuple[int, float]],
-    factor: float = DIVERGENCE_FACTOR,
-    octaves: int = DIVERGENCE_OCTAVES,
-) -> bool:
-    """True when each of the top `octaves` rungs exceeds `factor` times the rung
-    halfway down the recorded ladder."""
-    if len(ladder) < max(MIN_LADDER, 2 * octaves):
+def is_divergent(ladder: Sequence[tuple[int, float]]) -> bool:
+    """True when each of the top `DIVERGENCE_OCTAVES` rungs exceeds
+    `DIVERGENCE_FACTOR` times the rung halfway down the recorded ladder."""
+    if len(ladder) < max(MIN_LADDER, 2 * DIVERGENCE_OCTAVES):
         return False
     vals = [v for _, v in ladder]
     n = len(vals)
-    for idx in range(n - octaves, n):
+    for idx in range(n - DIVERGENCE_OCTAVES, n):
         mid = idx // 2
-        if not (vals[mid] > 0.0 and vals[idx] >= factor * vals[mid]):
+        if not (vals[mid] > 0.0 and vals[idx] >= DIVERGENCE_FACTOR * vals[mid]):
             return False
     return True
 

@@ -4,7 +4,7 @@ Every supported set variant is locally finite: any bounded window contains
 finitely many points.  Queries answer from a run-compressed form (maximal
 arithmetic progressions of points), so hole radii and integrals stay cheap
 on windows whose raw point count would be enormous.  Materialising points
-(``points_in``, ``gaps``) is capped at ``DEFAULT_POINT_CAP``.  Only
+(``points_in``) is capped at ``DEFAULT_POINT_CAP``.  Only
 :class:`Run` spells a point as a float, so every variant lists exactly the
 floats its ``nearest_leq`` and ``nearest_geq`` return, and reflection is exact.
 
@@ -46,7 +46,7 @@ from math import fsum
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .intervals import GapList, Interval
+from .intervals import Interval
 
 DEFAULT_POINT_CAP = 1_000_000
 
@@ -230,9 +230,6 @@ class SetDescription:
 
     # -- derived queries ----------------------------------------------------
 
-    def count_in(self, lo: float, hi: float) -> int:
-        return sum(r.count for r in self.runs_in(lo, hi))
-
     def points_in(self, lo: float, hi: float, cap: int = DEFAULT_POINT_CAP) -> list[float]:
         runs = self.runs_in(lo, hi)
         total = sum(r.count for r in runs)
@@ -242,9 +239,6 @@ class SetDescription:
         for r in runs:
             out.extend(r.points())
         return out
-
-    def is_empty(self) -> bool:
-        raise NotImplementedError
 
     def __contains__(self, x: float) -> bool:
         p = self.nearest_leq(x)
@@ -316,9 +310,6 @@ class SortedPoints(SetDescription):
         i = bisect_left(pts, x)
         return pts[i] if i < len(pts) else None
 
-    def is_empty(self) -> bool:
-        return False
-
     def summary(self, lo: float, hi: float) -> "WindowSummary":
         """Memoised :class:`WindowSummary` of the open window (lo, hi)."""
         pts = self._pts()
@@ -355,6 +346,11 @@ class _RunIndex:
     run ended inside the window that asked, at least ``-n`` (stored negated)
     where the window cut it, extended by a later, wider window.  Every entry
     is a fact about the points, so racing threads can only store true ones.
+    Building a memoised summary, its peak and its packed groups from
+    :meth:`interior` runs, instead of from :meth:`summary`,
+    :meth:`middle_terms`, :meth:`peak` and :meth:`trimmed`, saves 41 lines
+    but made the ``cantor`` perfbench workload slower (``wall_s`` 1.12-1.21 s
+    to 1.58-1.65 s, six alternating pairs, 2 shared vCPUs).
     """
 
     __slots__ = ("pts", "gaps", "_lengths")
@@ -524,9 +520,6 @@ class Lattice(SetDescription):
         longest, shortest = (h, h) if j > i else (0.0, math.inf)
         return WindowSummary(r.start, r.end, longest, shortest, [r])
 
-    def is_empty(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class GeometricPlusLattice(SetDescription):
@@ -589,9 +582,6 @@ class GeometricPlusLattice(SetDescription):
     def nearest_geq(self, x: float) -> Optional[float]:
         cands = [p for p in (self._geom_geq(x), self.lattice.nearest_geq(x)) if p is not None]
         return min(cands) if cands else None
-
-    def is_empty(self) -> bool:
-        return False
 
 
 @lru_cache(maxsize=64)
@@ -656,9 +646,6 @@ class UnionSet(SetDescription):
         cands = [p for p in (m.nearest_geq(x) for m in self.members) if p is not None]
         return min(cands) if cands else None
 
-    def is_empty(self) -> bool:
-        return all(m.is_empty() for m in self.members)
-
 
 @dataclass(frozen=True)
 class Translate(SetDescription):
@@ -694,9 +681,6 @@ class Translate(SetDescription):
     def nearest_geq(self, x: float) -> Optional[float]:
         p = self.inner.nearest_geq(-_preimage(-x, -self.shift))
         return None if p is None else p + self.shift
-
-    def is_empty(self) -> bool:
-        return self.inner.is_empty()
 
 
 def _preimage(x: float, t: float) -> float:
@@ -746,9 +730,6 @@ class Reflect(SetDescription):
         p = self.inner.nearest_leq(-x)
         return None if p is None else -p
 
-    def is_empty(self) -> bool:
-        return self.inner.is_empty()
-
 
 def _mirrored(r: Run) -> Run:
     """The run of the negated points, which it spells exactly."""
@@ -793,11 +774,6 @@ class Cutoff(SetDescription):
             return None
         return p
 
-    def is_empty(self) -> bool:
-        if self.side == "right":
-            return self.inner.nearest_geq(self.point) is None
-        return self.inner.nearest_leq(self.point) is None
-
 
 def _merge_run_lists(lists: list[list[Run]], lo: float, hi: float) -> list[Run]:
     """Merge per-member run lists; spatially disjoint lists concatenate exactly.
@@ -816,23 +792,6 @@ def _merge_run_lists(lists: list[list[Run]], lo: float, hi: float) -> list[Run]:
         raise PointCapExceeded(total, DEFAULT_POINT_CAP, (lo, hi))
     pts = sorted({p for r in runs for p in r.points()})
     return Run.compress(pts)
-
-
-# ---------------------------------------------------------------------------
-# transform helpers
-# ---------------------------------------------------------------------------
-
-
-def reflect(e: SetDescription) -> SetDescription:
-    return e.inner if isinstance(e, Reflect) else Reflect(e)
-
-
-def translate(e: SetDescription, t: float) -> SetDescription:
-    return Translate(e, t)
-
-
-def cutoff(e: SetDescription, point: float, side: str) -> SetDescription:
-    return Cutoff(e, point, side)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +995,10 @@ class WindowSummary:
     (:meth:`integral_terms`).  A summary built for one query keeps its runs
     and sorts its lengths per profile.  A memoised one keeps the derived
     values instead, packed in float arrays, and reads the runs from its
-    set's :class:`_RunIndex` by index window when it needs them.
+    set's :class:`_RunIndex` by index window when it needs them.  Sorting
+    every profile per call instead of packing the memoised groups saves 17
+    lines but made the ``cantor`` perfbench workload slower (``wall_s``
+    1.12-1.21 s to 1.30-1.42 s, six alternating pairs, 2 shared vCPUs).
     """
 
     __slots__ = ("first", "last", "longest", "shortest", "_source", "_peak", "_groups", "_integrals")
@@ -1061,7 +1023,10 @@ class WindowSummary:
             return EMPTY_SUMMARY
         longest, shortest = 0.0, math.inf
         prev = None
-        for r in interior:  # the lengths of _middle, inlined: this runs on every lattice query
+        # the lengths of _middle, inlined: this runs on every summary built from
+        # runs (a geometric-plus-lattice window that reaches the geometric
+        # points, a translate, a cutoff, a union)
+        for r in interior:
             start = r.start
             if prev is not None and start > prev:
                 length = start - prev
@@ -1200,18 +1165,6 @@ def min_component_length(e: SetDescription, i: Interval) -> float:
     s = window_summary(e, i)
     best = min([s.shortest, *(x for x in s.edges(i.lo, i.hi) if x > 0.0)])
     return best if best < math.inf else i.length
-
-
-def gaps(e: SetDescription, i: Interval, cap: int = DEFAULT_POINT_CAP) -> GapList:
-    """Explicit ordered decomposition of I \\ E into open components."""
-    if e.is_empty():
-        raise EmptySetError("gap decomposition needs a non-empty set")
-    pts = [p for p in e.points_in(i.lo, i.hi, cap=cap) if i.lo < p < i.hi]
-    bounds = [i.lo] + pts + [i.hi]
-    comps = tuple(
-        Interval(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-    )
-    return GapList(interval=i, components=comps, total_length=fsum(c.length for c in comps))
 
 
 def neighborhood_measure(e: SetDescription, i: Interval, eps: float, cap: int = DEFAULT_POINT_CAP) -> float:
@@ -1356,10 +1309,6 @@ def _from_dict(d: dict, path: str, level: int) -> SetDescription:
     except ValueError as exc:
         raise SetFormatError(f"{path}: {exc}") from exc
     raise SetFormatError(f"{path}.kind: unknown kind {kind!r}")
-
-
-def to_json(e: SetDescription, indent: int = 2) -> str:
-    return json.dumps(to_dict(e), indent=indent)
 
 
 def _reject_constant(name: str):

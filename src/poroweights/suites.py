@@ -156,12 +156,14 @@ def suite_left_propagation(
     )
 
 
+COUNTEREXAMPLE_SIZES = (5, 10, 20, 40, 80, 160, 320)
+COUNTEREXAMPLE_OFFSET = 0.25  # t: outer (-2n(1+t), 2n(1-t)) is centred 2tn left of inner (-n, n)
+
+
 def suite_pore_transport(
     e: SetDescription,
     gamma: float,
     probes: Sequence[Interval],
-    counterexample_sizes: Sequence[int] = (5, 10, 20, 40, 80, 160, 320),
-    counterexample_offset: float = 0.25,
 ) -> SuiteResult:
     """Scaled leftward comparison of right-half holes, plus its sharpness.
 
@@ -194,10 +196,10 @@ def suite_pore_transport(
                     {"outer": i.as_pair(), "inner": j.as_pair(), "lhs": chk.lhs, "rhs": chk.rhs},
                 )
     # precondition sharpness: inner centered right of outer center
-    t = counterexample_offset
+    t = COUNTEREXAMPLE_OFFSET
     guard_ok = True
     raw_rows = []
-    for n in counterexample_sizes:
+    for n in COUNTEREXAMPLE_SIZES:
         outer = Interval(-2.0 * n * (1.0 + t), 2.0 * n * (1.0 - t))
         inner = Interval(float(-n), float(n))
         try:
@@ -225,6 +227,7 @@ def suite_pore_transport(
 # ---------------------------------------------------------------------------
 
 MEASURE_FLOOR = 1e-300
+DECAY_DEPTH = 8  # the decay table holds at most DECAY_DEPTH + 2 radii
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,6 @@ def suite_decay(
     sigma: float,
     gamma: float,
     i: Interval,
-    eps0: Optional[float] = None,
-    depth: int = 8,
 ) -> DecayReport:
     """Geometric decay of |{d < eps} ^ trimmed window| under eps -> beta1*eps.
 
@@ -262,14 +263,11 @@ def suite_decay(
         raise ValueError("right half carries no hole")
     rho_plus = 0.5 * pore.length
     trimmed = Interval(i.lo, pore.center)
-    if eps0 is None:
-        eps0 = 0.5 * rho_plus
-    if not 0.0 < eps0 < rho_plus:
-        raise ValueError("eps0 must lie in (0, rho of the right half)")
+    eps0 = 0.5 * rho_plus
     beta1, beta2 = decay_constants(sigma, gamma)
     rows: list[tuple[float, float]] = []
     eps = eps0
-    for _ in range(depth + 2):
+    for _ in range(DECAY_DEPTH + 2):
         m = neighborhood_measure(e, trimmed, eps)
         rows.append((eps, m))
         if m < MEASURE_FLOOR:
@@ -303,6 +301,7 @@ def suite_decay(
 DIMENSION_GRID_POINTS = 24
 FINE_OCTAVES = 12
 STRUCTURED_MIN_SPAN = 6.0  # octaves
+DIMENSION_TOLERANCE = 0.05  # fitted dimension may exceed the decay bound by this much
 
 
 @dataclass(frozen=True)
@@ -329,10 +328,8 @@ def suite_dimension(
     window: Interval,
     eps_grid: Optional[Sequence[float]] = None,
     regime: str = "auto",
-    points: int = DIMENSION_GRID_POINTS,
     sigma: Optional[float] = None,
     gamma: Optional[float] = None,
-    tolerance: float = 0.05,
 ) -> DimensionReport:
     """Fit the neighborhood-growth exponent and compare against the decay bound.
 
@@ -351,10 +348,10 @@ def suite_dimension(
                 else "fine"
             )
         if regime == "structured":
-            grid = _geometric_grid(window.length / 8.0, finest, points)
+            grid = _geometric_grid(window.length / 8.0, finest, DIMENSION_GRID_POINTS)
         elif regime == "fine":
             hi = 0.5 * finest
-            grid = _geometric_grid(hi, hi * 2.0 ** -FINE_OCTAVES, points)
+            grid = _geometric_grid(hi, hi * 2.0 ** -FINE_OCTAVES, DIMENSION_GRID_POINTS)
         else:
             raise ValueError("regime must be 'auto', 'fine', or 'structured'")
     else:
@@ -369,7 +366,7 @@ def suite_dimension(
         slope = 1.0
     fitted = min(max(1.0 - slope, 0.0), 1.0)
     bound = dimension_bound(sigma, gamma) if sigma is not None and gamma is not None else None
-    passed = True if bound is None else fitted <= bound + tolerance
+    passed = True if bound is None else fitted <= bound + DIMENSION_TOLERANCE
     return DimensionReport(
         set_description=to_dict(e),
         window=window,

@@ -29,8 +29,6 @@ from .sets import (
     SetDescription,
     WindowSummary,
     distance,
-    sample_points,
-    set_distance,
     window_summary,
 )
 
@@ -43,12 +41,8 @@ class WeightSpec:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-
-    @property
-    def locally_integrable(self) -> bool:
-        return self.alpha < 1.0
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
 def distance_power(d: float, alpha: float) -> float:
@@ -56,10 +50,6 @@ def distance_power(d: float, alpha: float) -> float:
     if d == 0.0:
         return math.inf
     return d ** -alpha
-
-
-def weight_value(w: WeightSpec, x: float) -> float:
-    return distance_power(distance(w.e, x), w.alpha)
 
 
 def _power_piece(u1: float, u2: float, alpha: float) -> float:
@@ -170,15 +160,6 @@ def integrate(w: WeightSpec, j: Interval) -> float:
     return IntegralWindow.of(w.e, j).integral(w.alpha)
 
 
-def average(w: WeightSpec, j: Interval) -> float:
-    """Mean of the weight over J: :func:`integrate` divided by ``j.length``.
-
-    Closed form, like :func:`integrate`: correct up to floating-point
-    rounding.  Infinite when the integral is.
-    """
-    return integrate(w, j) / j.length
-
-
 def _segment_peak(a: float, b: float, p_left: Optional[float], p_right: Optional[float]) -> float:
     """Max of the distance profile over [a, b] with the given neighbors."""
     if p_left is None and p_right is None:
@@ -194,61 +175,6 @@ def _segment_peak(a: float, b: float, p_left: Optional[float], p_right: Optional
 def max_distance_on(e: SetDescription, j: Interval) -> float:
     """Max over the closure of J of d(., E); attained at an endpoint or a gap midpoint."""
     return IntegralWindow.of(e, j).peak()
-
-
-def ess_inf(w: WeightSpec, j: Interval) -> float:
-    """Essential infimum of the weight over J: (max distance over closure)^(-alpha)."""
-    return distance_power(max_distance_on(w.e, j), w.alpha)
-
-
-def ess_sup(w: WeightSpec, j: Interval) -> float:
-    """Essential supremum over J; infinite as soon as the closure meets the set."""
-    return distance_power(set_distance(w.e, j), w.alpha)
-
-
-# ---------------------------------------------------------------------------
-# one-sided maximal averages (certified lower bounds)
-# ---------------------------------------------------------------------------
-
-FILL_PER_OCTAVE = 64
-DEFAULT_SPAN = 1024.0
-BREAKPOINT_SAMPLES = 256
-
-
-def _candidate_offsets(e: SetDescription, x: float, side: str, span: float, per_octave: int) -> list[float]:
-    lo, hi = (x - span, x) if side == "minus" else (x, x + span)
-    offs = {abs(x - p) for p in sample_points(e, lo, hi, BREAKPOINT_SAMPLES)}
-    octaves = max(1, int(math.log2(span)) + 20)
-    for j in range(octaves * per_octave + 1):
-        offs.add(span * 2.0 ** (-j / per_octave))
-    return sorted(h for h in offs if h > 0.0)
-
-
-def maximal_average(
-    w: WeightSpec,
-    x: float,
-    side: str,
-    h_candidates: Optional[Sequence[float]] = None,
-    span: float = DEFAULT_SPAN,
-    per_octave: int = FILL_PER_OCTAVE,
-) -> float:
-    """Certified lower bound of a one-sided maximal average of the weight at x.
-
-    Side ``"plus"`` is the forward average sup_h (1/h) int_x^{x+h} w, side
-    ``"minus"`` the backward one over (x - h, x).  Candidates are
-    breakpoint-aligned offsets plus a geometric fill-in grid; the supremum of
-    the piecewise-smooth average sits near breakpoints, but only a lower bound
-    is ever claimed.
-    """
-    if side not in ("plus", "minus"):
-        raise ValueError("side must be 'plus' or 'minus'")
-    hs = list(h_candidates) if h_candidates is not None else _candidate_offsets(w.e, x, side, span, per_octave)
-    best = 0.0
-    for h in hs:
-        v = integrate(w, Interval(x, x + h) if side == "plus" else Interval(x - h, x)) / h
-        if v > best:
-            best = v
-    return best
 
 
 def evaluation_table(w: WeightSpec, xs: Sequence[float]) -> list[tuple[float, float, float]]:

@@ -9,12 +9,15 @@ the ones the probe and triple tables replaced; all are kept to check the
 fast paths bit for bit.  So are the summary every variant built from its
 runs before lattices, reflections and geometric-plus-lattice sets answered
 in closed form, and the per-sample reductions the one-pass A1 scan and
-doubling report replaced.
+doubling report replaced.  The one-sided maximal averages at the end are
+the paper's own definition of A1 (M w <= C w), sampled, and bound the
+triple values from above.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from math import fsum
+from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -33,9 +36,9 @@ from poroweights.porosity import (
     certification_probes,
 )
 from poroweights.scaling import LadderReport, octave_of, rising_prefix_maxima
-from poroweights.sets import Run, WindowSummary
+from poroweights.sets import Run, SetDescription, WindowSummary, sample_points
 from poroweights.suites import MAX_FAILURES, SuiteResult
-from poroweights.weights import WeightSpec, _power_piece, _segment_integral, _segment_peak
+from poroweights.weights import WeightSpec, _power_piece, _segment_integral, _segment_peak, integrate
 
 mp.mp.dps = 40
 
@@ -545,3 +548,48 @@ def doubling_report_walk(intervals, radii):
         divergent=report.divergent,
         witnesses=witnesses,
     )
+
+
+# ---------------------------------------------------------------------------
+# one-sided maximal averages (certified lower bounds)
+# ---------------------------------------------------------------------------
+
+FILL_PER_OCTAVE = 64
+DEFAULT_SPAN = 1024.0
+BREAKPOINT_SAMPLES = 256
+
+
+def _candidate_offsets(e: SetDescription, x: float, side: str, span: float, per_octave: int) -> list[float]:
+    lo, hi = (x - span, x) if side == "minus" else (x, x + span)
+    offs = {abs(x - p) for p in sample_points(e, lo, hi, BREAKPOINT_SAMPLES)}
+    octaves = max(1, int(math.log2(span)) + 20)
+    for j in range(octaves * per_octave + 1):
+        offs.add(span * 2.0 ** (-j / per_octave))
+    return sorted(h for h in offs if h > 0.0)
+
+
+def maximal_average(
+    w: WeightSpec,
+    x: float,
+    side: str,
+    h_candidates: Optional[Sequence[float]] = None,
+    span: float = DEFAULT_SPAN,
+    per_octave: int = FILL_PER_OCTAVE,
+) -> float:
+    """Certified lower bound of a one-sided maximal average of the weight at x.
+
+    Side ``"plus"`` is the forward average sup_h (1/h) int_x^{x+h} w, side
+    ``"minus"`` the backward one over (x - h, x).  Candidates are
+    breakpoint-aligned offsets plus a geometric fill-in grid; the supremum of
+    the piecewise-smooth average sits near breakpoints, but only a lower bound
+    is ever claimed.
+    """
+    if side not in ("plus", "minus"):
+        raise ValueError("side must be 'plus' or 'minus'")
+    hs = list(h_candidates) if h_candidates is not None else _candidate_offsets(w.e, x, side, span, per_octave)
+    best = 0.0
+    for h in hs:
+        v = integrate(w, Interval(x, x + h) if side == "plus" else Interval(x - h, x)) / h
+        if v > best:
+            best = v
+    return best

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import signal
 
 import pytest
 
@@ -134,6 +135,66 @@ def test_hostile_lattice_windows_exit_2(argv, message, tmp_path, capsys):
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail the test, rather than hang, when the body runs longer than ``seconds``."""
+    def expire(_signum, _frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["critical-alpha", "--tol", "0"], "error: tol must lie in (0, 1), got 0.0"),
+        (["critical-alpha", "--tol", "-1"], "error: tol must lie in (0, 1), got -1.0"),
+        (["critical-alpha", "--tol", "nan"], "error: tol must lie in (0, 1), got nan"),
+        (["analyze", "--anchor-cap", "0"], "error: anchor cap must be at least 1, got 0"),
+        (["a1", "--alpha", "0.5", "--anchor-cap", "0"], "error: anchor cap must be at least 1, got 0"),
+        (["dimension", "--eps-hi", "0.1", "--eps-lo", "0.01", "--eps-points", "1"],
+         "error: --eps-points must be at least 2 to fit a slope, got 1"),
+        (["dimension", "--eps-hi", "0.1", "--eps-lo", "0.01", "--eps-points", "0"],
+         "error: --eps-points must be at least 2 to fit a slope, got 0"),
+        (["a1", "--alpha", "0.5", "--octaves", "-2"], "error: octaves must be at least 1, got -2"),
+        (["a1", "--alpha", "0.5", "--octaves", "0"], "error: octaves must be at least 1, got 0"),
+        (["analyze", "--octaves", "-3"], "error: octaves must be at least 1, got -3"),
+        (["analyze", "--random-probes", "-5"], "error: random probe count must not be negative, got -5"),
+        (["a1", "--alpha", "inf"], "error: alpha must be positive and finite, got inf"),
+    ],
+    ids=["tol-zero", "tol-negative", "tol-nan", "analyze-anchor-cap-zero", "a1-anchor-cap-zero",
+         "eps-points-one", "eps-points-zero", "a1-octaves-negative", "a1-octaves-zero",
+         "analyze-octaves-negative", "random-probes-negative", "alpha-infinite"],
+)
+def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
+    # each of these hung, crashed with a traceback, or ran on a vacuous or
+    # silently replaced value
+    with _within(10):
+        code = main([*argv, "--preset", "integers", "--workers", "1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_critical_alpha_stops_where_the_midpoint_rounds_onto_an_end(tmp_path):
+    # tol 1e-300 is below the float spacing near 1: the bisection stops at
+    # the last midpoint strictly between its ends instead of looping
+    with _within(10):
+        code, reports = _reports(["critical-alpha", "--preset", "integers", "--tol", "1e-300",
+                                  "--workers", "1"], tmp_path / "out")
+    assert code == 0
+    body = json.loads(reports["critical_alpha.json"])["body"]
+    lo, hi = body["alpha"], 1.0
+    assert 0.0 < lo < hi and 0.5 * (lo + hi) in (lo, hi)
 
 
 def test_presets_lists_the_catalog(capsys):

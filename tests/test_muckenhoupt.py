@@ -7,17 +7,23 @@ from poroweights import (
     FinitePoints,
     Interval,
     Lattice,
+    Reflect,
     TripleFamily,
+    TripleTable,
     WeightSpec,
     a1_constant,
-    average,
+    catalog,
     critical_alpha,
-    ess_inf,
-    reflect,
+    distance,
+    integrate,
     triple_value,
 )
 from poroweights.porosity import admissible_alpha, certification_probes, sweep_parameters
 from poroweights.scaling import is_divergent
+from poroweights.sets import largest_component
+from poroweights.weights import distance_power, max_distance_on
+
+from .oracles import maximal_average
 
 
 class TestTripleValue:
@@ -102,10 +108,18 @@ class TestDuality:
     def test_minus_equals_reflected_plus_exactly(self, naturals, window):
         fam = TripleFamily.default(naturals, window)
         rep_minus = a1_constant(WeightSpec(naturals, 0.5), "minus", fam)
-        rep_plus = a1_constant(WeightSpec(reflect(naturals), 0.5), "plus", fam.reflected())
+        rep_plus = a1_constant(WeightSpec(Reflect(naturals), 0.5), "plus", fam.reflected())
         assert rep_minus.constant_lower_bound == rep_plus.constant_lower_bound
         assert rep_minus.divergence_flag == rep_plus.divergence_flag
         assert [v for _, v in rep_minus.ladder] == [v for _, v in rep_plus.ladder]
+
+
+def _average(w, j):
+    return integrate(w, j) / j.length
+
+
+def _ess_inf(w, j):
+    return distance_power(max_distance_on(w.e, j), w.alpha)
 
 
 class TestFormEquivalence:
@@ -124,7 +138,7 @@ class TestFormEquivalence:
                 lo = math.ldexp(rnd.randint(-20 << 20, 10 << 20), -20)
                 i = Interval(lo, lo + math.ldexp(rnd.randint(1 << 19, 9 << 20), -20))
                 tri = triple_value(w, i.lo, i.center, i.hi, "plus")
-                form_ii = average(w, i.left_half) / ess_inf(w, i.right_half)
+                form_ii = _average(w, i.left_half) / _ess_inf(w, i.right_half)
                 assert form_ii == 2.0 * tri
                 bound = max(bound, tri)
                 ratios.append(form_ii)
@@ -142,11 +156,48 @@ class TestFormEquivalence:
                 lo = rnd.uniform(-20.0, 10.0)
                 i = Interval(lo, lo + rnd.uniform(0.5, 9.0))
                 tri = triple_value(w, i.lo, i.center, i.hi, "plus")
-                form_ii = average(w, i.left_half) / ess_inf(w, i.right_half)
+                form_ii = _average(w, i.left_half) / _ess_inf(w, i.right_half)
                 assert form_ii == pytest.approx(2.0 * tri, rel=1e-12)
                 bound = max(bound, tri)
                 ratios.append(form_ii)
             assert max(ratios) <= 2.0 * bound * (1 + 1e-12)
+
+
+def _farthest_point(e, lo, hi):
+    """A point of [lo, hi] farthest from E: an end, the centre of the widest
+    component, or the midpoint of a gap that holds an end."""
+    cands = [lo, hi, largest_component(e, Interval(lo, hi)).center]
+    for x in (lo, hi):
+        p, q = e.nearest_leq(x), e.nearest_geq(x)
+        if p is not None and q is not None and lo <= 0.5 * (p + q) <= hi:
+            cands.append(0.5 * (p + q))
+    return max(cands, key=lambda x: distance(e, x))
+
+
+class TestMaximalFunctionOracle:
+    # The triple value bounds M w(x*) / w(x*) from below, at the point x* of
+    # the ess-inf window farthest from E, where w(x*) is that ess inf.  On the
+    # plus side, for x* in [b, c] the backward average over (a, x*) is at
+    # least (1/(c-a)) * integral over (a, b); the minus side mirrors it with
+    # the forward average over (x*, c), x* in [a, b].
+    def test_maximal_average_dominates_the_triple_value(self):
+        checked = 0
+        for _, e in catalog(seed=0, cantor_depth=6):
+            table = TripleTable(e, TripleFamily.default(e, Interval(-64.0, 64.0), octaves=12))
+            for alpha in (0.1, 0.5, 0.9):
+                w = WeightSpec(e, alpha)
+                for side in ("plus", "minus"):
+                    rep = a1_constant(w, side, table)
+                    for t in (rep.best, *rep.witnesses, *rep.samples[::97]):
+                        if side == "plus":
+                            x = _farthest_point(e, t.b, t.c)
+                            m = maximal_average(w, x, "minus", [x - t.a])
+                        else:
+                            x = _farthest_point(e, t.a, t.b)
+                            m = maximal_average(w, x, "plus", [t.c - x])
+                        assert m / distance(e, x) ** -alpha >= t.value * (1 - 1e-12), (e, alpha, side, t)
+                        checked += 1
+        assert checked > 1000
 
 
 class TestForwardConsistency:

@@ -4,18 +4,16 @@ import random
 import pytest
 
 from poroweights import (
+    Cutoff,
     FinitePoints,
     Interval,
     Lattice,
     PorosityParams,
     ProbeFamily,
+    Reflect,
     certification_probes,
     certify,
-    cutoff,
     doubling_witness,
-    left_propagation_check,
-    pore_transport_check,
-    reflect,
     rho,
     sigma_at,
     sweep_parameters,
@@ -23,10 +21,13 @@ from poroweights import (
 )
 from poroweights.porosity import (
     SweepResult,
+    WindowStore,
     admissible_alpha,
     decay_constants,
     decay_exponent,
     dimension_bound,
+    left_propagation_on,
+    pore_transport_on,
 )
 
 from .oracles import rho_grid_oracle
@@ -95,14 +96,14 @@ class TestSigmaAt:
     def test_sides_mirror(self, naturals):
         i = Interval(-5.25, 3.5)
         left = sigma_at(naturals, i, 0.5, "right")
-        right = sigma_at(reflect(naturals), i.reflected(), 0.5, "left")
+        right = sigma_at(Reflect(naturals), i.reflected(), 0.5, "left")
         assert left == right
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.25, math.inf, math.nan])
     def test_gamma_outside_the_unit_interval_rejected(self, bad):
         # as in the sweep: a NaN threshold would count every component
         points = [0.0, 1.0, 2.0, 3.0]
-        for e in (FinitePoints(points), reflect(FinitePoints([-p for p in points]))):
+        for e in (FinitePoints(points), Reflect(FinitePoints([-p for p in points]))):
             with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\)"):
                 sigma_at(e, Interval(-0.5, 3.5), bad, "two_sided")
 
@@ -162,35 +163,35 @@ class TestDoubling:
 
 class TestLeftPropagation:
     def test_integers_example(self, integers):
-        chk = left_propagation_check(integers, Interval(-2.0, 2.0), 0.5)
+        chk = left_propagation_on(WindowStore(integers), Interval(-2.0, 2.0), 0.5)
         assert chk.ok and chk.rho_full == 0.5 and chk.bound == 1.5
 
     def test_point_free_interval(self, singleton):
         i = Interval(5.0, 9.0)
-        chk = left_propagation_check(singleton, i, 0.5)
+        chk = left_propagation_on(WindowStore(singleton), i, 0.5)
         assert chk.ok and chk.rho_left == i.length / 4.0
 
     def test_geometric_example(self, geometric_naturals):
-        chk = left_propagation_check(geometric_naturals, Interval(-8.0, 8.0), 0.5)
+        chk = left_propagation_on(WindowStore(geometric_naturals), Interval(-8.0, 8.0), 0.5)
         assert chk.ok and chk.rho_full == 2.0 and chk.bound == 6.0
 
 
 class TestPoreTransport:
     def test_constants(self, integers):
-        chk = pore_transport_check(integers, Interval(-8.0, 8.0), Interval(-4.0, 2.0), 0.5)
+        chk = pore_transport_on(WindowStore(integers), Interval(-8.0, 8.0), Interval(-4.0, 2.0), 0.5)
         assert chk.theta1 == 9.0
         assert chk.theta2 == pytest.approx(math.log2(3.0))
         assert chk.ok
 
     def test_containment_required(self, integers):
         with pytest.raises(ValueError):
-            pore_transport_check(integers, Interval(0.0, 1.0), Interval(0.0, 2.0), 0.5)
+            pore_transport_on(WindowStore(integers), Interval(0.0, 1.0), Interval(0.0, 2.0), 0.5)
 
     def test_center_order_guard(self, naturals):
         outer = Interval(-10.0, 6.0)  # center -2
         inner = Interval(-2.0, 4.0)  # center 1 > -2
         with pytest.raises(ValueError, match="center"):
-            pore_transport_check(naturals, outer, inner, 0.5)
+            pore_transport_on(WindowStore(naturals), outer, inner, 0.5)
 
     def test_counterexample_family_breaks(self, naturals):
         t = 0.25
@@ -199,7 +200,7 @@ class TestPoreTransport:
         for n in (5, 10, 20, 40, 80, 160):
             outer = Interval(-2.0 * n * (1 + t), 2.0 * n * (1 - t))
             inner = Interval(float(-n), float(n))
-            chk = pore_transport_check(naturals, outer, inner, 0.5, enforce_center_order=False)
+            chk = pore_transport_on(WindowStore(naturals), outer, inner, 0.5, enforce_center_order=False)
             assert chk.lhs >= prev_lhs
             prev_lhs = chk.lhs
             if not chk.ok:
@@ -284,7 +285,7 @@ class TestTransportInvariants:
         params_r = PorosityParams(0.5, 0.5, "right")
         params_l = PorosityParams(0.5, 0.5, "left")
         rep_r = certify(geometric_naturals, params_r, fam)
-        rep_l = certify(reflect(geometric_naturals), params_l, [i.reflected() for i in fam.intervals()])
+        rep_l = certify(Reflect(geometric_naturals), params_l, [i.reflected() for i in fam.intervals()])
         assert rep_r.passed == rep_l.passed
         assert rep_r.worst_sigma == rep_l.worst_sigma
 
@@ -295,7 +296,7 @@ class TestTransportInvariants:
         assert two.passed
         phi = two.phi_estimate
         gamma_t = 0.5 / phi
-        half_line = cutoff(integers, 0.0, "right")
+        half_line = Cutoff(integers, 0.0, "right")
         rep = certify(half_line, PorosityParams(0.5, gamma_t, "right"), intervals)
         assert rep.passed
 

@@ -12,17 +12,13 @@ from poroweights import (
     Reflect,
     Translate,
     WeightSpec,
-    average,
     distance,
-    ess_inf,
-    ess_sup,
     integrate,
-    maximal_average,
-    weight_value,
+    set_distance,
 )
-from poroweights.weights import evaluation_table, max_distance_on
+from poroweights.weights import distance_power, evaluation_table, max_distance_on
 
-from .oracles import quad_oracle
+from .oracles import maximal_average, quad_oracle
 
 
 class TestIntegrate:
@@ -71,15 +67,18 @@ class TestIntegrate:
 
 
 class TestEssentialBounds:
+    # ess inf of the weight over J is distance_power of the peak distance on
+    # its closure, ess sup distance_power of the distance from J to the set
+
     def test_ess_inf_examples(self, singleton, integers):
-        assert ess_inf(WeightSpec(singleton, 0.5), Interval(1.0, 2.0)) == 2.0 ** -0.5
-        assert ess_inf(WeightSpec(integers, 1.0), Interval(0.0, 1.0)) == 2.0
+        assert distance_power(max_distance_on(singleton, Interval(1.0, 2.0)), 0.5) == 2.0 ** -0.5
+        assert distance_power(max_distance_on(integers, Interval(0.0, 1.0)), 1.0) == 2.0
 
     def test_ess_sup_infinite_on_set(self, integers):
-        assert ess_sup(WeightSpec(integers, 0.5), Interval(0.5, 1.5)) == math.inf
+        assert distance_power(set_distance(integers, Interval(0.5, 1.5)), 0.5) == math.inf
 
     def test_ess_sup_off_set(self, integers):
-        assert ess_sup(WeightSpec(integers, 0.5), Interval(0.25, 0.75)) == 0.25 ** -0.5
+        assert distance_power(set_distance(integers, Interval(0.25, 0.75)), 0.5) == 0.25 ** -0.5
 
     def test_sandwich(self, integers, geometric_naturals):
         rnd = random.Random(7)
@@ -87,10 +86,10 @@ class TestEssentialBounds:
             for _ in range(20):
                 lo = rnd.uniform(-9, 4)
                 j = Interval(lo, lo + rnd.uniform(0.3, 5.0))
-                w = WeightSpec(e, rnd.uniform(0.1, 0.9))
-                avg = average(w, j)
-                assert ess_inf(w, j) <= avg * (1 + 1e-12)
-                assert avg <= ess_sup(w, j)
+                alpha = rnd.uniform(0.1, 0.9)
+                avg = integrate(WeightSpec(e, alpha), j) / j.length
+                assert distance_power(max_distance_on(e, j), alpha) <= avg * (1 + 1e-12)
+                assert avg <= distance_power(set_distance(e, j), alpha)
 
     def test_interior_peak_detected(self):
         e = FinitePoints([-0.5, 2.5])
@@ -100,12 +99,12 @@ class TestEssentialBounds:
 class TestSupportProfile:
     def test_non_integrable(self, singleton):
         w = WeightSpec(singleton, 2.0)
-        assert not w.locally_integrable
         assert integrate(w, Interval(-1.0, 1.0)) == math.inf
 
     def test_alpha_validation(self, singleton):
-        with pytest.raises(ValueError):
-            WeightSpec(singleton, 0.0)
+        for alpha in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                WeightSpec(singleton, alpha)
 
 
 class TestMaximalAverages:
@@ -116,7 +115,7 @@ class TestMaximalAverages:
         w = WeightSpec(singleton, 0.5)
         x = 1000.0
         est = maximal_average(w, x, "minus", span=8.0)
-        assert est == pytest.approx(weight_value(w, x), rel=5e-3)
+        assert est == pytest.approx(distance_power(distance(singleton, x), 0.5), rel=5e-3)
 
     def test_forward_version(self, singleton):
         assert maximal_average(WeightSpec(singleton, 0.5), -1.0, "plus") >= 2.0
