@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import presets as presets_mod
 from .intervals import Interval
-from .muckenhoupt import TripleFamily, a1_constant, critical_alpha
+from .muckenhoupt import DEFAULT_TRIPLE_OCTAVES, TripleFamily, a1_constant, critical_alpha
 from .porosity import (
     PorosityParams,
     ProbeFamily,
@@ -190,7 +190,7 @@ def cmd_analyze(args) -> int:
 def cmd_a1(args) -> int:
     cfg = _config(args)
     w = WeightSpec(cfg.e, args.alpha)
-    octaves = 24 if args.octaves is None else args.octaves
+    octaves = DEFAULT_TRIPLE_OCTAVES if args.octaves is None else args.octaves
     fam = TripleFamily.default(cfg.e, cfg.window, octaves=octaves, anchor_cap=min(cfg.anchor_cap, 32))
     report = a1_constant(w, args.side, fam)
     rows = [(t.a, t.b, t.c, t.value, t.scale) for t in report.samples]

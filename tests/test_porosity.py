@@ -7,7 +7,6 @@ from poroweights import (
     Cutoff,
     FinitePoints,
     Interval,
-    Lattice,
     PorosityParams,
     ProbeFamily,
     Reflect,
