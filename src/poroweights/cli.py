@@ -38,7 +38,7 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .sets import PointCapExceeded, SetDescription, SetFormatError, distance, from_json
+from .sets import EmptySetError, PointCapExceeded, SetDescription, SetFormatError, distance, from_json
 from .suites import (
     suite_decay,
     suite_dimension,
@@ -52,6 +52,8 @@ from .suites import (
 from .weights import WeightSpec, evaluation_table
 
 WORKERS_ENV = "POROWEIGHTS_WORKERS"
+
+DEFAULT_EPS_POINTS = 24
 
 _DYADIC = re.compile(r"^(?P<sign>[+-]?)(?:(?P<mant>\d+)\*)?2\^(?P<exp>[+-]?\d+)$")
 
@@ -114,7 +116,12 @@ def _load_set(args) -> SetDescription:
     if args.set_file is not None and args.preset is not None:
         raise SetFormatError("give either --preset or --set-file, not both")
     if args.set_file is not None:
-        return from_json(args.set_file.read_text())
+        e = from_json(args.set_file.read_text())
+        try:
+            distance(e, 0.0)  # raises EmptySetError exactly when the set has no points
+        except EmptySetError:
+            raise SetFormatError(f"{args.set_file}: the set has no points") from None
+        return e
     name = args.preset or "integers"
     return presets_mod.preset(
         name,
@@ -188,6 +195,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_a1(args) -> int:
+    if args.table_points < 0:
+        raise ValueError(f"--table-points must not be negative, got {args.table_points}")
     cfg = _config(args)
     w = WeightSpec(cfg.e, args.alpha)
     octaves = DEFAULT_TRIPLE_OCTAVES if args.octaves is None else args.octaves
@@ -216,10 +225,12 @@ def cmd_critical_alpha(args) -> int:
 
 
 def cmd_dimension(args) -> int:
+    if (args.eps_hi is None) != (args.eps_lo is None) or (args.eps_hi is None and args.eps_points is not None):
+        raise ValueError("--eps-hi and --eps-lo go together, and --eps-points needs both")
     cfg = _config(args)
     grid = None
-    if args.eps_hi is not None and args.eps_lo is not None:
-        n = args.eps_points
+    if args.eps_hi is not None:
+        n = DEFAULT_EPS_POINTS if args.eps_points is None else args.eps_points
         if n < 2:
             raise ValueError(f"--eps-points must be at least 2 to fit a slope, got {n}")
         ratio = (args.eps_lo / args.eps_hi) ** (1.0 / (n - 1))
@@ -414,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=("auto", "fine", "structured"), default="auto")
     p.add_argument("--eps-hi", type=parse_number, default=None)
     p.add_argument("--eps-lo", type=parse_number, default=None)
-    p.add_argument("--eps-points", type=int, default=24)
+    p.add_argument("--eps-points", type=int, default=None,
+                   help=f"with --eps-hi and --eps-lo: grid points (default {DEFAULT_EPS_POINTS})")
     p.add_argument("--sigma", type=parse_number, default=None, help="compare against the decay bound from these constants")
     p.add_argument("--gamma", type=parse_number, default=None)
     p.set_defaults(fn=cmd_dimension)

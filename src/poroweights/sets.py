@@ -15,20 +15,23 @@ points, reduced to O(1) numbers plus grouped lengths.  Queries add the two
 edge components of their own interval.  By default a variant builds the
 summary from ``runs_in``.  A lattice answers in closed form: two index
 searches give its interior points, one run.  A reflection mirrors its inner
-set's summary, and a geometric-plus-lattice set hands a window right of its
-geometric points to its lattice.  Finite point sets (:class:`SortedPoints`)
-keep a run index over their sorted points: the greedy run length from each
-start index, found on first use.  A window's runs are a chain through it,
-trimmed by index, and the memoised summary of an index window reads its
-lengths, peak and integral runs from that chain, so no window re-compresses
-its points; the index spells what :class:`Run` would, since a run only holds
-points its spelling hits.
+set's summary.  A geometric-plus-lattice set hands a window right of its
+geometric points to its lattice; where its lattice lies right of them, it
+stitches the memoised summary of the window's geometric points, read from
+one cached tuple of them with a run index, to its lattice's summary, so only
+an interleaved lattice takes the default path.  Finite point sets
+(:class:`SortedPoints`) keep a run index over their sorted points: the
+greedy run length from each start index, found on first use.  A window's
+runs are a chain through it, trimmed by index, and the memoised summary of
+an index window reads its lengths, peak and integral runs from that chain,
+so no window re-compresses its points; the index spells what :class:`Run`
+would, since a run only holds points its spelling hits.
 
-All set values are immutable.  The per-instance summary memo and run index
-are benign caches: they are left out of equality, hashing, ``repr``,
-``to_dict`` and pickling, every entry is a pure function of its key or a
-true fact about the points, and a lost race only stores an entry twice, so
-concurrent use needs no locking.
+All set values are immutable.  The per-instance summary memo, run index and
+cached geometric points are benign caches: they are left out of equality,
+hashing, ``repr``, ``to_dict`` and pickling, every entry is a pure function
+of its key or a true fact about the points, and a lost race only stores an
+entry twice, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -526,7 +529,11 @@ class GeometricPlusLattice(SetDescription):
     """{-ratio**m : m >= 1} joined with a lattice part.
 
     The geometric branch marches to -infinity; with ratio 2 and a unit
-    right-sided lattice this is the standard mixed-speed catalog set.
+    right-sided lattice this is the standard mixed-speed catalog set.  Its
+    points are spelled once, into one cached ascending tuple with a
+    :class:`_RunIndex` over it (see :meth:`_geometric`), which every query
+    reads: runs are the index's, equal to ``Run.compress`` of the window's
+    points, and nearest points are two bisections.
     """
 
     ratio: float
@@ -536,52 +543,122 @@ class GeometricPlusLattice(SetDescription):
         if not self.ratio > 1:
             raise ValueError("ratio must exceed 1")
 
-    def _geom_in(self, lo: float, hi: float) -> list[float]:
-        out = []
-        v = self.ratio
-        while -v >= lo:
-            if -v <= hi:
-                out.append(-v)
-            v *= self.ratio
-        out.reverse()
-        return out
+    def _chain(self, pts: tuple[float, ...], x: float, limit: float, more: int) -> tuple[tuple[float, ...], bool]:
+        """``pts``, the first geometric points ascending, extended down to a point <= x
+        by at least ``more`` points, or to ``limit`` points or overflow if sooner;
+        and whether the chain overflowed.
 
-    def _geom_leq(self, x: float) -> Optional[float]:
-        if x >= -self.ratio:
-            return -self.ratio
-        if x == -math.inf:
-            return None
-        v = self.ratio
-        while v < -x:
+        The one spelling of the geometric points: ``v = ratio; v *= ratio``,
+        each negated (the first point, ``-ratio``, is where the chain starts).
+        """
+        new = []
+        v = -pts[0]
+        while len(pts) + len(new) < limit:
             v *= self.ratio
-        return -v
+            if v == math.inf:
+                break
+            new.append(-v)
+            if -v <= x and len(new) >= more:
+                break
+        new.reverse()
+        return (*new, *pts), v == math.inf
 
-    def _geom_geq(self, x: float) -> Optional[float]:
-        if x > -self.ratio:
-            return None
-        v = self.ratio
-        while v * self.ratio <= -x:
-            v *= self.ratio
-        return -v
+    def _geometric(self, x: float) -> tuple[Sequence[float], Optional["_RunIndex"]]:
+        """The geometric points ascending, holding every one >= x and the first one <= x
+        (if any), and the cached run index over them.
+
+        The cached points grow on demand, to reach x and to at least twice
+        their count, and stop at overflow or at ``DEFAULT_POINT_CAP`` points.
+        Past the cap the chain is walked on from its end for this query
+        alone, with no index.
+        """
+        state = self.__dict__.get("_geom")
+        if state is None:
+            state = (_RunIndex((-self.ratio,)), -self.ratio)
+            object.__setattr__(self, "_geom", state)
+        index, reach = state
+        if x < reach and len(index.pts) < DEFAULT_POINT_CAP:
+            pts, done = self._chain(index.pts, x, DEFAULT_POINT_CAP, len(index.pts))
+            index, reach = _RunIndex(pts), -math.inf if done else pts[0]
+            object.__setattr__(self, "_geom", (index, reach))
+        if x < reach:
+            return self._chain(index.pts, x, math.inf, 0)[0], None
+        return index.pts, index
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        geom = Run.compress(self._geom_in(lo, hi))
+        pts, index = self._geometric(lo)
+        a, b = bisect_left(pts, lo), bisect_right(pts, hi)
+        geom = index.runs(a, b) if index is not None else Run.compress(pts[a:b])
         latt = self.lattice.runs_in(lo, hi)
         return _merge_run_lists([geom, latt], lo, hi)
 
     def summary(self, lo: float, hi: float) -> "WindowSummary":
-        """A window right of every geometric point is its lattice's window."""
+        """A window right of every geometric point is its lattice's window.
+
+        Where the lattice lies right of every geometric point, the window's
+        geometric part (memoised by index window, see :meth:`_geometric_summary`)
+        is stitched to the lattice's summary: the one span between the two
+        parts joins the middle lengths.  An interleaved lattice, or a window
+        past the cached points, takes the default path.
+        """
+        latt = self.lattice
         if lo > -self.ratio:
-            return self.lattice.summary(lo, hi)
-        return super().summary(lo, hi)
+            return latt.summary(lo, hi)
+        if latt.extent != "right" or not latt.origin > -self.ratio:
+            return super().summary(lo, hi)
+        geom = self._geometric_summary(lo, hi)
+        if geom is None:
+            return super().summary(lo, hi)
+        right = latt.summary(lo, hi)
+        if geom.first is None:
+            return right
+        if right.first is None:
+            return geom
+        span = right.first - geom.last
+        return WindowSummary(geom.first, right.last, max(geom.longest, right.longest, span),
+                             min(geom.shortest, right.shortest, span),
+                             geom.interior(lo, hi) + right.interior(lo, hi))
+
+    def _geometric_summary(self, lo: float, hi: float) -> Optional["WindowSummary"]:
+        """The summary of the geometric points in (lo, hi), or None past the cached points.
+
+        Memoised as :class:`SortedPoints` memoises its windows, by index
+        window and the two edge bits, but with the indices counted from the
+        end of the points: growth adds points at the front, so these name
+        the same points before and after it.
+        """
+        pts, index = self._geometric(lo)
+        if index is None:
+            return None
+        a, b = bisect_left(pts, lo), bisect_right(pts, hi)
+        if a == b:
+            return EMPTY_SUMMARY
+        memo = self.__dict__.get("_windows")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_windows", memo)
+        n = len(pts)
+        first_on_lo, last_on_hi = pts[a] == lo, pts[b - 1] == hi
+        key = (n - a, n - b, first_on_lo, last_on_hi)
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = WindowSummary.of(index.interior(a, b, a + first_on_lo, b - last_on_hi))
+        return s
 
     def nearest_leq(self, x: float) -> Optional[float]:
-        cands = [p for p in (self._geom_leq(x), self.lattice.nearest_leq(x)) if p is not None]
+        pts, _ = self._geometric(x)
+        i = bisect_right(pts, x)
+        cands = [p for p in (pts[i - 1] if i else None, self.lattice.nearest_leq(x)) if p is not None]
         return max(cands) if cands else None
 
     def nearest_geq(self, x: float) -> Optional[float]:
-        cands = [p for p in (self._geom_geq(x), self.lattice.nearest_geq(x)) if p is not None]
+        pts, _ = self._geometric(x)
+        i = bisect_left(pts, x)
+        cands = [p for p in (pts[i] if i < len(pts) else None, self.lattice.nearest_geq(x)) if p is not None]
         return min(cands) if cands else None
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in ("_windows", "_geom")}
 
 
 @lru_cache(maxsize=64)
@@ -1024,8 +1101,9 @@ class WindowSummary:
         longest, shortest = 0.0, math.inf
         prev = None
         # the lengths of _middle, inlined: this runs on every summary built from
-        # runs (a geometric-plus-lattice window that reaches the geometric
-        # points, a translate, a cutoff, a union)
+        # runs (a translate, a cutoff, a union, a geometric-plus-lattice set
+        # whose lattice interleaves its geometric points, and once per
+        # geometric index window of the others)
         for r in interior:
             start = r.start
             if prev is not None and start > prev:

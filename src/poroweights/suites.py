@@ -99,8 +99,8 @@ def suite_distance_envelope(e: SetDescription, probes: Sequence[Interval]) -> Su
 
 def suite_hole_control(e: SetDescription, probes: Sequence[Interval], eta: float = 2.0) -> SuiteResult:
     """On probes with d(I, E) <= eta |I|, check rho(I+) >= d(x, E)/(6 + 4 eta) on I+."""
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     c0 = 1.0 / (6.0 + 4.0 * eta)
     store = WindowStore(e)
     failures: list[dict] = []

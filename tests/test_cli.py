@@ -137,6 +137,31 @@ def test_hostile_lattice_windows_exit_2(argv, message, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+EMPTY_CUTOFF_SET = ('{"kind": "cutoff", "point": 0.0, "side": "left", '
+                    '"inner": {"kind": "lattice", "origin": 0.3, "step": 1.0, "extent": "right"}}')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["analyze", "--sweep"], ["a1", "--alpha", "0.5"], ["critical-alpha"], ["dimension"],
+     ["verify"]],
+    ids=["analyze", "analyze-sweep", "a1", "critical-alpha", "dimension", "verify"],
+)
+def test_a_set_file_without_points_exits_2(argv, tmp_path, capsys, monkeypatch):
+    # a cutoff that keeps no point of its lattice: analyze certified it and
+    # exited 0, a1 and critical-alpha failed on their first distance
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.json").write_text(EMPTY_CUTOFF_SET)
+    code = main([*argv, "--set-file", "empty.json", "--workers", "1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "configuration error: empty.json: the set has no points\n"
+    assert not (tmp_path / "out").exists()
+
+
+EPS_ENDS = "error: --eps-hi and --eps-lo go together, and --eps-points needs both"
+
+
 @contextlib.contextmanager
 def _within(seconds):
     """Fail the test, rather than hang, when the body runs longer than ``seconds``."""
@@ -169,10 +194,17 @@ def _within(seconds):
         (["analyze", "--octaves", "-3"], "error: octaves must be at least 1, got -3"),
         (["analyze", "--random-probes", "-5"], "error: random probe count must not be negative, got -5"),
         (["a1", "--alpha", "inf"], "error: alpha must be positive and finite, got inf"),
+        (["verify", "--suite", "hole-control", "--eta", "inf", "--anchor-cap", "8", "--random-probes", "20"],
+         "error: eta must be positive and finite, got inf"),
+        (["dimension", "--eps-hi", "0.1", "--eps-points", "1"], EPS_ENDS),
+        (["dimension", "--eps-lo", "0.01"], EPS_ENDS),
+        (["dimension", "--eps-points", "5"], EPS_ENDS),
+        (["a1", "--alpha", "0.5", "--table-points", "-3"], "error: --table-points must not be negative, got -3"),
     ],
     ids=["tol-zero", "tol-negative", "tol-nan", "analyze-anchor-cap-zero", "a1-anchor-cap-zero",
          "eps-points-one", "eps-points-zero", "a1-octaves-negative", "a1-octaves-zero",
-         "analyze-octaves-negative", "random-probes-negative", "alpha-infinite"],
+         "analyze-octaves-negative", "random-probes-negative", "alpha-infinite", "eta-infinite",
+         "eps-hi-alone", "eps-lo-alone", "eps-points-alone", "table-points-negative"],
 )
 def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
     # each of these hung, crashed with a traceback, or ran on a vacuous or

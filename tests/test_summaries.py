@@ -39,8 +39,10 @@ from poroweights import (
     to_dict,
 )
 from poroweights.porosity import GAMMA_GRID, SIDES
+import poroweights.sets as sets_module
 from poroweights.sets import (
     EXTENTS,
+    EmptySetError,
     PointCapExceeded,
     Run,
     _interior,
@@ -417,6 +419,22 @@ class TestMemoHygiene:
             assert pickle.dumps(used) == pickle.dumps(fresh)
             assert not {"_windows", "_runs"} & copy.deepcopy(used).__dict__.keys()
 
+    def test_geometric_caches_stay_out_of_its_value(self):
+        def make():
+            return GeometricPlusLattice(3.0, Lattice(0.0, 1.0, "right"))
+
+        fresh, used = make(), make()
+        for i in (Interval(-100.0, 2.5), Interval(-1e6, -5.0)):
+            rho(used, i)
+            integrate(WeightSpec(used, 0.5), i)
+        assert used.__dict__.get("_windows") and used.__dict__.get("_geom"), "queries should have filled the caches"
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert not {"_windows", "_geom"} & copy.deepcopy(used).__dict__.keys()
+        ref = weakref.ref(used)
+        del used
+        assert ref() is None
+
     def test_memo_is_freed_with_its_set(self):
         e = self._queried(CantorIterate(0.0, 1.0, 1.0 / 3.0, 6))
         ref = weakref.ref(e)
@@ -507,9 +525,10 @@ def check_variant_summary(e, lo, hi):
     if isinstance(window, type):  # a nearest-point search out of resolution
         return
     fresh = window._replace(summary=want)
-    assert repr(window.peak()) == repr(fresh.peak())
+    # an empty set raises the same error on both sides
+    assert repr(outcome(window.peak)) == repr(outcome(fresh.peak))
     for alpha in SUMMARY_ALPHAS:
-        assert repr(window.integral(alpha)) == repr(fresh.integral(alpha))
+        assert repr(outcome(lambda: window.integral(alpha))) == repr(outcome(lambda: fresh.integral(alpha)))
 
 
 @st.composite
@@ -535,6 +554,17 @@ lattices = st.builds(Lattice, st.sampled_from(SUMMARY_ORIGINS), st.sampled_from(
                      st.sampled_from(EXTENTS))
 
 
+def geometric_chain(ratio):
+    """The geometric points -ratio**m, nearest first, as the chain ``v = ratio; v *= ratio``
+    spells them, up to the last finite one (for ratios 1.5 and 3 the powers round)."""
+    out = []
+    v = ratio
+    while v < math.inf:
+        out.append(-v)
+        v *= ratio
+    return out
+
+
 @st.composite
 def summary_variants(draw):
     """A set with a summary of its own, and the marks its windows should end on."""
@@ -555,13 +585,19 @@ def summary_variants(draw):
     if kind == "geometric":
         ratio = draw(st.sampled_from([2.0, 3.0, 1.5]))
         latt = draw(st.one_of(
+            # right of the geometric points, or interleaving them
             st.builds(Lattice, st.sampled_from(SUMMARY_ORIGINS), st.sampled_from(SUMMARY_STEPS),
                       st.sampled_from(["right", "two_sided"])),
+            # touching: starting on the geometric point -ratio
+            st.builds(Lattice, st.just(-ratio), st.sampled_from(SUMMARY_STEPS), st.just("right")),
             # points that coincide with the geometric points -2, -4, -8, ...
             st.just(Lattice(0.0, 2.0, "two_sided")),
             st.just(Lattice(-8.0, 2.0, "right")),
         ))
-        return GeometricPlusLattice(ratio, latt), [-ratio, -ratio * ratio, latt.origin]
+        # windows ending on geometric points, near -ratio and out to the last finite one
+        chain = geometric_chain(ratio)
+        far = draw(st.lists(st.sampled_from(chain), min_size=2, max_size=4))
+        return GeometricPlusLattice(ratio, latt), [*chain[:4], *far, chain[-1], latt.origin]
     latt = draw(lattices)
     if kind == "translate":
         return Translate(latt, draw(st.sampled_from([0.375, -1.9, 0.1]))), [latt.origin]
@@ -597,6 +633,62 @@ class TestVariantSummaries:
         got = e.summary(-2.0, 0.5)
         assert repr(got.last) == "0.0" == repr(oracles.summary_from_runs(e, -2.0, 0.5).last)
         check_variant_summary(e, -2.0, 0.5)
+
+    @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("origin, step", [(0.0, 1.0), (0.3, 0.7), (-1.7, 1.0 / 3.0), ("touching", 0.1),
+                                              (-8.0, 2.0)])
+    def test_geometric_windows_on_the_chain_and_the_lattice(self, ratio, origin, step):
+        # right of the geometric points, touching them at -ratio, or (-8 always,
+        # -1.7 for ratio 1.5) interleaving them; a window may hold one
+        # geometric point, so the span to the lattice is its longest component
+        e = GeometricPlusLattice(ratio, Lattice(-ratio if origin == "touching" else origin, step, "right"))
+        chain = geometric_chain(ratio)
+        latt = e.lattice
+        marks = [*chain[:4], chain[12], 0.5 * (chain[0] + chain[1]),
+                 *(Run.spell(latt.origin, step, k) for k in (0, 1)), 2.5]
+        for lo in marks:
+            for hi in marks:
+                if lo < hi:
+                    check_variant_summary(e, lo, hi)
+                    check_variant_summary(Reflect(e), -hi, -lo)
+
+    def test_an_empty_cutoff_raises_where_its_runs_do(self):
+        # a right lattice from 0.3 cut to (-inf, 0] keeps no point: peaks and
+        # integrals raise, on the program's window and on the oracle's
+        e = Cutoff(Lattice(0.3, 1.0, "right"), 0.0, "left")
+        for lo, hi in ((-2.0, -1.0), (-1.0, 5.0), (0.0, 0.3), (-1e17, -1.0)):
+            check_variant_summary(e, lo, hi)
+            assert outcome(IntegralWindow.of(e, Interval(lo, hi)).peak) is EmptySetError
+
+    @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0])
+    def test_a_regrowth_keeps_every_window_exact(self, ratio):
+        # the cached geometric points grow at the front, so the index of every
+        # point shifts: a memo keyed by those indices would hand a window of the
+        # grown points the summary of another window
+        e = GeometricPlusLattice(ratio, Lattice(0.0, 1.0, "right"))
+        chain = geometric_chain(ratio)[:24]
+        mids = [0.5 * (p + q) for p, q in zip(chain, chain[1:])]
+        spans = [(mids[k + 2], mids[k]) for k in range(len(mids) - 2)]
+        spans += [(chain[k + 3], chain[k]) for k in range(len(chain) - 3)]
+        near = [(lo, hi) for lo, hi in spans if lo > chain[6]]
+        for lo, hi in near:
+            check_variant_summary(e, lo, hi)
+        held = len(e.__dict__["_geom"][0].pts)
+        check_variant_summary(e, chain[-1], 2.5)
+        assert len(e.__dict__["_geom"][0].pts) > held
+        for lo, hi in spans + near:
+            check_variant_summary(e, lo, hi)
+            check_variant_summary(e, lo, 2.5)
+
+    def test_past_the_cap_the_default_path_answers(self, monkeypatch):
+        monkeypatch.setattr(sets_module, "DEFAULT_POINT_CAP", 8)
+        e = GeometricPlusLattice(2.0, Lattice(0.0, 1.0, "right"))
+        chain = geometric_chain(2.0)
+        for lo, hi in ((-100.0, 3.5), (-1e6, 3.5), (-1e6, -1000.0), (chain[30], chain[2]), (-5.0, 3.5)):
+            check_variant_summary(e, lo, hi)
+            assert len(e.__dict__["_geom"][0].pts) <= 8
+        assert e.points_in(-1e6, -1.0) == sorted(p for p in chain if p >= -1e6)
+        assert (e.nearest_leq(-1e6), e.nearest_geq(-1e6)) == (-2.0 ** 20, -2.0 ** 19)
 
     def test_a_resolution_error_where_the_runs_raise_it(self):
         for e in (Lattice(0.0, 1.0, "two_sided"), Reflect(Lattice(0.0, 0.1, "left")),

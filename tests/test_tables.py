@@ -577,6 +577,31 @@ class TestWorkCounts:
         sweep_sides(e, intervals, SIDES)
         assert lattice_runs[0] == 0
 
+    @pytest.mark.parametrize("e", [BASES["geometric_naturals"], Reflect(BASES["geometric_naturals"])],
+                             ids=["geometric_naturals", "reflected_geometric_naturals"])
+    def test_geometric_sweeps_and_transport_take_no_default_path(self, e, monkeypatch):
+        # windows that reach the geometric points read the cached points and the
+        # lattice's summary: nothing compressed, no summary built from runs
+        counts = {"compress": 0, "default": 0, "geometric": 0}
+
+        def counted(name, original):
+            def call(*args):
+                counts[name] += 1
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(sets_module.Run, "compress", staticmethod(counted("compress", sets_module.Run.compress)))
+        monkeypatch.setattr(sets_module.SetDescription, "summary",
+                            counted("default", sets_module.SetDescription.summary))
+        monkeypatch.setattr(GeometricPlusLattice, "_geometric_summary",
+                            counted("geometric", GeometricPlusLattice._geometric_summary))
+        window = Interval(-64.0, 64.0)
+        intervals = certification_probes(e, window, anchor_cap=16, random_count=50).intervals()
+        sweep_sides(e, intervals, SIDES)
+        suite_sided_transport(e, window, probes=certification_probes(e, window, anchor_cap=16, random_count=50))
+        assert counts["compress"] == counts["default"] == 0
+        assert counts["geometric"] > 0
+
     @pytest.mark.parametrize("e, side", [(NATURALS, "minus"), (Reflect(NATURALS), "plus"), (BASES["integers"], "plus")],
                              ids=["naturals-minus", "reflected_naturals-plus", "integers-plus"])
     def test_a_scan_without_samples_builds_the_best_and_the_witnesses_only(self, e, side, triple_samples):
