@@ -604,9 +604,8 @@ class GeometricPlusLattice(SetDescription):
         latt = self.lattice
         if lo > -self.ratio:
             return latt.summary(lo, hi)
-        if latt.extent != "right" or not latt.origin > -self.ratio:
-            return super().summary(lo, hi)
-        geom = self._geometric_summary(lo, hi)
+        right_of = latt.extent == "right" and latt.origin > -self.ratio
+        geom = self._geometric_summary(lo, hi) if right_of else None
         if geom is None:
             return super().summary(lo, hi)
         right = latt.summary(lo, hi)

@@ -680,6 +680,16 @@ class TestVariantSummaries:
             check_variant_summary(e, lo, hi)
             check_variant_summary(e, lo, 2.5)
 
+    def test_the_chain_ends_at_its_last_finite_point(self):
+        # below it there is no point: nearest_leq returned -inf, and
+        # nearest_geq(-inf) never returned
+        e = GeometricPlusLattice(2.0, Lattice(0.0, 1.0, "right"))
+        chain = geometric_chain(2.0)
+        assert chain[-1] == -2.0 ** 1023
+        assert e.nearest_leq(-1.7e308) is None and e.nearest_geq(-math.inf) == chain[-1]
+        assert e.points_in(-math.inf, -1.0) == chain[::-1]
+        check_variant_summary(e, -math.inf, 2.5)
+
     def test_past_the_cap_the_default_path_answers(self, monkeypatch):
         monkeypatch.setattr(sets_module, "DEFAULT_POINT_CAP", 8)
         e = GeometricPlusLattice(2.0, Lattice(0.0, 1.0, "right"))
