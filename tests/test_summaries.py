@@ -681,8 +681,7 @@ class TestVariantSummaries:
             check_variant_summary(e, lo, 2.5)
 
     def test_the_chain_ends_at_its_last_finite_point(self):
-        # below it there is no point: nearest_leq returned -inf, and
-        # nearest_geq(-inf) never returned
+        # no point lies below it, and a search from -inf ends there
         e = GeometricPlusLattice(2.0, Lattice(0.0, 1.0, "right"))
         chain = geometric_chain(2.0)
         assert chain[-1] == -2.0 ** 1023
