@@ -15,7 +15,11 @@ and a two-sided ``a1`` on the near-arithmetic finite set of
 and the last four (a right ``analyze`` and a minus ``a1`` on a reflected
 non-dyadic left lattice, a right ``analyze --sweep`` on the reflected
 near-arithmetic set, and ``verify --suite left-propagation`` at a requested
-``--sigma``/``--gamma`` pair) before the closed-form lattice summaries.
+``--sigma``/``--gamma`` pair) before the closed-form lattice summaries,
+and the last four (a two-sided and a right ``analyze``, a left
+``analyze --sweep`` and ``verify --suite sided-transport`` on the integers
+at window (-8, 8) and the default caps, whose families repeat 14% of their
+probes) before the one evaluation per distinct probe.
 Together the jobs run
 every subcommand that writes a report and every ``verify`` suite.  A change
 that moves any reported figure by one ulp fails here.
@@ -43,8 +47,9 @@ from typing import Optional
 
 import pytest
 
+from poroweights import Interval, ProbeFamily, certification_probes
 from poroweights.cli import main
-from poroweights.presets import PRESET_NAMES
+from poroweights.presets import PRESET_NAMES, preset
 
 CAPS = ("--anchor-cap", "8", "--random-probes", "40", "--octaves", "6", "--seed", "3")
 CANTOR6 = ("--preset", "cantor", "--cantor-depth", "6")
@@ -52,6 +57,8 @@ RANDOM = ("--preset", "random_finite", "--random-count", "24")
 INTEGERS = ("--preset", "integers")
 GEOMETRIC = ("--preset", "geometric_naturals")
 W = ("--window", "-8", "8")
+# default caps: 2,188 probes, 1,888 distinct (2,081 and 1,779 in the sided-transport family)
+INTEGERS_W = (*INTEGERS, *W)
 DATA = Path(__file__).parent / "data"
 # a finite set read with --set-file: a 40-point progression that a run
 # re-spelled from its second point would miss, a dyadic run, a decimal
@@ -111,6 +118,10 @@ JOBS = {
     # a pair the CAPS sweep certifies, not the one verify would choose (0.703704, 0.03125)
     "verify-left-propagation-requested-cantor6": (
         "verify", *CANTOR6, *CAPS, "--suite", "left-propagation", "--sigma", "0.5", "--gamma", "0.0625"),
+    "analyze-integers-default-caps": ("analyze", *INTEGERS_W),
+    "analyze-right-integers-default-caps": ("analyze", *INTEGERS_W, "--side", "right"),
+    "analyze-sweep-left-integers-default-caps": ("analyze", *INTEGERS_W, "--sweep", "--side", "left"),
+    "verify-sided-transport-integers-default-caps": ("verify", *INTEGERS_W, "--suite", "sided-transport"),
 }
 
 
@@ -168,6 +179,10 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'porosity_report.csv': '5ac5726160b007deb433badcb7428e1f3588ea37e05700934038904b884778e9',
         'porosity_report.json': '6e3b9efe9aa29e087deb8eab532dc828527f9f5fec3b1bca9f4dde14d6b200a5',
     }),
+    'analyze-integers-default-caps': (0, {
+        'porosity_report.csv': '8d13aa5379f8c7dc54a633c39963acb7d6b84f08dea923f7e5bf5e56d48e4efd',
+        'porosity_report.json': '7dad5363aa74a4a54af1b55e189e4bac56380e6c4d4b29700415215ce7dae18f',
+    }),
     'analyze-left-reflected-geometric': (0, {
         'porosity_report.csv': '1035b8d22adae2aa606392bb614b91ef048086ab1ce26b2c5690ab2991248e55',
         'porosity_report.json': '87c3066f39d1a25554b5bae2259e69eec22c53f1e706d2d9bf96996a1a38df33',
@@ -180,6 +195,10 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'porosity_report.csv': '948569a2fb9dbc9ed9f1f614634cc61c7d8da5096750afa73f98eed1e6de8f5b',
         'porosity_report.json': 'f1783f93042b501527cb593b5a18fd212c89b3334593c6907b5c1562d8482354',
     }),
+    'analyze-right-integers-default-caps': (0, {
+        'porosity_report.csv': '9b71729cb360a04fdccc0106c045d3820234273c2a6ebf6b169ede2d24148348',
+        'porosity_report.json': '317c9be9b7e820f6fec72347dfd6a8a6817abf5b28fa4dbee628e04187e93e49',
+    }),
     'analyze-right-reflected-left-lattice': (0, {
         'porosity_report.csv': 'd5ca445526fc02256021aae813d3bd19fb300005098fbbc2470f9c9708802a0f',
         'porosity_report.json': 'ddace4f9516527ce7ac1d50934463c4804cdda24c526a55482e9207d149f499c',
@@ -189,6 +208,9 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'analyze-sweep-geometric': (0, {
         'porosity_sweep.json': 'acc447716e9881648688a700cafc742bbb1c9b0f5623b96d8443fe8da8b34f9a',
+    }),
+    'analyze-sweep-left-integers-default-caps': (0, {
+        'porosity_sweep.json': '2fcebf1e75fc46bfea43b30470bd77e7ed81923e8eccb98d2d56deee0b56ad64',
     }),
     'analyze-sweep-near-arithmetic': (0, {
         'porosity_sweep.json': '36c94f30d5b4e8b77909073ae41233b86bffb02d5817139ca8a8283ad39796ef',
@@ -250,6 +272,9 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     'verify-sided-transport-geometric': (0, {
         'verify_sided_transport.json': 'de269e22a0d5079e8d2e4fdb7ad99c6682102ca3dbf1f985ba2326c3d6942223',
     }),
+    'verify-sided-transport-integers-default-caps': (0, {
+        'verify_sided_transport.json': '210ca638aea89c0f08e0d738b843e79a018d86c9e1745b681e100896c035be36',
+    }),
 }
 
 
@@ -267,6 +292,16 @@ def run_job(argv: tuple[str, ...]) -> tuple[int, dict[str, str]]:
 @pytest.mark.parametrize("job", sorted(JOBS))
 def test_report_bytes_match_golden(job):
     assert run_job(JOBS[job]) == GOLDEN[job]
+
+
+def test_the_default_cap_integer_families_repeat_probes():
+    # (probes, distinct probes) of the families the default-caps jobs read:
+    # analyze's default family and sided-transport's certification family
+    e, window = preset("integers"), Interval(-8.0, 8.0)
+    for fam, counts in ((ProbeFamily.default(e, window), (2188, 1888)),
+                        (certification_probes(e, window), (2081, 1779))):
+        probes = fam.intervals()
+        assert (len(probes), len({i.as_pair() for i in probes})) == counts
 
 
 def wide(earlier: Optional[Path]) -> int:
