@@ -38,7 +38,15 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .sets import EmptySetError, PointCapExceeded, SetDescription, SetFormatError, distance, from_json
+from .sets import (
+    DEFAULT_POINT_CAP,
+    EmptySetError,
+    PointCapExceeded,
+    SetDescription,
+    SetFormatError,
+    distance,
+    from_json,
+)
 from .suites import (
     suite_decay,
     suite_dimension,
@@ -137,6 +145,11 @@ def _config(args) -> RunConfig:
     lo, hi = args.window
     if not lo < hi:
         raise SetFormatError(f"window must satisfy lo < hi, got {args.window}")
+    # each count is looped over, or materialised, that many times
+    for flag, count in (("--anchor-cap", args.anchor_cap), ("--random-probes", args.random_probes),
+                        ("--random-count", args.random_count)):
+        if count > DEFAULT_POINT_CAP:
+            raise ValueError(f"{flag} must be at most {DEFAULT_POINT_CAP}, got {count}")
     return RunConfig(
         e=_load_set(args),
         window=Interval(lo, hi),

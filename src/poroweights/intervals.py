@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Interval:
     """Bounded open interval (lo, hi) with lo < hi."""
 

@@ -40,6 +40,9 @@ TRIPLE_ANCHOR_CAP = 32
 # and d^-alpha of them overflowed for alpha near 1; from s = 2^-1021 such
 # peaks stay normal, and d^-alpha stays finite for alpha <= 1.
 MIN_OCTAVE = -1021
+# Highest ladder octave: a triple reaches s * max(TRIPLE_RATIOS) from its
+# anchor, which must stay below 2^1024, where the float range ends.
+MAX_OCTAVE = 1021
 
 
 def _triple_windows(a: float, b: float, c: float, side: str) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -108,13 +111,17 @@ class TripleFamily:
     ) -> "TripleFamily":
         """The ladder starts 4 octaves below the finest gap, but no lower than
         the anchors resolve (s * min(ratios) is at least the largest anchor
-        ulp, so every triple has a < b < c) and no lower than ``MIN_OCTAVE``."""
+        ulp, so every triple has a < b < c) and no lower than ``MIN_OCTAVE``.
+        A ladder whose top octave passes ``MAX_OCTAVE`` raises ``ValueError``."""
         if octaves < 1:
             raise ValueError(f"octaves must be at least 1, got {octaves}")
         anchors = tuple(anchor_candidates(e, window, anchor_cap))
         finest = min_component_length(e, window)
         resolved = max(map(math.ulp, anchors)) / min(TRIPLE_RATIOS)
         k_lo = max(math.floor(math.log2(finest)) - 4, math.ceil(math.log2(resolved)), MIN_OCTAVE)
+        if k_lo + octaves - 1 > MAX_OCTAVE:
+            raise ValueError(f"octaves must keep the triple ladder at or below octave {MAX_OCTAVE}, "
+                             f"got {octaves} from octave {k_lo}")
         return cls(anchors=anchors, octaves=tuple(range(k_lo, k_lo + octaves)))
 
     def triples(self, side: str) -> list[tuple[float, float, float, float]]:

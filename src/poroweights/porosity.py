@@ -228,7 +228,10 @@ class ProbeFamily:
 
     Anchor-aligned intervals place each anchor as a left endpoint, center, or
     right endpoint at every scale; `random_count` extra intervals are drawn
-    reproducibly from the window with log-uniform lengths.
+    reproducibly from the window with log-uniform lengths.  The family
+    repeats intervals: the probe left-aligned at a, the one centred at
+    a + s/2 and the one right-aligned at a + s are one interval whenever
+    those points are anchors, as on a lattice (see :func:`distinct_probes`).
     """
 
     anchors: tuple[float, ...]
@@ -282,6 +285,24 @@ class ProbeFamily:
         return [Interval(lo, hi) for lo, hi in bounds if _splittable(lo, hi)]
 
 
+def distinct_probes(intervals: Sequence[Interval]) -> tuple[list[Interval], array]:
+    """The distinct probes of a family, keyed by ``(lo, hi)``, in first-occurrence order,
+    and per probe its index among them.
+
+    A pass evaluates each distinct probe once and reads its figures back for
+    every occurrence: every figure of a probe depends on ``(lo, hi)`` alone.
+    """
+    first: dict[tuple[float, float], int] = {}
+    distinct: list[Interval] = []
+    order = array("I")
+    for i in intervals:
+        n = first.setdefault((i.lo, i.hi), len(distinct))
+        if n == len(distinct):
+            distinct.append(i)
+        order.append(n)
+    return distinct, order
+
+
 CERT_HEADROOM = 12  # octaves of probe scale above the window span
 
 
@@ -313,7 +334,7 @@ def certification_probes(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeRow:
     lo: float
     hi: float
@@ -388,10 +409,12 @@ def _pair_ratios(radii: array) -> Iterator[tuple[int, int, float]]:
 def _probe_radii(store: WindowStore, i: Interval, windows: Optional[tuple] = None) -> tuple[float, ...]:
     """rho of a probe I, of its halves I- and I+ and of its centred half, all read from ``store``.
 
-    The first three come from the probe's ``probe_windows``, read here unless given.
+    The first three come from the probe's ``probe_windows``, read here unless given;
+    the centred half is read by its bounds, so it is built only on a store miss.
     """
     whole, left, right = probe_windows(store, i) if windows is None else windows
-    return whole[2], left[2], right[2], store.rho(_centred_half(i))
+    c, quarter = i.center, 0.25 * i.length
+    return whole[2], left[2], right[2], store.rated(c - quarter, c + quarter)[2]
 
 
 def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingReport:
@@ -401,6 +424,11 @@ def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingRep
     maxima, with the octave of each probe computed once, on its first pair.
     The pairs are walked again, in length order, only for the witnesses of
     a divergent ladder.
+
+    A family's report is the report of its distinct probes in first-occurrence
+    order (:func:`distinct_probes`): a repeat ties its first occurrence, which
+    comes before it in family order and in the stable length order, and the
+    largest ratio and the rising maxima both keep the first of ties.
     """
 
     def pair(t: tuple[int, int, float]) -> DoublingPair:
@@ -446,17 +474,18 @@ def doubling_witness(
 
     Pairs use J = left half, right half, and the centered half of each probe.
     Unbounded growth of the ratio across scales refutes two-sided porosity.
+    Each distinct probe is evaluated once (see :func:`distinct_probes`).
     The probes read their windows from one :class:`WindowStore` (``store``,
     or a new one), so the centred half of (a - s, a + s), which is the
     centred probe at scale s, is summarised once while the pass's recent
     windows fit the store.
     """
     store = WindowStore(e) if store is None else store
-    intervals = list(probes)
+    distinct = distinct_probes(list(probes))[0]
     radii = array("d")
-    for i in intervals:
+    for i in distinct:
         radii.extend(_probe_radii(store, i))
-    return _doubling_report(intervals, radii)
+    return _doubling_report(distinct, radii)
 
 
 def _intervals(probes: ProbeFamily | Sequence[Interval]) -> list[Interval]:
@@ -473,31 +502,37 @@ def certify(
 ) -> PorosityReport:
     """Evaluate the porosity inequality on every probe; pass iff none dips below sigma.
 
-    Each probe reads four windows, I, its halves and its centred half, from
-    one :class:`WindowStore` for the pass; sigma, the row radii and the
-    doubling ratios all read them.  A window shared between probes (a half
-    that is a whole probe one scale down) is summarised once while the
-    pass's recent windows fit the store.
+    Each distinct probe is evaluated once (see :func:`distinct_probes`): it
+    reads four windows, I, its halves and its centred half, from one
+    :class:`WindowStore` for the pass, and sigma and its four hole radii go
+    into columns.  The rows, the worst probe and the witnesses then read the
+    columns for every probe in family order; the doubling report reads them
+    once per distinct probe (see :func:`_doubling_report`).  A window
+    shared between probes (a half that is a whole probe one scale down) is
+    summarised once while the pass's recent windows fit the store.
     """
     intervals = _intervals(probes)
+    distinct, order = distinct_probes(intervals)
     store = WindowStore(e)
+    sigmas = array("d")
+    radii = array("d")  # per distinct probe: rho of I, I-, I+ and the centred half
+    for i in distinct:
+        windows = probe_windows(store, i)
+        sigmas.append(_side_sigma(windows, params.side, params.gamma))
+        radii.extend(_probe_radii(store, i, windows))
     rows: list[ProbeRow] = []
     witnesses: list[tuple[Interval, float]] = []
     worst: Optional[Interval] = None
     worst_sigma = math.inf
-    radii = array("d")
-    for i in intervals:
-        windows = probe_windows(store, i)
-        s = _side_sigma(windows, params.side, params.gamma)
-        whole, left, right = windows
-        rows.append(ProbeRow(i.lo, i.hi, left[2], right[2], s))
-        radii.extend(_probe_radii(store, i, windows))
+    for i, n in zip(intervals, order):
+        s = sigmas[n]
+        rows.append(ProbeRow(i.lo, i.hi, radii[4 * n + 1], radii[4 * n + 2], s))
         if s < worst_sigma:
             worst_sigma = s
             worst = i
         if s < params.sigma and len(witnesses) < MAX_WITNESSES:
             witnesses.append((i, s))
-    doubling = _doubling_report(intervals, radii)
+    doubling = _doubling_report(distinct, radii)
     return PorosityReport(
         params=params,
         probe_count=len(intervals),
@@ -562,13 +597,15 @@ def sweep_sides(
     sides: Sequence[str],
     gammas: Sequence[float] = GAMMA_GRID,
 ) -> dict[str, SweepResult]:
-    """:func:`sweep_parameters` for several sides in one pass over the probes.
+    """:func:`sweep_parameters` for several sides in one pass over the distinct probes.
 
-    The probes read their windows from one :class:`WindowStore`: the right
-    and left sides share the summaries of I- and I+, and a window that
-    recurs across anchors, scales and alignments (the right half of
-    (a - s, a + s) is the left half of (a, a + 2s)) is summarised once while
-    the pass's recent windows fit the store.  The pass never holds more than
+    sigma* is a minimum, so a repeated probe changes nothing: each distinct
+    probe is evaluated once (see :func:`distinct_probes`).  The probes read
+    their windows from one :class:`WindowStore`: the right and left sides
+    share the summaries of I- and I+, and a window that recurs across
+    anchors, scales and alignments (the right half of (a - s, a + s) is the
+    left half of (a, a + 2s)) is summarised once while the pass's recent
+    windows fit the store.  The pass never holds more than
     ``2 * STORE_CAP`` windows, however large the family.  Per probe and side
     one :class:`LengthProfile` of the region answers the whole grid: the
     components at least 2 gamma rho(reference) long are a prefix of it, and
@@ -595,7 +632,7 @@ def sweep_sides(
     whole = "two_sided" in worst
     halves = "right" in worst or "left" in worst
     store = WindowStore(e)
-    for i in intervals:
+    for i in distinct_probes(intervals)[0]:
         windows = probe_windows(store, i, whole, halves)
         for low, k_region, k_reference in reads:
             region = windows[k_region]

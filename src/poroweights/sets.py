@@ -543,17 +543,18 @@ class GeometricPlusLattice(SetDescription):
         if not self.ratio > 1:
             raise ValueError("ratio must exceed 1")
 
-    def _chain(self, pts: tuple[float, ...], x: float, limit: float, more: int) -> tuple[tuple[float, ...], bool]:
+    def _chain(self, pts: tuple[float, ...], x: float) -> tuple[tuple[float, ...], bool]:
         """``pts``, the first geometric points ascending, extended down to a point <= x
-        by at least ``more`` points, or to ``limit`` points or overflow if sooner;
-        and whether the chain overflowed.
+        and to at least twice their count, or to ``DEFAULT_POINT_CAP`` points or
+        overflow if sooner; and whether the chain overflowed.
 
         The one spelling of the geometric points: ``v = ratio; v *= ratio``,
         each negated (the first point, ``-ratio``, is where the chain starts).
         """
         new = []
         v = -pts[0]
-        while len(pts) + len(new) < limit:
+        more = len(pts)
+        while len(pts) + len(new) < DEFAULT_POINT_CAP:
             v *= self.ratio
             if v == math.inf:
                 break
@@ -563,14 +564,13 @@ class GeometricPlusLattice(SetDescription):
         new.reverse()
         return (*new, *pts), v == math.inf
 
-    def _geometric(self, x: float) -> tuple[Sequence[float], Optional["_RunIndex"]]:
-        """The geometric points ascending, holding every one >= x and the first one <= x
-        (if any), and the cached run index over them.
+    def _geometric(self, x: float) -> "_RunIndex":
+        """The cached run index over the geometric points ascending, holding every
+        one >= x and the first one <= x (if any).
 
         The cached points grow on demand, to reach x and to at least twice
         their count, and stop at overflow or at ``DEFAULT_POINT_CAP`` points.
-        Past the cap the chain is walked on from its end for this query
-        alone, with no index.
+        A query that needs points past the cap raises ``PointCapExceeded``.
         """
         state = self.__dict__.get("_geom")
         if state is None:
@@ -578,17 +578,21 @@ class GeometricPlusLattice(SetDescription):
             object.__setattr__(self, "_geom", state)
         index, reach = state
         if x < reach and len(index.pts) < DEFAULT_POINT_CAP:
-            pts, done = self._chain(index.pts, x, DEFAULT_POINT_CAP, len(index.pts))
+            pts, done = self._chain(index.pts, x)
             index, reach = _RunIndex(pts), -math.inf if done else pts[0]
             object.__setattr__(self, "_geom", (index, reach))
         if x < reach:
-            return self._chain(index.pts, x, math.inf, 0)[0], None
-        return index.pts, index
+            # the points from -ratio down to the first <= x, about log(-x) / log(ratio)
+            # of them, and more than the cap: x lies below the last cached point
+            octaves = math.log2(-x) if x > -math.inf else 1024.0  # the float range ends at 2 ** 1024
+            count = math.floor(octaves / math.log2(self.ratio)) + 1
+            raise PointCapExceeded(max(count, DEFAULT_POINT_CAP + 1), DEFAULT_POINT_CAP, (x, -self.ratio))
+        return index
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        pts, index = self._geometric(lo)
-        a, b = bisect_left(pts, lo), bisect_right(pts, hi)
-        geom = index.runs(a, b) if index is not None else Run.compress(pts[a:b])
+        index = self._geometric(lo)
+        pts = index.pts
+        geom = index.runs(bisect_left(pts, lo), bisect_right(pts, hi))
         latt = self.lattice.runs_in(lo, hi)
         return _merge_run_lists([geom, latt], lo, hi)
 
@@ -598,16 +602,15 @@ class GeometricPlusLattice(SetDescription):
         Where the lattice lies right of every geometric point, the window's
         geometric part (memoised by index window, see :meth:`_geometric_summary`)
         is stitched to the lattice's summary: the one span between the two
-        parts joins the middle lengths.  An interleaved lattice, or a window
-        past the cached points, takes the default path.
+        parts joins the middle lengths.  An interleaved lattice takes the
+        default path.
         """
         latt = self.lattice
         if lo > -self.ratio:
             return latt.summary(lo, hi)
-        right_of = latt.extent == "right" and latt.origin > -self.ratio
-        geom = self._geometric_summary(lo, hi) if right_of else None
-        if geom is None:
+        if latt.extent != "right" or latt.origin <= -self.ratio:
             return super().summary(lo, hi)
+        geom = self._geometric_summary(lo, hi)
         right = latt.summary(lo, hi)
         if geom.first is None:
             return right
@@ -618,17 +621,16 @@ class GeometricPlusLattice(SetDescription):
                              min(geom.shortest, right.shortest, span),
                              geom.interior(lo, hi) + right.interior(lo, hi))
 
-    def _geometric_summary(self, lo: float, hi: float) -> Optional["WindowSummary"]:
-        """The summary of the geometric points in (lo, hi), or None past the cached points.
+    def _geometric_summary(self, lo: float, hi: float) -> "WindowSummary":
+        """The summary of the geometric points in (lo, hi).
 
         Memoised as :class:`SortedPoints` memoises its windows, by index
         window and the two edge bits, but with the indices counted from the
         end of the points: growth adds points at the front, so these name
         the same points before and after it.
         """
-        pts, index = self._geometric(lo)
-        if index is None:
-            return None
+        index = self._geometric(lo)
+        pts = index.pts
         a, b = bisect_left(pts, lo), bisect_right(pts, hi)
         if a == b:
             return EMPTY_SUMMARY
@@ -645,13 +647,13 @@ class GeometricPlusLattice(SetDescription):
         return s
 
     def nearest_leq(self, x: float) -> Optional[float]:
-        pts, _ = self._geometric(x)
+        pts = self._geometric(x).pts
         i = bisect_right(pts, x)
         cands = [p for p in (pts[i - 1] if i else None, self.lattice.nearest_leq(x)) if p is not None]
         return max(cands) if cands else None
 
     def nearest_geq(self, x: float) -> Optional[float]:
-        pts, _ = self._geometric(x)
+        pts = self._geometric(x).pts
         i = bisect_left(pts, x)
         cands = [p for p in (pts[i] if i < len(pts) else None, self.lattice.nearest_geq(x)) if p is not None]
         return min(cands) if cands else None

@@ -9,6 +9,7 @@ admissible weight exponent) are recorded alongside.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,6 +27,7 @@ from .porosity import (
     check_gamma,
     decay_constants,
     dimension_bound,
+    distinct_probes,
     doubling_witness,
     left_propagation_on,
     pore_transport_on,
@@ -384,6 +386,10 @@ def suite_dimension(
 # ---------------------------------------------------------------------------
 
 
+# (direction, column of its share) per check, in the order a probe's failures are recorded
+_TRANSPORT_CHECKS = (("forward-right", 0), ("forward-left", 2), ("converse", 4))
+
+
 def suite_sided_transport(
     e: SetDescription,
     window: Interval,
@@ -405,49 +411,52 @@ def suite_sided_transport(
     closed under halving then converts a two-sided pass at (sigma, gamma) into
     one-sided passes at (sigma, gamma/Phi), and conversely into a two-sided
     pass at half the one-sided constants.
+
+    Each distinct probe is evaluated once (see :func:`distinct_probes`);
+    every probe of the family is one check, and a repeat that fails gets a
+    record of its own.
     """
     check_gamma(gamma)
     check_gamma(gamma0, "gamma0")
     fam = probes or certification_probes(e, window, seed=seed)
     intervals = fam.intervals()
+    distinct, order = distinct_probes(intervals)
     # both passes read one window store
     store = WindowStore(e)
     # pass 1: Phi needs the whole family before any check can run
-    phi = doubling_witness(e, intervals, store).phi_estimate
+    phi = doubling_witness(e, distinct, store).phi_estimate
     gamma_t = gamma / phi
     gamma_c = 0.5 * gamma0
     # pass 2: I, I- and I+ read from the store; per window one length profile
     # answers the sweep grid and the thresholds of the checks that count its holes
     doubled = [2.0 * g for g in GAMMA_GRID]
     worst = {side: [math.inf] * len(GAMMA_GRID) for side in ("right", "left", "two_sided")}
-    failures: list[dict] = []
-    checks = 0
-    for i in intervals:
-        checks += 1
+    shares = array("d")  # per distinct probe: got and need of forward-right, forward-left, converse
+    for i in distinct:
         whole, left, right = probe_windows(store, i)
         rho_i, rho_l, rho_r = whole[2], left[2], right[2]
         on_left, on_right, on_whole = profile_of(left), profile_of(right), profile_of(whole)
         on_left.lower_along(worst["right"], doubled, rho_r)
         on_right.lower_along(worst["left"], doubled, rho_l)
         on_whole.lower_along(worst["two_sided"], doubled, rho_i)
-        fwd_r, need_r = on_left.share(2.0 * gamma_t * rho_r), on_left.share(2.0 * gamma * rho_l)
-        fwd_l, need_l = on_right.share(2.0 * gamma_t * rho_l), on_right.share(2.0 * gamma * rho_r)
-        if fwd_r < need_r - REL_SLACK:
-            _fail(failures, {"direction": "forward-right", "interval": i.as_pair(), "got": fwd_r, "need": need_r})
-        if fwd_l < need_l - REL_SLACK:
-            _fail(failures, {"direction": "forward-left", "interval": i.as_pair(), "got": fwd_l, "need": need_l})
-        conv = on_whole.share(2.0 * gamma_c * rho_i)
+        shares.extend((on_left.share(2.0 * gamma_t * rho_r), on_left.share(2.0 * gamma * rho_l),
+                       on_right.share(2.0 * gamma_t * rho_l), on_right.share(2.0 * gamma * rho_r),
+                       on_whole.share(2.0 * gamma_c * rho_i)))
         if rho_r >= rho_l:
-            need_c = 0.5 * on_left.share(2.0 * gamma0 * rho_r)
+            shares.append(0.5 * on_left.share(2.0 * gamma0 * rho_r))
         else:
-            need_c = 0.5 * on_right.share(2.0 * gamma0 * rho_l)
-        if conv < need_c - REL_SLACK:
-            _fail(failures, {"direction": "converse", "interval": i.as_pair(), "got": conv, "need": need_c})
+            shares.append(0.5 * on_right.share(2.0 * gamma0 * rho_l))
+    failures: list[dict] = []
+    for i, n in zip(intervals, order):
+        for direction, k in _TRANSPORT_CHECKS:
+            got, need = shares[6 * n + k], shares[6 * n + k + 1]
+            if got < need - REL_SLACK:
+                _fail(failures, {"direction": direction, "interval": i.as_pair(), "got": got, "need": need})
     right, left, two = (sweep_result(side, GAMMA_GRID, low) for side, low in worst.items())
     return SuiteResult(
         suite="sided-transport",
         params={"window": window.as_pair(), "seed": seed, "gamma": gamma, "gamma0": gamma0},
-        checks=checks,
+        checks=len(intervals),
         failures=tuple(failures),
         constants={"phi": phi, "gamma_transported": gamma_t},
         details={

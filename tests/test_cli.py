@@ -200,11 +200,13 @@ def _within(seconds):
         (["dimension", "--eps-lo", "0.01"], EPS_ENDS),
         (["dimension", "--eps-points", "5"], EPS_ENDS),
         (["a1", "--alpha", "0.5", "--table-points", "-3"], "error: --table-points must not be negative, got -3"),
+        (["a1", "--alpha", "0.5", "--octaves", "3000"],
+         "error: octaves must keep the triple ladder at or below octave 1021, got 3000 from octave -4"),
     ],
     ids=["tol-zero", "tol-negative", "tol-nan", "analyze-anchor-cap-zero", "a1-anchor-cap-zero",
          "eps-points-one", "eps-points-zero", "a1-octaves-negative", "a1-octaves-zero",
          "analyze-octaves-negative", "random-probes-negative", "alpha-infinite", "eta-infinite",
-         "eps-hi-alone", "eps-lo-alone", "eps-points-alone", "table-points-negative"],
+         "eps-hi-alone", "eps-lo-alone", "eps-points-alone", "table-points-negative", "a1-octaves-past-the-top"],
 )
 def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
     # each of these hung, crashed with a traceback, or ran on a vacuous or
@@ -214,6 +216,52 @@ def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--anchor-cap", "140000000000", "--window", "-68719476736", "68719476736"],
+         "error: --anchor-cap must be at most 1000000, got 140000000000"),
+        (["analyze", "--random-probes", "1000001"], "error: --random-probes must be at most 1000000, got 1000001"),
+        (["a1", "--alpha", "0.5", "--preset", "random_finite", "--random-count", "100000000000"],
+         "error: --random-count must be at most 1000000, got 100000000000"),
+    ],
+    ids=["anchor-cap", "random-probes", "random-count"],
+)
+def test_hostile_sizes_exit_2_before_the_set_is_built(argv, message, tmp_path, capsys, monkeypatch):
+    # the anchor sampler, the random probes and the random preset loop this
+    # many times; the set loader fails the test at once if a guard is missing
+    def built(_args):
+        raise AssertionError("the set was built before the size was checked")
+
+    monkeypatch.setattr(cli, "_load_set", built)
+    code = main([*argv, "--workers", "1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+# a geometric branch with ratio 1.0001: a million cached points reach about
+# -2.7e43, and a window reaching -1e300 needs about 6.9 million
+SLOW_GEOMETRIC_SET = ('{"kind": "geometric_lattice", "ratio": 1.0001, '
+                      '"lattice": {"kind": "lattice", "origin": 0.0, "step": 1.0, "extent": "right"}}')
+
+
+def test_a_geometric_window_past_the_point_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # every query walked the chain on past the cached points, for minutes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "slow.json").write_text(SLOW_GEOMETRIC_SET)
+    with _within(20):
+        # -1e300 spelled in digits: argparse reads "-1e300" as an option
+        code = main(["analyze", "--set-file", "slow.json", "--window", "-1" + "0" * 300, "0", "--anchor-cap", "8",
+                     "--random-probes", "20", "--workers", "1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: window (-1e+300, -1.0001) holds 6908101 points, "
+                            "above the cap of 1000000\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -53,6 +53,7 @@ from poroweights.sets import (
 from poroweights.weights import IntegralWindow, max_distance_on
 
 from . import oracles
+from .test_cli import _within
 
 ALPHAS = (0.1, 0.5, 0.9, 1.0, 1.5)
 MIDDLES = (1.0 / 3.0, 0.5, 0.2)
@@ -689,15 +690,35 @@ class TestVariantSummaries:
         assert e.points_in(-math.inf, -1.0) == chain[::-1]
         check_variant_summary(e, -math.inf, 2.5)
 
-    def test_past_the_cap_the_default_path_answers(self, monkeypatch):
+    def test_past_the_cap_a_query_raises(self, monkeypatch):
+        # the cached points stop at the cap: a query that needs more raises,
+        # where it walked the chain on from the cache's end for every query
         monkeypatch.setattr(sets_module, "DEFAULT_POINT_CAP", 8)
         e = GeometricPlusLattice(2.0, Lattice(0.0, 1.0, "right"))
         chain = geometric_chain(2.0)
-        for lo, hi in ((-100.0, 3.5), (-1e6, 3.5), (-1e6, -1000.0), (chain[30], chain[2]), (-5.0, 3.5)):
+        assert chain[7] == -256.0
+        for lo, hi in ((-100.0, 3.5), (chain[7], chain[2]), (-5.0, 3.5)):
             check_variant_summary(e, lo, hi)
-            assert len(e.__dict__["_geom"][0].pts) <= 8
-        assert e.points_in(-1e6, -1.0) == sorted(p for p in chain if p >= -1e6)
-        assert (e.nearest_leq(-1e6), e.nearest_geq(-1e6)) == (-2.0 ** 20, -2.0 ** 19)
+        past = (lambda: e.summary(-1e6, 3.5), lambda: e.summary(chain[30], chain[2]),
+                lambda: e.runs_in(-1e6, -1000.0), lambda: e.points_in(-1e6, -1.0),
+                lambda: e.nearest_leq(-257.0), lambda: e.nearest_geq(-1e6))
+        for query in past:
+            with pytest.raises(PointCapExceeded, match=r"above the cap of 8$"):
+                query()
+        assert len(e.__dict__["_geom"][0].pts) == 8
+
+    def test_a_window_far_past_the_cap_raises_at_once(self):
+        # ratio 1.0001: the million cached points end near -2.7e43, and a
+        # window reaching -1e300 needs about 6.9 million; walking them for
+        # each query ran for minutes
+        e = GeometricPlusLattice(1.0001, Lattice(0.0, 1.0, "right"))
+        with _within(10):
+            for query in (lambda: e.summary(-1e300, 0.0), lambda: e.runs_in(-1e300, -1.0),
+                          lambda: e.nearest_geq(-math.inf)):
+                with pytest.raises(PointCapExceeded) as raised:
+                    query()
+                assert raised.value.count > sets_module.DEFAULT_POINT_CAP
+        assert len(e.__dict__["_geom"][0].pts) == sets_module.DEFAULT_POINT_CAP
 
     def test_a_resolution_error_where_the_runs_raise_it(self):
         for e in (Lattice(0.0, 1.0, "two_sided"), Reflect(Lattice(0.0, 0.1, "left")),

@@ -9,7 +9,9 @@ windows fit its window store, and each distinct triple window once per
 table, whatever ratios, octaves, sides and exponents read it.  A third group
 shrinks the store until it evicts, and bounds what a pass holds.  A fourth
 compares the one-pass A1 scan and doubling report with the per-sample
-reductions they replaced.
+reductions they replaced.  A fifth runs the passes on families that repeat
+probes: each distinct probe is evaluated once, and every occurrence is
+reported in family order.
 """
 
 import math
@@ -49,7 +51,15 @@ from poroweights import (
     sweep_sides,
 )
 from poroweights.muckenhoupt import SIDES as A1_SIDES, _scan_side
-from poroweights.porosity import GAMMA_GRID, SIDES, WindowStore, _doubling_report, _probe_radii
+from poroweights.porosity import (
+    GAMMA_GRID,
+    MAX_WITNESSES,
+    SIDES,
+    WindowStore,
+    _doubling_report,
+    _probe_radii,
+    distinct_probes,
+)
 from poroweights.sets import EMPTY_SUMMARY, window_summary
 from poroweights.suites import suite_equivalence_matrix, suite_sided_transport
 
@@ -602,6 +612,33 @@ class TestWorkCounts:
         assert counts["compress"] == counts["default"] == 0
         assert counts["geometric"] > 0
 
+    @pytest.mark.parametrize("e", SETS, ids=IDS)
+    def test_each_distinct_probe_builds_its_profiles_once(self, e, monkeypatch):
+        # a pass builds at most one length profile per region window of a
+        # distinct probe; a repeat builds none
+        count = [0]
+        original = sets_module.WindowSummary.profile
+
+        def counted(*args):
+            count[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(sets_module.WindowSummary, "profile", counted)
+        intervals = ProbeFamily.default(e, REPEAT_WINDOW, anchor_cap=32, random_count=100).intervals()
+        distinct = len(distinct_probes(intervals)[0])
+        assert distinct < len(intervals)
+        for side in SIDES:
+            count[0] = 0
+            certify(e, PorosityParams(0.25, 0.25, side), intervals)
+            assert count[0] == distinct
+            count[0] = 0
+            sweep_sides(e, intervals, (side,))
+            assert 0 < count[0] <= distinct
+        fam = certification_probes(e, REPEAT_WINDOW, anchor_cap=32, random_count=100)
+        count[0] = 0
+        suite_sided_transport(e, REPEAT_WINDOW, probes=fam)
+        assert count[0] == 3 * len(distinct_probes(fam.intervals())[0])  # I-, I+ and I
+
     @pytest.mark.parametrize("e, side", [(NATURALS, "minus"), (Reflect(NATURALS), "plus"), (BASES["integers"], "plus")],
                              ids=["naturals-minus", "reflected_naturals-plus", "integers-plus"])
     def test_a_scan_without_samples_builds_the_best_and_the_witnesses_only(self, e, side, triple_samples):
@@ -626,6 +663,71 @@ class TestWorkCounts:
             assert len(result.grid) == -math.log2(tol)  # every step ran
             counts.append(summaries[0])
         assert counts[0] == counts[1] > 0
+
+
+# window (-8, 8) at the default caps: anchors half a unit apart make the
+# probe left-aligned at a, centred at a + s/2 and right-aligned at a + s
+# one interval
+REPEAT_WINDOW = Interval(-8.0, 8.0)
+
+
+class TestDistinctProbes:
+    """Passes over families that repeat probes, bit for bit with the walks, which evaluate every probe."""
+
+    @pytest.mark.parametrize("name", ["integers", "geometric_naturals"])
+    def test_duplicate_heavy_families_match_the_walks(self, name):
+        e = BASES[name]
+        intervals = ProbeFamily.default(e, REPEAT_WINDOW).intervals()
+        distinct, order = distinct_probes(intervals)
+        assert len(distinct) <= 0.91 * len(intervals)  # 1,888 of 2,188 and 1,654 of 1,828
+        assert len(set(distinct)) == len(distinct) and [distinct[n] for n in order] == intervals
+        for side in SIDES:
+            params = PorosityParams(0.5, 0.5, side)
+            assert certify(e, params, intervals) == oracles.certify_walk(e, params, intervals)
+        assert doubling_witness(e, intervals) == oracles.doubling_witness_walk(e, intervals)
+        together = sweep_sides(e, intervals, SIDES)
+        for side in SIDES:
+            assert together[side] == oracles.sweep_walk(e, intervals, side)
+            assert sweep_parameters(e, intervals, side) == together[side]
+        fam = certification_probes(e, REPEAT_WINDOW)
+        assert suite_sided_transport(e, REPEAT_WINDOW, probes=fam) == \
+            oracles.sided_transport_walk(e, REPEAT_WINDOW, 0, fam)
+
+    @pytest.mark.parametrize("e", [NATURALS, Reflect(NATURALS)], ids=["naturals", "reflected_naturals"])
+    def test_a_divergent_family_repeated(self, e):
+        # the doubling report of a family is that of its distinct probes: a
+        # repeat ties its first occurrence, and the reductions keep the first
+        nested = [Interval(0.125 - 2.0 ** n, 0.125 + 2.0 ** n) for n in range(1, 20)]
+        for intervals in ([*nested, *nested], [*nested, *nested[::-1]], [i for i in nested for _ in range(3)]):
+            report = doubling_witness(e, intervals)
+            assert report == oracles.doubling_witness_walk(e, intervals)
+            assert report.divergent and report.witnesses
+
+    def test_repeated_probes_among_the_witnesses(self):
+        # at sigma near 1 most probes of this small family are witnesses: the
+        # first MAX_WITNESSES of them hold repeats
+        e = BASES["lattice-third"]
+        intervals = small_family(e, 0).intervals()
+        params = PorosityParams(1.0 - 2.0 ** -40, 0.5, "two_sided")
+        report = certify(e, params, intervals)
+        assert report == oracles.certify_walk(e, params, intervals)
+        witnesses = [i for i, _ in report.witnesses]
+        assert len(witnesses) == MAX_WITNESSES
+        assert len(set(witnesses)) < len(witnesses)
+
+    def test_each_repeat_of_a_failing_probe_gets_its_own_records(self, monkeypatch):
+        # no (gamma, gamma0) makes a check fail: up to rounding both are
+        # theorems.  A slack of -1 fails every check, so the records show the
+        # repeats, per occurrence and in family order, up to MAX_FAILURES
+        monkeypatch.setattr(suites_module, "REL_SLACK", -1.0)
+        monkeypatch.setattr(oracles, "REL_SLACK", -1.0)
+        e = BASES["integers"]
+        fam = ProbeFamily(anchors=(0.0, 0.5, 1.0), scales=(1.0,))
+        intervals = fam.intervals()
+        assert len(intervals) == 9 and len(distinct_probes(intervals)[0]) == 5
+        got = suite_sided_transport(e, WINDOW, probes=fam)
+        assert got == oracles.sided_transport_walk(e, WINDOW, 0, fam)
+        assert [f["interval"] for f in got.failures] == [i.as_pair() for i in intervals for _ in range(3)]
 
 
 class TestWindowStore:
