@@ -439,13 +439,13 @@ def suite_sided_transport(
         on_left.lower_along(worst["right"], doubled, rho_r)
         on_right.lower_along(worst["left"], doubled, rho_l)
         on_whole.lower_along(worst["two_sided"], doubled, rho_i)
+        if rho_r >= rho_l:
+            need_c = 0.5 * on_left.share(2.0 * gamma0 * rho_r)
+        else:
+            need_c = 0.5 * on_right.share(2.0 * gamma0 * rho_l)
         shares.extend((on_left.share(2.0 * gamma_t * rho_r), on_left.share(2.0 * gamma * rho_l),
                        on_right.share(2.0 * gamma_t * rho_l), on_right.share(2.0 * gamma * rho_r),
-                       on_whole.share(2.0 * gamma_c * rho_i)))
-        if rho_r >= rho_l:
-            shares.append(0.5 * on_left.share(2.0 * gamma0 * rho_r))
-        else:
-            shares.append(0.5 * on_right.share(2.0 * gamma0 * rho_l))
+                       on_whole.share(2.0 * gamma_c * rho_i), need_c))
     failures: list[dict] = []
     for i, n in zip(intervals, order):
         for direction, k in _TRANSPORT_CHECKS:
