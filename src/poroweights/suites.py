@@ -554,4 +554,5 @@ def suite_equivalence_matrix(
             "sweep_right": sweep_r,
             "sweep_left": sweep_l,
         }
+        del table  # not alive beside the next set's sweep and table
     return MatrixResult(rows=tuple(rows), reports=reports, window=window, seed=seed)

@@ -17,6 +17,7 @@ reported in family order.
 import math
 import sys
 import tracemalloc
+import weakref
 from array import array
 from dataclasses import replace
 
@@ -578,6 +579,22 @@ class TestWorkCounts:
         summaries[0] = 0
         suite_equivalence_matrix(named, window, octaves=8)
         assert 0 < summaries[0] <= budget
+
+    def test_equivalence_frees_each_triple_table_before_the_next_set(self, monkeypatch):
+        # a table holds every triple window of its set: the next set's sweep
+        # and table must not run beside it
+        tables, alive = [], []
+
+        class Tracked(TripleTable):
+            def __init__(self, *args):
+                alive.append(sum(ref() is not None for ref in tables))
+                super().__init__(*args)
+                tables.append(weakref.ref(self))
+
+        monkeypatch.setattr(suites_module, "TripleTable", Tracked)
+        named = [(name, e) for name, e in catalog() if name in ("integers", "naturals", "cantor")]
+        suite_equivalence_matrix(named, Interval(-2.0, 2.0), octaves=8)
+        assert alive == [0, 0, 0]
 
     @pytest.mark.parametrize("e", [BASES["integers"], NATURALS, Reflect(NATURALS)],
                              ids=["integers", "naturals", "reflected_naturals"])
