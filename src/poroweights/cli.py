@@ -71,12 +71,29 @@ def parse_number(text: str) -> float:
     m = _DYADIC.match(text.strip())
     if m:
         mant = int(m.group("mant") or "1")
-        value = mant * 2.0 ** int(m.group("exp"))
+        try:
+            value = mant * 2.0 ** int(m.group("exp"))
+        except OverflowError as exc:
+            raise argparse.ArgumentTypeError(f"beyond the float range: {text!r}") from exc
         return -value if m.group("sign") == "-" else value
     try:
         return float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number or dyadic string: {text!r}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes every float or dyadic spelling for a value: argparse's own test, for
+    '-8' or '-.5' only, read ``--window -1e3 8`` as a missing second value."""
+
+    def _parse_optional(self, arg_string):
+        if _DYADIC.match(arg_string.strip()):
+            return None
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _default_workers() -> int:
@@ -405,7 +422,7 @@ def cmd_presets(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="poroweights",
         description="hole geometry of closed null sets and one-sided bounds of distance-power weights",
     )

@@ -18,13 +18,11 @@ from typing import Iterator, Optional, Sequence
 from .intervals import Interval
 from .scaling import LadderReport, octave_of, rising_prefix_maxima
 from .sets import (
-    LengthProfile,
     SetDescription,
     WindowSummary,
     max_component_length,
     min_component_length,
     sample_points,
-    window_summary,
 )
 
 SIDES = ("right", "left", "two_sided")
@@ -68,8 +66,8 @@ def rho(e: SetDescription, i: Interval) -> float:
     return 0.5 * max_component_length(e, i)
 
 
-# A summarised window: (window, its summary, its hole radius rho).
-Rated = tuple[Interval, WindowSummary, float]
+# A summarised window: its bounds (lo, hi), its summary and its hole radius rho.
+Rated = tuple[float, float, WindowSummary, float]
 
 # Windows per generation of a WindowStore: a pass holds at most twice as many.
 STORE_CAP = 1024
@@ -81,11 +79,12 @@ class WindowStore:
     A pass over anchors x dyadic scales x alignments meets most windows more
     than once: the halves of (a, a + 2s) are whole probes at scale s, and the
     centred half of (a - s, a + s) is the centred probe at scale s.  A window
-    is summarised on its first query and read back while it is recent.  When
-    the newer generation holds ``STORE_CAP`` windows the older one is dropped
-    and the newer takes its place; a window read from the older generation
-    moves to the newer.  So a pass holds at most ``2 * STORE_CAP`` windows,
-    and summarises a window once while its recent windows fit the store.
+    is named by its bounds, summarised on its first query and read back
+    while it is recent.  When the newer generation holds ``STORE_CAP``
+    windows the older one is dropped and the newer takes its place; a window
+    read from the older generation moves to the newer.  So a pass holds at
+    most ``2 * STORE_CAP`` windows, and summarises a window once while its
+    recent windows fit the store.
     """
 
     __slots__ = ("e", "_new", "_old")
@@ -98,16 +97,15 @@ class WindowStore:
     def __len__(self) -> int:
         return len(self._new) + len(self._old)
 
-    def rated(self, lo: float, hi: float, j: Optional[Interval] = None) -> Rated:
-        """The window (lo, hi), or ``j`` when given, with its summary and hole radius."""
+    def rated(self, lo: float, hi: float) -> Rated:
+        """The window (lo, hi) with its summary and hole radius."""
         key = (lo, hi)
         r = self._new.get(key)
         if r is None:
             r = self._old.get(key)
             if r is None:
-                j = Interval(lo, hi) if j is None else j
-                s = window_summary(self.e, j)
-                r = (j, s, 0.5 * s.max_length(lo, hi))
+                s = self.e.summary(lo, hi)
+                r = (lo, hi, s, 0.5 * s.max_length(lo, hi))
             if len(self._new) >= STORE_CAP:
                 self._old, self._new = self._new, {}
             self._new[key] = r
@@ -115,7 +113,7 @@ class WindowStore:
 
     def rho(self, i: Interval) -> float:
         """:func:`rho` of I, read from the store."""
-        return self.rated(i.lo, i.hi, i)[2]
+        return self.rated(i.lo, i.hi)[3]
 
 
 def probe_windows(store: WindowStore, i: Interval, whole: bool = True, halves: bool = True) -> tuple:
@@ -130,7 +128,7 @@ def probe_windows(store: WindowStore, i: Interval, whole: bool = True, halves: b
     if halves:
         c = i.split_point
         left, right = store.rated(i.lo, c), store.rated(c, i.hi)
-    return (store.rated(i.lo, i.hi, i) if whole else None), left, right
+    return (store.rated(i.lo, i.hi) if whole else None), left, right
 
 
 # (region, reference) of a side, as indices into (I, I-, I+): the part whose
@@ -161,13 +159,8 @@ def _check_gammas(gammas: Sequence[float]) -> tuple[float, ...]:
 def _side_sigma(windows: tuple, side: str, gamma: float) -> float:
     """sigma of the probe on a side: the threshold 2 gamma rho(reference) on the region."""
     k_region, k_reference = _SPLIT[side]
-    return profile_of(windows[k_region]).share(2.0 * gamma * windows[k_reference][2])
-
-
-def profile_of(region: Rated) -> LengthProfile:
-    """The :class:`LengthProfile` of a rated window."""
-    j, s, _ = region
-    return s.profile(j.lo, j.hi)
+    lo, hi, s, _ = windows[k_region]
+    return s.share(lo, hi, 2.0 * gamma * windows[k_reference][3])
 
 
 def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
@@ -409,12 +402,11 @@ def _pair_ratios(radii: array) -> Iterator[tuple[int, int, float]]:
 def _probe_radii(store: WindowStore, i: Interval, windows: Optional[tuple] = None) -> tuple[float, ...]:
     """rho of a probe I, of its halves I- and I+ and of its centred half, all read from ``store``.
 
-    The first three come from the probe's ``probe_windows``, read here unless given;
-    the centred half is read by its bounds, so it is built only on a store miss.
+    The first three come from the probe's ``probe_windows``, read here unless given.
     """
     whole, left, right = probe_windows(store, i) if windows is None else windows
-    c, quarter = i.center, 0.25 * i.length
-    return whole[2], left[2], right[2], store.rated(c - quarter, c + quarter)[2]
+    c, quarter = right[0], 0.25 * (i.hi - i.lo)  # I+ starts at the centre of I
+    return whole[3], left[3], right[3], store.rated(c - quarter, c + quarter)[3]
 
 
 def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingReport:
@@ -503,13 +495,15 @@ def certify(
     """Evaluate the porosity inequality on every probe; pass iff none dips below sigma.
 
     Each distinct probe is evaluated once (see :func:`distinct_probes`): it
-    reads four windows, I, its halves and its centred half, from one
-    :class:`WindowStore` for the pass, and sigma and its four hole radii go
-    into columns.  The rows, the worst probe and the witnesses then read the
-    columns for every probe in family order; the doubling report reads them
-    once per distinct probe (see :func:`_doubling_report`).  A window
-    shared between probes (a half that is a whole probe one scale down) is
-    summarised once while the pass's recent windows fit the store.
+    reads four windows, I, its halves and its centred half, by their bounds
+    from one :class:`WindowStore` for the pass.  Its sigma is the share of
+    the region at one threshold (:meth:`WindowSummary.share`), and sigma
+    and its four hole radii go into columns.  The rows, the worst probe and
+    the witnesses then read the columns for every probe in family order;
+    the doubling report reads them once per distinct probe (see
+    :func:`_doubling_report`).  A window shared between probes (a half that
+    is a whole probe one scale down) is summarised once while the pass's
+    recent windows fit the store.
     """
     intervals = _intervals(probes)
     distinct, order = distinct_probes(intervals)
@@ -607,49 +601,54 @@ def sweep_sides(
     left half of (a, a + 2s)) is summarised once while the pass's recent
     windows fit the store.  The pass never holds more than
     ``2 * STORE_CAP`` windows, however large the family.  Per probe and side
-    one :class:`LengthProfile` of the region answers the whole grid: the
-    components at least 2 gamma rho(reference) long are a prefix of it, and
-    each prefix is summed once.
+    one :meth:`WindowSummary.shares` call on the region answers the grid,
+    summing each prefix of its components once.
 
-    The profile is built only where some gamma could still lower its
-    sigma*.  With L the region's longest component and |R| its length, a
-    threshold above L leaves no component, so that share is exactly 0.0;
-    any other threshold keeps the component of length L, so its share is at
-    least ``L / |R|`` (fsum and the division round monotonically).  A probe
-    whose ``L / |R|`` is not below sigma* at any gamma with a threshold up
-    to L changes nothing, so it is skipped; the minimum does not depend on
-    the order, and the table is the one every profile would give.
-    ``gammas`` may come in any order; an empty grid, or a gamma outside
-    (0, 1), raises ``ValueError``.
+    The grid is sorted by threshold once.  A probe's share falls as its
+    threshold rises, so sigma* falls along the sorted grid.  With L the
+    region's longest component and |R| its length, a threshold above L
+    leaves no component, so its share is exactly 0.0: these thresholds are a
+    suffix of the grid, and the zeroed suffix of sigma* only grows.  Any
+    other threshold keeps the component of length L, so its share is at
+    least ``L / |R|`` (fsum and the division round monotonically): a probe
+    whose ``L / |R|`` is not below sigma* at the smallest threshold lowers
+    nothing, and its shares are not computed.  So the table is the one every
+    share would give, in any probe order.  ``gammas`` may come in any order;
+    an empty grid, or a gamma outside (0, 1), raises ``ValueError``.
     """
     intervals = _intervals(probes)
     for side in sides:
         _check_side(side)
     gammas = _check_gammas(gammas)
-    doubled = [2.0 * g for g in gammas]
-    worst = {side: [math.inf] * len(gammas) for side in sides}
-    reads = [(low, *_SPLIT[side]) for side, low in worst.items()]
-    whole = "two_sided" in worst
-    halves = "right" in worst or "left" in worst
+    sides = tuple(dict.fromkeys(sides))
+    order = sorted(range(len(gammas)), key=gammas.__getitem__)
+    rank = sorted(range(len(gammas)), key=order.__getitem__)  # of each gamma in the sorted grid
+    doubled = [2.0 * gammas[k] for k in order]
+    # per side: sigma* along the sorted grid, the start of its zeroed suffix, and (region, reference)
+    reads = [[[math.inf] * len(gammas), len(gammas), *_SPLIT[side]] for side in sides]
+    whole = "two_sided" in sides
+    halves = "right" in sides or "left" in sides
     store = WindowStore(e)
     for i in distinct_probes(intervals)[0]:
         windows = probe_windows(store, i, whole, halves)
-        for low, k_region, k_reference in reads:
-            region = windows[k_region]
-            rho_ref = windows[k_reference][2]
-            j, s, _ = region
+        for read in reads:
+            low, zeroed, k_region, k_reference = read
+            lo, hi, s, _ = windows[k_region]
+            rho_ref = windows[k_reference][3]
             # the longest component, as the summary holds it: 2 * rho would round where it is subnormal
-            longest = s.max_length(j.lo, j.hi)
-            floor = longest / (j.hi - j.lo)
-            lower = False
-            for k, d in enumerate(doubled):
-                if d * rho_ref > longest:
-                    low[k] = 0.0
-                elif floor < low[k]:
-                    lower = True
-            if lower:
-                profile_of(region).lower_along(low, doubled, rho_ref)
-    return {side: sweep_result(side, gammas, low) for side, low in worst.items()}
+            longest = s.max_length(lo, hi)
+            n = zeroed
+            while n and doubled[n - 1] * rho_ref > longest:
+                n -= 1
+            if n < zeroed:
+                low[n:zeroed] = [0.0] * (zeroed - n)
+                read[1] = zeroed = n
+            if zeroed and longest / (hi - lo) < low[0]:
+                shares = s.shares(lo, hi, [d * rho_ref for d in doubled[:zeroed]])
+                for k, share in enumerate(shares):
+                    if share < low[k]:
+                        low[k] = share
+    return {side: sweep_result(side, gammas, [low[n] for n in rank]) for side, (low, *_) in zip(sides, reads)}
 
 
 def sweep_parameters(

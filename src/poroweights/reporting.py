@@ -80,5 +80,4 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> N
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(list(row))
+        writer.writerows(rows)

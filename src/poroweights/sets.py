@@ -40,7 +40,7 @@ import json
 import math
 import weakref
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -1011,51 +1011,6 @@ def _widest(runs: list[Run]) -> Optional[tuple[float, float]]:
     return best
 
 
-class LengthProfile:
-    """The components of one window, longest first, and the share of the window each prefix covers.
-
-    ``neg`` holds the component lengths negated, so it ascends: one entry
-    per edge component and per middle item, or for a memoised summary per
-    group of equal middle lengths (see :class:`WindowSummary`).  ``row(c)``
-    gives floats whose exact sum is the total length * multiplicity of the
-    first c entries.  The components at least t long are those of the first
-    c = ``bisect_right(neg, -t)`` entries, so the share of the window they
-    cover is ``fsum(row(c)) / length``: fsum is correctly rounded in any
-    order, so the share of c is the same whichever t picked it.  It is
-    summed once, on first use, and the empty prefix is 0.0 without a sum.
-    """
-
-    __slots__ = ("_neg", "_row", "_length", "_shares")
-
-    def __init__(self, neg: Sequence[float], row: Callable[[int], list[float]], length: float):
-        self._neg = neg
-        self._row = row
-        self._length = length
-        self._shares: list[Optional[float]] = [None] * (len(neg) + 1)
-        self._shares[0] = 0.0
-
-    def _sum(self, c: int) -> float:
-        share = self._shares[c] = fsum(self._row(c)) / self._length
-        return share
-
-    def share(self, t: float) -> float:
-        """Share of the window covered by its components at least t long."""
-        c = bisect_right(self._neg, -t)
-        share = self._shares[c]
-        return self._sum(c) if share is None else share
-
-    def lower_along(self, worst: list[float], doubled: Sequence[float], rho_ref: float) -> None:
-        """worst[k] = min(worst[k], share at threshold doubled[k] * rho_ref), for every k."""
-        neg, shares = self._neg, self._shares
-        for k, d in enumerate(doubled):
-            c = bisect_right(neg, -(d * rho_ref))
-            share = shares[c]
-            if share is None:
-                share = self._sum(c)
-            if share < worst[k]:
-                worst[k] = share
-
-
 class WindowSummary:
     """The components of I \\ E strictly between the first and last interior points.
 
@@ -1068,13 +1023,13 @@ class WindowSummary:
 
     Everything else is derived from the interior runs on first use: the
     distance peak (:meth:`peak`), the middle lengths grouped longest first
-    (read by :meth:`profile`, which adds the edges and answers any
+    (read by :meth:`shares`, which adds the edges and answers any
     threshold) and per-exponent integral terms
     (:meth:`integral_terms`).  A summary built for one query keeps its runs
-    and sorts its lengths per profile.  A memoised one keeps the derived
+    and reads its middle items per call.  A memoised one keeps the derived
     values instead, packed in float arrays, and reads the runs from its
     set's :class:`_RunIndex` by index window when it needs them.  Sorting
-    every profile per call instead of packing the memoised groups saves 17
+    the lengths per call instead of packing the memoised groups saves 17
     lines but made the ``cantor`` perfbench workload slower (``wall_s``
     1.12-1.21 s to 1.30-1.42 s, six alternating pairs, 2 shared vCPUs).
     """
@@ -1161,31 +1116,60 @@ class WindowSummary:
         ref, *window = self._source
         return method(ref()._index(), *window)
 
-    def profile(self, lo: float, hi: float) -> LengthProfile:
-        """The :class:`LengthProfile` of (lo, hi), a window this summary describes."""
+    def shares(self, lo: float, hi: float, thresholds: Iterable[float]) -> list[float]:
+        """Per threshold t, the share of (lo, hi), a window this summary
+        describes, covered by its components at least t long.
+
+        Those are its edges and middle items at least t long: a summary built
+        from runs sorts its items once per call, a memoised one bisects its
+        packed groups in place and compares its edges.  The share is the fsum
+        of their length * multiplicity terms (or a group row's exact partials
+        of them) over the window length.  fsum rounds correctly in any order,
+        and the longest components are named by their count, so each count is
+        summed once per call, and none is 0.0 without a sum.
+        """
         edges = self.edges(lo, hi)
-        if not self._kept():
-            items = _middle_terms(self.interior(lo, hi)) + [(x, x) for x in edges]
-            items.sort(reverse=True)
-            terms = [x for _, x in items]
-            return LengthProfile([-length for length, _ in items], lambda c: terms[:c], hi - lo)
-        groups = self._groups
-        if groups is None:
-            groups = self._groups = _pack_groups(self._indexed(_RunIndex.middle_terms))
-        # see _pack_groups: the stride, then the negated lengths, then the rows
-        stride = int(groups[0])
-        start = (len(groups) - 1 - stride) // (1 + stride) + 1
-        neg = groups[1:start].tolist()
-        for x in edges:
-            insort(neg, -x)
+        length = hi - lo
+        done = {0: 0.0}
+        out = []
+        if self._kept():
+            groups = self._groups
+            if groups is None:
+                groups = self._groups = _pack_groups(self._indexed(_RunIndex.middle_terms))
+            # see _pack_groups: the stride, then the negated lengths, then the rows
+            stride = int(groups[0])
+            start = (len(groups) - 1 - stride) // (1 + stride) + 1
+            for t in thresholds:
+                kept = [x for x in edges if x >= t]
+                g = bisect_right(groups, -t, 1, start) - 1
+                c = g + len(kept)
+                share = done.get(c)
+                if share is None:
+                    k = start + g * stride
+                    share = done[c] = fsum([*groups[k:k + stride], *kept]) / length
+                out.append(share)
+            return out
+        items = _middle_terms(self._source)
+        items += [(x, x) for x in edges]
+        items.sort(reverse=True)
+        neg = [-size for size, _ in items]
+        terms = [x for _, x in items]
+        for t in thresholds:
+            c = bisect_right(neg, -t)
+            share = done.get(c)
+            if share is None:
+                share = done[c] = fsum(terms[:c]) / length
+            out.append(share)
+        return out
 
-        def row(c: int) -> list[float]:
-            # the middle groups and the edges at least -neg[c - 1] long
-            neg_t = neg[c - 1]
-            k = start + (bisect_right(groups, neg_t, 1, start) - 1) * stride
-            return [*groups[k:k + stride], *(x for x in edges if -x <= neg_t)]
-
-        return LengthProfile(neg, row, hi - lo)
+    def share(self, lo: float, hi: float, t: float) -> float:
+        """:meth:`shares` at the one threshold t: a summary built from runs
+        filters its items for it instead of sorting them."""
+        if self._kept():
+            return self.shares(lo, hi, (t,))[0]
+        kept = [x for size, x in _middle_terms(self._source) if size >= t]
+        kept += [x for x in self.edges(lo, hi) if x >= t]
+        return fsum(kept) / (hi - lo) if kept else 0.0
 
     def integral_terms(self, lo: float, hi: float, alpha: float,
                        build: Callable[[list[Run], float], list[float]]) -> list[float]:

@@ -32,7 +32,6 @@ from .porosity import (
     left_propagation_on,
     pore_transport_on,
     probe_windows,
-    profile_of,
     sweep_result,
     sweep_sides,
 )
@@ -427,25 +426,27 @@ def suite_sided_transport(
     phi = doubling_witness(e, distinct, store).phi_estimate
     gamma_t = gamma / phi
     gamma_c = 0.5 * gamma0
-    # pass 2: I, I- and I+ read from the store; per window one length profile
-    # answers the sweep grid and the thresholds of the checks that count its holes
+    # pass 2: I, I- and I+ read from the store; per window one shares call
+    # answers the sweep grid, then the thresholds of the checks that count
+    # its holes (the converse counts those of the half with the larger rho)
+    grid = len(GAMMA_GRID)
     doubled = [2.0 * g for g in GAMMA_GRID]
-    worst = {side: [math.inf] * len(GAMMA_GRID) for side in ("right", "left", "two_sided")}
+    worst = {side: [math.inf] * grid for side in ("right", "left", "two_sided")}
     shares = array("d")  # per distinct probe: got and need of forward-right, forward-left, converse
     for i in distinct:
         whole, left, right = probe_windows(store, i)
-        rho_i, rho_l, rho_r = whole[2], left[2], right[2]
-        on_left, on_right, on_whole = profile_of(left), profile_of(right), profile_of(whole)
-        on_left.lower_along(worst["right"], doubled, rho_r)
-        on_right.lower_along(worst["left"], doubled, rho_l)
-        on_whole.lower_along(worst["two_sided"], doubled, rho_i)
-        if rho_r >= rho_l:
-            need_c = 0.5 * on_left.share(2.0 * gamma0 * rho_r)
-        else:
-            need_c = 0.5 * on_right.share(2.0 * gamma0 * rho_l)
-        shares.extend((on_left.share(2.0 * gamma_t * rho_r), on_left.share(2.0 * gamma * rho_l),
-                       on_right.share(2.0 * gamma_t * rho_l), on_right.share(2.0 * gamma * rho_r),
-                       on_whole.share(2.0 * gamma_c * rho_i), need_c))
+        rho_i, rho_l, rho_r = whole[3], left[3], right[3]
+        on_left = left[2].shares(left[0], left[1], [d * rho_r for d in doubled] + [
+            2.0 * gamma_t * rho_r, 2.0 * gamma * rho_l, 2.0 * gamma0 * rho_r])
+        on_right = right[2].shares(right[0], right[1], [d * rho_l for d in doubled] + [
+            2.0 * gamma_t * rho_l, 2.0 * gamma * rho_r, 2.0 * gamma0 * rho_l])
+        on_whole = whole[2].shares(whole[0], whole[1], [d * rho_i for d in doubled] + [2.0 * gamma_c * rho_i])
+        for low, got in zip(worst.values(), (on_left, on_right, on_whole)):
+            for k in range(grid):
+                if got[k] < low[k]:
+                    low[k] = got[k]
+        need_c = 0.5 * (on_left if rho_r >= rho_l else on_right)[-1]
+        shares.extend((*on_left[grid:grid + 2], *on_right[grid:grid + 2], on_whole[grid], need_c))
     failures: list[dict] = []
     for i, n in zip(intervals, order):
         for direction, k in _TRANSPORT_CHECKS:

@@ -4,12 +4,13 @@ These deliberately avoid the package's closed-form paths: integrals come from
 adaptive quadrature of the pointwise distance, hole radii from a grid search,
 dimensions from literal box counting.  The component walk is the slow path
 the window summaries replaced, the slice compression the one the run index
-of finite point sets replaced, and the per-function loops at the end are
-the ones the probe and triple tables replaced; all are kept to check the
-fast paths bit for bit.  So are the summary every variant built from its
-runs before lattices, reflections and geometric-plus-lattice sets answered
-in closed form, and the per-sample reductions the one-pass A1 scan and
-doubling report replaced.  The one-sided maximal averages at the end are
+of finite point sets replaced, the length profile the one the summaries'
+shares replaced, and the per-function loops at the end are the ones the
+probe and triple tables replaced; all are kept to check the fast paths bit
+for bit.  So are the summary every variant built from its runs before
+lattices, reflections and geometric-plus-lattice sets answered in closed
+form, and the per-sample reductions the one-pass A1 scan and doubling
+report replaced.  The one-sided maximal averages at the end are
 the paper's own definition of A1 (M w <= C w), sampled, and bound the
 triple values from above.
 """
@@ -181,6 +182,58 @@ def compressed_summary(e, i):
 
 def summary_from_runs(e, lo, hi):
     return WindowSummary.of(_trimmed(e.runs_in(lo, hi), lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# the length profile
+#
+# Before ``WindowSummary.shares`` read porosity shares straight from the
+# summary, every pass built one LengthProfile per region window: the
+# window's components sorted longest first, from the summary's interior runs
+# and its edges, with each prefix summed on first use.  The shares must
+# agree with it bit for bit, on memoised and run-built summaries alike.
+# ---------------------------------------------------------------------------
+
+class LengthProfile:
+    """The components of one window, longest first, and the share of the window each prefix covers.
+
+    ``neg`` holds the component lengths negated, so it ascends, and
+    ``terms`` their length * multiplicity terms in the same order.  The
+    components at least t long are the first c = ``bisect_right(neg, -t)``,
+    and the share of the window they cover is ``fsum(terms[:c]) / length``,
+    summed once, on first use; the empty prefix is 0.0 without a sum.
+    """
+
+    def __init__(self, neg, terms, length):
+        self._neg = neg
+        self._terms = terms
+        self._length = length
+        self._shares = [0.0] + [None] * len(neg)
+
+    @classmethod
+    def of(cls, s, lo, hi):
+        """The profile of (lo, hi), a window the summary s describes."""
+        items = [(x, x) for x in s.edges(lo, hi)]
+        prev = None
+        for r in s.interior(lo, hi):
+            if prev is not None and r.start > prev:
+                items.append((r.start - prev, r.start - prev))
+            if r.count >= 2:
+                items.append((r.step, r.step * (r.count - 1)))
+            prev = r.end
+        items.sort(reverse=True)
+        return cls([-length for length, _ in items], [x for _, x in items], hi - lo)
+
+    @property
+    def lengths(self):
+        return [-x for x in self._neg]
+
+    def share(self, t):
+        """Share of the window covered by its components at least t long."""
+        c = bisect_right(self._neg, -t)
+        if self._shares[c] is None:
+            self._shares[c] = fsum(self._terms[:c]) / self._length
+        return self._shares[c]
 
 
 def iter_components(e, i):

@@ -244,6 +244,34 @@ def test_hostile_sizes_exit_2_before_the_set_is_built(argv, message, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "lo, plain",
+    [("-1e3", "-1000"), ("-2^3", "-8"), ("-3*2^-4", "-.1875"), ("-1E+1", "-10")],
+    ids=["exponent", "dyadic", "dyadic-mantissa", "exponent-upper"],
+)
+def test_negative_window_ends_in_any_spelling(lo, plain, tmp_path):
+    # argparse took an argument starting with '-' for an option unless it
+    # read like '-8' or '-.5': these exited 2 with 'expected 2 arguments'
+    argv = ("analyze", "--preset", "integers", *CAPS, "--workers", "1")
+    got = _reports([*argv, "--window", lo, "8"], tmp_path / "spelled")
+    assert got[0] == 0
+    assert got == _reports([*argv, "--window", plain, "8"], tmp_path / "plain")
+
+
+def test_a_far_negative_window_end_is_a_number(tmp_path, capsys):
+    # read as a number, -1e300 meets the lattice's resolution check
+    code = main(["analyze", "--window", "-1e300", "0", "--workers", "1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: lattice step 1.0 is below the float resolution at |x| = 1e+300\n"
+
+
+def test_a_dyadic_window_end_beyond_the_float_range_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["analyze", "--window", "-2^1024", "0", "--out", str(tmp_path / "out")])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --window: beyond the float range: '-2^1024'\n")
+
+
 # a geometric branch with ratio 1.0001: a million cached points reach about
 # -2.7e43, and a window reaching -1e300 needs about 6.9 million
 SLOW_GEOMETRIC_SET = ('{"kind": "geometric_lattice", "ratio": 1.0001, '

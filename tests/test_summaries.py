@@ -310,6 +310,25 @@ class TestExactRuns:
         check_set(e, [Interval(pts[0], pts[7]), Interval(pts[0], pts[4]), Interval(pts[0], 3.0)])
 
 
+def check_shares(s, lo, hi, *others):
+    """The shares of the summary s of (lo, hi) against :class:`oracles.LengthProfile`, bit for bit,
+    one threshold at a time and all at once, and against those of the other summaries of the window.
+
+    The thresholds are 0, every component length, the floats either side
+    of each, the longest length doubled and inf, in a shuffled order.
+    """
+    profile = oracles.LengthProfile.of(s, lo, hi)
+    lengths = profile.lengths
+    ts = [0.0, math.inf, 2.0 * max(lengths, default=1.0), *lengths,
+          *(math.nextafter(t, math.inf) for t in lengths), *(math.nextafter(t, 0.0) for t in lengths)]
+    ts = ts[1::2] + ts[::-2]
+    want = [repr(profile.share(t)) for t in ts]
+    assert [repr(x) for x in s.shares(lo, hi, ts)] == want
+    assert [repr(s.share(lo, hi, t)) for t in ts] == want
+    for other in others:
+        assert [repr(x) for x in other.shares(lo, hi, ts)] == want
+
+
 def run_fields(runs):
     """The fields of each run, as a string: repr tells -0.0 from 0.0."""
     return repr([(r.base, r.step, r.first, r.count, r.shift) for r in runs])
@@ -324,10 +343,7 @@ def check_indexed(e, i):
         repr((want.first, want.last, want.longest, want.shortest))
     assert run_fields(got.interior(lo, hi)) == run_fields(want.interior(lo, hi))
     assert got.peak(lo, hi) == want.peak(lo, hi)
-    mine, theirs = got.profile(lo, hi), want.profile(lo, hi)
-    lengths = [-x for x in theirs._neg]
-    for t in [0.0, math.inf, *lengths, *(math.nextafter(t, math.inf) for t in lengths)]:
-        assert mine.share(t) == theirs.share(t)
+    check_shares(got, lo, hi, want)
     window = IntegralWindow.of(e, i)
     fresh = window._replace(summary=want)
     assert window.peak() == fresh.peak()
@@ -518,10 +534,7 @@ def check_variant_summary(e, lo, hi):
         repr((want.first, want.last, want.longest, want.shortest))
     assert run_fields(got.interior(lo, hi)) == run_fields(want.interior(lo, hi))
     assert repr(got.peak(lo, hi)) == repr(want.peak(lo, hi))
-    mine, theirs = got.profile(lo, hi), want.profile(lo, hi)
-    lengths = [-x for x in theirs._neg]
-    for t in [0.0, math.inf, *lengths, *(math.nextafter(t, math.inf) for t in lengths)]:
-        assert repr(mine.share(t)) == repr(theirs.share(t))
+    check_shares(got, lo, hi, want)
     window = outcome(lambda: IntegralWindow.of(e, Interval(lo, hi)))
     if isinstance(window, type):  # a nearest-point search out of resolution
         return
@@ -729,3 +742,68 @@ class TestVariantSummaries:
                 e.summary(0.0, 1e17)
         # a right lattice searches no lower end left of its origin, so it answers
         check_variant_summary(Lattice(0.0, 1.0, "right"), -1e300, 5.5)
+
+
+@st.composite
+def share_sets(draw):
+    """A set of any variant, and the marks its windows should end on."""
+    kind = draw(st.sampled_from(["lattice", "cantor", "finite", "variant"]))
+    if kind == "lattice":
+        e = Lattice(draw(st.sampled_from(SUMMARY_ORIGINS)), draw(st.sampled_from((1.0, 0.1, 1.0 / 3.0))),
+                    draw(st.sampled_from(EXTENTS)))
+        return e, [e.origin, *(Run.spell(e.origin, e.step, k) for k in (-1, 1))]
+    if kind == "cantor":
+        span = draw(st.sampled_from([(0.0, 1.0), (-1.5, 2.0)]))
+        return CantorIterate(*span, draw(st.sampled_from(MIDDLES)), draw(st.integers(0, 6))), list(span)
+    if kind == "finite":
+        raw = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20))
+        return FinitePoints(raw), raw
+    return draw(summary_variants())
+
+
+@st.composite
+def share_windows(draw, e, marks):
+    """The windows of :func:`summary_windows`, and two between neighbouring points, which hold none."""
+    out = draw(summary_windows(e, marks))
+    pts = e.points_in(-40.0, 40.0)
+    if len(pts) >= 2:
+        k = draw(st.integers(0, len(pts) - 2))
+        p, q = pts[k], pts[k + 1]
+        out += [(p, q), (p, 0.5 * (p + q))]
+    return out
+
+
+class TestShares:
+    """``WindowSummary.shares`` equals the length profile it replaced, bit for bit, on every variant."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_variant_matches_the_length_profile(self, data):
+        e, marks = data.draw(share_sets())
+        for lo, hi in data.draw(share_windows(e, marks)):
+            s = outcome(lambda: e.summary(lo, hi))
+            if not isinstance(s, type):  # where the runs raise, TestVariantSummaries checks the error
+                check_shares(s, lo, hi)
+
+    def test_thresholds_at_zero_at_a_length_and_above_the_longest(self):
+        # components 1, 2, 1, 1, 2, 0.5 and 0.5 long in a window 8 long: the
+        # finite set's summary is memoised, the translate's built from runs
+        points = [-2.0, 0.0, 1.0, 2.0, 4.0, 4.5]
+        e = FinitePoints(points)  # its memoised summaries read the points through a weak reference
+        memoised = e.summary(-3.0, 5.0)
+        built = Translate(FinitePoints([p - 0.25 for p in points]), 0.25).summary(-3.0, 5.0)
+        assert memoised._kept() and not built._kept()
+        above = math.nextafter(2.0, math.inf)
+        want = [1.0, 7.0 / 8.0, 0.5, 0.0, 0.0, 1.0]
+        for s in (memoised, built):
+            assert s.shares(-3.0, 5.0, [0.0, 1.0, 2.0, above, math.inf, 0.5]) == want
+            assert [s.share(-3.0, 5.0, t) for t in (0.0, 1.0, 2.0, above)] == want[:4]
+            check_shares(s, -3.0, 5.0)
+
+    @pytest.mark.parametrize("e", [FinitePoints([0.0, 1.0]), Lattice(0.0, 1.0 / 3.0, "two_sided")],
+                             ids=["memoised", "lattice"])
+    def test_a_window_without_interior_points(self, e):
+        s = e.summary(0.0, 0.25)
+        assert s.first is None
+        assert s.shares(0.0, 0.25, [0.0, 0.25, math.nextafter(0.25, 1.0)]) == [1.0, 1.0, 0.0]
+        check_shares(s, 0.0, 0.25)

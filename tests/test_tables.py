@@ -155,7 +155,7 @@ EMPTY_FAMILY = ProbeFamily(anchors=(-20.0, -12.0), scales=(8.0, 4.0, 1.0, 0.125)
 
 
 class TestLengthProfile:
-    """One length profile per region window answers any grid, bit for bit with the per-threshold loop."""
+    """One shares call per region window answers any grid, bit for bit with the per-threshold loop."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -202,7 +202,7 @@ class TestLengthProfile:
 
     @pytest.mark.parametrize("e", TIE_SETS, ids=["memoised", "reflected"])
     def test_single_thresholds_equal_to_a_component_length(self, e):
-        # sigma_at and certify read one threshold from the same profile
+        # sigma_at and certify read one threshold from the same summary
         intervals = [Interval(-4.0, 12.0), Interval(-6.0, 10.0), Interval(-2.0, 6.0), Interval(0.0, 4.0)]
         for gamma in (0.5, 0.25, 0.125, 2.0 ** -4):
             for side in SIDES:
@@ -252,7 +252,7 @@ UNIT_GAPS = FinitePoints([k * TINY for k in (0, 1, 2, 3, 4, 6, 8)])
 
 
 class TestBoundedSweep:
-    """A sweep builds a profile only where some gamma could still lower sigma*, bit for bit with the walk."""
+    """A sweep computes shares only where some gamma could still lower sigma*, bit for bit with the walk."""
 
     @pytest.mark.parametrize("name, e", catalog(cantor_depth=5), ids=[name for name, _ in catalog()])
     def test_the_catalog_matches_the_walk(self, name, e):
@@ -275,13 +275,13 @@ class TestBoundedSweep:
             assert got[side] == oracles.sweep_walk(e, intervals, side)
         assert got["right"].table[0] == (0.5, 1.0)
 
-    def test_a_cantor_sweep_builds_few_profiles_and_compresses_nothing(self, monkeypatch):
-        # the depth-8 catalog iterate at the default window: a profile per
+    def test_a_cantor_sweep_computes_few_shares_and_compresses_nothing(self, monkeypatch):
+        # the depth-8 catalog iterate at the default window: a shares call per
         # probe and side would be 27,280; most cannot lower any entry
         e = dict(catalog(seed=101, cantor_depth=8))["cantor"]
         intervals = certification_probes(e, Interval(-64.0, 64.0), seed=101).intervals()
         assert 2 * len(intervals) == 27_280
-        counts = {"profile": 0, "compress": 0}
+        counts = {"shares": 0, "compress": 0}
 
         def counted(name, original):
             def call(*args):
@@ -289,12 +289,12 @@ class TestBoundedSweep:
                 return original(*args)
             return call
 
-        monkeypatch.setattr(sets_module.WindowSummary, "profile",
-                            counted("profile", sets_module.WindowSummary.profile))
+        monkeypatch.setattr(sets_module.WindowSummary, "shares",
+                            counted("shares", sets_module.WindowSummary.shares))
         monkeypatch.setattr(sets_module.Run, "compress", staticmethod(counted("compress", sets_module.Run.compress)))
         sweeps = sweep_sides(e, intervals, ("right", "left"))
         assert all(sweep.certified for sweep in sweeps.values())
-        assert 0 < counts["profile"] <= 8_000
+        assert 0 < counts["shares"] <= 8_000
         assert counts["compress"] == 0
 
 
@@ -460,17 +460,24 @@ def triple_windows(family, side):
 
 @pytest.fixture
 def summaries(monkeypatch):
-    """Counter of ``window_summary`` calls from every module that reads summaries."""
+    """Counter of the window summaries asked of a set: its ``summary`` calls, less
+    those one variant's summary makes of another (a reflection of its inner set's)."""
     count = [0]
-    original = sets_module.window_summary
+    depth = [0]
 
-    def counted(e, i):
-        count[0] += 1
-        return original(e, i)
+    def counted(original):
+        def summary(self, lo, hi):
+            count[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return original(self, lo, hi)
+            finally:
+                depth[0] -= 1
+        return summary
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("poroweights") and getattr(module, "window_summary", None) is original:
-            monkeypatch.setattr(module, "window_summary", counted)
+    for cls in vars(sets_module).values():
+        if isinstance(cls, type) and issubclass(cls, sets_module.SetDescription) and "summary" in vars(cls):
+            monkeypatch.setattr(cls, "summary", counted(vars(cls)["summary"]))
     return count
 
 
@@ -558,6 +565,39 @@ class TestWorkCounts:
         sweep_sides(e, intervals, ("right", "left"))
         assert 0 < fsums[0] <= sum(distinct)
 
+    @pytest.mark.parametrize("e", [BASES["integers"], BASES["cantor"]], ids=["run-built", "memoised"])
+    def test_a_shares_call_sums_each_prefix_once(self, e, fsums):
+        # thresholds at each distinct component length, thrice over, at 0
+        # (the prefix of the shortest length) and at inf (the empty prefix)
+        i = Interval(-1.5, 2.25)
+        s = window_summary(e, i)
+        s.shares(i.lo, i.hi, ())  # a memoised summary packs its groups on first use
+        lengths = sorted({length for length, _ in oracles.component_lengths(e, i)})
+        assert len(lengths) >= 3
+        fsums[0] = 0
+        s.shares(i.lo, i.hi, [0.0, math.inf, *lengths] * 3)
+        assert fsums[0] == len(lengths)
+
+    @pytest.mark.parametrize("e", SETS, ids=IDS)
+    def test_certify_and_sweeps_build_no_interval_per_window(self, e, monkeypatch):
+        # a pass names its windows by their bounds: in certify only the
+        # doubling report's worst pair and witnesses build their inner halves
+        count = [0]
+        original = Interval.__post_init__
+
+        def counted(self):
+            count[0] += 1
+            original(self)
+
+        intervals = small_family(e, 1).intervals()
+        monkeypatch.setattr(Interval, "__post_init__", counted)
+        sweep_sides(e, intervals, SIDES)
+        assert count[0] == 0
+        for side in SIDES:
+            count[0] = 0
+            doubling = certify(e, PorosityParams(0.25, 0.25, side), intervals).doubling
+            assert count[0] == (doubling.worst_pair is not None) + len(doubling.witnesses)
+
     @pytest.mark.parametrize("side", A1_SIDES)
     @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_a1_summarises_each_triple_window_once(self, e, side, summaries):
@@ -630,31 +670,37 @@ class TestWorkCounts:
         assert counts["geometric"] > 0
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
-    def test_each_distinct_probe_builds_its_profiles_once(self, e, monkeypatch):
-        # a pass builds at most one length profile per region window of a
-        # distinct probe; a repeat builds none
-        count = [0]
-        original = sets_module.WindowSummary.profile
+    def test_each_distinct_probe_reads_its_shares_once(self, e, monkeypatch):
+        # a pass reads the shares of each region window of a distinct probe
+        # in one call, share at one threshold or shares at several; a repeat
+        # makes none
+        counts = {"share": 0, "shares": 0}
 
-        def counted(*args):
-            count[0] += 1
-            return original(*args)
+        def counted(name):
+            original = getattr(sets_module.WindowSummary, name)
 
-        monkeypatch.setattr(sets_module.WindowSummary, "profile", counted)
+            def call(*args):
+                counts[name] += 1
+                return original(*args)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(sets_module.WindowSummary, name, counted(name))
         intervals = ProbeFamily.default(e, REPEAT_WINDOW, anchor_cap=32, random_count=100).intervals()
         distinct = len(distinct_probes(intervals)[0])
         assert distinct < len(intervals)
         for side in SIDES:
-            count[0] = 0
+            counts["share"] = 0
             certify(e, PorosityParams(0.25, 0.25, side), intervals)
-            assert count[0] == distinct
-            count[0] = 0
+            assert counts["share"] == distinct
+            counts.update(share=0, shares=0)
             sweep_sides(e, intervals, (side,))
-            assert 0 < count[0] <= distinct
+            assert counts["share"] == 0 and 0 < counts["shares"] <= distinct
         fam = certification_probes(e, REPEAT_WINDOW, anchor_cap=32, random_count=100)
-        count[0] = 0
+        counts.update(share=0, shares=0)
         suite_sided_transport(e, REPEAT_WINDOW, probes=fam)
-        assert count[0] == 3 * len(distinct_probes(fam.intervals())[0])  # I-, I+ and I
+        assert counts["share"] == 0
+        assert counts["shares"] == 3 * len(distinct_probes(fam.intervals())[0])  # I-, I+ and I
 
     @pytest.mark.parametrize("e, side", [(NATURALS, "minus"), (Reflect(NATURALS), "plus"), (BASES["integers"], "plus")],
                              ids=["naturals-minus", "reflected_naturals-plus", "integers-plus"])
@@ -776,8 +822,8 @@ class TestWindowStore:
         held = []
 
         class Recording(porosity_module.WindowStore):
-            def rated(self, lo, hi, j=None):
-                r = super().rated(lo, hi, j)
+            def rated(self, lo, hi):
+                r = super().rated(lo, hi)
                 held.append(len(self))
                 return r
 
