@@ -215,7 +215,7 @@ def cmd_analyze(args) -> int:
         return 0 if sweep.certified else 1
     params = PorosityParams(args.sigma, args.gamma, args.side_porosity)
     report = certify(cfg.e, params, fam)
-    rows = [(r.lo, r.hi, r.rho_minus, r.rho_plus, r.sigma) for r in report.rows]
+    rows = ((r.lo, r.hi, r.rho_minus, r.rho_plus, r.sigma) for r in report.rows)
     _emit(cfg, "porosity_report", "porosity-certification", report, (POROSITY_COLUMNS, rows))
     verdict = "PASS" if report.passed else "FAIL"
     print(f"porosity[{params.side}] sigma={params.sigma} gamma={params.gamma}: {verdict}")
@@ -232,7 +232,7 @@ def cmd_a1(args) -> int:
     octaves = DEFAULT_TRIPLE_OCTAVES if args.octaves is None else args.octaves
     fam = TripleFamily.default(cfg.e, cfg.window, octaves=octaves, anchor_cap=min(cfg.anchor_cap, 32))
     report = a1_constant(w, args.side, fam)
-    rows = [(t.a, t.b, t.c, t.value, t.scale) for t in report.samples]
+    rows = ((t.a, t.b, t.c, t.value, t.scale) for t in report.samples)
     _emit(cfg, "a1_report", "a1-constant", report, (TRIPLE_COLUMNS, rows))
     if args.table_points > 0 and cfg.fmt in ("csv", "both"):
         step = cfg.window.length / args.table_points

@@ -283,7 +283,7 @@ def test_a_geometric_window_past_the_point_cap_exits_2(tmp_path, capsys, monkeyp
     monkeypatch.chdir(tmp_path)
     (tmp_path / "slow.json").write_text(SLOW_GEOMETRIC_SET)
     with _within(20):
-        # -1e300 spelled in digits: argparse reads "-1e300" as an option
+        # -1e300, spelled in digits
         code = main(["analyze", "--set-file", "slow.json", "--window", "-1" + "0" * 300, "0", "--anchor-cap", "8",
                      "--random-probes", "20", "--workers", "1", "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
