@@ -160,7 +160,7 @@ def _side_sigma(windows: tuple, side: str, gamma: float) -> float:
     """sigma of the probe on a side: the threshold 2 gamma rho(reference) on the region."""
     k_region, k_reference = _SPLIT[side]
     lo, hi, s, _ = windows[k_region]
-    return s.share(lo, hi, 2.0 * gamma * windows[k_reference][3])
+    return s.shares(lo, hi, (2.0 * gamma * windows[k_reference][3],))[0]
 
 
 def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
@@ -405,7 +405,7 @@ def _probe_radii(store: WindowStore, i: Interval, windows: Optional[tuple] = Non
     The first three come from the probe's ``probe_windows``, read here unless given.
     """
     whole, left, right = probe_windows(store, i) if windows is None else windows
-    c, quarter = right[0], 0.25 * (i.hi - i.lo)  # I+ starts at the centre of I
+    c, quarter = i.center, 0.25 * i.length
     return whole[3], left[3], right[3], store.rated(c - quarter, c + quarter)[3]
 
 
@@ -497,7 +497,7 @@ def certify(
     Each distinct probe is evaluated once (see :func:`distinct_probes`): it
     reads four windows, I, its halves and its centred half, by their bounds
     from one :class:`WindowStore` for the pass.  Its sigma is the share of
-    the region at one threshold (:meth:`WindowSummary.share`), and sigma
+    the region at one threshold (:meth:`WindowSummary.shares`), and sigma
     and its four hole radii go into columns.  The rows, the worst probe and
     the witnesses then read the columns for every probe in family order;
     the doubling report reads them once per distinct probe (see

@@ -1162,15 +1162,6 @@ class WindowSummary:
             out.append(share)
         return out
 
-    def share(self, lo: float, hi: float, t: float) -> float:
-        """:meth:`shares` at the one threshold t: a summary built from runs
-        filters its items for it instead of sorting them."""
-        if self._kept():
-            return self.shares(lo, hi, (t,))[0]
-        kept = [x for size, x in _middle_terms(self._source) if size >= t]
-        kept += [x for x in self.edges(lo, hi) if x >= t]
-        return fsum(kept) / (hi - lo) if kept else 0.0
-
     def integral_terms(self, lo: float, hi: float, alpha: float,
                        build: Callable[[list[Run], float], list[float]]) -> list[float]:
         """``build(self.interior(lo, hi), alpha)``, the terms of the middle components.

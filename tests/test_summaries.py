@@ -324,7 +324,7 @@ def check_shares(s, lo, hi, *others):
     ts = ts[1::2] + ts[::-2]
     want = [repr(profile.share(t)) for t in ts]
     assert [repr(x) for x in s.shares(lo, hi, ts)] == want
-    assert [repr(s.share(lo, hi, t)) for t in ts] == want
+    assert [repr(s.shares(lo, hi, (t,))[0]) for t in ts] == want
     for other in others:
         assert [repr(x) for x in other.shares(lo, hi, ts)] == want
 
@@ -797,7 +797,7 @@ class TestShares:
         want = [1.0, 7.0 / 8.0, 0.5, 0.0, 0.0, 1.0]
         for s in (memoised, built):
             assert s.shares(-3.0, 5.0, [0.0, 1.0, 2.0, above, math.inf, 0.5]) == want
-            assert [s.share(-3.0, 5.0, t) for t in (0.0, 1.0, 2.0, above)] == want[:4]
+            assert [s.shares(-3.0, 5.0, (t,))[0] for t in (0.0, 1.0, 2.0, above)] == want[:4]
             check_shares(s, -3.0, 5.0)
 
     @pytest.mark.parametrize("e", [FinitePoints([0.0, 1.0]), Lattice(0.0, 1.0 / 3.0, "two_sided")],

@@ -672,35 +672,29 @@ class TestWorkCounts:
     @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_each_distinct_probe_reads_its_shares_once(self, e, monkeypatch):
         # a pass reads the shares of each region window of a distinct probe
-        # in one call, share at one threshold or shares at several; a repeat
-        # makes none
-        counts = {"share": 0, "shares": 0}
+        # in one call; a repeat makes none
+        count = [0]
+        original = sets_module.WindowSummary.shares
 
-        def counted(name):
-            original = getattr(sets_module.WindowSummary, name)
+        def counted(*args):
+            count[0] += 1
+            return original(*args)
 
-            def call(*args):
-                counts[name] += 1
-                return original(*args)
-            return call
-
-        for name in counts:
-            monkeypatch.setattr(sets_module.WindowSummary, name, counted(name))
+        monkeypatch.setattr(sets_module.WindowSummary, "shares", counted)
         intervals = ProbeFamily.default(e, REPEAT_WINDOW, anchor_cap=32, random_count=100).intervals()
         distinct = len(distinct_probes(intervals)[0])
         assert distinct < len(intervals)
         for side in SIDES:
-            counts["share"] = 0
+            count[0] = 0
             certify(e, PorosityParams(0.25, 0.25, side), intervals)
-            assert counts["share"] == distinct
-            counts.update(share=0, shares=0)
+            assert count[0] == distinct
+            count[0] = 0
             sweep_sides(e, intervals, (side,))
-            assert counts["share"] == 0 and 0 < counts["shares"] <= distinct
+            assert 0 < count[0] <= distinct
         fam = certification_probes(e, REPEAT_WINDOW, anchor_cap=32, random_count=100)
-        counts.update(share=0, shares=0)
+        count[0] = 0
         suite_sided_transport(e, REPEAT_WINDOW, probes=fam)
-        assert counts["share"] == 0
-        assert counts["shares"] == 3 * len(distinct_probes(fam.intervals())[0])  # I-, I+ and I
+        assert count[0] == 3 * len(distinct_probes(fam.intervals())[0])  # I-, I+ and I
 
     @pytest.mark.parametrize("e, side", [(NATURALS, "minus"), (Reflect(NATURALS), "plus"), (BASES["integers"], "plus")],
                              ids=["naturals-minus", "reflected_naturals-plus", "integers-plus"])
