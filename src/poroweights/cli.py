@@ -11,14 +11,14 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
 
 from . import presets as presets_mod
 from .intervals import Interval
-from .muckenhoupt import DEFAULT_TRIPLE_OCTAVES, TripleFamily, a1_constant, critical_alpha
+from .muckenhoupt import DEFAULT_TRIPLE_OCTAVES, TripleFamily, TripleTable, a1_constant, critical_alpha
 from .porosity import (
     PorosityParams,
     ProbeFamily,
@@ -123,20 +123,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     r.add_argument("--workers", type=int, default=_default_workers(), help=f"worker processes (default ${WORKERS_ENV} or 1)")
 
 
-@dataclass
-class RunConfig:
-    e: SetDescription
-    window: Interval
-    octaves: Optional[int]
-    anchor_cap: int
-    random_probes: int
-    seed: int
-    out: Path
-    fmt: str
-    timestamp: bool
-    workers: int
-
-
 def _load_set(args) -> SetDescription:
     if args.set_file is not None and args.preset is not None:
         raise SetFormatError("give either --preset or --set-file, not both")
@@ -158,7 +144,8 @@ def _load_set(args) -> SetDescription:
     )
 
 
-def _config(args) -> RunConfig:
+def _config(args) -> None:
+    """Check the run arguments, then set ``args.e`` (the set) and ``args.window`` (an Interval)."""
     lo, hi = args.window
     if not lo < hi:
         raise SetFormatError(f"window must satisfy lo < hi, got {args.window}")
@@ -167,37 +154,21 @@ def _config(args) -> RunConfig:
                         ("--random-count", args.random_count)):
         if count > DEFAULT_POINT_CAP:
             raise ValueError(f"{flag} must be at most {DEFAULT_POINT_CAP}, got {count}")
-    return RunConfig(
-        e=_load_set(args),
-        window=Interval(lo, hi),
-        octaves=args.octaves,
-        anchor_cap=args.anchor_cap,
-        random_probes=args.random_probes,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-        timestamp=not args.no_timestamp,
-        workers=args.workers,
-    )
+    args.e = _load_set(args)
+    args.window = Interval(lo, hi)
 
 
-def _probe_family(cfg: RunConfig) -> ProbeFamily:
-    return ProbeFamily.default(
-        cfg.e,
-        cfg.window,
-        octaves=cfg.octaves,
-        anchor_cap=cfg.anchor_cap,
-        random_count=cfg.random_probes,
-        seed=cfg.seed,
-    )
+def _probe_family(args) -> ProbeFamily:
+    return ProbeFamily.default(args.e, args.window, octaves=args.octaves, anchor_cap=args.anchor_cap,
+                               random_count=args.random_probes, seed=args.seed)
 
 
-def _emit(cfg: RunConfig, name: str, kind: str, payload, csv_spec=None) -> None:
-    if cfg.fmt in ("json", "both"):
-        write_json(cfg.out / f"{name}.json", report_document(kind, payload, cfg.timestamp))
-    if csv_spec is not None and cfg.fmt in ("csv", "both"):
+def _emit(args, name: str, kind: str, payload, csv_spec=None) -> None:
+    if args.format in ("json", "both"):
+        write_json(args.out / f"{name}.json", report_document(kind, payload, not args.no_timestamp))
+    if csv_spec is not None and args.format in ("csv", "both"):
         columns, rows = csv_spec
-        write_csv(cfg.out / f"{name}.csv", columns, rows)
+        write_csv(args.out / f"{name}.csv", columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +177,16 @@ def _emit(cfg: RunConfig, name: str, kind: str, payload, csv_spec=None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config(args)
-    fam = _probe_family(cfg)
+    _config(args)
+    fam = _probe_family(args)
     if args.sweep:
-        sweep = sweep_parameters(cfg.e, fam, args.side_porosity)
-        _emit(cfg, "porosity_sweep", "porosity-sweep", sweep)
+        sweep = sweep_parameters(args.e, fam, args.side_porosity)
+        _emit(args, "porosity_sweep", "porosity-sweep", sweep)
         print(f"sweep[{args.side_porosity}] best gamma={sweep.best_gamma} sigma*={sweep.best_sigma:.6g} certified={sweep.certified}")
         return 0 if sweep.certified else 1
     params = PorosityParams(args.sigma, args.gamma, args.side_porosity)
-    report = certify(cfg.e, params, fam)
-    rows = ((r.lo, r.hi, r.rho_minus, r.rho_plus, r.sigma) for r in report.rows)
-    _emit(cfg, "porosity_report", "porosity-certification", report, (POROSITY_COLUMNS, rows))
+    report = certify(args.e, params, fam)
+    _emit(args, "porosity_report", "porosity-certification", report, (POROSITY_COLUMNS, report.rows()))
     verdict = "PASS" if report.passed else "FAIL"
     print(f"porosity[{params.side}] sigma={params.sigma} gamma={params.gamma}: {verdict}")
     print(f"  probes={report.probe_count} worst sigma={report.worst_sigma:.6g} at {report.worst_interval.as_pair() if report.worst_interval else None}")
@@ -227,26 +197,26 @@ def cmd_analyze(args) -> int:
 def cmd_a1(args) -> int:
     if args.table_points < 0:
         raise ValueError(f"--table-points must not be negative, got {args.table_points}")
-    cfg = _config(args)
-    w = WeightSpec(cfg.e, args.alpha)
+    _config(args)
+    w = WeightSpec(args.e, args.alpha)
     octaves = DEFAULT_TRIPLE_OCTAVES if args.octaves is None else args.octaves
-    fam = TripleFamily.default(cfg.e, cfg.window, octaves=octaves, anchor_cap=min(cfg.anchor_cap, 32))
-    report = a1_constant(w, args.side, fam)
-    rows = ((t.a, t.b, t.c, t.value, t.scale) for t in report.samples)
-    _emit(cfg, "a1_report", "a1-constant", report, (TRIPLE_COLUMNS, rows))
-    if args.table_points > 0 and cfg.fmt in ("csv", "both"):
-        step = cfg.window.length / args.table_points
-        xs = [cfg.window.lo + (k + 0.5) * step for k in range(args.table_points)]
-        write_csv(cfg.out / "weight_table.csv", WEIGHT_TABLE_COLUMNS, evaluation_table(w, xs))
+    table = TripleTable(args.e, TripleFamily.default(args.e, args.window, octaves=octaves,
+                                                     anchor_cap=min(args.anchor_cap, 32)))
+    report = a1_constant(w, args.side, table)
+    _emit(args, "a1_report", "a1-constant", report, (TRIPLE_COLUMNS, table.samples(args.side, w.alpha)))
+    if args.table_points > 0 and args.format in ("csv", "both"):
+        step = args.window.length / args.table_points
+        xs = [args.window.lo + (k + 0.5) * step for k in range(args.table_points)]
+        write_csv(args.out / "weight_table.csv", WEIGHT_TABLE_COLUMNS, evaluation_table(w, xs))
     print(f"a1[{args.side}] alpha={args.alpha}: lower bound {report.constant_lower_bound:.6g} "
           f"divergent={report.divergence_flag} nonintegrable={report.nonintegrable_count}")
     return 0 if report.bounded_evidence else 1
 
 
 def cmd_critical_alpha(args) -> int:
-    cfg = _config(args)
-    result = critical_alpha(cfg.e, args.side, cfg.window, tol=args.tol, probe_seed=cfg.seed)
-    _emit(cfg, "critical_alpha", "critical-alpha", result)
+    _config(args)
+    result = critical_alpha(args.e, args.side, args.window, tol=args.tol, probe_seed=args.seed)
+    _emit(args, "critical_alpha", "critical-alpha", result)
     if result.alpha is None:
         print(f"critical-alpha[{args.side}]: none found ({result.note})")
         return 1
@@ -257,7 +227,7 @@ def cmd_critical_alpha(args) -> int:
 def cmd_dimension(args) -> int:
     if (args.eps_hi is None) != (args.eps_lo is None) or (args.eps_hi is None and args.eps_points is not None):
         raise ValueError("--eps-hi and --eps-lo go together, and --eps-points needs both")
-    cfg = _config(args)
+    _config(args)
     grid = None
     if args.eps_hi is not None:
         n = DEFAULT_EPS_POINTS if args.eps_points is None else args.eps_points
@@ -265,10 +235,10 @@ def cmd_dimension(args) -> int:
             raise ValueError(f"--eps-points must be at least 2 to fit a slope, got {n}")
         ratio = (args.eps_lo / args.eps_hi) ** (1.0 / (n - 1))
         grid = [args.eps_hi * ratio ** k for k in range(n)]
-    report = suite_dimension(cfg.e, cfg.window, eps_grid=grid, regime=args.regime,
+    report = suite_dimension(args.e, args.window, eps_grid=grid, regime=args.regime,
                              sigma=args.sigma, gamma=args.gamma)
-    rows = list(zip(report.eps_grid, report.measures))
-    _emit(cfg, "dimension_report", "dimension", report, (DIMENSION_COLUMNS, rows))
+    rows = zip(report.eps_grid, report.measures)
+    _emit(args, "dimension_report", "dimension", report, (DIMENSION_COLUMNS, rows))
     print(f"dimension[{report.regime}]: fitted {report.fitted_dimension:.4f}"
           + (f" bound {report.bound:.4f}" if report.bound is not None else ""))
     return 0 if report.passed else 1
@@ -310,19 +280,20 @@ SWEEP_RULE = "the right sweep's certified pair with the largest admissible alpha
 REQUESTED_RULE = "--sigma and --gamma as given, certified on the right sweep's probes"
 
 
-def _porosity_constants(args, cfg: RunConfig) -> Optional[dict]:
+def _porosity_constants(args) -> Optional[dict]:
     """The certified (sigma, gamma) the porosity suites run at, with the rule that chose it; None if refuted."""
-    probes = certification_probes(cfg.e, cfg.window, seed=cfg.seed)
+    e = args.e
+    probes = certification_probes(e, args.window, seed=args.seed)
     if args.sigma is not None and args.gamma is not None:
         params = PorosityParams(args.sigma, args.gamma, "right")
         rule = REQUESTED_RULE
-        if sweep_parameters(cfg.e, probes, "right", (params.gamma,)).best_sigma < params.sigma:
+        if sweep_parameters(e, probes, "right", (params.gamma,)).best_sigma < params.sigma:
             print(f"sigma={params.sigma} gamma={params.gamma} is not certified on the right sweep's probes")
             return None
     else:
         if args.sigma is not None or args.gamma is not None:
             print("a lone --sigma or --gamma is ignored: the porosity suites run at a certified pair")
-        sweep = sweep_parameters(cfg.e, probes, "right")
+        sweep = sweep_parameters(e, probes, "right")
         if not sweep.certified:
             return None
         params = sweep.admissible_params()
@@ -332,8 +303,8 @@ def _porosity_constants(args, cfg: RunConfig) -> Optional[dict]:
 
 
 def _run_one_suite(task) -> tuple[str, object]:
-    sid, cfg, fam_intervals, gamma, eta, sigma = task
-    e = cfg.e
+    sid, args, fam_intervals, gamma, eta, sigma = task
+    e = args.e
     if sid == "distance-envelope":
         return sid, suite_distance_envelope(e, fam_intervals)
     if sid == "hole-control":
@@ -343,35 +314,35 @@ def _run_one_suite(task) -> tuple[str, object]:
     if sid == "pore-transport":
         return sid, suite_pore_transport(e, gamma, fam_intervals)
     if sid == "decay":
-        return sid, suite_decay(e, sigma, gamma, _decay_interval(e, cfg.window))
+        return sid, suite_decay(e, sigma, gamma, _decay_interval(e, args.window))
     if sid == "dimension":
-        return sid, suite_dimension(e, cfg.window)
+        return sid, suite_dimension(e, args.window)
     if sid == "sided-transport":
-        return sid, suite_sided_transport(e, cfg.window, seed=cfg.seed)
+        return sid, suite_sided_transport(e, args.window, seed=args.seed)
     if sid == "equivalence":
-        cat = presets_mod.catalog(seed=cfg.seed, cantor_depth=8)
-        return sid, suite_equivalence_matrix(cat, cfg.window, seed=cfg.seed)
+        cat = presets_mod.catalog(seed=args.seed, cantor_depth=8)
+        return sid, suite_equivalence_matrix(cat, args.window, seed=args.seed)
     raise ValueError(f"unknown suite {sid!r}")
 
 
 def cmd_verify(args) -> int:
     if args.gamma is not None:
         check_gamma(args.gamma)
-    cfg = _config(args)
+    _config(args)
     suite_ids = list(SUITE_IDS) if args.suite == "all" else [args.suite]
-    intervals = _probe_family(cfg).intervals() if FAMILY_SUITES & set(suite_ids) else None
+    intervals = _probe_family(args).intervals() if FAMILY_SUITES & set(suite_ids) else None
     constants = {"sigma": None, "gamma": None}
     if POROSITY_SUITES & set(suite_ids):
-        found = _porosity_constants(args, cfg)
+        found = _porosity_constants(args)
         if found is None:
             gated = [s for s in suite_ids if s in POROSITY_SUITES]
             suite_ids = [s for s in suite_ids if s not in POROSITY_SUITES]
             print(f"skipping {gated}: right-sided porosity refuted on probes (their bounds presuppose it)")
         else:
             constants = found
-    tasks = [(sid, cfg, intervals, constants["gamma"], args.eta, constants["sigma"]) for sid in suite_ids]
-    if cfg.workers > 1 and len(tasks) > 1:
-        with Pool(processes=min(cfg.workers, len(tasks))) as pool:
+    tasks = [(sid, args, intervals, constants["gamma"], args.eta, constants["sigma"]) for sid in suite_ids]
+    if args.workers > 1 and len(tasks) > 1:
+        with Pool(processes=min(args.workers, len(tasks))) as pool:
             results = pool.map(_run_one_suite, tasks)
     else:
         results = [_run_one_suite(t) for t in tasks]
@@ -379,22 +350,20 @@ def cmd_verify(args) -> int:
     for sid, res in results:
         if sid in POROSITY_SUITES:
             res = replace(res, params={**res.params, **constants})
-        _emit(cfg, f"verify_{sid.replace('-', '_')}", f"suite-{sid}", res)
+        _emit(args, f"verify_{sid.replace('-', '_')}", f"suite-{sid}", res)
         passed = res.passed
         marker = "PASS" if passed else "FAIL"
         extra = ""
         if sid == "equivalence":
-            rows = [
-                (r.name, r.right_certified, r.left_certified, r.alpha, r.plus_bounded,
-                 r.plus_divergent, r.minus_divergent, r.agreement)
-                for r in res.rows
-            ]
-            if cfg.fmt in ("csv", "both"):
-                write_csv(cfg.out / "summary_matrix.csv", MATRIX_COLUMNS, rows)
+            if args.format in ("csv", "both"):
+                write_csv(args.out / "summary_matrix.csv", MATRIX_COLUMNS, (
+                    (r.name, r.right_certified, r.left_certified, r.alpha, r.plus_bounded,
+                     r.plus_divergent, r.minus_divergent, r.agreement)
+                    for r in res.rows))
             extra = f" ({sum(1 for r in res.rows if r.agreement)}/{len(res.rows)} sets agree)"
         elif sid == "decay":
-            if cfg.fmt in ("csv", "both"):
-                write_csv(cfg.out / "decay_measures.csv", DECAY_COLUMNS,
+            if args.format in ("csv", "both"):
+                write_csv(args.out / "decay_measures.csv", DECAY_COLUMNS,
                           [(eps, m, b) for (eps, m), b in zip(res.rows, res.bounds)])
             extra = f" (worst ratio {max(res.ratios):.4f} vs beta2={res.beta2})" if res.ratios else ""
         elif sid == "dimension":
@@ -405,7 +374,7 @@ def cmd_verify(args) -> int:
         if not passed:
             failed.append(sid)
     if failed:
-        print(f"failures: {failed} (witness data in {cfg.out})")
+        print(f"failures: {failed} (witness data in {args.out})")
         return 1
     return 0
 

@@ -15,8 +15,8 @@ on the true constant is ever claimed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional
 
 from .intervals import Interval
 from .porosity import (
@@ -149,11 +149,8 @@ class TripleFamily:
 class A1Report:
     """Sampled evidence about one one-sided constant of a fixed weight.
 
-    ``samples`` holds every triple in :meth:`TripleFamily.triples` order,
-    plus before minus for the two-sided report.  It is empty when the scan
-    was asked not to keep them (``a1_constant(..., samples=False)``, as
-    ``critical_alpha`` and the equivalence matrix ask); ``best`` and
-    ``witnesses`` are there either way.
+    The per-triple values are not kept: :meth:`TripleTable.samples` yields
+    them again.
     """
 
     side: str
@@ -166,7 +163,6 @@ class A1Report:
     growth_per_octave: float
     witnesses: tuple[TripleSample, ...]
     nonintegrable_count: int
-    samples: tuple[TripleSample, ...] = field(repr=False, default=())
 
     @property
     def bounded_evidence(self) -> bool:
@@ -240,12 +236,18 @@ class TripleTable:
         powers = [distance_power(p, alpha) for p in rows.peaks]
         return [_ratio(nums[i], width, powers[k]) for (i, k), width in zip(rows.cells, rows.widths)]
 
+    def samples(self, side: str, alpha: float) -> Iterator[tuple[float, float, float, float, float]]:
+        """(a, b, c, value, scale) per triple at alpha, in :meth:`TripleFamily.triples` order,
+        plus before minus when two-sided."""
+        for one in ("plus", "minus") if side == "two_sided" else (side,):
+            for (a, b, c, scale), value in zip(self.rows(one).triples, self.values(one, alpha)):
+                yield a, b, c, value, scale
 
-def _scan_side(alpha: float, side: str, table: TripleTable, samples: bool) -> A1Report:
+
+def _scan_side(alpha: float, side: str, table: TripleTable) -> A1Report:
     """One pass over the values finds the first maximum, the non-integrable
     count and the finite per-octave maxima.  A :class:`TripleSample` is
-    built for the best triple, for the witnesses, and for every triple only
-    when ``samples`` asks for them."""
+    built for the best triple and for the witnesses only."""
     rows = table.rows(side)
     values = table.values(side, alpha)
     isfinite = math.isfinite
@@ -286,16 +288,15 @@ def _scan_side(alpha: float, side: str, table: TripleTable, samples: bool) -> A1
         growth_per_octave=ladder.growth_per_octave,
         witnesses=witnesses,
         nonintegrable_count=nonint,
-        samples=tuple(map(sample, range(len(values)))) if samples else (),
     )
 
 
-def _a1_report(alpha: float, side: str, table: TripleTable, samples: bool) -> A1Report:
+def _a1_report(alpha: float, side: str, table: TripleTable) -> A1Report:
     """The report of a side at alpha; the two-sided one merges the scans of both one-sided sides."""
     if side in ("plus", "minus"):
-        return _scan_side(alpha, side, table, samples)
-    plus = _scan_side(alpha, "plus", table, samples)
-    minus = _scan_side(alpha, "minus", table, samples)
+        return _scan_side(alpha, side, table)
+    plus = _scan_side(alpha, "plus", table)
+    minus = _scan_side(alpha, "minus", table)
     dominant = plus if plus.constant_lower_bound >= minus.constant_lower_bound else minus
     merged_ladder = LadderReport.from_samples(list(plus.ladder) + list(minus.ladder))
     return A1Report(
@@ -309,11 +310,10 @@ def _a1_report(alpha: float, side: str, table: TripleTable, samples: bool) -> A1
         growth_per_octave=max(plus.growth_per_octave, minus.growth_per_octave),
         witnesses=plus.witnesses + minus.witnesses,
         nonintegrable_count=plus.nonintegrable_count + minus.nonintegrable_count,
-        samples=plus.samples + minus.samples,
     )
 
 
-def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable, samples: bool = True) -> A1Report:
+def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable) -> A1Report:
     """Sampled lower bound (and divergence verdict) for the requested side.
 
     The two-sided constant is the max of the two one-sided scans, mirroring
@@ -321,8 +321,6 @@ def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable, sa
     is a family, or a :class:`TripleTable` of it on ``w.e`` built earlier:
     calls that pass the same table (other exponents, the other side) share
     its window summaries, and each distinct window is summarised once.
-    ``samples=False`` leaves :attr:`A1Report.samples` empty, for callers
-    that read only the reduced figures.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
@@ -330,7 +328,7 @@ def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable, sa
         probes = TripleTable(w.e, probes)
     elif probes.e is not w.e:
         raise ValueError("the triple table was built on another set")
-    return _a1_report(w.alpha, side, probes, samples)
+    return _a1_report(w.alpha, side, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +339,7 @@ def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable, sa
 @dataclass(frozen=True)
 class CriticalAlphaResult:
     """The bisection's verdict.  ``evidence`` is the scan at the reported
-    alpha (at 1/2 when porosity is refuted, None when no step was bounded),
-    kept without its per-triple samples."""
+    alpha (at 1/2 when porosity is refuted, None when no step was bounded)."""
 
     alpha: Optional[float]
     grid: tuple[tuple[float, bool], ...]  # (alpha, bounded evidence)
@@ -377,7 +374,7 @@ def critical_alpha(
     # the alpha-free rows of every triple, built once for all bisection steps
     table = TripleTable(e, TripleFamily.default(e, window, octaves=octaves))
     if not sweep.certified:
-        evidence = a1_constant(WeightSpec(e, 0.5), side, table, samples=False)
+        evidence = a1_constant(WeightSpec(e, 0.5), side, table)
         return CriticalAlphaResult(
             alpha=None,
             grid=(),
@@ -393,7 +390,7 @@ def critical_alpha(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # the midpoint rounds onto an end: the grid is as fine as floats allow
-        report = _a1_report(mid, side, table, samples=False)
+        report = _a1_report(mid, side, table)
         ok = report.bounded_evidence
         grid.append((mid, ok))
         if ok:

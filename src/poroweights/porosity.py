@@ -327,15 +327,6 @@ def certification_probes(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeRow:
-    lo: float
-    hi: float
-    rho_minus: float
-    rho_plus: float
-    sigma: float
-
-
 @dataclass(frozen=True)
 class DoublingPair:
     outer: Interval
@@ -363,8 +354,17 @@ class PorosityReport:
     phi_estimate: float
     passed: bool
     witnesses: tuple[tuple[Interval, float], ...]
-    rows: tuple[ProbeRow, ...] = field(repr=False, default=())
     doubling: Optional[DoublingReport] = field(repr=False, default=None)
+    # the pass's columns: the family's probes, per probe its index among the
+    # distinct probes, and per distinct probe sigma and rho of I, I-, I+ and
+    # the centred half
+    columns: tuple = field(repr=False, compare=False, default=((), (), (), ()))
+
+    def rows(self) -> Iterator[tuple[float, float, float, float, float]]:
+        """(lo, hi, rho_minus, rho_plus, sigma) per probe, in family order."""
+        intervals, order, sigmas, radii = self.columns
+        for i, n in zip(intervals, order):
+            yield i.lo, i.hi, radii[4 * n + 1], radii[4 * n + 2], sigmas[n]
 
 
 MAX_WITNESSES = 64
@@ -498,10 +498,10 @@ def certify(
     reads four windows, I, its halves and its centred half, by their bounds
     from one :class:`WindowStore` for the pass.  Its sigma is the share of
     the region at one threshold (:meth:`WindowSummary.shares`), and sigma
-    and its four hole radii go into columns.  The rows, the worst probe and
-    the witnesses then read the columns for every probe in family order;
-    the doubling report reads them once per distinct probe (see
-    :func:`_doubling_report`).  A window shared between probes (a half that
+    and its four hole radii go into columns, which the report keeps for
+    :meth:`PorosityReport.rows`.  The worst probe and the witnesses read
+    the columns for every probe in family order; the doubling report reads
+    them once per distinct probe (see :func:`_doubling_report`).  A window shared between probes (a half that
     is a whole probe one scale down) is summarised once while the pass's
     recent windows fit the store.
     """
@@ -514,13 +514,11 @@ def certify(
         windows = probe_windows(store, i)
         sigmas.append(_side_sigma(windows, params.side, params.gamma))
         radii.extend(_probe_radii(store, i, windows))
-    rows: list[ProbeRow] = []
     witnesses: list[tuple[Interval, float]] = []
     worst: Optional[Interval] = None
     worst_sigma = math.inf
     for i, n in zip(intervals, order):
         s = sigmas[n]
-        rows.append(ProbeRow(i.lo, i.hi, radii[4 * n + 1], radii[4 * n + 2], s))
         if s < worst_sigma:
             worst_sigma = s
             worst = i
@@ -535,8 +533,8 @@ def certify(
         phi_estimate=doubling.phi_estimate,
         passed=worst_sigma >= params.sigma,
         witnesses=tuple(witnesses),
-        rows=tuple(rows),
         doubling=doubling,
+        columns=(intervals, order, sigmas, radii),
     )
 
 

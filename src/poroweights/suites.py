@@ -527,14 +527,13 @@ def suite_equivalence_matrix(
         if sweep_r.certified:
             params = sweep_r.params()
             alpha = admissible_alpha(params.sigma, params.gamma)
-            rep = a1_constant(WeightSpec(e, alpha), "plus", table, samples=False)
+            rep = a1_constant(WeightSpec(e, alpha), "plus", table)
             agreement = rep.bounded_evidence
         else:
             alpha = DIVERGENCE_PROBE_ALPHA
-            rep = a1_constant(WeightSpec(e, alpha), "plus", table, samples=False)
+            rep = a1_constant(WeightSpec(e, alpha), "plus", table)
             agreement = rep.divergence_flag
-        # no report writes the per-triple samples; kept, they would hold every triple of every set
-        rep_minus = a1_constant(WeightSpec(e, DIVERGENCE_PROBE_ALPHA), "minus", table, samples=False)
+        rep_minus = a1_constant(WeightSpec(e, DIVERGENCE_PROBE_ALPHA), "minus", table)
         rows.append(
             MatrixRow(
                 name=name,

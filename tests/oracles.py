@@ -32,7 +32,6 @@ from poroweights.porosity import (
     DoublingPair,
     DoublingReport,
     PorosityReport,
-    ProbeRow,
     SweepResult,
     certification_probes,
 )
@@ -400,20 +399,21 @@ def doubling_witness_walk(e, probes):
 
 
 def certify_walk(e, params, intervals):
+    """The report, and per probe the row (lo, hi, rho_minus, rho_plus, sigma) in family order."""
     rows = []
     witnesses = []
     worst = None
     worst_sigma = math.inf
     for i in intervals:
         s = sigma_at_walk(e, i, params.gamma, params.side)
-        rows.append(ProbeRow(i.lo, i.hi, rho_walk(e, i.left_half), rho_walk(e, i.right_half), s))
+        rows.append((i.lo, i.hi, rho_walk(e, i.left_half), rho_walk(e, i.right_half), s))
         if s < worst_sigma:
             worst_sigma = s
             worst = i
         if s < params.sigma and len(witnesses) < MAX_WITNESSES:
             witnesses.append((i, s))
     doubling = doubling_witness_walk(e, intervals)
-    return PorosityReport(
+    report = PorosityReport(
         params=params,
         probe_count=len(intervals),
         worst_interval=worst,
@@ -421,9 +421,9 @@ def certify_walk(e, params, intervals):
         phi_estimate=doubling.phi_estimate,
         passed=worst_sigma >= params.sigma,
         witnesses=tuple(witnesses),
-        rows=tuple(rows),
         doubling=doubling,
     )
+    return report, rows
 
 
 def sweep_walk(e, intervals, side, gammas=GAMMA_GRID):
@@ -488,13 +488,13 @@ def triple_value_walk(w, a, b, c, side):
 
 
 def a1_samples_walk(w, side, family):
-    """TripleSample per triple of each one-sided scan, plus before minus."""
+    """(a, b, c, value, scale) per triple of each one-sided scan, plus before minus."""
     sides = ("plus", "minus") if side == "two_sided" else (side,)
-    return tuple(
-        TripleSample(a, b, c, triple_value_walk(w, a, b, c, s), scale)
+    return [
+        (a, b, c, triple_value_walk(w, a, b, c, s), scale)
         for s in sides
         for a, b, c, scale in family.triples(s)
-    )
+    ]
 
 
 def critical_alpha_grid_walk(e, side, window, tol, octaves, probe_seed=0):
@@ -511,7 +511,7 @@ def critical_alpha_grid_walk(e, side, window, tol, octaves, probe_seed=0):
         ok = True
         for s in sides:
             samples = a1_samples_walk(WeightSpec(e, mid), s, family)
-            finite = [(round(math.log2(t.scale)), t.value) for t in samples if math.isfinite(t.value)]
+            finite = [(round(math.log2(scale)), v) for *_, v, scale in samples if math.isfinite(v)]
             if len(finite) < len(samples) or LadderReport.from_samples(finite).divergent:
                 ok = False
         grid.append((mid, ok))
@@ -564,7 +564,6 @@ def scan_side_walk(alpha, side, table):
         growth_per_octave=ladder.growth_per_octave,
         witnesses=witnesses,
         nonintegrable_count=nonint,
-        samples=tuple(samples),
     )
 
 

@@ -368,7 +368,7 @@ def test_verify_exit_code_agrees_with_the_report(preset, suite, tmp_path):
 def test_verify_builds_the_default_family_only_for_suites_that_read_it(suite, builds, tmp_path, monkeypatch):
     calls = []
     original = cli._probe_family
-    monkeypatch.setattr(cli, "_probe_family", lambda cfg: calls.append(cfg) or original(cfg))
+    monkeypatch.setattr(cli, "_probe_family", lambda args: calls.append(args) or original(args))
     argv = ("verify", "--preset", "integers", *CAPS, *W, "--suite", suite, "--workers", "1")
     code, _ = _reports(argv, tmp_path)
     assert code == 0

@@ -188,14 +188,16 @@ class TestMaximalFunctionOracle:
                 w = WeightSpec(e, alpha)
                 for side in ("plus", "minus"):
                     rep = a1_constant(w, side, table)
-                    for t in (rep.best, *rep.witnesses, *rep.samples[::97]):
+                    triples = [(t.a, t.b, t.c, t.value) for t in (rep.best, *rep.witnesses)]
+                    triples += [t[:4] for t in list(table.samples(side, alpha))[::97]]
+                    for a, b, c, value in triples:
                         if side == "plus":
-                            x = _farthest_point(e, t.b, t.c)
-                            m = maximal_average(w, x, "minus", [x - t.a])
+                            x = _farthest_point(e, b, c)
+                            m = maximal_average(w, x, "minus", [x - a])
                         else:
-                            x = _farthest_point(e, t.a, t.b)
-                            m = maximal_average(w, x, "plus", [t.c - x])
-                        assert m / distance(e, x) ** -alpha >= t.value * (1 - 1e-12), (e, alpha, side, t)
+                            x = _farthest_point(e, a, b)
+                            m = maximal_average(w, x, "plus", [c - x])
+                        assert m / distance(e, x) ** -alpha >= value * (1 - 1e-12), (e, alpha, side, a, b, c)
                         checked += 1
         assert checked > 1000
 

@@ -133,11 +133,12 @@ class TestCertify:
     def test_row_table_matches_probes(self, singleton, window):
         fam = ProbeFamily.default(singleton, window, random_count=10, seed=1)
         rep = certify(singleton, PorosityParams(0.25, 0.25, "right"), fam)
-        assert len(rep.rows) == rep.probe_count
-        r = rep.rows[0]
-        i = Interval(r.lo, r.hi)
-        assert r.rho_minus == rho(singleton, i.left_half)
-        assert r.rho_plus == rho(singleton, i.right_half)
+        rows = list(rep.rows())
+        assert len(rows) == rep.probe_count
+        lo, hi, rho_minus, rho_plus, _ = rows[0]
+        i = Interval(lo, hi)
+        assert rho_minus == rho(singleton, i.left_half)
+        assert rho_plus == rho(singleton, i.right_half)
 
 
 class TestDoubling:

@@ -19,7 +19,6 @@ import sys
 import tracemalloc
 import weakref
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +96,15 @@ def small_family(e, seed):
     return ProbeFamily.default(e, WINDOW, octaves=4, anchor_cap=4, random_count=8, seed=seed)
 
 
+def check_certify(e, params, intervals):
+    """certify against the per-probe walk, the report and its rows; the report."""
+    report = certify(e, params, intervals)
+    want, rows = oracles.certify_walk(e, params, intervals)
+    assert report == want
+    assert list(report.rows()) == rows
+    return report
+
+
 class TestProbeTable:
     @settings(max_examples=40, deadline=None)
     @given(e=point_sets(), side=st.sampled_from(SIDES), gamma=st.sampled_from([0.5, 0.125, 2.0 ** -9]),
@@ -104,7 +112,7 @@ class TestProbeTable:
     def test_certify_matches_the_loop(self, e, side, gamma, seed):
         intervals = small_family(e, seed).intervals()
         params = PorosityParams(0.25, gamma, side)
-        assert certify(e, params, intervals) == oracles.certify_walk(e, params, intervals)
+        check_certify(e, params, intervals)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -209,7 +217,7 @@ class TestLengthProfile:
                 for i in intervals:
                     assert sigma_at(e, i, gamma, side) == oracles.sigma_at_walk(e, i, gamma, side)
                 params = PorosityParams(0.5, gamma, side)
-                assert certify(e, params, intervals) == oracles.certify_walk(e, params, intervals)
+                check_certify(e, params, intervals)
 
     @pytest.mark.parametrize(
         "kwargs, name",
@@ -304,7 +312,7 @@ class TestTripleTable:
     def test_a1_samples_match_the_scan(self, e, side, alpha):
         fam = TripleFamily.default(e, WINDOW, octaves=6, anchor_cap=4)
         w = WeightSpec(e, alpha)
-        assert a1_constant(w, side, fam).samples == oracles.a1_samples_walk(w, side, fam)
+        assert list(TripleTable(e, fam).samples(side, alpha)) == oracles.a1_samples_walk(w, side, fam)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -321,7 +329,7 @@ class TestTripleTable:
             for side in A1_SIDES:
                 got = a1_constant(w, side, table)
                 assert got == a1_constant(w, side, fam)
-                assert got.samples == oracles.a1_samples_walk(w, side, fam)
+                assert list(table.samples(side, alpha)) == oracles.a1_samples_walk(w, side, fam)
 
     def test_default_ladder_stops_where_the_anchors_resolve(self):
         # a gap far below the anchors' ulp: a ladder 4 octaves below it would
@@ -330,7 +338,7 @@ class TestTripleTable:
         fam = TripleFamily.default(e, Interval(-4.0, 4.0), octaves=6, anchor_cap=4)
         assert all(a < b < c for side in ("plus", "minus") for a, b, c, _ in fam.triples(side))
         w = WeightSpec(e, 0.5)
-        assert a1_constant(w, "two_sided", fam).samples == oracles.a1_samples_walk(w, "two_sided", fam)
+        assert list(TripleTable(e, fam).samples("two_sided", 0.5)) == oracles.a1_samples_walk(w, "two_sided", fam)
 
     def test_a_table_answers_only_for_its_own_set(self):
         table = TripleTable(NATURALS, TripleFamily.default(NATURALS, WINDOW, octaves=6, anchor_cap=4))
@@ -371,8 +379,7 @@ REDUCTION_CASES = {
 def check_scan(table, side, alpha):
     """Both ways of the one-pass scan against the per-sample oracle; the oracle's report."""
     want = oracles.scan_side_walk(alpha, side, table)
-    assert _scan_side(alpha, side, table, True) == want
-    assert _scan_side(alpha, side, table, False) == replace(want, samples=())
+    assert _scan_side(alpha, side, table) == want
     return want
 
 
@@ -388,7 +395,7 @@ class TestReductions:
             assert any(len(r.witnesses) == 16 for r in reports)
         if case.startswith("integers-ties"):
             best = reports[0].best.value
-            assert sum(t.value == best for t in reports[0].samples) > 1  # the first maximum is kept
+            assert table.values(sides[0], alpha).count(best) > 1  # the first maximum is kept
         if "alpha" in case:
             assert all(r.nonintegrable_count > 0 for r in reports)
 
@@ -698,14 +705,12 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("e, side", [(NATURALS, "minus"), (Reflect(NATURALS), "plus"), (BASES["integers"], "plus")],
                              ids=["naturals-minus", "reflected_naturals-plus", "integers-plus"])
-    def test_a_scan_without_samples_builds_the_best_and_the_witnesses_only(self, e, side, triple_samples):
+    def test_a_scan_builds_the_best_and_the_witnesses_only(self, e, side, triple_samples):
         fam = TripleFamily.default(e, WINDOW, octaves=24, anchor_cap=8)
         table = TripleTable(e, fam)
         triple_samples[0] = 0
-        report = a1_constant(WeightSpec(e, 0.5), side, table, samples=False)
-        assert report.samples == ()
+        report = a1_constant(WeightSpec(e, 0.5), side, table)
         assert triple_samples[0] == 1 + len(report.witnesses) <= 17
-        assert a1_constant(WeightSpec(e, 0.5), side, table).samples  # kept on request
 
     @pytest.mark.parametrize(
         "side, e",
@@ -740,7 +745,7 @@ class TestDistinctProbes:
         assert len(set(distinct)) == len(distinct) and [distinct[n] for n in order] == intervals
         for side in SIDES:
             params = PorosityParams(0.5, 0.5, side)
-            assert certify(e, params, intervals) == oracles.certify_walk(e, params, intervals)
+            check_certify(e, params, intervals)
         assert doubling_witness(e, intervals) == oracles.doubling_witness_walk(e, intervals)
         together = sweep_sides(e, intervals, SIDES)
         for side in SIDES:
@@ -766,8 +771,7 @@ class TestDistinctProbes:
         e = BASES["lattice-third"]
         intervals = small_family(e, 0).intervals()
         params = PorosityParams(1.0 - 2.0 ** -40, 0.5, "two_sided")
-        report = certify(e, params, intervals)
-        assert report == oracles.certify_walk(e, params, intervals)
+        report = check_certify(e, params, intervals)
         witnesses = [i for i, _ in report.witnesses]
         assert len(witnesses) == MAX_WITNESSES
         assert len(set(witnesses)) < len(witnesses)
@@ -802,7 +806,7 @@ class TestWindowStore:
         fam = small_family(e, seed)
         intervals = fam.intervals()
         params = PorosityParams(0.25, 0.25, "right")
-        assert certify(e, params, intervals) == oracles.certify_walk(e, params, intervals)
+        check_certify(e, params, intervals)
         assert doubling_witness(e, intervals) == oracles.doubling_witness_walk(e, intervals)
         together = sweep_sides(e, intervals, SIDES)
         for side in SIDES:
