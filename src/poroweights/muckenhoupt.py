@@ -23,14 +23,16 @@ from .porosity import (
     SweepResult,
     anchor_candidates,
     certification_probes,
-    sweep_parameters,
+    sweep_sides,
 )
 from .scaling import LadderReport, octave_of, rising_prefix_maxima
 from .sets import SetDescription, min_component_length
 from .weights import IntegralWindow, WeightSpec, distance_power
 
 SIDES = ("plus", "minus", "two_sided")
-POROSITY_SIDE = {"plus": "right", "minus": "left", "two_sided": "two_sided"}
+# the porosity sweeps an exponent search presupposes, the side's own last:
+# A1 lies in A1+ and A1-, so two-sided needs right and left porosity too
+POROSITY_SIDES = {"plus": ("right",), "minus": ("left",), "two_sided": ("right", "left", "two_sided")}
 
 TRIPLE_RATIOS = (0.25, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_TRIPLE_OCTAVES = 24
@@ -359,29 +361,35 @@ def critical_alpha(
 ) -> CriticalAlphaResult:
     """Largest exponent (within tol) whose scan shows no divergence.
 
-    The matching one-sided porosity certificate is a precondition: when the
-    probe sweep refutes porosity, no exponent can work and the search reports
-    'no alpha found up to the grid floor' together with divergence evidence
-    at alpha = 1/2.  Monotonicity of boundedness in alpha is assumed by the
-    bisection and re-checked on the sampled grid afterwards.
+    The matching porosity certificates are a precondition: the side's own,
+    and for the two-sided side the right and the left one too, all from one
+    sweep (:data:`POROSITY_SIDES`).  When a sweep refutes porosity, no
+    exponent can work and the search reports 'no alpha found up to the grid
+    floor' together with divergence evidence at alpha = 1/2; ``porosity``
+    is then the first refuted sweep, and the two-sided note names its side.
+    Monotonicity of boundedness in alpha is assumed by the bisection and
+    re-checked on the sampled grid afterwards.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    porosity_probes = certification_probes(e, window, seed=probe_seed)
-    sweep = sweep_parameters(e, porosity_probes, POROSITY_SIDE[side])
+    needed = POROSITY_SIDES[side]
+    sweeps = sweep_sides(e, certification_probes(e, window, seed=probe_seed), needed)
+    refuted = next((s for s in needed if not sweeps[s].certified), None)
+    sweep = sweeps[refuted or needed[-1]]
     # the alpha-free rows of every triple, built once for all bisection steps
     table = TripleTable(e, TripleFamily.default(e, window, octaves=octaves))
-    if not sweep.certified:
+    if refuted is not None:
         evidence = a1_constant(WeightSpec(e, 0.5), side, table)
+        named = f"{refuted} " if side == "two_sided" else ""
         return CriticalAlphaResult(
             alpha=None,
             grid=(),
             monotone=True,
             porosity=sweep,
             evidence=evidence,
-            note="no alpha found up to grid floor: porosity refuted on probes",
+            note=f"no alpha found up to grid floor: {named}porosity refuted on probes",
         )
     grid: list[tuple[float, bool]] = []
     lo, hi = 0.0, 1.0

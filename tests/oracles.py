@@ -24,7 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from poroweights.intervals import Interval
-from poroweights.muckenhoupt import POROSITY_SIDE, A1Report, TripleFamily, TripleSample
+from poroweights.muckenhoupt import POROSITY_SIDES, A1Report, TripleFamily, TripleSample
 from poroweights.porosity import (
     GAMMA_GRID,
     MAX_WITNESSES,
@@ -500,7 +500,7 @@ def a1_samples_walk(w, side, family):
 def critical_alpha_grid_walk(e, side, window, tol, octaves, probe_seed=0):
     """The (alpha, bounded) bisection grid, every scan recomputed from scratch."""
     probes = certification_probes(e, window, seed=probe_seed).intervals()
-    if not sweep_walk(e, probes, POROSITY_SIDE[side]).certified:
+    if not all(sweep_walk(e, probes, s).certified for s in POROSITY_SIDES[side]):
         return ()
     family = TripleFamily.default(e, window, octaves=octaves)
     sides = ("plus", "minus") if side == "two_sided" else (side,)

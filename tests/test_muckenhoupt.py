@@ -238,6 +238,23 @@ class TestCriticalAlpha:
         assert "porosity refuted" in res.note
         assert res.evidence is not None and res.evidence.divergence_flag
 
+    @pytest.mark.parametrize("name, e", catalog(cantor_depth=6), ids=[n for n, _ in catalog(cantor_depth=6)])
+    def test_two_sided_alpha_is_at_most_both_one_sided(self, name, e):
+        # A1 lies in A1+ and A1-: a two-sided exponent is one of each side
+        window = Interval(-8.0, 8.0)
+        found = {side: critical_alpha(e, side, window, tol=0.125, octaves=8) for side in ("plus", "minus", "two_sided")}
+        alpha = {side: res.alpha or 0.0 for side, res in found.items()}
+        assert alpha["two_sided"] <= min(alpha["plus"], alpha["minus"]), name
+        two = found["two_sided"]
+        refuted = [side for side in ("right", "left")
+                   if not sweep_parameters(e, certification_probes(e, window), side).certified]
+        if refuted:
+            assert two.alpha is None and two.grid == ()
+            assert two.porosity.side == refuted[0] and not two.porosity.certified
+            assert two.note.endswith(f": {refuted[0]} porosity refuted on probes")
+        else:
+            assert two.porosity.side == "two_sided"
+
 
 class TestDetector:
     def test_needs_long_ladder(self):
