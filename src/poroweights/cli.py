@@ -106,7 +106,7 @@ def _default_workers() -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("set selection")
     g.add_argument("--preset", choices=presets_mod.PRESET_NAMES, help="built-in set")
-    g.add_argument("--set-file", type=Path, help="JSON set description (schema in README)")
+    g.add_argument("--set-file", type=Path, help="JSON set description (schema: poroweights.sets.from_dict)")
     g.add_argument("--cantor-middle", type=parse_number, default=1.0 / 3.0)
     g.add_argument("--cantor-depth", type=int, default=10)
     g.add_argument("--random-count", type=int, default=48)

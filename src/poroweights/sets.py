@@ -1310,6 +1310,32 @@ def _int(d: dict, key: str, path: str) -> int:
 
 
 def from_dict(d: dict, path: str = "$") -> SetDescription:
+    """The set a JSON object describes (the ``--set-file`` schema); :func:`to_dict` inverts it.
+
+    Every object has a ``kind``, one of eight, and that kind's fields.
+    Numbers must be finite; ``path`` names the object in error messages.
+
+    - ``finite``: ``points``, a non-empty list of numbers.
+    - ``lattice``: the points origin + k*step for integers k: ``origin``
+      and ``step``, numbers, and ``extent``: ``"two_sided"`` (the default),
+      ``"right"`` (k >= 0) or ``"left"`` (k <= 0).
+    - ``geometric_lattice``: ``ratio`` > 1 and ``lattice``, a lattice
+      object; the points -ratio**m for m >= 1, joined with the lattice.
+    - ``cantor``: ``lo`` < ``hi``, ``middle`` in (0, 1) and ``depth``, an
+      integer in [0, ``MAX_CANTOR_DEPTH``]: the endpoints of that step of
+      the middle-fraction construction.
+    - ``union``: ``members``, a non-empty list of set objects.
+    - ``translate``: ``inner``, a set object, and ``shift``, a number.
+    - ``reflect``: ``inner``, a set object, mirrored through 0.
+    - ``cutoff``: ``inner``, a set object, ``point``, a number, and
+      ``side``: ``"right"`` keeps inner n [point, inf), ``"left"`` inner n
+      (-inf, point].
+
+    ``inner``, ``members`` and ``lattice`` objects nest at most
+    ``MAX_NESTING`` levels deep.  A malformed object raises
+    :class:`SetFormatError`.  Example: ``{"kind": "reflect", "inner":
+    {"kind": "lattice", "origin": 0, "step": 1, "extent": "right"}}``.
+    """
     return _from_dict(d, path, 0)
 
 
