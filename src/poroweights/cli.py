@@ -149,10 +149,10 @@ def _config(args) -> None:
     lo, hi = args.window
     if not lo < hi:
         raise SetFormatError(f"window must satisfy lo < hi, got {args.window}")
-    # each count is looped over, or materialised, that many times
-    for flag, count in (("--anchor-cap", args.anchor_cap), ("--random-probes", args.random_probes),
-                        ("--random-count", args.random_count)):
-        if count > DEFAULT_POINT_CAP:
+    # each count is looped over, or materialised, that many times; the last two belong to a1 and dimension
+    for flag in ("--anchor-cap", "--random-probes", "--random-count", "--table-points", "--eps-points"):
+        count = getattr(args, flag[2:].replace("-", "_"), None)
+        if count is not None and count > DEFAULT_POINT_CAP:
             raise ValueError(f"{flag} must be at most {DEFAULT_POINT_CAP}, got {count}")
     args.e = _load_set(args)
     args.window = Interval(lo, hi)

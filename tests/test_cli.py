@@ -227,12 +227,17 @@ def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
         (["analyze", "--random-probes", "1000001"], "error: --random-probes must be at most 1000000, got 1000001"),
         (["a1", "--alpha", "0.5", "--preset", "random_finite", "--random-count", "100000000000"],
          "error: --random-count must be at most 1000000, got 100000000000"),
+        (["a1", "--alpha", "0.5", "--table-points", "1000001"],
+         "error: --table-points must be at most 1000000, got 1000001"),
+        (["dimension", "--eps-hi", "1", "--eps-lo", "2^-20", "--eps-points", "1000001"],
+         "error: --eps-points must be at most 1000000, got 1000001"),
     ],
-    ids=["anchor-cap", "random-probes", "random-count"],
+    ids=["anchor-cap", "random-probes", "random-count", "table-points", "eps-points"],
 )
 def test_hostile_sizes_exit_2_before_the_set_is_built(argv, message, tmp_path, capsys, monkeypatch):
-    # the anchor sampler, the random probes and the random preset loop this
-    # many times; the set loader fails the test at once if a guard is missing
+    # the anchor sampler, the random probes, the random preset, the weight
+    # table and the eps grid loop this many times; the set loader fails the
+    # test at once if a guard is missing
     def built(_args):
         raise AssertionError("the set was built before the size was checked")
 
@@ -341,6 +346,18 @@ def test_csv_headers_are_the_documented_columns(tmp_path):
     assert sorted(seen) == sorted(CSV_HEADERS)
     for name, body in seen.items():
         assert next(csv.reader(io.StringIO(body.decode()))) == CSV_HEADERS[name], name
+
+
+@pytest.mark.parametrize("job", CSV_JOBS)
+def test_each_format_writes_its_own_reports_only(job, tmp_path):
+    # --format json writes no CSV and --format csv no JSON; what each writes
+    # is what --format both writes in that format
+    argv = [*JOBS[job], "--workers", "1"]
+    code, both = _reports(argv, tmp_path / "both")
+    for fmt in ("json", "csv"):
+        want = {name: body for name, body in both.items() if name.endswith(f".{fmt}")}
+        assert want
+        assert _reports([*argv, "--format", fmt], tmp_path / fmt) == (code, want)
 
 
 @pytest.mark.parametrize("job", ["analyze-random", "critical-alpha-two-sided-random", "a1-cantor6"])
