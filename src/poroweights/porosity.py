@@ -501,9 +501,9 @@ def certify(
     and its four hole radii go into columns, which the report keeps for
     :meth:`PorosityReport.rows`.  The worst probe and the witnesses read
     the columns for every probe in family order; the doubling report reads
-    them once per distinct probe (see :func:`_doubling_report`).  A window shared between probes (a half that
-    is a whole probe one scale down) is summarised once while the pass's
-    recent windows fit the store.
+    them once per distinct probe (see :func:`_doubling_report`).  A window
+    shared between probes (a half that is a whole probe one scale down) is
+    summarised once while the pass's recent windows fit the store.
     """
     intervals = _intervals(probes)
     distinct, order = distinct_probes(intervals)
