@@ -303,12 +303,12 @@ def _porosity_constants(args) -> Optional[dict]:
 
 
 def _run_one_suite(task) -> tuple[str, object]:
-    sid, args, fam_intervals, gamma, eta, sigma = task
+    sid, args, fam_intervals, gamma, sigma = task
     e = args.e
     if sid == "distance-envelope":
         return sid, suite_distance_envelope(e, fam_intervals)
     if sid == "hole-control":
-        return sid, suite_hole_control(e, fam_intervals, eta=eta)
+        return sid, suite_hole_control(e, fam_intervals, eta=args.eta)
     if sid == "left-propagation":
         return sid, suite_left_propagation(e, gamma, fam_intervals)
     if sid == "pore-transport":
@@ -340,7 +340,7 @@ def cmd_verify(args) -> int:
             print(f"skipping {gated}: right-sided porosity refuted on probes (their bounds presuppose it)")
         else:
             constants = found
-    tasks = [(sid, args, intervals, constants["gamma"], args.eta, constants["sigma"]) for sid in suite_ids]
+    tasks = [(sid, args, intervals, constants["gamma"], constants["sigma"]) for sid in suite_ids]
     if args.workers > 1 and len(tasks) > 1:
         with Pool(processes=min(args.workers, len(tasks))) as pool:
             results = pool.map(_run_one_suite, tasks)
