@@ -22,7 +22,12 @@ at window (-8, 8) and the default caps, whose families repeat 14% of their
 probes) before the one evaluation per distinct probe.  The two-sided
 ``critical-alpha`` on geometric_naturals was re-recorded (exit 0 to 1)
 before the two-sided search came to require the right and the left
-porosity certificates: the left sweep refutes that set.
+porosity certificates: the left sweep refutes that set.  The last three
+(one-sided ``critical-alpha`` runs whose swept side is refuted on the
+whole gamma grid: naturals and geometric_naturals on the minus side, the
+reflected geometric_naturals on the plus side) were recorded before the
+sweep came to skip the thresholds that cannot lower sigma* and to stop
+once every swept side is zero.
 Together the jobs run
 every subcommand that writes a report and every ``verify`` suite.  A change
 that moves any reported figure by one ulp fails here.
@@ -125,6 +130,13 @@ JOBS = {
     "analyze-right-integers-default-caps": ("analyze", *INTEGERS_W, "--side", "right"),
     "analyze-sweep-left-integers-default-caps": ("analyze", *INTEGERS_W, "--sweep", "--side", "left"),
     "verify-sided-transport-integers-default-caps": ("verify", *INTEGERS_W, "--suite", "sided-transport"),
+    # every side these sweep is refuted on the whole gamma grid
+    "critical-alpha-minus-naturals-refuted": (
+        "critical-alpha", "--preset", "naturals", *CAPS, *W, "--side", "minus", "--tol", "0.125"),
+    "critical-alpha-minus-geometric-refuted": (
+        "critical-alpha", *GEOMETRIC, *CAPS, *W, "--side", "minus", "--tol", "0.125"),
+    "critical-alpha-plus-reflected-geometric-refuted": (
+        "critical-alpha", "--preset", "reflected_geometric_naturals", *CAPS, *W, "--side", "plus", "--tol", "0.125"),
 }
 
 
@@ -224,11 +236,20 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     'critical-alpha-cantor6': (0, {
         'critical_alpha.json': 'fe7d04bdfb42b92cfbd1a457df8777ae5323e68093b2abf8cc8deb4a2f46be69',
     }),
+    'critical-alpha-minus-geometric-refuted': (1, {
+        'critical_alpha.json': 'cde8bfbc3ade200458ba496b0280fea05684bedf1e2d57cac58d115ae2c039f6',
+    }),
+    'critical-alpha-minus-naturals-refuted': (1, {
+        'critical_alpha.json': 'f45f848047521f7135d1813aa2d9d780ccf8fa9b4de5ac3e056f8dc38c1bc2a6',
+    }),
     'critical-alpha-minus-reflected-naturals': (0, {
         'critical_alpha.json': '05b8b27ed99993f0b14151f1401c8f0f386c98ee6ea7b10c55f80f93d1344387',
     }),
     'critical-alpha-naturals': (0, {
         'critical_alpha.json': '182ce2e35afa17f7b7252eb77079501e50346bb2eac398ac5b186f80e72d5e22',
+    }),
+    'critical-alpha-plus-reflected-geometric-refuted': (1, {
+        'critical_alpha.json': 'f4f2594318a6a66e365a7f1fc6468aefb4766bbb363f2bb0869cf4d0fe34776c',
     }),
     'critical-alpha-random': (0, {
         'critical_alpha.json': '614c5da44f3823ecba5d033c4c145dca795341176e9f482956fd0670ce3d7709',
