@@ -583,6 +583,21 @@ def sweep_result(side: str, gammas: Sequence[float], worst: Sequence[float]) -> 
     return SweepResult(side=side, table=table, best_gamma=best_gamma, best_sigma=best_sigma)
 
 
+def _lowering(low: list[float], top: int, doubled: list[float], rho_ref: float, out: list[float]) -> Iterator[float]:
+    """Thresholds ``doubled[k] * rho_ref`` for k from ``top - 1`` down, as a
+    :meth:`WindowSummary.shares` call draws them into ``out``: after each share
+    v it lowers ``low[k]`` to v and skips every k' < k with ``low[k'] <= v``."""
+    k = top - 1
+    while k >= 0:
+        yield doubled[k] * rho_ref
+        v = out[-1]
+        if v < low[k]:
+            low[k] = v
+        k -= 1
+        while k >= 0 and low[k] <= v:
+            k -= 1
+
+
 def sweep_sides(
     e: SetDescription,
     probes: ProbeFamily | Sequence[Interval],
@@ -599,20 +614,24 @@ def sweep_sides(
     left half of (a, a + 2s)) is summarised once while the pass's recent
     windows fit the store.  The pass never holds more than
     ``2 * STORE_CAP`` windows, however large the family.  Per probe and side
-    one :meth:`WindowSummary.shares` call on the region answers the grid,
-    summing each prefix of its components once.
+    at most one :meth:`WindowSummary.shares` call reads the region, summing
+    each prefix of its components at most once.
 
-    The grid is sorted by threshold once.  A probe's share falls as its
-    threshold rises, so sigma* falls along the sorted grid.  With L the
-    region's longest component and |R| its length, a threshold above L
+    The grid is sorted by threshold once.  A probe's share does not rise
+    with its threshold (fsum and the division by the window length round
+    monotonically), so neither does sigma* along the sorted grid.  With L
+    the region's longest component and |R| its length, a threshold above L
     leaves no component, so its share is exactly 0.0: these thresholds are a
     suffix of the grid, and the zeroed suffix of sigma* only grows.  Any
     other threshold keeps the component of length L, so its share is at
-    least ``L / |R|`` (fsum and the division round monotonically): a probe
-    whose ``L / |R|`` is not below sigma* at the smallest threshold lowers
-    nothing, and its shares are not computed.  So the table is the one every
-    share would give, in any probe order.  ``gammas`` may come in any order;
-    an empty grid, or a gamma outside (0, 1), raises ``ValueError``.
+    least ``L / |R|``: a probe whose ``L / |R|`` is not below sigma* at the
+    smallest threshold reads no share.  The others read theirs down the
+    grid from the largest unzeroed threshold, and a share v skips every
+    lower threshold where sigma* is at most v, since its share is at least
+    v (see :func:`_lowering`).  So the table is the one every share would
+    give, in any probe order and on any grid; once every side is zeroed on
+    the whole grid, the pass stops.  ``gammas`` may come in any order; an
+    empty grid, or a gamma outside (0, 1), raises ``ValueError``.
     """
     intervals = _intervals(probes)
     for side in sides:
@@ -624,6 +643,7 @@ def sweep_sides(
     doubled = [2.0 * gammas[k] for k in order]
     # per side: sigma* along the sorted grid, the start of its zeroed suffix, and (region, reference)
     reads = [[[math.inf] * len(gammas), len(gammas), *_SPLIT[side]] for side in sides]
+    live = len(reads)  # sides not yet zeroed on the whole grid
     whole = "two_sided" in sides
     halves = "right" in sides or "left" in sides
     store = WindowStore(e)
@@ -641,11 +661,13 @@ def sweep_sides(
             if n < zeroed:
                 low[n:zeroed] = [0.0] * (zeroed - n)
                 read[1] = zeroed = n
+                if not n:
+                    live -= 1
             if zeroed and longest / (hi - lo) < low[0]:
-                shares = s.shares(lo, hi, [d * rho_ref for d in doubled[:zeroed]])
-                for k, share in enumerate(shares):
-                    if share < low[k]:
-                        low[k] = share
+                out = []
+                s.shares(lo, hi, _lowering(low, zeroed, doubled, rho_ref, out), out)
+        if not live:
+            break
     return {side: sweep_result(side, gammas, [low[n] for n in rank]) for side, (low, *_) in zip(sides, reads)}
 
 

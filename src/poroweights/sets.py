@@ -1116,9 +1116,10 @@ class WindowSummary:
         ref, *window = self._source
         return method(ref()._index(), *window)
 
-    def shares(self, lo: float, hi: float, thresholds: Iterable[float]) -> list[float]:
+    def shares(self, lo: float, hi: float, thresholds: Iterable[float], out: Optional[list] = None) -> list[float]:
         """Per threshold t, the share of (lo, hi), a window this summary
-        describes, covered by its components at least t long.
+        describes, covered by its components at least t long, appended to
+        ``out`` (a new list by default), which is returned.
 
         Those are its edges and middle items at least t long: a summary built
         from runs sorts its items once per call, a memoised one bisects its
@@ -1126,12 +1127,15 @@ class WindowSummary:
         of their length * multiplicity terms (or a group row's exact partials
         of them) over the window length.  fsum rounds correctly in any order,
         and the longest components are named by their count, so each count is
-        summed once per call, and none is 0.0 without a sum.
+        summed once per call, and none is 0.0 without a sum.  ``thresholds``
+        is drawn one at a time, each after the share of the one before is in
+        ``out``, so a caller may pick each threshold from the shares so far.
         """
         edges = self.edges(lo, hi)
         length = hi - lo
         done = {0: 0.0}
-        out = []
+        if out is None:
+            out = []
         if self._kept():
             groups = self._groups
             if groups is None:

@@ -312,7 +312,8 @@ class TestExactRuns:
 
 def check_shares(s, lo, hi, *others):
     """The shares of the summary s of (lo, hi) against :class:`oracles.LengthProfile`, bit for bit,
-    one threshold at a time and all at once, and against those of the other summaries of the window.
+    one threshold at a time, all at once and drawn one by one into a given
+    list, and against those of the other summaries of the window.
 
     The thresholds are 0, every component length, the floats either side
     of each, the longest length doubled and inf, in a shuffled order.
@@ -325,6 +326,15 @@ def check_shares(s, lo, hi, *others):
     want = [repr(profile.share(t)) for t in ts]
     assert [repr(x) for x in s.shares(lo, hi, ts)] == want
     assert [repr(s.shares(lo, hi, (t,))[0]) for t in ts] == want
+    out = [0.5]
+
+    def drawn():
+        for k, t in enumerate(ts):
+            assert len(out) == 1 + k  # the share of the threshold before is in out
+            yield t
+
+    assert s.shares(lo, hi, drawn(), out) is out
+    assert [repr(x) for x in out] == [repr(0.5), *want]
     for other in others:
         assert [repr(x) for x in other.shares(lo, hi, ts)] == want
 
