@@ -583,19 +583,26 @@ def sweep_result(side: str, gammas: Sequence[float], worst: Sequence[float]) -> 
     return SweepResult(side=side, table=table, best_gamma=best_gamma, best_sigma=best_sigma)
 
 
-def _lowering(low: list[float], top: int, doubled: list[float], rho_ref: float, out: list[float]) -> Iterator[float]:
-    """Thresholds ``doubled[k] * rho_ref`` for k from ``top - 1`` down, as a
-    :meth:`WindowSummary.shares` call draws them into ``out``: after each share
-    v it lowers ``low[k]`` to v and skips every k' < k with ``low[k'] <= v``."""
-    k = top - 1
-    while k >= 0:
-        yield doubled[k] * rho_ref
-        v = out[-1]
-        if v < low[k]:
-            low[k] = v
-        k -= 1
-        while k >= 0 and low[k] <= v:
+def lowering_shares(window: Rated, low: list[float], top: int, doubled: Sequence[float], rho_ref: float,
+                    first: Sequence[float] = ()) -> list[float]:
+    """:meth:`WindowSummary.shares` of a rated window at ``first``, then down the sorted
+    grid ``doubled[k] * rho_ref`` from k = ``top - 1``: a share v lowers ``low[k]``
+    (sigma* along the grid) to v and skips every k' < k with ``low[k'] <= v``."""
+    out: list[float] = []
+
+    def thresholds() -> Iterator[float]:
+        yield from first
+        k = top - 1
+        while k >= 0:
+            yield doubled[k] * rho_ref
+            v = out[-1]
+            if v < low[k]:
+                low[k] = v
             k -= 1
+            while k >= 0 and low[k] <= v:
+                k -= 1
+
+    return window[2].shares(window[0], window[1], thresholds(), out)
 
 
 def sweep_sides(
@@ -625,13 +632,13 @@ def sweep_sides(
     suffix of the grid, and the zeroed suffix of sigma* only grows.  Any
     other threshold keeps the component of length L, so its share is at
     least ``L / |R|``: a probe whose ``L / |R|`` is not below sigma* at the
-    smallest threshold reads no share.  The others read theirs down the
-    grid from the largest unzeroed threshold, and a share v skips every
-    lower threshold where sigma* is at most v, since its share is at least
-    v (see :func:`_lowering`).  So the table is the one every share would
-    give, in any probe order and on any grid; once every side is zeroed on
-    the whole grid, the pass stops.  ``gammas`` may come in any order; an
-    empty grid, or a gamma outside (0, 1), raises ``ValueError``.
+    smallest threshold reads no share.  The others read down the grid from
+    the largest unzeroed threshold, and a share v skips each lower one where
+    sigma* is at most v, as its share is at least v (:func:`lowering_shares`).
+    So the table is the one every share would give, in any probe order and
+    on any grid, and once every side is zeroed on the whole grid the pass
+    stops.  ``gammas`` may come in any order; an empty grid, or a gamma
+    outside (0, 1), raises ``ValueError``.
     """
     intervals = _intervals(probes)
     for side in sides:
@@ -664,8 +671,7 @@ def sweep_sides(
                 if not n:
                     live -= 1
             if zeroed and longest / (hi - lo) < low[0]:
-                out = []
-                s.shares(lo, hi, _lowering(low, zeroed, doubled, rho_ref, out), out)
+                lowering_shares(windows[k_region], low, zeroed, doubled, rho_ref)
         if not live:
             break
     return {side: sweep_result(side, gammas, [low[n] for n in rank]) for side, (low, *_) in zip(sides, reads)}

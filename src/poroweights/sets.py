@@ -1134,8 +1134,7 @@ class WindowSummary:
         edges = self.edges(lo, hi)
         length = hi - lo
         done = {0: 0.0}
-        if out is None:
-            out = []
+        out = [] if out is None else out
         if self._kept():
             groups = self._groups
             if groups is None:

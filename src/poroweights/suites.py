@@ -30,6 +30,7 @@ from .porosity import (
     distinct_probes,
     doubling_witness,
     left_propagation_on,
+    lowering_shares,
     pore_transport_on,
     probe_windows,
     sweep_result,
@@ -427,33 +428,30 @@ def suite_sided_transport(
     gamma_t = gamma / phi
     gamma_c = 0.5 * gamma0
     # pass 2: I, I- and I+ read from the store; per window one shares call
-    # answers the sweep grid, then the thresholds of the checks that count
-    # its holes (the converse counts those of the half with the larger rho)
+    # reads the thresholds of the checks that count its holes (the converse
+    # counts those of the half with the larger rho), then lowers the sweep of
+    # its side down the sorted grid
     grid = len(GAMMA_GRID)
-    doubled = [2.0 * g for g in GAMMA_GRID]
+    doubled = [2.0 * g for g in reversed(GAMMA_GRID)]  # ascending
     worst = {side: [math.inf] * grid for side in ("right", "left", "two_sided")}
     shares = array("d")  # per distinct probe: got and need of forward-right, forward-left, converse
     for i in distinct:
         whole, left, right = probe_windows(store, i)
         rho_i, rho_l, rho_r = whole[3], left[3], right[3]
-        on_left = left[2].shares(left[0], left[1], [d * rho_r for d in doubled] + [
-            2.0 * gamma_t * rho_r, 2.0 * gamma * rho_l, 2.0 * gamma0 * rho_r])
-        on_right = right[2].shares(right[0], right[1], [d * rho_l for d in doubled] + [
-            2.0 * gamma_t * rho_l, 2.0 * gamma * rho_r, 2.0 * gamma0 * rho_l])
-        on_whole = whole[2].shares(whole[0], whole[1], [d * rho_i for d in doubled] + [2.0 * gamma_c * rho_i])
-        for low, got in zip(worst.values(), (on_left, on_right, on_whole)):
-            for k in range(grid):
-                if got[k] < low[k]:
-                    low[k] = got[k]
-        need_c = 0.5 * (on_left if rho_r >= rho_l else on_right)[-1]
-        shares.extend((*on_left[grid:grid + 2], *on_right[grid:grid + 2], on_whole[grid], need_c))
+        on_left = lowering_shares(left, worst["right"], grid, doubled, rho_r,
+                                  (2.0 * gamma_t * rho_r, 2.0 * gamma * rho_l, 2.0 * gamma0 * rho_r))
+        on_right = lowering_shares(right, worst["left"], grid, doubled, rho_l,
+                                   (2.0 * gamma_t * rho_l, 2.0 * gamma * rho_r, 2.0 * gamma0 * rho_l))
+        on_whole = lowering_shares(whole, worst["two_sided"], grid, doubled, rho_i, (2.0 * gamma_c * rho_i,))
+        need_c = 0.5 * (on_left if rho_r >= rho_l else on_right)[2]
+        shares.extend((*on_left[:2], *on_right[:2], on_whole[0], need_c))
     failures: list[dict] = []
     for i, n in zip(intervals, order):
         for direction, k in _TRANSPORT_CHECKS:
             got, need = shares[6 * n + k], shares[6 * n + k + 1]
             if got < need - REL_SLACK:
                 _fail(failures, {"direction": direction, "interval": i.as_pair(), "got": got, "need": need})
-    right, left, two = (sweep_result(side, GAMMA_GRID, low) for side, low in worst.items())
+    right, left, two = (sweep_result(side, GAMMA_GRID, low[::-1]) for side, low in worst.items())
     return SuiteResult(
         suite="sided-transport",
         params={"window": window.as_pair(), "seed": seed, "gamma": gamma, "gamma0": gamma0},

@@ -560,6 +560,25 @@ def fsums(monkeypatch):
 
 
 @pytest.fixture
+def thresholds_drawn(monkeypatch):
+    """Counter of ``WindowSummary.shares`` calls and of the thresholds they draw."""
+    counts = {"reads": 0, "thresholds": 0}
+    original = sets_module.WindowSummary.shares
+
+    def drawn(thresholds):
+        for t in thresholds:
+            counts["thresholds"] += 1
+            yield t
+
+    def counted(self, lo, hi, thresholds, *rest):
+        counts["reads"] += 1
+        return original(self, lo, hi, drawn(thresholds), *rest)
+
+    monkeypatch.setattr(sets_module.WindowSummary, "shares", counted)
+    return counts
+
+
+@pytest.fixture
 def lattice_runs(monkeypatch):
     """Counter of ``Lattice.runs_in`` calls."""
     count = [0]
@@ -736,24 +755,22 @@ class TestWorkCounts:
         [(CantorIterate(0.0, 1.0, 1.0 / 3.0, 6), 8.0), (BASES["integers"], 8.0), (dict(catalog())["random_finite"], 64.0)],
         ids=["cantor6", "integers", "random_finite"],
     )
-    def test_a_sweep_evaluates_few_thresholds_per_share_read(self, e, w, monkeypatch):
+    def test_a_sweep_evaluates_few_thresholds_per_share_read(self, e, w, thresholds_drawn):
         # reading every unzeroed threshold takes about 11 of the 12 per read;
         # the scan down the grid skips those that cannot lower sigma*
-        counts = {"reads": 0, "thresholds": 0}
-        original = sets_module.WindowSummary.shares
-
-        def drawn(thresholds):
-            for t in thresholds:
-                counts["thresholds"] += 1
-                yield t
-
-        def counted(self, lo, hi, thresholds, *rest):
-            counts["reads"] += 1
-            return original(self, lo, hi, drawn(thresholds), *rest)
-
-        monkeypatch.setattr(sets_module.WindowSummary, "shares", counted)
         sweep_sides(e, certification_probes(e, Interval(-w, w)).intervals(), SIDES)
-        assert 0 < counts["thresholds"] <= 12 * counts["reads"] / 3
+        assert 0 < thresholds_drawn["thresholds"] <= 12 * thresholds_drawn["reads"] / 3
+
+    @pytest.mark.parametrize("name", ["integers", "geometric_naturals"])
+    def test_sided_transport_draws_few_grid_thresholds_per_read(self, name, thresholds_drawn):
+        # per distinct probe 7 check thresholds over I-, I+ and I, then the
+        # grid thresholds that can lower its sweeps: all 12 would be 14.33 per read
+        e, window = dict(catalog())[name], Interval(-64.0, 64.0)
+        fam = certification_probes(e, window)
+        suite_sided_transport(e, window, probes=fam)
+        reads = thresholds_drawn["reads"]
+        assert reads == 3 * len(distinct_probes(fam.intervals())[0])
+        assert 0 < thresholds_drawn["thresholds"] - 7 * reads / 3 <= 12 * reads / 3
 
     @pytest.mark.parametrize("name, side", [("naturals", "left"), ("reflected_naturals", "right"),
                                             ("reflected_geometric_naturals", "right")])
