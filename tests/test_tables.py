@@ -13,9 +13,9 @@ reductions they replaced.  A fifth runs the passes on families that repeat
 probes: each distinct probe is evaluated once, and every occurrence is
 reported in family order.  A sixth checks the sweep's scan down the sorted
 gamma grid, which skips the thresholds that cannot lower sigma*: on every
-subset of sides, on plateaus of sigma* and on random finite sets and their
-translates; the work counts bound the thresholds it draws per share read
-and the windows a refuted sweep summarises before it stops.
+subset of sides and on plateaus of sigma*; the work counts bound the
+thresholds it draws per share read and the windows a refuted sweep
+summarises before it stops.
 """
 
 import itertools
@@ -167,6 +167,10 @@ EMPTY_SETS = [FinitePoints([0.0]), NATURALS]
 EMPTY_FAMILY = ProbeFamily(anchors=(-20.0, -12.0), scales=(8.0, 4.0, 1.0, 0.125))
 
 
+# every nonempty subset of SIDES
+SIDE_SETS = [sides for n in range(1, len(SIDES) + 1) for sides in itertools.combinations(SIDES, n)]
+
+
 class TestLengthProfile:
     """One shares call per region window answers any grid, bit for bit with the per-threshold loop."""
 
@@ -175,11 +179,12 @@ class TestLengthProfile:
         e=point_sets(),
         seed=st.integers(0, 3),
         gammas=st.lists(st.sampled_from([*GAMMA_GRID, 0.375, 1.0 / 3.0, 0.75]), min_size=1, max_size=14),
+        sides=st.sampled_from(SIDE_SETS),
     )
-    def test_any_grid_matches_the_loop(self, e, seed, gammas):
+    def test_any_grid_matches_the_loop(self, e, seed, gammas, sides):
         intervals = small_family(e, seed).intervals()
-        got = sweep_sides(e, intervals, SIDES, gammas)
-        for side in SIDES:
+        got = sweep_sides(e, intervals, sides, gammas)
+        for side in sides:
             assert got[side] == oracles.sweep_walk(e, intervals, side, gammas)
 
     @pytest.mark.parametrize("grid", ["ascending", "shuffled", "duplicated", "one"])
@@ -312,10 +317,6 @@ class TestBoundedSweep:
         assert counts["compress"] == 0
 
 
-# every nonempty subset of SIDES
-SIDE_SETS = [sides for n in range(1, len(SIDES) + 1) for sides in itertools.combinations(SIDES, n)]
-
-
 class TestLoweringScan:
     """A sweep reads shares down the sorted grid and skips every threshold that
     cannot lower sigma*; its tables match the walk bit for bit."""
@@ -344,21 +345,6 @@ class TestLoweringScan:
         assert any(a == b and round(a, 4) == plateau for a, b in zip(sigmas, sigmas[1:]))
         for side in SIDES:
             assert got[side] == oracles.sweep_walk(e, intervals, side)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        points=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12),
-        shift=st.floats(-2.0, 2.0),
-        gammas=st.lists(st.sampled_from([*GAMMA_GRID, 0.375, 1.0 / 3.0, 0.75]), min_size=1, max_size=14),
-        sides=st.sampled_from(SIDE_SETS),
-        seed=st.integers(0, 3),
-    )
-    def test_random_finite_sets_and_their_translates(self, points, shift, gammas, sides, seed):
-        for e in (FinitePoints(points), Translate(FinitePoints(points), shift)):
-            intervals = small_family(e, seed).intervals()
-            got = sweep_sides(e, intervals, sides, gammas)
-            for side in sides:
-                assert got[side] == oracles.sweep_walk(e, intervals, side, gammas)
 
 
 class TestTripleTable:
