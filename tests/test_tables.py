@@ -343,8 +343,8 @@ class TestLoweringScan:
         got = sweep_sides(e, intervals, SIDES)
         sigmas = [sigma for _, sigma in got[side].table]
         assert any(a == b and round(a, 4) == plateau for a, b in zip(sigmas, sigmas[1:]))
-        for side in SIDES:
-            assert got[side] == oracles.sweep_walk(e, intervals, side)
+        for each in SIDES:
+            assert got[each] == oracles.sweep_walk(e, intervals, each)
 
 
 class TestTripleTable:
