@@ -427,12 +427,12 @@ def suite_sided_transport(
     phi = doubling_witness(e, distinct, store).phi_estimate
     gamma_t = gamma / phi
     gamma_c = 0.5 * gamma0
-    # pass 2: I, I- and I+ read from the store; per window one shares call reads
-    # the thresholds of the checks that count its holes (the converse counts those
-    # of the half with the larger rho), then lowers its side's sweep down the grid
-    gammas = sorted(GAMMA_GRID)
-    grid = len(gammas)
-    doubled = [2.0 * g for g in gammas]
+    # pass 2: I, I- and I+ read from the store; per window one shares call
+    # reads the thresholds of the checks that count its holes (the converse
+    # counts those of the half with the larger rho), then lowers the sweep of
+    # its side down the sorted grid
+    grid = len(GAMMA_GRID)
+    doubled = [2.0 * g for g in reversed(GAMMA_GRID)]  # ascending
     worst = {side: [math.inf] * grid for side in ("right", "left", "two_sided")}
     shares = array("d")  # per distinct probe: got and need of forward-right, forward-left, converse
     for i in distinct:
@@ -451,7 +451,7 @@ def suite_sided_transport(
             got, need = shares[6 * n + k], shares[6 * n + k + 1]
             if got < need - REL_SLACK:
                 _fail(failures, {"direction": direction, "interval": i.as_pair(), "got": got, "need": need})
-    right, left, two = (sweep_result(side, gammas, low) for side, low in worst.items())
+    right, left, two = (sweep_result(side, GAMMA_GRID, low[::-1]) for side, low in worst.items())
     return SuiteResult(
         suite="sided-transport",
         params={"window": window.as_pair(), "seed": seed, "gamma": gamma, "gamma0": gamma0},
