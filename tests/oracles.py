@@ -6,11 +6,12 @@ dimensions from literal box counting.  The component walk is the slow path
 the window summaries replaced, the slice compression the one the run index
 of finite point sets replaced, the length profile the one the summaries'
 shares replaced, and the per-function loops at the end are the ones the
-probe and triple tables replaced; all are kept to check the fast paths bit
-for bit.  So are the summary every variant built from its runs before
-lattices, reflections and geometric-plus-lattice sets answered in closed
-form, and the per-sample reductions the one-pass A1 scan and doubling
-report replaced.  The one-sided maximal averages at the end are
+probe and triple tables replaced, beside the two porosity-lemma suites
+recomputed with every hole radius from the walk; all are kept to check the
+fast paths bit for bit.  So are the summary every variant built from its
+runs before lattices, reflections and geometric-plus-lattice sets answered
+in closed form, and the per-sample reductions the one-pass A1 scan and
+doubling report replaced.  The one-sided maximal averages at the end are
 the paper's own definition of A1 (M w <= C w), sampled, and bound the
 triple values from above.
 """
@@ -37,7 +38,7 @@ from poroweights.porosity import (
 )
 from poroweights.scaling import LadderReport, octave_of, rising_prefix_maxima
 from poroweights.sets import Run, SetDescription, WindowSummary, sample_points
-from poroweights.suites import MAX_FAILURES, SuiteResult
+from poroweights.suites import COUNTEREXAMPLE_OFFSET, COUNTEREXAMPLE_SIZES, MAX_FAILURES, SuiteResult
 from poroweights.weights import WeightSpec, _power_piece, _segment_integral, _segment_peak, integrate
 
 mp.mp.dps = 40
@@ -473,6 +474,61 @@ def sided_transport_walk(e, window, seed, fam, gamma=0.5, gamma0=0.5):
             "right_best": (right.best_gamma, right.best_sigma),
             "left_best": (left.best_gamma, left.best_sigma),
         },
+    )
+
+
+def left_propagation_walk(e, gamma, probes):
+    """rho(I) <= ((gamma+1)/gamma) rho(I-) per probe, each radius from the walk."""
+    factor = (gamma + 1.0) / gamma
+    failures = []
+    probes = list(probes)
+    for i in probes:
+        rho_full = rho_walk(e, i)
+        bound = factor * rho_walk(e, i.left_half)
+        if not rho_full <= bound * (1.0 + REL_SLACK) and len(failures) < MAX_FAILURES:
+            failures.append({"interval": i.as_pair(), "rho": rho_full, "bound": bound})
+    return SuiteResult(
+        suite="left-propagation",
+        params={"gamma": gamma},
+        checks=len(probes),
+        failures=tuple(failures),
+        constants={"factor": factor},
+    )
+
+
+def pore_transport_walk(e, gamma, probes):
+    """rho(I+) <= theta1 (|I|/|J|)^theta2 rho(J+) per probe I and inner J, each radius
+    from the walk, and the counterexample family whose inner centre lies right of the outer one."""
+    theta1 = ((gamma + 1.0) / gamma) ** 2
+    theta2 = math.log2((gamma + 1.0) / gamma)
+
+    def sides(outer, inner):
+        lhs = rho_walk(e, outer.right_half)
+        rhs = theta1 * (outer.length / inner.length) ** theta2 * rho_walk(e, inner.right_half)
+        return lhs, rhs, lhs <= rhs * (1.0 + REL_SLACK)
+
+    failures = []
+    checks = 0
+    for i in probes:
+        q = 0.25 * i.length
+        for j in (i.left_half, Interval(i.lo, i.lo + q), Interval(i.lo + 0.5 * q, i.lo + 2.5 * q),
+                  Interval(i.lo + 0.25 * q, i.lo + 2.25 * q)):
+            checks += 1
+            lhs, rhs, ok = sides(i, j)
+            if not ok and len(failures) < MAX_FAILURES:
+                failures.append({"outer": i.as_pair(), "inner": j.as_pair(), "lhs": lhs, "rhs": rhs})
+    t = COUNTEREXAMPLE_OFFSET
+    rows = []
+    for n in COUNTEREXAMPLE_SIZES:
+        lhs, rhs, ok = sides(Interval(-2.0 * n * (1.0 + t), 2.0 * n * (1.0 - t)), Interval(float(-n), float(n)))
+        rows.append({"n": n, "lhs": lhs, "rhs": rhs, "ok": ok})
+    return SuiteResult(
+        suite="pore-transport",
+        params={"gamma": gamma, "offset": t},
+        checks=checks,
+        failures=tuple(failures),
+        constants={"theta1": theta1, "theta2": theta2},
+        details={"counterexample_rows": rows, "counterexample_breaks": not all(r["ok"] for r in rows)},
     )
 
 

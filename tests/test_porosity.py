@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poroweights import (
     Cutoff,
@@ -10,6 +11,8 @@ from poroweights import (
     PorosityParams,
     ProbeFamily,
     Reflect,
+    Translate,
+    catalog,
     certification_probes,
     certify,
     doubling_witness,
@@ -29,6 +32,9 @@ from poroweights.porosity import (
     pore_transport_on,
 )
 
+from poroweights.suites import suite_left_propagation, suite_pore_transport
+
+from . import oracles
 from .oracles import rho_grid_oracle
 
 
@@ -206,6 +212,114 @@ class TestPoreTransport:
             if not chk.ok:
                 broke = True
         assert broke
+
+
+# the lemma suites' oracle family: the catalog at Cantor depth 6, window +-8
+LEMMA_WINDOW = Interval(-8.0, 8.0)
+LEMMA_SEED = 1
+LEMMA_SETS = catalog(seed=LEMMA_SEED, cantor_depth=6)
+LEMMA_GAMMAS = (0.5, 0.0625)
+# left-propagation failures on lemma_family at gamma = 1/2, out of 596, 596,
+# 836 and 1028 probes; there are none at 1/16, and pore-transport has none
+LEFT_PROPAGATION_FAILURES = {"reflected_naturals": 24, "reflected_geometric_naturals": 4, "cantor": 26,
+                             "random_finite": 31}
+
+
+def lemma_family(e):
+    return ProbeFamily.default(e, LEMMA_WINDOW, anchor_cap=8, random_count=20, seed=LEMMA_SEED).intervals()
+
+
+@st.composite
+def finite_sets(draw):
+    """Random finite sets, and reflects and translates of them."""
+    e = FinitePoints(draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12)))
+    wrap = draw(st.sampled_from(["none", "reflect", "translate"]))
+    if wrap == "reflect":
+        return Reflect(e)
+    if wrap == "translate":
+        return Translate(e, draw(st.floats(-2.0, 2.0)))
+    return e
+
+
+@settings(max_examples=30, deadline=None)
+@given(e=finite_sets(), gamma=st.sampled_from(LEMMA_GAMMAS))
+def test_the_lemma_suites_match_the_walk_on_finite_sets(e, gamma):
+    probes = lemma_family(e)
+    assert suite_left_propagation(e, gamma, probes) == oracles.left_propagation_walk(e, gamma, probes)
+    assert suite_pore_transport(e, gamma, probes) == oracles.pore_transport_walk(e, gamma, probes)
+
+
+class TestLeftPropagationSuite:
+    @pytest.mark.parametrize("gamma", LEMMA_GAMMAS)
+    @pytest.mark.parametrize("name, e", LEMMA_SETS, ids=[name for name, _ in LEMMA_SETS])
+    def test_the_catalog_matches_the_walk(self, name, e, gamma):
+        probes = lemma_family(e)
+        got = suite_left_propagation(e, gamma, probes)
+        assert got == oracles.left_propagation_walk(e, gamma, probes)
+        assert len(got.failures) == (LEFT_PROPAGATION_FAILURES.get(name, 0) if gamma == 0.5 else 0)
+
+    def test_a_hole_right_of_a_half_lattice_fails(self, reflected_naturals):
+        # rho(-8, 8) = 4 from the void (0, 8), against 3 rho(-8, 0) = 3/2
+        got = suite_left_propagation(reflected_naturals, 0.5, [Interval(-8.0, 8.0)])
+        assert got.checks == 1
+        assert got.failures == ({"interval": (-8.0, 8.0), "rho": 4.0, "bound": 1.5},)
+
+    def test_integers_example(self, integers):
+        store = WindowStore(integers)
+        assert store.rated(-2.0, 2.0)[3] == 0.5
+        assert 3.0 * store.rated(-2.0, 0.0)[3] == 1.5
+        got = suite_left_propagation(integers, 0.5, [Interval(-2.0, 2.0)])
+        assert got.passed and got.constants == {"factor": 3.0}
+
+    def test_point_free_interval(self, singleton):
+        assert WindowStore(singleton).rated(5.0, 7.0)[3] == 1.0
+        assert suite_left_propagation(singleton, 0.5, [Interval(5.0, 9.0)]).passed
+
+    def test_geometric_example(self, geometric_naturals):
+        store = WindowStore(geometric_naturals)
+        assert store.rated(-8.0, 8.0)[3] == 2.0
+        assert 3.0 * store.rated(-8.0, 0.0)[3] == 6.0
+        assert suite_left_propagation(geometric_naturals, 0.5, [Interval(-8.0, 8.0)]).passed
+
+    def test_a_probe_too_short_to_halve_is_rejected(self):
+        with pytest.raises(ValueError, match="cannot halve"):
+            suite_left_propagation(FinitePoints([0.0]), 0.5, [Interval(0.0, 5e-324)])
+
+
+class TestPoreTransportSuite:
+    @pytest.mark.parametrize("gamma", LEMMA_GAMMAS)
+    @pytest.mark.parametrize("name, e", LEMMA_SETS, ids=[name for name, _ in LEMMA_SETS])
+    def test_the_catalog_matches_the_walk(self, name, e, gamma):
+        probes = lemma_family(e)
+        got = suite_pore_transport(e, gamma, probes)
+        assert got == oracles.pore_transport_walk(e, gamma, probes)
+        assert got.checks == 4 * len(probes) and got.passed
+
+    def test_a_wide_hole_right_of_a_half_lattice_fails(self, reflected_naturals):
+        # rho(0, 64) = 32 against 9 * 2^log2(3) * rho(-32, 0) = 27/2 for the
+        # left half; the other three inners are at most a quarter as long
+        got = suite_pore_transport(reflected_naturals, 0.5, [Interval(-64.0, 64.0)])
+        assert got.checks == 4
+        assert got.failures == ({"outer": (-64.0, 64.0), "inner": (-64.0, 0.0), "lhs": 32.0, "rhs": 13.5},)
+
+    def test_constants(self, integers):
+        got = suite_pore_transport(integers, 0.5, [Interval(-8.0, 8.0)])
+        assert got.constants["theta1"] == 9.0
+        assert got.constants["theta2"] == pytest.approx(math.log2(3.0))
+        assert got.passed
+
+    def test_counterexample_family_breaks(self, naturals):
+        # the inner centre right of the outer one: the bound breaks as n grows
+        got = suite_pore_transport(naturals, 0.5, [])
+        rows = got.details["counterexample_rows"]
+        assert [r["n"] for r in rows] == [5, 10, 20, 40, 80, 160, 320]
+        assert all(a["lhs"] <= b["lhs"] for a, b in zip(rows, rows[1:]))
+        assert not all(r["ok"] for r in rows) and got.details["counterexample_breaks"]
+        assert got.passed and got.checks == 0
+
+    def test_a_probe_too_short_to_halve_is_rejected(self):
+        with pytest.raises(ValueError, match="cannot halve"):
+            suite_pore_transport(FinitePoints([0.0]), 0.5, [Interval(0.0, 5e-324)])
 
 
 class TestSweep:
