@@ -68,9 +68,6 @@ class Interval:
         """
         return Interval(self.split_point, self.hi)
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def reflected(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 

@@ -727,83 +727,3 @@ def admissible_alpha(sigma: float, gamma: float) -> float:
     """
     return min(ALPHA_FRACTION * decay_exponent(sigma, gamma), 0.95)
 
-
-# ---------------------------------------------------------------------------
-# single-interval inequality checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PropagationCheck:
-    """Hole radius of I against the left-half propagation bound."""
-
-    interval: Interval
-    gamma: float
-    rho_full: float
-    rho_left: float
-    bound: float
-    ok: bool
-
-
-def left_propagation_on(store: WindowStore, i: Interval, gamma: float) -> PropagationCheck:
-    """Check rho(I) <= ((gamma+1)/gamma) * rho(left half of I), with hole radii read from ``store``."""
-    rho_full = store.rho(i)
-    rho_left = store.rho(i.left_half)
-    bound = (gamma + 1.0) / gamma * rho_left
-    return PropagationCheck(
-        interval=i,
-        gamma=gamma,
-        rho_full=rho_full,
-        rho_left=rho_left,
-        bound=bound,
-        ok=rho_full <= bound * (1.0 + REL_SLACK),
-    )
-
-
-@dataclass(frozen=True)
-class TransportCheck:
-    """Right-half hole of an enclosing interval against the scaled bound from a
-    sub-interval lying at least as far left."""
-
-    outer: Interval
-    inner: Interval
-    gamma: float
-    theta1: float
-    theta2: float
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def pore_transport_on(
-    store: WindowStore,
-    outer: Interval,
-    inner: Interval,
-    gamma: float,
-    enforce_center_order: bool = True,
-) -> TransportCheck:
-    """Check rho(outer right half) <= theta1 * (|outer|/|inner|)**theta2 * rho(inner right half).
-
-    Hole radii are read from ``store``.  Requires inner contained in outer
-    with center(inner) <= center(outer); the bound genuinely fails without
-    the center condition, so violating it raises unless explicitly disabled
-    for counterexample reproduction.
-    """
-    if not outer.contains_interval(inner):
-        raise ValueError("inner interval must be contained in the outer interval")
-    if enforce_center_order and inner.center > outer.center:
-        raise ValueError("precondition violated: inner center must not exceed outer center")
-    theta1 = ((gamma + 1.0) / gamma) ** 2
-    theta2 = math.log2((gamma + 1.0) / gamma)
-    lhs = store.rho(outer.right_half)
-    rhs = theta1 * (outer.length / inner.length) ** theta2 * store.rho(inner.right_half)
-    return TransportCheck(
-        outer=outer,
-        inner=inner,
-        gamma=gamma,
-        theta1=theta1,
-        theta2=theta2,
-        lhs=lhs,
-        rhs=rhs,
-        ok=lhs <= rhs * (1.0 + REL_SLACK),
-    )

@@ -28,8 +28,6 @@ from poroweights.porosity import (
     decay_constants,
     decay_exponent,
     dimension_bound,
-    left_propagation_on,
-    pore_transport_on,
 )
 
 from poroweights.suites import suite_left_propagation, suite_pore_transport
@@ -167,53 +165,6 @@ class TestDoubling:
         assert rep.phi_estimate <= 2.0
 
 
-class TestLeftPropagation:
-    def test_integers_example(self, integers):
-        chk = left_propagation_on(WindowStore(integers), Interval(-2.0, 2.0), 0.5)
-        assert chk.ok and chk.rho_full == 0.5 and chk.bound == 1.5
-
-    def test_point_free_interval(self, singleton):
-        i = Interval(5.0, 9.0)
-        chk = left_propagation_on(WindowStore(singleton), i, 0.5)
-        assert chk.ok and chk.rho_left == i.length / 4.0
-
-    def test_geometric_example(self, geometric_naturals):
-        chk = left_propagation_on(WindowStore(geometric_naturals), Interval(-8.0, 8.0), 0.5)
-        assert chk.ok and chk.rho_full == 2.0 and chk.bound == 6.0
-
-
-class TestPoreTransport:
-    def test_constants(self, integers):
-        chk = pore_transport_on(WindowStore(integers), Interval(-8.0, 8.0), Interval(-4.0, 2.0), 0.5)
-        assert chk.theta1 == 9.0
-        assert chk.theta2 == pytest.approx(math.log2(3.0))
-        assert chk.ok
-
-    def test_containment_required(self, integers):
-        with pytest.raises(ValueError):
-            pore_transport_on(WindowStore(integers), Interval(0.0, 1.0), Interval(0.0, 2.0), 0.5)
-
-    def test_center_order_guard(self, naturals):
-        outer = Interval(-10.0, 6.0)  # center -2
-        inner = Interval(-2.0, 4.0)  # center 1 > -2
-        with pytest.raises(ValueError, match="center"):
-            pore_transport_on(WindowStore(naturals), outer, inner, 0.5)
-
-    def test_counterexample_family_breaks(self, naturals):
-        t = 0.25
-        broke = False
-        prev_lhs = -1.0
-        for n in (5, 10, 20, 40, 80, 160):
-            outer = Interval(-2.0 * n * (1 + t), 2.0 * n * (1 - t))
-            inner = Interval(float(-n), float(n))
-            chk = pore_transport_on(WindowStore(naturals), outer, inner, 0.5, enforce_center_order=False)
-            assert chk.lhs >= prev_lhs
-            prev_lhs = chk.lhs
-            if not chk.ok:
-                broke = True
-        assert broke
-
-
 # the lemma suites' oracle family: the catalog at Cantor depth 6, window +-8
 LEMMA_WINDOW = Interval(-8.0, 8.0)
 LEMMA_SEED = 1
@@ -249,7 +200,7 @@ def test_the_lemma_suites_match_the_walk_on_finite_sets(e, gamma):
     assert suite_pore_transport(e, gamma, probes) == oracles.pore_transport_walk(e, gamma, probes)
 
 
-class TestLeftPropagationSuite:
+class TestLeftPropagation:
     @pytest.mark.parametrize("gamma", LEMMA_GAMMAS)
     @pytest.mark.parametrize("name, e", LEMMA_SETS, ids=[name for name, _ in LEMMA_SETS])
     def test_the_catalog_matches_the_walk(self, name, e, gamma):
@@ -286,7 +237,7 @@ class TestLeftPropagationSuite:
             suite_left_propagation(FinitePoints([0.0]), 0.5, [Interval(0.0, 5e-324)])
 
 
-class TestPoreTransportSuite:
+class TestPoreTransport:
     @pytest.mark.parametrize("gamma", LEMMA_GAMMAS)
     @pytest.mark.parametrize("name, e", LEMMA_SETS, ids=[name for name, _ in LEMMA_SETS])
     def test_the_catalog_matches_the_walk(self, name, e, gamma):
