@@ -48,6 +48,7 @@ from .sets import (
     from_json,
 )
 from .suites import (
+    _geometric_grid,
     suite_decay,
     suite_dimension,
     suite_distance_envelope,
@@ -227,14 +228,17 @@ def cmd_critical_alpha(args) -> int:
 def cmd_dimension(args) -> int:
     if (args.eps_hi is None) != (args.eps_lo is None) or (args.eps_hi is None and args.eps_points is not None):
         raise ValueError("--eps-hi and --eps-lo go together, and --eps-points needs both")
+    if (args.sigma is None) != (args.gamma is None):
+        raise ValueError("--sigma and --gamma go together")
+    if args.sigma is not None:
+        PorosityParams(args.sigma, args.gamma)
     _config(args)
     grid = None
     if args.eps_hi is not None:
         n = DEFAULT_EPS_POINTS if args.eps_points is None else args.eps_points
         if n < 2:
             raise ValueError(f"--eps-points must be at least 2 to fit a slope, got {n}")
-        ratio = (args.eps_lo / args.eps_hi) ** (1.0 / (n - 1))
-        grid = [args.eps_hi * ratio ** k for k in range(n)]
+        grid = _geometric_grid(args.eps_hi, args.eps_lo, n)
     report = suite_dimension(args.e, args.window, eps_grid=grid, regime=args.regime,
                              sigma=args.sigma, gamma=args.gamma)
     rows = zip(report.eps_grid, report.measures)

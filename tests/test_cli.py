@@ -202,11 +202,21 @@ def _within(seconds):
         (["a1", "--alpha", "0.5", "--table-points", "-3"], "error: --table-points must not be negative, got -3"),
         (["a1", "--alpha", "0.5", "--octaves", "3000"],
          "error: octaves must keep the triple ladder at or below octave 1021, got 3000 from octave -4"),
+        (["dimension", "--eps-hi", "0.1", "--eps-lo", "-0.5"], "error: need 0 < lo < hi for the eps grid"),
+        (["dimension", "--eps-hi", "0.1", "--eps-lo", "0.1"], "error: need 0 < lo < hi for the eps grid"),
+        (["dimension", "--sigma", "2", "--gamma", "0.5"], "error: sigma must lie in (0, 1)"),
+        (["dimension", "--sigma", "-1", "--gamma", "0.5"], "error: sigma must lie in (0, 1)"),
+        (["dimension", "--sigma", "nan", "--gamma", "0.5"], "error: sigma must lie in (0, 1)"),
+        (["dimension", "--sigma", "0.5", "--gamma", "1.5"], "error: gamma must lie in (0, 1)"),
+        (["dimension", "--sigma", "0.5"], "error: --sigma and --gamma go together"),
+        (["dimension", "--gamma", "0.5"], "error: --sigma and --gamma go together"),
     ],
     ids=["tol-zero", "tol-negative", "tol-nan", "analyze-anchor-cap-zero", "a1-anchor-cap-zero",
          "eps-points-one", "eps-points-zero", "a1-octaves-negative", "a1-octaves-zero",
          "analyze-octaves-negative", "random-probes-negative", "alpha-infinite", "eta-infinite",
-         "eps-hi-alone", "eps-lo-alone", "eps-points-alone", "table-points-negative", "a1-octaves-past-the-top"],
+         "eps-hi-alone", "eps-lo-alone", "eps-points-alone", "table-points-negative", "a1-octaves-past-the-top",
+         "eps-lo-negative", "eps-lo-equal-to-hi", "dimension-sigma-above-one", "dimension-sigma-negative",
+         "dimension-sigma-nan", "dimension-gamma-above-one", "dimension-sigma-alone", "dimension-gamma-alone"],
 )
 def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
     # each of these hung, crashed with a traceback, or ran on a vacuous or
