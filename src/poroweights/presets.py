@@ -67,13 +67,4 @@ def preset(
 
 def catalog(seed: int = 0, cantor_depth: int = 10) -> list[tuple[str, SetDescription]]:
     """The eight-set cross-check catalog."""
-    return [
-        ("integers", preset("integers")),
-        ("naturals", preset("naturals")),
-        ("reflected_naturals", preset("reflected_naturals")),
-        ("geometric_naturals", preset("geometric_naturals")),
-        ("reflected_geometric_naturals", preset("reflected_geometric_naturals")),
-        ("singleton", preset("singleton")),
-        ("cantor", preset("cantor", cantor_depth=cantor_depth)),
-        ("random_finite", preset("random_finite", seed=seed)),
-    ]
+    return [(name, preset(name, cantor_depth=cantor_depth, seed=seed)) for name in PRESET_NAMES]

@@ -18,12 +18,14 @@ from poroweights import (
     SetFormatError,
     Translate,
     UnionSet,
+    catalog,
     distance,
     from_json,
     neighborhood_measure,
     set_distance,
     to_dict,
 )
+from poroweights.presets import PRESET_NAMES
 from poroweights.sets import max_component_length, min_component_length
 
 from .oracles import component_lengths, iter_components
@@ -355,3 +357,22 @@ class TestValidation:
     def test_finite_points_nonempty(self):
         with pytest.raises(ValueError):
             FinitePoints([])
+
+
+@pytest.mark.parametrize("seed, depth", [(0, 10), (101, 8), (7, 3)])
+def test_the_catalog_is_every_preset_in_order(seed, depth):
+    half_line = Lattice(0.0, 1.0, "right")
+    rng = random.Random(seed)
+    expected = [
+        Lattice(0.0, 1.0, "two_sided"),
+        half_line,
+        Reflect(half_line),
+        GeometricPlusLattice(2.0, half_line),
+        Reflect(GeometricPlusLattice(2.0, half_line)),
+        FinitePoints([0.0]),
+        CantorIterate(0.0, 1.0, 1.0 / 3.0, depth),
+        FinitePoints(sorted(rng.uniform(-4.0, 4.0) for _ in range(48))),
+    ]
+    got = catalog(seed=seed, cantor_depth=depth)
+    assert [name for name, _ in got] == list(PRESET_NAMES)
+    assert [to_dict(e) for _, e in got] == [to_dict(e) for e in expected]
