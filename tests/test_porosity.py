@@ -29,7 +29,6 @@ from poroweights.porosity import (
     decay_exponent,
     dimension_bound,
 )
-
 from poroweights.suites import suite_left_propagation, suite_pore_transport
 
 from . import oracles
