@@ -24,7 +24,6 @@ from .porosity import (
     ProbeFamily,
     certification_probes,
     certify,
-    check_gamma,
     sweep_parameters,
 )
 from .reporting import (
@@ -164,6 +163,14 @@ def _probe_family(args) -> ProbeFamily:
                                random_count=args.random_probes, seed=args.seed)
 
 
+def _check_pair(args) -> None:
+    """--sigma and --gamma go together, and must make a :class:`PorosityParams`."""
+    if (args.sigma is None) != (args.gamma is None):
+        raise ValueError("--sigma and --gamma go together")
+    if args.sigma is not None:
+        PorosityParams(args.sigma, args.gamma)
+
+
 def _emit(args, name: str, kind: str, payload, csv_spec=None) -> None:
     if args.format in ("json", "both"):
         write_json(args.out / f"{name}.json", report_document(kind, payload, not args.no_timestamp))
@@ -179,14 +186,14 @@ def _emit(args, name: str, kind: str, payload, csv_spec=None) -> None:
 
 def cmd_analyze(args) -> int:
     _config(args)
-    fam = _probe_family(args)
     if args.sweep:
-        sweep = sweep_parameters(args.e, fam, args.side_porosity)
+        probes = certification_probes(args.e, args.window, seed=args.seed)
+        sweep = sweep_parameters(args.e, probes, args.side_porosity)
         _emit(args, "porosity_sweep", "porosity-sweep", sweep)
         print(f"sweep[{args.side_porosity}] best gamma={sweep.best_gamma} sigma*={sweep.best_sigma:.6g} certified={sweep.certified}")
         return 0 if sweep.certified else 1
     params = PorosityParams(args.sigma, args.gamma, args.side_porosity)
-    report = certify(args.e, params, fam)
+    report = certify(args.e, params, _probe_family(args))
     _emit(args, "porosity_report", "porosity-certification", report, (POROSITY_COLUMNS, report.rows()))
     verdict = "PASS" if report.passed else "FAIL"
     print(f"porosity[{params.side}] sigma={params.sigma} gamma={params.gamma}: {verdict}")
@@ -228,10 +235,7 @@ def cmd_critical_alpha(args) -> int:
 def cmd_dimension(args) -> int:
     if (args.eps_hi is None) != (args.eps_lo is None) or (args.eps_hi is None and args.eps_points is not None):
         raise ValueError("--eps-hi and --eps-lo go together, and --eps-points needs both")
-    if (args.sigma is None) != (args.gamma is None):
-        raise ValueError("--sigma and --gamma go together")
-    if args.sigma is not None:
-        PorosityParams(args.sigma, args.gamma)
+    _check_pair(args)
     _config(args)
     grid = None
     if args.eps_hi is not None:
@@ -288,15 +292,13 @@ def _porosity_constants(args) -> Optional[dict]:
     """The certified (sigma, gamma) the porosity suites run at, with the rule that chose it; None if refuted."""
     e = args.e
     probes = certification_probes(e, args.window, seed=args.seed)
-    if args.sigma is not None and args.gamma is not None:
+    if args.sigma is not None:
         params = PorosityParams(args.sigma, args.gamma, "right")
         rule = REQUESTED_RULE
         if sweep_parameters(e, probes, "right", (params.gamma,)).best_sigma < params.sigma:
             print(f"sigma={params.sigma} gamma={params.gamma} is not certified on the right sweep's probes")
             return None
     else:
-        if args.sigma is not None or args.gamma is not None:
-            print("a lone --sigma or --gamma is ignored: the porosity suites run at a certified pair")
         sweep = sweep_parameters(e, probes, "right")
         if not sweep.certified:
             return None
@@ -330,8 +332,7 @@ def _run_one_suite(task) -> tuple[str, object]:
 
 
 def cmd_verify(args) -> int:
-    if args.gamma is not None:
-        check_gamma(args.gamma)
+    _check_pair(args)
     _config(args)
     suite_ids = list(SUITE_IDS) if args.suite == "all" else [args.suite]
     intervals = _probe_family(args).intervals() if FAMILY_SUITES & set(suite_ids) else None
@@ -406,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=parse_number, default=0.5)
     p.add_argument("--gamma", type=parse_number, default=0.5)
     p.add_argument("--side", dest="side_porosity", choices=("right", "left", "two_sided"), default="two_sided")
-    p.add_argument("--sweep", action="store_true", help="search the parameter grid instead of checking fixed values")
+    p.add_argument("--sweep", action="store_true", help="search the parameter grid on the certification probes, "
+                   "as critical-alpha and verify do (--anchor-cap, --random-probes and --octaves apply only "
+                   "to the fixed-pair check)")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("a1", help="sample one-sided constant lower bounds for a distance-power weight")

@@ -554,26 +554,17 @@ class SweepResult:
     def certified(self) -> bool:
         return self.best_sigma > 0.0
 
-    def params(self) -> PorosityParams:
-        """Certifiable parameter pair; sigma is clipped into (0, 1)."""
-        if not self.certified:
-            raise ValueError("no certifiable parameters found")
-        return self._pair(self.best_gamma, self.best_sigma)
-
     def admissible_params(self) -> PorosityParams:
         """The certified pair with the largest :func:`admissible_alpha`, ties toward the larger gamma.
 
-        ``params`` lands near the grid floor, where sigma* is largest but
-        the proof's exponent log beta2 / log(gamma/4) is smallest; the
-        lemmas that presuppose porosity run at this pair instead.
+        sigma is clipped into (0, 1).  Every constant derived from a certified
+        side comes from this pair, not from the best sigma*, which lands near
+        the grid floor where the exponent log beta2 / log(gamma/4) is smallest.
         """
-        pairs = [self._pair(g, s) for g, s in self.table if s > 0.0]
+        pairs = [PorosityParams(min(s, 1.0 - 2.0 ** -40), g, self.side) for g, s in self.table if s > 0.0]
         if not pairs:
             raise ValueError("no certifiable parameters found")
         return max(pairs, key=lambda p: (admissible_alpha(p.sigma, p.gamma), p.gamma))
-
-    def _pair(self, gamma: float, sigma: float) -> PorosityParams:
-        return PorosityParams(sigma=min(sigma, 1.0 - 2.0 ** -40), gamma=gamma, side=self.side)
 
 
 def sweep_result(side: str, gammas: Sequence[float], worst: Sequence[float]) -> SweepResult:

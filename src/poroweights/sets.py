@@ -126,8 +126,7 @@ class Run:
         i, n = 0, len(points)
         while i < n:
             k = _greedy(points, i, n)
-            start = points[i]
-            runs.append(Run(start, points[i + 1] - start, 0, k) if k > 1 else Run(start, 0.0, 0, 1))
+            runs.append(Run.of(points, i, k))
             i += k
         return runs
 

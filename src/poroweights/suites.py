@@ -308,8 +308,8 @@ class DimensionReport:
 
 
 def _geometric_grid(hi: float, lo: float, n: int) -> list[float]:
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi for the eps grid")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError("need 0 < lo < hi < inf for the eps grid")
     r = (lo / hi) ** (1.0 / (n - 1))
     return [hi * r ** k for k in range(n)]
 
@@ -500,8 +500,9 @@ def suite_equivalence_matrix(
 ) -> MatrixResult:
     """Cross-check: right-sided certification iff bounded '+' side evidence.
 
-    Certified sets are probed at the admissible exponent constructed from
-    their certified constants; refuted sets are probed at alpha = 1/2, where
+    Certified sets are probed at the admissible exponent of the pair that
+    :meth:`SweepResult.admissible_params` picks, as ``verify`` runs its
+    porosity lemmas; refuted sets are probed at alpha = 1/2, where
     the scale ladder is deep enough for the divergence detector.
     """
     rows: list[MatrixRow] = []
@@ -512,7 +513,7 @@ def suite_equivalence_matrix(
         # one table feeds both sides: each triple window is summarised once
         table = TripleTable(e, TripleFamily.default(e, window, octaves=octaves))
         if sweep_r.certified:
-            params = sweep_r.params()
+            params = sweep_r.admissible_params()
             alpha = admissible_alpha(params.sigma, params.gamma)
             rep = a1_constant(WeightSpec(e, alpha), "plus", table)
             agreement = rep.bounded_evidence

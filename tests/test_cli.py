@@ -67,7 +67,8 @@ def test_configuration_errors_exit_2(argv, message, tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("gamma", ["nan", "1.5", "0"])
 def test_verify_rejects_a_gamma_outside_the_unit_interval(gamma, tmp_path, capsys):
     # as analyze does through PorosityParams, before any suite runs
-    argv = ("verify", "--preset", "integers", *CAPS, "--suite", "left-propagation", "--gamma", gamma)
+    argv = ("verify", "--preset", "integers", *CAPS, "--suite", "left-propagation",
+            "--sigma", "0.5", "--gamma", gamma)
     code = main([*argv, "--workers", "1", "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
@@ -160,6 +161,7 @@ def test_a_set_file_without_points_exits_2(argv, tmp_path, capsys, monkeypatch):
 
 
 EPS_ENDS = "error: --eps-hi and --eps-lo go together, and --eps-points needs both"
+EPS_GRID = "error: need 0 < lo < hi < inf for the eps grid"
 
 
 @contextlib.contextmanager
@@ -202,21 +204,27 @@ def _within(seconds):
         (["a1", "--alpha", "0.5", "--table-points", "-3"], "error: --table-points must not be negative, got -3"),
         (["a1", "--alpha", "0.5", "--octaves", "3000"],
          "error: octaves must keep the triple ladder at or below octave 1021, got 3000 from octave -4"),
-        (["dimension", "--eps-hi", "0.1", "--eps-lo", "-0.5"], "error: need 0 < lo < hi for the eps grid"),
-        (["dimension", "--eps-hi", "0.1", "--eps-lo", "0.1"], "error: need 0 < lo < hi for the eps grid"),
+        (["dimension", "--eps-hi", "0.1", "--eps-lo", "-0.5"], EPS_GRID),
+        (["dimension", "--eps-hi", "0.1", "--eps-lo", "0.1"], EPS_GRID),
+        (["dimension", "--eps-hi", "inf", "--eps-lo", "0.1"], EPS_GRID),
         (["dimension", "--sigma", "2", "--gamma", "0.5"], "error: sigma must lie in (0, 1)"),
         (["dimension", "--sigma", "-1", "--gamma", "0.5"], "error: sigma must lie in (0, 1)"),
         (["dimension", "--sigma", "nan", "--gamma", "0.5"], "error: sigma must lie in (0, 1)"),
         (["dimension", "--sigma", "0.5", "--gamma", "1.5"], "error: gamma must lie in (0, 1)"),
         (["dimension", "--sigma", "0.5"], "error: --sigma and --gamma go together"),
         (["dimension", "--gamma", "0.5"], "error: --sigma and --gamma go together"),
+        (["verify", "--suite", "left-propagation", "--sigma", "7", "--gamma", "0.5"],
+         "error: sigma must lie in (0, 1)"),
+        (["verify", "--suite", "left-propagation", "--sigma", "0.5"], "error: --sigma and --gamma go together"),
+        (["verify", "--suite", "left-propagation", "--gamma", "0.5"], "error: --sigma and --gamma go together"),
     ],
     ids=["tol-zero", "tol-negative", "tol-nan", "analyze-anchor-cap-zero", "a1-anchor-cap-zero",
          "eps-points-one", "eps-points-zero", "a1-octaves-negative", "a1-octaves-zero",
          "analyze-octaves-negative", "random-probes-negative", "alpha-infinite", "eta-infinite",
          "eps-hi-alone", "eps-lo-alone", "eps-points-alone", "table-points-negative", "a1-octaves-past-the-top",
-         "eps-lo-negative", "eps-lo-equal-to-hi", "dimension-sigma-above-one", "dimension-sigma-negative",
-         "dimension-sigma-nan", "dimension-gamma-above-one", "dimension-sigma-alone", "dimension-gamma-alone"],
+         "eps-lo-negative", "eps-lo-equal-to-hi", "eps-hi-infinite", "dimension-sigma-above-one",
+         "dimension-sigma-negative", "dimension-sigma-nan", "dimension-gamma-above-one", "dimension-sigma-alone", "dimension-gamma-alone",
+         "verify-sigma-above-one", "verify-sigma-alone", "verify-gamma-alone"],
 )
 def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
     # each of these hung, crashed with a traceback, or ran on a vacuous or
@@ -325,6 +333,28 @@ def test_presets_lists_the_catalog(capsys):
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert listed == list(PRESET_NAMES)
     assert len(listed) == 8
+
+
+@pytest.mark.parametrize("preset, side", [("naturals", "left"), ("reflected_naturals", "right"),
+                                          ("reflected_geometric_naturals", "right")])
+def test_analyze_sweep_refutes_a_side_the_set_lacks(preset, side, tmp_path, capsys):
+    # none of these sets is porous on the swept side; a sweep whose scales
+    # stop at the window span certified each at the gamma-grid floor
+    code = main(["analyze", "--preset", preset, "--window", "-64", "64", "--sweep", "--side", side,
+                 "--workers", "1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "certified=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("preset", [("--preset", "geometric_naturals"), CANTOR6], ids=["geometric_naturals", "cantor6"])
+def test_analyze_sweep_is_the_critical_alpha_sweep(preset, tmp_path):
+    # one probe family certifies a side: analyze --sweep reads the table that
+    # critical-alpha's porosity gate reads
+    argv = (*preset, "--seed", "3", "--workers", "1")
+    _, swept = _reports(["analyze", *argv, "--sweep", "--side", "right"], tmp_path / "analyze")
+    _, searched = _reports(["critical-alpha", *argv, "--side", "plus", "--tol", "0.125"], tmp_path / "critical")
+    table = json.loads(swept["porosity_sweep.json"])["body"]["table"]
+    assert table == json.loads(searched["critical_alpha.json"])["body"]["porosity"]["table"]
 
 
 def test_analyze_exits_1_when_porosity_fails(tmp_path):

@@ -212,7 +212,7 @@ class TestForwardConsistency:
         for name, e in sets.items():
             sweep = sweep_parameters(e, certification_probes(e, window, seed=1), "right")
             assert sweep.certified, name
-            params = sweep.params()
+            params = sweep.admissible_params()
             alpha = admissible_alpha(params.sigma, params.gamma)
             rep = a1_constant(WeightSpec(e, alpha), "plus", TripleFamily.default(e, window))
             assert rep.bounded_evidence, name

@@ -276,7 +276,7 @@ class TestSweep:
     def test_naturals_right_certifies(self, naturals, window):
         sw = sweep_parameters(naturals, certification_probes(naturals, window, seed=5), "right")
         assert sw.certified
-        params = sw.params()
+        params = sw.admissible_params()
         rep = certify(naturals, params, certification_probes(naturals, window, seed=5))
         assert rep.passed
 
@@ -380,12 +380,14 @@ class TestDerivedConstants:
             assert 0 < admissible_alpha(sigma, gamma) < decay_exponent(sigma, gamma)
 
     def test_admissible_params_take_the_largest_alpha(self):
-        # sigma* = 1 at the floor maximises params(), but the small gamma
+        # sigma* = 1 at the floor is the sweep's best, but the small gamma
         # there gives the smallest exponent; sigma >= 3/4 all give the same
         # beta2, so among those the larger gamma gives the larger alpha
         table = ((0.5, 0.0), (0.25, 0.3), (0.125, 0.8), (0.0625, 0.9), (2.0 ** -12, 1.0))
         sweep = SweepResult("right", table, 2.0 ** -12, 1.0)
-        assert sweep.params() == PorosityParams(1.0 - 2.0 ** -40, 2.0 ** -12, "right")
+        # where only the floor certifies, its sigma* = 1 is clipped into (0, 1)
+        floor_only = SweepResult("right", ((0.5, 0.0), (2.0 ** -12, 1.0)), 2.0 ** -12, 1.0)
+        assert floor_only.admissible_params() == PorosityParams(1.0 - 2.0 ** -40, 2.0 ** -12, "right")
         best = sweep.admissible_params()
         assert best == PorosityParams(0.8, 0.125, "right")
         alphas = {g: admissible_alpha(min(s, 1.0 - 2.0 ** -40), g) for g, s in table if s > 0.0}

@@ -63,6 +63,7 @@ from poroweights.porosity import (
     WindowStore,
     _doubling_report,
     _probe_radii,
+    admissible_alpha,
     distinct_probes,
 )
 from poroweights.sets import EMPTY_SUMMARY, window_summary
@@ -590,6 +591,22 @@ def triple_samples(monkeypatch):
 
     monkeypatch.setattr(muckenhoupt_module, "TripleSample", counted)
     return count
+
+
+def test_the_matrix_probes_a_certified_set_at_its_admissible_alpha():
+    # verify runs the porosity lemmas at the admissible pair, and the matrix
+    # derives its alpha from the same pair; a refuted set is probed at 1/2
+    named = [(name, e) for name, e in catalog() if name in ("integers", "reflected_naturals", "cantor")]
+    result = suite_equivalence_matrix(named, Interval(-2.0, 2.0), octaves=8)
+    assert [r.right_certified for r in result.rows] == [True, False, True]
+    for row in result.rows:
+        sweep = result.reports[row.name]["sweep_right"]
+        if row.right_certified:
+            pair = sweep.admissible_params()
+            assert row.alpha == admissible_alpha(pair.sigma, pair.gamma), row.name
+            assert (row.best_gamma, row.best_sigma) == (sweep.best_gamma, sweep.best_sigma)
+        else:
+            assert row.alpha == 0.5, row.name
 
 
 class TestWorkCounts:
