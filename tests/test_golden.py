@@ -27,7 +27,12 @@ porosity certificates: the left sweep refutes that set.  The last three
 whole gamma grid: naturals and geometric_naturals on the minus side, the
 reflected geometric_naturals on the plus side) were recorded before the
 sweep came to skip the thresholds that cannot lower sigma* and to stop
-once every swept side is zero.
+once every swept side is zero.  The five ``analyze --sweep`` jobs and
+``verify-equivalence-integers`` were re-recorded when ``analyze --sweep``
+came to sweep the certification family (``certification_probes``) that
+``critical-alpha`` and ``verify`` sweep, and the equivalence matrix to
+probe each certified set at the alpha of its admissible pair: every sweep
+table moves, and no exit code.
 Together the jobs run
 every subcommand that writes a report and every ``verify`` suite.  A change
 that moves any reported figure by one ulp fails here.
@@ -65,7 +70,8 @@ RANDOM = ("--preset", "random_finite", "--random-count", "24")
 INTEGERS = ("--preset", "integers")
 GEOMETRIC = ("--preset", "geometric_naturals")
 W = ("--window", "-8", "8")
-# default caps: 2,188 probes, 1,888 distinct (2,081 and 1,779 in the sided-transport family)
+# default caps: 2,188 probes, 1,888 distinct (2,081 and 1,779 in the certification family
+# that sided-transport and analyze --sweep read)
 INTEGERS_W = (*INTEGERS, *W)
 DATA = Path(__file__).parent / "data"
 # a finite set read with --set-file: a 40-point progression that a run
@@ -219,19 +225,19 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'porosity_report.json': 'ddace4f9516527ce7ac1d50934463c4804cdda24c526a55482e9207d149f499c',
     }),
     'analyze-sweep-cantor6': (0, {
-        'porosity_sweep.json': 'e10832eb275c514b1cc46e946225ccd38855fb59887a63c3cca551b583f0b62e',
+        'porosity_sweep.json': '916a9cca6ecbe8a8173d7292769739f314a5b102e4aa2fd34fdd405489853331',
     }),
     'analyze-sweep-geometric': (0, {
-        'porosity_sweep.json': 'acc447716e9881648688a700cafc742bbb1c9b0f5623b96d8443fe8da8b34f9a',
+        'porosity_sweep.json': 'bd32dfc669a598837870416ab7f7f04011cff1e66a46ce3f60d66d98fff882c6',
     }),
     'analyze-sweep-left-integers-default-caps': (0, {
-        'porosity_sweep.json': '2fcebf1e75fc46bfea43b30470bd77e7ed81923e8eccb98d2d56deee0b56ad64',
+        'porosity_sweep.json': 'fb3f8033cc449ffb7fe67f52db493c12cd6f494de1cc7fc0a26e022380bd363d',
     }),
     'analyze-sweep-near-arithmetic': (0, {
-        'porosity_sweep.json': '36c94f30d5b4e8b77909073ae41233b86bffb02d5817139ca8a8283ad39796ef',
+        'porosity_sweep.json': '033298bbe7c9ab9a58ae73b2b355400f672b6c9734af5eb22d2c5a6965050b84',
     }),
     'analyze-sweep-reflected-near-arithmetic': (0, {
-        'porosity_sweep.json': '02584c6182bcc01a874b434babe8900faa521ac2ecd82ee6fa2b9d575699d2b2',
+        'porosity_sweep.json': 'e4f900f0190f32c35987f1a981a1f103025c7cf3c4fb82ad481a88f505f6be21',
     }),
     'critical-alpha-cantor6': (0, {
         'critical_alpha.json': 'fe7d04bdfb42b92cfbd1a457df8777ae5323e68093b2abf8cc8deb4a2f46be69',
@@ -275,8 +281,8 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'verify_distance_envelope.json': 'f3a4d145061b6ebc813ab4f00c1f9f8dbb963529fa35bd6378cedeb9c759f436',
     }),
     'verify-equivalence-integers': (0, {
-        'summary_matrix.csv': 'c45188d373961cac61dc94c467b76df22aca05c4a21cb997087b69b5b2fddf7b',
-        'verify_equivalence.json': '8ac825531bb1378d1ec26bab9cfd5dd07fcdea3567b78970e43b6a10b6dc4cb2',
+        'summary_matrix.csv': '89295ae3fceb64ba6e4c429b315c5fb197eee26d99b4521994bd398d3bf0f373',
+        'verify_equivalence.json': '7f9520a2e447acd762c659dfba5e7d2cdd6c7bc541163648388d951fe7295ba1',
     }),
     'verify-hole-control-geometric': (0, {
         'verify_hole_control.json': '4526f682c6e9250c374437a77a699fbab3b7a11c6fb2dd6852a4761f5a3dbd2b',
@@ -320,7 +326,8 @@ def test_report_bytes_match_golden(job):
 
 def test_the_default_cap_integer_families_repeat_probes():
     # (probes, distinct probes) of the families the default-caps jobs read:
-    # analyze's default family and sided-transport's certification family
+    # analyze's default family, and the certification family of
+    # sided-transport and analyze --sweep
     e, window = preset("integers"), Interval(-8.0, 8.0)
     for fam, counts in ((ProbeFamily.default(e, window), (2188, 1888)),
                         (certification_probes(e, window), (2081, 1779))):
