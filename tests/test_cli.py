@@ -223,8 +223,8 @@ def _within(seconds):
          "analyze-octaves-negative", "random-probes-negative", "alpha-infinite", "eta-infinite",
          "eps-hi-alone", "eps-lo-alone", "eps-points-alone", "table-points-negative", "a1-octaves-past-the-top",
          "eps-lo-negative", "eps-lo-equal-to-hi", "eps-hi-infinite", "dimension-sigma-above-one",
-         "dimension-sigma-negative", "dimension-sigma-nan", "dimension-gamma-above-one", "dimension-sigma-alone", "dimension-gamma-alone",
-         "verify-sigma-above-one", "verify-sigma-alone", "verify-gamma-alone"],
+         "dimension-sigma-negative", "dimension-sigma-nan", "dimension-gamma-above-one", "dimension-sigma-alone",
+         "dimension-gamma-alone", "verify-sigma-above-one", "verify-sigma-alone", "verify-gamma-alone"],
 )
 def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
     # each of these hung, crashed with a traceback, or ran on a vacuous or
@@ -338,15 +338,17 @@ def test_presets_lists_the_catalog(capsys):
 @pytest.mark.parametrize("preset, side", [("naturals", "left"), ("reflected_naturals", "right"),
                                           ("reflected_geometric_naturals", "right")])
 def test_analyze_sweep_refutes_a_side_the_set_lacks(preset, side, tmp_path, capsys):
-    # none of these sets is porous on the swept side; a sweep whose scales
-    # stop at the window span certified each at the gamma-grid floor
+    # none of these sets is porous on the swept side; at the gamma-grid floor
+    # the refutation needs the probe scales above the window span that the
+    # certification family adds
     code = main(["analyze", "--preset", preset, "--window", "-64", "64", "--sweep", "--side", side,
                  "--workers", "1", "--out", str(tmp_path)])
     assert code == 1
     assert "certified=False" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("preset", [("--preset", "geometric_naturals"), CANTOR6], ids=["geometric_naturals", "cantor6"])
+@pytest.mark.parametrize("preset", [("--preset", "geometric_naturals"), CANTOR6],
+                         ids=["geometric_naturals", "cantor6"])
 def test_analyze_sweep_is_the_critical_alpha_sweep(preset, tmp_path):
     # one probe family certifies a side: analyze --sweep reads the table that
     # critical-alpha's porosity gate reads
