@@ -41,7 +41,7 @@ To print the digests of the current tree (e.g. after an intended output
 change), run ``PYTHONPATH=src python -m tests.test_golden``.
 
 ``PYTHONPATH=src python -m tests.test_golden --wide`` instead prints one
-digest per job of ``WIDE``: 50 runs at the default caps and window (seed 7),
+digest per job of ``WIDE``: 52 runs at the default caps and window (seed 7),
 too slow for the test suite.  To compare two trees beyond the gate, save
 that output on one tree and pass the file on the other:
 ``python -m tests.test_golden --wide before.txt`` names every job whose
@@ -149,7 +149,8 @@ JOBS = {
 def _wide_jobs() -> dict[str, tuple[str, ...]]:
     """Default caps and window, seed 7: per preset ``a1`` (two-sided at 0.5,
     minus at 0.9), ``critical-alpha`` on each side and the right-sided sweep;
-    plus the two widest ``verify`` runs."""
+    plus the two widest ``verify`` runs, and a plus ``critical-alpha`` at Cantor
+    depth 12 and a plus ``a1`` at 0.9 on the default Cantor iterate."""
     jobs = {}
     for p in PRESET_NAMES:
         preset = ("--preset", p, "--seed", "7")
@@ -160,6 +161,10 @@ def _wide_jobs() -> dict[str, tuple[str, ...]]:
         jobs[f"analyze-sweep-right-{p}"] = ("analyze", *preset, "--sweep", "--side", "right")
     jobs["verify-equivalence-integers"] = ("verify", *INTEGERS, "--seed", "7", "--suite", "equivalence")
     jobs["verify-all-geometric_naturals"] = ("verify", *GEOMETRIC, "--seed", "7", "--suite", "all")
+    # the integrals of a deep finite set: many windows per exponent, many exponents
+    jobs["critical-alpha-plus-cantor-depth12"] = (
+        "critical-alpha", "--preset", "cantor", "--seed", "7", "--side", "plus", "--cantor-depth", "12")
+    jobs["a1-plus-cantor-alpha0.9"] = ("a1", "--preset", "cantor", "--seed", "7", "--alpha", "0.9")
     return jobs
 
 
