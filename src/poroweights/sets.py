@@ -23,9 +23,10 @@ an interleaved lattice takes the default path.  Finite point sets
 (:class:`SortedPoints`) keep a run index over their sorted points: the
 greedy run length from each start index, found on first use.  A window's
 runs are a chain through it, trimmed by index, and the memoised summary of
-an index window reads its lengths, peak and integral runs from that chain,
-so no window re-compresses its points; the index spells what :class:`Run`
-would, since a run only holds points its spelling hits.
+an index window reads its lengths, peak and integral terms from that chain
+and from two tables over the gaps, so no window re-compresses its points or
+builds a run; the index spells what :class:`Run` would, since a run only
+holds points its spelling hits.
 
 All set values are immutable.  The per-instance summary memo, run index and
 cached geometric points are benign caches: they are left out of equality,
@@ -348,6 +349,19 @@ class _RunIndex:
     run ended inside the window that asked, at least ``-n`` (stored negated)
     where the window cut it, extended by a later, wider window.  Every entry
     is a fact about the points, so racing threads can only store true ones.
+
+    Two gap tables, each an ``array('d')`` of one float per gap (n - 1 for n
+    points), hold the span terms, which every window whose chain starts a
+    run at s + 1 reads for the gap (pts[s], pts[s + 1]):
+
+    - ``_peaks``, the distance peak of each gap, lives as long as the index;
+    - ``_integrals`` pairs an exponent with the integral term of each gap at
+      it, and lives until a call asks for another exponent, which gets a
+      new table (so a scan or a bisection step, which asks for one exponent
+      at a time, fills one table).
+
+    Entries are filled on first read, 0.0 marking an unknown one, so a
+    query pays for the gaps of its own window only.
     Building a memoised summary, its peak and its packed groups from
     :meth:`interior` runs, instead of from :meth:`summary`,
     :meth:`middle_terms`, :meth:`peak` and :meth:`trimmed`, saves 41 lines
@@ -355,12 +369,14 @@ class _RunIndex:
     to 1.58-1.65 s, six alternating pairs, 2 shared vCPUs).
     """
 
-    __slots__ = ("pts", "gaps", "_lengths")
+    __slots__ = ("pts", "gaps", "_lengths", "_peaks", "_integrals")
 
     def __init__(self, pts: tuple[float, ...]):
         self.pts = pts
         self.gaps = [q - p for p, q in zip(pts, pts[1:])]
         self._lengths = [0] * len(pts)
+        self._peaks = array("d", [0.0]) * len(self.gaps)
+        self._integrals: tuple[Optional[float], array] = (None, self._peaks[:0])
 
     def chain(self, a: int, b: int) -> list[int]:
         """The indices the runs of ``pts[a:b]`` start at, then b."""
@@ -422,11 +438,40 @@ class _RunIndex:
 
     def peak(self, a: int, b: int, i: int, j: int) -> float:
         """:func:`_peak` of the interior runs."""
-        pts, gaps = self.pts, self.gaps
+        gaps = self.gaps
         ss, us, vs = self.trimmed(a, b, i, j)
         cells = [0.5 * gaps[s] for s, u, v in zip(ss, us, vs) if v - u >= 2]
-        spans = [_span_peak(pts[s - 1], pts[s]) for s in ss[1:] if i < s < j]
-        return max(cells + spans, default=0.0)
+        return max(cells + self._spans(ss, i, j, self._peaks, _span_peak), default=0.0)
+
+    def integral_terms(self, a: int, b: int, i: int, j: int, alpha: float,
+                       cell: Callable[[float, float], float],
+                       span: Callable[[float, float, float], float]) -> list[float]:
+        """The integral terms at alpha of the middle components of the
+        interior runs, in another order: ``(v - u - 1) * cell(step, alpha)``
+        per run that keeps two or more points, ``span(p, q, alpha)`` per span
+        between points p < q, read from the gap table at alpha."""
+        gaps = self.gaps
+        known, table = self._integrals  # one read: a racing alpha swaps the pair, never one half
+        if known != alpha:
+            table = array("d", [0.0]) * len(gaps)
+            self._integrals = (alpha, table)
+        ss, us, vs = self.trimmed(a, b, i, j)
+        terms = [(v - u - 1) * cell(gaps[s], alpha) for s, u, v in zip(ss, us, vs) if v - u >= 2]
+        return terms + self._spans(ss, i, j, table, span, alpha)
+
+    def _spans(self, ss: list[int], i: int, j: int, table: array, expr: Callable, *args) -> list[float]:
+        """``expr(p, q, *args)`` per span (p, q) before a run start s with
+        i < s < j, spelled as a run spells its points, from ``table[s - 1]``;
+        0.0 there is unknown, so an entry found 0.0 is computed again."""
+        pts = self.pts
+        out = []
+        for s in ss[1:]:
+            if i < s < j:
+                x = table[s - 1]
+                if not x:
+                    x = table[s - 1] = expr(pts[s - 1] + 0.0, pts[s] + 0.0, *args)
+                out.append(x)
+        return out
 
     def interior(self, a: int, b: int, i: int, j: int) -> list[Run]:
         """The runs of ``pts[a:b]`` trimmed by index to ``pts[i:j]``, as :func:`_interior` trims them."""
@@ -1110,10 +1155,10 @@ class WindowSummary:
     def _kept(self) -> bool:
         return isinstance(self._source, tuple)
 
-    def _indexed(self, method: Callable):
+    def _indexed(self, method: Callable, *args):
         """``method`` of the set's :class:`_RunIndex`, on this memoised summary's index window."""
         ref, *window = self._source
-        return method(ref()._index(), *window)
+        return method(ref()._index(), *window, *args)
 
     def shares(self, lo: float, hi: float, thresholds: Iterable[float], out: Optional[list] = None) -> list[float]:
         """Per threshold t, the share of (lo, hi), a window this summary
@@ -1165,13 +1210,22 @@ class WindowSummary:
         return out
 
     def integral_terms(self, lo: float, hi: float, alpha: float,
-                       build: Callable[[list[Run], float], list[float]]) -> list[float]:
-        """``build(self.interior(lo, hi), alpha)``, the terms of the middle components.
+                       build: Callable[[list[Run], float], list[float]],
+                       cell: Callable[[float, float], float],
+                       span: Callable[[float, float, float], float]) -> list[float]:
+        """The terms at alpha of the middle components: ``build(runs, alpha)``
+        of the interior runs of a summary built from runs.
 
-        A memoised summary keeps them per exponent as exact partials, packed
-        as ``[alpha, n, *partials]``; their fsum with any further terms is
-        the fsum of all the terms.
+        A memoised summary builds no run: it reads the same terms by index
+        (:meth:`_RunIndex.integral_terms`, with the same ``cell`` and ``span``
+        expressions that ``build`` uses), its spans from the set's per-exponent
+        gap table, n - 1 floats for n points, kept until another exponent is
+        asked.  It keeps its own terms per exponent, for its lifetime, as exact
+        partials, packed as ``[alpha, n, *partials]``; their fsum with any
+        further terms is the fsum of all the terms.
         """
+        if not self._kept():
+            return build(self._source, alpha)
         cache = self._integrals
         k = 0
         while k < len(cache):
@@ -1179,10 +1233,9 @@ class WindowSummary:
             if cache[k] == alpha:
                 return list(cache[k + 2:k + 2 + n])
             k += 2 + n
-        terms = build(self.interior(lo, hi), alpha)
-        if self._kept():
-            partials = [math.inf] if math.inf in terms else _exact_sum(terms)
-            self._integrals = array("d", [*cache, alpha, len(partials), *partials])
+        terms = self._indexed(_RunIndex.integral_terms, alpha, cell, span)
+        partials = [math.inf] if math.inf in terms else _exact_sum(terms)
+        self._integrals = array("d", [*cache, alpha, len(partials), *partials])
         return terms
 
 

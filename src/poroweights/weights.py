@@ -7,9 +7,14 @@ integral over a bounded interval therefore reduces to power-function pieces
 sums with `fsum`.  Arithmetic runs of points contribute one aggregated term,
 so windows spanning millions of lattice points stay O(#runs).  On finite
 point sets the terms of the components between a window's first and last
-interior points are memoised per exponent as exact partial sums; a query
-adds its two edge terms and rounds once, so the result equals the `fsum` of
-all the terms bit for bit.
+interior points are memoised per window and exponent as exact partial sums;
+a query adds its two edge terms and rounds once, so the result equals the
+`fsum` of all the terms bit for bit.  Such a window builds its terms by
+index, with no run: a cell run's term from its step, and each span's from
+the set's gap table at that exponent (n - 1 floats for n points, filled as
+windows read it and replaced when another exponent is asked), beside a
+table of the span peaks that lives as long as the set.  Both paths evaluate
+one pair of expressions, `_cell_integral` and `_span_integral`.
 
 Weights with alpha >= 1 are representable; any window whose closure meets the
 set then integrates to infinity and is reported as non-locally-integrable.
@@ -84,6 +89,16 @@ def _segment_integral(a: float, b: float, p_left: Optional[float], p_right: Opti
     return _power_piece(a - p_left, m - p_left, alpha) + _power_piece(p_right - b, p_right - m, alpha)
 
 
+def _span_integral(p: float, q: float, alpha: float) -> float:
+    """Integral over the component (p, q) between two consecutive set points."""
+    return _segment_integral(p, q, p, q, alpha)
+
+
+def _cell_integral(step: float, alpha: float) -> float:
+    """Integral over one cell of an arithmetic run of the given step."""
+    return 2.0 * _power_piece(0.0, 0.5 * step, alpha)
+
+
 def _middle_integrals(runs: list[Run], alpha: float) -> list[float]:
     """Integral terms of the middle components, one per span and one per cell run."""
     terms = []
@@ -91,9 +106,9 @@ def _middle_integrals(runs: list[Run], alpha: float) -> list[float]:
     for r in runs:  # the traversal of sets._middle, inlined: this runs on every lattice query
         start = r.start
         if prev is not None and start > prev:
-            terms.append(_segment_integral(prev, start, prev, start, alpha))
+            terms.append(_span_integral(prev, start, alpha))
         if r.count >= 2:
-            terms.append((r.count - 1) * (2.0 * _power_piece(0.0, 0.5 * r.step, alpha)))
+            terms.append((r.count - 1) * _cell_integral(r.step, alpha))
         prev = r.end
     return terms
 
@@ -130,7 +145,7 @@ class IntegralWindow(NamedTuple):
         if s.first is None:
             terms = [_segment_integral(j.lo, j.hi, left, right, alpha)]
         else:
-            terms = s.integral_terms(j.lo, j.hi, alpha, _middle_integrals)
+            terms = s.integral_terms(j.lo, j.hi, alpha, _middle_integrals, _cell_integral, _span_integral)
             if s.first > j.lo:
                 terms.append(_segment_integral(j.lo, s.first, left, s.first, alpha))
             if j.hi > s.last:

@@ -4,7 +4,8 @@ These deliberately avoid the package's closed-form paths: integrals come from
 adaptive quadrature of the pointwise distance, hole radii from a grid search,
 dimensions from literal box counting.  The component walk is the slow path
 the window summaries replaced, the slice compression the one the run index
-of finite point sets replaced, the length profile the one the summaries'
+of finite point sets replaced, the run walk its gap tables replaced in a
+memoised integral window, the length profile the one the summaries'
 shares replaced, and the per-function loops at the end are the ones the
 probe and triple tables replaced, beside the two porosity-lemma suites
 recomputed with every hole radius from the walk; all are kept to check the
@@ -37,9 +38,16 @@ from poroweights.porosity import (
     certification_probes,
 )
 from poroweights.scaling import LadderReport, octave_of, rising_prefix_maxima
-from poroweights.sets import Run, SetDescription, WindowSummary, sample_points
+from poroweights.sets import Run, SetDescription, WindowSummary, _peak, sample_points
 from poroweights.suites import COUNTEREXAMPLE_OFFSET, COUNTEREXAMPLE_SIZES, MAX_FAILURES, SuiteResult
-from poroweights.weights import WeightSpec, _power_piece, _segment_integral, _segment_peak, integrate
+from poroweights.weights import (
+    WeightSpec,
+    _middle_integrals,
+    _power_piece,
+    _segment_integral,
+    _segment_peak,
+    integrate,
+)
 
 mp.mp.dps = 40
 
@@ -168,6 +176,41 @@ def compressed_runs(e, lo, hi):
 def compressed_summary(e, i):
     """A fresh :class:`WindowSummary` of the compressed runs inside I."""
     return WindowSummary.of(_trimmed(compressed_runs(e, i.lo, i.hi), i.lo, i.hi))
+
+
+# ---------------------------------------------------------------------------
+# the run walk of an integral window
+#
+# How an IntegralWindow integrated and peaked before a memoised window of a
+# finite point set read its terms from the run index's gap tables: the
+# interior runs of its summary, walked by _middle_integrals and _peak, plus
+# the edge components.
+
+
+def run_walk_integral(window, alpha):
+    """``IntegralWindow.integral`` from the interior runs of the window's summary."""
+    j, s, left, right = window
+    if s.first is None:
+        return _segment_integral(j.lo, j.hi, left, right, alpha)
+    terms = _middle_integrals(s.interior(j.lo, j.hi), alpha)
+    if s.first > j.lo:
+        terms.append(_segment_integral(j.lo, s.first, left, s.first, alpha))
+    if j.hi > s.last:
+        terms.append(_segment_integral(s.last, j.hi, s.last, right, alpha))
+    return math.inf if math.inf in terms else fsum(terms)
+
+
+def run_walk_peak(window):
+    """``IntegralWindow.peak`` from the interior runs of the window's summary."""
+    j, s, left, right = window
+    if s.first is None:
+        return max(0.0, _segment_peak(j.lo, j.hi, left, right))
+    best = _peak(s.interior(j.lo, j.hi))
+    if s.first > j.lo:
+        best = max(best, _segment_peak(j.lo, s.first, left, s.first))
+    if j.hi > s.last:
+        best = max(best, _segment_peak(s.last, j.hi, s.last, right))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import bisect
 import copy
 import math
 import pickle
+import random
 import sys
 import threading
 import weakref
@@ -417,6 +418,114 @@ class TestRunIndex:
             check_indexed(e, Interval(pts[0], hi))
             check_indexed(e, Interval(-2.0, hi))
         assert [r.count for r in e.runs_in(-2.0, 30.0)] == [40]
+
+
+TABLE_ALPHAS = (0.1, 0.5, 0.95, 1.0, 1.5)
+
+
+def trimmed_windows(pts, rng, count=12):
+    """Windows with each end on a set point or off the set, in all four
+    combinations, plus random windows and one inside a gap."""
+    def off(k):  # a value strictly between pts[k - 1] and pts[k], or beyond an end
+        if k == 0:
+            return pts[0] - 0.25
+        if k == len(pts):
+            return pts[-1] + 0.25
+        return pts[k - 1] + 0.5 * (pts[k] - pts[k - 1])
+
+    out = []
+    n = len(pts)
+    for _ in range(count):
+        a, b = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        out += [Interval(pts[a], pts[b]) if a < b else Interval(pts[a], pts[a] + 0.5),
+                Interval(pts[a], off(b + 1)), Interval(off(a), pts[b]) if a < b else Interval(off(a), pts[a]),
+                Interval(off(a), off(b + 1))]
+        lo, hi = sorted(rng.uniform(pts[0] - 1.0, pts[-1] + 1.0) for _ in range(2))
+        if lo < hi:
+            out.append(Interval(lo, hi))
+    if n > 1:
+        out.append(Interval(off(1), pts[0] + 0.75 * (pts[1] - pts[0])))
+    return out
+
+
+def table_sets():
+    """Cantor iterates of depths 3-8 at three middle fractions, and random finite sets with a point at -0.0."""
+    for m in MIDDLES:
+        for depth in range(3, 9):
+            yield f"cantor-{m:.3f}-{depth}", CantorIterate(0.0, 1.0, m, depth)
+    yield "cantor-shifted", CantorIterate(-1.5, 2.0, 1.0 / 3.0, 5)
+    for seed in range(4):
+        rng = random.Random(seed)
+        pts = [rng.uniform(-4.0, 4.0) for _ in range(24)]
+        # -0.0 inside a run (-0.5 + 2 * 0.25 spells it 0.0) or starting one after a span
+        pts += [-0.5, -0.25, -0.0, 0.25, 0.5] if seed % 2 else [-3.0, -0.0, 0.5, 1.0]
+        yield f"random-{seed}", FinitePoints([-0.0, *pts])
+
+
+class TestGapTables:
+    """A memoised window of a finite set integrates and peaks from its run
+    index's gap tables; the run walk of its interior runs must agree bit for
+    bit, at every exponent, and with the exponent changing between calls."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in table_sets()])
+    def test_integral_and_peak_match_the_run_walk(self, name):
+        e = dict(table_sets())[name]
+        pts = list(e._pts())
+        assert isinstance(window_summary(e, Interval(pts[0] - 1.0, pts[-1] + 1.0))._source, tuple)
+        for i in trimmed_windows(pts, random.Random(name)):
+            window = IntegralWindow.of(e, i)
+            assert window.peak() == oracles.run_walk_peak(window)
+            for _ in range(2):  # every call changes alpha; the second pass reads the memoised partials
+                for alpha in TABLE_ALPHAS:
+                    assert window.integral(alpha) == oracles.run_walk_integral(window, alpha), (i, alpha)
+
+    def test_infinite_integrals_are_kept(self):
+        e = CantorIterate(0.0, 1.0, 1.0 / 3.0, 4)
+        window = IntegralWindow.of(e, Interval(0.1, 0.9))
+        for alpha in (1.0, 0.5, 1.5, 1.0):
+            want = math.inf if alpha >= 1.0 else oracles.run_walk_integral(window, alpha)
+            assert window.integral(alpha) == want
+
+    def test_a_zero_entry_is_computed_again(self):
+        # 0.0 marks an unknown entry; a term that is truly 0.0 is only recomputed
+        e = FinitePoints([0.0, 1.0, 3.0, 4.0, 8.0])
+        window = IntegralWindow.of(e, Interval(-1.0, 9.0))
+        want = window.integral(0.5)
+        index = e._index()
+        alpha, table = index._integrals
+        assert alpha == 0.5 and any(table)
+        for k in range(len(table)):
+            table[k] = 0.0
+        e.__dict__.pop("_windows")  # forget the memoised partials, keep the index
+        assert IntegralWindow.of(e, Interval(-1.0, 9.0)).integral(0.5) == want
+
+    def test_a1_builds_no_run_and_one_table_per_alpha(self, monkeypatch):
+        from poroweights.muckenhoupt import TripleFamily, TripleTable, a1_constant
+
+        e = CantorIterate(0.0, 1.0, 1.0 / 3.0, 8)
+        table = TripleTable(e, TripleFamily.default(e, Interval(-2.0, 2.0), octaves=8, anchor_cap=16))
+
+        def no_runs(*args):
+            raise AssertionError("a memoised window built its interior runs")
+
+        seen = []
+        integral_terms = sets_module._RunIndex.integral_terms
+
+        def counted(index, *args):
+            out = integral_terms(index, *args)
+            seen.append(index._integrals)  # keeps every table alive, so ids stay distinct
+            return out
+
+        monkeypatch.setattr(sets_module._RunIndex, "interior", no_runs)
+        monkeypatch.setattr(sets_module._RunIndex, "integral_terms", counted)
+        calls = []
+        for alpha in (0.5, 0.5, 0.9, 0.25, 0.9):
+            a1_constant(WeightSpec(e, alpha), "two_sided", table)
+            calls.append(len(seen))
+        built = {id(t): a for a, t in seen}
+        assert list(built.values()) == [0.5, 0.9, 0.25]
+        # a repeated alpha reads every window's memoised partials and touches no table
+        assert calls[1] == calls[0] > 100 and calls[4] == calls[3]
 
 
 class TestMemoHygiene:
