@@ -154,6 +154,13 @@ def _config(args) -> None:
         count = getattr(args, flag[2:].replace("-", "_"), None)
         if count is not None and count > DEFAULT_POINT_CAP:
             raise ValueError(f"{flag} must be at most {DEFAULT_POINT_CAP}, got {count}")
+    # the families' own checks, here so that a path which does not build a family refuses the value too
+    if args.anchor_cap < 1:
+        raise ValueError(f"anchor cap must be at least 1, got {args.anchor_cap}")
+    if args.octaves is not None and args.octaves < 1:
+        raise ValueError(f"octaves must be at least 1, got {args.octaves}")
+    if args.random_probes < 0:
+        raise ValueError(f"random probe count must not be negative, got {args.random_probes}")
     args.e = _load_set(args)
     args.window = Interval(lo, hi)
 
@@ -282,7 +289,7 @@ def _decay_interval(e: SetDescription, window: Interval) -> Interval:
 
 
 # the suites whose bounds presuppose right porosity: they run at one certified (sigma, gamma)
-POROSITY_SUITES = {"left-propagation", "pore-transport", "decay"}
+POROSITY_SUITES = {"left-propagation", "pore-transport", "decay", "dimension"}
 
 SWEEP_RULE = "the right sweep's certified pair with the largest admissible alpha, ties to the larger gamma"
 REQUESTED_RULE = "--sigma and --gamma as given, certified on the right sweep's probes"
@@ -322,7 +329,7 @@ def _run_one_suite(task) -> tuple[str, object]:
     if sid == "decay":
         return sid, suite_decay(e, sigma, gamma, _decay_interval(e, args.window))
     if sid == "dimension":
-        return sid, suite_dimension(e, args.window)
+        return sid, suite_dimension(e, args.window, sigma=sigma, gamma=gamma)
     if sid == "sided-transport":
         return sid, suite_sided_transport(e, args.window, seed=args.seed)
     if sid == "equivalence":
@@ -353,7 +360,7 @@ def cmd_verify(args) -> int:
         results = [_run_one_suite(t) for t in tasks]
     failed = []
     for sid, res in results:
-        if sid in POROSITY_SUITES:
+        if sid in POROSITY_SUITES and sid != "dimension":  # a dimension report states its pair's bound
             res = replace(res, params={**res.params, **constants})
         _emit(args, f"verify_{sid.replace('-', '_')}", f"suite-{sid}", res)
         passed = res.passed
@@ -372,7 +379,7 @@ def cmd_verify(args) -> int:
                           [(eps, m, b) for (eps, m), b in zip(res.rows, res.bounds)])
             extra = f" (worst ratio {max(res.ratios):.4f} vs beta2={res.beta2})" if res.ratios else ""
         elif sid == "dimension":
-            extra = f" (fitted {res.fitted_dimension:.4f}, regime {res.regime})"
+            extra = f" (fitted {res.fitted_dimension:.4f}, bound {res.bound:.4f}, regime {res.regime})"
         elif hasattr(res, "checks"):
             extra = f" ({res.checks} checks, {len(res.failures)} failures)"
         print(f"  {sid:20s} {marker}{extra}")

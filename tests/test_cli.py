@@ -10,6 +10,7 @@ import pytest
 
 from poroweights import cli
 from poroweights.cli import SUITE_IDS, main
+from poroweights.porosity import dimension_bound
 from poroweights.presets import PRESET_NAMES
 from poroweights.reporting import (
     DECAY_COLUMNS,
@@ -217,6 +218,11 @@ def _within(seconds):
          "error: sigma must lie in (0, 1)"),
         (["verify", "--suite", "left-propagation", "--sigma", "0.5"], "error: --sigma and --gamma go together"),
         (["verify", "--suite", "left-propagation", "--gamma", "0.5"], "error: --sigma and --gamma go together"),
+        (["analyze", "--sweep", "--anchor-cap", "0", "--octaves", "-3", "--random-probes", "-5"],
+         "error: anchor cap must be at least 1, got 0"),
+        (["verify", "--suite", "equivalence", "--anchor-cap", "0"], "error: anchor cap must be at least 1, got 0"),
+        (["analyze", "--sweep", "--octaves", "-3", "--random-probes", "-5"], "error: octaves must be at least 1, got -3"),
+        (["critical-alpha", "--random-probes", "-5"], "error: random probe count must not be negative, got -5"),
     ],
     ids=["tol-zero", "tol-negative", "tol-nan", "analyze-anchor-cap-zero", "a1-anchor-cap-zero",
          "eps-points-one", "eps-points-zero", "a1-octaves-negative", "a1-octaves-zero",
@@ -224,7 +230,9 @@ def _within(seconds):
          "eps-hi-alone", "eps-lo-alone", "eps-points-alone", "table-points-negative", "a1-octaves-past-the-top",
          "eps-lo-negative", "eps-lo-equal-to-hi", "eps-hi-infinite", "dimension-sigma-above-one",
          "dimension-sigma-negative", "dimension-sigma-nan", "dimension-gamma-above-one", "dimension-sigma-alone",
-         "dimension-gamma-alone", "verify-sigma-above-one", "verify-sigma-alone", "verify-gamma-alone"],
+         "dimension-gamma-alone", "verify-sigma-above-one", "verify-sigma-alone", "verify-gamma-alone",
+         "analyze-sweep-three-counts", "verify-equivalence-anchor-cap-zero", "analyze-sweep-octaves-negative",
+         "critical-alpha-random-probes-negative"],
 )
 def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
     # each of these hung, crashed with a traceback, or ran on a vacuous or
@@ -447,6 +455,23 @@ def test_verify_runs_the_porosity_suites_at_a_certified_pair(suite, tmp_path):
     assert code == 0
     assert params["gamma"] == 0.03125 and params["sigma"] == pytest.approx(0.7037, abs=1e-4)
     assert params["constants_rule"] == cli.SWEEP_RULE
+
+
+def test_verify_runs_dimension_at_the_certified_pair(tmp_path):
+    # run without a pair, its bound was null and the task could not fail;
+    # at the pair of the porosity suites it bounds the fitted 0.505 by 0.911
+    argv = ("verify", *CANTOR6, "--seed", "101", "--suite", "dimension", "--workers", "1")
+    code, reports = _reports(argv, tmp_path)
+    body = json.loads(reports["verify_dimension.json"])["body"]
+    assert code == 0
+    assert body["bound"] == pytest.approx(dimension_bound(19.0 / 27.0, 0.03125), abs=1e-6)
+    assert body["bound"] == pytest.approx(0.9106, abs=1e-4)
+    assert body["fitted_dimension"] == pytest.approx(0.5050, abs=1e-4) and body["passed"]
+
+
+def test_verify_skips_dimension_where_the_right_sweep_refutes(tmp_path):
+    argv = ("verify", "--preset", "reflected_naturals", *CAPS, *W, "--suite", "dimension", "--workers", "1")
+    assert _reports(argv, tmp_path) == (0, {})
 
 
 def test_verify_gates_on_a_requested_pair(tmp_path):

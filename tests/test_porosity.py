@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poroweights import (
+    CantorIterate,
     Cutoff,
     FinitePoints,
     Interval,
@@ -29,7 +30,7 @@ from poroweights.porosity import (
     decay_exponent,
     dimension_bound,
 )
-from poroweights.suites import suite_left_propagation, suite_pore_transport
+from poroweights.suites import suite_dimension, suite_left_propagation, suite_pore_transport
 
 from . import oracles
 from .oracles import rho_grid_oracle
@@ -363,6 +364,27 @@ class TestTransportInvariants:
         half_line = Cutoff(integers, 0.0, "right")
         rep = certify(half_line, PorosityParams(0.5, gamma_t, "right"), intervals)
         assert rep.passed
+
+
+class TestDimension:
+    # a Cantor iterate with a small middle fraction fills most of its window's
+    # scales: on (-1, 2) the depth-8 iterate with m = 1/10 fits 0.8226
+    E = CantorIterate(0.0, 1.0, 0.1, 8)
+    WINDOW = Interval(-1.0, 2.0)
+
+    def test_a_pair_whose_bound_is_below_the_fit_fails(self):
+        got = suite_dimension(self.E, self.WINDOW, sigma=0.9, gamma=0.9)
+        assert got.bound == dimension_bound(0.9, 0.9) == pytest.approx(0.6849, abs=1e-4)
+        assert got.fitted_dimension == pytest.approx(0.8226, abs=1e-4)
+        assert not got.passed
+
+    def test_a_pair_whose_bound_is_above_the_fit_passes(self):
+        got = suite_dimension(self.E, self.WINDOW, sigma=0.5, gamma=0.03125)
+        assert got.bound == pytest.approx(0.9407, abs=1e-4) and got.passed
+
+    def test_without_a_pair_there_is_no_bound(self):
+        got = suite_dimension(self.E, self.WINDOW)
+        assert got.bound is None and got.passed
 
 
 class TestDerivedConstants:
