@@ -376,7 +376,7 @@ class _RunIndex:
         self.gaps = [q - p for p, q in zip(pts, pts[1:])]
         self._lengths = [0] * len(pts)
         self._peaks = array("d", [0.0]) * len(self.gaps)
-        self._integrals: tuple[Optional[float], array] = (None, self._peaks[:0])
+        self._integrals: tuple[Optional[float], Optional[array]] = (None, None)
 
     def chain(self, a: int, b: int) -> list[int]:
         """The indices the runs of ``pts[a:b]`` start at, then b."""
@@ -1071,8 +1071,8 @@ class WindowSummary:
     threshold) and per-exponent integral terms
     (:meth:`integral_terms`).  A summary built for one query keeps its runs
     and reads its middle items per call.  A memoised one keeps the derived
-    values instead, packed in float arrays, and reads the runs from its
-    set's :class:`_RunIndex` by index window when it needs them.  Sorting
+    values instead, packed in float arrays, and reads them from its set's
+    :class:`_RunIndex` by index window; only :meth:`interior` builds runs.  Sorting
     the lengths per call instead of packing the memoised groups saves 17
     lines but made the ``cantor`` perfbench workload slower (``wall_s``
     1.12-1.21 s to 1.30-1.42 s, six alternating pairs, 2 shared vCPUs).
