@@ -11,6 +11,14 @@ import math
 from dataclasses import dataclass
 
 
+def _split(lo: float, hi: float) -> float:
+    """:attr:`Interval.split_point` of (lo, hi), for a caller that holds the bounds only."""
+    c = 0.5 * (lo + hi)
+    if not lo < c < hi:
+        raise ValueError(f"cannot halve ({lo!r}, {hi!r}): its midpoint rounds onto an endpoint")
+    return c
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Interval:
     """Bounded open interval (lo, hi) with lo < hi."""
@@ -45,10 +53,7 @@ class Interval:
         Raises ``ValueError`` when the interval is too short to halve: its
         midpoint rounds onto an endpoint, e.g. on (0, 5e-324).
         """
-        c = self.center
-        if not self.lo < c < self.hi:
-            raise ValueError(f"cannot halve ({self.lo!r}, {self.hi!r}): its midpoint rounds onto an endpoint")
-        return c
+        return _split(self.lo, self.hi)
 
     @property
     def left_half(self) -> "Interval":

@@ -221,10 +221,11 @@ class TripleTable:
             for a, b, c, _ in triples:
                 avg, peak = _triple_windows(a, b, c, side)
                 cells.append((averaged.setdefault(avg, len(averaged)), peaks.setdefault(peak, len(peaks))))
+            octave = {s: octave_of(s) for s in {t[3] for t in triples}}  # a family has few distinct scales
             rows = self._sides[side] = _SideRows(
                 triples=triples,
                 widths=[c - a for a, _, c, _ in triples],
-                octaves=[octave_of(s) for *_, s in triples],
+                octaves=[octave[s] for *_, s in triples],
                 averaged=[self._window(j) for j in averaged],
                 peaks=[self._window(j).peak() for j in peaks],
                 cells=cells,

@@ -13,9 +13,9 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .intervals import Interval
+from .intervals import Interval, _split
 from .scaling import LadderReport, octave_of, rising_prefix_maxima
 from .sets import (
     SetDescription,
@@ -66,8 +66,10 @@ def rho(e: SetDescription, i: Interval) -> float:
     return 0.5 * max_component_length(e, i)
 
 
-# A summarised window: its bounds (lo, hi), its summary and its hole radius rho.
-Rated = tuple[float, float, WindowSummary, float]
+# A summarised window: its bounds (lo, hi), its summary, its hole radius rho and
+# its longest component, as the summary holds it (2 * rho would round where it
+# is subnormal).
+Rated = tuple[float, float, WindowSummary, float, float]
 
 # Windows per generation of a WindowStore: a pass holds at most twice as many.
 STORE_CAP = 1024
@@ -76,11 +78,13 @@ STORE_CAP = 1024
 class WindowStore:
     """The rated windows of one probe pass, keyed by ``(lo, hi)``, in two generations.
 
-    A pass over anchors x dyadic scales x alignments meets most windows more
-    than once: the halves of (a, a + 2s) are whole probes at scale s, and the
-    centred half of (a - s, a + s) is the centred probe at scale s.  A window
-    is named by its bounds, summarised on its first query and read back
-    while it is recent.  When the newer generation holds ``STORE_CAP``
+    A pass holds its probes as (lo, hi) pairs and reads every window by its
+    bounds, through the one bound method :meth:`rated`; no window is an
+    :class:`Interval`.  A pass over anchors x dyadic scales x alignments
+    meets most windows more than once: the halves of (a, a + 2s) are whole
+    probes at scale s, and the centred half of (a - s, a + s) is the centred
+    probe at scale s.  A window is named by its bounds, summarised on its
+    first query and read back while it is recent.  When the newer generation holds ``STORE_CAP``
     windows the older one is dropped and the newer takes its place; a window
     read from the older generation moves to the newer.  So a pass holds at
     most ``2 * STORE_CAP`` windows, and summarises a window once while its
@@ -98,14 +102,15 @@ class WindowStore:
         return len(self._new) + len(self._old)
 
     def rated(self, lo: float, hi: float) -> Rated:
-        """The window (lo, hi) with its summary and hole radius."""
+        """The window (lo, hi) with its summary, hole radius and longest component."""
         key = (lo, hi)
         r = self._new.get(key)
         if r is None:
             r = self._old.get(key)
             if r is None:
                 s = self.e.summary(lo, hi)
-                r = (lo, hi, s, 0.5 * s.max_length(lo, hi))
+                longest = s.max_length(lo, hi)
+                r = (lo, hi, s, 0.5 * longest, longest)
             if len(self._new) >= STORE_CAP:
                 self._old, self._new = self._new, {}
             self._new[key] = r
@@ -114,21 +119,6 @@ class WindowStore:
     def rho(self, i: Interval) -> float:
         """:func:`rho` of I, read from the store."""
         return self.rated(i.lo, i.hi)[3]
-
-
-def probe_windows(store: WindowStore, i: Interval, whole: bool = True, halves: bool = True) -> tuple:
-    """(I, I-, I+) of a probe, rated; None for a part not asked for.
-
-    Every probe of a pass reads its windows from the pass's one ``store``,
-    so a window the probes share (a half that is a whole probe at the next
-    scale down, or the half of a neighbouring probe) is summarised once
-    while the pass's recent windows fit the store.
-    """
-    left = right = None
-    if halves:
-        c = i.split_point
-        left, right = store.rated(i.lo, c), store.rated(c, i.hi)
-    return (store.rated(i.lo, i.hi) if whole else None), left, right
 
 
 # (region, reference) of a side, as indices into (I, I-, I+): the part whose
@@ -157,10 +147,11 @@ def _check_gammas(gammas: Sequence[float]) -> tuple[float, ...]:
 
 
 def _side_sigma(windows: tuple, side: str, gamma: float) -> float:
-    """sigma of the probe on a side: the threshold 2 gamma rho(reference) on the region."""
+    """sigma of the probe on a side, from its rated (I, I-, I+): the threshold
+    2 gamma rho(reference) on the region."""
     k_region, k_reference = _SPLIT[side]
-    lo, hi, s, _ = windows[k_region]
-    return s.shares(lo, hi, (2.0 * gamma * windows[k_reference][3],))[0]
+    region = windows[k_region]
+    return region[2].shares(region[0], region[1], (2.0 * gamma * windows[k_reference][3],))[0]
 
 
 def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
@@ -171,8 +162,11 @@ def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
     """
     _check_side(side)
     check_gamma(gamma)
-    windows = probe_windows(WindowStore(e), i, whole=side == "two_sided", halves=side != "two_sided")
-    return _side_sigma(windows, side, gamma)
+    rated = WindowStore(e).rated
+    if side == "two_sided":
+        return _side_sigma((rated(i.lo, i.hi),), side, gamma)
+    c = i.split_point
+    return _side_sigma((None, rated(i.lo, c), rated(c, i.hi)), side, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +219,7 @@ class ProbeFamily:
     repeats intervals: the probe left-aligned at a, the one centred at
     a + s/2 and the one right-aligned at a + s are one interval whenever
     those points are anchors, as on a lattice (see :func:`distinct_probes`).
+    The probe passes read :meth:`bounds`; :meth:`intervals` wraps it.
     """
 
     anchors: tuple[float, ...]
@@ -255,8 +250,9 @@ class ProbeFamily:
             window=window,
         )
 
-    def intervals(self) -> list[Interval]:
-        """The probes, less those too short to split at their position (see :func:`_splittable`)."""
+    def bounds(self) -> list[tuple[float, float]]:
+        """The probes as (lo, hi) pairs, less those too short to split at their position
+        (see :func:`_splittable`)."""
         bounds: list[tuple[float, float]] = []
         for a in self.anchors:
             for s in self.scales:
@@ -275,25 +271,38 @@ class ProbeFamily:
                 c = rng.uniform(self.window.lo, self.window.hi)
                 half = 0.5 * 2.0 ** rng.uniform(lg_lo, lg_hi)
                 bounds.append((c - half, c + half))
-        return [Interval(lo, hi) for lo, hi in bounds if _splittable(lo, hi)]
+        return [b for b in bounds if _splittable(*b)]
+
+    def intervals(self) -> list[Interval]:
+        """:meth:`bounds`, each pair as an :class:`Interval`."""
+        return [Interval(lo, hi) for lo, hi in self.bounds()]
 
 
-def distinct_probes(intervals: Sequence[Interval]) -> tuple[list[Interval], array]:
-    """The distinct probes of a family, keyed by ``(lo, hi)``, in first-occurrence order,
-    and per probe its index among them.
+def distinct_probes(probes: Sequence) -> tuple[list, array]:
+    """The distinct probes of a family, (lo, hi) pairs or intervals, in first-occurrence
+    order, and per probe its index among them.
 
-    A pass evaluates each distinct probe once and reads its figures back for
-    every occurrence: every figure of a probe depends on ``(lo, hi)`` alone.
+    Equal bounds make equal probes either way (-0.0 equals 0.0, and the
+    first occurrence is kept).  A pass evaluates each distinct probe once
+    and reads its figures back for every occurrence: every figure of a probe
+    depends on ``(lo, hi)`` alone.
     """
-    first: dict[tuple[float, float], int] = {}
-    distinct: list[Interval] = []
-    order = array("I")
-    for i in intervals:
-        n = first.setdefault((i.lo, i.hi), len(distinct))
-        if n == len(distinct):
-            distinct.append(i)
-        order.append(n)
-    return distinct, order
+    first: dict = {}
+    order = array("I", (first.setdefault(p, len(first)) for p in probes))
+    return list(first), order
+
+
+def _probe_pairs(probes: ProbeFamily | Sequence[Interval], allow_empty: bool = False) -> tuple[list, Optional[list]]:
+    """The probes as (lo, hi) pairs (:meth:`ProbeFamily.bounds` of a family), and the
+    caller's intervals when it passed intervals, so that a report reuses them."""
+    if isinstance(probes, ProbeFamily):
+        pairs, given = probes.bounds(), None
+    else:
+        given = list(probes)
+        pairs = [(i.lo, i.hi) for i in given]
+    if not pairs and not allow_empty:
+        raise ValueError("probe family is empty (probes too short to halve are left out)")
+    return pairs, given
 
 
 CERT_HEADROOM = 12  # octaves of probe scale above the window span
@@ -355,16 +364,16 @@ class PorosityReport:
     passed: bool
     witnesses: tuple[tuple[Interval, float], ...]
     doubling: Optional[DoublingReport] = field(repr=False, default=None)
-    # the pass's columns: the family's probes, per probe its index among the
-    # distinct probes, and per distinct probe sigma and rho of I, I-, I+ and
-    # the centred half
+    # the pass's columns: the family's probes as (lo, hi) pairs, per probe its
+    # index among the distinct probes, and per distinct probe sigma and rho of
+    # I, I-, I+ and the centred half
     columns: tuple = field(repr=False, compare=False, default=((), (), (), ()))
 
     def rows(self) -> Iterator[tuple[float, float, float, float, float]]:
         """(lo, hi, rho_minus, rho_plus, sigma) per probe, in family order."""
-        intervals, order, sigmas, radii = self.columns
-        for i, n in zip(intervals, order):
-            yield i.lo, i.hi, radii[4 * n + 1], radii[4 * n + 2], sigmas[n]
+        pairs, order, sigmas, radii = self.columns
+        for (lo, hi), n in zip(pairs, order):
+            yield lo, hi, radii[4 * n + 1], radii[4 * n + 2], sigmas[n]
 
 
 MAX_WITNESSES = 64
@@ -399,23 +408,17 @@ def _pair_ratios(radii: array) -> Iterator[tuple[int, int, float]]:
                 yield n // 4, k, outer / inner
 
 
-def _probe_radii(store: WindowStore, i: Interval, windows: Optional[tuple] = None) -> tuple[float, ...]:
-    """rho of a probe I, of its halves I- and I+ and of its centred half, all read from ``store``.
-
-    The first three come from the probe's ``probe_windows``, read here unless given.
-    """
-    whole, left, right = probe_windows(store, i) if windows is None else windows
-    c, quarter = i.center, 0.25 * i.length
-    return whole[3], left[3], right[3], store.rated(c - quarter, c + quarter)[3]
-
-
-def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingReport:
-    """Reduce the radius columns: per probe rho(I), then rho of I-, I+ and the centred half.
+def _doubling_report(pairs: Sequence[tuple[float, float]], radii: array,
+                     outer: Optional[Callable[[int], Interval]] = None) -> DoublingReport:
+    """Reduce the radius columns of the probes ``pairs``: per probe rho(I), then rho
+    of I-, I+ and the centred half.
 
     One pass finds the first largest ratio and the finite per-octave
     maxima, with the octave of each probe computed once, on its first pair.
     The pairs are walked again, in length order, only for the witnesses of
-    a divergent ladder.
+    a divergent ladder.  Only the worst pair and the witnesses are
+    :class:`DoublingPair` objects: probe n is ``outer(n)``, by default an
+    :class:`Interval` of its bounds, and its inner half is built from it.
 
     A family's report is the report of its distinct probes in first-occurrence
     order (:func:`distinct_probes`): a repeat ties its first occurrence, which
@@ -424,23 +427,23 @@ def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingRep
     """
 
     def pair(t: tuple[int, int, float]) -> DoublingPair:
-        i = intervals[t[0]]
+        i = outer(t[0]) if outer else Interval(*pairs[t[0]])
         return DoublingPair(i, _INNER[t[1]](i), t[2])
 
     best: Optional[tuple[int, int, float]] = None
     best_ratio = 0.0
     top: dict[int, float] = {}
-    for n, i in enumerate(intervals):
-        outer = radii[4 * n]
+    for n, (lo, hi) in enumerate(pairs):
+        rho = radii[4 * n]
         octave = None
         for k in (1, 2, 3):
             inner = radii[4 * n + k]
             if inner > 0.0:
-                ratio = outer / inner
+                ratio = rho / inner
                 if best is None or ratio > best_ratio:
                     best, best_ratio = (n, k, ratio), ratio
                 if octave is None:
-                    octave = octave_of(i.length)
+                    octave = octave_of(hi - lo)
                 if math.isfinite(ratio):
                     t = top.get(octave)
                     if t is None or ratio > t:
@@ -448,7 +451,7 @@ def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingRep
     report = LadderReport.from_maxima(top)
     witnesses: tuple[DoublingPair, ...] = ()
     if report.divergent:
-        rows = sorted(_pair_ratios(radii), key=lambda t: intervals[t[0]].length)
+        rows = sorted(_pair_ratios(radii), key=lambda t: pairs[t[0]][1] - pairs[t[0]][0])
         witnesses = tuple(map(pair, rising_prefix_maxima(rows)[-16:]))
     return DoublingReport(
         phi_estimate=best_ratio,
@@ -459,32 +462,45 @@ def _doubling_report(intervals: Sequence[Interval], radii: array) -> DoublingRep
     )
 
 
+def _rated_radii(rated: Callable[[float, float], Rated], lo: float, hi: float, c: float,
+                 windows: tuple) -> tuple[float, float, float, float]:
+    """rho of a probe (lo, hi) split at c, of its halves and of its centred half,
+    the first three from its rated ``windows`` (I, I-, I+)."""
+    quarter = 0.25 * (hi - lo)
+    return windows[0][3], windows[1][3], windows[2][3], rated(c - quarter, c + quarter)[3]
+
+
+def _interval_of(pairs: list, given: Optional[list]) -> Callable[[int], Interval]:
+    """Probe k as an :class:`Interval`: the caller's own when it passed intervals,
+    else one built from its bounds."""
+    return given.__getitem__ if given is not None else lambda k: Interval(*pairs[k])
+
+
 def doubling_witness(
-    e: SetDescription, probes: Sequence[Interval], store: Optional[WindowStore] = None
+    e: SetDescription, probes: ProbeFamily | Sequence[Interval], store: Optional[WindowStore] = None
 ) -> DoublingReport:
     """Max ratio rho(I)/rho(J) over nested pairs with |I| = 2|J|.
 
     Pairs use J = left half, right half, and the centered half of each probe.
     Unbounded growth of the ratio across scales refutes two-sided porosity.
-    Each distinct probe is evaluated once (see :func:`distinct_probes`).
-    The probes read their windows from one :class:`WindowStore` (``store``,
-    or a new one), so the centred half of (a - s, a + s), which is the
-    centred probe at scale s, is summarised once while the pass's recent
-    windows fit the store.
+    The probes are (lo, hi) pairs (see :meth:`ProbeFamily.bounds`), each
+    split in place; each distinct pair is evaluated once (see
+    :func:`distinct_probes`), and only the pairs the report names are built
+    as intervals, reusing the caller's own when it passed intervals.  The
+    probes read their windows through ``rated`` of one :class:`WindowStore`
+    (``store``, or a new one), so the centred half of (a - s, a + s), which
+    is the centred probe at scale s, is summarised once while the pass's
+    recent windows fit the store.
     """
-    store = WindowStore(e) if store is None else store
-    distinct = distinct_probes(list(probes))[0]
+    pairs, given = _probe_pairs(probes, allow_empty=True)
+    distinct, order = distinct_probes(pairs)
+    rated = (WindowStore(e) if store is None else store).rated
     radii = array("d")
-    for i in distinct:
-        radii.extend(_probe_radii(store, i))
-    return _doubling_report(distinct, radii)
-
-
-def _intervals(probes: ProbeFamily | Sequence[Interval]) -> list[Interval]:
-    intervals = probes.intervals() if isinstance(probes, ProbeFamily) else list(probes)
-    if not intervals:
-        raise ValueError("probe family is empty (probes too short to halve are left out)")
-    return intervals
+    for lo, hi in distinct:
+        c = _split(lo, hi)
+        radii.extend(_rated_radii(rated, lo, hi, c, (rated(lo, hi), rated(lo, c), rated(c, hi))))
+    interval = _interval_of(pairs, given)
+    return _doubling_report(distinct, radii, lambda n: interval(order.index(n)))
 
 
 def certify(
@@ -494,47 +510,54 @@ def certify(
 ) -> PorosityReport:
     """Evaluate the porosity inequality on every probe; pass iff none dips below sigma.
 
-    Each distinct probe is evaluated once (see :func:`distinct_probes`): it
-    reads four windows, I, its halves and its centred half, by their bounds
-    from one :class:`WindowStore` for the pass.  Its sigma is the share of
-    the region at one threshold (:meth:`WindowSummary.shares`), and sigma
-    and its four hole radii go into columns, which the report keeps for
-    :meth:`PorosityReport.rows`.  The worst probe and the witnesses read
-    the columns for every probe in family order; the doubling report reads
-    them once per distinct probe (see :func:`_doubling_report`).  A window
-    shared between probes (a half that is a whole probe one scale down) is
+    The probes are (lo, hi) pairs (see :meth:`ProbeFamily.bounds`), and each
+    distinct pair is evaluated once (see :func:`distinct_probes`): split in
+    place, it reads four windows, I, its halves and its centred half, by
+    their bounds through ``rated`` of one :class:`WindowStore` for the pass.
+    Its sigma is the share of the region at one threshold
+    (:meth:`WindowSummary.shares`), and sigma and its four hole radii go
+    into columns, which the report keeps, with the pairs, for
+    :meth:`PorosityReport.rows`.  The worst probe and the witnesses read the
+    columns for every probe in family order; the doubling report reads them
+    once per distinct probe (see :func:`_doubling_report`).  Only the worst
+    probe, the witnesses and the doubling pairs are :class:`Interval`
+    objects, the caller's own when it passed intervals.  A window shared
+    between probes (a half that is a whole probe one scale down) is
     summarised once while the pass's recent windows fit the store.
     """
-    intervals = _intervals(probes)
-    distinct, order = distinct_probes(intervals)
-    store = WindowStore(e)
+    pairs, given = _probe_pairs(probes)
+    distinct, order = distinct_probes(pairs)
+    rated = WindowStore(e).rated
+    side, gamma = params.side, params.gamma
     sigmas = array("d")
     radii = array("d")  # per distinct probe: rho of I, I-, I+ and the centred half
-    for i in distinct:
-        windows = probe_windows(store, i)
-        sigmas.append(_side_sigma(windows, params.side, params.gamma))
-        radii.extend(_probe_radii(store, i, windows))
+    for lo, hi in distinct:
+        c = _split(lo, hi)
+        windows = rated(lo, hi), rated(lo, c), rated(c, hi)
+        sigmas.append(_side_sigma(windows, side, gamma))
+        radii.extend(_rated_radii(rated, lo, hi, c, windows))
+    interval = _interval_of(pairs, given)
     witnesses: list[tuple[Interval, float]] = []
-    worst: Optional[Interval] = None
+    worst: Optional[int] = None
     worst_sigma = math.inf
-    for i, n in zip(intervals, order):
+    for k, n in enumerate(order):
         s = sigmas[n]
         if s < worst_sigma:
             worst_sigma = s
-            worst = i
+            worst = k
         if s < params.sigma and len(witnesses) < MAX_WITNESSES:
-            witnesses.append((i, s))
-    doubling = _doubling_report(distinct, radii)
+            witnesses.append((interval(k), s))
+    doubling = _doubling_report(distinct, radii, lambda n: interval(order.index(n)))  # n's first occurrence
     return PorosityReport(
         params=params,
-        probe_count=len(intervals),
-        worst_interval=worst,
+        probe_count=len(pairs),
+        worst_interval=None if worst is None else interval(worst),
         worst_sigma=worst_sigma,
         phi_estimate=doubling.phi_estimate,
         passed=worst_sigma >= params.sigma,
         witnesses=tuple(witnesses),
         doubling=doubling,
-        columns=(intervals, order, sigmas, radii),
+        columns=(pairs, order, sigmas, radii),
     )
 
 
@@ -604,9 +627,12 @@ def sweep_sides(
 ) -> dict[str, SweepResult]:
     """:func:`sweep_parameters` for several sides in one pass over the distinct probes.
 
-    sigma* is a minimum, so a repeated probe changes nothing: each distinct
-    probe is evaluated once (see :func:`distinct_probes`).  The probes read
-    their windows from one :class:`WindowStore`: the right and left sides
+    sigma* is a minimum, so a repeated probe changes nothing: the probes are
+    (lo, hi) pairs (see :meth:`ProbeFamily.bounds`), and each distinct pair
+    is split in place and evaluated once; the pass builds no
+    :class:`Interval`.  The probes read their windows through ``rated`` of
+    one :class:`WindowStore`, whose tuple carries each window's longest
+    component beside its hole radius: the right and left sides
     share the summaries of I- and I+, and a window that recurs across
     anchors, scales and alignments (the right half of (a - s, a + s) is the
     left half of (a, a + 2s)) is summarised once while the pass's recent
@@ -631,7 +657,7 @@ def sweep_sides(
     stops.  ``gammas`` may come in any order; an empty grid, or a gamma
     outside (0, 1), raises ``ValueError``.
     """
-    intervals = _intervals(probes)
+    pairs = _probe_pairs(probes)[0]
     for side in sides:
         _check_side(side)
     gammas = _check_gammas(gammas)
@@ -644,15 +670,19 @@ def sweep_sides(
     live = len(reads)  # sides not yet zeroed on the whole grid
     whole = "two_sided" in sides
     halves = "right" in sides or "left" in sides
-    store = WindowStore(e)
-    for i in distinct_probes(intervals)[0]:
-        windows = probe_windows(store, i, whole, halves)
+    rated = WindowStore(e).rated
+    windows = [None, None, None]  # the probe's rated I, I- and I+, as far as the sides read them
+    for lo, hi in dict.fromkeys(pairs):
+        if halves:
+            c = _split(lo, hi)
+            windows[1], windows[2] = rated(lo, c), rated(c, hi)
+        if whole:
+            windows[0] = rated(lo, hi)
         for read in reads:
             low, zeroed, k_region, k_reference = read
-            lo, hi, s, _ = windows[k_region]
+            region = windows[k_region]
             rho_ref = windows[k_reference][3]
-            # the longest component, as the summary holds it: 2 * rho would round where it is subnormal
-            longest = s.max_length(lo, hi)
+            longest = region[4]
             n = zeroed
             while n and doubled[n - 1] * rho_ref > longest:
                 n -= 1
@@ -661,8 +691,8 @@ def sweep_sides(
                 read[1] = zeroed = n
                 if not n:
                     live -= 1
-            if zeroed and longest / (hi - lo) < low[0]:
-                lowering_shares(windows[k_region], low, zeroed, doubled, rho_ref)
+            if zeroed and longest / (region[1] - region[0]) < low[0]:
+                lowering_shares(region, low, zeroed, doubled, rho_ref)
         if not live:
             break
     return {side: sweep_result(side, gammas, [low[n] for n in rank]) for side, (low, *_) in zip(sides, reads)}

@@ -45,9 +45,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import fsum
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .intervals import Interval
@@ -855,7 +853,7 @@ class Reflect(SetDescription):
 
 def _mirrored(r: Run) -> Run:
     """The run of the negated points, which it spells exactly."""
-    return Run(-r.base, r.step, -(r.first + r.count - 1), r.count, tuple(-t for t in r.shift))
+    return Run(-r.base, r.step, -(r.first + r.count - 1), r.count, tuple(-t for t in r.shift) if r.shift else ())
 
 
 @dataclass(frozen=True)
@@ -1009,8 +1007,17 @@ def _exact_sum(terms: Iterable[float]) -> list[float]:
 
 def _middle_terms(runs: list[Run]) -> list[tuple[float, float]]:
     """(length, length * multiplicity) per middle item: one per span, one per cell run."""
-    return [(item[2] - item[1],) * 2 if item[0] == "span" else (item[2], item[2] * item[3])
-            for item in _middle(runs)]
+    out = []
+    prev = None
+    for r in runs:  # the traversal of _middle, inlined: this runs on every shares call of a summary built from runs
+        start = r.start
+        if prev is not None and start > prev:
+            length = start - prev
+            out.append((length, length))
+        if r.count >= 2:
+            out.append((r.step, r.step * (r.count - 1)))
+        prev = r.end
+    return out
 
 
 def _pack_groups(items: list[tuple[float, float]]) -> array:
@@ -1019,12 +1026,22 @@ def _pack_groups(items: list[tuple[float, float]]) -> array:
     ``neg`` holds the distinct lengths negated, so it ascends.  Row k of
     ``parts`` (``stride`` floats, zero-padded) holds partials whose exact sum
     is the total of the terms in the k longest groups; row 0 is all zeros.
+    The items are grouped by length in one pass, and only the distinct
+    lengths are sorted: :func:`_exact_sum` depends only on the multiset of
+    its terms, so the order of the terms within a group changes no partial.
     """
+    groups: dict[float, list[float]] = {}
+    for length, term in items:
+        group = groups.get(length)
+        if group is None:
+            groups[length] = [term]
+        else:
+            group.append(term)
     neg: list[float] = []
     rows: list[list[float]] = [[]]
-    for length, group in groupby(sorted(items, reverse=True), key=itemgetter(0)):
+    for length in sorted(groups, reverse=True):
         neg.append(-length)
-        rows.append(_exact_sum([*rows[-1], *(term for _, term in group)]))
+        rows.append(_exact_sum([*rows[-1], *groups[length]]))
     stride = max(map(len, rows)) or 1
     return array("d", [stride, *neg, *(x for r in rows for x in r + [0.0] * (stride - len(r)))])
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .intervals import Interval
+from .intervals import Interval, _split
 from .muckenhoupt import TripleFamily, TripleTable, a1_constant
 from .porosity import (
     GAMMA_GRID,
@@ -30,7 +30,6 @@ from .porosity import (
     distinct_probes,
     doubling_witness,
     lowering_shares,
-    probe_windows,
     sweep_result,
     sweep_sides,
 )
@@ -401,21 +400,23 @@ def suite_sided_transport(
     one-sided passes at (sigma, gamma/Phi), and conversely into a two-sided
     pass at half the one-sided constants.
 
-    Each distinct probe is evaluated once (see :func:`distinct_probes`);
-    every probe of the family is one check, and a repeat that fails gets a
-    record of its own.
+    The probes are the family's (lo, hi) pairs (:meth:`ProbeFamily.bounds`),
+    each split in place.  Each distinct probe is evaluated once (see
+    :func:`distinct_probes`); every probe of the family is one check, and a
+    repeat that fails gets a record of its own.
     """
     check_gamma(gamma)
     check_gamma(gamma0, "gamma0")
     fam = probes or certification_probes(e, window, seed=seed)
-    intervals = fam.intervals()
-    distinct, order = distinct_probes(intervals)
     # both passes read one window store
     store = WindowStore(e)
     # pass 1: Phi needs the whole family before any check can run
-    phi = doubling_witness(e, distinct, store).phi_estimate
+    phi = doubling_witness(e, fam, store).phi_estimate
     gamma_t = gamma / phi
     gamma_c = 0.5 * gamma0
+    pairs = fam.bounds()
+    distinct, order = distinct_probes(pairs)
+    rated = store.rated
     # pass 2: I, I- and I+ read from the store; per window one shares call
     # reads the thresholds of the checks that count its holes (the converse
     # counts those of the half with the larger rho), then lowers the sweep of
@@ -424,8 +425,9 @@ def suite_sided_transport(
     doubled = [2.0 * g for g in reversed(GAMMA_GRID)]  # ascending
     worst = {side: [math.inf] * grid for side in ("right", "left", "two_sided")}
     shares = array("d")  # per distinct probe: got and need of forward-right, forward-left, converse
-    for i in distinct:
-        whole, left, right = probe_windows(store, i)
+    for lo, hi in distinct:
+        c = _split(lo, hi)
+        whole, left, right = rated(lo, hi), rated(lo, c), rated(c, hi)
         rho_i, rho_l, rho_r = whole[3], left[3], right[3]
         on_left = lowering_shares(left, worst["right"], grid, doubled, rho_r,
                                   (2.0 * gamma_t * rho_r, 2.0 * gamma * rho_l, 2.0 * gamma0 * rho_r))
@@ -435,16 +437,16 @@ def suite_sided_transport(
         need_c = 0.5 * (on_left if rho_r >= rho_l else on_right)[2]
         shares.extend((*on_left[:2], *on_right[:2], on_whole[0], need_c))
     failures: list[dict] = []
-    for i, n in zip(intervals, order):
+    for pair, n in zip(pairs, order):
         for direction, k in _TRANSPORT_CHECKS:
             got, need = shares[6 * n + k], shares[6 * n + k + 1]
             if got < need - REL_SLACK:
-                _fail(failures, {"direction": direction, "interval": i.as_pair(), "got": got, "need": need})
+                _fail(failures, {"direction": direction, "interval": pair, "got": got, "need": need})
     right, left, two = (sweep_result(side, GAMMA_GRID, low[::-1]) for side, low in worst.items())
     return SuiteResult(
         suite="sided-transport",
         params={"window": window.as_pair(), "seed": seed, "gamma": gamma, "gamma0": gamma0},
-        checks=len(intervals),
+        checks=len(pairs),
         failures=tuple(failures),
         constants={"phi": phi, "gamma_transported": gamma_t},
         details={

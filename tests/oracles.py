@@ -666,6 +666,13 @@ def scan_side_walk(alpha, side, table):
     )
 
 
+def probe_radii(store, i):
+    """rho of a probe I, of its halves I- and I+ and of its centred half, read from
+    ``store`` by interval, as the passes read them before they held bounds."""
+    c, quarter = i.center, 0.25 * i.length
+    return tuple(store.rated(j.lo, j.hi)[3] for j in (i, i.left_half, i.right_half, Interval(c - quarter, c + quarter)))
+
+
 def _pair_ratios_walk(radii):
     for n in range(0, len(radii), 4):
         outer = radii[n]

@@ -62,7 +62,6 @@ from poroweights.porosity import (
     SIDES,
     WindowStore,
     _doubling_report,
-    _probe_radii,
     admissible_alpha,
     distinct_probes,
 )
@@ -457,8 +456,8 @@ class TestReductions:
             store = WindowStore(e)
             radii = array("d")
             for i in intervals:
-                radii.extend(_probe_radii(store, i))
-            report = _doubling_report(intervals, radii)
+                radii.extend(oracles.probe_radii(store, i))
+            report = _doubling_report([i.as_pair() for i in intervals], radii)
             assert report == oracles.doubling_report_walk(intervals, radii)
             if intervals is nested:
                 assert bool(report.witnesses) == report.divergent == diverges
