@@ -8,6 +8,7 @@ are in the written reports), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -161,6 +162,11 @@ def _config(args) -> None:
         raise ValueError(f"octaves must be at least 1, got {args.octaves}")
     if args.random_probes < 0:
         raise ValueError(f"random probe count must not be negative, got {args.random_probes}")
+    # random_finite draws its points from (-span/2, span/2): at span 0 it is a singleton
+    if not 0.0 < args.random_span < math.inf:
+        raise ValueError(f"--random-span must be positive and finite, got {args.random_span}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     args.e = _load_set(args)
     args.window = Interval(lo, hi)
 

@@ -223,6 +223,16 @@ def _within(seconds):
         (["verify", "--suite", "equivalence", "--anchor-cap", "0"], "error: anchor cap must be at least 1, got 0"),
         (["analyze", "--sweep", "--octaves", "-3", "--random-probes", "-5"], "error: octaves must be at least 1, got -3"),
         (["critical-alpha", "--random-probes", "-5"], "error: random probe count must not be negative, got -5"),
+        (["analyze", "--preset", "random_finite", "--random-span", "-5"],
+         "error: --random-span must be positive and finite, got -5.0"),
+        (["analyze", "--preset", "random_finite", "--random-span", "0"],
+         "error: --random-span must be positive and finite, got 0.0"),
+        (["analyze", "--preset", "random_finite", "--random-span", "inf"],
+         "error: --random-span must be positive and finite, got inf"),
+        (["critical-alpha", "--random-span", "nan"], "error: --random-span must be positive and finite, got nan"),
+        (["analyze", "--workers", "0"], "error: --workers must be at least 1, got 0"),
+        (["analyze", "--workers", "-3"], "error: --workers must be at least 1, got -3"),
+        (["verify", "--suite", "equivalence", "--workers", "0"], "error: --workers must be at least 1, got 0"),
     ],
     ids=["tol-zero", "tol-negative", "tol-nan", "analyze-anchor-cap-zero", "a1-anchor-cap-zero",
          "eps-points-one", "eps-points-zero", "a1-octaves-negative", "a1-octaves-zero",
@@ -232,13 +242,14 @@ def _within(seconds):
          "dimension-sigma-negative", "dimension-sigma-nan", "dimension-gamma-above-one", "dimension-sigma-alone",
          "dimension-gamma-alone", "verify-sigma-above-one", "verify-sigma-alone", "verify-gamma-alone",
          "analyze-sweep-three-counts", "verify-equivalence-anchor-cap-zero", "analyze-sweep-octaves-negative",
-         "critical-alpha-random-probes-negative"],
+         "critical-alpha-random-probes-negative", "random-span-negative", "random-span-zero", "random-span-infinite",
+         "random-span-nan", "workers-zero", "workers-negative", "verify-workers-zero"],
 )
 def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
     # each of these hung, crashed with a traceback, or ran on a vacuous or
-    # silently replaced value
+    # silently replaced value; the case's own options come last, so they win
     with _within(10):
-        code = main([*argv, "--preset", "integers", "--workers", "1", "--out", str(tmp_path / "out")])
+        code = main([argv[0], "--preset", "integers", "--workers", "1", "--out", str(tmp_path / "out"), *argv[1:]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == message + "\n"
