@@ -66,9 +66,8 @@ def rho(e: SetDescription, i: Interval) -> float:
     return 0.5 * max_component_length(e, i)
 
 
-# A summarised window: its bounds (lo, hi), its summary, its hole radius rho and
-# its longest component, as the summary holds it (2 * rho would round where it
-# is subnormal).
+# A summarised window: its bounds (lo, hi), its summary, its hole radius rho and its
+# longest component, as the summary holds it (2 * rho would round where it is subnormal).
 Rated = tuple[float, float, WindowSummary, float, float]
 
 # Windows per generation of a WindowStore: a pass holds at most twice as many.
@@ -78,14 +77,13 @@ STORE_CAP = 1024
 class WindowStore:
     """The rated windows of one probe pass, keyed by ``(lo, hi)``, in two generations.
 
-    A pass holds its probes as (lo, hi) pairs and reads every window by its
-    bounds, through the one bound method :meth:`rated`; no window is an
-    :class:`Interval`.  A pass over anchors x dyadic scales x alignments
-    meets most windows more than once: the halves of (a, a + 2s) are whole
-    probes at scale s, and the centred half of (a - s, a + s) is the centred
-    probe at scale s.  A window is named by its bounds, summarised on its
-    first query and read back while it is recent.  When the newer generation holds ``STORE_CAP``
-    windows the older one is dropped and the newer takes its place; a window
+    A pass reads every window by its bounds, through the one bound method
+    :meth:`rated`.  A pass over anchors x dyadic scales x alignments meets
+    most windows more than once: the halves of (a, a + 2s) are whole probes
+    at scale s, and the centred half of (a - s, a + s) is the centred probe
+    at scale s.  A window is named by its bounds, summarised on its first
+    query and read back while it is recent.  When the newer generation
+    holds ``STORE_CAP`` windows the older one is dropped and the newer takes its place; a window
     read from the older generation moves to the newer.  So a pass holds at
     most ``2 * STORE_CAP`` windows, and summarises a window once while its
     recent windows fit the store.
@@ -147,8 +145,7 @@ def _check_gammas(gammas: Sequence[float]) -> tuple[float, ...]:
 
 
 def _side_sigma(windows: tuple, side: str, gamma: float) -> float:
-    """sigma of the probe on a side, from its rated (I, I-, I+): the threshold
-    2 gamma rho(reference) on the region."""
+    """sigma of a probe's rated (I, I-, I+) on a side: the threshold 2 gamma rho(reference) on the region."""
     k_region, k_reference = _SPLIT[side]
     region = windows[k_region]
     return region[2].shares(region[0], region[1], (2.0 * gamma * windows[k_reference][3],))[0]
@@ -219,7 +216,6 @@ class ProbeFamily:
     repeats intervals: the probe left-aligned at a, the one centred at
     a + s/2 and the one right-aligned at a + s are one interval whenever
     those points are anchors, as on a lattice (see :func:`distinct_probes`).
-    The probe passes read :meth:`bounds`; :meth:`intervals` wraps it.
     """
 
     anchors: tuple[float, ...]
@@ -251,8 +247,7 @@ class ProbeFamily:
         )
 
     def bounds(self) -> list[tuple[float, float]]:
-        """The probes as (lo, hi) pairs, less those too short to split at their position
-        (see :func:`_splittable`)."""
+        """The probes as (lo, hi) pairs, less those too short to split (see :func:`_splittable`)."""
         bounds: list[tuple[float, float]] = []
         for a in self.anchors:
             for s in self.scales:
@@ -282,27 +277,27 @@ def distinct_probes(probes: Sequence) -> tuple[list, array]:
     """The distinct probes of a family, (lo, hi) pairs or intervals, in first-occurrence
     order, and per probe its index among them.
 
-    Equal bounds make equal probes either way (-0.0 equals 0.0, and the
-    first occurrence is kept).  A pass evaluates each distinct probe once
-    and reads its figures back for every occurrence: every figure of a probe
-    depends on ``(lo, hi)`` alone.
+    A pass evaluates each distinct probe once and reads its figures back for
+    every occurrence: every figure of a probe depends on ``(lo, hi)`` alone.
     """
     first: dict = {}
     order = array("I", (first.setdefault(p, len(first)) for p in probes))
     return list(first), order
 
 
-def _probe_pairs(probes: ProbeFamily | Sequence[Interval], allow_empty: bool = False) -> tuple[list, Optional[list]]:
-    """The probes as (lo, hi) pairs (:meth:`ProbeFamily.bounds` of a family), and the
-    caller's intervals when it passed intervals, so that a report reuses them."""
+def _probe_pairs(probes: ProbeFamily | Sequence[Interval],
+                 allow_empty: bool = False) -> tuple[list, Callable[[int], Interval]]:
+    """The probes as (lo, hi) pairs (:meth:`ProbeFamily.bounds` of a family), and probe k
+    as an :class:`Interval`: the caller's own if it passed intervals, else built from its bounds."""
     if isinstance(probes, ProbeFamily):
-        pairs, given = probes.bounds(), None
+        pairs = probes.bounds()
+        interval = lambda k: Interval(*pairs[k])
     else:
         given = list(probes)
-        pairs = [(i.lo, i.hi) for i in given]
-    if not pairs and not allow_empty:
+        pairs, interval = [(i.lo, i.hi) for i in given], given.__getitem__
+    if not (pairs or allow_empty):
         raise ValueError("probe family is empty (probes too short to halve are left out)")
-    return pairs, given
+    return pairs, interval
 
 
 CERT_HEADROOM = 12  # octaves of probe scale above the window span
@@ -409,16 +404,14 @@ def _pair_ratios(radii: array) -> Iterator[tuple[int, int, float]]:
 
 
 def _doubling_report(pairs: Sequence[tuple[float, float]], radii: array,
-                     outer: Optional[Callable[[int], Interval]] = None) -> DoublingReport:
-    """Reduce the radius columns of the probes ``pairs``: per probe rho(I), then rho
-    of I-, I+ and the centred half.
+                     outer: Callable[[int], Interval]) -> DoublingReport:
+    """Reduce the radius columns of ``pairs``: per probe rho(I), then rho of I-, I+ and the centred half.
 
     One pass finds the first largest ratio and the finite per-octave
     maxima, with the octave of each probe computed once, on its first pair.
     The pairs are walked again, in length order, only for the witnesses of
-    a divergent ladder.  Only the worst pair and the witnesses are
-    :class:`DoublingPair` objects: probe n is ``outer(n)``, by default an
-    :class:`Interval` of its bounds, and its inner half is built from it.
+    a divergent ladder.  Only the worst pair and the witnesses are built:
+    probe n as ``outer(n)``, and its inner half from it.
 
     A family's report is the report of its distinct probes in first-occurrence
     order (:func:`distinct_probes`): a repeat ties its first occurrence, which
@@ -427,19 +420,19 @@ def _doubling_report(pairs: Sequence[tuple[float, float]], radii: array,
     """
 
     def pair(t: tuple[int, int, float]) -> DoublingPair:
-        i = outer(t[0]) if outer else Interval(*pairs[t[0]])
+        i = outer(t[0])
         return DoublingPair(i, _INNER[t[1]](i), t[2])
 
     best: Optional[tuple[int, int, float]] = None
     best_ratio = 0.0
     top: dict[int, float] = {}
     for n, (lo, hi) in enumerate(pairs):
-        rho = radii[4 * n]
+        whole = radii[4 * n]
         octave = None
         for k in (1, 2, 3):
             inner = radii[4 * n + k]
             if inner > 0.0:
-                ratio = rho / inner
+                ratio = whole / inner
                 if best is None or ratio > best_ratio:
                     best, best_ratio = (n, k, ratio), ratio
                 if octave is None:
@@ -462,18 +455,20 @@ def _doubling_report(pairs: Sequence[tuple[float, float]], radii: array,
     )
 
 
-def _rated_radii(rated: Callable[[float, float], Rated], lo: float, hi: float, c: float,
-                 windows: tuple) -> tuple[float, float, float, float]:
-    """rho of a probe (lo, hi) split at c, of its halves and of its centred half,
-    the first three from its rated ``windows`` (I, I-, I+)."""
-    quarter = 0.25 * (hi - lo)
-    return windows[0][3], windows[1][3], windows[2][3], rated(c - quarter, c + quarter)[3]
-
-
-def _interval_of(pairs: list, given: Optional[list]) -> Callable[[int], Interval]:
-    """Probe k as an :class:`Interval`: the caller's own when it passed intervals,
-    else one built from its bounds."""
-    return given.__getitem__ if given is not None else lambda k: Interval(*pairs[k])
+def _columns(rated: Callable[[float, float], Rated], distinct: list,
+             params: Optional[PorosityParams] = None) -> tuple[array, array]:
+    """Per distinct probe (lo, hi), split in place: sigma at ``params`` if given, and
+    rho of I, I-, I+ and the centred half, each window read through ``rated``."""
+    sigmas = array("d")
+    radii = array("d")
+    for lo, hi in distinct:
+        c = _split(lo, hi)
+        windows = rated(lo, hi), rated(lo, c), rated(c, hi)
+        if params is not None:
+            sigmas.append(_side_sigma(windows, params.side, params.gamma))
+        quarter = 0.25 * (hi - lo)
+        radii.extend((windows[0][3], windows[1][3], windows[2][3], rated(c - quarter, c + quarter)[3]))
+    return sigmas, radii
 
 
 def doubling_witness(
@@ -483,24 +478,18 @@ def doubling_witness(
 
     Pairs use J = left half, right half, and the centered half of each probe.
     Unbounded growth of the ratio across scales refutes two-sided porosity.
-    The probes are (lo, hi) pairs (see :meth:`ProbeFamily.bounds`), each
-    split in place; each distinct pair is evaluated once (see
-    :func:`distinct_probes`), and only the pairs the report names are built
-    as intervals, reusing the caller's own when it passed intervals.  The
-    probes read their windows through ``rated`` of one :class:`WindowStore`
-    (``store``, or a new one), so the centred half of (a - s, a + s), which
-    is the centred probe at scale s, is summarised once while the pass's
-    recent windows fit the store.
+    The probes are (lo, hi) pairs (see :meth:`ProbeFamily.bounds`); each
+    distinct pair is evaluated once (see :func:`distinct_probes`), and only
+    the pairs the report names become intervals.  The probes read their
+    windows through ``rated`` of one :class:`WindowStore` (``store``, or a
+    new one), so the centred half of (a - s, a + s), which is the centred
+    probe at scale s, is summarised once while the pass's recent windows fit
+    the store.
     """
-    pairs, given = _probe_pairs(probes, allow_empty=True)
+    pairs, interval = _probe_pairs(probes, allow_empty=True)
     distinct, order = distinct_probes(pairs)
-    rated = (WindowStore(e) if store is None else store).rated
-    radii = array("d")
-    for lo, hi in distinct:
-        c = _split(lo, hi)
-        radii.extend(_rated_radii(rated, lo, hi, c, (rated(lo, hi), rated(lo, c), rated(c, hi))))
-    interval = _interval_of(pairs, given)
-    return _doubling_report(distinct, radii, lambda n: interval(order.index(n)))
+    radii = _columns((WindowStore(e) if store is None else store).rated, distinct)[1]
+    return _doubling_report(distinct, radii, lambda n: interval(order.index(n)))  # n's first occurrence
 
 
 def certify(
@@ -510,33 +499,20 @@ def certify(
 ) -> PorosityReport:
     """Evaluate the porosity inequality on every probe; pass iff none dips below sigma.
 
-    The probes are (lo, hi) pairs (see :meth:`ProbeFamily.bounds`), and each
-    distinct pair is evaluated once (see :func:`distinct_probes`): split in
-    place, it reads four windows, I, its halves and its centred half, by
-    their bounds through ``rated`` of one :class:`WindowStore` for the pass.
-    Its sigma is the share of the region at one threshold
-    (:meth:`WindowSummary.shares`), and sigma and its four hole radii go
-    into columns, which the report keeps, with the pairs, for
-    :meth:`PorosityReport.rows`.  The worst probe and the witnesses read the
-    columns for every probe in family order; the doubling report reads them
-    once per distinct probe (see :func:`_doubling_report`).  Only the worst
-    probe, the witnesses and the doubling pairs are :class:`Interval`
-    objects, the caller's own when it passed intervals.  A window shared
-    between probes (a half that is a whole probe one scale down) is
-    summarised once while the pass's recent windows fit the store.
+    The probes are (lo, hi) pairs (see :meth:`ProbeFamily.bounds`); each
+    distinct pair reads four windows, I, its halves and its centred half,
+    through ``rated`` of one :class:`WindowStore` (see :func:`_columns`).
+    Its sigma is the share of the region at one threshold, and sigma and
+    its four hole radii go into columns, which the report keeps, with the
+    pairs, for :meth:`PorosityReport.rows`.  The worst probe and the
+    witnesses read the columns in family order, the doubling report once
+    per distinct probe.  Only they and the doubling pairs become intervals
+    (the caller's own, if it passed intervals).  A window shared between
+    probes is summarised once while the pass's recent windows fit the store.
     """
-    pairs, given = _probe_pairs(probes)
+    pairs, interval = _probe_pairs(probes)
     distinct, order = distinct_probes(pairs)
-    rated = WindowStore(e).rated
-    side, gamma = params.side, params.gamma
-    sigmas = array("d")
-    radii = array("d")  # per distinct probe: rho of I, I-, I+ and the centred half
-    for lo, hi in distinct:
-        c = _split(lo, hi)
-        windows = rated(lo, hi), rated(lo, c), rated(c, hi)
-        sigmas.append(_side_sigma(windows, side, gamma))
-        radii.extend(_rated_radii(rated, lo, hi, c, windows))
-    interval = _interval_of(pairs, given)
+    sigmas, radii = _columns(WindowStore(e).rated, distinct, params)
     witnesses: list[tuple[Interval, float]] = []
     worst: Optional[int] = None
     worst_sigma = math.inf
@@ -547,7 +523,7 @@ def certify(
             worst = k
         if s < params.sigma and len(witnesses) < MAX_WITNESSES:
             witnesses.append((interval(k), s))
-    doubling = _doubling_report(distinct, radii, lambda n: interval(order.index(n)))  # n's first occurrence
+    doubling = _doubling_report(distinct, radii, lambda n: interval(order.index(n)))
     return PorosityReport(
         params=params,
         probe_count=len(pairs),
@@ -629,11 +605,11 @@ def sweep_sides(
 
     sigma* is a minimum, so a repeated probe changes nothing: the probes are
     (lo, hi) pairs (see :meth:`ProbeFamily.bounds`), and each distinct pair
-    is split in place and evaluated once; the pass builds no
-    :class:`Interval`.  The probes read their windows through ``rated`` of
-    one :class:`WindowStore`, whose tuple carries each window's longest
-    component beside its hole radius: the right and left sides
-    share the summaries of I- and I+, and a window that recurs across
+    is split in place and evaluated once, with no :class:`Interval` built.
+    The probes read their windows through ``rated`` of one
+    :class:`WindowStore`, whose tuple carries each window's longest
+    component: the right and left sides share the summaries of I- and I+,
+    and a window that recurs across
     anchors, scales and alignments (the right half of (a - s, a + s) is the
     left half of (a, a + 2s)) is summarised once while the pass's recent
     windows fit the store.  The pass never holds more than

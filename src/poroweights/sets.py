@@ -1010,10 +1010,8 @@ def _middle_terms(runs: list[Run]) -> list[tuple[float, float]]:
     out = []
     prev = None
     for r in runs:  # the traversal of _middle, inlined: this runs on every shares call of a summary built from runs
-        start = r.start
-        if prev is not None and start > prev:
-            length = start - prev
-            out.append((length, length))
+        if prev is not None and r.start > prev:
+            out.append((r.start - prev,) * 2)
         if r.count >= 2:
             out.append((r.step, r.step * (r.count - 1)))
         prev = r.end
@@ -1026,17 +1024,12 @@ def _pack_groups(items: list[tuple[float, float]]) -> array:
     ``neg`` holds the distinct lengths negated, so it ascends.  Row k of
     ``parts`` (``stride`` floats, zero-padded) holds partials whose exact sum
     is the total of the terms in the k longest groups; row 0 is all zeros.
-    The items are grouped by length in one pass, and only the distinct
-    lengths are sorted: :func:`_exact_sum` depends only on the multiset of
-    its terms, so the order of the terms within a group changes no partial.
+    The items are grouped by length in one pass and only the distinct lengths
+    sorted: :func:`_exact_sum` depends only on the multiset of its terms.
     """
     groups: dict[float, list[float]] = {}
     for length, term in items:
-        group = groups.get(length)
-        if group is None:
-            groups[length] = [term]
-        else:
-            group.append(term)
+        groups.setdefault(length, []).append(term)
     neg: list[float] = []
     rows: list[list[float]] = [[]]
     for length in sorted(groups, reverse=True):

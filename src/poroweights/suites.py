@@ -400,10 +400,9 @@ def suite_sided_transport(
     one-sided passes at (sigma, gamma/Phi), and conversely into a two-sided
     pass at half the one-sided constants.
 
-    The probes are the family's (lo, hi) pairs (:meth:`ProbeFamily.bounds`),
-    each split in place.  Each distinct probe is evaluated once (see
-    :func:`distinct_probes`); every probe of the family is one check, and a
-    repeat that fails gets a record of its own.
+    Each distinct (lo, hi) pair of the family (:meth:`ProbeFamily.bounds`)
+    is evaluated once (see :func:`distinct_probes`); every probe of the
+    family is one check, and a repeat that fails gets a record of its own.
     """
     check_gamma(gamma)
     check_gamma(gamma0, "gamma0")

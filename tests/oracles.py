@@ -5,7 +5,8 @@ adaptive quadrature of the pointwise distance, hole radii from a grid search,
 dimensions from literal box counting.  The component walk is the slow path
 the window summaries replaced, the slice compression the one the run index
 of finite point sets replaced, the run walk its gap tables replaced in a
-memoised integral window, the length profile the one the summaries'
+memoised integral window, the sorted grouping of a summary's middle terms
+that the one-pass grouping replaced, the length profile the one the summaries'
 shares replaced, and the per-function loops at the end are the ones the
 probe and triple tables replaced, beside the two porosity-lemma suites
 recomputed with every hole radius from the walk; all are kept to check the
@@ -18,8 +19,11 @@ triple values from above.
 """
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
+from itertools import groupby
 from math import fsum
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -38,7 +42,7 @@ from poroweights.porosity import (
     certification_probes,
 )
 from poroweights.scaling import LadderReport, octave_of, rising_prefix_maxima
-from poroweights.sets import Run, SetDescription, WindowSummary, _peak, sample_points
+from poroweights.sets import Run, SetDescription, WindowSummary, _exact_sum, _middle, _peak, sample_points
 from poroweights.suites import COUNTEREXAMPLE_OFFSET, COUNTEREXAMPLE_SIZES, MAX_FAILURES, SuiteResult
 from poroweights.weights import (
     WeightSpec,
@@ -211,6 +215,32 @@ def run_walk_peak(window):
     if j.hi > s.last:
         best = max(best, _segment_peak(s.last, j.hi, s.last, right))
     return best
+
+
+# ---------------------------------------------------------------------------
+# the grouped middle terms of a summary
+#
+# How a summary's middle terms were listed, through the item traversal
+# _middle, and packed for its shares, by sorting every item and grouping
+# the sorted items by length, before _middle_terms inlined the traversal
+# and _pack_groups grouped in one dict pass.
+
+
+def middle_terms_walk(runs):
+    """(length, length * multiplicity) per item of ``_middle(runs)``."""
+    return [(item[2] - item[1],) * 2 if item[0] == "span" else (item[2], item[2] * item[3])
+            for item in _middle(runs)]
+
+
+def pack_groups_sorted(items):
+    """``_pack_groups`` by sorting the items, longest first, and grouping them by length."""
+    neg = []
+    rows = [[]]
+    for length, group in groupby(sorted(items, reverse=True), key=itemgetter(0)):
+        neg.append(-length)
+        rows.append(_exact_sum([*rows[-1], *(term for _, term in group)]))
+    stride = max(map(len, rows)) or 1
+    return array("d", [stride, *neg, *(x for r in rows for x in r + [0.0] * (stride - len(r)))])
 
 
 # ---------------------------------------------------------------------------

@@ -334,14 +334,35 @@ class TestProbesTooShortToHalve:
             sweep_parameters(FinitePoints([0.0, 5e-324, -1.0]), intervals, side)
 
     def test_a_given_one_is_rejected_by_name(self):
+        # the passes split the bounds in place, with the interval's own error
         i = Interval(0.0, 5e-324)
-        with pytest.raises(ValueError, match=r"cannot halve \(0.0, 5e-324\)"):
+        message = r"^cannot halve \(0.0, 5e-324\): its midpoint rounds onto an endpoint$"
+        with pytest.raises(ValueError, match=message):
             i.left_half
         e = FinitePoints([0.0, 5e-324, -1.0])
-        with pytest.raises(ValueError, match="cannot halve"):
+        with pytest.raises(ValueError, match=message):
             sweep_parameters(e, [Interval(-1.0, 1.0), i], "right")
-        with pytest.raises(ValueError, match="cannot halve"):
+        with pytest.raises(ValueError, match=message):
             certify(e, PorosityParams(0.5, 0.5, "two_sided"), [i])
+        with pytest.raises(ValueError, match=message):
+            doubling_witness(e, [Interval(-1.0, 1.0), i])
+
+
+class TestProbeBounds:
+    """The passes read a family's bounds; its intervals are the same probes, in the same order."""
+
+    @pytest.mark.parametrize("random_count", [0, 200])
+    @pytest.mark.parametrize("half", [2.0, 64.0, 2.0 ** 36], ids=["2", "64", "2^36"])
+    @pytest.mark.parametrize("name", [name for name, _ in catalog()])
+    def test_bounds_are_the_pairs_of_the_intervals(self, name, half, random_count):
+        e = dict(catalog(seed=3, cantor_depth=6))[name]
+        window = Interval(-half, half)
+        for fam in (ProbeFamily.default(e, window, random_count=random_count, seed=5),
+                    certification_probes(e, window, random_count=random_count, seed=5)):
+            pairs = fam.bounds()
+            assert pairs
+            # repr tells -0.0 from 0.0
+            assert repr(pairs) == repr([(i.lo, i.hi) for i in fam.intervals()])
 
 
 class TestTransportInvariants:

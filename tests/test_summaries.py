@@ -47,6 +47,8 @@ from poroweights.sets import (
     PointCapExceeded,
     Run,
     _interior,
+    _middle_terms,
+    _pack_groups,
     largest_component,
     min_component_length,
     window_summary,
@@ -625,6 +627,86 @@ class TestMemoHygiene:
 # ---------------------------------------------------------------------------
 # each variant's summary against the summary built from its runs
 # ---------------------------------------------------------------------------
+
+# middle lengths that repeat, that are subnormal, and that are huge (a few
+# terms of the largest overflow fsum, or sum to inf)
+ITEM_LENGTHS = (1.0, 0.5, 1.0 / 3.0, 0.1, 0.1 + 0.2, 5e-324, 1e-310, 2.0 ** -1022, 1e300, 2.0 ** 1000,
+                1.7976931348623157e308)
+
+
+def packed(items):
+    """The bytes of ``_pack_groups(items)`` and of the sorted grouping, or the type of the error each raises."""
+    def run(pack):
+        try:
+            return pack(items).tobytes()
+        except (OverflowError, ValueError) as exc:
+            return type(exc)
+    return run(_pack_groups), run(oracles.pack_groups_sorted)
+
+
+item_lists = st.lists(
+    st.tuples(st.one_of(st.sampled_from(ITEM_LENGTHS), st.floats(5e-324, 1e300)), st.integers(1, 4)),
+    max_size=40,
+).map(lambda raw: [(length, length * m) for length, m in raw])
+
+run_lists = st.lists(st.builds(
+    Run,
+    st.one_of(st.sampled_from((0.0, -0.0, 0.3, -1e300, 1e300)), st.floats(-1e6, 1e6)),
+    st.one_of(st.sampled_from(ITEM_LENGTHS), st.floats(0.0, 10.0)),
+    st.integers(-3, 3),
+    st.integers(1, 5),
+    st.sampled_from(((), (0.375,), (-0.0, 1e-310))),
+), max_size=8)
+
+
+class TestGroupedTerms:
+    """A summary's middle terms, listed in one traversal and grouped in one dict
+    pass, equal the item traversal and the sorted grouping they replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(items=item_lists)
+    def test_the_one_pass_grouping_matches_the_sorted_one(self, items):
+        got, want = packed(items)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=run_lists)
+    def test_the_inlined_traversal_matches_the_items(self, runs):
+        assert repr(_middle_terms(runs)) == repr(oracles.middle_terms_walk(runs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_the_runs_of_every_variant(self, data):
+        e, marks = data.draw(summary_variants())
+        for lo, hi in data.draw(summary_windows(e, marks)):
+            s = outcome(lambda: e.summary(lo, hi))
+            if isinstance(s, type):
+                continue
+            terms = _middle_terms(s.interior(lo, hi))
+            assert repr(terms) == repr(oracles.middle_terms_walk(s.interior(lo, hi)))
+            got, want = packed(terms)
+            assert got == want
+
+    @pytest.mark.parametrize("name", [name for name, _ in table_sets()])
+    def test_memoised_windows_of_cantor_iterates_and_random_sets(self, name):
+        e = dict(table_sets())[name]
+        pts = list(e._pts())
+        kept = 0
+        for i in trimmed_windows(pts, random.Random(name)):
+            s = window_summary(e, i)
+            if not s._kept():  # no interior point: the empty summary
+                continue
+            kept += 1
+            items = s._indexed(sets_module._RunIndex.middle_terms)
+            runs = s.interior(i.lo, i.hi)
+            assert repr(_middle_terms(runs)) == repr(oracles.middle_terms_walk(runs))
+            # the index lists the same items in another order
+            assert repr(sorted(items)) == repr(sorted(_middle_terms(runs)))
+            got, want = packed(items)
+            assert got == want and isinstance(got, bytes)
+            assert got == _pack_groups(_middle_terms(runs)).tobytes()
+        assert kept > 30
+
 
 SUMMARY_ORIGINS = (0.0, 0.3, -1.7, 1.0 / 3.0, 0.25)
 SUMMARY_STEPS = (1.0, 0.1, 1.0 / 3.0, 0.7)

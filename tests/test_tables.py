@@ -457,7 +457,7 @@ class TestReductions:
             radii = array("d")
             for i in intervals:
                 radii.extend(oracles.probe_radii(store, i))
-            report = _doubling_report([i.as_pair() for i in intervals], radii)
+            report = _doubling_report([i.as_pair() for i in intervals], radii, intervals.__getitem__)
             assert report == oracles.doubling_report_walk(intervals, radii)
             if intervals is nested:
                 assert bool(report.witnesses) == report.divergent == diverges
@@ -680,6 +680,37 @@ class TestWorkCounts:
             count[0] = 0
             doubling = certify(e, PorosityParams(0.25, 0.25, side), intervals).doubling
             assert count[0] == (doubling.worst_pair is not None) + len(doubling.witnesses)
+
+    @pytest.mark.parametrize("e", SETS, ids=IDS)
+    def test_passes_given_the_family_build_an_interval_per_named_probe_only(self, e, monkeypatch):
+        # as the CLI passes it: the pass reads the family's bounds, and builds
+        # the worst probe, each witness and each doubling pair (outer and
+        # inner) only; the report is the one of the family's intervals
+        count = [0]
+        original = Interval.__post_init__
+
+        def counted(self):
+            count[0] += 1
+            original(self)
+
+        fam = small_family(e, 1)
+        intervals = fam.intervals()
+        monkeypatch.setattr(Interval, "__post_init__", counted)
+        sweep_sides(e, fam, SIDES)
+        assert count[0] == 0
+        for side in SIDES:
+            params = PorosityParams(0.25, 0.25, side)
+            count[0] = 0
+            report = certify(e, params, fam)
+            doubling = report.doubling
+            named = (report.worst_interval is not None) + len(report.witnesses)
+            assert count[0] == named + 2 * ((doubling.worst_pair is not None) + len(doubling.witnesses))
+            assert report == certify(e, params, intervals)
+            assert list(report.rows()) == list(certify(e, params, intervals).rows())
+        count[0] = 0
+        doubling = doubling_witness(e, fam)
+        assert count[0] == 2 * ((doubling.worst_pair is not None) + len(doubling.witnesses))
+        assert doubling == doubling_witness(e, intervals)
 
     @pytest.mark.parametrize("side", A1_SIDES)
     @pytest.mark.parametrize("e", SETS, ids=IDS)
