@@ -83,10 +83,10 @@ class WindowStore:
     at scale s, and the centred half of (a - s, a + s) is the centred probe
     at scale s.  A window is named by its bounds, summarised on its first
     query and read back while it is recent.  When the newer generation
-    holds ``STORE_CAP`` windows the older one is dropped and the newer takes its place; a window
-    read from the older generation moves to the newer.  So a pass holds at
-    most ``2 * STORE_CAP`` windows, and summarises a window once while its
-    recent windows fit the store.
+    holds ``STORE_CAP`` windows the older one is dropped and the newer
+    takes its place; a window read from the older generation moves to the
+    newer.  So a pass holds at most ``2 * STORE_CAP`` windows, and
+    summarises a window once while its recent windows fit the store.
     """
 
     __slots__ = ("e", "_new", "_old")
