@@ -19,6 +19,7 @@ triple values from above.
 """
 
 import math
+import random
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import groupby
@@ -39,6 +40,7 @@ from poroweights.porosity import (
     DoublingReport,
     PorosityReport,
     SweepResult,
+    _splittable,
     certification_probes,
 )
 from poroweights.scaling import LadderReport, octave_of, rising_prefix_maxima
@@ -440,6 +442,24 @@ def max_distance_walk(e, j):
 # each triple value is recomputed at every exponent; the tables must agree
 # with them bit for bit.
 # ---------------------------------------------------------------------------
+
+def family_intervals_walk(fam):
+    """``ProbeFamily.intervals`` as it built each probe before the family listed its bounds."""
+    out = []
+    for a in fam.anchors:
+        for s in fam.scales:
+            for al in fam.alignments:
+                out.append({"left": (a, a + s), "center": (a - 0.5 * s, a + 0.5 * s), "right": (a - s, a)}[al])
+    if fam.random_count and fam.window is not None:
+        rng = random.Random(fam.seed)
+        lg_lo = math.log2(min(fam.scales)) if fam.scales else 0.0
+        lg_hi = math.log2(max(fam.scales)) if fam.scales else 4.0
+        for _ in range(fam.random_count):
+            c = rng.uniform(fam.window.lo, fam.window.hi)
+            half = 0.5 * 2.0 ** rng.uniform(lg_lo, lg_hi)
+            out.append((c - half, c + half))
+    return [Interval(lo, hi) for lo, hi in out if _splittable(lo, hi)]
+
 
 def doubling_witness_walk(e, probes):
     best = None

@@ -363,6 +363,7 @@ class TestProbeBounds:
             assert pairs
             # repr tells -0.0 from 0.0
             assert repr(pairs) == repr([(i.lo, i.hi) for i in fam.intervals()])
+            assert repr(fam.intervals()) == repr(oracles.family_intervals_walk(fam))
 
 
 class TestTransportInvariants:

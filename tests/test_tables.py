@@ -710,7 +710,12 @@ class TestWorkCounts:
         count[0] = 0
         doubling = doubling_witness(e, fam)
         assert count[0] == 2 * ((doubling.worst_pair is not None) + len(doubling.witnesses))
+        # given intervals, a doubling pair's outer probe is the caller's own
+        count[0] = 0
         assert doubling == doubling_witness(e, intervals)
+        assert count[0] == (doubling.worst_pair is not None) + len(doubling.witnesses)
+        if doubling.worst_pair is not None:
+            assert any(doubling_witness(e, intervals).worst_pair.outer is i for i in intervals)
 
     @pytest.mark.parametrize("side", A1_SIDES)
     @pytest.mark.parametrize("e", SETS, ids=IDS)
