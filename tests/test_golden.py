@@ -36,6 +36,14 @@ table moves, and no exit code.  ``verify-dimension-cantor6`` was
 re-recorded when ``verify`` came to run the dimension task at the right
 sweep's admissible pair, as it runs the porosity suites: its bound, null
 before, reads 0.9106 against the fitted 0.5050, and the exit code stays 0.
+The eight fixed-pair ``analyze`` jobs, the four ``analyze --sweep`` jobs
+at ``CAPS`` and the seven ``verify`` jobs of the family suites and
+sided-transport were re-recorded when ``analyze`` and ``verify`` came to
+build one probe family per call, ``certification_probes`` sized by
+``--anchor-cap`` and ``--random-probes``, and ``certify`` stopped
+reporting a doubling estimate.  ``analyze-cantor6`` went from exit 0 to 1:
+``--octaves 6`` had left the old family no probe shorter than 4, and the
+probe (2/3, 19/24) of the depth-6 iterate has sigma 8/27 < 1/2.
 Together the jobs run
 every subcommand that writes a report and every ``verify`` suite.  A change
 that moves any reported figure by one ulp fails here.
@@ -63,18 +71,19 @@ from typing import Optional
 
 import pytest
 
-from poroweights import Interval, ProbeFamily, certification_probes
+from poroweights import Interval, certification_probes
 from poroweights.cli import main
 from poroweights.presets import PRESET_NAMES, preset
 
+# the probe family's caps; --octaves sizes a1's triple ladder only
 CAPS = ("--anchor-cap", "8", "--random-probes", "40", "--octaves", "6", "--seed", "3")
 CANTOR6 = ("--preset", "cantor", "--cantor-depth", "6")
 RANDOM = ("--preset", "random_finite", "--random-count", "24")
 INTEGERS = ("--preset", "integers")
 GEOMETRIC = ("--preset", "geometric_naturals")
 W = ("--window", "-8", "8")
-# default caps: 2,188 probes, 1,888 distinct (2,081 and 1,779 in the certification family
-# that sided-transport and analyze --sweep read)
+# default caps: the probe family of analyze, analyze --sweep and sided-transport holds 2,081
+# probes, 1,779 distinct
 INTEGERS_W = (*INTEGERS, *W)
 DATA = Path(__file__).parent / "data"
 # a finite set read with --set-file: a 40-point progression that a run
@@ -200,52 +209,52 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'a1_report.csv': '48c4c514b17125542e357ccb5c08aa1261e4d5689dbceb47f031e3feff05d168',
         'a1_report.json': '63840d3870994dc4723214ad8cfe9eba96efbdb01368769b2aa18710a1fc4352',
     }),
-    'analyze-cantor6': (0, {
-        'porosity_report.csv': '3e2a30741b81c189ae8be8e83b4291dbcc96068e8a919162b768db681f6baa0e',
-        'porosity_report.json': '01c210512658a0f8735041b975beb09b5c2a40c78fe4a345074fd625326ac6b6',
+    'analyze-cantor6': (1, {
+        'porosity_report.csv': '5075bcf2f2051b67c3abb265019485c625411e48a1818537fc70e4c30f4dd736',
+        'porosity_report.json': '00cbf4c5dbbd182a579eca67cc858fd0e9ae4c8baa1583295e4b6f737caedf17',
     }),
     'analyze-integers': (0, {
-        'porosity_report.csv': '5ac5726160b007deb433badcb7428e1f3588ea37e05700934038904b884778e9',
-        'porosity_report.json': '6e3b9efe9aa29e087deb8eab532dc828527f9f5fec3b1bca9f4dde14d6b200a5',
+        'porosity_report.csv': '896a4975e4f6bfbcdadc4d0a876d446f92c315f06f158d250ae47bde03b1b9d1',
+        'porosity_report.json': '404097e5318427bc2d911b718f944aad48e005413565fc61071e8c351871f77e',
     }),
     'analyze-integers-default-caps': (0, {
-        'porosity_report.csv': '8d13aa5379f8c7dc54a633c39963acb7d6b84f08dea923f7e5bf5e56d48e4efd',
-        'porosity_report.json': '7dad5363aa74a4a54af1b55e189e4bac56380e6c4d4b29700415215ce7dae18f',
+        'porosity_report.csv': '296d612bd0ab263679ec5e6ec277785e86d5722564b4597695d4d3a91f8819ae',
+        'porosity_report.json': 'dec206428247643fa35d0ddd3d984a459f88e362624e5e8552cebf61d7159e71',
     }),
     'analyze-left-reflected-geometric': (0, {
-        'porosity_report.csv': '1035b8d22adae2aa606392bb614b91ef048086ab1ce26b2c5690ab2991248e55',
-        'porosity_report.json': '87c3066f39d1a25554b5bae2259e69eec22c53f1e706d2d9bf96996a1a38df33',
+        'porosity_report.csv': 'd06721ff427efc7cc4c3e57659276dcae60c8451f6b345246e73fa54a824f2ae',
+        'porosity_report.json': '8ea696103c4df55688b09eaf264c4e5c6c160a5a382cc087c9569dd3666d4ad6',
     }),
     'analyze-random': (1, {
-        'porosity_report.csv': '6c1d19e86313a52d045a39bae236fe517b8f827a093b42cc126bf0387509453c',
-        'porosity_report.json': '959a7165c88f5d075eeea4772d71715cc02745cdca4e7168e532910fb97d8024',
+        'porosity_report.csv': '1e0dc2fc14627dddcd9b6df3df7b19d7837f079b1265d76407e49888a9a94300',
+        'porosity_report.json': 'a3295bf65f45b8dcb6e5e76fae61f2e85b9d5fa1b2a03eb77f9d9bbbf440564b',
     }),
     'analyze-right-geometric': (0, {
-        'porosity_report.csv': '948569a2fb9dbc9ed9f1f614634cc61c7d8da5096750afa73f98eed1e6de8f5b',
-        'porosity_report.json': 'f1783f93042b501527cb593b5a18fd212c89b3334593c6907b5c1562d8482354',
+        'porosity_report.csv': '1aa3022d62e83209ae6bc2b854f6ad4f437d01b7c7124c34174d06d593f554ab',
+        'porosity_report.json': '00ea87393b104b4c9c8f1df0d76cf4436c63872f2f6fc464e0efd692311652d0',
     }),
     'analyze-right-integers-default-caps': (0, {
-        'porosity_report.csv': '9b71729cb360a04fdccc0106c045d3820234273c2a6ebf6b169ede2d24148348',
-        'porosity_report.json': '317c9be9b7e820f6fec72347dfd6a8a6817abf5b28fa4dbee628e04187e93e49',
+        'porosity_report.csv': '630a7ab469b7879b647ccabf2b78b54210b00366f323fcc01d1836d203f99512',
+        'porosity_report.json': '87114218ab3a57af5f804accba0ece1a4fd55cf410bcef1b48a77b475bd22f88',
     }),
     'analyze-right-reflected-left-lattice': (0, {
-        'porosity_report.csv': 'd5ca445526fc02256021aae813d3bd19fb300005098fbbc2470f9c9708802a0f',
-        'porosity_report.json': 'ddace4f9516527ce7ac1d50934463c4804cdda24c526a55482e9207d149f499c',
+        'porosity_report.csv': 'f7b1bb303f9c1d8af6e5b89681a4ecf67feb2a56f65562f443ed075b5d0186c8',
+        'porosity_report.json': '7a9fbbca2da64f849c2abe2a4f200d0269bd726033b49de738519bb2f3bdac40',
     }),
     'analyze-sweep-cantor6': (0, {
-        'porosity_sweep.json': '916a9cca6ecbe8a8173d7292769739f314a5b102e4aa2fd34fdd405489853331',
+        'porosity_sweep.json': '8bae871a23ab17305972e0ca8648fd74bbac261145369c05643f90201fa9a396',
     }),
     'analyze-sweep-geometric': (0, {
-        'porosity_sweep.json': 'bd32dfc669a598837870416ab7f7f04011cff1e66a46ce3f60d66d98fff882c6',
+        'porosity_sweep.json': 'dc85cbf933dc5ad5203b4e5d8effa60076a5d766b44cd34523f9dc68cc66a3bc',
     }),
     'analyze-sweep-left-integers-default-caps': (0, {
         'porosity_sweep.json': 'fb3f8033cc449ffb7fe67f52db493c12cd6f494de1cc7fc0a26e022380bd363d',
     }),
     'analyze-sweep-near-arithmetic': (0, {
-        'porosity_sweep.json': '033298bbe7c9ab9a58ae73b2b355400f672b6c9734af5eb22d2c5a6965050b84',
+        'porosity_sweep.json': '224a58cebf03f3395975d7a033c121d70639f55fa2ca1cdab919d42109c0395f',
     }),
     'analyze-sweep-reflected-near-arithmetic': (0, {
-        'porosity_sweep.json': 'e4f900f0190f32c35987f1a981a1f103025c7cf3c4fb82ad481a88f505f6be21',
+        'porosity_sweep.json': '81957ee8ffc769a8cc9d6c6e4a7d570c9d201bb10c7ed145e3b104fa630c690c',
     }),
     'critical-alpha-cantor6': (0, {
         'critical_alpha.json': 'fe7d04bdfb42b92cfbd1a457df8777ae5323e68093b2abf8cc8deb4a2f46be69',
@@ -286,29 +295,29 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'verify_dimension.json': '8866987ce7d7ca8a193119ae28689a8408a902b00b19740d915481e65f1eae8d',
     }),
     'verify-distance-envelope-cantor6': (0, {
-        'verify_distance_envelope.json': 'f3a4d145061b6ebc813ab4f00c1f9f8dbb963529fa35bd6378cedeb9c759f436',
+        'verify_distance_envelope.json': 'b4300f6474819ed9e0c2f93ddb6dd6162d020ff425ed6e9735846827ee2b3eba',
     }),
     'verify-equivalence-integers': (0, {
         'summary_matrix.csv': '89295ae3fceb64ba6e4c429b315c5fb197eee26d99b4521994bd398d3bf0f373',
         'verify_equivalence.json': '7f9520a2e447acd762c659dfba5e7d2cdd6c7bc541163648388d951fe7295ba1',
     }),
     'verify-hole-control-geometric': (0, {
-        'verify_hole_control.json': '4526f682c6e9250c374437a77a699fbab3b7a11c6fb2dd6852a4761f5a3dbd2b',
+        'verify_hole_control.json': 'bafbbc5adb18efa7395fa9f15659d6261a0af4a847424515c2f7126b1765ac22',
     }),
     'verify-left-propagation-cantor6': (0, {
-        'verify_left_propagation.json': '3b0e37508cf1a444e569a5369f0d1ae0c9d68a2b70da8f4eeed1a5197033785c',
+        'verify_left_propagation.json': 'eab7e9963daefa0041e14f430a2e8524c726c781a2d63ba11b2c363f3197a126',
     }),
     'verify-left-propagation-requested-cantor6': (0, {
-        'verify_left_propagation.json': 'd69e85785aaa6e13e2eca488248d58a200a695f08493d91f098575614e783f86',
+        'verify_left_propagation.json': 'fb49aef9b91eb70664217ef4cb92f10b191d7e6044b0810a1d895b153eba1105',
     }),
     'verify-pore-transport-geometric': (0, {
-        'verify_pore_transport.json': 'bf50c81bc8ef78e20e998c60d762ce6db4e622f3c02b15cb52ed3c881747d0f2',
+        'verify_pore_transport.json': '5f8e32e95f64e6d16e301570ab04055e04aca65d293da4651c21314b8b977841',
     }),
     'verify-sided-transport-cantor6': (0, {
-        'verify_sided_transport.json': 'ddb92c5d8f2d4dbda9b66458524ba1580dc98b55dff1b7ba6f37982c3cf49998',
+        'verify_sided_transport.json': '3cfb6f656c0cb9efec65f52fd915753c9b59c3eb78983bf942470edaa0d8ac57',
     }),
     'verify-sided-transport-geometric': (0, {
-        'verify_sided_transport.json': 'de269e22a0d5079e8d2e4fdb7ad99c6682102ca3dbf1f985ba2326c3d6942223',
+        'verify_sided_transport.json': '0e894c640ca12534675d715812c4438bd9e32f9c030b586cdb6af2d94b079bd4',
     }),
     'verify-sided-transport-integers-default-caps': (0, {
         'verify_sided_transport.json': '210ca638aea89c0f08e0d738b843e79a018d86c9e1745b681e100896c035be36',
@@ -333,14 +342,10 @@ def test_report_bytes_match_golden(job):
 
 
 def test_the_default_cap_integer_families_repeat_probes():
-    # (probes, distinct probes) of the families the default-caps jobs read:
-    # analyze's default family, and the certification family of
-    # sided-transport and analyze --sweep
-    e, window = preset("integers"), Interval(-8.0, 8.0)
-    for fam, counts in ((ProbeFamily.default(e, window), (2188, 1888)),
-                        (certification_probes(e, window), (2081, 1779))):
-        probes = fam.intervals()
-        assert (len(probes), len({i.as_pair() for i in probes})) == counts
+    # (probes, distinct probes) of the one family the default-caps jobs read:
+    # analyze, analyze --sweep and sided-transport build it alike
+    probes = certification_probes(preset("integers"), Interval(-8.0, 8.0)).intervals()
+    assert (len(probes), len({i.as_pair() for i in probes})) == (2081, 1779)
 
 
 def wide(earlier: Optional[Path]) -> int:
