@@ -993,12 +993,15 @@ def _exact_sum(terms: Iterable[float]) -> list[float]:
     left and appends its negation.  What is left is a multiple of the least
     subnormal and shrinks to at most half an ulp of itself, so it reaches
     zero, and only then does fsum return 0.0.  ``fsum(partials + more)``
-    therefore equals ``fsum(terms + more)`` bit for bit.
+    therefore equals ``fsum(terms + more)`` bit for bit.  A sum beyond the
+    float range raises ``OverflowError`` whatever the order of the terms.
     """
     terms = list(terms)
     partials = []
     h = fsum(terms)
     while h:
+        if not math.isfinite(h):
+            raise OverflowError("the exact sum leaves the float range")
         partials.append(h)
         terms.append(-h)
         h = fsum(terms)
