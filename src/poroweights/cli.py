@@ -21,6 +21,8 @@ from . import presets as presets_mod
 from .intervals import Interval
 from .muckenhoupt import DEFAULT_TRIPLE_OCTAVES, TripleFamily, TripleTable, a1_constant, critical_alpha
 from .porosity import (
+    CERT_ANCHOR_CAP,
+    CERT_RANDOM_PROBES,
     PorosityParams,
     ProbeFamily,
     certification_probes,
@@ -114,9 +116,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     g.add_argument("--random-span", type=parse_number, default=8.0)
     r = p.add_argument_group("run configuration")
     r.add_argument("--window", nargs=2, type=parse_number, default=(-64.0, 64.0), metavar=("LO", "HI"))
-    r.add_argument("--octaves", type=int, default=None, help="probe scale octaves (default adapts to the set)")
-    r.add_argument("--anchor-cap", type=int, default=128)
-    r.add_argument("--random-probes", type=int, default=1000)
+    r.add_argument("--octaves", type=int, default=None, help=f"a1 only: triple ladder octaves (default {DEFAULT_TRIPLE_OCTAVES})")
+    r.add_argument("--anchor-cap", type=int, default=CERT_ANCHOR_CAP,
+                   help="anchor cap of the porosity probe family of analyze and verify (a1 takes at most 32)")
+    r.add_argument("--random-probes", type=int, default=CERT_RANDOM_PROBES,
+                   help="random probes of the porosity probe family of analyze and verify")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", type=Path, default=Path("reports"))
     r.add_argument("--format", choices=("json", "csv", "both"), default="both")
@@ -171,11 +175,6 @@ def _config(args) -> None:
     args.window = Interval(lo, hi)
 
 
-def _probe_family(args) -> ProbeFamily:
-    return ProbeFamily.default(args.e, args.window, octaves=args.octaves, anchor_cap=args.anchor_cap,
-                               random_count=args.random_probes, seed=args.seed)
-
-
 def _check_pair(args) -> None:
     """--sigma and --gamma go together, and must make a :class:`PorosityParams`."""
     if (args.sigma is None) != (args.gamma is None):
@@ -199,19 +198,19 @@ def _emit(args, name: str, kind: str, payload, csv_spec=None) -> None:
 
 def cmd_analyze(args) -> int:
     _config(args)
+    probes = certification_probes(args.e, args.window, anchor_cap=args.anchor_cap,
+                                  random_count=args.random_probes, seed=args.seed)
     if args.sweep:
-        probes = certification_probes(args.e, args.window, seed=args.seed)
         sweep = sweep_parameters(args.e, probes, args.side_porosity)
         _emit(args, "porosity_sweep", "porosity-sweep", sweep)
         print(f"sweep[{args.side_porosity}] best gamma={sweep.best_gamma} sigma*={sweep.best_sigma:.6g} certified={sweep.certified}")
         return 0 if sweep.certified else 1
     params = PorosityParams(args.sigma, args.gamma, args.side_porosity)
-    report = certify(args.e, params, _probe_family(args))
+    report = certify(args.e, params, probes)
     _emit(args, "porosity_report", "porosity-certification", report, (POROSITY_COLUMNS, report.rows()))
     verdict = "PASS" if report.passed else "FAIL"
     print(f"porosity[{params.side}] sigma={params.sigma} gamma={params.gamma}: {verdict}")
     print(f"  probes={report.probe_count} worst sigma={report.worst_sigma:.6g} at {report.worst_interval.as_pair() if report.worst_interval else None}")
-    print(f"  doubling estimate={report.phi_estimate:.6g} divergent={report.doubling.divergent}")
     return 0 if report.passed else 1
 
 
@@ -277,7 +276,7 @@ SUITE_IDS = (
 )
 
 
-# the suites that read the default probe family; the others build their own probes or none
+# the suites that read the probe family's intervals
 FAMILY_SUITES = {"distance-envelope", "hole-control", "left-propagation", "pore-transport"}
 
 
@@ -301,10 +300,9 @@ SWEEP_RULE = "the right sweep's certified pair with the largest admissible alpha
 REQUESTED_RULE = "--sigma and --gamma as given, certified on the right sweep's probes"
 
 
-def _porosity_constants(args) -> Optional[dict]:
+def _porosity_constants(args, probes: ProbeFamily) -> Optional[dict]:
     """The certified (sigma, gamma) the porosity suites run at, with the rule that chose it; None if refuted."""
     e = args.e
-    probes = certification_probes(e, args.window, seed=args.seed)
     if args.sigma is not None:
         params = PorosityParams(args.sigma, args.gamma, "right")
         rule = REQUESTED_RULE
@@ -322,7 +320,7 @@ def _porosity_constants(args) -> Optional[dict]:
 
 
 def _run_one_suite(task) -> tuple[str, object]:
-    sid, args, fam_intervals, gamma, sigma = task
+    sid, args, probes, fam_intervals, gamma, sigma = task
     e = args.e
     if sid == "distance-envelope":
         return sid, suite_distance_envelope(e, fam_intervals)
@@ -337,7 +335,7 @@ def _run_one_suite(task) -> tuple[str, object]:
     if sid == "dimension":
         return sid, suite_dimension(e, args.window, sigma=sigma, gamma=gamma)
     if sid == "sided-transport":
-        return sid, suite_sided_transport(e, args.window, seed=args.seed)
+        return sid, suite_sided_transport(e, args.window, seed=args.seed, probes=probes)
     if sid == "equivalence":
         cat = presets_mod.catalog(seed=args.seed, cantor_depth=8)
         return sid, suite_equivalence_matrix(cat, args.window, seed=args.seed)
@@ -348,17 +346,20 @@ def cmd_verify(args) -> int:
     _check_pair(args)
     _config(args)
     suite_ids = list(SUITE_IDS) if args.suite == "all" else [args.suite]
-    intervals = _probe_family(args).intervals() if FAMILY_SUITES & set(suite_ids) else None
+    # one family for every suite that reads probes; the equivalence matrix probes its own sets
+    probes = None if suite_ids == ["equivalence"] else certification_probes(
+        args.e, args.window, anchor_cap=args.anchor_cap, random_count=args.random_probes, seed=args.seed)
+    intervals = probes.intervals() if FAMILY_SUITES & set(suite_ids) else None
     constants = {"sigma": None, "gamma": None}
     if POROSITY_SUITES & set(suite_ids):
-        found = _porosity_constants(args)
+        found = _porosity_constants(args, probes)
         if found is None:
             gated = [s for s in suite_ids if s in POROSITY_SUITES]
             suite_ids = [s for s in suite_ids if s not in POROSITY_SUITES]
             print(f"skipping {gated}: right-sided porosity refuted on probes (their bounds presuppose it)")
         else:
             constants = found
-    tasks = [(sid, args, intervals, constants["gamma"], constants["sigma"]) for sid in suite_ids]
+    tasks = [(sid, args, probes, intervals, constants["gamma"], constants["sigma"]) for sid in suite_ids]
     if args.workers > 1 and len(tasks) > 1:
         with Pool(processes=min(args.workers, len(tasks))) as pool:
             results = pool.map(_run_one_suite, tasks)
@@ -420,9 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=parse_number, default=0.5)
     p.add_argument("--gamma", type=parse_number, default=0.5)
     p.add_argument("--side", dest="side_porosity", choices=("right", "left", "two_sided"), default="two_sided")
-    p.add_argument("--sweep", action="store_true", help="search the parameter grid on the certification probes, "
-                   "as critical-alpha and verify do (--anchor-cap, --random-probes and --octaves apply only "
-                   "to the fixed-pair check)")
+    p.add_argument("--sweep", action="store_true",
+                   help="search the parameter grid on the probe family, as critical-alpha and verify do")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("a1", help="sample one-sided constant lower bounds for a distance-power weight")

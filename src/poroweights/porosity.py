@@ -301,16 +301,19 @@ def _probe_pairs(probes: ProbeFamily | Sequence[Interval],
 
 
 CERT_HEADROOM = 12  # octaves of probe scale above the window span
+CERT_ANCHOR_CAP = 64  # the certification family's anchor cap and random probe count
+CERT_RANDOM_PROBES = 200
 
 
 def certification_probes(
     e: SetDescription,
     window: Interval,
-    anchor_cap: int = 64,
-    random_count: int = 200,
+    anchor_cap: int = CERT_ANCHOR_CAP,
+    random_count: int = CERT_RANDOM_PROBES,
     seed: int = 0,
 ) -> ProbeFamily:
-    """Probe family for parameter sweeps and porosity refutation.
+    """The one porosity probe family: certify, the sweeps, the doubling pass and
+    the CLI's family suites all read it.
 
     Scales reach well beyond the window span: at the gamma-grid floor of
     2**-12 a refutation needs probes whose reference-half hole radius times
@@ -351,32 +354,26 @@ class DoublingReport:
 
 @dataclass(frozen=True)
 class PorosityReport:
+    """The porosity inequality over one probe family (the doubling figures are :func:`doubling_witness`'s)."""
+
     params: PorosityParams
     probe_count: int
     worst_interval: Optional[Interval]
     worst_sigma: float
-    phi_estimate: float
     passed: bool
     witnesses: tuple[tuple[Interval, float], ...]
-    doubling: Optional[DoublingReport] = field(repr=False, default=None)
     # the pass's columns: the family's probes as (lo, hi) pairs, per probe its
-    # index among the distinct probes, and per distinct probe sigma and rho of
-    # I, I-, I+ and the centred half
-    columns: tuple = field(repr=False, compare=False, default=((), (), (), ()))
+    # index among the distinct probes, and per distinct probe sigma, rho(I-) and rho(I+)
+    columns: tuple = field(repr=False, compare=False, default=((), (), ()))
 
     def rows(self) -> Iterator[tuple[float, float, float, float, float]]:
         """(lo, hi, rho_minus, rho_plus, sigma) per probe, in family order."""
-        pairs, order, sigmas, radii = self.columns
+        pairs, order, figures = self.columns
         for (lo, hi), n in zip(pairs, order):
-            yield lo, hi, radii[4 * n + 1], radii[4 * n + 2], sigmas[n]
+            yield lo, hi, figures[3 * n + 1], figures[3 * n + 2], figures[3 * n]
 
 
 MAX_WITNESSES = 64
-
-
-def _centred_half(i: Interval) -> Interval:
-    quarter = 0.25 * i.length
-    return Interval(i.center - quarter, i.center + quarter)
 
 
 def _splittable(lo: float, hi: float) -> bool:
@@ -390,7 +387,9 @@ def _splittable(lo: float, hi: float) -> bool:
     return lo < c < hi and c - quarter < c + quarter
 
 
-_INNER = (None, lambda i: i.left_half, lambda i: i.right_half, _centred_half)
+# the inner interval J of a doubling pair per inner index: I-, I+ and the centred half
+_INNER = (None, lambda i: i.left_half, lambda i: i.right_half,
+          lambda i: Interval(i.center - 0.25 * i.length, i.center + 0.25 * i.length))
 
 
 def _pair_ratios(radii: array) -> Iterator[tuple[int, int, float]]:
@@ -455,40 +454,30 @@ def _doubling_report(pairs: Sequence[tuple[float, float]], radii: array,
     )
 
 
-def _columns(rated: Callable[[float, float], Rated], distinct: list,
-             params: Optional[PorosityParams] = None) -> tuple[array, array]:
-    """Per distinct probe (lo, hi), split in place: sigma at ``params`` if given, and
-    rho of I, I-, I+ and the centred half, each window read through ``rated``."""
-    sigmas = array("d")
-    radii = array("d")
-    for lo, hi in distinct:
-        c = _split(lo, hi)
-        windows = rated(lo, hi), rated(lo, c), rated(c, hi)
-        if params is not None:
-            sigmas.append(_side_sigma(windows, params.side, params.gamma))
-        quarter = 0.25 * (hi - lo)
-        radii.extend((windows[0][3], windows[1][3], windows[2][3], rated(c - quarter, c + quarter)[3]))
-    return sigmas, radii
-
-
 def doubling_witness(
     e: SetDescription, probes: ProbeFamily | Sequence[Interval], store: Optional[WindowStore] = None
 ) -> DoublingReport:
-    """Max ratio rho(I)/rho(J) over nested pairs with |I| = 2|J|.
+    """Max ratio rho(I)/rho(J) over nested pairs with |I| = 2|J|: the one doubling pass.
 
     Pairs use J = left half, right half, and the centered half of each probe.
-    Unbounded growth of the ratio across scales refutes two-sided porosity.
+    Unbounded growth of the ratio across scales refutes two-sided porosity;
+    sided-transport reads its Phi here, over the family it checks.
     The probes are (lo, hi) pairs (see :meth:`ProbeFamily.bounds`); each
-    distinct pair is evaluated once (see :func:`distinct_probes`), and only
-    the pairs the report names become intervals.  The probes read their
-    windows through ``rated`` of one :class:`WindowStore` (``store``, or a
-    new one), so the centred half of (a - s, a + s), which is the centred
-    probe at scale s, is summarised once while the pass's recent windows fit
-    the store.
+    distinct pair is split in place and evaluated once (see
+    :func:`distinct_probes`), and only the pairs the report names become
+    intervals.  The probes read their windows through ``rated`` of one
+    :class:`WindowStore` (``store``, or a new one), so the centred half of
+    (a - s, a + s), which is the centred probe at scale s, is summarised once
+    while the pass's recent windows fit the store.
     """
     pairs, interval = _probe_pairs(probes, allow_empty=True)
     distinct, order = distinct_probes(pairs)
-    radii = _columns((WindowStore(e) if store is None else store).rated, distinct)[1]
+    rated = (WindowStore(e) if store is None else store).rated
+    radii = array("d")  # per distinct probe: rho of I, I-, I+ and the centred half
+    for lo, hi in distinct:
+        c = _split(lo, hi)
+        quarter = 0.25 * (hi - lo)
+        radii.extend((rated(lo, hi)[3], rated(lo, c)[3], rated(c, hi)[3], rated(c - quarter, c + quarter)[3]))
     return _doubling_report(distinct, radii, lambda n: interval(order.index(n)))  # n's first occurrence
 
 
@@ -499,41 +488,49 @@ def certify(
 ) -> PorosityReport:
     """Evaluate the porosity inequality on every probe; pass iff none dips below sigma.
 
-    The probes are (lo, hi) pairs (see :meth:`ProbeFamily.bounds`); each
-    distinct pair reads four windows, I, its halves and its centred half,
-    through ``rated`` of one :class:`WindowStore` (see :func:`_columns`).
-    Its sigma is the share of the region at one threshold, and sigma and
-    its four hole radii go into columns, which the report keeps, with the
+    The probes are (lo, hi) pairs (see :meth:`ProbeFamily.bounds`), as
+    :func:`certification_probes` lists them for the CLI; on one family,
+    ``worst_sigma`` is the sweep's sigma* at ``params.gamma``.  Each distinct
+    pair is split in place and reads its halves I- and I+, and I itself only
+    on the two-sided side, through ``rated`` of one :class:`WindowStore`.
+    Its sigma is the share of the region at one threshold; sigma and the
+    halves' hole radii go into columns, which the report keeps, with the
     pairs, for :meth:`PorosityReport.rows`.  The worst probe and the
-    witnesses read the columns in family order, the doubling report once
-    per distinct probe.  Only they and the doubling pairs become intervals
-    (the caller's own, if it passed intervals).  A window shared between
-    probes is summarised once while the pass's recent windows fit the store.
+    witnesses read the columns in family order, and only they become
+    intervals (the caller's own, if it passed intervals).  A window shared
+    between probes is summarised once while the pass's recent windows fit
+    the store.  The doubling pass is :func:`doubling_witness`.
     """
     pairs, interval = _probe_pairs(probes)
     distinct, order = distinct_probes(pairs)
-    sigmas, radii = _columns(WindowStore(e).rated, distinct, params)
+    rated = WindowStore(e).rated
+    whole = params.side == "two_sided"
+    windows = [None, None, None]  # the probe's rated I (two-sided only), I- and I+
+    figures = array("d")  # per distinct probe: sigma, rho(I-) and rho(I+)
+    for lo, hi in distinct:
+        c = _split(lo, hi)
+        windows[1], windows[2] = rated(lo, c), rated(c, hi)
+        if whole:
+            windows[0] = rated(lo, hi)
+        figures.extend((_side_sigma(windows, params.side, params.gamma), windows[1][3], windows[2][3]))
     witnesses: list[tuple[Interval, float]] = []
     worst: Optional[int] = None
     worst_sigma = math.inf
     for k, n in enumerate(order):
-        s = sigmas[n]
+        s = figures[3 * n]
         if s < worst_sigma:
             worst_sigma = s
             worst = k
         if s < params.sigma and len(witnesses) < MAX_WITNESSES:
             witnesses.append((interval(k), s))
-    doubling = _doubling_report(distinct, radii, lambda n: interval(order.index(n)))
     return PorosityReport(
         params=params,
         probe_count=len(pairs),
         worst_interval=None if worst is None else interval(worst),
         worst_sigma=worst_sigma,
-        phi_estimate=doubling.phi_estimate,
         passed=worst_sigma >= params.sigma,
         witnesses=tuple(witnesses),
-        doubling=doubling,
-        columns=(pairs, order, sigmas, radii),
+        columns=(pairs, order, figures),
     )
 
 

@@ -506,16 +506,13 @@ def certify_walk(e, params, intervals):
             worst = i
         if s < params.sigma and len(witnesses) < MAX_WITNESSES:
             witnesses.append((i, s))
-    doubling = doubling_witness_walk(e, intervals)
     report = PorosityReport(
         params=params,
         probe_count=len(intervals),
         worst_interval=worst,
         worst_sigma=worst_sigma,
-        phi_estimate=doubling.phi_estimate,
         passed=worst_sigma >= params.sigma,
         witnesses=tuple(witnesses),
-        doubling=doubling,
     )
     return report, rows
 

@@ -10,7 +10,7 @@ import pytest
 
 from poroweights import cli
 from poroweights.cli import SUITE_IDS, main
-from poroweights.porosity import dimension_bound
+from poroweights.porosity import SweepResult, dimension_bound
 from poroweights.presets import PRESET_NAMES
 from poroweights.reporting import (
     DECAY_COLUMNS,
@@ -80,15 +80,12 @@ def test_verify_rejects_a_gamma_outside_the_unit_interval(gamma, tmp_path, capsy
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["analyze", "--window", "0", "5e-324"],
-         "error: probe family is empty (probes too short to halve are left out)"),
         (["a1", "--alpha", "2", "--window", "0", "1e-300"], "error: a value left the float range"),
     ],
-    ids=["probes-too-short-to-halve", "weight-beyond-float-range"],
+    ids=["weight-beyond-float-range"],
 )
 def test_sub_ulp_windows_exit_2(argv, message, tmp_path, capsys, monkeypatch):
-    # gaps of 5e-324: no probe in (0, 5e-324) can be halved, and d^-2 at the
-    # peaks of a 1e-300 window, near 2^-1022, exceeds the largest float
+    # d^-2 at the peaks of a 1e-300 window, near 2^-1022, exceeds the largest float
     monkeypatch.chdir(tmp_path)
     (tmp_path / "set.json").write_text(FLOAT_FLOOR_SET)
     code = main([*argv, "--set-file", "set.json", "--anchor-cap", "8", "--random-probes", "20",
@@ -98,6 +95,20 @@ def test_sub_ulp_windows_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     assert captured.err.startswith(message)
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_analyze_halves_the_probes_above_a_sub_ulp_window(tmp_path, monkeypatch):
+    # no probe inside (0, 5e-324) can be halved, but the family's probes above
+    # the window span can, so analyze certifies there; an empty family is a
+    # library error (tests/test_porosity.py)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "set.json").write_text(FLOAT_FLOOR_SET)
+    argv = ["analyze", "--set-file", "set.json", "--window", "0", "5e-324", "--anchor-cap", "8",
+            "--random-probes", "20", "--workers", "1"]
+    code, reports = _reports(argv, tmp_path / "out")
+    body = json.loads(reports["porosity_report.json"])["body"]
+    assert code == 0
+    assert body["passed"] and body["probe_count"] > 0
 
 
 @pytest.mark.parametrize("hi", ["1e-300", "5e-324"])
@@ -378,6 +389,33 @@ def test_analyze_sweep_is_the_critical_alpha_sweep(preset, tmp_path):
     assert table == json.loads(searched["critical_alpha.json"])["body"]["porosity"]["table"]
 
 
+# the pair that the fixed-pair check passed on reflected_geometric_naturals'
+# right side at +-64 while the sweep refuted that side, when the check
+# probed a family of its own with no scales above the window span
+REFUTED_PAIR = (0.25, 0.03125)
+
+
+def test_the_fixed_pair_check_agrees_with_the_sweep(tmp_path):
+    # at default flags analyze and analyze --sweep probe one family, so a pair
+    # passes exactly when the sweep's sigma*(gamma) reaches its sigma: at the
+    # pair above, and at the admissible pair of every certified side
+    for name in PRESET_NAMES:
+        for side in ("right", "left", "two_sided"):
+            argv = ("analyze", "--preset", name, "--side", side, "--format", "json", "--workers", "1")
+            out = tmp_path / name / side
+            body = json.loads(_reports([*argv, "--sweep"], out / "sweep")[1]["porosity_sweep.json"])["body"]
+            sweep = SweepResult(side, tuple(map(tuple, body["table"])), body["best_gamma"], body["best_sigma"])
+            pairs = [REFUTED_PAIR]
+            if sweep.certified:
+                admissible = sweep.admissible_params()
+                pairs.append((admissible.sigma, admissible.gamma))
+            for k, (sigma, gamma) in enumerate(pairs):
+                code = _reports([*argv, "--sigma", repr(sigma), "--gamma", repr(gamma)], out / str(k))[0]
+                assert code == (0 if dict(sweep.table)[gamma] >= sigma else 1), (name, side, sigma, gamma)
+                if (name, side, k) == ("reflected_geometric_naturals", "right", 0):
+                    assert code == 1
+
+
 def test_analyze_exits_1_when_porosity_fails(tmp_path):
     # at these caps a probe of the depth-6 Cantor iterate keeps sigma below
     # the default 1/2, so the certification fails and says so in its exit code
@@ -442,15 +480,29 @@ def test_verify_exit_code_agrees_with_the_report(preset, suite, tmp_path):
         assert rows[0] == CSV_HEADERS[name] and all(len(r) == len(rows[0]) for r in rows), name
 
 
-@pytest.mark.parametrize("suite, builds", [("decay", 0), ("dimension", 0), ("hole-control", 1)])
-def test_verify_builds_the_default_family_only_for_suites_that_read_it(suite, builds, tmp_path, monkeypatch):
+@pytest.mark.parametrize("suite, builds", [("equivalence", 0), ("decay", 1), ("dimension", 1), ("hole-control", 1),
+                                           ("sided-transport", 1), ("all", 1)])
+def test_verify_builds_at_most_one_family(suite, builds, tmp_path, monkeypatch):
+    # the family suites, the porosity constants and sided-transport read one
+    # certification family; the equivalence matrix probes its own sets
     calls = []
-    original = cli._probe_family
-    monkeypatch.setattr(cli, "_probe_family", lambda args: calls.append(args) or original(args))
-    argv = ("verify", "--preset", "integers", *CAPS, *W, "--suite", suite, "--workers", "1")
+    original = cli.certification_probes
+    monkeypatch.setattr(cli, "certification_probes", lambda *a, **k: calls.append(a) or original(*a, **k))
+    window = ("--window", "-2", "2") if suite in ("equivalence", "all") else W
+    argv = ("verify", "--preset", "integers", *CAPS, *window, "--suite", suite, "--workers", "1")
     code, _ = _reports(argv, tmp_path)
     assert code == 0
     assert len(calls) == builds
+
+
+def test_analyze_builds_one_family(tmp_path, monkeypatch):
+    calls = []
+    original = cli.certification_probes
+    monkeypatch.setattr(cli, "certification_probes", lambda *a, **k: calls.append(a) or original(*a, **k))
+    for extra in ((), ("--sweep",)):
+        calls.clear()
+        _reports(["analyze", "--preset", "integers", *CAPS, *W, *extra, "--workers", "1"], tmp_path / "-".join(extra))
+        assert len(calls) == 1
 
 
 POROSITY_SUITES = ("left-propagation", "pore-transport", "decay")

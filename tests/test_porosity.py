@@ -323,6 +323,13 @@ class TestSweep:
 
 
 class TestProbesTooShortToHalve:
+    def test_an_empty_family_is_rejected(self):
+        # at anchor 1 a scale of 2**-60 is below the ulp: no probe is left
+        fam = ProbeFamily(anchors=(1.0,), scales=(2.0 ** -60,))
+        assert fam.bounds() == []
+        with pytest.raises(ValueError, match=r"^probe family is empty \(probes too short to halve are left out\)$"):
+            certify(FinitePoints([0.0, 1.0]), PorosityParams(0.5, 0.5), fam)
+
     def test_the_family_leaves_them_out(self):
         # at anchor 1 a scale of 2**-60 is below the ulp, and no anchor splits
         # a 5e-324 scale: only the nine probes that can be halved remain
@@ -366,6 +373,18 @@ class TestProbeBounds:
             assert repr(fam.intervals()) == repr(oracles.family_intervals_walk(fam))
 
 
+@pytest.mark.parametrize("name", [name for name, _ in catalog()])
+def test_certify_reads_the_sweeps_sigma_star(name):
+    # on one family the worst sigma at (sigma, gamma) is sigma*(gamma) of the
+    # sweep, whatever sigma: the fixed-pair check and the sweep cannot disagree
+    e = dict(catalog(seed=3, cantor_depth=6))[name]
+    fam = certification_probes(e, Interval(-8.0, 8.0), anchor_cap=8, random_count=20, seed=3)
+    for side in ("right", "left", "two_sided"):
+        for gamma in (0.5, 0.125, 2.0 ** -5, 2.0 ** -12):
+            worst = certify(e, PorosityParams(0.5, gamma, side), fam).worst_sigma
+            assert worst == sweep_parameters(e, fam, side, (gamma,)).best_sigma, (side, gamma)
+
+
 class TestTransportInvariants:
     def test_reflection_duality_bitwise(self, geometric_naturals, window):
         fam = ProbeFamily.default(geometric_naturals, window, random_count=0, seed=0)
@@ -379,9 +398,8 @@ class TestTransportInvariants:
     def test_cutoff_inherits_right_certification(self, integers, window):
         fam = ProbeFamily.default(integers, window, seed=2)
         intervals = fam.intervals()
-        two = certify(integers, PorosityParams(0.5, 0.5, "two_sided"), intervals)
-        assert two.passed
-        phi = two.phi_estimate
+        assert certify(integers, PorosityParams(0.5, 0.5, "two_sided"), intervals).passed
+        phi = doubling_witness(integers, intervals).phi_estimate
         gamma_t = 0.5 / phi
         half_line = Cutoff(integers, 0.0, "right")
         rep = certify(half_line, PorosityParams(0.5, gamma_t, "right"), intervals)

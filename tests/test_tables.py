@@ -614,12 +614,17 @@ class TestWorkCounts:
     IDS = ["integers", "geometric_naturals", "cantor6", "reflected_geometric_naturals"]
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
-    def test_certify_summarises_four_windows_per_probe(self, e, summaries):
+    def test_certify_reads_the_halves_and_the_doubling_pass_four_windows(self, e, summaries):
+        # certify reads I- and I+, and I on the two-sided side only; the
+        # doubling pass reads I, I-, I+ and the centred half
         intervals = small_family(e, 1).intervals()
         for side in SIDES:
             summaries[0] = 0
             certify(e, PorosityParams(0.25, 0.25, side), intervals)
-            assert 0 < summaries[0] <= 4 * len(intervals)
+            assert 0 < summaries[0] <= (3 if side == "two_sided" else 2) * len(intervals)
+        summaries[0] = 0
+        doubling_witness(e, intervals)
+        assert 0 < summaries[0] <= 4 * len(intervals)
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_right_and_left_sweeps_share_the_halves(self, e, summaries):
@@ -663,8 +668,8 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_certify_and_sweeps_build_no_interval_per_window(self, e, monkeypatch):
-        # a pass names its windows by their bounds: in certify only the
-        # doubling report's worst pair and witnesses build their inner halves
+        # a pass names its windows by their bounds: given intervals, only the
+        # doubling pass's worst pair and witnesses build their inner halves
         count = [0]
         original = Interval.__post_init__
 
@@ -677,15 +682,16 @@ class TestWorkCounts:
         sweep_sides(e, intervals, SIDES)
         assert count[0] == 0
         for side in SIDES:
-            count[0] = 0
-            doubling = certify(e, PorosityParams(0.25, 0.25, side), intervals).doubling
-            assert count[0] == (doubling.worst_pair is not None) + len(doubling.witnesses)
+            certify(e, PorosityParams(0.25, 0.25, side), intervals)
+        assert count[0] == 0
+        doubling = doubling_witness(e, intervals)
+        assert count[0] == (doubling.worst_pair is not None) + len(doubling.witnesses)
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_passes_given_the_family_build_an_interval_per_named_probe_only(self, e, monkeypatch):
         # as the CLI passes it: the pass reads the family's bounds, and builds
-        # the worst probe, each witness and each doubling pair (outer and
-        # inner) only; the report is the one of the family's intervals
+        # the worst probe and each witness, or each doubling pair (outer and
+        # inner), only; the report is the one of the family's intervals
         count = [0]
         original = Interval.__post_init__
 
@@ -702,9 +708,7 @@ class TestWorkCounts:
             params = PorosityParams(0.25, 0.25, side)
             count[0] = 0
             report = certify(e, params, fam)
-            doubling = report.doubling
-            named = (report.worst_interval is not None) + len(report.witnesses)
-            assert count[0] == named + 2 * ((doubling.worst_pair is not None) + len(doubling.witnesses))
+            assert count[0] == (report.worst_interval is not None) + len(report.witnesses)
             assert report == certify(e, params, intervals)
             assert list(report.rows()) == list(certify(e, params, intervals).rows())
         count[0] = 0
