@@ -20,7 +20,7 @@ import threading
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poroweights import (
     CantorIterate,
@@ -665,6 +665,9 @@ class TestGroupedTerms:
 
     @settings(max_examples=300, deadline=None)
     @given(items=item_lists)
+    # terms past the float range, in an order where fsum returns inf rather than overflow
+    @example(items=[(1.7976931348623157e308, 1.7976931348623157e308), (1.7976931348623157e308, math.inf),
+                    (1.7976931348623157e308, 1.7976931348623157e308)])
     def test_the_one_pass_grouping_matches_the_sorted_one(self, items):
         got, want = packed(items)
         assert got == want
