@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from .intervals import Interval, _split
-from .scaling import LadderReport, octave_of, rising_prefix_maxima
 from .sets import (
     SetDescription,
     WindowSummary,
@@ -80,13 +79,14 @@ class WindowStore:
     A pass reads every window by its bounds, through the one bound method
     :meth:`rated`.  A pass over anchors x dyadic scales x alignments meets
     most windows more than once: the halves of (a, a + 2s) are whole probes
-    at scale s, and the centred half of (a - s, a + s) is the centred probe
-    at scale s.  A window is named by its bounds, summarised on its first
-    query and read back while it is recent.  When the newer generation
-    holds ``STORE_CAP`` windows the older one is dropped and the newer
-    takes its place; a window read from the older generation moves to the
-    newer.  So a pass holds at most ``2 * STORE_CAP`` windows, and
-    summarises a window once while its recent windows fit the store.
+    at scale s, and the centred half of (a - s, a + s), which sided-transport
+    reads for its doubling estimate, is the centred probe at scale s.  A
+    window is named by its bounds, summarised on its first query and read
+    back while it is recent.  When the newer generation holds
+    ``STORE_CAP`` windows the older one is dropped and the newer takes its
+    place; a window read from the older generation moves to the newer.  So
+    a pass holds at most ``2 * STORE_CAP`` windows, and summarises a window
+    once while its recent windows fit the store.
     """
 
     __slots__ = ("e", "_new", "_old")
@@ -285,8 +285,7 @@ def distinct_probes(probes: Sequence) -> tuple[list, array]:
     return list(first), order
 
 
-def _probe_pairs(probes: ProbeFamily | Sequence[Interval],
-                 allow_empty: bool = False) -> tuple[list, Callable[[int], Interval]]:
+def _probe_pairs(probes: ProbeFamily | Sequence[Interval]) -> tuple[list, Callable[[int], Interval]]:
     """The probes as (lo, hi) pairs (:meth:`ProbeFamily.bounds` of a family), and probe k
     as an :class:`Interval`: the caller's own if it passed intervals, else built from its bounds."""
     if isinstance(probes, ProbeFamily):
@@ -295,7 +294,7 @@ def _probe_pairs(probes: ProbeFamily | Sequence[Interval],
     else:
         given = list(probes)
         pairs, interval = [(i.lo, i.hi) for i in given], given.__getitem__
-    if not (pairs or allow_empty):
+    if not pairs:
         raise ValueError("probe family is empty (probes too short to halve are left out)")
     return pairs, interval
 
@@ -312,8 +311,8 @@ def certification_probes(
     random_count: int = CERT_RANDOM_PROBES,
     seed: int = 0,
 ) -> ProbeFamily:
-    """The one porosity probe family: certify, the sweeps, the doubling pass and
-    the CLI's family suites all read it.
+    """The one porosity probe family: certify, the sweeps, sided-transport and the
+    CLI's family suites all read it.
 
     Scales reach well beyond the window span: at the gamma-grid floor of
     2**-12 a refutation needs probes whose reference-half hole radius times
@@ -335,26 +334,8 @@ def certification_probes(
 
 
 @dataclass(frozen=True)
-class DoublingPair:
-    outer: Interval
-    inner: Interval
-    ratio: float
-
-
-@dataclass(frozen=True)
-class DoublingReport:
-    """Observed hole-radius doubling behaviour over nested interval pairs."""
-
-    phi_estimate: float
-    worst_pair: Optional[DoublingPair]
-    ladder: tuple[tuple[int, float], ...]
-    divergent: bool
-    witnesses: tuple[DoublingPair, ...] = ()
-
-
-@dataclass(frozen=True)
 class PorosityReport:
-    """The porosity inequality over one probe family (the doubling figures are :func:`doubling_witness`'s)."""
+    """The porosity inequality over one probe family."""
 
     params: PorosityParams
     probe_count: int
@@ -387,100 +368,6 @@ def _splittable(lo: float, hi: float) -> bool:
     return lo < c < hi and c - quarter < c + quarter
 
 
-# the inner interval J of a doubling pair per inner index: I-, I+ and the centred half
-_INNER = (None, lambda i: i.left_half, lambda i: i.right_half,
-          lambda i: Interval(i.center - 0.25 * i.length, i.center + 0.25 * i.length))
-
-
-def _pair_ratios(radii: array) -> Iterator[tuple[int, int, float]]:
-    """(probe index, inner index, rho(I)/rho(J)) over the pairs with rho(J) > 0, in probe order."""
-    for n in range(0, len(radii), 4):
-        outer = radii[n]
-        for k in (1, 2, 3):
-            inner = radii[n + k]
-            if inner > 0.0:
-                yield n // 4, k, outer / inner
-
-
-def _doubling_report(pairs: Sequence[tuple[float, float]], radii: array,
-                     outer: Callable[[int], Interval]) -> DoublingReport:
-    """Reduce the radius columns of ``pairs``: per probe rho(I), then rho of I-, I+ and the centred half.
-
-    One pass finds the first largest ratio and the finite per-octave
-    maxima, with the octave of each probe computed once, on its first pair.
-    The pairs are walked again, in length order, only for the witnesses of
-    a divergent ladder.  Only the worst pair and the witnesses are built:
-    probe n as ``outer(n)``, and its inner half from it.
-
-    A family's report is the report of its distinct probes in first-occurrence
-    order (:func:`distinct_probes`): a repeat ties its first occurrence, which
-    comes before it in family order and in the stable length order, and the
-    largest ratio and the rising maxima both keep the first of ties.
-    """
-
-    def pair(t: tuple[int, int, float]) -> DoublingPair:
-        i = outer(t[0])
-        return DoublingPair(i, _INNER[t[1]](i), t[2])
-
-    best: Optional[tuple[int, int, float]] = None
-    best_ratio = 0.0
-    top: dict[int, float] = {}
-    for n, (lo, hi) in enumerate(pairs):
-        whole = radii[4 * n]
-        octave = None
-        for k in (1, 2, 3):
-            inner = radii[4 * n + k]
-            if inner > 0.0:
-                ratio = whole / inner
-                if best is None or ratio > best_ratio:
-                    best, best_ratio = (n, k, ratio), ratio
-                if octave is None:
-                    octave = octave_of(hi - lo)
-                if math.isfinite(ratio):
-                    t = top.get(octave)
-                    if t is None or ratio > t:
-                        top[octave] = ratio
-    report = LadderReport.from_maxima(top)
-    witnesses: tuple[DoublingPair, ...] = ()
-    if report.divergent:
-        rows = sorted(_pair_ratios(radii), key=lambda t: pairs[t[0]][1] - pairs[t[0]][0])
-        witnesses = tuple(map(pair, rising_prefix_maxima(rows)[-16:]))
-    return DoublingReport(
-        phi_estimate=best_ratio,
-        worst_pair=pair(best) if best else None,
-        ladder=report.ladder,
-        divergent=report.divergent,
-        witnesses=witnesses,
-    )
-
-
-def doubling_witness(
-    e: SetDescription, probes: ProbeFamily | Sequence[Interval], store: Optional[WindowStore] = None
-) -> DoublingReport:
-    """Max ratio rho(I)/rho(J) over nested pairs with |I| = 2|J|: the one doubling pass.
-
-    Pairs use J = left half, right half, and the centered half of each probe.
-    Unbounded growth of the ratio across scales refutes two-sided porosity;
-    sided-transport reads its Phi here, over the family it checks.
-    The probes are (lo, hi) pairs (see :meth:`ProbeFamily.bounds`); each
-    distinct pair is split in place and evaluated once (see
-    :func:`distinct_probes`), and only the pairs the report names become
-    intervals.  The probes read their windows through ``rated`` of one
-    :class:`WindowStore` (``store``, or a new one), so the centred half of
-    (a - s, a + s), which is the centred probe at scale s, is summarised once
-    while the pass's recent windows fit the store.
-    """
-    pairs, interval = _probe_pairs(probes, allow_empty=True)
-    distinct, order = distinct_probes(pairs)
-    rated = (WindowStore(e) if store is None else store).rated
-    radii = array("d")  # per distinct probe: rho of I, I-, I+ and the centred half
-    for lo, hi in distinct:
-        c = _split(lo, hi)
-        quarter = 0.25 * (hi - lo)
-        radii.extend((rated(lo, hi)[3], rated(lo, c)[3], rated(c, hi)[3], rated(c - quarter, c + quarter)[3]))
-    return _doubling_report(distinct, radii, lambda n: interval(order.index(n)))  # n's first occurrence
-
-
 def certify(
     e: SetDescription,
     params: PorosityParams,
@@ -499,7 +386,8 @@ def certify(
     witnesses read the columns in family order, and only they become
     intervals (the caller's own, if it passed intervals).  A window shared
     between probes is summarised once while the pass's recent windows fit
-    the store.  The doubling pass is :func:`doubling_witness`.
+    the store.  The doubling estimate Phi is read by sided-transport, in a
+    pass of its own (:func:`poroweights.suites.suite_sided_transport`).
     """
     pairs, interval = _probe_pairs(probes)
     distinct, order = distinct_probes(pairs)

@@ -3,7 +3,8 @@
 Each suite quantifies over a declared finite probe family and reports per-probe
 failures with replayable witness data; a pass is always relative to that
 family.  Derived constants (doubling factor, transport exponents, decay pair,
-admissible weight exponent) are recorded alongside.
+admissible weight exponent) are recorded alongside, each computed in its
+suite's own passes over the family.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .porosity import (
     REL_SLACK,
     ProbeFamily,
     WindowStore,
+    _probe_pairs,
     admissible_alpha,
     certification_probes,
     check_gamma,
     decay_constants,
     dimension_bound,
     distinct_probes,
-    doubling_witness,
     lowering_shares,
     sweep_result,
     sweep_sides,
@@ -400,22 +401,33 @@ def suite_sided_transport(
     one-sided passes at (sigma, gamma/Phi), and conversely into a two-sided
     pass at half the one-sided constants.
 
-    Each distinct (lo, hi) pair of the family (:meth:`ProbeFamily.bounds`)
-    is evaluated once (see :func:`distinct_probes`); every probe of the
-    family is one check, and a repeat that fails gets a record of its own.
+    The family is listed once, as (lo, hi) pairs (:meth:`ProbeFamily.bounds`;
+    an empty one raises ``ValueError``), and each distinct pair is evaluated
+    once per pass (see :func:`distinct_probes`); every probe of the family
+    is one check, and a repeat that fails gets a record of its own.  Both
+    passes read their windows through one :class:`WindowStore`.  Pass 1
+    computes Phi, which every check needs: the largest rho(I)/rho(J) with
+    rho(J) > 0, over each distinct probe I and its inner halves J = I-, I+
+    and the centred half (c - |I|/4, c + |I|/4), c the split point of I.
+    Pass 2 runs the checks and the three sweeps.
     """
     check_gamma(gamma)
     check_gamma(gamma0, "gamma0")
     fam = probes or certification_probes(e, window, seed=seed)
-    # both passes read one window store
-    store = WindowStore(e)
+    pairs = _probe_pairs(fam)[0]
+    distinct, order = distinct_probes(pairs)
+    rated = WindowStore(e).rated
     # pass 1: Phi needs the whole family before any check can run
-    phi = doubling_witness(e, fam, store).phi_estimate
+    phi = 0.0
+    for lo, hi in distinct:
+        c = _split(lo, hi)
+        quarter = 0.25 * (hi - lo)
+        outer = rated(lo, hi)[3]
+        for inner in (rated(lo, c)[3], rated(c, hi)[3], rated(c - quarter, c + quarter)[3]):
+            if inner > 0.0 and outer / inner > phi:
+                phi = outer / inner
     gamma_t = gamma / phi
     gamma_c = 0.5 * gamma0
-    pairs = fam.bounds()
-    distinct, order = distinct_probes(pairs)
-    rated = store.rated
     # pass 2: I, I- and I+ read from the store; per window one shares call
     # reads the thresholds of the checks that count its holes (the converse
     # counts those of the half with the larger rho), then lowers the sweep of

@@ -12,10 +12,10 @@ probe and triple tables replaced, beside the two porosity-lemma suites
 recomputed with every hole radius from the walk; all are kept to check the
 fast paths bit for bit.  So are the summary every variant built from its
 runs before lattices, reflections and geometric-plus-lattice sets answered
-in closed form, and the per-sample reductions the one-pass A1 scan and
-doubling report replaced.  The one-sided maximal averages at the end are
-the paper's own definition of A1 (M w <= C w), sampled, and bound the
-triple values from above.
+in closed form, and the per-sample reduction the one-pass A1 scan
+replaced.  The one-sided maximal averages at the end are the paper's own
+definition of A1 (M w <= C w), sampled, and bound the triple values from
+above.
 """
 
 import math
@@ -36,14 +36,12 @@ from poroweights.porosity import (
     GAMMA_GRID,
     MAX_WITNESSES,
     REL_SLACK,
-    DoublingPair,
-    DoublingReport,
     PorosityReport,
     SweepResult,
     _splittable,
     certification_probes,
 )
-from poroweights.scaling import LadderReport, octave_of, rising_prefix_maxima
+from poroweights.scaling import LadderReport, rising_prefix_maxima
 from poroweights.sets import Run, SetDescription, WindowSummary, _exact_sum, _middle, _peak, sample_points
 from poroweights.suites import COUNTEREXAMPLE_OFFSET, COUNTEREXAMPLE_SIZES, MAX_FAILURES, SuiteResult
 from poroweights.weights import (
@@ -461,35 +459,18 @@ def family_intervals_walk(fam):
     return [Interval(lo, hi) for lo, hi in out if _splittable(lo, hi)]
 
 
-def doubling_witness_walk(e, probes):
-    best = None
-    samples = []
-    rows = []
+def phi_walk(e, probes):
+    """Phi of sided-transport: the largest rho(I)/rho(J) with rho(J) > 0, over each
+    probe I and J its left half, its right half and its centred half, from the walk."""
+    phi = 0.0
     for i in probes:
         quarter = 0.25 * i.length
-        halves = (i.left_half, i.right_half, Interval(i.center - quarter, i.center + quarter))
         rho_outer = rho_walk(e, i)
-        for j in halves:
+        for j in (i.left_half, i.right_half, Interval(i.center - quarter, i.center + quarter)):
             rho_inner = rho_walk(e, j)
-            if rho_inner <= 0.0:
-                continue
-            pair = DoublingPair(i, j, rho_outer / rho_inner)
-            samples.append((octave_of(i.length), pair.ratio))
-            rows.append((i.length, pair))
-            if best is None or pair.ratio > best.ratio:
-                best = pair
-    report = LadderReport.from_samples(samples)
-    witnesses = ()
-    if report.divergent:
-        rows.sort(key=lambda t: t[0])
-        witnesses = tuple(t[1] for t in rising_prefix_maxima([(s, p, p.ratio) for s, p in rows]))[-16:]
-    return DoublingReport(
-        phi_estimate=best.ratio if best else 0.0,
-        worst_pair=best,
-        ladder=report.ladder,
-        divergent=report.divergent,
-        witnesses=witnesses,
-    )
+            if rho_inner > 0.0:
+                phi = max(phi, rho_outer / rho_inner)
+    return phi
 
 
 def certify_walk(e, params, intervals):
@@ -525,7 +506,7 @@ def sweep_walk(e, intervals, side, gammas=GAMMA_GRID):
 
 def sided_transport_walk(e, window, seed, fam, gamma=0.5, gamma0=0.5):
     intervals = fam.intervals()
-    phi = doubling_witness_walk(e, intervals).phi_estimate
+    phi = phi_walk(e, intervals)
     gamma_t = gamma / phi
     failures = []
     checks = 0
@@ -671,9 +652,8 @@ def critical_alpha_grid_walk(e, side, window, tol, octaves, probe_seed=0):
 # ---------------------------------------------------------------------------
 # per-sample reductions
 #
-# The A1 scan and the doubling report before their one-pass reductions: a
-# sample per triple or per nested pair, then one generator pass each for the
-# best value, the octave ladder and the witnesses.
+# The A1 scan before its one-pass reduction: a sample per triple, then one
+# generator pass each for the best value, the octave ladder and the witnesses.
 # ---------------------------------------------------------------------------
 
 def scan_side_walk(alpha, side, table):
@@ -710,48 +690,6 @@ def scan_side_walk(alpha, side, table):
         growth_per_octave=ladder.growth_per_octave,
         witnesses=witnesses,
         nonintegrable_count=nonint,
-    )
-
-
-def probe_radii(store, i):
-    """rho of a probe I, of its halves I- and I+ and of its centred half, read from
-    ``store`` by interval, as the passes read them before they held bounds."""
-    c, quarter = i.center, 0.25 * i.length
-    return tuple(store.rated(j.lo, j.hi)[3] for j in (i, i.left_half, i.right_half, Interval(c - quarter, c + quarter)))
-
-
-def _pair_ratios_walk(radii):
-    for n in range(0, len(radii), 4):
-        outer = radii[n]
-        for k in (1, 2, 3):
-            inner = radii[n + k]
-            if inner > 0.0:
-                yield n // 4, k, outer / inner
-
-
-def doubling_report_walk(intervals, radii):
-    """The doubling report of radius columns (rho of I, I-, I+ and the centred half per probe)."""
-    inner_of = (None, lambda i: i.left_half, lambda i: i.right_half,
-                lambda i: Interval(i.center - 0.25 * i.length, i.center + 0.25 * i.length))
-
-    def pair(t):
-        i = intervals[t[0]]
-        return DoublingPair(i, inner_of[t[1]](i), t[2])
-
-    best = max(_pair_ratios_walk(radii), key=lambda t: t[2], default=None)
-    report = LadderReport.from_samples(
-        (octave_of(intervals[n].length), ratio) for n, _, ratio in _pair_ratios_walk(radii)
-    )
-    witnesses = ()
-    if report.divergent:
-        rows = sorted(_pair_ratios_walk(radii), key=lambda t: intervals[t[0]].length)
-        witnesses = tuple(map(pair, rising_prefix_maxima(rows)[-16:]))
-    return DoublingReport(
-        phi_estimate=best[2] if best else 0.0,
-        worst_pair=pair(best) if best else None,
-        ladder=report.ladder,
-        divergent=report.divergent,
-        witnesses=witnesses,
     )
 
 

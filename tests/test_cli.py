@@ -8,7 +8,9 @@ import signal
 
 import pytest
 
-from poroweights import cli
+import poroweights.porosity as porosity_module
+import poroweights.suites as suites_module
+from poroweights import ProbeFamily, cli
 from poroweights.cli import SUITE_IDS, main
 from poroweights.porosity import SweepResult, dimension_bound
 from poroweights.presets import PRESET_NAMES
@@ -493,6 +495,26 @@ def test_verify_builds_at_most_one_family(suite, builds, tmp_path, monkeypatch):
     code, _ = _reports(argv, tmp_path)
     assert code == 0
     assert len(calls) == builds
+
+
+def test_verify_sided_transport_lists_its_family_once(tmp_path, monkeypatch):
+    # Phi and the checks are two passes over one listing of the family
+    calls = {"bounds": 0, "distinct_probes": 0}
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(ProbeFamily, "bounds", counted("bounds", ProbeFamily.bounds))
+    distinct = counted("distinct_probes", porosity_module.distinct_probes)
+    monkeypatch.setattr(porosity_module, "distinct_probes", distinct)
+    monkeypatch.setattr(suites_module, "distinct_probes", distinct)
+    argv = ("verify", "--preset", "integers", *CAPS, *W, "--suite", "sided-transport", "--workers", "1")
+    code, _ = _reports(argv, tmp_path)
+    assert code == 0
+    assert calls == {"bounds": 1, "distinct_probes": 1}
 
 
 def test_analyze_builds_one_family(tmp_path, monkeypatch):

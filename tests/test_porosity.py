@@ -16,7 +16,6 @@ from poroweights import (
     catalog,
     certification_probes,
     certify,
-    doubling_witness,
     rho,
     sigma_at,
     sweep_parameters,
@@ -30,7 +29,7 @@ from poroweights.porosity import (
     decay_exponent,
     dimension_bound,
 )
-from poroweights.suites import suite_dimension, suite_left_propagation, suite_pore_transport
+from poroweights.suites import suite_dimension, suite_left_propagation, suite_pore_transport, suite_sided_transport
 
 from . import oracles
 from .oracles import rho_grid_oracle
@@ -145,24 +144,29 @@ class TestCertify:
         assert rho_plus == rho(singleton, i.right_half)
 
 
+def centred_phi(e, window, exponents, anchor=0.0):
+    """sided-transport's Phi over the probes (anchor - 2^n, anchor + 2^n)."""
+    fam = ProbeFamily(anchors=(anchor,), scales=tuple(2.0 ** (n + 1) for n in exponents), alignments=("center",))
+    return suite_sided_transport(e, window, probes=fam).constants["phi"]
+
+
 class TestDoubling:
-    def test_naturals_ratios_diverge(self, naturals):
-        fam = [Interval(-(2.0 ** n), 2.0 ** n) for n in range(1, 21)]
-        rep = doubling_witness(naturals, fam)
-        assert rep.divergent
-        assert rep.phi_estimate == 2.0 ** 20  # rho(I_n)/rho(right half) = 2^n
-        assert rep.witnesses
+    def test_naturals_ratios_diverge(self, naturals, window):
+        # rho(I_n)/rho(right half) = 2^n
+        assert centred_phi(naturals, window, range(1, 21)) == 2.0 ** 20
 
-    def test_integers_bounded(self, integers):
-        fam = [Interval(-(2.0 ** n), 2.0 ** n) for n in range(2, 14)]
-        rep = doubling_witness(integers, fam)
-        assert not rep.divergent
-        assert rep.phi_estimate <= 2.0
+    def test_integers_bounded(self, integers, window):
+        assert centred_phi(integers, window, range(2, 14)) <= 2.0
 
-    def test_singleton_bounded(self, singleton):
-        fam = [Interval(-(2.0 ** n) + 0.5, 2.0 ** n + 0.5) for n in range(2, 14)]
-        rep = doubling_witness(singleton, fam)
-        assert rep.phi_estimate <= 2.0
+    @pytest.mark.parametrize("anchor", [0.0, 0.5])
+    def test_singleton_bounded(self, singleton, window, anchor):
+        assert centred_phi(singleton, window, range(2, 14), anchor) <= 2.0
+
+    def test_the_centred_half_sets_phi(self, window):
+        # points 1/8 apart on [-1, 1]: on (-4, 4) both halves keep a hole 3
+        # long, the centred half (-2, 2) only one 1 long, so Phi = 1.5 / 0.5
+        e = FinitePoints([k / 8.0 for k in range(-8, 9)])
+        assert centred_phi(e, window, [2]) == 3.0 == oracles.phi_walk(e, [Interval(-4.0, 4.0)])
 
 
 # the lemma suites' oracle family: the catalog at Cantor depth 6, window +-8
@@ -330,6 +334,12 @@ class TestProbesTooShortToHalve:
         with pytest.raises(ValueError, match=r"^probe family is empty \(probes too short to halve are left out\)$"):
             certify(FinitePoints([0.0, 1.0]), PorosityParams(0.5, 0.5), fam)
 
+    def test_sided_transport_rejects_an_empty_family(self):
+        # over no probe Phi would stay 0.0, and gamma / Phi divide by zero
+        fam = ProbeFamily(anchors=(1.0,), scales=(2.0 ** -60,))
+        with pytest.raises(ValueError, match=r"^probe family is empty \(probes too short to halve are left out\)$"):
+            suite_sided_transport(FinitePoints([0.0, 1.0]), Interval(-2.0, 2.0), probes=fam)
+
     def test_the_family_leaves_them_out(self):
         # at anchor 1 a scale of 2**-60 is below the ulp, and no anchor splits
         # a 5e-324 scale: only the nine probes that can be halved remain
@@ -351,8 +361,6 @@ class TestProbesTooShortToHalve:
             sweep_parameters(e, [Interval(-1.0, 1.0), i], "right")
         with pytest.raises(ValueError, match=message):
             certify(e, PorosityParams(0.5, 0.5, "two_sided"), [i])
-        with pytest.raises(ValueError, match=message):
-            doubling_witness(e, [Interval(-1.0, 1.0), i])
 
 
 class TestProbeBounds:
@@ -399,7 +407,7 @@ class TestTransportInvariants:
         fam = ProbeFamily.default(integers, window, seed=2)
         intervals = fam.intervals()
         assert certify(integers, PorosityParams(0.5, 0.5, "two_sided"), intervals).passed
-        phi = doubling_witness(integers, intervals).phi_estimate
+        phi = suite_sided_transport(integers, window, probes=fam).constants["phi"]
         gamma_t = 0.5 / phi
         half_line = Cutoff(integers, 0.0, "right")
         rep = certify(half_line, PorosityParams(0.5, gamma_t, "right"), intervals)

@@ -8,14 +8,13 @@ distinct probe window is summarised once per sweep while the sweep's recent
 windows fit its window store, and each distinct triple window once per
 table, whatever ratios, octaves, sides and exponents read it.  A third group
 shrinks the store until it evicts, and bounds what a pass holds.  A fourth
-compares the one-pass A1 scan and doubling report with the per-sample
-reductions they replaced.  A fifth runs the passes on families that repeat
-probes: each distinct probe is evaluated once, and every occurrence is
-reported in family order.  A sixth checks the sweep's scan down the sorted
-gamma grid, which skips the thresholds that cannot lower sigma*: on every
-subset of sides and on plateaus of sigma*; the work counts bound the
-thresholds it draws per share read and the windows a refuted sweep
-summarises before it stops.
+compares the one-pass A1 scan with the per-sample reduction it replaced.  A
+fifth runs the passes on families that repeat probes: each distinct probe is
+evaluated once, and every occurrence is reported in family order.  A sixth
+checks the sweep's scan down the sorted gamma grid, which skips the
+thresholds that cannot lower sigma*: on every subset of sides and on
+plateaus of sigma*; the work counts bound the thresholds it draws per share
+read and the windows a refuted sweep summarises before it stops.
 """
 
 import itertools
@@ -23,7 +22,6 @@ import math
 import sys
 import tracemalloc
 import weakref
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,7 +48,6 @@ from poroweights import (
     certification_probes,
     certify,
     critical_alpha,
-    doubling_witness,
     sigma_at,
     sweep_parameters,
     sweep_sides,
@@ -60,8 +57,6 @@ from poroweights.porosity import (
     GAMMA_GRID,
     MAX_WITNESSES,
     SIDES,
-    WindowStore,
-    _doubling_report,
     admissible_alpha,
     distinct_probes,
 )
@@ -118,21 +113,6 @@ class TestProbeTable:
         intervals = small_family(e, seed).intervals()
         params = PorosityParams(0.25, gamma, side)
         check_certify(e, params, intervals)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        e=st.sampled_from([NATURALS, Reflect(NATURALS)]),
-        shift=st.sampled_from([0.0, 0.375, -1.0 / 3.0]),
-        centre=st.floats(-0.5, 0.5),
-        top=st.integers(14, 24),
-    )
-    def test_doubling_witnesses_on_divergent_families(self, e, shift, centre, top):
-        # rho(I) / rho(the half holding the lattice) doubles with every octave
-        e = Translate(e, shift) if shift else e
-        fam = [Interval(centre - 2.0 ** n, centre + 2.0 ** n) for n in range(1, top)]
-        report = doubling_witness(e, fam)
-        assert report == oracles.doubling_witness_walk(e, fam)
-        assert report.divergent and report.witnesses
 
     @settings(max_examples=40, deadline=None)
     @given(e=point_sets(), seed=st.integers(0, 3))
@@ -445,23 +425,6 @@ class TestReductions:
     def test_scans_of_any_set(self, e, side, alpha):
         check_scan(TripleTable(e, TripleFamily.default(e, WINDOW, octaves=6, anchor_cap=4)), side, alpha)
 
-    @pytest.mark.parametrize("e, diverges", [
-        (NATURALS, True), (Reflect(NATURALS), True), (Translate(NATURALS, 0.375), True),
-        (BASES["integers"], False), (BASES["cantor"], False),
-    ], ids=["naturals", "reflected_naturals", "translated_naturals", "integers", "cantor"])
-    def test_the_doubling_report_matches_the_per_pair_report(self, e, diverges):
-        # nested probes around a lattice end diverge; integer probes tie
-        nested = [Interval(0.125 - 2.0 ** n, 0.125 + 2.0 ** n) for n in range(1, 20)]
-        for intervals in (nested, small_family(e, 1).intervals()):
-            store = WindowStore(e)
-            radii = array("d")
-            for i in intervals:
-                radii.extend(oracles.probe_radii(store, i))
-            report = _doubling_report([i.as_pair() for i in intervals], radii, intervals.__getitem__)
-            assert report == oracles.doubling_report_walk(intervals, radii)
-            if intervals is nested:
-                assert bool(report.witnesses) == report.divergent == diverges
-
 
 DUALITY_SETS = [
     *catalog(seed=3, cantor_depth=6),
@@ -615,16 +578,19 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_certify_reads_the_halves_and_the_doubling_pass_four_windows(self, e, summaries):
-        # certify reads I- and I+, and I on the two-sided side only; the
-        # doubling pass reads I, I-, I+ and the centred half
-        intervals = small_family(e, 1).intervals()
+        # certify reads I- and I+, and I on the two-sided side only;
+        # sided-transport reads I, I-, I+ and the centred half for Phi, and
+        # its checks read I, I- and I+ again from the same store
+        fam = small_family(e, 1)
+        intervals = fam.intervals()
         for side in SIDES:
             summaries[0] = 0
             certify(e, PorosityParams(0.25, 0.25, side), intervals)
             assert 0 < summaries[0] <= (3 if side == "two_sided" else 2) * len(intervals)
         summaries[0] = 0
-        doubling_witness(e, intervals)
+        got = suite_sided_transport(e, WINDOW, probes=fam)
         assert 0 < summaries[0] <= 4 * len(intervals)
+        assert got == oracles.sided_transport_walk(e, WINDOW, 0, fam)
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_right_and_left_sweeps_share_the_halves(self, e, summaries):
@@ -668,8 +634,7 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_certify_and_sweeps_build_no_interval_per_window(self, e, monkeypatch):
-        # a pass names its windows by their bounds: given intervals, only the
-        # doubling pass's worst pair and witnesses build their inner halves
+        # a pass names its windows by their bounds: given intervals, none builds one
         count = [0]
         original = Interval.__post_init__
 
@@ -684,14 +649,12 @@ class TestWorkCounts:
         for side in SIDES:
             certify(e, PorosityParams(0.25, 0.25, side), intervals)
         assert count[0] == 0
-        doubling = doubling_witness(e, intervals)
-        assert count[0] == (doubling.worst_pair is not None) + len(doubling.witnesses)
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_passes_given_the_family_build_an_interval_per_named_probe_only(self, e, monkeypatch):
         # as the CLI passes it: the pass reads the family's bounds, and builds
-        # the worst probe and each witness, or each doubling pair (outer and
-        # inner), only; the report is the one of the family's intervals
+        # the worst probe and each witness only, and sided-transport none; the
+        # report is the one of the family's intervals
         count = [0]
         original = Interval.__post_init__
 
@@ -712,14 +675,9 @@ class TestWorkCounts:
             assert report == certify(e, params, intervals)
             assert list(report.rows()) == list(certify(e, params, intervals).rows())
         count[0] = 0
-        doubling = doubling_witness(e, fam)
-        assert count[0] == 2 * ((doubling.worst_pair is not None) + len(doubling.witnesses))
-        # given intervals, a doubling pair's outer probe is the caller's own
-        count[0] = 0
-        assert doubling == doubling_witness(e, intervals)
-        assert count[0] == (doubling.worst_pair is not None) + len(doubling.witnesses)
-        if doubling.worst_pair is not None:
-            assert any(doubling_witness(e, intervals).worst_pair.outer is i for i in intervals)
+        got = suite_sided_transport(e, WINDOW, probes=fam)
+        assert count[0] == 0
+        assert got == oracles.sided_transport_walk(e, WINDOW, 0, fam)
 
     @pytest.mark.parametrize("side", A1_SIDES)
     @pytest.mark.parametrize("e", SETS, ids=IDS)
@@ -891,14 +849,16 @@ class TestDistinctProbes:
     @pytest.mark.parametrize("name", ["integers", "geometric_naturals"])
     def test_duplicate_heavy_families_match_the_walks(self, name):
         e = BASES[name]
-        intervals = ProbeFamily.default(e, REPEAT_WINDOW).intervals()
+        repeating = ProbeFamily.default(e, REPEAT_WINDOW)
+        intervals = repeating.intervals()
         distinct, order = distinct_probes(intervals)
         assert len(distinct) <= 0.91 * len(intervals)  # 1,888 of 2,188 and 1,654 of 1,828
         assert len(set(distinct)) == len(distinct) and [distinct[n] for n in order] == intervals
         for side in SIDES:
             params = PorosityParams(0.5, 0.5, side)
             check_certify(e, params, intervals)
-        assert doubling_witness(e, intervals) == oracles.doubling_witness_walk(e, intervals)
+        phi = suite_sided_transport(e, REPEAT_WINDOW, probes=repeating).constants["phi"]
+        assert phi == oracles.phi_walk(e, intervals)
         together = sweep_sides(e, intervals, SIDES)
         for side in SIDES:
             assert together[side] == oracles.sweep_walk(e, intervals, side)
@@ -909,13 +869,15 @@ class TestDistinctProbes:
 
     @pytest.mark.parametrize("e", [NATURALS, Reflect(NATURALS)], ids=["naturals", "reflected_naturals"])
     def test_a_divergent_family_repeated(self, e):
-        # the doubling report of a family is that of its distinct probes: a
-        # repeat ties its first occurrence, and the reductions keep the first
-        nested = [Interval(0.125 - 2.0 ** n, 0.125 + 2.0 ** n) for n in range(1, 20)]
-        for intervals in ([*nested, *nested], [*nested, *nested[::-1]], [i for i in nested for _ in range(3)]):
-            report = doubling_witness(e, intervals)
-            assert report == oracles.doubling_witness_walk(e, intervals)
-            assert report.divergent and report.witnesses
+        # Phi over nested probes centred at 1/8, each repeated, grows with the
+        # top scale: rho(I) / rho(the half holding the lattice) doubles with
+        # every octave, and a repeat changes no figure
+        scales = [2.0 ** (n + 1) for n in range(1, 20)]
+        for repeated in ([*scales, *scales], [*scales, *scales[::-1]], [s for s in scales for _ in range(3)]):
+            fam = ProbeFamily(anchors=(0.125,), scales=tuple(repeated), alignments=("center",))
+            got = suite_sided_transport(e, WINDOW, probes=fam)
+            assert got == oracles.sided_transport_walk(e, WINDOW, 0, fam)
+            assert got.constants["phi"] > 2.0 ** 18
 
     def test_repeated_probes_among_the_witnesses(self):
         # at sigma near 1 most probes of this small family are witnesses: the
@@ -959,7 +921,6 @@ class TestWindowStore:
         intervals = fam.intervals()
         params = PorosityParams(0.25, 0.25, "right")
         check_certify(e, params, intervals)
-        assert doubling_witness(e, intervals) == oracles.doubling_witness_walk(e, intervals)
         together = sweep_sides(e, intervals, SIDES)
         for side in SIDES:
             assert together[side] == oracles.sweep_walk(e, intervals, side)
@@ -986,7 +947,6 @@ class TestWindowStore:
         assert len(distinct) > 10 * cap
         passes = (
             lambda: certify(e, PorosityParams(0.25, 0.25, "two_sided"), intervals),
-            lambda: doubling_witness(e, intervals),
             lambda: sweep_sides(e, intervals, SIDES),
             lambda: suite_sided_transport(e, WINDOW, probes=fam),
         )
