@@ -8,13 +8,14 @@ distinct probe window is summarised once per sweep while the sweep's recent
 windows fit its window store, and each distinct triple window once per
 table, whatever ratios, octaves, sides and exponents read it.  A third group
 shrinks the store until it evicts, and bounds what a pass holds.  A fourth
-compares the one-pass A1 scan with the per-sample reduction it replaced.  A
-fifth runs the passes on families that repeat probes: each distinct probe is
-evaluated once, and every occurrence is reported in family order.  A sixth
-checks the sweep's scan down the sorted gamma grid, which skips the
-thresholds that cannot lower sigma*: on every subset of sides and on
-plateaus of sigma*; the work counts bound the thresholds it draws per share
-read and the windows a refuted sweep summarises before it stops.
+compares the one-pass A1 scan and sided-transport's Phi with the
+per-sample reductions they replaced.  A fifth runs the passes on families
+that repeat probes: each distinct probe is evaluated once, and every
+occurrence is reported in family order.  A sixth checks the sweep's scan
+down the sorted gamma grid, which skips the thresholds that cannot lower
+sigma*: on every subset of sides and on plateaus of sigma*; the work counts
+bound the thresholds it draws per share read and the windows a refuted
+sweep summarises before it stops.
 """
 
 import itertools
@@ -424,6 +425,21 @@ class TestReductions:
     @given(e=point_sets(), side=st.sampled_from(["plus", "minus"]), alpha=st.sampled_from([0.25, 0.5, 0.9, 1.0, 1.5]))
     def test_scans_of_any_set(self, e, side, alpha):
         check_scan(TripleTable(e, TripleFamily.default(e, WINDOW, octaves=6, anchor_cap=4)), side, alpha)
+
+    @pytest.mark.parametrize("e, diverges", [
+        (NATURALS, True), (Reflect(NATURALS), True), (Translate(NATURALS, 0.375), True),
+        (BASES["integers"], False), (BASES["cantor"], False),
+    ], ids=["naturals", "reflected_naturals", "translated_naturals", "integers", "cantor"])
+    def test_the_doubling_report_matches_the_per_pair_report(self, e, diverges):
+        # sided-transport's Phi is the one-pass maximum of the per-pair ratios;
+        # nested probes around a lattice end diverge, integer probes tie
+        nested = ProbeFamily(anchors=(0.125,), scales=tuple(2.0 ** (n + 1) for n in range(1, 20)), alignments=("center",))
+        for fam in (nested, small_family(e, 1)):
+            phi = suite_sided_transport(e, WINDOW, probes=fam).constants["phi"]
+            assert phi == oracles.phi_walk(e, fam.intervals())
+            if fam is nested:
+                assert (phi >= 2.0 ** 18) == diverges
+                assert diverges or phi <= 3.0
 
 
 DUALITY_SETS = [
