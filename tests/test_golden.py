@@ -1,52 +1,12 @@
 """Golden-report gate: small-cap CLI runs must write byte-identical reports.
 
 Each job runs ``poroweights.cli.main`` in-process with ``--no-timestamp`` and
-writes into a fresh directory; the SHA-256 of every report file is compared
-with a digest recorded on the tree before the source change it gates: the
-first nine jobs before the window-summary query engine, the next thirteen
-before the porosity/sampler/maximal-average consolidation, and the last
-three (right-side ``analyze``, ``critical-alpha`` on the minus and two-sided
-branches) before the probe and triple tables, and the last two (a two-sided
-``a1`` whose plus side diverges with witnesses while its minus side stays
-bounded, and a two-sided ``critical-alpha`` on geometric_naturals) before
-the shared triple-window table, and the last two (a right ``analyze --sweep``
-and a two-sided ``a1`` on the near-arithmetic finite set of
-``data/near_arithmetic.json``) before the run index of finite point sets,
-and the last four (a right ``analyze`` and a minus ``a1`` on a reflected
-non-dyadic left lattice, a right ``analyze --sweep`` on the reflected
-near-arithmetic set, and ``verify --suite left-propagation`` at a requested
-``--sigma``/``--gamma`` pair) before the closed-form lattice summaries,
-and the last four (a two-sided and a right ``analyze``, a left
-``analyze --sweep`` and ``verify --suite sided-transport`` on the integers
-at window (-8, 8) and the default caps, whose families repeat 14% of their
-probes) before the one evaluation per distinct probe.  The two-sided
-``critical-alpha`` on geometric_naturals was re-recorded (exit 0 to 1)
-before the two-sided search came to require the right and the left
-porosity certificates: the left sweep refutes that set.  The last three
-(one-sided ``critical-alpha`` runs whose swept side is refuted on the
-whole gamma grid: naturals and geometric_naturals on the minus side, the
-reflected geometric_naturals on the plus side) were recorded before the
-sweep came to skip the thresholds that cannot lower sigma* and to stop
-once every swept side is zero.  The five ``analyze --sweep`` jobs and
-``verify-equivalence-integers`` were re-recorded when ``analyze --sweep``
-came to sweep the certification family (``certification_probes``) that
-``critical-alpha`` and ``verify`` sweep, and the equivalence matrix to
-probe each certified set at the alpha of its admissible pair: every sweep
-table moves, and no exit code.  ``verify-dimension-cantor6`` was
-re-recorded when ``verify`` came to run the dimension task at the right
-sweep's admissible pair, as it runs the porosity suites: its bound, null
-before, reads 0.9106 against the fitted 0.5050, and the exit code stays 0.
-The eight fixed-pair ``analyze`` jobs, the four ``analyze --sweep`` jobs
-at ``CAPS`` and the seven ``verify`` jobs of the family suites and
-sided-transport were re-recorded when ``analyze`` and ``verify`` came to
-build one probe family per call, ``certification_probes`` sized by
-``--anchor-cap`` and ``--random-probes``, and ``certify`` stopped
-reporting a doubling estimate.  ``analyze-cantor6`` went from exit 0 to 1:
-``--octaves 6`` had left the old family no probe shorter than 4, and the
-probe (2/3, 19/24) of the depth-6 iterate has sigma 8/27 < 1/2.
-Together the jobs run
+writes into a fresh directory; the SHA-256 of every report file and the exit
+code are compared with those recorded in ``GOLDEN``.  Together the jobs run
 every subcommand that writes a report and every ``verify`` suite.  A change
-that moves any reported figure by one ulp fails here.
+that moves any reported figure by one ulp fails here.  A digest is
+re-recorded only in a commit of its own, before the source change that
+moves it, and CHANGES.md says which jobs moved and why.
 
 To print the digests of the current tree (e.g. after an intended output
 change), run ``PYTHONPATH=src python -m tests.test_golden``.
@@ -75,7 +35,7 @@ from poroweights import Interval, certification_probes
 from poroweights.cli import main
 from poroweights.presets import PRESET_NAMES, preset
 
-# the probe family's caps; --octaves sizes a1's triple ladder only
+# the caps of the probe family and of the triple ladder of a1 and critical-alpha
 CAPS = ("--anchor-cap", "8", "--random-probes", "40", "--octaves", "6", "--seed", "3")
 CANTOR6 = ("--preset", "cantor", "--cantor-depth", "6")
 RANDOM = ("--preset", "random_finite", "--random-count", "24")
@@ -257,31 +217,31 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'porosity_sweep.json': '81957ee8ffc769a8cc9d6c6e4a7d570c9d201bb10c7ed145e3b104fa630c690c',
     }),
     'critical-alpha-cantor6': (0, {
-        'critical_alpha.json': 'fe7d04bdfb42b92cfbd1a457df8777ae5323e68093b2abf8cc8deb4a2f46be69',
+        'critical_alpha.json': '055708d96bf3801698fc75c05f39a1b63908f915e836979e8fdbf1379584e033',
     }),
     'critical-alpha-minus-geometric-refuted': (1, {
-        'critical_alpha.json': 'cde8bfbc3ade200458ba496b0280fea05684bedf1e2d57cac58d115ae2c039f6',
+        'critical_alpha.json': '79b1f67754a4c984b924b5aafb4af4e544a0bdef3a316dc46d11443451987d07',
     }),
     'critical-alpha-minus-naturals-refuted': (1, {
-        'critical_alpha.json': 'f45f848047521f7135d1813aa2d9d780ccf8fa9b4de5ac3e056f8dc38c1bc2a6',
+        'critical_alpha.json': '48aab7ed61b3e1066934df58effdcc87b9f622e1cecc7848ac944c8f4468b688',
     }),
     'critical-alpha-minus-reflected-naturals': (0, {
-        'critical_alpha.json': '05b8b27ed99993f0b14151f1401c8f0f386c98ee6ea7b10c55f80f93d1344387',
+        'critical_alpha.json': '671703cd5a4434cfb2cd91b6b3d108fc957bbedffb4cfce7dcb7fa653a2de8fd',
     }),
     'critical-alpha-naturals': (0, {
-        'critical_alpha.json': '182ce2e35afa17f7b7252eb77079501e50346bb2eac398ac5b186f80e72d5e22',
+        'critical_alpha.json': '47b81003b41a201259fcf53c4f86564dde1709dd108e44e49a4290f1eb0bd2f3',
     }),
     'critical-alpha-plus-reflected-geometric-refuted': (1, {
-        'critical_alpha.json': 'f4f2594318a6a66e365a7f1fc6468aefb4766bbb363f2bb0869cf4d0fe34776c',
+        'critical_alpha.json': '8faa2f9a6a64c44d39d6daaa74a564f389a962e1bda995cb97f2d09637428ef8',
     }),
     'critical-alpha-random': (0, {
-        'critical_alpha.json': '614c5da44f3823ecba5d033c4c145dca795341176e9f482956fd0670ce3d7709',
+        'critical_alpha.json': 'a289fc7c3b5cfef4a49ed06191a68d83142962bf5bbb0a543738667e85dbc0ae',
     }),
     'critical-alpha-two-sided-geometric': (1, {
-        'critical_alpha.json': '7599ec91514a09cfd427e3a0bbaad80ee442c2601632fe225bf435156e5eab0c',
+        'critical_alpha.json': 'fb78926d94d37d758947b5573cfd6322b393ac6cc474dff71a1c332b6c7ef09e',
     }),
     'critical-alpha-two-sided-random': (0, {
-        'critical_alpha.json': '1501f31489b61b634a09fccf80f565b027c6ea75f191994887c377b49cd09611',
+        'critical_alpha.json': '4feaa40f7d418832abddc3af99c78e60f284a1ae09493361cc980089d9f3bee2',
     }),
     'dimension-random': (0, {
         'dimension_report.csv': 'e6c454cb0476436cb6fb74ad46eda3d21ef14c650bbcd7f08e418067a9f3c84f',
