@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import presets as presets_mod
 from .intervals import Interval
-from .muckenhoupt import DEFAULT_TRIPLE_OCTAVES, TripleFamily, TripleTable, a1_constant, critical_alpha
+from .muckenhoupt import DEFAULT_TRIPLE_OCTAVES, TRIPLE_ANCHOR_CAP, TripleFamily, TripleTable, a1_constant, critical_alpha
 from .porosity import (
     CERT_ANCHOR_CAP,
     CERT_RANDOM_PROBES,
@@ -116,11 +116,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     g.add_argument("--random-span", type=parse_number, default=8.0)
     r = p.add_argument_group("run configuration")
     r.add_argument("--window", nargs=2, type=parse_number, default=(-64.0, 64.0), metavar=("LO", "HI"))
-    r.add_argument("--octaves", type=int, default=None, help=f"a1 only: triple ladder octaves (default {DEFAULT_TRIPLE_OCTAVES})")
+    unread = "; verify --suite equivalence does not read it"  # the matrix sizes its own families
+    r.add_argument("--octaves", type=int, default=DEFAULT_TRIPLE_OCTAVES,
+                   help=f"triple ladder octaves, read by a1 and critical-alpha{unread}")
     r.add_argument("--anchor-cap", type=int, default=CERT_ANCHOR_CAP,
-                   help="anchor cap of the porosity probe family of analyze and verify (a1 takes at most 32)")
+                   help=f"anchor cap of the porosity probe family, read by analyze, verify and critical-alpha, and "
+                        f"of the triple ladder, read by a1 and critical-alpha (at most {TRIPLE_ANCHOR_CAP}){unread}")
     r.add_argument("--random-probes", type=int, default=CERT_RANDOM_PROBES,
-                   help="random probes of the porosity probe family of analyze and verify")
+                   help=f"random probes of the porosity probe family, read by analyze, verify and critical-alpha{unread}")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", type=Path, default=Path("reports"))
     r.add_argument("--format", choices=("json", "csv", "both"), default="both")
@@ -162,7 +165,7 @@ def _config(args) -> None:
     # the families' own checks, here so that a path which does not build a family refuses the value too
     if args.anchor_cap < 1:
         raise ValueError(f"anchor cap must be at least 1, got {args.anchor_cap}")
-    if args.octaves is not None and args.octaves < 1:
+    if args.octaves < 1:
         raise ValueError(f"octaves must be at least 1, got {args.octaves}")
     if args.random_probes < 0:
         raise ValueError(f"random probe count must not be negative, got {args.random_probes}")
@@ -183,6 +186,18 @@ def _check_pair(args) -> None:
         PorosityParams(args.sigma, args.gamma)
 
 
+def _probes(args) -> ProbeFamily:
+    """The porosity probe family of analyze, verify and critical-alpha."""
+    return certification_probes(args.e, args.window, anchor_cap=args.anchor_cap,
+                                random_count=args.random_probes, seed=args.seed)
+
+
+def _triples(args) -> TripleTable:
+    """The triple table of a1 and critical-alpha."""
+    return TripleTable(args.e, TripleFamily.default(args.e, args.window, octaves=args.octaves,
+                                                    anchor_cap=min(args.anchor_cap, TRIPLE_ANCHOR_CAP)))
+
+
 def _emit(args, name: str, kind: str, payload, csv_spec=None) -> None:
     if args.format in ("json", "both"):
         write_json(args.out / f"{name}.json", report_document(kind, payload, not args.no_timestamp))
@@ -198,8 +213,7 @@ def _emit(args, name: str, kind: str, payload, csv_spec=None) -> None:
 
 def cmd_analyze(args) -> int:
     _config(args)
-    probes = certification_probes(args.e, args.window, anchor_cap=args.anchor_cap,
-                                  random_count=args.random_probes, seed=args.seed)
+    probes = _probes(args)
     if args.sweep:
         sweep = sweep_parameters(args.e, probes, args.side_porosity)
         _emit(args, "porosity_sweep", "porosity-sweep", sweep)
@@ -219,9 +233,7 @@ def cmd_a1(args) -> int:
         raise ValueError(f"--table-points must not be negative, got {args.table_points}")
     _config(args)
     w = WeightSpec(args.e, args.alpha)
-    octaves = DEFAULT_TRIPLE_OCTAVES if args.octaves is None else args.octaves
-    table = TripleTable(args.e, TripleFamily.default(args.e, args.window, octaves=octaves,
-                                                     anchor_cap=min(args.anchor_cap, 32)))
+    table = _triples(args)
     report = a1_constant(w, args.side, table)
     _emit(args, "a1_report", "a1-constant", report, (TRIPLE_COLUMNS, table.samples(args.side, w.alpha)))
     if args.table_points > 0 and args.format in ("csv", "both"):
@@ -235,7 +247,7 @@ def cmd_a1(args) -> int:
 
 def cmd_critical_alpha(args) -> int:
     _config(args)
-    result = critical_alpha(args.e, args.side, args.window, tol=args.tol, probe_seed=args.seed)
+    result = critical_alpha(args.e, args.side, _probes(args), _triples(args), tol=args.tol)
     _emit(args, "critical_alpha", "critical-alpha", result)
     if result.alpha is None:
         print(f"critical-alpha[{args.side}]: none found ({result.note})")
@@ -335,7 +347,7 @@ def _run_one_suite(task) -> tuple[str, object]:
     if sid == "dimension":
         return sid, suite_dimension(e, args.window, sigma=sigma, gamma=gamma)
     if sid == "sided-transport":
-        return sid, suite_sided_transport(e, args.window, seed=args.seed, probes=probes)
+        return sid, suite_sided_transport(e, probes)
     if sid == "equivalence":
         cat = presets_mod.catalog(seed=args.seed, cantor_depth=8)
         return sid, suite_equivalence_matrix(cat, args.window, seed=args.seed)
@@ -347,8 +359,7 @@ def cmd_verify(args) -> int:
     _config(args)
     suite_ids = list(SUITE_IDS) if args.suite == "all" else [args.suite]
     # one family for every suite that reads probes; the equivalence matrix probes its own sets
-    probes = None if suite_ids == ["equivalence"] else certification_probes(
-        args.e, args.window, anchor_cap=args.anchor_cap, random_count=args.random_probes, seed=args.seed)
+    probes = None if suite_ids == ["equivalence"] else _probes(args)
     intervals = probes.intervals() if FAMILY_SUITES & set(suite_ids) else None
     constants = {"sigma": None, "gamma": None}
     if POROSITY_SUITES & set(suite_ids):

@@ -16,15 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .intervals import Interval
-from .porosity import (
-    SweepResult,
-    anchor_candidates,
-    certification_probes,
-    sweep_sides,
-)
+from .porosity import ProbeFamily, SweepResult, anchor_candidates, sweep_sides
 from .scaling import LadderReport, octave_of, rising_prefix_maxima
 from .sets import SetDescription, min_component_length
 from .weights import IntegralWindow, WeightSpec, distance_power
@@ -316,6 +311,14 @@ def _a1_report(alpha: float, side: str, table: TripleTable) -> A1Report:
     )
 
 
+def _table(e: SetDescription, triples: TripleFamily | TripleTable) -> TripleTable:
+    """A family's table on ``e``, or a table of ``e`` built earlier."""
+    table = TripleTable(e, triples) if isinstance(triples, TripleFamily) else triples
+    if table.e is not e:
+        raise ValueError("the triple table was built on another set")
+    return table
+
+
 def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable) -> A1Report:
     """Sampled lower bound (and divergence verdict) for the requested side.
 
@@ -327,11 +330,7 @@ def a1_constant(w: WeightSpec, side: str, probes: TripleFamily | TripleTable) ->
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
-    if isinstance(probes, TripleFamily):
-        probes = TripleTable(w.e, probes)
-    elif probes.e is not w.e:
-        raise ValueError("the triple table was built on another set")
-    return _a1_report(w.alpha, side, probes)
+    return _a1_report(w.alpha, side, _table(w.e, probes))
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +354,14 @@ class CriticalAlphaResult:
 def critical_alpha(
     e: SetDescription,
     side: str,
-    window: Interval,
+    probes: ProbeFamily | Sequence[Interval],
+    triples: TripleFamily | TripleTable,
     tol: float = 2.0 ** -8,
-    octaves: int = DEFAULT_TRIPLE_OCTAVES,
-    probe_seed: int = 0,
 ) -> CriticalAlphaResult:
     """Largest exponent (within tol) whose scan shows no divergence.
 
+    The caller sizes both families: the search sweeps the porosity probes
+    and scans the triples it is given, as :func:`a1_constant` takes them.
     The matching porosity certificates are a precondition: the side's own,
     and for the two-sided side the right and the left one too, all from one
     sweep (:data:`POROSITY_SIDES`).  When a sweep refutes porosity, no
@@ -376,11 +376,10 @@ def critical_alpha(
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     needed = POROSITY_SIDES[side]
-    sweeps = sweep_sides(e, certification_probes(e, window, seed=probe_seed), needed)
+    table = _table(e, triples)  # the alpha-free rows of every triple, shared by all bisection steps
+    sweeps = sweep_sides(e, probes, needed)
     refuted = next((s for s in needed if not sweeps[s].certified), None)
     sweep = sweeps[refuted or needed[-1]]
-    # the alpha-free rows of every triple, built once for all bisection steps
-    table = TripleTable(e, TripleFamily.default(e, window, octaves=octaves))
     if refuted is not None:
         evidence = a1_constant(WeightSpec(e, 0.5), side, table)
         named = f"{refuted} " if side == "two_sided" else ""

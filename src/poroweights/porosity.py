@@ -188,20 +188,11 @@ def anchor_candidates(e: SetDescription, window: Interval, cap: int = DEFAULT_AN
     return anchors
 
 
-def default_scales(
-    e: SetDescription,
-    window: Interval,
-    octaves: Optional[int] = None,
-    headroom: int = 0,
-) -> list[float]:
+def default_scales(e: SetDescription, window: Interval, headroom: int = 0) -> list[float]:
     """Dyadic scales from `headroom` octaves above the window span down past the finest gap."""
     k_max = math.ceil(math.log2(window.length)) + headroom
-    if octaves is None:
-        finest = min_component_length(e, window)
-        k_min = math.floor(math.log2(finest)) - 2
-        octaves = min(max(k_max - k_min + 1, MIN_OCTAVES), MAX_OCTAVES)
-    elif octaves < 1:
-        raise ValueError(f"octaves must be at least 1, got {octaves}")
+    k_min = math.floor(math.log2(min_component_length(e, window))) - 2
+    octaves = min(max(k_max - k_min + 1, MIN_OCTAVES), MAX_OCTAVES)
     # 2.0 ** -1074 is the smallest positive float
     return [2.0 ** k for k in range(k_max, max(k_max - octaves, -1075), -1)]
 
@@ -230,7 +221,6 @@ class ProbeFamily:
         cls,
         e: SetDescription,
         window: Interval,
-        octaves: Optional[int] = None,
         anchor_cap: int = DEFAULT_ANCHOR_CAP,
         random_count: int = DEFAULT_RANDOM_PROBES,
         seed: int = 0,
@@ -240,7 +230,7 @@ class ProbeFamily:
             raise ValueError(f"random probe count must not be negative, got {random_count}")
         return cls(
             anchors=tuple(anchor_candidates(e, window, anchor_cap)),
-            scales=tuple(default_scales(e, window, octaves, headroom)),
+            scales=tuple(default_scales(e, window, headroom)),
             random_count=random_count,
             seed=seed,
             window=window,
@@ -311,21 +301,16 @@ def certification_probes(
     random_count: int = CERT_RANDOM_PROBES,
     seed: int = 0,
 ) -> ProbeFamily:
-    """The one porosity probe family: certify, the sweeps, sided-transport and the
-    CLI's family suites all read it.
+    """The one porosity probe family, read by certify, the sweeps, critical-alpha,
+    sided-transport and the CLI's family suites.  None of them builds it: the
+    caller sizes it, by ``anchor_cap`` and ``random_count``, and passes it in.
 
     Scales reach well beyond the window span: at the gamma-grid floor of
     2**-12 a refutation needs probes whose reference-half hole radius times
     2*gamma exceeds the finest gap, which in-window scales cannot deliver.
     """
-    return ProbeFamily.default(
-        e,
-        window,
-        anchor_cap=anchor_cap,
-        random_count=random_count,
-        seed=seed,
-        headroom=CERT_HEADROOM,
-    )
+    return ProbeFamily.default(e, window, anchor_cap=anchor_cap, random_count=random_count, seed=seed,
+                               headroom=CERT_HEADROOM)
 
 
 # ---------------------------------------------------------------------------

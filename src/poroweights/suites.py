@@ -381,9 +381,7 @@ _TRANSPORT_CHECKS = (("forward-right", 0), ("forward-left", 2), ("converse", 4))
 
 def suite_sided_transport(
     e: SetDescription,
-    window: Interval,
-    seed: int = 0,
-    probes: Optional[ProbeFamily] = None,
+    probes: ProbeFamily,
     gamma: float = 0.5,
     gamma0: float = 0.5,
 ) -> SuiteResult:
@@ -401,20 +399,21 @@ def suite_sided_transport(
     one-sided passes at (sigma, gamma/Phi), and conversely into a two-sided
     pass at half the one-sided constants.
 
-    The family is listed once, as (lo, hi) pairs (:meth:`ProbeFamily.bounds`;
+    The caller sizes the family, and the report states the window and seed
+    it carries.  It is listed once, as (lo, hi) pairs (:meth:`ProbeFamily.bounds`;
     an empty one raises ``ValueError``), and each distinct pair is evaluated
     once per pass (see :func:`distinct_probes`); every probe of the family
     is one check, and a repeat that fails gets a record of its own.  Both
     passes read their windows through one :class:`WindowStore`.  Pass 1
     computes Phi, which every check needs: the largest rho(I)/rho(J) with
     rho(J) > 0, over each distinct probe I and its inner halves J = I-, I+
-    and the centred half (c - |I|/4, c + |I|/4), c the split point of I.
+    and the centred half (c - |I|/4, c + |I|/4), c the split point of I;
+    a family on which every such rho(J) is 0.0 raises ``ValueError``.
     Pass 2 runs the checks and the three sweeps.
     """
     check_gamma(gamma)
     check_gamma(gamma0, "gamma0")
-    fam = probes or certification_probes(e, window, seed=seed)
-    pairs = _probe_pairs(fam)[0]
+    pairs = _probe_pairs(probes)[0]
     distinct, order = distinct_probes(pairs)
     rated = WindowStore(e).rated
     # pass 1: Phi needs the whole family before any check can run
@@ -426,6 +425,8 @@ def suite_sided_transport(
         for inner in (rated(lo, c)[3], rated(c, hi)[3], rated(c - quarter, c + quarter)[3]):
             if inner > 0.0 and outer / inner > phi:
                 phi = outer / inner
+    if phi == 0.0:
+        raise ValueError("Phi is undefined: every half and centred half of every probe has hole radius 0.0")
     gamma_t = gamma / phi
     gamma_c = 0.5 * gamma0
     # pass 2: I, I- and I+ read from the store; per window one shares call
@@ -456,7 +457,7 @@ def suite_sided_transport(
     right, left, two = (sweep_result(side, GAMMA_GRID, low[::-1]) for side, low in worst.items())
     return SuiteResult(
         suite="sided-transport",
-        params={"window": window.as_pair(), "seed": seed, "gamma": gamma, "gamma0": gamma0},
+        params={"window": probes.window, "seed": probes.seed, "gamma": gamma, "gamma0": gamma0},
         checks=len(pairs),
         failures=tuple(failures),
         constants={"phi": phi, "gamma_transported": gamma_t},

@@ -504,7 +504,7 @@ def sweep_walk(e, intervals, side, gammas=GAMMA_GRID):
     return SweepResult(side=side, table=table, best_gamma=best_gamma, best_sigma=best_sigma)
 
 
-def sided_transport_walk(e, window, seed, fam, gamma=0.5, gamma0=0.5):
+def sided_transport_walk(e, fam, gamma=0.5, gamma0=0.5):
     intervals = fam.intervals()
     phi = phi_walk(e, intervals)
     gamma_t = gamma / phi
@@ -533,7 +533,7 @@ def sided_transport_walk(e, window, seed, fam, gamma=0.5, gamma0=0.5):
     right, left, two = (sweep_walk(e, intervals, s) for s in ("right", "left", "two_sided"))
     return SuiteResult(
         suite="sided-transport",
-        params={"window": window.as_pair(), "seed": seed, "gamma": gamma, "gamma0": gamma0},
+        params={"window": fam.window, "seed": fam.seed, "gamma": gamma, "gamma0": gamma0},
         checks=checks,
         failures=tuple(failures),
         constants={"phi": phi, "gamma_transported": gamma_t},

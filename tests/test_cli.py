@@ -1,5 +1,6 @@
 """The command-line front end: exit codes, configuration errors, report files and the process pool."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -525,6 +526,73 @@ def test_analyze_builds_one_family(tmp_path, monkeypatch):
         calls.clear()
         _reports(["analyze", "--preset", "integers", *CAPS, *W, *extra, "--workers", "1"], tmp_path / str(len(extra)))
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("preset, side", [("integers", "two_sided"), ("reflected_naturals", "plus")],
+                         ids=["bisected", "refuted"])
+def test_critical_alpha_builds_one_probe_family_and_one_triple_table(preset, side, tmp_path, monkeypatch):
+    calls = {"probes": [], "triples": []}
+    probes, table = cli.certification_probes, cli.TripleTable
+    monkeypatch.setattr(cli, "certification_probes", lambda *a, **k: calls["probes"].append(a) or probes(*a, **k))
+    monkeypatch.setattr(cli, "TripleTable", lambda *a: calls["triples"].append(a) or table(*a))
+    argv = ("critical-alpha", "--preset", preset, *CAPS, *W, "--side", side, "--tol", "0.125", "--workers", "1")
+    code, _ = _reports(argv, tmp_path)
+    assert code == (0 if preset == "integers" else 1)
+    assert (len(calls["probes"]), len(calls["triples"])) == (1, 1)
+
+
+# the subcommands that read each family flag, each named in the flag's help
+FAMILY_FLAGS = {
+    "--anchor-cap": ("analyze", "verify", "critical-alpha", "a1"),
+    "--random-probes": ("analyze", "verify", "critical-alpha"),
+    "--octaves": ("a1", "critical-alpha"),
+}
+FAMILY_RUNS = {
+    "analyze": ("analyze",),
+    "a1": ("a1", "--alpha", "0.5"),
+    "critical-alpha": ("critical-alpha", "--tol", "0.125"),
+    "verify": ("verify", "--suite", "sided-transport"),
+}
+# below each default: 64 anchors, 200 random probes, 24 octaves
+OFF_DEFAULT = {"--anchor-cap": "4", "--random-probes": "10", "--octaves": "8"}
+
+
+def _flag_help(flag: str) -> str:
+    p = argparse.ArgumentParser()
+    cli._add_common(p)
+    return next(a.help for a in p._actions if flag in a.option_strings)
+
+
+@pytest.mark.parametrize("flag", sorted(FAMILY_FLAGS))
+@pytest.mark.parametrize("command", sorted(FAMILY_RUNS))
+def test_a_family_flag_moves_the_reports_of_the_subcommands_it_names(command, flag, tmp_path):
+    # a flag whose help says a subcommand reads it sizes that subcommand's
+    # family, so its reports move; the other subcommands' reports stay
+    help_text = _flag_help(flag)
+    assert "verify --suite equivalence does not read it" in help_text
+    argv = (*FAMILY_RUNS[command], *CANTOR6, "--window", "-2", "2", "--format", "json", "--workers", "1")
+    default = _reports(argv, tmp_path / "default")[1]
+    flagged = _reports([*argv, flag, OFF_DEFAULT[flag]], tmp_path / "flagged")[1]
+    assert default
+    if command in FAMILY_FLAGS[flag]:
+        assert f" {command}" in help_text
+        assert flagged != default
+    else:
+        assert flagged == default
+
+
+def test_verify_exits_2_where_phi_is_undefined(tmp_path, capsys, monkeypatch):
+    # every half of the one probe (0, 4u) has holes u long, u the least
+    # subnormal, and rho = u / 2 rounds to 0.0
+    points = [k * 5e-324 for k in (0, 1, 2, 3, 4, 6, 8)]
+    (tmp_path / "set.json").write_text(json.dumps({"kind": "finite", "points": points}))
+    monkeypatch.setattr(cli, "_probes", lambda args: ProbeFamily(anchors=(0.0,), scales=(4 * 5e-324,),
+                                                                 alignments=("left",)))
+    code = main(["verify", "--set-file", str(tmp_path / "set.json"), "--suite", "sided-transport",
+                 "--workers", "1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: Phi is undefined: every half and centred half of every probe "
+                                       "has hole radius 0.0\n")
 
 
 POROSITY_SUITES = ("left-propagation", "pore-transport", "decay")

@@ -18,6 +18,7 @@ from poroweights import (
     integrate,
     triple_value,
 )
+from poroweights.muckenhoupt import DEFAULT_TRIPLE_OCTAVES
 from poroweights.porosity import admissible_alpha, certification_probes, sweep_parameters
 from poroweights.scaling import is_divergent
 from poroweights.sets import largest_component
@@ -218,14 +219,19 @@ class TestForwardConsistency:
             assert rep.bounded_evidence, name
 
 
+def families(e, window, octaves=DEFAULT_TRIPLE_OCTAVES):
+    """The probe family and the triple family the CLI builds at its default caps."""
+    return certification_probes(e, window), TripleFamily.default(e, window, octaves=octaves)
+
+
 class TestCriticalAlpha:
     def test_singleton_approaches_one(self, singleton, window):
-        res = critical_alpha(singleton, "two_sided", window)
+        res = critical_alpha(singleton, "two_sided", *families(singleton, window))
         assert res.alpha is not None and res.alpha > 0.99
         assert res.monotone
 
     def test_naturals_plus_interior_value(self, naturals, window):
-        res = critical_alpha(naturals, "plus", window)
+        res = critical_alpha(naturals, "plus", *families(naturals, window))
         assert res.alpha is not None and 0.0 < res.alpha < 1.0
         half = a1_constant(WeightSpec(naturals, res.alpha / 2.0), "plus", TripleFamily.default(naturals, window))
         assert half.bounded_evidence
@@ -233,7 +239,7 @@ class TestCriticalAlpha:
         assert not at_one.bounded_evidence
 
     def test_reflected_naturals_has_none(self, reflected_naturals, window):
-        res = critical_alpha(reflected_naturals, "plus", window)
+        res = critical_alpha(reflected_naturals, "plus", *families(reflected_naturals, window))
         assert res.alpha is None
         assert "porosity refuted" in res.note
         assert res.evidence is not None and res.evidence.divergence_flag
@@ -242,7 +248,8 @@ class TestCriticalAlpha:
     def test_two_sided_alpha_is_at_most_both_one_sided(self, name, e):
         # A1 lies in A1+ and A1-: a two-sided exponent is one of each side
         window = Interval(-8.0, 8.0)
-        found = {side: critical_alpha(e, side, window, tol=0.125, octaves=8) for side in ("plus", "minus", "two_sided")}
+        found = {side: critical_alpha(e, side, *families(e, window, 8), tol=0.125)
+                 for side in ("plus", "minus", "two_sided")}
         alpha = {side: res.alpha or 0.0 for side, res in found.items()}
         assert alpha["two_sided"] <= min(alpha["plus"], alpha["minus"]), name
         two = found["two_sided"]

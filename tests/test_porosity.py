@@ -144,29 +144,29 @@ class TestCertify:
         assert rho_plus == rho(singleton, i.right_half)
 
 
-def centred_phi(e, window, exponents, anchor=0.0):
+def centred_phi(e, exponents, anchor=0.0):
     """sided-transport's Phi over the probes (anchor - 2^n, anchor + 2^n)."""
     fam = ProbeFamily(anchors=(anchor,), scales=tuple(2.0 ** (n + 1) for n in exponents), alignments=("center",))
-    return suite_sided_transport(e, window, probes=fam).constants["phi"]
+    return suite_sided_transport(e, fam).constants["phi"]
 
 
 class TestDoubling:
-    def test_naturals_ratios_diverge(self, naturals, window):
+    def test_naturals_ratios_diverge(self, naturals):
         # rho(I_n)/rho(right half) = 2^n
-        assert centred_phi(naturals, window, range(1, 21)) == 2.0 ** 20
+        assert centred_phi(naturals, range(1, 21)) == 2.0 ** 20
 
-    def test_integers_bounded(self, integers, window):
-        assert centred_phi(integers, window, range(2, 14)) <= 2.0
+    def test_integers_bounded(self, integers):
+        assert centred_phi(integers, range(2, 14)) <= 2.0
 
     @pytest.mark.parametrize("anchor", [0.0, 0.5])
-    def test_singleton_bounded(self, singleton, window, anchor):
-        assert centred_phi(singleton, window, range(2, 14), anchor) <= 2.0
+    def test_singleton_bounded(self, singleton, anchor):
+        assert centred_phi(singleton, range(2, 14), anchor) <= 2.0
 
-    def test_the_centred_half_sets_phi(self, window):
+    def test_the_centred_half_sets_phi(self):
         # points 1/8 apart on [-1, 1]: on (-4, 4) both halves keep a hole 3
         # long, the centred half (-2, 2) only one 1 long, so Phi = 1.5 / 0.5
         e = FinitePoints([k / 8.0 for k in range(-8, 9)])
-        assert centred_phi(e, window, [2]) == 3.0 == oracles.phi_walk(e, [Interval(-4.0, 4.0)])
+        assert centred_phi(e, [2]) == 3.0 == oracles.phi_walk(e, [Interval(-4.0, 4.0)])
 
 
 # the lemma suites' oracle family: the catalog at Cantor depth 6, window +-8
@@ -338,7 +338,23 @@ class TestProbesTooShortToHalve:
         # over no probe Phi would stay 0.0, and gamma / Phi divide by zero
         fam = ProbeFamily(anchors=(1.0,), scales=(2.0 ** -60,))
         with pytest.raises(ValueError, match=r"^probe family is empty \(probes too short to halve are left out\)$"):
-            suite_sided_transport(FinitePoints([0.0, 1.0]), Interval(-2.0, 2.0), probes=fam)
+            suite_sided_transport(FinitePoints([0.0, 1.0]), fam)
+
+    def test_sided_transport_rejects_an_empty_list(self):
+        # an empty family is refused like any other, not replaced by a default one
+        with pytest.raises(ValueError, match=r"^probe family is empty \(probes too short to halve are left out\)$"):
+            suite_sided_transport(FinitePoints([0.0, 0.5, 2.0]), [])
+
+    def test_sided_transport_rejects_a_family_without_a_half_hole(self):
+        # one subnormal unit u apart: every half and the centred half of the one
+        # probe (0, 4u) has holes u long, and rho = u / 2 rounds to 0.0, so Phi
+        # would stay 0.0 and gamma / Phi divide by zero
+        e = FinitePoints([k * 5e-324 for k in (0, 1, 2, 3, 4, 6, 8)])
+        fam = ProbeFamily(anchors=(0.0,), scales=(4 * 5e-324,), alignments=("left",))
+        assert fam.bounds() == [(0.0, 2e-323)]
+        with pytest.raises(ValueError, match=r"^Phi is undefined: every half and centred half of every probe "
+                                             r"has hole radius 0\.0$"):
+            suite_sided_transport(e, fam)
 
     def test_the_family_leaves_them_out(self):
         # at anchor 1 a scale of 2**-60 is below the ulp, and no anchor splits
@@ -407,7 +423,7 @@ class TestTransportInvariants:
         fam = ProbeFamily.default(integers, window, seed=2)
         intervals = fam.intervals()
         assert certify(integers, PorosityParams(0.5, 0.5, "two_sided"), intervals).passed
-        phi = suite_sided_transport(integers, window, probes=fam).constants["phi"]
+        phi = suite_sided_transport(integers, fam).constants["phi"]
         gamma_t = 0.5 / phi
         half_line = Cutoff(integers, 0.0, "right")
         rep = certify(half_line, PorosityParams(0.5, gamma_t, "right"), intervals)

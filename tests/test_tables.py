@@ -18,6 +18,7 @@ bound the thresholds it draws per share read and the windows a refuted
 sweep summarises before it stops.
 """
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -94,7 +95,9 @@ def point_sets(draw):
 
 
 def small_family(e, seed):
-    return ProbeFamily.default(e, WINDOW, octaves=4, anchor_cap=4, random_count=8, seed=seed)
+    """Four anchors, the four longest default scales and eight random probes."""
+    fam = ProbeFamily.default(e, WINDOW, anchor_cap=4, random_count=8, seed=seed)
+    return dataclasses.replace(fam, scales=fam.scales[:4])
 
 
 def check_certify(e, params, intervals):
@@ -132,8 +135,8 @@ class TestProbeTable:
     @given(e=point_sets(), seed=st.integers(0, 3), gamma=st.sampled_from([0.5, 0.25]))
     def test_sided_transport_matches_the_loop(self, e, seed, gamma):
         fam = small_family(e, seed)
-        got = suite_sided_transport(e, WINDOW, seed=seed, probes=fam, gamma=gamma)
-        assert got == oracles.sided_transport_walk(e, WINDOW, seed, fam, gamma=gamma)
+        got = suite_sided_transport(e, fam, gamma=gamma)
+        assert got == oracles.sided_transport_walk(e, fam, gamma=gamma)
 
 
 # A finite set whose components are 1 and 2 long, and the same points as a
@@ -197,8 +200,7 @@ class TestLengthProfile:
             assert got[side] == oracles.sweep_walk(e, intervals, side, gammas)
         fam = ProbeFamily(anchors=(0.0, 2.0, 4.0), scales=(16.0, 8.0, 4.0, 2.0))
         for gamma in (0.5, 0.25):
-            assert suite_sided_transport(e, WINDOW, probes=fam, gamma=gamma) == \
-                oracles.sided_transport_walk(e, WINDOW, 0, fam, gamma=gamma)
+            assert suite_sided_transport(e, fam, gamma=gamma) == oracles.sided_transport_walk(e, fam, gamma=gamma)
 
     @pytest.mark.parametrize("e", TIE_SETS, ids=["memoised", "reflected"])
     def test_single_thresholds_equal_to_a_component_length(self, e):
@@ -219,7 +221,7 @@ class TestLengthProfile:
     )
     def test_sided_transport_rejects_a_gamma_outside_the_unit_interval(self, kwargs, name):
         with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\)"):
-            suite_sided_transport(TIE_SETS[0], WINDOW, probes=EMPTY_FAMILY, **kwargs)
+            suite_sided_transport(TIE_SETS[0], EMPTY_FAMILY, **kwargs)
 
     @pytest.mark.parametrize("e", EMPTY_SETS, ids=["memoised", "naturals"])
     def test_windows_without_set_points(self, e):
@@ -230,8 +232,7 @@ class TestLengthProfile:
         got = sweep_sides(e, intervals, SIDES)
         for side in SIDES:
             assert got[side] == oracles.sweep_walk(e, intervals, side)
-        assert suite_sided_transport(e, WINDOW, probes=EMPTY_FAMILY) == \
-            oracles.sided_transport_walk(e, WINDOW, 0, EMPTY_FAMILY)
+        assert suite_sided_transport(e, EMPTY_FAMILY) == oracles.sided_transport_walk(e, EMPTY_FAMILY)
 
     @pytest.mark.parametrize("e", SUBNORMAL_SETS, ids=["memoised", "reflected"])
     def test_subnormal_gaps(self, e):
@@ -241,7 +242,7 @@ class TestLengthProfile:
         got = sweep_sides(e, intervals, SIDES, gammas)
         for side in SIDES:
             assert got[side] == oracles.sweep_walk(e, intervals, side, gammas)
-        assert suite_sided_transport(e, WINDOW, probes=fam) == oracles.sided_transport_walk(e, WINDOW, 0, fam)
+        assert suite_sided_transport(e, fam) == oracles.sided_transport_walk(e, fam)
 
 
 # one subnormal unit u apart on (0, 4u), two on (4u, 8u): the probe (0, 8u)
@@ -379,7 +380,8 @@ class TestTripleTable:
     def test_critical_alpha_grid_matches_the_bisection(self, e, reflect, side):
         e = Reflect(e) if reflect else e
         window = Interval(-2.0, 2.0)
-        got = critical_alpha(e, side, window, tol=0.125, octaves=8)
+        got = critical_alpha(e, side, certification_probes(e, window), TripleFamily.default(e, window, octaves=8),
+                             tol=0.125)
         assert got.grid == oracles.critical_alpha_grid_walk(e, side, window, tol=0.125, octaves=8)
 
 
@@ -435,7 +437,7 @@ class TestReductions:
         # nested probes around a lattice end diverge, integer probes tie
         nested = ProbeFamily(anchors=(0.125,), scales=tuple(2.0 ** (n + 1) for n in range(1, 20)), alignments=("center",))
         for fam in (nested, small_family(e, 1)):
-            phi = suite_sided_transport(e, WINDOW, probes=fam).constants["phi"]
+            phi = suite_sided_transport(e, fam).constants["phi"]
             assert phi == oracles.phi_walk(e, fam.intervals())
             if fam is nested:
                 assert (phi >= 2.0 ** 18) == diverges
@@ -604,9 +606,9 @@ class TestWorkCounts:
             certify(e, PorosityParams(0.25, 0.25, side), intervals)
             assert 0 < summaries[0] <= (3 if side == "two_sided" else 2) * len(intervals)
         summaries[0] = 0
-        got = suite_sided_transport(e, WINDOW, probes=fam)
+        got = suite_sided_transport(e, fam)
         assert 0 < summaries[0] <= 4 * len(intervals)
-        assert got == oracles.sided_transport_walk(e, WINDOW, 0, fam)
+        assert got == oracles.sided_transport_walk(e, fam)
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
     def test_right_and_left_sweeps_share_the_halves(self, e, summaries):
@@ -691,9 +693,9 @@ class TestWorkCounts:
             assert report == certify(e, params, intervals)
             assert list(report.rows()) == list(certify(e, params, intervals).rows())
         count[0] = 0
-        got = suite_sided_transport(e, WINDOW, probes=fam)
+        got = suite_sided_transport(e, fam)
         assert count[0] == 0
-        assert got == oracles.sided_transport_walk(e, WINDOW, 0, fam)
+        assert got == oracles.sided_transport_walk(e, fam)
 
     @pytest.mark.parametrize("side", A1_SIDES)
     @pytest.mark.parametrize("e", SETS, ids=IDS)
@@ -762,7 +764,7 @@ class TestWorkCounts:
         window = Interval(-64.0, 64.0)
         intervals = certification_probes(e, window, anchor_cap=16, random_count=50).intervals()
         sweep_sides(e, intervals, SIDES)
-        suite_sided_transport(e, window, probes=certification_probes(e, window, anchor_cap=16, random_count=50))
+        suite_sided_transport(e, certification_probes(e, window, anchor_cap=16, random_count=50))
         assert counts["compress"] == counts["default"] == 0
         assert counts["geometric"] > 0
 
@@ -783,7 +785,7 @@ class TestWorkCounts:
         # grid thresholds that can lower its sweeps: all 12 would be 14.33 per read
         e, window = dict(catalog())[name], Interval(-64.0, 64.0)
         fam = certification_probes(e, window)
-        suite_sided_transport(e, window, probes=fam)
+        suite_sided_transport(e, fam)
         reads = thresholds_drawn["reads"]
         assert reads == 3 * len(distinct_probes(fam.intervals())[0])
         assert 0 < thresholds_drawn["thresholds"] - 7 * reads / 3 <= 12 * reads / 3
@@ -826,7 +828,7 @@ class TestWorkCounts:
             assert 0 < count[0] <= distinct
         fam = certification_probes(e, REPEAT_WINDOW, anchor_cap=32, random_count=100)
         count[0] = 0
-        suite_sided_transport(e, REPEAT_WINDOW, probes=fam)
+        suite_sided_transport(e, fam)
         assert count[0] == 3 * len(distinct_probes(fam.intervals())[0])  # I-, I+ and I
 
     @pytest.mark.parametrize("e, side", [(NATURALS, "minus"), (Reflect(NATURALS), "plus"), (BASES["integers"], "plus")],
@@ -847,7 +849,8 @@ class TestWorkCounts:
         counts = []
         for tol in (2.0 ** -3, 2.0 ** -6):
             summaries[0] = 0
-            result = critical_alpha(e, side, Interval(-8.0, 8.0), tol=tol)
+            window = Interval(-8.0, 8.0)
+            result = critical_alpha(e, side, certification_probes(e, window), TripleFamily.default(e, window), tol=tol)
             assert len(result.grid) == -math.log2(tol)  # every step ran
             counts.append(summaries[0])
         assert counts[0] == counts[1] > 0
@@ -873,15 +876,14 @@ class TestDistinctProbes:
         for side in SIDES:
             params = PorosityParams(0.5, 0.5, side)
             check_certify(e, params, intervals)
-        phi = suite_sided_transport(e, REPEAT_WINDOW, probes=repeating).constants["phi"]
+        phi = suite_sided_transport(e, repeating).constants["phi"]
         assert phi == oracles.phi_walk(e, intervals)
         together = sweep_sides(e, intervals, SIDES)
         for side in SIDES:
             assert together[side] == oracles.sweep_walk(e, intervals, side)
             assert sweep_parameters(e, intervals, side) == together[side]
         fam = certification_probes(e, REPEAT_WINDOW)
-        assert suite_sided_transport(e, REPEAT_WINDOW, probes=fam) == \
-            oracles.sided_transport_walk(e, REPEAT_WINDOW, 0, fam)
+        assert suite_sided_transport(e, fam) == oracles.sided_transport_walk(e, fam)
 
     @pytest.mark.parametrize("e", [NATURALS, Reflect(NATURALS)], ids=["naturals", "reflected_naturals"])
     def test_a_divergent_family_repeated(self, e):
@@ -891,8 +893,8 @@ class TestDistinctProbes:
         scales = [2.0 ** (n + 1) for n in range(1, 20)]
         for repeated in ([*scales, *scales], [*scales, *scales[::-1]], [s for s in scales for _ in range(3)]):
             fam = ProbeFamily(anchors=(0.125,), scales=tuple(repeated), alignments=("center",))
-            got = suite_sided_transport(e, WINDOW, probes=fam)
-            assert got == oracles.sided_transport_walk(e, WINDOW, 0, fam)
+            got = suite_sided_transport(e, fam)
+            assert got == oracles.sided_transport_walk(e, fam)
             assert got.constants["phi"] > 2.0 ** 18
 
     def test_repeated_probes_among_the_witnesses(self):
@@ -916,8 +918,8 @@ class TestDistinctProbes:
         fam = ProbeFamily(anchors=(0.0, 0.5, 1.0), scales=(1.0,))
         intervals = fam.intervals()
         assert len(intervals) == 9 and len(distinct_probes(intervals)[0]) == 5
-        got = suite_sided_transport(e, WINDOW, probes=fam)
-        assert got == oracles.sided_transport_walk(e, WINDOW, 0, fam)
+        got = suite_sided_transport(e, fam)
+        assert got == oracles.sided_transport_walk(e, fam)
         assert [f["interval"] for f in got.failures] == [i.as_pair() for i in intervals for _ in range(3)]
 
 
@@ -940,8 +942,7 @@ class TestWindowStore:
         together = sweep_sides(e, intervals, SIDES)
         for side in SIDES:
             assert together[side] == oracles.sweep_walk(e, intervals, side)
-        assert suite_sided_transport(e, WINDOW, seed=seed, probes=fam) == \
-            oracles.sided_transport_walk(e, WINDOW, seed, fam)
+        assert suite_sided_transport(e, fam) == oracles.sided_transport_walk(e, fam)
 
     def test_no_pass_holds_more_than_two_generations(self, monkeypatch):
         cap = 16
@@ -964,7 +965,7 @@ class TestWindowStore:
         passes = (
             lambda: certify(e, PorosityParams(0.25, 0.25, "two_sided"), intervals),
             lambda: sweep_sides(e, intervals, SIDES),
-            lambda: suite_sided_transport(e, WINDOW, probes=fam),
+            lambda: suite_sided_transport(e, fam),
         )
         for run in passes:
             held.clear()
