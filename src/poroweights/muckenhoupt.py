@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .intervals import Interval
 from .porosity import ProbeFamily, SweepResult, anchor_candidates, sweep_sides
@@ -354,7 +354,7 @@ class CriticalAlphaResult:
 def critical_alpha(
     e: SetDescription,
     side: str,
-    probes: ProbeFamily | Sequence[Interval],
+    probes: ProbeFamily,
     triples: TripleFamily | TripleTable,
     tol: float = 2.0 ** -8,
 ) -> CriticalAlphaResult:
