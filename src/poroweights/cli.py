@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from dataclasses import replace
-from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
 
@@ -62,8 +60,6 @@ from .suites import (
 )
 from .weights import WeightSpec, evaluation_table
 
-WORKERS_ENV = "POROWEIGHTS_WORKERS"
-
 DEFAULT_EPS_POINTS = 24
 
 _DYADIC = re.compile(r"^(?P<sign>[+-]?)(?:(?P<mant>\d+)\*)?2\^(?P<exp>[+-]?\d+)$")
@@ -99,13 +95,6 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("set selection")
     g.add_argument("--preset", choices=presets_mod.PRESET_NAMES, help="built-in set")
@@ -128,7 +117,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     r.add_argument("--out", type=Path, default=Path("reports"))
     r.add_argument("--format", choices=("json", "csv", "both"), default="both")
     r.add_argument("--no-timestamp", action="store_true", help="omit the timestamp header for byte-identical reruns")
-    r.add_argument("--workers", type=int, default=_default_workers(), help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    r.add_argument("--workers", type=int, default=1, help="ignored: every command runs in one process")
 
 
 def _load_set(args) -> SetDescription:
@@ -331,26 +320,25 @@ def _porosity_constants(args, probes: ProbeFamily) -> Optional[dict]:
     return {"sigma": params.sigma, "gamma": params.gamma, "constants_rule": rule}
 
 
-def _run_one_suite(task) -> tuple[str, object]:
-    sid, args, probes, fam_intervals, gamma, sigma = task
+def _run_one_suite(sid: str, args, probes, fam_intervals, gamma, sigma):
     e = args.e
     if sid == "distance-envelope":
-        return sid, suite_distance_envelope(e, fam_intervals)
+        return suite_distance_envelope(e, fam_intervals)
     if sid == "hole-control":
-        return sid, suite_hole_control(e, fam_intervals, eta=args.eta)
+        return suite_hole_control(e, fam_intervals, eta=args.eta)
     if sid == "left-propagation":
-        return sid, suite_left_propagation(e, gamma, fam_intervals)
+        return suite_left_propagation(e, gamma, fam_intervals)
     if sid == "pore-transport":
-        return sid, suite_pore_transport(e, gamma, fam_intervals)
+        return suite_pore_transport(e, gamma, fam_intervals)
     if sid == "decay":
-        return sid, suite_decay(e, sigma, gamma, _decay_interval(e, args.window))
+        return suite_decay(e, sigma, gamma, _decay_interval(e, args.window))
     if sid == "dimension":
-        return sid, suite_dimension(e, args.window, sigma=sigma, gamma=gamma)
+        return suite_dimension(e, args.window, sigma=sigma, gamma=gamma)
     if sid == "sided-transport":
-        return sid, suite_sided_transport(e, probes)
+        return suite_sided_transport(e, probes)
     if sid == "equivalence":
         cat = presets_mod.catalog(seed=args.seed, cantor_depth=8)
-        return sid, suite_equivalence_matrix(cat, args.window, seed=args.seed)
+        return suite_equivalence_matrix(cat, args.window, seed=args.seed)
     raise ValueError(f"unknown suite {sid!r}")
 
 
@@ -370,14 +358,9 @@ def cmd_verify(args) -> int:
             print(f"skipping {gated}: right-sided porosity refuted on probes (their bounds presuppose it)")
         else:
             constants = found
-    tasks = [(sid, args, probes, intervals, constants["gamma"], constants["sigma"]) for sid in suite_ids]
-    if args.workers > 1 and len(tasks) > 1:
-        with Pool(processes=min(args.workers, len(tasks))) as pool:
-            results = pool.map(_run_one_suite, tasks)
-    else:
-        results = [_run_one_suite(t) for t in tasks]
     failed = []
-    for sid, res in results:
+    for sid in suite_ids:
+        res = _run_one_suite(sid, args, probes, intervals, constants["gamma"], constants["sigma"])
         if sid in POROSITY_SUITES and sid != "dimension":  # a dimension report states its pair's bound
             res = replace(res, params={**res.params, **constants})
         _emit(args, f"verify_{sid.replace('-', '_')}", f"suite-{sid}", res)
@@ -431,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--sigma", type=parse_number, default=0.5)
     p.add_argument("--gamma", type=parse_number, default=0.5)
-    p.add_argument("--side", dest="side_porosity", choices=("right", "left", "two_sided"), default="two_sided")
+    p.add_argument("--side", dest="side_porosity", choices=("right", "left", "two_sided"), default="two_sided",
+                   help="with --sweep, the two_sided certificate is not a verdict: a two-sided probe has sigma > 0 "
+                        "at a small enough gamma")
     p.add_argument("--sweep", action="store_true",
                    help="search the parameter grid on the probe family, as critical-alpha and verify do")
     p.set_defaults(fn=cmd_analyze)

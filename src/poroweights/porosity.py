@@ -414,6 +414,14 @@ def certify(
 
 @dataclass(frozen=True)
 class SweepResult:
+    """sigma*(gamma) on one side over the gamma grid, and its best pair.
+
+    ``certified`` is ``best_sigma > 0``.  On the two-sided side that flag is
+    not a verdict: a two-sided probe always has sigma > 0 at a small enough
+    gamma, and at window +-64 the flag certifies all 8 catalog sets, though
+    four of them are porous on one side only.
+    """
+
     side: str
     table: tuple[tuple[float, float], ...]  # (gamma, sigma_star)
     best_gamma: float

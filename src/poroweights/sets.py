@@ -63,7 +63,7 @@ class PointCapExceeded(RuntimeError):
     """Raised when a window would materialise more points than the cap allows."""
 
     def __init__(self, count: int, cap: int, window: tuple[float, float]):
-        super().__init__(count, cap, window)  # as args, so it unpickles where a worker raised it
+        super().__init__(count, cap, window)  # as args: pickle and copy rebuild an exception as cls(*args)
         self.count = count
         self.cap = cap
         self.window = window
@@ -441,21 +441,19 @@ class _RunIndex:
         cells = [0.5 * gaps[s] for s, u, v in zip(ss, us, vs) if v - u >= 2]
         return max(cells + self._spans(ss, i, j, self._peaks, _span_peak), default=0.0)
 
-    def integral_terms(self, a: int, b: int, i: int, j: int, alpha: float,
-                       cell: Callable[[float, float], float],
-                       span: Callable[[float, float, float], float]) -> list[float]:
-        """The integral terms at alpha of the middle components of the
-        interior runs, in another order: ``(v - u - 1) * cell(step, alpha)``
-        per run that keeps two or more points, ``span(p, q, alpha)`` per span
-        between points p < q, read from the gap table at alpha."""
+    def integral_terms(self, a: int, b: int, i: int, j: int, alpha: float) -> list[float]:
+        """:func:`_middle_integrals` of the interior runs, in another order:
+        ``(v - u - 1) * _cell_integral(step, alpha)`` per run that keeps two or
+        more points, ``_span_integral(p, q, alpha)`` per span between points
+        p < q, read from the gap table at alpha."""
         gaps = self.gaps
         known, table = self._integrals  # one read: a racing alpha swaps the pair, never one half
         if known != alpha:
             table = array("d", [0.0]) * len(gaps)
             self._integrals = (alpha, table)
         ss, us, vs = self.trimmed(a, b, i, j)
-        terms = [(v - u - 1) * cell(gaps[s], alpha) for s, u, v in zip(ss, us, vs) if v - u >= 2]
-        return terms + self._spans(ss, i, j, table, span, alpha)
+        terms = [(v - u - 1) * _cell_integral(gaps[s], alpha) for s, u, v in zip(ss, us, vs) if v - u >= 2]
+        return terms + self._spans(ss, i, j, table, _span_integral, alpha)
 
     def _spans(self, ss: list[int], i: int, j: int, table: array, expr: Callable, *args) -> list[float]:
         """``expr(p, q, *args)`` per span (p, q) before a run start s with
@@ -1058,6 +1056,62 @@ def _peak(runs: list[Run]) -> float:
     return peak
 
 
+def _power_piece(u1: float, u2: float, alpha: float) -> float:
+    """Integral of u^(-alpha) over [u1, u2], 0 <= u1 <= u2."""
+    if u2 == u1:
+        return 0.0
+    if alpha == 1.0:
+        if u1 == 0.0:
+            return math.inf
+        return math.log(u2 / u1)
+    p = 1.0 - alpha
+    if u1 == 0.0:
+        if p < 0.0:
+            return math.inf
+        return u2 ** p / p
+    return (u2 ** p - u1 ** p) / p
+
+
+def _segment_integral(a: float, b: float, p_left: Optional[float], p_right: Optional[float], alpha: float) -> float:
+    """Integral over (a, b) given the bracketing set points (None when absent)."""
+    if p_left is None and p_right is None:
+        raise EmptySetError("weight undefined without set points")
+    if p_left is None:
+        return _power_piece(p_right - b, p_right - a, alpha)
+    if p_right is None:
+        return _power_piece(a - p_left, b - p_left, alpha)
+    m = 0.5 * (p_left + p_right)
+    if b <= m:
+        return _power_piece(a - p_left, b - p_left, alpha)
+    if a >= m:
+        return _power_piece(p_right - b, p_right - a, alpha)
+    return _power_piece(a - p_left, m - p_left, alpha) + _power_piece(p_right - b, p_right - m, alpha)
+
+
+def _span_integral(p: float, q: float, alpha: float) -> float:
+    """Integral over the component (p, q) between two consecutive set points."""
+    return _segment_integral(p, q, p, q, alpha)
+
+
+def _cell_integral(step: float, alpha: float) -> float:
+    """Integral over one cell of an arithmetic run of the given step."""
+    return 2.0 * _power_piece(0.0, 0.5 * step, alpha)
+
+
+def _middle_integrals(runs: list[Run], alpha: float) -> list[float]:
+    """Integral terms of the middle components, one per span and one per cell run."""
+    terms = []
+    prev = None
+    for r in runs:  # the traversal of _middle, inlined: this runs on every lattice query
+        start = r.start
+        if prev is not None and start > prev:
+            terms.append(_span_integral(prev, start, alpha))
+        if r.count >= 2:
+            terms.append((r.count - 1) * _cell_integral(r.step, alpha))
+        prev = r.end
+    return terms
+
+
 def _widest(runs: list[Run]) -> Optional[tuple[float, float]]:
     """Leftmost middle component of maximal length, as an (lo, hi) pair."""
     best = None
@@ -1222,23 +1276,20 @@ class WindowSummary:
             out.append(share)
         return out
 
-    def integral_terms(self, lo: float, hi: float, alpha: float,
-                       build: Callable[[list[Run], float], list[float]],
-                       cell: Callable[[float, float], float],
-                       span: Callable[[float, float, float], float]) -> list[float]:
-        """The terms at alpha of the middle components: ``build(runs, alpha)``
+    def integral_terms(self, lo: float, hi: float, alpha: float) -> list[float]:
+        """The terms at alpha of the middle components: :func:`_middle_integrals`
         of the interior runs of a summary built from runs.
 
         A memoised summary builds no run: it reads the same terms by index
-        (:meth:`_RunIndex.integral_terms`, with the same ``cell`` and ``span``
-        expressions that ``build`` uses), its spans from the set's per-exponent
+        (:meth:`_RunIndex.integral_terms`, with the same cell and span
+        expressions), its spans from the set's per-exponent
         gap table, n - 1 floats for n points, kept until another exponent is
         asked.  It keeps its own terms per exponent, for its lifetime, as exact
         partials, packed as ``[alpha, n, *partials]``; their fsum with any
         further terms is the fsum of all the terms.
         """
         if not self._kept():
-            return build(self._source, alpha)
+            return _middle_integrals(self._source, alpha)
         cache = self._integrals
         k = 0
         while k < len(cache):
@@ -1246,7 +1297,7 @@ class WindowSummary:
             if cache[k] == alpha:
                 return list(cache[k + 2:k + 2 + n])
             k += 2 + n
-        terms = self._indexed(_RunIndex.integral_terms, alpha, cell, span)
+        terms = self._indexed(_RunIndex.integral_terms, alpha)
         partials = [math.inf] if math.inf in terms else _exact_sum(terms)
         self._integrals = array("d", [*cache, alpha, len(partials), *partials])
         return terms

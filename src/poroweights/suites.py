@@ -409,7 +409,9 @@ def suite_sided_transport(
     rho(J) > 0, over each distinct probe I and its inner halves J = I-, I+
     and the centred half (c - |I|/4, c + |I|/4), c the split point of I;
     a family on which every such rho(J) is 0.0 raises ``ValueError``.
-    Pass 2 runs the checks and the three sweeps.
+    Pass 2 runs the checks and the three sweeps.  Of their flags in
+    ``details``, ``two_sided_certified`` is not a verdict (see
+    :class:`~poroweights.porosity.SweepResult`).
     """
     check_gamma(gamma)
     check_gamma(gamma0, "gamma0")

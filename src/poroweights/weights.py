@@ -14,7 +14,7 @@ index, with no run: a cell run's term from its step, and each span's from
 the set's gap table at that exponent (n - 1 floats for n points, filled as
 windows read it and replaced when another exponent is asked), beside a
 table of the span peaks that lives as long as the set.  Both paths evaluate
-one pair of expressions, `_cell_integral` and `_span_integral`.
+one pair of expressions, `_cell_integral` and `_span_integral` of `sets`.
 
 Weights with alpha >= 1 are representable; any window whose closure meets the
 set then integrates to infinity and is reported as non-locally-integrable.
@@ -30,9 +30,9 @@ from typing import NamedTuple, Optional, Sequence
 from .intervals import Interval
 from .sets import (
     EmptySetError,
-    Run,
     SetDescription,
     WindowSummary,
+    _segment_integral,
     distance,
     window_summary,
 )
@@ -55,62 +55,6 @@ def distance_power(d: float, alpha: float) -> float:
     if d == 0.0:
         return math.inf
     return d ** -alpha
-
-
-def _power_piece(u1: float, u2: float, alpha: float) -> float:
-    """Integral of u^(-alpha) over [u1, u2], 0 <= u1 <= u2."""
-    if u2 == u1:
-        return 0.0
-    if alpha == 1.0:
-        if u1 == 0.0:
-            return math.inf
-        return math.log(u2 / u1)
-    p = 1.0 - alpha
-    if u1 == 0.0:
-        if p < 0.0:
-            return math.inf
-        return u2 ** p / p
-    return (u2 ** p - u1 ** p) / p
-
-
-def _segment_integral(a: float, b: float, p_left: Optional[float], p_right: Optional[float], alpha: float) -> float:
-    """Integral over (a, b) given the bracketing set points (None when absent)."""
-    if p_left is None and p_right is None:
-        raise EmptySetError("weight undefined without set points")
-    if p_left is None:
-        return _power_piece(p_right - b, p_right - a, alpha)
-    if p_right is None:
-        return _power_piece(a - p_left, b - p_left, alpha)
-    m = 0.5 * (p_left + p_right)
-    if b <= m:
-        return _power_piece(a - p_left, b - p_left, alpha)
-    if a >= m:
-        return _power_piece(p_right - b, p_right - a, alpha)
-    return _power_piece(a - p_left, m - p_left, alpha) + _power_piece(p_right - b, p_right - m, alpha)
-
-
-def _span_integral(p: float, q: float, alpha: float) -> float:
-    """Integral over the component (p, q) between two consecutive set points."""
-    return _segment_integral(p, q, p, q, alpha)
-
-
-def _cell_integral(step: float, alpha: float) -> float:
-    """Integral over one cell of an arithmetic run of the given step."""
-    return 2.0 * _power_piece(0.0, 0.5 * step, alpha)
-
-
-def _middle_integrals(runs: list[Run], alpha: float) -> list[float]:
-    """Integral terms of the middle components, one per span and one per cell run."""
-    terms = []
-    prev = None
-    for r in runs:  # the traversal of sets._middle, inlined: this runs on every lattice query
-        start = r.start
-        if prev is not None and start > prev:
-            terms.append(_span_integral(prev, start, alpha))
-        if r.count >= 2:
-            terms.append((r.count - 1) * _cell_integral(r.step, alpha))
-        prev = r.end
-    return terms
 
 
 class IntegralWindow(NamedTuple):
@@ -145,7 +89,7 @@ class IntegralWindow(NamedTuple):
         if s.first is None:
             terms = [_segment_integral(j.lo, j.hi, left, right, alpha)]
         else:
-            terms = s.integral_terms(j.lo, j.hi, alpha, _middle_integrals, _cell_integral, _span_integral)
+            terms = s.integral_terms(j.lo, j.hi, alpha)
             if s.first > j.lo:
                 terms.append(_segment_integral(j.lo, s.first, left, s.first, alpha))
             if j.hi > s.last:

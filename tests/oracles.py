@@ -42,16 +42,20 @@ from poroweights.porosity import (
     certification_probes,
 )
 from poroweights.scaling import LadderReport, rising_prefix_maxima
-from poroweights.sets import Run, SetDescription, WindowSummary, _exact_sum, _middle, _peak, sample_points
-from poroweights.suites import COUNTEREXAMPLE_OFFSET, COUNTEREXAMPLE_SIZES, MAX_FAILURES, SuiteResult
-from poroweights.weights import (
-    WeightSpec,
+from poroweights.sets import (
+    Run,
+    SetDescription,
+    WindowSummary,
+    _exact_sum,
+    _middle,
     _middle_integrals,
+    _peak,
     _power_piece,
     _segment_integral,
-    _segment_peak,
-    integrate,
+    sample_points,
 )
+from poroweights.suites import COUNTEREXAMPLE_OFFSET, COUNTEREXAMPLE_SIZES, MAX_FAILURES, SuiteResult
+from poroweights.weights import WeightSpec, _segment_peak, integrate
 
 mp.mp.dps = 40
 

@@ -1,11 +1,14 @@
-"""The command-line front end: exit codes, configuration errors, report files and the process pool."""
+"""The command-line front end: exit codes, configuration errors and report files."""
 
 import argparse
 import contextlib
 import csv
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -36,14 +39,13 @@ def _reports(argv, out) -> tuple[int, dict[str, bytes]]:
     return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-def test_process_pool_writes_the_same_reports(tmp_path):
-    # the one fork in the CLI: suites mapped over a 2-process pool must write
-    # what the in-process loop writes, byte for byte, with the same exit code
-    argv = ("verify", *CANTOR6, *CAPS, "--window", "-2", "2", "--suite", "all")
-    pooled = _reports([*argv, "--workers", "2"], tmp_path / "pooled")
-    serial = _reports([*argv, "--workers", "1"], tmp_path / "serial")
-    assert len(serial[1]) == 10
-    assert pooled == serial
+def test_the_cli_runs_in_one_process():
+    # every command runs in the process that parsed it: importing the front
+    # end in a fresh interpreter loads no multiprocessing module
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    probe = "import sys, poroweights.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize(
@@ -73,7 +75,7 @@ def test_verify_rejects_a_gamma_outside_the_unit_interval(gamma, tmp_path, capsy
     # as analyze does through PorosityParams, before any suite runs
     argv = ("verify", "--preset", "integers", *CAPS, "--suite", "left-propagation",
             "--sigma", "0.5", "--gamma", gamma)
-    code = main([*argv, "--workers", "1", "--out", str(tmp_path / "out")])
+    code = main([*argv, "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: gamma must lie in (0, 1)")
@@ -92,7 +94,7 @@ def test_sub_ulp_windows_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "set.json").write_text(FLOAT_FLOOR_SET)
     code = main([*argv, "--set-file", "set.json", "--anchor-cap", "8", "--random-probes", "20",
-                 "--workers", "1", "--out", str(tmp_path / "out")])
+                 "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(message)
@@ -107,7 +109,7 @@ def test_analyze_halves_the_probes_above_a_sub_ulp_window(tmp_path, monkeypatch)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "set.json").write_text(FLOAT_FLOOR_SET)
     argv = ["analyze", "--set-file", "set.json", "--window", "0", "5e-324", "--anchor-cap", "8",
-            "--random-probes", "20", "--workers", "1"]
+            "--random-probes", "20"]
     code, reports = _reports(argv, tmp_path / "out")
     body = json.loads(reports["porosity_report.json"])["body"]
     assert code == 0
@@ -121,8 +123,7 @@ def test_critical_alpha_near_the_float_floor(hi, tmp_path, monkeypatch):
     # finite, hence porous, set
     monkeypatch.chdir(tmp_path)
     (tmp_path / "set.json").write_text(FLOAT_FLOOR_SET)
-    code, reports = _reports(["critical-alpha", "--set-file", "set.json", "--window", "0", hi,
-                              "--workers", "1"], tmp_path / "out")
+    code, reports = _reports(["critical-alpha", "--set-file", "set.json", "--window", "0", hi], tmp_path / "out")
     assert code == 0
     alpha = json.loads(reports["critical_alpha.json"])["body"]["alpha"]
     assert 0.0 < alpha < 1.0
@@ -145,7 +146,7 @@ def test_hostile_lattice_windows_exit_2(argv, message, tmp_path, capsys):
     # sigma above 1 from points that were not distinct, the third escaped
     # as a traceback with the exit code of a failed property
     code = main([*argv, "--preset", "integers", "--anchor-cap", "8", "--random-probes", "20",
-                 "--workers", "1", "--out", str(tmp_path / "out")])
+                 "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(message)
@@ -168,7 +169,7 @@ def test_a_set_file_without_points_exits_2(argv, tmp_path, capsys, monkeypatch):
     # exited 0, a1 and critical-alpha failed on their first distance
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.json").write_text(EMPTY_CUTOFF_SET)
-    code = main([*argv, "--set-file", "empty.json", "--workers", "1", "--out", str(tmp_path / "out")])
+    code = main([*argv, "--set-file", "empty.json", "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "configuration error: empty.json: the set has no points\n"
@@ -263,7 +264,7 @@ def test_hostile_numbers_exit_2(argv, message, tmp_path, capsys):
     # each of these hung, crashed with a traceback, or ran on a vacuous or
     # silently replaced value; the case's own options come last, so they win
     with _within(10):
-        code = main([argv[0], "--preset", "integers", "--workers", "1", "--out", str(tmp_path / "out"), *argv[1:]])
+        code = main([argv[0], "--preset", "integers", "--out", str(tmp_path / "out"), *argv[1:]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == message + "\n"
@@ -293,7 +294,7 @@ def test_hostile_sizes_exit_2_before_the_set_is_built(argv, message, tmp_path, c
         raise AssertionError("the set was built before the size was checked")
 
     monkeypatch.setattr(cli, "_load_set", built)
-    code = main([*argv, "--workers", "1", "--out", str(tmp_path / "out")])
+    code = main([*argv, "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == message + "\n"
@@ -308,7 +309,7 @@ def test_hostile_sizes_exit_2_before_the_set_is_built(argv, message, tmp_path, c
 def test_negative_window_ends_in_any_spelling(lo, plain, tmp_path):
     # argparse took an argument starting with '-' for an option unless it
     # read like '-8' or '-.5': these exited 2 with 'expected 2 arguments'
-    argv = ("analyze", "--preset", "integers", *CAPS, "--workers", "1")
+    argv = ("analyze", "--preset", "integers", *CAPS)
     got = _reports([*argv, "--window", lo, "8"], tmp_path / "spelled")
     assert got[0] == 0
     assert got == _reports([*argv, "--window", plain, "8"], tmp_path / "plain")
@@ -316,7 +317,7 @@ def test_negative_window_ends_in_any_spelling(lo, plain, tmp_path):
 
 def test_a_far_negative_window_end_is_a_number(tmp_path, capsys):
     # read as a number, -1e300 meets the lattice's resolution check
-    code = main(["analyze", "--window", "-1e300", "0", "--workers", "1", "--out", str(tmp_path / "out")])
+    code = main(["analyze", "--window", "-1e300", "0", "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == "error: lattice step 1.0 is below the float resolution at |x| = 1e+300\n"
 
@@ -341,7 +342,7 @@ def test_a_geometric_window_past_the_point_cap_exits_2(tmp_path, capsys, monkeyp
     with _within(20):
         # -1e300, spelled in digits
         code = main(["analyze", "--set-file", "slow.json", "--window", "-1" + "0" * 300, "0", "--anchor-cap", "8",
-                     "--random-probes", "20", "--workers", "1", "--out", str(tmp_path / "out")])
+                     "--random-probes", "20", "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == ("error: window (-1e+300, -1.0001) holds 6908101 points, "
@@ -353,8 +354,7 @@ def test_critical_alpha_stops_where_the_midpoint_rounds_onto_an_end(tmp_path):
     # tol 1e-300 is below the float spacing near 1: the bisection stops at
     # the last midpoint strictly between its ends instead of looping
     with _within(10):
-        code, reports = _reports(["critical-alpha", "--preset", "integers", "--tol", "1e-300",
-                                  "--workers", "1"], tmp_path / "out")
+        code, reports = _reports(["critical-alpha", "--preset", "integers", "--tol", "1e-300"], tmp_path / "out")
     assert code == 0
     body = json.loads(reports["critical_alpha.json"])["body"]
     lo, hi = body["alpha"], 1.0
@@ -375,7 +375,7 @@ def test_analyze_sweep_refutes_a_side_the_set_lacks(preset, side, tmp_path, caps
     # the refutation needs the probe scales above the window span that the
     # certification family adds
     code = main(["analyze", "--preset", preset, "--window", "-64", "64", "--sweep", "--side", side,
-                 "--workers", "1", "--out", str(tmp_path)])
+                 "--out", str(tmp_path)])
     assert code == 1
     assert "certified=False" in capsys.readouterr().out
 
@@ -385,7 +385,7 @@ def test_analyze_sweep_refutes_a_side_the_set_lacks(preset, side, tmp_path, caps
 def test_analyze_sweep_is_the_critical_alpha_sweep(preset, tmp_path):
     # one probe family certifies a side: analyze --sweep reads the table that
     # critical-alpha's porosity gate reads
-    argv = (*preset, "--seed", "3", "--workers", "1")
+    argv = (*preset, "--seed", "3")
     _, swept = _reports(["analyze", *argv, "--sweep", "--side", "right"], tmp_path / "analyze")
     _, searched = _reports(["critical-alpha", *argv, "--side", "plus", "--tol", "0.125"], tmp_path / "critical")
     table = json.loads(swept["porosity_sweep.json"])["body"]["table"]
@@ -404,7 +404,7 @@ def test_the_fixed_pair_check_agrees_with_the_sweep(tmp_path):
     # pair above, and at the admissible pair of every certified side
     for name in PRESET_NAMES:
         for side in ("right", "left", "two_sided"):
-            argv = ("analyze", "--preset", name, "--side", side, "--format", "json", "--workers", "1")
+            argv = ("analyze", "--preset", name, "--side", side, "--format", "json")
             out = tmp_path / name / side
             body = json.loads(_reports([*argv, "--sweep"], out / "sweep")[1]["porosity_sweep.json"])["body"]
             sweep = SweepResult(side, tuple(map(tuple, body["table"])), body["best_gamma"], body["best_sigma"])
@@ -422,7 +422,7 @@ def test_the_fixed_pair_check_agrees_with_the_sweep(tmp_path):
 def test_analyze_exits_1_when_porosity_fails(tmp_path):
     # at these caps a probe of the depth-6 Cantor iterate keeps sigma below
     # the default 1/2, so the certification fails and says so in its exit code
-    argv = ("analyze", *CANTOR6, "--anchor-cap", "4", "--random-probes", "10", "--seed", "3", "--workers", "1")
+    argv = ("analyze", *CANTOR6, "--anchor-cap", "4", "--random-probes", "10", "--seed", "3")
     code, reports = _reports(argv, tmp_path)
     assert code == 1
     assert b'"passed": false' in reports["porosity_report.json"]
@@ -443,7 +443,7 @@ CSV_JOBS = ("analyze-integers", "a1-minus-geometric", "dimension-random",
 def test_csv_headers_are_the_documented_columns(tmp_path):
     seen = {}
     for job in CSV_JOBS:
-        _, reports = _reports([*JOBS[job], "--workers", "1"], tmp_path / job)
+        _, reports = _reports(JOBS[job], tmp_path / job)
         seen.update({name: body for name, body in reports.items() if name.endswith(".csv")})
     assert sorted(seen) == sorted(CSV_HEADERS)
     for name, body in seen.items():
@@ -454,7 +454,7 @@ def test_csv_headers_are_the_documented_columns(tmp_path):
 def test_each_format_writes_its_own_reports_only(job, tmp_path):
     # --format json writes no CSV and --format csv no JSON; what each writes
     # is what --format both writes in that format
-    argv = [*JOBS[job], "--workers", "1"]
+    argv = JOBS[job]
     code, both = _reports(argv, tmp_path / "both")
     for fmt in ("json", "csv"):
         want = {name: body for name, body in both.items() if name.endswith(f".{fmt}")}
@@ -464,7 +464,7 @@ def test_each_format_writes_its_own_reports_only(job, tmp_path):
 
 @pytest.mark.parametrize("job", ["analyze-random", "critical-alpha-two-sided-random", "a1-cantor6"])
 def test_identical_runs_write_identical_bytes(job, tmp_path):
-    argv = [*JOBS[job], "--workers", "1"]
+    argv = JOBS[job]
     first = _reports(argv, tmp_path / "first")
     assert first[1]
     assert _reports(argv, tmp_path / "second") == first
@@ -473,7 +473,7 @@ def test_identical_runs_write_identical_bytes(job, tmp_path):
 @pytest.mark.parametrize("suite", [s for s in SUITE_IDS if s != "equivalence"])
 @pytest.mark.parametrize("preset", ["integers", "naturals"])
 def test_verify_exit_code_agrees_with_the_report(preset, suite, tmp_path):
-    argv = ("verify", "--preset", preset, *CAPS, *W, "--suite", suite, "--workers", "1")
+    argv = ("verify", "--preset", preset, *CAPS, *W, "--suite", suite)
     code, reports = _reports(argv, tmp_path)
     body = json.loads(reports.pop(f"verify_{suite.replace('-', '_')}.json"))["body"]
     passed = body["passed"] if "passed" in body else not body["failures"]
@@ -492,7 +492,7 @@ def test_verify_builds_at_most_one_family(suite, builds, tmp_path, monkeypatch):
     original = cli.certification_probes
     monkeypatch.setattr(cli, "certification_probes", lambda *a, **k: calls.append(a) or original(*a, **k))
     window = ("--window", "-2", "2") if suite in ("equivalence", "all") else W
-    argv = ("verify", "--preset", "integers", *CAPS, *window, "--suite", suite, "--workers", "1")
+    argv = ("verify", "--preset", "integers", *CAPS, *window, "--suite", suite)
     code, _ = _reports(argv, tmp_path)
     assert code == 0
     assert len(calls) == builds
@@ -512,7 +512,7 @@ def test_verify_sided_transport_lists_its_family_once(tmp_path, monkeypatch):
     distinct = counted("distinct_probes", porosity_module.distinct_probes)
     monkeypatch.setattr(porosity_module, "distinct_probes", distinct)
     monkeypatch.setattr(suites_module, "distinct_probes", distinct)
-    argv = ("verify", "--preset", "integers", *CAPS, *W, "--suite", "sided-transport", "--workers", "1")
+    argv = ("verify", "--preset", "integers", *CAPS, *W, "--suite", "sided-transport")
     code, _ = _reports(argv, tmp_path)
     assert code == 0
     assert calls == {"bounds": 1, "distinct_probes": 1}
@@ -524,7 +524,7 @@ def test_analyze_builds_one_family(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "certification_probes", lambda *a, **k: calls.append(a) or original(*a, **k))
     for extra in ((), ("--sweep",)):
         calls.clear()
-        _reports(["analyze", "--preset", "integers", *CAPS, *W, *extra, "--workers", "1"], tmp_path / str(len(extra)))
+        _reports(["analyze", "--preset", "integers", *CAPS, *W, *extra], tmp_path / str(len(extra)))
         assert len(calls) == 1
 
 
@@ -535,7 +535,7 @@ def test_critical_alpha_builds_one_probe_family_and_one_triple_table(preset, sid
     probes, table = cli.certification_probes, cli.TripleTable
     monkeypatch.setattr(cli, "certification_probes", lambda *a, **k: calls["probes"].append(a) or probes(*a, **k))
     monkeypatch.setattr(cli, "TripleTable", lambda *a: calls["triples"].append(a) or table(*a))
-    argv = ("critical-alpha", "--preset", preset, *CAPS, *W, "--side", side, "--tol", "0.125", "--workers", "1")
+    argv = ("critical-alpha", "--preset", preset, *CAPS, *W, "--side", side, "--tol", "0.125")
     code, _ = _reports(argv, tmp_path)
     assert code == (0 if preset == "integers" else 1)
     assert (len(calls["probes"]), len(calls["triples"])) == (1, 1)
@@ -570,7 +570,7 @@ def test_a_family_flag_moves_the_reports_of_the_subcommands_it_names(command, fl
     # family, so its reports move; the other subcommands' reports stay
     help_text = _flag_help(flag)
     assert "verify --suite equivalence does not read it" in help_text
-    argv = (*FAMILY_RUNS[command], *CANTOR6, "--window", "-2", "2", "--format", "json", "--workers", "1")
+    argv = (*FAMILY_RUNS[command], *CANTOR6, "--window", "-2", "2", "--format", "json")
     default = _reports(argv, tmp_path / "default")[1]
     flagged = _reports([*argv, flag, OFF_DEFAULT[flag]], tmp_path / "flagged")[1]
     assert default
@@ -589,7 +589,7 @@ def test_verify_exits_2_where_phi_is_undefined(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_probes", lambda args: ProbeFamily(anchors=(0.0,), scales=(4 * 5e-324,),
                                                                  alignments=("left",)))
     code = main(["verify", "--set-file", str(tmp_path / "set.json"), "--suite", "sided-transport",
-                 "--workers", "1", "--out", str(tmp_path / "out")])
+                 "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == ("error: Phi is undefined: every half and centred half of every probe "
                                        "has hole radius 0.0\n")
@@ -602,7 +602,7 @@ POROSITY_SUITES = ("left-propagation", "pore-transport", "decay")
 def test_verify_runs_the_porosity_suites_at_a_certified_pair(suite, tmp_path):
     # the depth-6 Cantor iterate has sigma*(1/2) = 0, so the lemmas at gamma 1/2
     # failed; the sweep's pair with the largest admissible alpha is gamma 1/32
-    argv = ("verify", *CANTOR6, "--seed", "101", "--suite", suite, "--workers", "1")
+    argv = ("verify", *CANTOR6, "--seed", "101", "--suite", suite)
     code, reports = _reports(argv, tmp_path)
     params = json.loads(reports[f"verify_{suite.replace('-', '_')}.json"])["body"]["params"]
     assert code == 0
@@ -613,7 +613,7 @@ def test_verify_runs_the_porosity_suites_at_a_certified_pair(suite, tmp_path):
 def test_verify_runs_dimension_at_the_certified_pair(tmp_path):
     # run without a pair, its bound was null and the task could not fail;
     # at the pair of the porosity suites it bounds the fitted 0.505 by 0.911
-    argv = ("verify", *CANTOR6, "--seed", "101", "--suite", "dimension", "--workers", "1")
+    argv = ("verify", *CANTOR6, "--seed", "101", "--suite", "dimension")
     code, reports = _reports(argv, tmp_path)
     body = json.loads(reports["verify_dimension.json"])["body"]
     assert code == 0
@@ -623,12 +623,12 @@ def test_verify_runs_dimension_at_the_certified_pair(tmp_path):
 
 
 def test_verify_skips_dimension_where_the_right_sweep_refutes(tmp_path):
-    argv = ("verify", "--preset", "reflected_naturals", *CAPS, *W, "--suite", "dimension", "--workers", "1")
+    argv = ("verify", "--preset", "reflected_naturals", *CAPS, *W, "--suite", "dimension")
     assert _reports(argv, tmp_path) == (0, {})
 
 
 def test_verify_gates_on_a_requested_pair(tmp_path):
-    base = ("verify", *CANTOR6, *CAPS, "--suite", "left-propagation", "--workers", "1")
+    base = ("verify", *CANTOR6, *CAPS, "--suite", "left-propagation")
     (tmp_path / "refuted").mkdir()
     refuted = _reports([*base, "--sigma", "0.5", "--gamma", "0.5"], tmp_path / "refuted")
     assert refuted == (0, {})  # skipped: the set has no such pair

@@ -289,7 +289,7 @@ def run_job(argv: tuple[str, ...]) -> tuple[int, dict[str, str]]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([*argv, "--no-timestamp", "--workers", "1", "--out", str(out)])
+            code = main([*argv, "--no-timestamp", "--out", str(out)])
         digests = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
         }

@@ -69,8 +69,8 @@ class TestGaps:
             integers.points_in(0.0, 2.0 ** 21, cap=10_000)
 
     def test_cap_error_survives_pickling(self):
-        # a CLI worker's exception comes back pickled; one that did not
-        # unpickle left the process pool waiting for ever
+        # pickle rebuilds an exception as cls(*args): args that did not match
+        # __init__ made the round trip raise TypeError instead
         exc = pickle.loads(pickle.dumps(PointCapExceeded(12, 10, (0.0, 1.5))))
         assert (exc.count, exc.cap, exc.window) == (12, 10, (0.0, 1.5))
         assert str(exc) == "window (0.0, 1.5) holds 12 points, above the cap of 10"
