@@ -49,6 +49,7 @@ from .sets import (
 )
 from .suites import (
     _geometric_grid,
+    check_eta,
     suite_decay,
     suite_dimension,
     suite_distance_envelope,
@@ -344,6 +345,7 @@ def _run_one_suite(sid: str, args, probes, fam_intervals, gamma, sigma):
 
 def cmd_verify(args) -> int:
     _check_pair(args)
+    check_eta(args.eta)  # every call, not only those that run hole-control
     _config(args)
     suite_ids = list(SUITE_IDS) if args.suite == "all" else [args.suite]
     # one family for every suite that reads probes; the equivalence matrix probes its own sets

@@ -207,20 +207,36 @@ class TripleTable:
         return w
 
     def rows(self, side: str) -> _SideRows:
+        """The rows of a one-sided side, built on first use.
+
+        The triples come in runs of one anchor and octave, one per ratio,
+        which share their peak window, (m, m + s) on the '+' side and
+        (m - s, m) on the '-' side, and their octave: each run looks these up
+        once, and each triple only its averaged window.  A degenerate triple
+        has a window with lo >= hi, which the window's :class:`Interval` refuses.
+        """
         rows = self._sides.get(side)
         if rows is None:
+            if side not in ("plus", "minus"):
+                raise ValueError("side must be 'plus' or 'minus'")
+            plus = side == "plus"
             triples = self.family.triples(side)
+            ratios = len(self.family.ratios) or 1
             averaged: dict[tuple[float, float], int] = {}
             peaks: dict[tuple[float, float], int] = {}
-            cells = []
-            for a, b, c, _ in triples:
-                avg, peak = _triple_windows(a, b, c, side)
-                cells.append((averaged.setdefault(avg, len(averaged)), peaks.setdefault(peak, len(peaks))))
-            octave = {s: octave_of(s) for s in {t[3] for t in triples}}  # a family has few distinct scales
+            cells, widths, octaves = [], [], []
+            for n in range(0, len(triples), ratios):
+                run = triples[n:n + ratios]
+                a, b, c, s = run[0]
+                k = peaks.setdefault((b, c) if plus else (a, b), len(peaks))
+                for a, b, c, _ in run:
+                    cells.append((averaged.setdefault((a, b) if plus else (b, c), len(averaged)), k))
+                    widths.append(c - a)
+                octaves += [octave_of(s)] * len(run)
             rows = self._sides[side] = _SideRows(
                 triples=triples,
-                widths=[c - a for a, _, c, _ in triples],
-                octaves=[octave[s] for *_, s in triples],
+                widths=widths,
+                octaves=octaves,
                 averaged=[self._window(j) for j in averaged],
                 peaks=[self._window(j).peak() for j in peaks],
                 cells=cells,

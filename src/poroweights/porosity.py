@@ -451,28 +451,6 @@ def sweep_result(side: str, gammas: Sequence[float], worst: Sequence[float]) -> 
     return SweepResult(side=side, table=table, best_gamma=best_gamma, best_sigma=best_sigma)
 
 
-def lowering_shares(window: Rated, low: list[float], top: int, doubled: Sequence[float], rho_ref: float,
-                    first: Sequence[float] = ()) -> list[float]:
-    """:meth:`WindowSummary.shares` of a rated window at ``first``, then down the sorted
-    grid ``doubled[k] * rho_ref`` from k = ``top - 1``: a share v lowers ``low[k]``
-    (sigma* along the grid) to v and skips every k' < k with ``low[k'] <= v``."""
-    out: list[float] = []
-
-    def thresholds() -> Iterator[float]:
-        yield from first
-        k = top - 1
-        while k >= 0:
-            yield doubled[k] * rho_ref
-            v = out[-1]
-            if v < low[k]:
-                low[k] = v
-            k -= 1
-            while k >= 0 and low[k] <= v:
-                k -= 1
-
-    return window[2].shares(window[0], window[1], thresholds(), out)
-
-
 def sweep_sides(
     e: SetDescription,
     probes: ProbeFamily | Sequence[Interval],
@@ -492,7 +470,7 @@ def sweep_sides(
     left half of (a, a + 2s)) is summarised once while the pass's recent
     windows fit the store.  The pass never holds more than
     ``2 * STORE_CAP`` windows, however large the family.  Per probe and side
-    at most one :meth:`WindowSummary.shares` call reads the region, summing
+    at most one :meth:`WindowSummary.lower` call reads the region, summing
     each prefix of its components at most once.
 
     The grid is sorted by threshold once.  A probe's share does not rise
@@ -505,7 +483,9 @@ def sweep_sides(
     least ``L / |R|``: a probe whose ``L / |R|`` is not below sigma* at the
     smallest threshold reads no share.  The others read down the grid from
     the largest unzeroed threshold, and a share v skips each lower one where
-    sigma* is at most v, as its share is at least v (:func:`lowering_shares`).
+    sigma* is at most v, as its share is at least v; a memoised region first
+    tries a proven lower bound on its share, which skips as a share would
+    (:meth:`WindowSummary.lower`).
     So the table is the one every share would give, in any probe order and
     on any grid, and once every side is zeroed on the whole grid the pass
     stops.  ``gammas`` may come in any order; an empty grid, or a gamma
@@ -546,7 +526,7 @@ def sweep_sides(
                 if not n:
                     live -= 1
             if zeroed and longest / (region[1] - region[0]) < low[0]:
-                lowering_shares(region, low, zeroed, doubled, rho_ref)
+                region[2].lower(region[0], region[1], low, zeroed, doubled, rho_ref)
         if not live:
             break
     return {side: sweep_result(side, gammas, [low[n] for n in rank]) for side, (low, *_) in zip(sides, reads)}

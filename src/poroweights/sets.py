@@ -348,15 +348,17 @@ class _RunIndex:
     where the window cut it, extended by a later, wider window.  Every entry
     is a fact about the points, so racing threads can only store true ones.
 
-    Two gap tables, each an ``array('d')`` of one float per gap (n - 1 for n
+    Gap tables, each an ``array('d')`` of one float per gap (n - 1 for n
     points), hold the span terms, which every window whose chain starts a
-    run at s + 1 reads for the gap (pts[s], pts[s + 1]):
+    run at s + 1 reads for the gap (pts[s], pts[s + 1]), and the cell terms,
+    which every window reads for the step of a run that starts at s:
 
     - ``_peaks``, the distance peak of each gap, lives as long as the index;
-    - ``_integrals`` pairs an exponent with the integral term of each gap at
-      it, and lives until a call asks for another exponent, which gets a
-      new table (so a scan or a bisection step, which asks for one exponent
-      at a time, fills one table).
+    - ``_integrals`` pairs an exponent with two tables at it, the integral
+      over each gap as a span and over one cell of each gap's length, and
+      lives until a call asks for another exponent, which gets new tables
+      (so a scan or a bisection step, which asks for one exponent at a
+      time, fills one pair).
 
     Entries are filled on first read, 0.0 marking an unknown one, so a
     query pays for the gaps of its own window only.
@@ -374,7 +376,7 @@ class _RunIndex:
         self.gaps = [q - p for p, q in zip(pts, pts[1:])]
         self._lengths = [0] * len(pts)
         self._peaks = array("d", [0.0]) * len(self.gaps)
-        self._integrals: tuple[Optional[float], Optional[array]] = (None, None)
+        self._integrals: tuple[Optional[float], Optional[array], Optional[array]] = (None, None, None)
 
     def chain(self, a: int, b: int) -> list[int]:
         """The indices the runs of ``pts[a:b]`` start at, then b."""
@@ -445,15 +447,21 @@ class _RunIndex:
         """:func:`_middle_integrals` of the interior runs, in another order:
         ``(v - u - 1) * _cell_integral(step, alpha)`` per run that keeps two or
         more points, ``_span_integral(p, q, alpha)`` per span between points
-        p < q, read from the gap table at alpha."""
+        p < q, each read from its gap table at alpha."""
         gaps = self.gaps
-        known, table = self._integrals  # one read: a racing alpha swaps the pair, never one half
+        known, spans, cells = self._integrals  # one read: a racing alpha swaps the triple, never a part
         if known != alpha:
-            table = array("d", [0.0]) * len(gaps)
-            self._integrals = (alpha, table)
+            spans, cells = array("d", [0.0]) * len(gaps), array("d", [0.0]) * len(gaps)
+            self._integrals = (alpha, spans, cells)
         ss, us, vs = self.trimmed(a, b, i, j)
-        terms = [(v - u - 1) * _cell_integral(gaps[s], alpha) for s, u, v in zip(ss, us, vs) if v - u >= 2]
-        return terms + self._spans(ss, i, j, table, _span_integral, alpha)
+        terms = []
+        for s, u, v in zip(ss, us, vs):
+            if v - u >= 2:
+                x = cells[s]
+                if not x:  # 0.0 is unknown, as in _spans
+                    x = cells[s] = _cell_integral(gaps[s], alpha)
+                terms.append((v - u - 1) * x)
+        return terms + self._spans(ss, i, j, spans, _span_integral, alpha)
 
     def _spans(self, ss: list[int], i: int, j: int, table: array, expr: Callable, *args) -> list[float]:
         """``expr(p, q, *args)`` per span (p, q) before a run start s with
@@ -1133,16 +1141,23 @@ class WindowSummary:
     ``None``.
 
     Everything else is derived from the interior runs on first use: the
-    distance peak (:meth:`peak`), the middle lengths grouped longest first
-    (read by :meth:`shares`, which adds the edges and answers any
-    threshold) and per-exponent integral terms
-    (:meth:`integral_terms`).  A summary built for one query keeps its runs
-    and reads its middle items per call.  A memoised one keeps the derived
-    values instead, packed in float arrays, and reads them from its set's
-    :class:`_RunIndex` by index window; only :meth:`interior` builds runs.  Sorting
-    the lengths per call instead of packing the memoised groups saves 17
-    lines but made the ``cantor`` perfbench workload slower (``wall_s``
-    1.12-1.21 s to 1.30-1.42 s, six alternating pairs, 2 shared vCPUs).
+    distance peak (:meth:`peak`), the shares of the window that its
+    components at least t long cover (read by :meth:`lower`, which lowers a
+    sweep's sigma* column, and by :meth:`shares` through it) and
+    per-exponent integral terms (:meth:`integral_terms`).  A summary built
+    for one query keeps its runs and reads its middle items per call.  A
+    memoised one keeps the derived values instead, packed in float arrays,
+    and reads them from its set's :class:`_RunIndex` by index window; only
+    :meth:`interior` builds runs.
+
+    A share is read on one of three paths: a memoised summary bisects its
+    middle lengths, grouped longest first and packed on its first read; a
+    summary of at most one run (every lattice window) sums its at most three
+    terms in closed form; any other summary built from runs sorts its items
+    once per call.  Sorting the lengths per call instead of packing the
+    memoised groups saves 17 lines but made the ``cantor`` perfbench
+    workload slower (``wall_s`` 1.12-1.21 s to 1.30-1.42 s, six alternating
+    pairs, 2 shared vCPUs).
     """
 
     __slots__ = ("first", "last", "longest", "shortest", "_source", "_peak", "_groups", "_integrals")
@@ -1227,54 +1242,120 @@ class WindowSummary:
         ref, *window = self._source
         return method(ref()._index(), *window, *args)
 
-    def shares(self, lo: float, hi: float, thresholds: Iterable[float], out: Optional[list] = None) -> list[float]:
+    def shares(self, lo: float, hi: float, thresholds: Sequence[float]) -> list[float]:
         """Per threshold t, the share of (lo, hi), a window this summary
-        describes, covered by its components at least t long, appended to
-        ``out`` (a new list by default), which is returned.
-
-        Those are its edges and middle items at least t long: a summary built
-        from runs sorts its items once per call, a memoised one bisects its
-        packed groups in place and compares its edges.  The share is the fsum
-        of their length * multiplicity terms (or a group row's exact partials
-        of them) over the window length.  fsum rounds correctly in any order,
-        and the longest components are named by their count, so each count is
-        summed once per call, and none is 0.0 without a sum.  ``thresholds``
-        is drawn one at a time, each after the share of the one before is in
-        ``out``, so a caller may pick each threshold from the shares so far.
+        describes, covered by its components at least t long: the shares
+        :meth:`lower` reads at ``thresholds`` with an empty grid.  The probe
+        passes call :meth:`lower` itself, which lowers their sweeps too.
         """
-        edges = self.edges(lo, hi)
+        return self.lower(lo, hi, [], 0, (), 0.0, thresholds)
+
+    def lower(self, lo: float, hi: float, low: list[float], top: int, doubled: Sequence[float],
+              rho_ref: float, first: Sequence[float] = ()) -> list[float]:
+        """The shares of (lo, hi) at ``first``; then lower ``low`` (sigma* along
+        the ascending grid ``doubled[k] * rho_ref``) down the grid from
+        k = ``top - 1``: a share v lowers ``low[k]`` to v and skips every
+        k' < k with ``low[k'] <= v``, whose share is at least v.
+
+        A share at t is the fsum of the length * multiplicity terms of the
+        components at least t long over the window length.  A memoised
+        summary bisects its packed groups (packed on its first read) for a
+        row of exact partials of its middle terms and adds its edges; a
+        summary of at most one run has at most three terms, its two edges
+        and the cells of the run, and sums those kept; any other summary
+        built from runs sorts its items on its first read and sums a prefix.
+        fsum rounds correctly in any order, so every path gives the same
+        share, and a memo names the kept items by their count (by which of
+        the three, for one run), so each set of them is summed once per call
+        and the empty one is 0.0 without a sum.
+
+        A memoised summary of n interior points first bounds its share from
+        below: the at most n + 1 components shorter than t cover less than
+        (n + 1) t of the window, so its share is at least
+        1 - (n + 1) (t + 16 ulp(M)) / |R| - 2^-48, with M the larger magnitude
+        of lo and hi.  The ulps pay for the rounding of each component's
+        computed length (a gap or an edge is one subtraction; a run's cell
+        term carries the spelling of its two end points and its product, less
+        than 8 ulps of M), and 2^-48 for the rounding of |R|, of the sum, of
+        the division and of the bound itself.  Where the bound is not below
+        ``low[k]`` the share cannot lower it, the bound skips as a share
+        would, and the window packs and sums nothing for it.
+        """
         length = hi - lo
+        source = self._source
+        kept = isinstance(source, tuple)
+        one = not kept and len(source) <= 1
+        first_point = self.first
+        if first_point is None:
+            e1, e2 = (length if hi > lo else -math.inf), -math.inf
+        else:
+            e1 = first_point - lo if first_point > lo else -math.inf
+            e2 = hi - self.last if hi > self.last else -math.inf
+        step, cells = -math.inf, 0.0  # the one run's cell length and term
+        if one and source and source[0].count >= 2:
+            step = source[0].step
+            cells = step * (source[0].count - 1)
+        lift, scale, pad = -math.inf, 1.0, 0.0  # no bound: -inf at every threshold, inf included
+        if kept and 0.0 < length < math.inf:
+            _, _, _, i, j = source  # the interior points pts[i:j]
+            lift, scale, pad = 1.0 - 2.0 ** -48, (j - i + 1) / length, 16.0 * math.ulp(max(-lo, hi))
+        groups = neg = None
         done = {0: 0.0}
-        out = [] if out is None else out
-        if self._kept():
-            groups = self._groups
-            if groups is None:
-                groups = self._groups = _pack_groups(self._indexed(_RunIndex.middle_terms))
-            # see _pack_groups: the stride, then the negated lengths, then the rows
-            stride = int(groups[0])
-            start = (len(groups) - 1 - stride) // (1 + stride) + 1
-            for t in thresholds:
-                kept = [x for x in edges if x >= t]
-                g = bisect_right(groups, -t, 1, start) - 1
-                c = g + len(kept)
-                share = done.get(c)
-                if share is None:
-                    k = start + g * stride
-                    share = done[c] = fsum([*groups[k:k + stride], *kept]) / length
-                out.append(share)
-            return out
-        items = _middle_terms(self._source)
-        items += [(x, x) for x in edges]
-        items.sort(reverse=True)
-        neg = [-size for size, _ in items]
-        terms = [x for _, x in items]
-        for t in thresholds:
-            c = bisect_right(neg, -t)
-            share = done.get(c)
-            if share is None:
-                share = done[c] = fsum(terms[:c]) / length
-            out.append(share)
-        return out
+        out: list[float] = []
+        n_first = len(first)
+        f = 0
+        k = top - 1
+        while True:
+            if f < n_first:  # each threshold at first is read
+                t = first[f]
+                v = -math.inf
+            elif k >= 0:  # a grid threshold is read where the bound v is below low[k]
+                t = doubled[k] * rho_ref
+                v = lift - scale * (t + pad)
+            else:
+                return out
+            if f < n_first or not v >= low[k]:
+                if one:
+                    c = (e1 >= t) + 2 * (e2 >= t) + 4 * (step >= t)  # which of the three are kept
+                    v = done.get(c)
+                    if v is None:
+                        v = done[c] = fsum((e1 if e1 >= t else 0.0, e2 if e2 >= t else 0.0,
+                                            cells if step >= t else 0.0)) / length
+                elif kept:
+                    if groups is None:
+                        groups = self._groups
+                        if groups is None:
+                            groups = self._groups = _pack_groups(self._indexed(_RunIndex.middle_terms))
+                        # see _pack_groups: the stride, then the negated lengths, then the rows
+                        stride = int(groups[0])
+                        start = (len(groups) - 1 - stride) // (1 + stride) + 1
+                    g = bisect_right(groups, -t, 1, start) - 1
+                    c = g + (e1 >= t) + (e2 >= t)
+                    v = done.get(c)
+                    if v is None:
+                        r = start + g * stride
+                        v = done[c] = fsum((*groups[r:r + stride], e1 if e1 >= t else 0.0,
+                                            e2 if e2 >= t else 0.0)) / length
+                else:
+                    if neg is None:
+                        items = _middle_terms(source)
+                        items += [(x, x) for x in (e1, e2) if x > -math.inf]
+                        items.sort(reverse=True)
+                        neg = [-size for size, _ in items]
+                        terms = [x for _, x in items]
+                    c = bisect_right(neg, -t)
+                    v = done.get(c)
+                    if v is None:
+                        v = done[c] = fsum(terms[:c]) / length
+                if f < n_first:
+                    out.append(v)
+                    f += 1
+                    continue
+                if v < low[k]:
+                    low[k] = v
+            k -= 1
+            while k >= 0 and low[k] <= v:
+                k -= 1
 
     def integral_terms(self, lo: float, hi: float, alpha: float) -> list[float]:
         """The terms at alpha of the middle components: :func:`_middle_integrals`

@@ -30,7 +30,6 @@ from .porosity import (
     decay_constants,
     dimension_bound,
     distinct_probes,
-    lowering_shares,
     sweep_result,
     sweep_sides,
 )
@@ -97,10 +96,15 @@ def suite_distance_envelope(e: SetDescription, probes: Sequence[Interval]) -> Su
     )
 
 
-def suite_hole_control(e: SetDescription, probes: Sequence[Interval], eta: float = 2.0) -> SuiteResult:
-    """On probes with d(I, E) <= eta |I|, check rho(I+) >= d(x, E)/(6 + 4 eta) on I+."""
+def check_eta(eta: float) -> None:
+    """Reject an eta outside (0, inf), NaN included."""
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
+
+
+def suite_hole_control(e: SetDescription, probes: Sequence[Interval], eta: float = 2.0) -> SuiteResult:
+    """On probes with d(I, E) <= eta |I|, check rho(I+) >= d(x, E)/(6 + 4 eta) on I+."""
+    check_eta(eta)
     c0 = 1.0 / (6.0 + 4.0 * eta)
     store = WindowStore(e)
     failures: list[dict] = []
@@ -431,10 +435,10 @@ def suite_sided_transport(
         raise ValueError("Phi is undefined: every half and centred half of every probe has hole radius 0.0")
     gamma_t = gamma / phi
     gamma_c = 0.5 * gamma0
-    # pass 2: I, I- and I+ read from the store; per window one shares call
-    # reads the thresholds of the checks that count its holes (the converse
-    # counts those of the half with the larger rho), then lowers the sweep of
-    # its side down the sorted grid
+    # pass 2: I, I- and I+ read from the store; per window one
+    # WindowSummary.lower call reads the thresholds of the checks that count
+    # its holes (the converse counts those of the half with the larger rho),
+    # then lowers the sweep of its side down the sorted grid
     grid = len(GAMMA_GRID)
     doubled = [2.0 * g for g in reversed(GAMMA_GRID)]  # ascending
     worst = {side: [math.inf] * grid for side in ("right", "left", "two_sided")}
@@ -443,11 +447,11 @@ def suite_sided_transport(
         c = _split(lo, hi)
         whole, left, right = rated(lo, hi), rated(lo, c), rated(c, hi)
         rho_i, rho_l, rho_r = whole[3], left[3], right[3]
-        on_left = lowering_shares(left, worst["right"], grid, doubled, rho_r,
-                                  (2.0 * gamma_t * rho_r, 2.0 * gamma * rho_l, 2.0 * gamma0 * rho_r))
-        on_right = lowering_shares(right, worst["left"], grid, doubled, rho_l,
-                                   (2.0 * gamma_t * rho_l, 2.0 * gamma * rho_r, 2.0 * gamma0 * rho_l))
-        on_whole = lowering_shares(whole, worst["two_sided"], grid, doubled, rho_i, (2.0 * gamma_c * rho_i,))
+        on_left = left[2].lower(lo, c, worst["right"], grid, doubled, rho_r,
+                                (2.0 * gamma_t * rho_r, 2.0 * gamma * rho_l, 2.0 * gamma0 * rho_r))
+        on_right = right[2].lower(c, hi, worst["left"], grid, doubled, rho_l,
+                                  (2.0 * gamma_t * rho_l, 2.0 * gamma * rho_r, 2.0 * gamma0 * rho_l))
+        on_whole = whole[2].lower(lo, hi, worst["two_sided"], grid, doubled, rho_i, (2.0 * gamma_c * rho_i,))
         need_c = 0.5 * (on_left if rho_r >= rho_l else on_right)[2]
         shares.extend((*on_left[:2], *on_right[:2], on_whole[0], need_c))
     failures: list[dict] = []

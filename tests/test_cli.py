@@ -214,6 +214,8 @@ def _within(seconds):
         (["a1", "--alpha", "inf"], "error: alpha must be positive and finite, got inf"),
         (["verify", "--suite", "hole-control", "--eta", "inf", "--anchor-cap", "8", "--random-probes", "20"],
          "error: eta must be positive and finite, got inf"),
+        (["verify", "--suite", "decay", "--eta", "-1"], "error: eta must be positive and finite, got -1.0"),
+        (["verify", "--suite", "equivalence", "--eta", "nan"], "error: eta must be positive and finite, got nan"),
         (["dimension", "--eps-hi", "0.1", "--eps-points", "1"], EPS_ENDS),
         (["dimension", "--eps-lo", "0.01"], EPS_ENDS),
         (["dimension", "--eps-points", "5"], EPS_ENDS),
@@ -252,6 +254,7 @@ def _within(seconds):
     ids=["tol-zero", "tol-negative", "tol-nan", "analyze-anchor-cap-zero", "a1-anchor-cap-zero",
          "eps-points-one", "eps-points-zero", "a1-octaves-negative", "a1-octaves-zero",
          "analyze-octaves-negative", "random-probes-negative", "alpha-infinite", "eta-infinite",
+         "verify-decay-eta-negative", "verify-equivalence-eta-nan",
          "eps-hi-alone", "eps-lo-alone", "eps-points-alone", "table-points-negative", "a1-octaves-past-the-top",
          "eps-lo-negative", "eps-lo-equal-to-hi", "eps-hi-infinite", "dimension-sigma-above-one",
          "dimension-sigma-negative", "dimension-sigma-nan", "dimension-gamma-above-one", "dimension-sigma-alone",

@@ -315,8 +315,8 @@ class TestExactRuns:
 
 def check_shares(s, lo, hi, *others):
     """The shares of the summary s of (lo, hi) against :class:`oracles.LengthProfile`, bit for bit,
-    one threshold at a time, all at once and drawn one by one into a given
-    list, and against those of the other summaries of the window.
+    one threshold at a time and all at once, against those of the other
+    summaries of the window, and :func:`check_lower` on the same thresholds.
 
     The thresholds are 0, every component length, the floats either side
     of each, the longest length doubled and inf, in a shuffled order.
@@ -329,17 +329,33 @@ def check_shares(s, lo, hi, *others):
     want = [repr(profile.share(t)) for t in ts]
     assert [repr(x) for x in s.shares(lo, hi, ts)] == want
     assert [repr(s.shares(lo, hi, (t,))[0]) for t in ts] == want
-    out = [0.5]
-
-    def drawn():
-        for k, t in enumerate(ts):
-            assert len(out) == 1 + k  # the share of the threshold before is in out
-            yield t
-
-    assert s.shares(lo, hi, drawn(), out) is out
-    assert [repr(x) for x in out] == [repr(0.5), *want]
+    check_lower(s, lo, hi, profile.share, sorted(ts), ts)
     for other in others:
         assert [repr(x) for x in other.shares(lo, hi, ts)] == want
+
+
+def check_lower(s, lo, hi, share, grid, first=()):
+    """``s.lower`` on the ascending thresholds ``grid`` (``rho_ref`` 1.0) against
+    ``share``, the plain read of one threshold: it returns the shares at
+    ``first`` and leaves each entry below ``top`` at the least of its value
+    and its share, and the entries from ``top`` on as they were.
+
+    The columns are the shares themselves (nothing lowers), the float just
+    above each share (every entry lowers: a share bound on the wrong side of
+    a share, by even one rounding, would skip one) and a mix of those, the
+    float below each share and inf, on the whole grid and on its lower half.
+    """
+    shares = [share(t) for t in grid]
+    up = [math.nextafter(v, math.inf) for v in shares]
+    down = [math.nextafter(v, -math.inf) for v in shares]
+    mixed = [(v, u, d, math.inf)[k % 4] for k, (v, u, d) in enumerate(zip(shares, up, down))]
+    for column in (shares, up, mixed):
+        for top in (len(grid), len(grid) // 2):
+            low = list(column)
+            got = s.lower(lo, hi, low, top, grid, 1.0, first)
+            assert [repr(x) for x in got] == [repr(share(t)) for t in first]
+            want = [min(x, v) for x, v in zip(column[:top], shares)] + column[top:]
+            assert [repr(x) for x in low] == [repr(x) for x in want]
 
 
 def run_fields(runs):
@@ -494,12 +510,32 @@ class TestGapTables:
         window = IntegralWindow.of(e, Interval(-1.0, 9.0))
         want = window.integral(0.5)
         index = e._index()
-        alpha, table = index._integrals
-        assert alpha == 0.5 and any(table)
-        for k in range(len(table)):
-            table[k] = 0.0
+        alpha, spans, cells = index._integrals
+        assert alpha == 0.5 and any(spans) and any(cells)
+        for table in (spans, cells):
+            for k in range(len(table)):
+                table[k] = 0.0
         e.__dict__.pop("_windows")  # forget the memoised partials, keep the index
         assert IntegralWindow.of(e, Interval(-1.0, 9.0)).integral(0.5) == want
+
+    def test_a_cell_term_is_computed_once_per_gap_and_exponent(self, monkeypatch):
+        # every memoised window of a1 reads its cells from the index's cell
+        # table: per exponent at most one _cell_integral call per gap
+        from poroweights.muckenhoupt import TripleFamily, TripleTable, a1_constant
+
+        e = CantorIterate(0.0, 1.0, 1.0 / 3.0, 8)
+        table = TripleTable(e, TripleFamily.default(e, Interval(-2.0, 2.0), octaves=8, anchor_cap=16))
+        calls = []
+        cell_integral = sets_module._cell_integral
+
+        def counted(step, alpha):
+            calls.append(alpha)
+            return cell_integral(step, alpha)
+
+        monkeypatch.setattr(sets_module, "_cell_integral", counted)
+        for alpha in (0.5, 0.9):
+            a1_constant(WeightSpec(e, alpha), "two_sided", table)
+            assert 0 < calls.count(alpha) <= len(e._index().gaps)
 
     def test_a1_builds_no_run_and_one_table_per_alpha(self, monkeypatch):
         from poroweights.muckenhoupt import TripleFamily, TripleTable, a1_constant
@@ -524,7 +560,7 @@ class TestGapTables:
         for alpha in (0.5, 0.5, 0.9, 0.25, 0.9):
             a1_constant(WeightSpec(e, alpha), "two_sided", table)
             calls.append(len(seen))
-        built = {id(t): a for a, t in seen}
+        built = {id(t): a for a, t, _ in seen}
         assert list(built.values()) == [0.5, 0.9, 0.25]
         # a repeated alpha reads every window's memoised partials and touches no table
         assert calls[1] == calls[0] > 100 and calls[4] == calls[3]

@@ -14,8 +14,10 @@ that repeat probes: each distinct probe is evaluated once, and every
 occurrence is reported in family order.  A sixth checks the sweep's scan
 down the sorted gamma grid, which skips the thresholds that cannot lower
 sigma*: on every subset of sides and on plateaus of sigma*; the work counts
-bound the thresholds it draws per share read and the windows a refuted
-sweep summarises before it stops.
+bound the thresholds each kernel call considers, the shares it reads and
+the windows a refuted sweep summarises before it stops.  A seventh checks
+the kernel, ``WindowSummary.lower``, against plain share reads and the
+walks on hostile windows, and pins the slack of its share bound.
 """
 
 import dataclasses
@@ -66,6 +68,7 @@ from poroweights.sets import EMPTY_SUMMARY, window_summary
 from poroweights.suites import suite_equivalence_matrix, suite_sided_transport
 
 from . import oracles
+from .test_summaries import check_lower
 
 WINDOW = Interval(-4.0, 4.0)
 NATURALS = Lattice(0.0, 1.0, "right")
@@ -156,7 +159,7 @@ SIDE_SETS = [sides for n in range(1, len(SIDES) + 1) for sides in itertools.comb
 
 
 class TestLengthProfile:
-    """One shares call per region window answers any grid, bit for bit with the per-threshold loop."""
+    """One kernel call per region window answers any grid, bit for bit with the per-threshold loop."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -276,27 +279,130 @@ class TestBoundedSweep:
             assert got[side] == oracles.sweep_walk(e, intervals, side)
         assert got["right"].table[0] == (0.5, 1.0)
 
-    def test_a_cantor_sweep_computes_few_shares_and_compresses_nothing(self, monkeypatch):
-        # the depth-8 catalog iterate at the default window: a shares call per
-        # probe and side would be 27,280; most cannot lower any entry
+    def test_a_cantor_sweep_computes_few_shares_and_compresses_nothing(self, kernel_reads, monkeypatch):
+        # the depth-8 catalog iterate at the default window: a kernel call per
+        # probe and side would be 27,280; most cannot lower any entry.  Of the
+        # grid thresholds the calls consider, the share bound answers enough
+        # that fewer shares are read than the 21,970 a read per threshold took
         e = dict(catalog(seed=101, cantor_depth=8))["cantor"]
         intervals = certification_probes(e, Interval(-64.0, 64.0), seed=101).intervals()
         assert 2 * len(intervals) == 27_280
-        counts = {"shares": 0, "compress": 0}
+        compress = [0]
+        original = sets_module.Run.compress
 
-        def counted(name, original):
-            def call(*args):
-                counts[name] += 1
-                return original(*args)
-            return call
+        def counted(*args):
+            compress[0] += 1
+            return original(*args)
 
-        monkeypatch.setattr(sets_module.WindowSummary, "shares",
-                            counted("shares", sets_module.WindowSummary.shares))
-        monkeypatch.setattr(sets_module.Run, "compress", staticmethod(counted("compress", sets_module.Run.compress)))
+        monkeypatch.setattr(sets_module.Run, "compress", staticmethod(counted))
         sweeps = sweep_sides(e, intervals, ("right", "left"))
         assert all(sweep.certified for sweep in sweeps.values())
-        assert 0 < counts["shares"] <= 8_000
-        assert counts["compress"] == 0
+        assert 0 < kernel_reads["reads"] <= 8_000
+        assert 0 < kernel_reads["bisections"] <= 16_000 < kernel_reads["thresholds"]
+        assert compress[0] == 0
+
+
+# points base + k * step at base 0.3 or 2^36, for a step of 0.1, 1/3 or
+# 0.01 less the rounding of base + step, so that one exact run spells them:
+# the sum of a run's computed cells then falls short of the span of its
+# points, and the share bound's slack is what keeps it sound
+FAR = 2.0 ** 36
+
+
+@st.composite
+def kernel_sets(draw):
+    """A set, the region its windows are drawn from and a probe family there:
+    the catalog, random finite sets, points and lattices at 2^36 with a step
+    of 0.1 or 1/3, and points a few subnormals apart; any of them reflected."""
+    kind = draw(st.sampled_from(["catalog", "finite", "far", "far-lattice", "subnormal"]))
+    step = draw(st.sampled_from((0.1, 1.0 / 3.0, 0.01)))
+    lo, hi, scales = -6.0, 6.0, (8.0, 2.0, 0.5, 0.125)
+    if kind == "catalog":
+        e = draw(st.sampled_from([e for _, e in catalog(cantor_depth=5)]))
+    elif kind == "finite":
+        e = FinitePoints(draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=16)))
+    elif kind == "far":
+        base = draw(st.sampled_from((0.3, FAR)))
+        spelled = (base + step) - base
+        first = draw(st.integers(0, 20))
+        ks = draw(st.one_of(st.lists(st.integers(0, 40), min_size=1, max_size=30),
+                            st.builds(range, st.just(first), st.integers(first + 1, 41))))
+        e = FinitePoints([base + k * spelled for k in ks])
+        lo, hi, scales = base - 1.0, base + 15.0, (8.0, 2.0, 0.5, 3.0 * step)
+    elif kind == "far-lattice":
+        e = Lattice(FAR, step, draw(st.sampled_from(("two_sided", "right", "left"))))
+        lo, hi, scales = FAR - 4.0, FAR + 4.0, (4.0, 1.0, 0.5, 3.0 * step)
+    else:
+        e = FinitePoints([k * TINY for k in draw(st.lists(st.integers(0, 64), min_size=1, max_size=16))])
+        lo, hi, scales = -4 * TINY, 70 * TINY, tuple(k * TINY for k in (64, 16, 8, 4))
+    if draw(st.booleans()):
+        e, lo, hi = Reflect(e), -hi, -lo
+    marks = e.points_in(lo, hi) or [0.5 * (lo + hi)]
+    anchors = tuple(sorted(set(draw(st.lists(st.sampled_from(marks), min_size=1, max_size=4)))))
+    return e, (lo, hi), ProbeFamily(anchors=anchors, scales=scales)
+
+
+@st.composite
+def kernel_windows(draw, e, region):
+    """Windows whose ends are set points, the floats next to them, or anywhere in the region."""
+    lo, hi = region
+    pts = e.points_in(lo, hi) or [0.5 * (lo + hi)]
+    end = st.one_of(
+        st.sampled_from(pts),
+        st.builds(math.nextafter, st.sampled_from(pts), st.sampled_from((-math.inf, math.inf))),
+        st.floats(lo, hi),
+    )
+    out = []
+    for _ in range(4):
+        x, y = sorted((draw(end), draw(end)))
+        out.append((x, y if x < y else math.nextafter(x, math.inf)))
+    return out
+
+
+class TestLowerKernel:
+    """``WindowSummary.lower`` gives what plain ``shares`` reads give, and the
+    sweeps and sided-transport built on it give what the walks give, on the
+    catalog, random finite sets, reflections and hostile windows: non-dyadic
+    steps at 2^36 and widths of a few subnormals.  Its columns include the
+    float just above each share, so a share bound that claimed more than
+    the share by a single rounding would skip a read that lowers, and fail."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_lower_matches_plain_shares(self, data):
+        e, region, _ = data.draw(kernel_sets())
+        for lo, hi in data.draw(kernel_windows(e, region)):
+            s = e.summary(lo, hi)
+            lengths = oracles.LengthProfile.of(s, lo, hi).lengths
+            grid = sorted({0.0, math.inf, *lengths, *(math.nextafter(t, math.inf) for t in lengths),
+                           *(math.nextafter(t, 0.0) for t in lengths)})
+            check_lower(s, lo, hi, lambda t: s.shares(lo, hi, (t,))[0], grid, grid[::3])
+
+    def test_a_run_longer_than_its_cells(self):
+        # 24 points that one exact run spells: the window from the first to the
+        # last is longer than its 23 computed cells, so just above the cell
+        # length the share is 0.0 while 1 - 23 t / |R| is 1.1e-16; without its
+        # slack the bound would skip the read that lowers 5e-324 to 0.0
+        step = (0.3 + 0.01) - 0.3
+        e = FinitePoints([0.3 + k * step for k in range(24)])
+        lo, hi = e.points[0], e.points[-1]
+        s = e.summary(lo, hi)
+        t = math.nextafter(step, math.inf)
+        assert s._kept() and len(s.interior(lo, hi)) == 1
+        assert s.shares(lo, hi, (t,)) == [0.0] and 1.0 - 23 * t / (hi - lo) > 0.0
+        check_lower(s, lo, hi, lambda t: s.shares(lo, hi, (t,))[0], [0.0, step, t, 1.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), sides=st.sampled_from(SIDE_SETS))
+    def test_sweeps_and_transport_match_the_walks(self, data, sides):
+        e, _, fam = data.draw(kernel_sets())
+        intervals = fam.intervals()
+        if not intervals:
+            return
+        got = sweep_sides(e, intervals, sides)
+        for side in sides:
+            assert got[side] == oracles.sweep_walk(e, intervals, side)
+        assert suite_sided_transport(e, fam) == oracles.sided_transport_walk(e, fam)
 
 
 class TestLoweringScan:
@@ -527,21 +633,41 @@ def fsums(monkeypatch):
 
 
 @pytest.fixture
-def thresholds_drawn(monkeypatch):
-    """Counter of ``WindowSummary.shares`` calls and of the thresholds they draw."""
-    counts = {"reads": 0, "thresholds": 0}
-    original = sets_module.WindowSummary.shares
+def kernel_reads(monkeypatch):
+    """Counters of ``WindowSummary.lower`` (which ``shares`` calls too): its
+    calls as ``reads``, the ``first`` thresholds they read, the grid
+    thresholds they consider and the shares they read by bisection.
 
-    def drawn(thresholds):
-        for t in thresholds:
+    The kernel reads ``doubled[k]`` once per grid threshold it considers,
+    for a share or for a memoised summary's share bound.  A memoised summary
+    and one sorted from runs bisect once per share they read; a summary of
+    at most one run reads every threshold it considers, without bisecting.
+    """
+    counts = {"reads": 0, "first": 0, "thresholds": 0, "bisections": 0}
+    original = sets_module.WindowSummary.lower
+    bisect = sets_module.bisect_right
+    inside = [False]
+
+    class Grid(list):
+        def __getitem__(self, k):
             counts["thresholds"] += 1
-            yield t
+            return list.__getitem__(self, k)
 
-    def counted(self, lo, hi, thresholds, *rest):
+    def bisected(*args):
+        counts["bisections"] += inside[0]
+        return bisect(*args)
+
+    def counted(self, lo, hi, low, top, doubled, rho_ref, first=()):
         counts["reads"] += 1
-        return original(self, lo, hi, drawn(thresholds), *rest)
+        counts["first"] += len(first)
+        inside[0] = True
+        try:
+            return original(self, lo, hi, low, top, Grid(doubled), rho_ref, first)
+        finally:
+            inside[0] = False
 
-    monkeypatch.setattr(sets_module.WindowSummary, "shares", counted)
+    monkeypatch.setattr(sets_module.WindowSummary, "lower", counted)
+    monkeypatch.setattr(sets_module, "bisect_right", bisected)
     return counts
 
 
@@ -643,7 +769,7 @@ class TestWorkCounts:
         # (the prefix of the shortest length) and at inf (the empty prefix)
         i = Interval(-1.5, 2.25)
         s = window_summary(e, i)
-        s.shares(i.lo, i.hi, ())  # a memoised summary packs its groups on first use
+        s.shares(i.lo, i.hi, (0.0,))  # a memoised summary packs its groups on its first read
         lengths = sorted({length for length, _ in oracles.component_lengths(e, i)})
         assert len(lengths) >= 3
         fsums[0] = 0
@@ -773,22 +899,24 @@ class TestWorkCounts:
         [(CantorIterate(0.0, 1.0, 1.0 / 3.0, 6), 8.0), (BASES["integers"], 8.0), (dict(catalog())["random_finite"], 64.0)],
         ids=["cantor6", "integers", "random_finite"],
     )
-    def test_a_sweep_evaluates_few_thresholds_per_share_read(self, e, w, thresholds_drawn):
+    def test_a_sweep_evaluates_few_thresholds_per_share_read(self, e, w, kernel_reads):
         # reading every unzeroed threshold takes about 11 of the 12 per read;
         # the scan down the grid skips those that cannot lower sigma*
         sweep_sides(e, certification_probes(e, Interval(-w, w)).intervals(), SIDES)
-        assert 0 < thresholds_drawn["thresholds"] <= 12 * thresholds_drawn["reads"] / 3
+        assert kernel_reads["first"] == 0
+        assert 0 < kernel_reads["thresholds"] <= 12 * kernel_reads["reads"] / 3
 
     @pytest.mark.parametrize("name", ["integers", "geometric_naturals"])
-    def test_sided_transport_draws_few_grid_thresholds_per_read(self, name, thresholds_drawn):
+    def test_sided_transport_draws_few_grid_thresholds_per_read(self, name, kernel_reads):
         # per distinct probe 7 check thresholds over I-, I+ and I, then the
         # grid thresholds that can lower its sweeps: all 12 would be 14.33 per read
         e, window = dict(catalog())[name], Interval(-64.0, 64.0)
         fam = certification_probes(e, window)
         suite_sided_transport(e, fam)
-        reads = thresholds_drawn["reads"]
+        reads = kernel_reads["reads"]
         assert reads == 3 * len(distinct_probes(fam.intervals())[0])
-        assert 0 < thresholds_drawn["thresholds"] - 7 * reads / 3 <= 12 * reads / 3
+        assert kernel_reads["first"] == 7 * reads / 3
+        assert 0 < kernel_reads["thresholds"] <= 12 * reads / 3
 
     @pytest.mark.parametrize("name, side", [("naturals", "left"), ("reflected_naturals", "right"),
                                             ("reflected_geometric_naturals", "right")])
@@ -805,31 +933,23 @@ class TestWorkCounts:
         assert sweep == oracles.sweep_walk(e, intervals, side)
 
     @pytest.mark.parametrize("e", SETS, ids=IDS)
-    def test_each_distinct_probe_reads_its_shares_once(self, e, monkeypatch):
+    def test_each_distinct_probe_reads_its_shares_once(self, e, kernel_reads):
         # a pass reads the shares of each region window of a distinct probe
-        # in one call; a repeat makes none
-        count = [0]
-        original = sets_module.WindowSummary.shares
-
-        def counted(*args):
-            count[0] += 1
-            return original(*args)
-
-        monkeypatch.setattr(sets_module.WindowSummary, "shares", counted)
+        # in one kernel call (certify through shares); a repeat makes none
         intervals = ProbeFamily.default(e, REPEAT_WINDOW, anchor_cap=32, random_count=100).intervals()
         distinct = len(distinct_probes(intervals)[0])
         assert distinct < len(intervals)
         for side in SIDES:
-            count[0] = 0
+            kernel_reads["reads"] = 0
             certify(e, PorosityParams(0.25, 0.25, side), intervals)
-            assert count[0] == distinct
-            count[0] = 0
+            assert kernel_reads["reads"] == distinct
+            kernel_reads["reads"] = 0
             sweep_sides(e, intervals, (side,))
-            assert 0 < count[0] <= distinct
+            assert 0 < kernel_reads["reads"] <= distinct
         fam = certification_probes(e, REPEAT_WINDOW, anchor_cap=32, random_count=100)
-        count[0] = 0
+        kernel_reads["reads"] = 0
         suite_sided_transport(e, fam)
-        assert count[0] == 3 * len(distinct_probes(fam.intervals())[0])  # I-, I+ and I
+        assert kernel_reads["reads"] == 3 * len(distinct_probes(fam.intervals())[0])  # I-, I+ and I
 
     @pytest.mark.parametrize("e, side", [(NATURALS, "minus"), (Reflect(NATURALS), "plus"), (BASES["integers"], "plus")],
                              ids=["naturals-minus", "reflected_naturals-plus", "integers-plus"])
