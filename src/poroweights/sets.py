@@ -1244,10 +1244,8 @@ class WindowSummary:
 
     def shares(self, lo: float, hi: float, thresholds: Sequence[float]) -> list[float]:
         """Per threshold t, the share of (lo, hi), a window this summary
-        describes, covered by its components at least t long: the shares
-        :meth:`lower` reads at ``thresholds`` with an empty grid.  The probe
-        passes call :meth:`lower` itself, which lowers their sweeps too.
-        """
+        describes, covered by its components at least t long: :meth:`lower`
+        on an empty grid, which the probe passes call with theirs."""
         return self.lower(lo, hi, [], 0, (), 0.0, thresholds)
 
     def lower(self, lo: float, hi: float, low: list[float], top: int, doubled: Sequence[float],
@@ -1257,29 +1255,19 @@ class WindowSummary:
         k = ``top - 1``: a share v lowers ``low[k]`` to v and skips every
         k' < k with ``low[k'] <= v``, whose share is at least v.
 
-        A share at t is the fsum of the length * multiplicity terms of the
-        components at least t long over the window length.  A memoised
-        summary bisects its packed groups (packed on its first read) for a
-        row of exact partials of its middle terms and adds its edges; a
-        summary of at most one run has at most three terms, its two edges
-        and the cells of the run, and sums those kept; any other summary
-        built from runs sorts its items on its first read and sums a prefix.
-        fsum rounds correctly in any order, so every path gives the same
-        share, and a memo names the kept items by their count (by which of
-        the three, for one run), so each set of them is summed once per call
-        and the empty one is 0.0 without a sum.
+        A share is the fsum of the terms of the components at least t long
+        over |R|, on the path of the class note; fsum rounds correctly in any
+        order, so the paths agree, and a memo keyed by the kept items sums
+        each set of them once per call.
 
-        A memoised summary of n interior points first bounds its share from
-        below: the at most n + 1 components shorter than t cover less than
-        (n + 1) t of the window, so its share is at least
-        1 - (n + 1) (t + 16 ulp(M)) / |R| - 2^-48, with M the larger magnitude
-        of lo and hi.  The ulps pay for the rounding of each component's
-        computed length (a gap or an edge is one subtraction; a run's cell
-        term carries the spelling of its two end points and its product, less
-        than 8 ulps of M), and 2^-48 for the rounding of |R|, of the sum, of
-        the division and of the bound itself.  Where the bound is not below
-        ``low[k]`` the share cannot lower it, the bound skips as a share
-        would, and the window packs and sums nothing for it.
+        A memoised summary of n interior points first bounds its share: the
+        at most n + 1 components shorter than t cover less than (n + 1) t,
+        so the share is at least 1 - (n + 1) (t + 16 ulp(M)) / |R| - 2^-48,
+        M the larger of |lo| and |hi|.  The ulps pay for each computed length
+        (a cell term carries the spelling of its run's end points and a
+        product, under 8 ulps of M), 2^-48 for the roundings of |R|, the sum,
+        the division and the bound.  Where the bound is not below ``low[k]``
+        it skips as a share would, and nothing is packed or summed for it.
         """
         length = hi - lo
         source = self._source

@@ -519,12 +519,13 @@ class TestGapTables:
         assert IntegralWindow.of(e, Interval(-1.0, 9.0)).integral(0.5) == want
 
     def test_a_cell_term_is_computed_once_per_gap_and_exponent(self, monkeypatch):
-        # every memoised window of a1 reads its cells from the index's cell
-        # table: per exponent at most one _cell_integral call per gap
+        # the cell terms of memoised windows come from the index's table at
+        # their exponent: windows summarised afresh at the same exponent
+        # compute none again, and one per gap at most on a new exponent
         from poroweights.muckenhoupt import TripleFamily, TripleTable, a1_constant
 
         e = CantorIterate(0.0, 1.0, 1.0 / 3.0, 8)
-        table = TripleTable(e, TripleFamily.default(e, Interval(-2.0, 2.0), octaves=8, anchor_cap=16))
+        family = TripleFamily.default(e, Interval(-2.0, 2.0), octaves=8, anchor_cap=16)
         calls = []
         cell_integral = sets_module._cell_integral
 
@@ -534,8 +535,12 @@ class TestGapTables:
 
         monkeypatch.setattr(sets_module, "_cell_integral", counted)
         for alpha in (0.5, 0.9):
-            a1_constant(WeightSpec(e, alpha), "two_sided", table)
-            assert 0 < calls.count(alpha) <= len(e._index().gaps)
+            a1_constant(WeightSpec(e, alpha), "two_sided", TripleTable(e, family))
+            computed = calls.count(alpha)
+            assert 0 < computed <= len(e._index().gaps)
+            e.__dict__.pop("_windows")  # forget the memoised windows and their partials, keep the index
+            a1_constant(WeightSpec(e, alpha), "two_sided", TripleTable(e, family))
+            assert calls.count(alpha) == computed
 
     def test_a1_builds_no_run_and_one_table_per_alpha(self, monkeypatch):
         from poroweights.muckenhoupt import TripleFamily, TripleTable, a1_constant
