@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from . import presets as presets_mod
+from . import muckenhoupt, porosity, presets as presets_mod
 from .intervals import Interval
 from .muckenhoupt import DEFAULT_TRIPLE_OCTAVES, TRIPLE_ANCHOR_CAP, TripleFamily, TripleTable, a1_constant, critical_alpha
 from .porosity import (
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--sigma", type=parse_number, default=0.5)
     p.add_argument("--gamma", type=parse_number, default=0.5)
-    p.add_argument("--side", dest="side_porosity", choices=("right", "left", "two_sided"), default="two_sided",
+    p.add_argument("--side", dest="side_porosity", choices=porosity.SIDES, default="two_sided",
                    help="with --sweep, the two_sided certificate is not a verdict: a two-sided probe has sigma > 0 "
                         "at a small enough gamma")
     p.add_argument("--sweep", action="store_true",
@@ -426,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("a1", help="sample one-sided constant lower bounds for a distance-power weight")
     _add_common(p)
     p.add_argument("--alpha", type=parse_number, required=True)
-    p.add_argument("--side", choices=("plus", "minus", "two_sided"), default="plus")
+    p.add_argument("--side", choices=muckenhoupt.SIDES, default="plus")
     p.add_argument("--table-points", type=int, default=0,
                    help="also export weight_table.csv sampled on this many window points")
     p.set_defaults(fn=cmd_a1)
 
     p = sub.add_parser("critical-alpha", help="largest exponent with bounded evidence (bisection)")
     _add_common(p)
-    p.add_argument("--side", choices=("plus", "minus", "two_sided"), default="plus")
+    p.add_argument("--side", choices=muckenhoupt.SIDES, default="plus")
     p.add_argument("--tol", type=parse_number, default=2.0 ** -8)
     p.set_defaults(fn=cmd_critical_alpha)
 

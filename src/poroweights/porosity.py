@@ -9,6 +9,7 @@ across dyadic scales, plus seeded random intervals.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from array import array
@@ -69,54 +70,29 @@ def rho(e: SetDescription, i: Interval) -> float:
 # longest component, as the summary holds it (2 * rho would round where it is subnormal).
 Rated = tuple[float, float, WindowSummary, float, float]
 
-# Windows per generation of a WindowStore: a pass holds at most twice as many.
+# Windows a pass's window_store holds; the least recently read is evicted past it.
 STORE_CAP = 1024
 
 
-class WindowStore:
-    """The rated windows of one probe pass, keyed by ``(lo, hi)``, in two generations.
+def window_store(e: SetDescription) -> Callable[[float, float], Rated]:
+    """``rated(lo, hi)``, the :data:`Rated` window (lo, hi) of one probe pass, cached.
 
-    A pass reads every window by its bounds, through the one bound method
-    :meth:`rated`.  A pass over anchors x dyadic scales x alignments meets
-    most windows more than once: the halves of (a, a + 2s) are whole probes
-    at scale s, and the centred half of (a - s, a + s), which sided-transport
-    reads for its doubling estimate, is the centred probe at scale s.  A
-    window is named by its bounds, summarised on its first query and read
-    back while it is recent.  When the newer generation holds
-    ``STORE_CAP`` windows the older one is dropped and the newer takes its
-    place; a window read from the older generation moves to the newer.  So
-    a pass holds at most ``2 * STORE_CAP`` windows, and summarises a window
-    once while its recent windows fit the store.
+    A pass over anchors x dyadic scales x alignments meets most windows more
+    than once: the halves of (a, a + 2s) are whole probes at scale s, and
+    the centred half of (a - s, a + s), which sided-transport reads for its
+    doubling estimate, is the centred probe at scale s.  So a pass reads
+    every window by its bounds through one ``rated``, which summarises a
+    window on its first read and keeps the ``STORE_CAP`` (read when the pass
+    starts) most recently read windows, evicting the least recently used:
+    a window is summarised once while the windows read since it fit.
     """
 
-    __slots__ = ("e", "_new", "_old")
+    def rated(lo: float, hi: float) -> Rated:
+        s = e.summary(lo, hi)
+        longest = s.max_length(lo, hi)
+        return lo, hi, s, 0.5 * longest, longest
 
-    def __init__(self, e: SetDescription):
-        self.e = e
-        self._new: dict = {}
-        self._old: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._new) + len(self._old)
-
-    def rated(self, lo: float, hi: float) -> Rated:
-        """The window (lo, hi) with its summary, hole radius and longest component."""
-        key = (lo, hi)
-        r = self._new.get(key)
-        if r is None:
-            r = self._old.get(key)
-            if r is None:
-                s = self.e.summary(lo, hi)
-                longest = s.max_length(lo, hi)
-                r = (lo, hi, s, 0.5 * longest, longest)
-            if len(self._new) >= STORE_CAP:
-                self._old, self._new = self._new, {}
-            self._new[key] = r
-        return r
-
-    def rho(self, i: Interval) -> float:
-        """:func:`rho` of I, read from the store."""
-        return self.rated(i.lo, i.hi)[3]
+    return functools.lru_cache(maxsize=STORE_CAP)(rated)
 
 
 # (region, reference) of a side, as indices into (I, I-, I+): the part whose
@@ -159,7 +135,7 @@ def sigma_at(e: SetDescription, i: Interval, gamma: float, side: str) -> float:
     """
     _check_side(side)
     check_gamma(gamma)
-    rated = WindowStore(e).rated
+    rated = window_store(e)
     if side == "two_sided":
         return _side_sigma((rated(i.lo, i.hi),), side, gamma)
     c = i.split_point
@@ -364,19 +340,20 @@ def certify(
     :func:`certification_probes` lists them for the CLI; on one family,
     ``worst_sigma`` is the sweep's sigma* at ``params.gamma``.  Each distinct
     pair is split in place and reads its halves I- and I+, and I itself only
-    on the two-sided side, through ``rated`` of one :class:`WindowStore`.
+    on the two-sided side, through the ``rated`` of one :func:`window_store`.
     Its sigma is the share of the region at one threshold; sigma and the
     halves' hole radii go into columns, which the report keeps, with the
     pairs, for :meth:`PorosityReport.rows`.  The worst probe and the
     witnesses read the columns in family order, and only they become
-    intervals (the caller's own, if it passed intervals).  A window shared
-    between probes is summarised once while the pass's recent windows fit
-    the store.  The doubling estimate Phi is read by sided-transport, in a
+    intervals (the caller's own, if it passed intervals).  The store holds
+    at most ``STORE_CAP`` windows and evicts the least recently used, so a
+    window shared between probes is summarised once while the windows read
+    since it fit.  The doubling estimate Phi is read by sided-transport, in a
     pass of its own (:func:`poroweights.suites.suite_sided_transport`).
     """
     pairs, interval = _probe_pairs(probes)
     distinct, order = distinct_probes(pairs)
-    rated = WindowStore(e).rated
+    rated = window_store(e)
     whole = params.side == "two_sided"
     windows = [None, None, None]  # the probe's rated I (two-sided only), I- and I+
     figures = array("d")  # per distinct probe: sigma, rho(I-) and rho(I+)
@@ -462,14 +439,15 @@ def sweep_sides(
     sigma* is a minimum, so a repeated probe changes nothing: the probes are
     (lo, hi) pairs (see :meth:`ProbeFamily.bounds`), and each distinct pair
     is split in place and evaluated once, with no :class:`Interval` built.
-    The probes read their windows through ``rated`` of one
-    :class:`WindowStore`, whose tuple carries each window's longest
+    The probes read their windows through the ``rated`` of one
+    :func:`window_store`, whose tuple carries each window's longest
     component: the right and left sides share the summaries of I- and I+,
-    and a window that recurs across
-    anchors, scales and alignments (the right half of (a - s, a + s) is the
-    left half of (a, a + 2s)) is summarised once while the pass's recent
-    windows fit the store.  The pass never holds more than
-    ``2 * STORE_CAP`` windows, however large the family.  Per probe and side
+    and a window that recurs across anchors, scales and alignments (the
+    right half of (a - s, a + s) is the left half of (a, a + 2s)) is
+    summarised once while the windows read since it fit the store.  The
+    store evicts the least recently used window past ``STORE_CAP``, so the
+    pass never holds more than ``STORE_CAP`` windows, however large the
+    family.  Per probe and side
     at most one :meth:`WindowSummary.lower` call reads the region, summing
     each prefix of its components at most once.
 
@@ -504,7 +482,7 @@ def sweep_sides(
     live = len(reads)  # sides not yet zeroed on the whole grid
     whole = "two_sided" in sides
     halves = "right" in sides or "left" in sides
-    rated = WindowStore(e).rated
+    rated = window_store(e)
     windows = [None, None, None]  # the probe's rated I, I- and I+, as far as the sides read them
     for lo, hi in dict.fromkeys(pairs):
         if halves:

@@ -299,7 +299,8 @@ class SortedPoints(SetDescription):
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
         pts = self._pts()
-        return self._index().runs(bisect_left(pts, lo), bisect_right(pts, hi))
+        a, b = bisect_left(pts, lo), bisect_right(pts, hi)
+        return self._index().interior(a, b, a, b)
 
     def nearest_leq(self, x: float) -> Optional[float]:
         pts = self._pts()
@@ -396,12 +397,6 @@ class _RunIndex:
         out.append(b)
         return out
 
-    def runs(self, a: int, b: int) -> list[Run]:
-        """The runs of ``pts[a:b]``, equal to ``Run.compress(pts[a:b])``."""
-        starts = self.chain(a, b)
-        pts = self.pts
-        return [Run.of(pts, s, e - s) for s, e in zip(starts, starts[1:])]
-
     def trimmed(self, a: int, b: int, i: int, j: int) -> tuple[list[int], list[int], list[int]]:
         """The runs of ``pts[a:b]`` trimmed by index to the interior ``pts[i:j]``
         (i is a or a + 1, j is b or b - 1): per run its start s, from which it
@@ -478,7 +473,11 @@ class _RunIndex:
         return out
 
     def interior(self, a: int, b: int, i: int, j: int) -> list[Run]:
-        """The runs of ``pts[a:b]`` trimmed by index to ``pts[i:j]``, as :func:`_interior` trims them."""
+        """The runs of ``pts[a:b]`` trimmed by index to ``pts[i:j]``, as :func:`_interior` trims them.
+
+        With (i, j) = (a, b) every run keeps all its points: these are the
+        runs of the closed window, equal to ``Run.compress(pts[a:b])``.
+        """
         pts, gaps = self.pts, self.gaps
         starts = self.chain(a, b)
         out = []
@@ -640,7 +639,8 @@ class GeometricPlusLattice(SetDescription):
     def runs_in(self, lo: float, hi: float) -> list[Run]:
         index = self._geometric(lo)
         pts = index.pts
-        geom = index.runs(bisect_left(pts, lo), bisect_right(pts, hi))
+        a, b = bisect_left(pts, lo), bisect_right(pts, hi)
+        geom = index.interior(a, b, a, b)
         latt = self.lattice.runs_in(lo, hi)
         return _merge_run_lists([geom, latt], lo, hi)
 
@@ -667,7 +667,7 @@ class GeometricPlusLattice(SetDescription):
         span = right.first - geom.last
         return WindowSummary(geom.first, right.last, max(geom.longest, right.longest, span),
                              min(geom.shortest, right.shortest, span),
-                             geom.interior(lo, hi) + right.interior(lo, hi))
+                             geom.interior() + right.interior())
 
     def _geometric_summary(self, lo: float, hi: float) -> "WindowSummary":
         """The summary of the geometric points in (lo, hi).
@@ -845,7 +845,7 @@ class Reflect(SetDescription):
         s = self.inner.summary(-hi, -lo)
         if s.first is None:
             return EMPTY_SUMMARY
-        runs = [_mirrored(r) for r in reversed(s.interior(-hi, -lo))]
+        runs = [_mirrored(r) for r in reversed(s.interior())]
         return WindowSummary(runs[0].start, runs[-1].end, s.longest, s.shortest, runs)
 
     def nearest_leq(self, x: float) -> Optional[float]:
@@ -1212,7 +1212,7 @@ class WindowSummary:
         # not positive, and longest >= 0 outweighs it
         return max(self.longest, first - lo, hi - self.last)
 
-    def peak(self, lo: float, hi: float) -> float:
+    def peak(self) -> float:
         """Largest distance to the set over the middle components (0 if none)."""
         if self._peak is None:
             self._peak = self._indexed(_RunIndex.peak) if self._kept() else _peak(self._source)
@@ -1230,8 +1230,8 @@ class WindowSummary:
             out.append(hi - self.last)
         return out
 
-    def interior(self, lo: float, hi: float) -> list[Run]:
-        """Runs of set points strictly inside (lo, hi), a window this summary describes."""
+    def interior(self) -> list[Run]:
+        """Runs of the set points strictly inside the window this summary describes."""
         return self._indexed(_RunIndex.interior) if self._kept() else self._source
 
     def _kept(self) -> bool:
@@ -1345,7 +1345,7 @@ class WindowSummary:
             while k >= 0 and low[k] <= v:
                 k -= 1
 
-    def integral_terms(self, lo: float, hi: float, alpha: float) -> list[float]:
+    def integral_terms(self, alpha: float) -> list[float]:
         """The terms at alpha of the middle components: :func:`_middle_integrals`
         of the interior runs of a summary built from runs.
 
@@ -1391,7 +1391,7 @@ def largest_component(e: SetDescription, i: Interval) -> Optional[Interval]:
         cands = [(i.lo, i.hi)] if i.hi > i.lo else []
     else:
         cands = [(i.lo, s.first)] if s.first > i.lo else []
-        widest = _widest(s.interior(i.lo, i.hi))
+        widest = _widest(s.interior())
         if widest is not None:
             cands.append(widest)
         if i.hi > s.last:

@@ -22,7 +22,6 @@ from .porosity import (
     GAMMA_GRID,
     REL_SLACK,
     ProbeFamily,
-    WindowStore,
     _probe_pairs,
     admissible_alpha,
     certification_probes,
@@ -32,6 +31,7 @@ from .porosity import (
     distinct_probes,
     sweep_result,
     sweep_sides,
+    window_store,
 )
 from .sets import (
     CantorIterate,
@@ -78,13 +78,13 @@ def suite_distance_envelope(e: SetDescription, probes: Sequence[Interval]) -> Su
     When the interval meets the set the separation term vanishes and the bound
     reduces to twice the hole radius.
     """
-    store = WindowStore(e)
+    rated = window_store(e)
     failures: list[dict] = []
     checks = 0
     for i in probes:
         checks += 1
         worst = max_distance_on(e, i)
-        bound = 2.0 * (1.0 + set_distance(e, i) / i.length) * store.rho(i)
+        bound = 2.0 * (1.0 + set_distance(e, i) / i.length) * rated(i.lo, i.hi)[3]
         if worst > bound * (1.0 + REL_SLACK):
             _fail(failures, {"interval": i.as_pair(), "max_distance": worst, "bound": bound})
     return SuiteResult(
@@ -106,7 +106,7 @@ def suite_hole_control(e: SetDescription, probes: Sequence[Interval], eta: float
     """On probes with d(I, E) <= eta |I|, check rho(I+) >= d(x, E)/(6 + 4 eta) on I+."""
     check_eta(eta)
     c0 = 1.0 / (6.0 + 4.0 * eta)
-    store = WindowStore(e)
+    rated = window_store(e)
     failures: list[dict] = []
     checks = skipped = 0
     for i in probes:
@@ -115,7 +115,7 @@ def suite_hole_control(e: SetDescription, probes: Sequence[Interval], eta: float
             continue
         checks += 1
         right = i.right_half
-        lhs = store.rho(right)
+        lhs = rated(right.lo, right.hi)[3]
         worst = max_distance_on(e, right)
         if lhs < c0 * worst * (1.0 - REL_SLACK):
             _fail(failures, {"interval": i.as_pair(), "rho_plus": lhs, "max_distance": worst, "c0": c0})
@@ -140,13 +140,13 @@ def suite_left_propagation(
     probes: Sequence[Interval],
 ) -> SuiteResult:
     """rho(I) <= ((gamma+1)/gamma) rho(left half) across the probe family."""
-    store = WindowStore(e)
+    rated = window_store(e)
     failures: list[dict] = []
     checks = 0
     for i in probes:
         checks += 1
-        rho = store.rated(i.lo, i.hi)[3]
-        bound = (gamma + 1.0) / gamma * store.rated(i.lo, i.split_point)[3]
+        rho = rated(i.lo, i.hi)[3]
+        bound = (gamma + 1.0) / gamma * rated(i.lo, i.split_point)[3]
         if not rho <= bound * (1.0 + REL_SLACK):
             _fail(failures, {"interval": i.as_pair(), "rho": rho, "bound": bound})
     return SuiteResult(
@@ -176,10 +176,10 @@ def suite_pore_transport(
     """
     theta1 = ((gamma + 1.0) / gamma) ** 2
     theta2 = math.log2((gamma + 1.0) / gamma)
-    store = WindowStore(e)
+    rated = window_store(e)
 
     def rhs(outer: Interval, inner: Interval) -> float:
-        return theta1 * (outer.length / inner.length) ** theta2 * store.rated(inner.split_point, inner.hi)[3]
+        return theta1 * (outer.length / inner.length) ** theta2 * rated(inner.split_point, inner.hi)[3]
 
     failures: list[dict] = []
     checks = 0
@@ -193,7 +193,7 @@ def suite_pore_transport(
             Interval(i.lo + 0.5 * quarter, i.lo + 2.5 * quarter),
             Interval(i.lo + 0.25 * quarter, i.lo + 2.25 * quarter),
         )
-        lhs = store.rated(i.split_point, i.hi)[3]
+        lhs = rated(i.split_point, i.hi)[3]
         for j in inners:
             checks += 1
             r = rhs(i, j)
@@ -204,7 +204,7 @@ def suite_pore_transport(
     raw_rows = []
     for n in COUNTEREXAMPLE_SIZES:
         outer = Interval(-2.0 * n * (1.0 + t), 2.0 * n * (1.0 - t))
-        lhs, r = store.rated(outer.split_point, outer.hi)[3], rhs(outer, Interval(float(-n), float(n)))
+        lhs, r = rated(outer.split_point, outer.hi)[3], rhs(outer, Interval(float(-n), float(n)))
         raw_rows.append({"n": n, "lhs": lhs, "rhs": r, "ok": lhs <= r * (1.0 + REL_SLACK)})
     raw_breaks = any(not r["ok"] for r in raw_rows)
     return SuiteResult(
@@ -408,7 +408,9 @@ def suite_sided_transport(
     an empty one raises ``ValueError``), and each distinct pair is evaluated
     once per pass (see :func:`distinct_probes`); every probe of the family
     is one check, and a repeat that fails gets a record of its own.  Both
-    passes read their windows through one :class:`WindowStore`.  Pass 1
+    passes read their windows through the ``rated`` of one
+    :func:`~poroweights.porosity.window_store`, which holds at most
+    ``STORE_CAP`` windows and evicts the least recently used.  Pass 1
     computes Phi, which every check needs: the largest rho(I)/rho(J) with
     rho(J) > 0, over each distinct probe I and its inner halves J = I-, I+
     and the centred half (c - |I|/4, c + |I|/4), c the split point of I;
@@ -421,7 +423,7 @@ def suite_sided_transport(
     check_gamma(gamma0, "gamma0")
     pairs = _probe_pairs(probes)[0]
     distinct, order = distinct_probes(pairs)
-    rated = WindowStore(e).rated
+    rated = window_store(e)
     # pass 1: Phi needs the whole family before any check can run
     phi = 0.0
     for lo, hi in distinct:

@@ -89,7 +89,7 @@ class IntegralWindow(NamedTuple):
         if s.first is None:
             terms = [_segment_integral(j.lo, j.hi, left, right, alpha)]
         else:
-            terms = s.integral_terms(j.lo, j.hi, alpha)
+            terms = s.integral_terms(alpha)
             if s.first > j.lo:
                 terms.append(_segment_integral(j.lo, s.first, left, s.first, alpha))
             if j.hi > s.last:
@@ -103,7 +103,7 @@ class IntegralWindow(NamedTuple):
         j, s, left, right = self
         if s.first is None:
             return max(0.0, _segment_peak(j.lo, j.hi, left, right))
-        best = s.peak(j.lo, j.hi)
+        best = s.peak()
         if s.first > j.lo:
             best = max(best, _segment_peak(j.lo, s.first, left, s.first))
         if j.hi > s.last:

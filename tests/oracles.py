@@ -200,7 +200,7 @@ def run_walk_integral(window, alpha):
     j, s, left, right = window
     if s.first is None:
         return _segment_integral(j.lo, j.hi, left, right, alpha)
-    terms = _middle_integrals(s.interior(j.lo, j.hi), alpha)
+    terms = _middle_integrals(s.interior(), alpha)
     if s.first > j.lo:
         terms.append(_segment_integral(j.lo, s.first, left, s.first, alpha))
     if j.hi > s.last:
@@ -213,7 +213,7 @@ def run_walk_peak(window):
     j, s, left, right = window
     if s.first is None:
         return max(0.0, _segment_peak(j.lo, j.hi, left, right))
-    best = _peak(s.interior(j.lo, j.hi))
+    best = _peak(s.interior())
     if s.first > j.lo:
         best = max(best, _segment_peak(j.lo, s.first, left, s.first))
     if j.hi > s.last:
@@ -292,7 +292,7 @@ class LengthProfile:
         """The profile of (lo, hi), a window the summary s describes."""
         items = [(x, x) for x in s.edges(lo, hi)]
         prev = None
-        for r in s.interior(lo, hi):
+        for r in s.interior():
             if prev is not None and r.start > prev:
                 items.append((r.start - prev, r.start - prev))
             if r.count >= 2:

@@ -23,11 +23,11 @@ from poroweights import (
 )
 from poroweights.porosity import (
     SweepResult,
-    WindowStore,
     admissible_alpha,
     decay_constants,
     decay_exponent,
     dimension_bound,
+    window_store,
 )
 from poroweights.suites import suite_dimension, suite_left_propagation, suite_pore_transport, suite_sided_transport
 
@@ -220,20 +220,20 @@ class TestLeftPropagation:
         assert got.failures == ({"interval": (-8.0, 8.0), "rho": 4.0, "bound": 1.5},)
 
     def test_integers_example(self, integers):
-        store = WindowStore(integers)
-        assert store.rated(-2.0, 2.0)[3] == 0.5
-        assert 3.0 * store.rated(-2.0, 0.0)[3] == 1.5
+        rated = window_store(integers)
+        assert rated(-2.0, 2.0)[3] == 0.5
+        assert 3.0 * rated(-2.0, 0.0)[3] == 1.5
         got = suite_left_propagation(integers, 0.5, [Interval(-2.0, 2.0)])
         assert got.passed and got.constants == {"factor": 3.0}
 
     def test_point_free_interval(self, singleton):
-        assert WindowStore(singleton).rated(5.0, 7.0)[3] == 1.0
+        assert window_store(singleton)(5.0, 7.0)[3] == 1.0
         assert suite_left_propagation(singleton, 0.5, [Interval(5.0, 9.0)]).passed
 
     def test_geometric_example(self, geometric_naturals):
-        store = WindowStore(geometric_naturals)
-        assert store.rated(-8.0, 8.0)[3] == 2.0
-        assert 3.0 * store.rated(-8.0, 0.0)[3] == 6.0
+        rated = window_store(geometric_naturals)
+        assert rated(-8.0, 8.0)[3] == 2.0
+        assert 3.0 * rated(-8.0, 0.0)[3] == 6.0
         assert suite_left_propagation(geometric_naturals, 0.5, [Interval(-8.0, 8.0)]).passed
 
     def test_a_probe_too_short_to_halve_is_rejected(self):

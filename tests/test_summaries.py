@@ -370,8 +370,8 @@ def check_indexed(e, i):
     got, want = window_summary(e, i), oracles.compressed_summary(e, i)
     assert repr((got.first, got.last, got.longest, got.shortest)) == \
         repr((want.first, want.last, want.longest, want.shortest))
-    assert run_fields(got.interior(lo, hi)) == run_fields(want.interior(lo, hi))
-    assert got.peak(lo, hi) == want.peak(lo, hi)
+    assert run_fields(got.interior()) == run_fields(want.interior())
+    assert got.peak() == want.peak()
     check_shares(got, lo, hi, want)
     window = IntegralWindow.of(e, i)
     fresh = window._replace(summary=want)
@@ -659,7 +659,7 @@ class TestMemoHygiene:
     def test_empty_windows_share_no_state(self):
         e = FinitePoints([0.0])
         s = window_summary(e, Interval(1.0, 2.0))
-        assert s.first is None and s.longest == 0.0 and s.shortest == math.inf and s.peak(1.0, 2.0) == 0.0
+        assert s.first is None and s.longest == 0.0 and s.shortest == math.inf and s.peak() == 0.0
         for alpha in ALPHAS:
             integrate(WeightSpec(e, alpha), Interval(1.0, 2.0))
         assert s._groups is None and not s._integrals
@@ -726,8 +726,8 @@ class TestGroupedTerms:
             s = outcome(lambda: e.summary(lo, hi))
             if isinstance(s, type):
                 continue
-            terms = _middle_terms(s.interior(lo, hi))
-            assert repr(terms) == repr(oracles.middle_terms_walk(s.interior(lo, hi)))
+            terms = _middle_terms(s.interior())
+            assert repr(terms) == repr(oracles.middle_terms_walk(s.interior()))
             got, want = packed(terms)
             assert got == want
 
@@ -742,7 +742,7 @@ class TestGroupedTerms:
                 continue
             kept += 1
             items = s._indexed(sets_module._RunIndex.middle_terms)
-            runs = s.interior(i.lo, i.hi)
+            runs = s.interior()
             assert repr(_middle_terms(runs)) == repr(oracles.middle_terms_walk(runs))
             # the index lists the same items in another order
             assert repr(sorted(items)) == repr(sorted(_middle_terms(runs)))
@@ -777,8 +777,8 @@ def check_variant_summary(e, lo, hi):
         return
     assert repr((got.first, got.last, got.longest, got.shortest)) == \
         repr((want.first, want.last, want.longest, want.shortest))
-    assert run_fields(got.interior(lo, hi)) == run_fields(want.interior(lo, hi))
-    assert repr(got.peak(lo, hi)) == repr(want.peak(lo, hi))
+    assert run_fields(got.interior()) == run_fields(want.interior())
+    assert repr(got.peak()) == repr(want.peak())
     check_shares(got, lo, hi, want)
     window = outcome(lambda: IntegralWindow.of(e, Interval(lo, hi)))
     if isinstance(window, type):  # a nearest-point search out of resolution

@@ -65,7 +65,12 @@ from poroweights.porosity import (
     distinct_probes,
 )
 from poroweights.sets import EMPTY_SUMMARY, window_summary
-from poroweights.suites import suite_equivalence_matrix, suite_sided_transport
+from poroweights.suites import (
+    suite_equivalence_matrix,
+    suite_left_propagation,
+    suite_pore_transport,
+    suite_sided_transport,
+)
 
 from . import oracles
 from .test_summaries import check_lower
@@ -388,7 +393,7 @@ class TestLowerKernel:
         lo, hi = e.points[0], e.points[-1]
         s = e.summary(lo, hi)
         t = math.nextafter(step, math.inf)
-        assert s._kept() and len(s.interior(lo, hi)) == 1
+        assert s._kept() and len(s.interior()) == 1
         assert s.shares(lo, hi, (t,)) == [0.0] and 1.0 - 23 * t / (hi - lo) > 0.0
         check_lower(s, lo, hi, lambda t: s.shares(lo, hi, (t,))[0], [0.0, step, t, 1.0])
 
@@ -1051,7 +1056,7 @@ class TestWindowStore:
     @pytest.mark.parametrize("seed", [0, 2])
     @pytest.mark.parametrize("name", sorted(SETS))
     def test_a_tiny_store_matches_the_loops(self, name, seed, monkeypatch):
-        # four windows a generation: nearly every shared window is evicted
+        # a store of four windows: nearly every shared window is evicted
         # before it recurs, so each pass re-summarises what it dropped
         monkeypatch.setattr(porosity_module, "STORE_CAP", 4)
         e = self.SETS[name]
@@ -1062,21 +1067,30 @@ class TestWindowStore:
         together = sweep_sides(e, intervals, SIDES)
         for side in SIDES:
             assert together[side] == oracles.sweep_walk(e, intervals, side)
+            for i in intervals[::7]:
+                assert sigma_at(e, i, 0.25, side) == oracles.sigma_at_walk(e, i, 0.25, side)
         assert suite_sided_transport(e, fam) == oracles.sided_transport_walk(e, fam)
+        assert suite_left_propagation(e, 0.5, intervals) == oracles.left_propagation_walk(e, 0.5, intervals)
+        assert suite_pore_transport(e, 0.5, intervals) == oracles.pore_transport_walk(e, 0.5, intervals)
 
-    def test_no_pass_holds_more_than_two_generations(self, monkeypatch):
+    def test_no_pass_holds_more_than_the_cap(self, monkeypatch):
         cap = 16
         monkeypatch.setattr(porosity_module, "STORE_CAP", cap)
         held = []
+        window_store = porosity_module.window_store
 
-        class Recording(porosity_module.WindowStore):
-            def rated(self, lo, hi):
-                r = super().rated(lo, hi)
-                held.append(len(self))
+        def recording(e):
+            rated = window_store(e)
+
+            def read(lo, hi):
+                r = rated(lo, hi)
+                held.append(rated.cache_info().currsize)
                 return r
 
-        monkeypatch.setattr(porosity_module, "WindowStore", Recording)
-        monkeypatch.setattr(suites_module, "WindowStore", Recording)
+            return read
+
+        monkeypatch.setattr(porosity_module, "window_store", recording)
+        monkeypatch.setattr(suites_module, "window_store", recording)
         e = BASES["integers"]
         fam = certification_probes(e, WINDOW, anchor_cap=8, random_count=20)
         intervals = fam.intervals()
@@ -1090,11 +1104,26 @@ class TestWindowStore:
         for run in passes:
             held.clear()
             run()
-            assert cap < max(held) <= 2 * cap
+            assert max(held) == cap
+
+    def test_a_window_is_summarised_again_only_past_the_cap(self, monkeypatch, summaries):
+        # the store evicts the least recently read window: one read again
+        # after cap - 1 others is still held, after cap others it is not
+        cap = 8
+        monkeypatch.setattr(porosity_module, "STORE_CAP", cap)
+        e = BASES["integers"]
+        for others, again in ((cap - 1, 0), (cap, 1)):
+            rated = porosity_module.window_store(e)
+            first = rated(-0.5, 0.5)
+            for k in range(others):
+                rated(k + 1.0, k + 2.5)
+            summaries[0] = 0
+            assert rated(-0.5, 0.5)[3] == first[3] == 0.25
+            assert summaries[0] == again
 
     def test_a_sweep_over_a_large_family_stays_small(self):
         # every window of the pass kept alive traced 6.5 MiB here; the store
-        # keeps at most 2 * STORE_CAP of them
+        # keeps at most STORE_CAP of them
         e = BASES["integers"]
         intervals = certification_probes(e, Interval(-64.0, 64.0)).intervals()
         assert len(intervals) > 2 * porosity_module.STORE_CAP
