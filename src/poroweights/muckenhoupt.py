@@ -146,8 +146,9 @@ class TripleFamily:
 class A1Report:
     """Sampled evidence about one one-sided constant of a fixed weight.
 
-    The per-triple values are not kept: :meth:`TripleTable.samples` yields
-    them again.
+    The per-triple values are not kept here: the :class:`TripleTable` that
+    was scanned keeps the values of each side at the last alpha asked of it,
+    and :meth:`TripleTable.samples` at this report's alpha yields those.
     """
 
     side: str
@@ -191,7 +192,11 @@ class TripleTable:
     integrates it, the side that takes the ess-inf over it reads its
     distance peak.  The rows of a side are built on first use and point into
     that shared set.  :meth:`values` integrates each distinct averaged window
-    once and raises each distinct peak to -alpha once.
+    once and raises each distinct peak to -alpha once.  The table keeps the
+    last alpha asked of each side and the values there, so that a report's
+    :meth:`samples` at the exponent just scanned reads them again instead of
+    integrating again; at any other alpha the values are computed afresh and
+    replace the kept ones.
     """
 
     def __init__(self, e: SetDescription, family: TripleFamily):
@@ -199,6 +204,7 @@ class TripleTable:
         self.family = family
         self._windows: dict[tuple[float, float], IntegralWindow] = {}
         self._sides: dict[str, _SideRows] = {}
+        self._values: dict[str, tuple[float, list[float]]] = {}  # per side, the last (alpha, values)
 
     def _window(self, bounds: tuple[float, float]) -> IntegralWindow:
         w = self._windows.get(bounds)
@@ -244,11 +250,21 @@ class TripleTable:
         return rows
 
     def values(self, side: str, alpha: float) -> list[float]:
-        """The triple values of a one-sided side at alpha, in :meth:`TripleFamily.triples` order."""
+        """The triple values of a one-sided side at alpha, in :meth:`TripleFamily.triples` order.
+
+        The list is the one the table keeps for a later call at the same
+        alpha: read it, do not change it.
+        """
+        if side in self._values:
+            if self._values[side][0] == alpha:
+                return self._values[side][1]
+            del self._values[side]  # the old values go before the new ones are built
         rows = self.rows(side)
         nums = [w.integral(alpha) for w in rows.averaged]
         powers = [distance_power(p, alpha) for p in rows.peaks]
-        return [_ratio(nums[i], width, powers[k]) for (i, k), width in zip(rows.cells, rows.widths)]
+        values = [_ratio(nums[i], width, powers[k]) for (i, k), width in zip(rows.cells, rows.widths)]
+        self._values[side] = (alpha, values)
+        return values
 
     def samples(self, side: str, alpha: float) -> Iterator[tuple[float, float, float, float, float]]:
         """(a, b, c, value, scale) per triple at alpha, in :meth:`TripleFamily.triples` order,

@@ -2,6 +2,14 @@
 
 Column orders are fixed and documented here; byte-identical reruns require
 only suppressing the timestamp header.
+
+A CSV file holds exactly the bytes ``csv.writer`` writes with the default
+dialect on a file opened with ``newline=""``: each cell as ``str(value)``,
+quoted only when it holds a comma, a quote or a line break (QUOTE_MINIMAL),
+each line ended by ``\\r\\n``.  :func:`write_csv` formats rows of exact
+``float`` cells itself, at the cost of their distinct values; a memo of at
+most ``_MEMO_CAP`` floats and one batch of at most ``_BATCH_LINES`` lines is
+held at any time.
 """
 
 from __future__ import annotations
@@ -10,6 +18,7 @@ import csv
 import dataclasses
 import datetime
 import json
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -75,9 +84,47 @@ def write_json(path: Path, doc: dict) -> None:
     path.write_text(dump_json(doc))
 
 
+# The bounds of write_csv: the distinct floats whose text it keeps, and the
+# rows it reads, joins and writes at once.
+_MEMO_CAP = 512
+_BATCH_LINES = 64
+
+
 def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the header and the rows, byte for byte as ``csv.writer`` would.
+
+    ``rows`` is read once, ``_BATCH_LINES`` rows at a time.  A batch of
+    tuples or lists whose cells are all exact floats (``type(x) is float``)
+    is formatted here: ``str(x)`` is ``repr(x)``, which never needs quoting,
+    so a line is the cells' text joined by commas.  Each distinct value of
+    a batch is formatted once and kept for later batches; the memo is
+    emptied before it would pass ``_MEMO_CAP`` values.  A batch that holds
+    a zero (0.0 and -0.0 are one key) or more distinct values than the memo
+    holds is formatted cell by cell.  Every other batch (str, bool, int or
+    None cells, float subclasses such as ``np.float64``, other row types)
+    goes to ``csv.writer`` unchanged.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(rows)
+        reprs: dict[float, str] = {}
+        it = iter(rows)
+        while batch := list(islice(it, _BATCH_LINES)):
+            cells = list(chain.from_iterable(batch)) if set(map(type, batch)) <= {tuple, list} else None
+            if cells is None or not set(map(type, cells)) <= {float}:
+                writer.writerows(batch)
+                continue
+            distinct = set(cells)
+            if 0.0 in distinct or len(distinct) > _MEMO_CAP:
+                text = repr
+            else:
+                new = distinct.difference(reprs)
+                if len(reprs) + len(new) > _MEMO_CAP:
+                    reprs.clear()
+                    new = distinct
+                reprs.update(zip(new, map(repr, new)))
+                text = reprs.__getitem__
+            lines = [",".join(map(text, row)) for row in batch]
+            lines.append("")
+            fh.write("\r\n".join(lines))

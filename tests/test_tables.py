@@ -71,6 +71,7 @@ from poroweights.suites import (
     suite_pore_transport,
     suite_sided_transport,
 )
+from poroweights.weights import IntegralWindow
 
 from . import oracles
 from .test_summaries import check_lower
@@ -835,6 +836,34 @@ class TestWorkCounts:
         summaries[0] = 0
         a1_constant(WeightSpec(e, 0.5), side, fam)
         assert 0 < summaries[0] <= len(triple_windows(fam, side))
+
+    @pytest.mark.parametrize("side", A1_SIDES)
+    def test_samples_at_the_scanned_alpha_integrate_nothing(self, side, monkeypatch):
+        # the table keeps each side's values at the last alpha scanned, which
+        # the report's CSV rows read again; another alpha integrates afresh
+        e = BASES["cantor"]
+        fam = TripleFamily.default(e, WINDOW, octaves=8, anchor_cap=8)
+        table = TripleTable(e, fam)
+        report = a1_constant(WeightSpec(e, 0.5), side, table)
+        calls = [0]
+        integral = IntegralWindow.integral
+
+        def counted(self, alpha):
+            calls[0] += 1
+            return integral(self, alpha)
+
+        monkeypatch.setattr(IntegralWindow, "integral", counted)
+        rows = list(table.samples(side, 0.5))
+        assert calls[0] == 0
+        assert len(rows) == report.triple_count
+        fresh = list(table.samples(side, 0.25))
+        one_sided = ("plus", "minus") if side == "two_sided" else (side,)
+        assert calls[0] == sum(len(table.rows(s).averaged) for s in one_sided) > 0
+        assert list(table.samples(side, 0.25)) == fresh
+        assert calls[0] == sum(len(table.rows(s).averaged) for s in one_sided)
+        monkeypatch.undo()
+        assert rows == oracles.a1_samples_walk(WeightSpec(e, 0.5), side, fam)
+        assert fresh == oracles.a1_samples_walk(WeightSpec(e, 0.25), side, fam)
 
     def test_equivalence_summarises_each_triple_window_once_across_both_sides(self, summaries):
         named = [(name, e) for name, e in catalog() if name in ("integers", "reflected_geometric_naturals")]
