@@ -15,18 +15,23 @@ points, reduced to O(1) numbers plus grouped lengths.  Queries add the two
 edge components of their own interval.  By default a variant builds the
 summary from ``runs_in``.  A lattice answers in closed form: two index
 searches give its interior points, one run.  A reflection mirrors its inner
-set's summary.  A geometric-plus-lattice set hands a window right of its
-geometric points to its lattice; where its lattice lies right of them, it
-stitches the memoised summary of the window's geometric points, read from
-one cached tuple of them with a run index, to its lattice's summary, so only
-an interleaved lattice takes the default path.  Finite point sets
-(:class:`SortedPoints`) keep a run index over their sorted points: the
-greedy run length from each start index, found on first use.  A window's
-runs are a chain through it, trimmed by index, and the memoised summary of
-an index window reads its lengths, peak and integral terms from that chain
-and from two tables over the gaps, so no window re-compresses its points or
-builds a run; the index spells what :class:`Run` would, since a run only
-holds points its spelling hits.
+set's summary.
+
+A sorted point tuple is answered by one engine, a :class:`_RunIndex` over
+it: the greedy run length from each start index, found on first use.  It
+owns the bisections of windows and nearest points, and
+:meth:`_RunIndex.window` looks up a window's summary in a memo its set
+keeps, by index window and two edge bits.  A window's runs are a chain
+through it, trimmed by index.  Finite point sets (:class:`SortedPoints`)
+memoise summaries that hold their index and read their lengths, peak and
+integral terms from that chain and from two tables over the gaps, so no
+window re-compresses its points or builds a run; the index spells what
+:class:`Run` would, since a run only holds points its spelling hits.  A
+geometric-plus-lattice set hands a window right of its geometric points to
+its lattice; where its lattice lies right of them, it stitches the memoised
+summary of the window's geometric points, built from the runs of the index
+over one cached tuple of them, to its lattice's summary, so only an
+interleaved lattice takes the default path.
 
 All set values are immutable.  The per-instance summary memo, run index and
 cached geometric points are benign caches: they are left out of equality,
@@ -39,12 +44,10 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import fsum
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -277,14 +280,10 @@ def sample_points(e: SetDescription, lo: float, hi: float, cap: int) -> list[flo
 class SortedPoints(SetDescription):
     """A finite set held as one sorted tuple of distinct points.
 
-    Runs come from a :class:`_RunIndex` built once per set: the runs of a
-    window are a chain of greedy run lengths from its first point, so no
-    query re-compresses the points of its window.  Window summaries are
-    memoised per index window ``(a, b)`` (the slice of points in the closed
-    window) together with the two endpoint comparisons that decide which
-    interior points the open window keeps: whether the first point equals
-    ``lo`` and whether the last point equals ``hi``.  These fix the interior
-    runs, and the memo holds O(1)-size summaries, never points.
+    Every query reads the :class:`_RunIndex` built once per set over the
+    points, read once: runs, nearest points, and window summaries memoised
+    by :meth:`_RunIndex.window` in the set's own dict.  A memoised summary
+    holds O(1) numbers and its index, never points.
     """
 
     def _pts(self) -> tuple[float, ...]:
@@ -298,44 +297,29 @@ class SortedPoints(SetDescription):
         return index
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        pts = self._pts()
-        a, b = bisect_left(pts, lo), bisect_right(pts, hi)
-        return self._index().interior(a, b, a, b)
+        return self._index().runs_in(lo, hi)
 
     def nearest_leq(self, x: float) -> Optional[float]:
-        pts = self._pts()
-        i = bisect_right(pts, x)
-        return pts[i - 1] if i > 0 else None
+        return self._index().nearest_leq(x)
 
     def nearest_geq(self, x: float) -> Optional[float]:
-        pts = self._pts()
-        i = bisect_left(pts, x)
-        return pts[i] if i < len(pts) else None
+        return self._index().nearest_geq(x)
 
     def summary(self, lo: float, hi: float) -> "WindowSummary":
-        """Memoised :class:`WindowSummary` of the open window (lo, hi)."""
-        pts = self._pts()
-        a = bisect_left(pts, lo)
-        b = bisect_right(pts, hi)
-        if a == b:
-            return EMPTY_SUMMARY
-        memo = self.__dict__.get("_windows")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_windows", memo)
-        first_on_lo, last_on_hi = pts[a] == lo, pts[b - 1] == hi
-        key = 4 * (a * (len(pts) + 1) + b) + 2 * first_on_lo + last_on_hi
-        s = memo.get(key)
-        if s is None:
-            s = memo[key] = self._index().summary(a, b, a + first_on_lo, b - last_on_hi, weakref.ref(self))
-        return s
+        """Memoised :class:`WindowSummary` of the open window (lo, hi), read by index."""
+        return self._index().window(lo, hi, self.__dict__.setdefault("_windows", {}), _RunIndex.summary)
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k not in ("_windows", "_runs")}
 
 
 class _RunIndex:
-    """The greedy runs of a sorted point tuple, by the index they start at.
+    """The greedy runs of a sorted point tuple, by the index they start at:
+    the one window engine of the point tuples of :class:`SortedPoints` and
+    :class:`GeometricPlusLattice`.  It owns their bisections, nearest points
+    and summary memo lookup (:meth:`window`).  Each set keeps the memo in
+    its own dict, so a memoised summary may hold its index: set -> memo ->
+    summary -> index is no cycle, and a summary outlives its set.
 
     The run that starts at ``pts[s]`` takes ``_greedy(pts, s, b)`` of the
     points ``pts[s:b]``, which is what :meth:`Run.compress` of that slice
@@ -379,6 +363,44 @@ class _RunIndex:
         self._peaks = array("d", [0.0]) * len(self.gaps)
         self._integrals: tuple[Optional[float], Optional[array], Optional[array]] = (None, None, None)
 
+    def runs_in(self, lo: float, hi: float) -> list[Run]:
+        pts = self.pts
+        a, b = bisect_left(pts, lo), bisect_right(pts, hi)
+        return self.interior(a, b, a, b)
+
+    def nearest_leq(self, x: float) -> Optional[float]:
+        i = bisect_right(self.pts, x)
+        return self.pts[i - 1] if i else None
+
+    def nearest_geq(self, x: float) -> Optional[float]:
+        i = bisect_left(self.pts, x)
+        return self.pts[i] if i < len(self.pts) else None
+
+    def window(self, lo: float, hi: float, memo: dict, build: Callable) -> "WindowSummary":
+        """The summary of the open window (lo, hi): ``build(self, a, b, i, j)``
+        for the closed window ``pts[a:b]`` and its interior ``pts[i:j]``,
+        memoised in ``memo``.
+
+        The key is the index window and the two edge bits, whether the first
+        point equals lo and whether the last equals hi, which fix the
+        interior.  Its indices count from the end of the points: the
+        geometric points grow at the front, so the key names the same points
+        before and after a growth.  It is a tuple: an int packed with the
+        count n as multiplier would move with a growth, and one packed with
+        2 ** 63 hashes onto few values, as int hashes are taken mod 2 ** 61 - 1.
+        """
+        pts = self.pts
+        a, b = bisect_left(pts, lo), bisect_right(pts, hi)
+        if a == b:
+            return EMPTY_SUMMARY
+        n = len(pts)
+        first_on_lo, last_on_hi = pts[a] == lo, pts[b - 1] == hi
+        key = (n - a, n - b, first_on_lo, last_on_hi)
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = build(self, a, b, a + first_on_lo, b - last_on_hi)
+        return s
+
     def chain(self, a: int, b: int) -> list[int]:
         """The indices the runs of ``pts[a:b]`` start at, then b."""
         lengths, pts = self._lengths, self.pts
@@ -411,8 +433,9 @@ class _RunIndex:
     # the interior runs: the cells of each run that keeps two or more points,
     # of its step, and one span before each run start strictly inside (i, j).
 
-    def summary(self, a: int, b: int, i: int, j: int, source: weakref.ref) -> "WindowSummary":
-        """The summary of the interior points ``pts[i:j]`` of the closed window ``pts[a:b]``."""
+    def summary(self, a: int, b: int, i: int, j: int) -> "WindowSummary":
+        """The summary of the interior points ``pts[i:j]`` of the closed window
+        ``pts[a:b]``, which reads its derived values from this index."""
         if i >= j:
             return EMPTY_SUMMARY
         gaps = self.gaps
@@ -421,7 +444,11 @@ class _RunIndex:
         lengths += [gaps[s - 1] for s in ss[1:] if i < s < j]
         # + 0.0 as a run spells its points: a point -0.0 is spelled 0.0
         return WindowSummary(self.pts[i] + 0.0, self.pts[j - 1] + 0.0, max(lengths, default=0.0),
-                             min(lengths, default=math.inf), (source, a, b, i, j))
+                             min(lengths, default=math.inf), (self, a, b, i, j))
+
+    def built(self, a: int, b: int, i: int, j: int) -> "WindowSummary":
+        """The summary of the same window built from its :meth:`interior` runs."""
+        return WindowSummary.of(self.interior(a, b, i, j))
 
     def middle_terms(self, a: int, b: int, i: int, j: int) -> list[tuple[float, float]]:
         """:func:`_middle_terms` of the interior runs, in another order."""
@@ -578,9 +605,9 @@ class GeometricPlusLattice(SetDescription):
     The geometric branch marches to -infinity; with ratio 2 and a unit
     right-sided lattice this is the standard mixed-speed catalog set.  Its
     points are spelled once, into one cached ascending tuple with a
-    :class:`_RunIndex` over it (see :meth:`_geometric`), which every query
-    reads: runs are the index's, equal to ``Run.compress`` of the window's
-    points, and nearest points are two bisections.
+    :class:`_RunIndex` over it (see :meth:`_geometric`), which answers the
+    geometric part of every query: its runs, equal to ``Run.compress`` of
+    the window's points, its nearest points and its memoised summaries.
     """
 
     ratio: float
@@ -637,28 +664,23 @@ class GeometricPlusLattice(SetDescription):
         return index
 
     def runs_in(self, lo: float, hi: float) -> list[Run]:
-        index = self._geometric(lo)
-        pts = index.pts
-        a, b = bisect_left(pts, lo), bisect_right(pts, hi)
-        geom = index.interior(a, b, a, b)
-        latt = self.lattice.runs_in(lo, hi)
-        return _merge_run_lists([geom, latt], lo, hi)
+        return _merge_run_lists([self._geometric(lo).runs_in(lo, hi), self.lattice.runs_in(lo, hi)], lo, hi)
 
     def summary(self, lo: float, hi: float) -> "WindowSummary":
         """A window right of every geometric point is its lattice's window.
 
-        Where the lattice lies right of every geometric point, the window's
-        geometric part (memoised by index window, see :meth:`_geometric_summary`)
-        is stitched to the lattice's summary: the one span between the two
-        parts joins the middle lengths.  An interleaved lattice takes the
-        default path.
+        Where the lattice lies right of every geometric point, the summary
+        of the window's geometric points, built from runs and memoised by
+        :meth:`_RunIndex.window`, is stitched to the lattice's summary: the
+        one span between the two parts joins the middle lengths.  An
+        interleaved lattice takes the default path.
         """
         latt = self.lattice
         if lo > -self.ratio:
             return latt.summary(lo, hi)
         if latt.extent != "right" or latt.origin <= -self.ratio:
             return super().summary(lo, hi)
-        geom = self._geometric_summary(lo, hi)
+        geom = self._geometric(lo).window(lo, hi, self.__dict__.setdefault("_windows", {}), _RunIndex.built)
         right = latt.summary(lo, hi)
         if geom.first is None:
             return right
@@ -669,48 +691,18 @@ class GeometricPlusLattice(SetDescription):
                              min(geom.shortest, right.shortest, span),
                              geom.interior() + right.interior())
 
-    def _geometric_summary(self, lo: float, hi: float) -> "WindowSummary":
-        """The summary of the geometric points in (lo, hi).
-
-        Memoised as :class:`SortedPoints` memoises its windows, by index
-        window and the two edge bits, but with the indices counted from the
-        end of the points: growth adds points at the front, so these name
-        the same points before and after it.
-        """
-        index = self._geometric(lo)
-        pts = index.pts
-        a, b = bisect_left(pts, lo), bisect_right(pts, hi)
-        if a == b:
-            return EMPTY_SUMMARY
-        memo = self.__dict__.get("_windows")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_windows", memo)
-        n = len(pts)
-        first_on_lo, last_on_hi = pts[a] == lo, pts[b - 1] == hi
-        key = (n - a, n - b, first_on_lo, last_on_hi)
-        s = memo.get(key)
-        if s is None:
-            s = memo[key] = WindowSummary.of(index.interior(a, b, a + first_on_lo, b - last_on_hi))
-        return s
-
     def nearest_leq(self, x: float) -> Optional[float]:
-        pts = self._geometric(x).pts
-        i = bisect_right(pts, x)
-        cands = [p for p in (pts[i - 1] if i else None, self.lattice.nearest_leq(x)) if p is not None]
+        cands = [p for p in (self._geometric(x).nearest_leq(x), self.lattice.nearest_leq(x)) if p is not None]
         return max(cands) if cands else None
 
     def nearest_geq(self, x: float) -> Optional[float]:
-        pts = self._geometric(x).pts
-        i = bisect_left(pts, x)
-        cands = [p for p in (pts[i] if i < len(pts) else None, self.lattice.nearest_geq(x)) if p is not None]
+        cands = [p for p in (self._geometric(x).nearest_geq(x), self.lattice.nearest_geq(x)) if p is not None]
         return min(cands) if cands else None
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k not in ("_windows", "_geom")}
 
 
-@lru_cache(maxsize=64)
 def _cantor_endpoints(lo: float, hi: float, middle: float, depth: int) -> tuple[float, ...]:
     intervals = [(lo, hi)]
     for _ in range(depth):
@@ -1167,9 +1159,9 @@ class WindowSummary:
         self.last: Optional[float] = last
         self.longest: float = longest
         self.shortest: float = shortest
-        # the interior runs, or for a memoised summary (a weak reference to the
-        # set, a, b, i, j): the index window pts[a:b] and its interior pts[i:j]
-        # (a strong reference would make the memo a cycle)
+        # the interior runs, or for a memoised summary (index, a, b, i, j): its
+        # _RunIndex, the index window pts[a:b] and its interior pts[i:j]; the
+        # set holds the memo, so set -> memo -> summary -> index makes no cycle
         self._source = source
         self._peak: Optional[float] = None
         self._groups: Optional[array] = None
@@ -1238,9 +1230,8 @@ class WindowSummary:
         return isinstance(self._source, tuple)
 
     def _indexed(self, method: Callable, *args):
-        """``method`` of the set's :class:`_RunIndex`, on this memoised summary's index window."""
-        ref, *window = self._source
-        return method(ref()._index(), *window, *args)
+        """``method`` of this memoised summary's :class:`_RunIndex`, on its index window."""
+        return method(*self._source, *args)
 
     def shares(self, lo: float, hi: float, thresholds: Sequence[float]) -> list[float]:
         """Per threshold t, the share of (lo, hi), a window this summary

@@ -9,9 +9,11 @@ re-recorded only in a commit of its own, before the source change that
 moves it, and CHANGES.md says which jobs moved and why.
 
 To print the digests of the current tree (e.g. after an intended output
-change), run ``PYTHONPATH=src python -m tests.test_golden``.
+change), run ``python -m tests.test_golden`` from the repository root.  Run
+so, the module puts ``src/`` on the path as pytest does, so
+``PYTHONPATH=src`` is optional.
 
-``PYTHONPATH=src python -m tests.test_golden --wide`` instead prints one
+``python -m tests.test_golden --wide`` instead prints one
 digest per job of ``WIDE``: 52 runs at the default caps and window (seed 7),
 too slow for the test suite.  To compare two trees beyond the gate, save
 that output on one tree and pass the file on the other:
@@ -30,6 +32,9 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
+
+if __name__ == "__main__":  # as pytest's ``pythonpath = ["src"]`` does, for ``python -m tests.test_golden``
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from poroweights import Interval, certification_probes
 from poroweights.cli import main

@@ -12,6 +12,7 @@ its runs, kept there too.
 
 import bisect
 import copy
+import gc
 import math
 import pickle
 import random
@@ -616,9 +617,34 @@ class TestMemoHygiene:
 
     def test_memo_is_freed_with_its_set(self):
         e = self._queried(CantorIterate(0.0, 1.0, 1.0 / 3.0, 6))
-        ref = weakref.ref(e)
-        del e  # no reference cycle: freed without waiting for the cyclic collector
-        assert ref() is None
+        held = window_summary(e, Interval(0.25, 0.75))  # holds the set's run index, not the set
+        assert isinstance(held._source, tuple)
+        # the run index takes no weak reference; its peak table, an array, does
+        ref, table = weakref.ref(e), weakref.ref(e._index()._peaks)
+        gc.disable()
+        try:
+            del e  # no reference cycle: freed without waiting for the cyclic collector
+            assert ref() is None
+            assert held.peak() > 0.0
+            del held  # nor does a memo on the index keep it in a cycle with its summaries
+            assert table() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("make", [lambda: CantorIterate(0.0, 1.0, 1.0 / 3.0, 4),
+                                      lambda: FinitePoints([0.0, 0.2, 0.3, 0.4, 0.5, 0.8, 1.0])],
+                             ids=["cantor", "finite"])
+    def test_a_summary_outlives_its_set(self, make):
+        # a memoised summary of a temporary set reads its derived values from
+        # the run index it holds, as the same window of a live, equal set does
+        window = Interval(0.1, 0.9)
+        orphan, live = window_summary(make(), window), window_summary(make(), window)
+        assert isinstance(orphan._source, tuple) and orphan is not live
+        assert orphan.peak() == live.peak()
+        thresholds = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5]
+        assert orphan.shares(window.lo, window.hi, thresholds) == live.shares(window.lo, window.hi, thresholds)
+        assert list(map(repr, orphan.interior())) == list(map(repr, live.interior()))
+        assert orphan.integral_terms(0.5) == live.integral_terms(0.5)
 
     def test_concurrent_queries_agree(self):
         """The memo takes no lock: racing threads may build an entry twice, never a wrong one."""
@@ -923,13 +949,17 @@ class TestVariantSummaries:
     def test_a_regrowth_keeps_every_window_exact(self, ratio):
         # the cached geometric points grow at the front, so the index of every
         # point shifts: a memo keyed by those indices would hand a window of the
-        # grown points the summary of another window
+        # grown points the summary of another window.  So would a key that packs
+        # indices counted from the end with a multiplier of the point count, as
+        # the count changes: every window between two marks not left of chain[7]
+        # is read while the points grow to 8, and again after
         e = GeometricPlusLattice(ratio, Lattice(0.0, 1.0, "right"))
         chain = geometric_chain(ratio)[:24]
         mids = [0.5 * (p + q) for p, q in zip(chain, chain[1:])]
         spans = [(mids[k + 2], mids[k]) for k in range(len(mids) - 2)]
         spans += [(chain[k + 3], chain[k]) for k in range(len(chain) - 3)]
-        near = [(lo, hi) for lo, hi in spans if lo > chain[6]]
+        marks = sorted(p for p in chain + mids if p >= chain[7])
+        near = [(lo, hi) for lo in reversed(marks) for hi in marks if lo < hi]
         for lo, hi in near:
             check_variant_summary(e, lo, hi)
         held = len(e.__dict__["_geom"][0].pts)

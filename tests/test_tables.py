@@ -907,7 +907,8 @@ class TestWorkCounts:
                              ids=["geometric_naturals", "reflected_geometric_naturals"])
     def test_geometric_sweeps_and_transport_take_no_default_path(self, e, monkeypatch):
         # windows that reach the geometric points read the cached points and the
-        # lattice's summary: nothing compressed, no summary built from runs
+        # lattice's summary: nothing compressed, no summary built from runs but
+        # the geometric memo's, which the run index builds on a miss
         counts = {"compress": 0, "default": 0, "geometric": 0}
 
         def counted(name, original):
@@ -919,8 +920,7 @@ class TestWorkCounts:
         monkeypatch.setattr(sets_module.Run, "compress", staticmethod(counted("compress", sets_module.Run.compress)))
         monkeypatch.setattr(sets_module.SetDescription, "summary",
                             counted("default", sets_module.SetDescription.summary))
-        monkeypatch.setattr(GeometricPlusLattice, "_geometric_summary",
-                            counted("geometric", GeometricPlusLattice._geometric_summary))
+        monkeypatch.setattr(sets_module._RunIndex, "built", counted("geometric", sets_module._RunIndex.built))
         window = Interval(-64.0, 64.0)
         intervals = certification_probes(e, window, anchor_cap=16, random_count=50).intervals()
         sweep_sides(e, intervals, SIDES)
